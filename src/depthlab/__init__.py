@@ -7,9 +7,7 @@ from .geometry import (
     SimplicialCone,
     canonical_direction,
     cone_contains,
-    halfspace_side,
     line,
-    project_point,
     sample_directions,
 )
 from .measures import (
@@ -20,7 +18,6 @@ from .measures import (
     halfspace_mass,
     load_measure,
     make_measure,
-    measure_io,
     project_measure,
     save_measure,
 )

@@ -1,13 +1,15 @@
 """Half-space depth of points and flats, depth landscapes, and deep-line search.
 
 Depth of a query point q is the minimum, over unit directions u, of the mass
-of the closed half-space {x : <u, x - q> >= 0}.  For a finite point set the
-minimum is attained, and the exact algorithm enumerates candidate normals
-orthogonal to spans of (d-1)-subsets of (points - q), resolving boundary ties
-by the mass reachable under infinitesimal rotation (a recursive subproblem on
-the boundary set).  ``depth_oracle`` is an independent brute-force referee
-built on lexicographic sign perturbation; the two implementations share no
-code path.
+of the closed half-space {x : <u, x - q> >= 0}.  The exact algorithm projects
+and sweeps (Rousseeuw & Struyf 1998; Dyckerhoff & Mozharovskyi 2016): the
+minimum sits in a cell of the great-circle arrangement of the points p_i =
+x_i - q, so depth is the minimum over i of the mass antiparallel to p_i plus
+the depth of the other points projected onto p_i^perp, recursing down to an
+exact O(n log n) planar sweep; cost O(n^(d-1) log n).  The median search uses
+it up to n = 120 in d = 4 and the certified floor above.  ``depth_oracle``
+is an independent brute-force referee built on lexicographic sign
+perturbation; the two implementations share no code path.
 """
 
 from __future__ import annotations
@@ -66,209 +68,124 @@ def line_depth_thresholds(dim: int) -> dict:
 # exact closed-half-space minimization through the origin
 
 
-def _default_unit(k: int) -> np.ndarray:
-    e = np.zeros(k)
-    e[0] = 1.0
-    return e
+def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
+    """Exact planar minimization by a rotating sweep, O(m log m) per row.
 
-
-def _orth_complement_of_vector(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (k-1, k) of the hyperplane orthogonal to unit u."""
-    k = u.size
-    q, _ = np.linalg.qr(np.column_stack([u, np.eye(k)]))
-    return q[:, 1:k].T
-
-
-def _halfdepth_1d(p: np.ndarray, w: np.ndarray):
-    pos = float(w[p > 0].sum())
-    neg = float(w[p < 0].sum())
-    return (pos, np.array([1.0])) if pos <= neg else (neg, np.array([-1.0]))
-
-
-def _halfdepth_2d_sweep(phat: np.ndarray, w: np.ndarray):
-    """Exact 2-d minimization by a rotating sweep, O(n log n).
-
-    The closed-semicircle mass as a function of the normal's angle is
-    piecewise constant with breakpoints at the point angles +- 90 degrees;
-    its minimum is attained strictly between breakpoints, so evaluating at
-    the midpoints of consecutive distinct breakpoints is exact and resolves
-    all boundary ties automatically (no point lies on a midpoint boundary).
+    phat (R, m, 2) holds unit vectors and w (R, m) their weights.  The
+    closed-semicircle mass as a function of the normal's angle is piecewise
+    constant with breakpoints at the point angles +- 90 degrees, so
+    evaluating it at the midpoint of each arc between consecutive distinct
+    breakpoints is exact.  Arcs no wider than 4 gap are skipped, so every
+    point a midpoint leaves out lies more than 2 gap behind it: the attained
+    mass check counts points within the tolerance (``gap`` at the top level)
+    of the boundary, so a narrower arc's mass cannot be attained.  Rounding
+    also splits a breakpoint shared by collinear points into such slivers.
+    Returns each row's minimum mass and the midpoint angle of its first
+    minimizing arc.
     """
     two_pi = 2.0 * np.pi
-    ang = np.mod(np.arctan2(phat[:, 1], phat[:, 0]), two_pi)
-    order = np.argsort(ang, kind="stable")
-    sa = ang[order]
-    cw = np.concatenate([[0.0], np.cumsum(w[order])])
-    total = cw[-1]
-    bps = np.unique(np.mod(np.concatenate([sa - 0.5 * np.pi, sa + 0.5 * np.pi]), two_pi))
-    nxt = np.roll(bps, -1).copy()
-    nxt[-1] += two_pi
+    R, m = w.shape
+    rows = np.arange(R)[:, None]
+    ang = np.mod(np.arctan2(phat[..., 1], phat[..., 0]), two_pi)
+    order = np.argsort(ang, axis=1, kind="stable")
+    sa = ang[rows, order]
+    cw = np.zeros((R, m + 1))
+    np.cumsum(w[rows, order], axis=1, out=cw[:, 1:])
+    total = cw[:, -1:]
+    bps = np.sort(np.mod(np.concatenate([sa - 0.5 * np.pi, sa + 0.5 * np.pi], axis=1), two_pi), axis=1)
+    nxt = np.concatenate([bps[:, 1:], bps[:, :1] + two_pi], axis=1)
     mids = np.mod(0.5 * (bps + nxt), two_pi)
     lo = np.mod(mids - 0.5 * np.pi, two_pi)
     hi = np.mod(mids + 0.5 * np.pi, two_pi)
-    il = np.searchsorted(sa, lo, side="left")
-    ih = np.searchsorted(sa, hi, side="right")
-    plain = cw[ih] - cw[il]
-    wrapped = (total - cw[il]) + cw[ih]
-    masses = np.where(lo <= hi, plain, wrapped)
-    j = int(np.argmin(masses))
-    phi = mids[j]
-    return float(masses[j]), np.array([np.cos(phi), np.sin(phi)])
+    cl = cw[rows, np.array([np.searchsorted(a, x, side="left") for a, x in zip(sa, lo)])]
+    ch = cw[rows, np.array([np.searchsorted(a, x, side="right") for a, x in zip(sa, hi)])]
+    masses = np.where(lo <= hi, ch - cl, (total - cl) + ch)
+    masses[nxt - bps <= 4.0 * gap] = np.inf
+    j = np.argmin(masses, axis=1)
+    return masses[rows[:, 0], j], mids[rows[:, 0], j]
 
 
-def _halfdepth_2d(phat: np.ndarray, w: np.ndarray, tol: float):
-    """Exact 2-d minimization with explicit tolerance-based tie handling.
+def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, tol: float, gap: float):
+    """min over unit u of sum_j w_j [<u, p_j> >= 0] and an attaining u, row
+    by row: phat (R, m, k) unit rows, k >= 2.
 
-    Candidates are the perpendiculars of each point (both signs); the
-    boundary set of a candidate is its collinear class (within tol), and a
-    reachable tie resolution keeps exactly one side of that line.  Used for
-    boundary subproblems inside the recursion, where points cluster by
-    construction; the rotating sweep covers the general-position hot path.
+    k = 2 is the sweep; k >= 3 takes the minimum over pivots i of the mass
+    antiparallel to p_i plus the depth of the rest projected onto p_i^perp.
+    The witness lifts the subproblem's direction v and tilts it to
+    v - eps p_i, eps half the smallest |<v, p_j>| over the kept points, so
+    every kept point keeps its side and the parallel class drops behind.
+    The tilt halves the margin by which the witness clears the points, so
+    the subproblem is solved with twice the ``gap`` asked of this level.
     """
-    perp = np.column_stack([-phat[:, 1], phat[:, 0]])
-    s = perp @ phat.T
-    bnd = np.abs(s) <= tol
-    cnt = bnd.sum(axis=1)
-    strict_pos = (s > tol) @ w
-    bnd_mass = bnd @ w
-    strict_neg = float(w.sum()) - strict_pos - bnd_mass
-    res = np.zeros(phat.shape[0])
-    for i in np.nonzero(cnt > 1)[0]:
-        msk = bnd[i]
-        t = phat[msk] @ phat[i]
-        res[i] = min(float(w[msk][t > 0].sum()), float(w[msk][t < 0].sum()))
-    vplus = strict_pos + res
-    vminus = strict_neg + res
-    ip, im = int(np.argmin(vplus)), int(np.argmin(vminus))
-    if vplus[ip] <= vminus[im]:
-        return float(vplus[ip]), perp[ip]
-    return float(vminus[im]), -perp[im]
-
-
-def _subset_normals(phat: np.ndarray, k: int):
-    """Unit normals to spans of independent (k-1)-subsets of the rows."""
-    n = phat.shape[0]
-    idx = np.array(list(itertools.combinations(range(n), k - 1)), dtype=int)
-    if k == 3:
-        nrm = np.cross(phat[idx[:, 0]], phat[idx[:, 1]])
-    elif k == 4:
-        m = np.stack([phat[idx[:, 0]], phat[idx[:, 1]], phat[idx[:, 2]]], axis=1)
-        nrm = np.empty((idx.shape[0], 4))
-        cols = np.arange(4)
-        for j in range(4):
-            nrm[:, j] = ((-1.0) ** j) * np.linalg.det(m[:, :, cols != j])
-    else:
-        raise ValueError(f"unsupported dimension {k}")
-    lens = np.linalg.norm(nrm, axis=1)
-    keep = lens > 1e-9
-    return nrm[keep] / lens[keep][:, None]
-
-
-def _halfdepth(P: np.ndarray, w: np.ndarray, tol: float):
-    """min over unit u of sum w_i [<u, p_i> >= 0], plus an attaining direction.
-
-    P holds nonzero points; handles any dimension by rank reduction, and
-    resolves candidate boundary ties by recursion on the boundary set.
-    """
-    n, k = P.shape
-    if n == 0:
-        return 0.0, _default_unit(k)
-    norms = np.linalg.norm(P, axis=1)
-    phat = P / norms[:, None]
-    if k == 1:
-        return _halfdepth_1d(phat[:, 0], w)
-    rank = np.linalg.matrix_rank(phat, tol=1e-10)
-    if rank < k:
-        _, _, vt = np.linalg.svd(phat, full_matrices=False)
-        v = vt[:rank]
-        val, usub = _halfdepth(phat @ v.T, w, tol)
-        return val, unit(v.T @ usub)
+    R, m, k = phat.shape
     if k == 2:
-        val, u0 = _halfdepth_2d(phat, w, tol)
-        return val, _resolved_witness(phat, w, tol, u0, val)
-
-    cand = _subset_normals(phat, k)
-    best_val, best_u = np.inf, None
-    total_w = float(w.sum())
-    uniform = bool(np.all(np.abs(w - w[0]) <= 1e-15))
-    wc = np.column_stack([w, np.ones_like(w)])
-    # float32 prefilter: dot products certainly clear of the tolerance are
-    # classified in single precision (error << band); entries inside the
-    # band are recomputed exactly in double precision
-    band = 1e-4
-    phat32 = phat.astype(np.float32)
-    for lo in range(0, cand.shape[0], _CHUNK):
-        u_blk = cand[lo : lo + _CHUNK]
-        s32 = u_blk.astype(np.float32) @ phat32.T
-        sure_pos = s32 > band
-        sure_neg = s32 < -band
-        unc_r, unc_c = np.nonzero(np.abs(s32) <= band)
-        if unc_r.size:
-            s_exact = np.einsum("ij,ij->i", u_blk[unc_r], phat[unc_c])
-            upos = s_exact > tol
-            uneg = s_exact < -tol
-        else:
-            upos = uneg = np.zeros(0, dtype=bool)
-        if uniform:
-            pos_cnt = sure_pos.sum(axis=1).astype(float)
-            neg_cnt = sure_neg.sum(axis=1).astype(float)
-            if unc_r.size:
-                np.add.at(pos_cnt, unc_r[upos], 1.0)
-                np.add.at(neg_cnt, unc_r[uneg], 1.0)
-            pos_mass = pos_cnt * w[0]
-            neg_mass = neg_cnt * w[0]
-            bnd_cnt = n - pos_cnt - neg_cnt
-        else:
-            pos_res = sure_pos @ wc
-            neg_res = sure_neg @ wc
-            if unc_r.size:
-                np.add.at(pos_res[:, 0], unc_r[upos], w[unc_c[upos]])
-                np.add.at(pos_res[:, 1], unc_r[upos], 1.0)
-                np.add.at(neg_res[:, 0], unc_r[uneg], w[unc_c[uneg]])
-                np.add.at(neg_res[:, 1], unc_r[uneg], 1.0)
-            pos_mass, neg_mass = pos_res[:, 0], neg_res[:, 0]
-            bnd_cnt = n - pos_res[:, 1] - neg_res[:, 1]
-        generic = bnd_cnt == (k - 1)
-        # generic rows: the k-1 independent boundary points admit a strictly
-        # separating rotation, so the tie resolution contributes nothing
-        vals = np.where(generic, np.minimum(pos_mass, neg_mass), np.inf)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_u = u_blk[j] if pos_mass[j] <= neg_mass[j] else -u_blk[j]
-        for j in np.nonzero(~generic)[0]:
-            u = u_blk[j]
-            b = np.abs(phat @ u) <= tol
-            comp = _orth_complement_of_vector(u)
-            subval, _ = _halfdepth(phat[b] @ comp.T, w[b], tol)
-            for sgn, base in ((1.0, float(pos_mass[j])), (-1.0, float(neg_mass[j]))):
-                if base + subval < best_val:
-                    best_val, best_u = base + subval, sgn * u
-    if best_u is None:
-        raise RuntimeError("no candidate normals; degenerate input")
-    return best_val, _resolved_witness(phat, w, tol, best_u, best_val)
+        val, phi = _sweep(phat, w, gap)
+        return val, np.column_stack([np.cos(phi), np.sin(phi)])
+    best = np.argmin(_pivot_masses(phat, w, tol, 2.0 * gap), axis=1)
+    piv = phat[np.arange(R), best]
+    sub, ws, anti = _project(phat, w, piv, tol)
+    val, x = _min_halfspace_mass(sub, ws, tol, 2.0 * gap)
+    # lift: the reflection of _project maps (0, x) back into piv^perp
+    refl = piv.copy()
+    refl[:, 0] += np.where(piv[:, 0] >= 0.0, 1.0, -1.0)
+    t = (x * piv[:, 1:]).sum(axis=1) / (1.0 + np.abs(piv[:, 0]))
+    v = np.column_stack([np.zeros(R), x]) - t[:, None] * refl
+    gaps = np.where(ws > 0, np.abs(np.einsum("bmk,bk->bm", phat, v)), np.inf).min(axis=1)
+    eps = np.where(np.isfinite(gaps), 0.5 * gaps, 0.5)
+    u = v - eps[:, None] * piv
+    return anti + val, u / np.linalg.norm(u, axis=1)[:, None]
 
 
-def _resolved_witness(phat, w, tol, u, target):
-    """Concrete unit direction near u attaining the resolved value ``target``."""
-    s = phat @ u
-    b = np.abs(s) <= tol
-    if not b.any():
-        return unit(u)
-    comp = _orth_complement_of_vector(unit(u))
-    _, usub = _halfdepth(phat[b] @ comp.T, w[b], tol)
-    w_emb = comp.T @ usub
-    gaps = np.abs(s[~b])
-    eps = 0.49 * float(gaps.min()) if gaps.size else 0.5
-    for _ in range(10):
-        cand = unit(u + eps * w_emb)
-        val = float(w[phat @ cand >= -tol].sum())
-        if abs(val - target) <= 1e-9:
-            return cand
-        eps /= 16.0
-    # unrealizable beyond general position; the caller detects the mismatch
-    # and degrades to a certified upper bound
-    return unit(u)
+def _pivot_masses(phat: np.ndarray, w: np.ndarray, tol: float, gap: float) -> np.ndarray:
+    """(R, m) mass of each pivot p_i, k = 3 or 4: the mass antiparallel to it
+    plus the minimum mass of the rest projected onto p_i^perp, solved with
+    ``gap``, in blocks of at most 4 * _CHUNK planar points.
+
+    For k = 4 the subproblem of pivot i takes only the pivots j > i, so it
+    may come out too high, but the minimum over i stays exact: near the
+    plane span(p_i, p_j) an optimal direction lies in a wedge bounded by
+    the lines of two points c, d of that plane which it leaves out, and
+    the pivot orders (c, d) and (d, c) both reach that wedge.
+    """
+    R, m, k = phat.shape
+    rr, ii = np.divmod(np.arange(R * m), m)
+    tot = np.empty(R * m)
+    step = max(1, 4 * _CHUNK // m ** (k - 2))
+    for s in range(0, R * m, step):
+        r, i = rr[s : s + step], ii[s : s + step]
+        sub, ws, anti = _project(phat[r], w[r], phat[r, i], tol)
+        if k == 3:
+            tot[s : s + step] = anti + _sweep(sub, ws, gap)[0]
+            continue
+        b, j = np.nonzero(np.arange(m) > i[:, None])
+        val = np.full((len(r), m), np.inf)
+        if len(b):
+            sub, ws2, anti2 = _project(sub[b], ws[b], sub[b, j], tol)
+            val[b, j] = anti2 + _sweep(sub, ws2, 2.0 * gap)[0]
+        tot[s : s + step] = anti + val.min(axis=1)
+    return tot.reshape(R, m)
+
+
+def _project(pts: np.ndarray, w: np.ndarray, piv: np.ndarray, tol: float):
+    """Project rows pts (B, m, k) onto piv^perp (B, k) in (k-1)-coordinates.
+
+    The coordinates are entries 1..k-1 of the image under the Householder
+    reflection that swaps the unit pivot with -+e_0.  Returns the unit
+    projections, the weights with the parallel class zeroed and the mass
+    antiparallel to each pivot.  Parallel rows are replaced by a copy of the
+    row's first kept point, so they add no breakpoint.
+    """
+    sign = np.where(piv[:, 0] >= 0.0, 1.0, -1.0)
+    cos = np.einsum("bmk,bk->bm", pts, piv)
+    coef = (cos + sign[:, None] * pts[..., 0]) / (1.0 + np.abs(piv[:, :1]))
+    sub = pts[..., 1:] - coef[..., None] * piv[:, None, 1:]
+    norms = np.linalg.norm(sub, axis=2)
+    kept = norms > tol
+    anti = np.where(~kept & (cos < 0), w, 0.0).sum(axis=1)
+    sub /= np.where(kept, norms, 1.0)[..., None]
+    fill = sub[np.arange(sub.shape[0]), np.argmax(kept, axis=1)]
+    sub = np.where(kept[..., None], sub, fill[:, None, :])
+    return sub, np.where(kept, w, 0.0), anti
 
 
 def _split_query(m: DiscreteMeasure, q: np.ndarray, tol: float):
@@ -282,17 +199,17 @@ def _split_query(m: DiscreteMeasure, q: np.ndarray, tol: float):
 def exact_depth_value_2d(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL):
     """Exact planar depth value with an unresolved witness candidate.
 
-    Same value as ``point_depth(..., mode="exact")`` but skips the witness
-    resolution, for hot loops (median ascent, direction scans) that only
-    need the number and a descent direction.
+    Same value as ``point_depth(..., mode="exact")``, with the direction of
+    the first minimizing arc of the sweep instead of a checked witness, for
+    hot loops (median ascent, direction scans) that only need the number and
+    a descent direction.
     """
     q = np.asarray(q, dtype=float)
     P, w, w0 = _split_query(m, q, tol)
     if P.shape[0] == 0:
-        return 1.0, _default_unit(2)
-    norms = np.linalg.norm(P, axis=1)
-    val, u = _halfdepth_2d_sweep(P / norms[:, None], w)
-    return w0 + val, u
+        return 1.0, np.eye(2)[0]
+    val, phi = _sweep((P / np.linalg.norm(P, axis=1)[:, None])[None], w[None], tol)
+    return w0 + float(val[0]), np.array([np.cos(phi[0]), np.sin(phi[0])])
 
 
 def point_depth(
@@ -305,9 +222,11 @@ def point_depth(
 ) -> DepthResult:
     """Half-space depth of a point.
 
-    exact    candidate-normal enumeration with tie resolution; requires
-             dim <= 4 and n <= 5000 (d=4 cost grows as n^3; see
-             ``certified_depth_floor`` for a fast conservative bound).
+    exact    project and sweep (see the module docstring), O(n^(d-1) log n);
+             limited to dim <= 4 and n <= 5000 (see ``certified_depth_floor``
+             for a fast conservative bound).  Reports the closed mass of the
+             witness direction, a sum of weights; the mode is
+             "exact-upper-bound" when it misses the computed minimum.
     sampled  upper bound over ``sample_count`` seeded sphere directions; the
              direction stream is prefix-stable in the count, so a larger
              sample with the same seed can only lower the bound.
@@ -317,28 +236,22 @@ def point_depth(
         raise ValueError(f"query dim {q.size} != measure dim {m.dim}")
     if mode == "exact":
         if m.dim > EXACT_MAX_DIM or m.n > EXACT_MAX_N:
-            raise ValueError(
-                f"exact mode limited to dim <= {EXACT_MAX_DIM}, n <= {EXACT_MAX_N}"
-            )
+            raise ValueError(f"exact mode limited to dim <= {EXACT_MAX_DIM}, n <= {EXACT_MAX_N}")
         P, w, w0 = _split_query(m, q, tol)
         if P.shape[0] == 0:
-            return DepthResult(1.0, _default_unit(m.dim), "exact")
+            return DepthResult(1.0, np.eye(m.dim)[0], "exact")
         phat = P / np.linalg.norm(P, axis=1)[:, None]
-        if m.dim == 2:
-            # fast path; fall back to the tolerance-based recursion when the
-            # sweep witness disagrees (near-degenerate angular gaps)
-            val, u = _halfdepth_2d_sweep(phat, w)
-            check = w0 + float(w[phat @ u >= -tol].sum())
-            if abs(check - (w0 + val)) <= 1e-9:
-                return DepthResult(w0 + val, u, "exact")
-        val, u = _halfdepth(P, w, tol)
-        depth = w0 + val
-        check = w0 + float(w[phat @ u >= -tol].sum())
-        if abs(check - depth) > 1e-9:
-            # beyond general position the resolved value may be unattainable;
-            # report the attained mass, which is a certified upper bound
-            return DepthResult(check, u, "exact-upper-bound")
-        return DepthResult(depth, u, "exact")
+        if m.dim == 1:
+            pos, neg = float(w[phat[:, 0] > 0].sum()), float(w[phat[:, 0] < 0].sum())
+            val, u = min(pos, neg), np.array([1.0 if pos <= neg else -1.0])
+        else:
+            vals, us = _min_halfspace_mass(phat[None], w[None], tol, tol)
+            val, u = float(vals[0]), us[0]
+        depth = w0 + float(w[phat @ u >= -tol].sum())
+        # beyond general position the minimum may be unattainable at the
+        # witness; its attained mass is then a certified upper bound
+        mode = "exact" if abs(depth - (w0 + val)) <= 1e-9 else "exact-upper-bound"
+        return DepthResult(depth, u, mode)
     if mode == "sampled":
         u = sample_directions(m.dim, sample_count, seed=seed, mode="sphere")
         p = m.points - q
@@ -361,38 +274,18 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     """
     q = as_vector(q)
     d = m.dim
-    if d == 2:
-        step = 2.0 * gamma
-        ang = np.arange(0.0, 2.0 * np.pi + step, step)
-        net = np.column_stack([np.cos(ang), np.sin(ang)])
-    elif d == 3:
-        step = gamma
-        a = np.arange(0.0, np.pi + step, step)
-        b = np.arange(0.0, 2.0 * np.pi + step, step)
-        aa, bb = np.meshgrid(a, b, indexing="ij")
-        net = np.column_stack(
-            [
-                np.cos(aa).ravel(),
-                (np.sin(aa) * np.cos(bb)).ravel(),
-                (np.sin(aa) * np.sin(bb)).ravel(),
-            ]
-        )
-    elif d == 4:
-        step = 2.0 * gamma / 3.0
-        a = np.arange(0.0, np.pi + step, step)
-        c = np.arange(0.0, 2.0 * np.pi + step, step)
-        aa, bb, cc = np.meshgrid(a, a, c, indexing="ij")
-        sa, sb = np.sin(aa), np.sin(bb)
-        net = np.column_stack(
-            [
-                np.cos(aa).ravel(),
-                (sa * np.cos(bb)).ravel(),
-                (sa * sb * np.cos(cc)).ravel(),
-                (sa * sb * np.sin(cc)).ravel(),
-            ]
-        )
-    else:
+    if d not in (2, 3, 4):
         raise ValueError("certified floor supported for dim in {2, 3, 4}")
+    # hyperspherical angles: d - 2 polar ones in [0, pi], an azimuth in [0, 2 pi]
+    step = 2.0 * gamma / (d - 1)
+    polar = np.arange(0.0, np.pi + step, step)
+    grid = np.meshgrid(*[polar] * (d - 2), np.arange(0.0, 2.0 * np.pi + step, step), indexing="ij")
+    net = np.empty((grid[0].size, d))
+    scale = 1.0
+    for k, ang in enumerate(grid):
+        net[:, k] = scale * np.cos(ang).ravel()
+        scale = scale * np.sin(ang).ravel()
+    net[:, -1] = scale
     p = m.points - q
     norms = np.linalg.norm(p, axis=1)
     # float32 with a safety inflation of the margin keeps the bound valid:
@@ -425,7 +318,7 @@ def depth_oracle(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL) -> DepthResult
     P, w, w0 = _split_query(m, q, tol)
     n, d = P.shape
     if n == 0:
-        return DepthResult(1.0, _default_unit(m.dim), "oracle")
+        return DepthResult(1.0, np.eye(m.dim)[0], "oracle")
     scale = np.linalg.norm(P, axis=1)
 
     if d == 1:

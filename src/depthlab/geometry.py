@@ -20,10 +20,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-INSIDE = "inside"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
-
 
 def as_vector(x) -> np.ndarray:
     """Coerce to a finite 1-d float64 array."""
@@ -42,10 +38,6 @@ def unit(x) -> np.ndarray:
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / nrm
-
-
-def is_unit(v: np.ndarray, tol: float = 1e-12) -> bool:
-    return abs(float(np.linalg.norm(v)) - 1.0) <= tol
 
 
 def canonical_direction(v, tol: float = 1e-13) -> np.ndarray:
@@ -152,31 +144,6 @@ def complement_basis(f: Flat) -> np.ndarray:
         if row[j] < 0:
             row *= -1.0
     return comp
-
-
-def project_point(x, f: Flat) -> np.ndarray:
-    """Coordinates of the orthogonal projection of x along f, in ``complement_basis(f)``.
-
-    This is the push-forward coordinate map used for measure projections: the
-    image lives in R^(dim-k) and the flat itself maps to a single point.
-    """
-    v = as_vector(x)
-    if v.size != f.dim:
-        raise ValueError(f"point dim {v.size} != flat ambient dim {f.dim}")
-    return complement_basis(f) @ v
-
-
-def halfspace_side(h: HalfSpace, x, tol: float = DEFAULT_TOL) -> str:
-    """Classify a point against a half-space: inside / boundary / outside."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    v = as_vector(x)
-    if v.size != h.dim:
-        raise ValueError(f"point dim {v.size} != half-space dim {h.dim}")
-    s = h.signed_dist(v)
-    if abs(s) <= tol:
-        return BOUNDARY
-    return INSIDE if s < 0 else OUTSIDE
 
 
 @dataclass(frozen=True, eq=False)

@@ -253,15 +253,3 @@ def load_measure(path) -> DiscreteMeasure:
     else:
         w = np.full(pts.shape[0], 1.0 / pts.shape[0])
     return DiscreteMeasure(dim, pts, w)
-
-
-def measure_io(path, direction: str, measure: DiscreteMeasure | None = None):
-    """Unified load/save entry point; ``direction`` is "load" or "save"."""
-    if direction == "load":
-        return load_measure(path)
-    if direction == "save":
-        if measure is None:
-            raise ValueError("save requires a measure")
-        save_measure(measure, path)
-        return None
-    raise ValueError(f"unknown direction {direction!r}")

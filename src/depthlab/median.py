@@ -142,7 +142,7 @@ def tukey_median(
         if m.dim != 2 or m.n > ARRANGEMENT_MAX_N:
             raise ValueError(f"arrangement mode requires dim=2 and n <= {ARRANGEMENT_MAX_N}")
         return _arrangement_median(m, tol)
-    if mode not in ("multistart", "grid"):
+    if mode != "multistart":
         raise ValueError(f"unknown budget mode {mode!r}")
 
     if m.dim == 1:
@@ -402,12 +402,3 @@ def _center_in_normal_set(chosen, all_normals, m, o, level, tol, radius=0.35):
         if mass <= level + tol:
             out[i] = c
     return out
-
-
-def witness_masses(m: DiscreteMeasure, o, tup) -> np.ndarray:
-    """Masses of the minimizing half-spaces H(n_i) behind a witness tuple."""
-    o = np.asarray(o, dtype=float)
-    out = []
-    for nrm in tup.normals:
-        out.append(float(m.weights[(m.points - o) @ (-nrm) <= DEFAULT_TOL].sum()))
-    return np.asarray(out)

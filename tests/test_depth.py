@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from enumerator_referee import enumerator_depth
 from depthlab.geometry import Flat, line, random_rotation, sample_directions
 from depthlab.measures import MeasureSpec, generate_measure, make_measure
 from depthlab.depth import (
@@ -47,8 +50,8 @@ def test_witness_attains_depth(square):
     assert mass == pytest.approx(r.depth, abs=1e-12)
 
 
-def test_exact_matches_oracle_battery():
-    # 40 seeded integer instances per dimension, incl. duplicates/collinearity
+def _oracle_battery():
+    """40 seeded integer instances per dimension, incl. duplicates/collinearity."""
     for d in (2, 3):
         for i in range(40):
             rng = np.random.default_rng(31_000 + 997 * d + i)
@@ -59,11 +62,59 @@ def test_exact_matches_oracle_battery():
             if i % 5 == 0:
                 pts[:, -1] = 0
             q = pts[0] if i % 2 else rng.integers(-4, 5, size=d).astype(float)
-            m = make_measure(pts)
-            e = point_depth(m, q).depth
-            o = depth_oracle(m, q).depth
-            assert round(e * n) == round(o * n), (d, i, e, o)
-            assert abs(e - o) < 1e-9
+            yield make_measure(pts), q
+
+
+def test_exact_matches_oracle_battery():
+    for i, (m, q) in enumerate(_oracle_battery()):
+        n = m.n
+        e = point_depth(m, q).depth
+        o = depth_oracle(m, q).depth
+        assert round(e * n) == round(o * n), (m.dim, i, e, o)
+        assert abs(e - o) < 1e-9
+
+
+def test_exact_depth_is_attained_mass():
+    # the reported depth is the witness's closed-half-space mass, a sum of
+    # weights: never negative float noise
+    for m, q in _oracle_battery():
+        r = point_depth(m, q)
+        p = m.points - q
+        norms = np.linalg.norm(p, axis=1)
+        near = norms <= 1e-9
+        phat = p[~near] / norms[~near][:, None]
+        mass = float(m.weights[near].sum()) + float(m.weights[~near][phat @ r.witness >= -1e-9].sum())
+        assert r.mode == "exact"
+        assert r.depth >= 0.0
+        assert r.depth == mass
+
+
+def _sliver_cases(off):
+    """(-1, -off) lies ``off`` radians off the line through (1, 0), so the
+    sweep sees a sliver arc between their breakpoints.  Its midpoint is
+    within the tolerance of both points at 1e-10, and within the doubled
+    margin of a lifted witness at 6e-9, so it cannot be the witness.  The
+    lifts put the triple under a pivot of the d = 3 and d = 4 recursions."""
+    tri = [(1.0, 0.0), (0.0, 1.0), (-1.0, -off)]
+    return [
+        (tri, 1 / 3),
+        ([(x, y, 0.0) for x, y in tri], 1 / 3),
+        ([(x, y, -1.0) for x, y in tri] + [(0, 0, 1), (0, 0, 2)], 1 / 5),
+        ([(0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, -1)] + [(x, y, 0, 0) for x, y in tri] + [(0, 0, 0, 1)], 3 / 7),
+    ]
+
+
+@pytest.mark.parametrize("pts, depth", _sliver_cases(1e-10) + _sliver_cases(6e-9))
+def test_sliver_arc_is_not_a_witness(pts, depth):
+    m = make_measure(np.array(pts, dtype=float))
+    q = np.zeros(m.dim)
+    r = point_depth(m, q)
+    assert r.mode == "exact"
+    assert r.depth == pytest.approx(depth, abs=1e-12)
+    if m.dim == 2:
+        val, u = exact_depth_value_2d(m, q)
+        assert val == pytest.approx(depth, abs=1e-12)
+        assert float(m.weights[m.points @ u >= -1e-9].sum()) == pytest.approx(depth, abs=1e-12)
 
 
 def test_sampled_mode_monotone_upper_bound(square):
@@ -189,3 +240,57 @@ def test_rado_floor_in_projections():
     for s, u in enumerate(sample_directions(3, 5, seed=2)):
         a, _ = direction_profile(m, u, {"starts": 8, "iters": 12, "seed": s})
         assert a >= 1 / 3 - 2 / 300
+
+
+@st.composite
+def degenerate_instances(draw, d, n_min, n_max):
+    """Small integer instances with duplicates, a coplanar layer, a query on
+    a data point, points in a 2-plane through the query and/or a run of
+    points on a line through the query."""
+    n = draw(st.integers(n_min, n_max))
+    coord = st.integers(-6, 6)
+    pts = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        pts[i] = pts[j]
+    if draw(st.booleans()):
+        pts[: n // 2, -1] = 0.0
+    if draw(st.booleans()):
+        q = pts[draw(st.integers(0, n - 1))].copy()
+    else:
+        q = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), dtype=float)
+    if d >= 3 and draw(st.booleans()):
+        pts[: draw(st.integers(2, n)), 2:] = q[2:]
+    if draw(st.booleans()):
+        g = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), dtype=float)
+        g[0] = g[0] or 1.0
+        ks = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=min(n, 5)))
+        pts[n - len(ks) :] = q + np.array(ks, dtype=float)[:, None] * g
+    return make_measure(pts), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_instances(4, 5, 16))
+def test_exact_d4_matches_enumerator(inst):
+    m, q = inst
+    r = point_depth(m, q)
+    assert r.mode == "exact"
+    assert abs(r.depth - enumerator_depth(m, q)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_instances(3, 15, 30))
+def test_exact_d3_matches_enumerator_beyond_oracle_size(inst):
+    m, q = inst
+    r = point_depth(m, q)
+    assert r.mode == "exact"
+    assert abs(r.depth - enumerator_depth(m, q)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(lambda d: degenerate_instances(d, 5, 20)))
+def test_certified_floor_exact_sampled_order(inst):
+    m, q = inst
+    exact = point_depth(m, q).depth
+    assert certified_depth_floor(m, q, gamma=0.2) <= exact
+    assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth

@@ -4,20 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab.geometry import (
-    BOUNDARY,
-    INSIDE,
-    OUTSIDE,
-    Flat,
-    HalfSpace,
     SimplicialCone,
     canonical_direction,
     complement_basis,
     cone_contains,
     cone_contains_many,
-    halfspace_side,
     hull_interior_margin,
     line,
-    project_point,
     sample_directions,
     unit,
 )
@@ -29,28 +22,12 @@ def vec(dim):
     return st.lists(finite, min_size=dim, max_size=dim).map(np.array)
 
 
-def test_project_point_z_axis():
-    f = line([0, 0, 1])
-    assert np.allclose(np.sort(np.abs(project_point([1, 2, 3], f))), [1, 2])
-    assert np.allclose(project_point([0, 0, 5], f), [0, 0])
-
-
-def test_project_point_zero_flat_identity():
-    f = Flat(np.zeros(2), np.empty((0, 2)))
-    assert np.allclose(project_point([3, 4], f), [3, 4])
-
-
-def test_project_point_dimension_mismatch():
-    with pytest.raises(ValueError):
-        project_point([1, 2], line([0, 0, 1]))
-
-
 @settings(max_examples=60, deadline=None)
 @given(vec(3))
 def test_projection_pythagoras(x):
     f = line([0.6, 0.8, 0.0])
     par = f.basis @ x
-    perp = project_point(x, f)
+    perp = complement_basis(f) @ x
     assert np.isclose(x @ x, par @ par + perp @ perp, atol=1e-8)
 
 
@@ -61,27 +38,6 @@ def test_complement_basis_deterministic():
     assert np.array_equal(b1, b2)
     assert np.allclose(b1 @ b1.T, np.eye(2), atol=1e-12)
     assert np.allclose(b1 @ f.basis.T, 0, atol=1e-12)
-
-
-def test_halfspace_side_trichotomy_examples():
-    h = HalfSpace([1, 0], 0.0)
-    assert halfspace_side(h, [-1, 0]) == INSIDE
-    assert halfspace_side(h, [0, 0]) == BOUNDARY
-    assert halfspace_side(h, [1, 0]) == OUTSIDE
-
-
-@settings(max_examples=60, deadline=None)
-@given(vec(2))
-def test_halfspace_side_consistent_with_distance(x):
-    h = HalfSpace([0.6, 0.8], 0.25)
-    side = halfspace_side(h, x, tol=1e-9)
-    s = h.signed_dist(x)
-    if s < -1e-9:
-        assert side == INSIDE
-    elif s > 1e-9:
-        assert side == OUTSIDE
-    else:
-        assert side == BOUNDARY
 
 
 def quadrant():
@@ -143,11 +99,6 @@ def test_grid_mode_ignores_seed():
     a = sample_directions(3, 64, seed=1, mode="grid")
     b = sample_directions(3, 64, seed=999, mode="grid")
     assert np.array_equal(a, b)
-
-
-def test_halfspace_side_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        halfspace_side(HalfSpace([1, 0], 0.0), [0, 0], tol=-1e-3)
 
 
 def test_projective_mode_canonical_sign():

@@ -11,7 +11,6 @@ from depthlab.measures import (
     halfspace_mass,
     load_measure,
     make_measure,
-    measure_io,
     project_measure,
     save_measure,
     simplex_vertices,
@@ -176,16 +175,6 @@ def test_measure_io_roundtrip(tmp_path):
     m2 = load_measure(path)
     assert np.max(np.abs(m.points - m2.points)) <= 1e-15
     assert np.max(np.abs(m.weights - m2.weights)) <= 1e-15
-
-
-def test_measure_io_unified_entry(tmp_path):
-    m = make_measure([[1, 2]])
-    path = tmp_path / "m.json"
-    assert measure_io(path, "save", m) is None
-    m2 = measure_io(path, "load")
-    assert np.array_equal(m2.points, m.points)
-    with pytest.raises(ValueError):
-        measure_io(path, "sideways")
 
 
 def test_measure_io_bad_weight_sum(tmp_path):

@@ -10,7 +10,6 @@ from depthlab.median import (
     recenter,
     tukey_median,
     witness_tuple,
-    witness_masses,
 )
 from depthlab.cones import is_generating, tuple_weight
 
@@ -65,6 +64,11 @@ def test_arrangement_mode_limits():
         tukey_median(m, mode="arrangement")
 
 
+def test_grid_is_not_a_median_mode(square):
+    with pytest.raises(ValueError, match="grid"):
+        tukey_median(square, mode="grid")
+
+
 def test_median_deterministic_in_seed():
     m = generate_measure(MeasureSpec("gaussian", 3, 200, {}, seed=6))
     a = tukey_median(m, mode="multistart", starts=6, iters=10, seed=3)
@@ -109,7 +113,8 @@ def test_witness_tuple_triangle(triangle):
     for h in tup.halves:
         assert halfspace_mass(triangle, h) == pytest.approx(2 / 3, abs=1e-9)
     # the minimizing half-spaces behind them have mass 1/3 each
-    assert np.allclose(witness_masses(triangle, [0, 0], tup), 1 / 3, atol=1e-9)
+    for nrm in tup.normals:
+        assert halfspace_mass(triangle, HalfSpace(-nrm, 0.0)) == pytest.approx(1 / 3, abs=1e-9)
     flag, margin = is_generating(tup.normals)
     assert flag and margin > 1e-6
     assert tuple_weight(triangle, tup) == pytest.approx(1 / 3, abs=1e-9)
