@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification suite at reduced desk scale and write CSV reports.
 
-Full-scale parameters live in tests/test_acceptance.py; this script is a
-quick smoke pass (a few minutes) that exercises the same machinery.
+The reduced sizes are the ``quick`` parameters of each entry in the suite
+registry ``depthlab.suites.SUITES``, whose function defaults are the
+acceptance sizes; this script is a quick smoke pass (a few minutes) that
+exercises the same machinery.
 """
 
 import argparse
@@ -12,30 +14,20 @@ from pathlib import Path
 
 from depthlab import suites
 
-QUICK = {
-    "oracle": {"instances_per_dim": 20},
-    "rado": {"dims": (2, 3), "seeds_per_dim": 8, "n": 200},
-    "theorem1": {"grid_count": 300, "n": 300},
-    "bmes": {"count": 6},
-    "bijection": {"count": 6},
-    "central": {"containment_pairs": 4, "estimator_seeds": (0,)},
-    "tmap": {"seeds": (0,), "trials": 2},
-}
-
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="verify_out")
     # small-op suites are GIL-bound: more threads only help the GEMM-heavy ones
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--suites", nargs="*", default=list(QUICK))
+    ap.add_argument("--suites", nargs="*", default=list(suites.SUITES), choices=list(suites.SUITES))
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     failed = 0
     for name in args.suites:
         t0 = time.perf_counter()
-        rows = suites.run_suite(name, QUICK.get(name, {}), threads=args.threads)
+        rows = suites.run_suite(name, suites.SUITES[name].quick, threads=args.threads)
         dt = time.perf_counter() - t0
         (out / f"{name}.csv").write_text(suites.rows_to_csv(rows), newline="")
         bad = [r for r in rows if not r["pass"]]

@@ -6,7 +6,6 @@ from .geometry import (
     HalfSpace,
     SimplicialCone,
     canonical_direction,
-    cone_contains,
     line,
     sample_directions,
 )

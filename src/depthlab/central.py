@@ -337,6 +337,20 @@ def containment_check(
     return ok
 
 
+def _family_member(m: DiscreteMeasure, a: float, family: OrderedFamily, normals: np.ndarray):
+    """(tuple, weight, family order) when ``normals`` form a generating tuple of
+    weight at most a that belongs to the family, else None."""
+    flag, _ = is_generating(normals, tol=1e-9)
+    if not flag:
+        return None
+    t = GeneratingTuple(normals)
+    w = tuple_weight(m, t)
+    if w > a:
+        return None
+    order = family_member_order(m, family, t)
+    return None if order is None else (t, w, order)
+
+
 def e_component(
     m: DiscreteMeasure,
     a: float,
@@ -354,20 +368,13 @@ def e_component(
     matching to the reference giving the identity labeling); otherwise
     (a - weight) times the central vector of cone i.
     """
-    normals = np.asarray(normals, dtype=float)
     d = m.dim
     if not (0 <= i <= d):
         raise IndexError(f"component index {i} out of range for d={d}")
-    flag, _ = is_generating(normals, tol=1e-9)
-    if not flag:
+    member = _family_member(m, a, family, np.asarray(normals, dtype=float))
+    if member is None or not np.array_equal(member[2], np.arange(d + 1)):
         return np.zeros(d)
-    t = GeneratingTuple(normals)
-    w = tuple_weight(m, t)
-    if w > a:
-        return np.zeros(d)
-    order = family_member_order(m, family, t)
-    if order is None or not np.array_equal(order, np.arange(d + 1)):
-        return np.zeros(d)
+    t, w, _ = member
     b = cones_of(t).cones[i]
     e, _, _ = central_vector(
         m, b, sphere_samples=sphere_samples, constraint_samples=constraint_samples, seed=seed
@@ -448,16 +455,10 @@ def structural_map(
         else:
             g = rng.standard_normal((d + 1, d))
             nrm = g / np.linalg.norm(g, axis=1)[:, None]
-        flag, _ = is_generating(nrm, tol=1e-9)
-        if not flag:
+        member = _family_member(m, a, family, nrm)
+        if member is None:
             continue
-        t = GeneratingTuple(nrm)
-        w = tuple_weight(m, t)
-        if w > a:
-            continue
-        order = family_member_order(m, family, t)
-        if order is None:
-            continue
+        t, w, order = member
         t_ord = t.reordered(order)
         cones = cones_of(t_ord).cones
         contrib = np.zeros((d + 1, d))

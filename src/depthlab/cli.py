@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import line, sample_directions
+from .geometry import sample_directions
 from .measures import MeasureSpec, generate_measure, load_measure, save_measure
-from .depth import deep_line_search, direction_profile, flat_depth, line_depth_thresholds, point_depth
+from .depth import deep_line_search, direction_profile, line_depth_thresholds, point_depth
 from .median import tukey_median
 from . import suites as _suites
 

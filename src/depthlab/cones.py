@@ -168,10 +168,6 @@ class BmesReport:
     def bounds_ok(self) -> bool:
         return bool(np.all(self.lower_slacks > 0) and np.all(self.upper_slacks > 0))
 
-    @property
-    def all_ok(self) -> bool:
-        return self.sum_ok and self.bounds_ok
-
 
 def bmes_report(m: DiscreteMeasure, t: GeneratingTuple, eps: float) -> BmesReport:
     """Evaluate the cone-mass bounds for a small-weight tuple.

@@ -73,13 +73,6 @@ class HalfSpace:
     def dim(self) -> int:
         return self.normal.size
 
-    def complement(self) -> "HalfSpace":
-        """Closed half-space on the other side of the same boundary."""
-        return HalfSpace(-self.normal, -self.offset)
-
-    def signed_dist(self, x) -> float:
-        return float(np.dot(self.normal, as_vector(x)) - self.offset)
-
 
 @dataclass(frozen=True, eq=False)
 class Flat:
@@ -179,20 +172,6 @@ class SimplicialCone:
     @property
     def dim(self) -> int:
         return self.apex.size
-
-    @property
-    def constraints(self) -> list[HalfSpace]:
-        return [
-            HalfSpace(n, float(np.dot(n, self.apex))) for n in self.normals
-        ]
-
-
-def cone_contains(b: SimplicialCone, x, tol: float = DEFAULT_TOL) -> bool:
-    """Membership in the closed cone, all d constraints within tol."""
-    v = as_vector(x)
-    if v.size != b.dim:
-        raise ValueError(f"point dim {v.size} != cone dim {b.dim}")
-    return bool(np.all(b.normals @ (v - b.apex) <= tol))
 
 
 def cone_contains_many(b: SimplicialCone, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -63,9 +63,6 @@ class DiscreteMeasure:
     def rotated(self, r: np.ndarray) -> "DiscreteMeasure":
         return DiscreteMeasure(self.dim, self.points @ np.asarray(r, dtype=float).T, self.weights)
 
-    def reweighted(self, new_weights) -> "DiscreteMeasure":
-        return make_measure(self.points, new_weights)
-
 
 def make_measure(points, weights=None) -> DiscreteMeasure:
     """Build a measure from points and nonnegative weights.

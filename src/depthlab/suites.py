@@ -9,19 +9,14 @@ parameters, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
-import time
+import itertools
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import random_rotation, unit
-from .measures import (
-    DiscreteMeasure,
-    MeasureSpec,
-    cone_mass,
-    generate_measure,
-    simplex_vertices,
-)
+from .geometry import SimplicialCone, random_rotation, unit
+from .measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure
 from .depth import (
     deep_line_search,
     depth_oracle,
@@ -30,7 +25,6 @@ from .depth import (
 )
 from .median import recenter, tukey_median, witness_tuple
 from .cones import (
-    GeneratingTuple,
     MatchingError,
     bmes_report,
     cones_of,
@@ -42,8 +36,6 @@ from .cones import (
 from .central import central_vector, containment_check, structural_map
 
 CSV_COLUMNS = ("suite", "check", "instance", "d", "n", "seed", "expected", "observed", "slack", "pass")
-
-SUITES = ("rado", "theorem1", "bmes", "bijection", "central", "tmap", "oracle")
 
 
 def _row(suite, check, instance, d, n, seed, expected, observed, slack, ok):
@@ -84,6 +76,11 @@ def _map_ordered(fn, items, threads: int = 1):
         return list(pool.map(fn, items))
 
 
+def _map_rows(fn, items, threads: int = 1) -> list[dict]:
+    """``_map_ordered`` for tasks that each return a list of rows, concatenated."""
+    return [r for rows in _map_ordered(fn, items, threads) for r in rows]
+
+
 # ---------------------------------------------------------------------------
 # instance families
 
@@ -117,17 +114,15 @@ def line_search_suite_specs(n: int = 420) -> list[MeasureSpec]:
     ]
 
 
-def _witness_instances(count: int, seed0: int = 0, n: int = 240):
-    """Recentered tight simplex mixtures with an extracted witness tuple."""
-    out = []
-    for k in range(count):
-        d = 2 if k % 2 == 0 else 3
-        spec = MeasureSpec("simplex_mixture", d, n, {"sigma": 0.02}, seed0 + k)
-        m = generate_measure(spec)
-        mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=seed0 + k)
-        tup, _ = witness_tuple(mc, np.zeros(d), seed=seed0 + k)
-        out.append((spec, mc, tup))
-    return out
+def _witness_instance(k: int, seed0: int):
+    """Recentered tight simplex mixture k (d = 2, 3 alternating) with an
+    extracted witness tuple; a pure function of (k, seed0)."""
+    d = 2 if k % 2 == 0 else 3
+    spec = MeasureSpec("simplex_mixture", d, 240, {"sigma": 0.02}, seed0 + k)
+    m = generate_measure(spec)
+    mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=seed0 + k)
+    tup, _ = witness_tuple(mc, np.zeros(d), seed=seed0 + k)
+    return spec, mc, tup
 
 
 def _small_rotation(d: int, angle: float, seed: int) -> np.ndarray:
@@ -234,33 +229,36 @@ def bmes_suite(count: int = 20, eps: float | None = None, threads: int = 1) -> l
     out-of-range value flags every instance as a precondition failure (the
     report is explicit, never silently passed).
     """
-    rows = []
-    for k, (spec, m, tup) in enumerate(_witness_instances(count)):
+
+    def one(k):
+        spec, m, tup = _witness_instance(k, 0)
         d = spec.dim
         eps_d = epsilon_bmes_max(d) if eps is None else float(eps)
         if not (0 < eps_d <= epsilon_bmes_max(d)):
-            rows.append(_row("bmes", "epsilon_precondition", f"i{k}", d, spec.n, spec.seed,
-                             epsilon_bmes_max(d), eps_d, epsilon_bmes_max(d) - eps_d, False))
-            continue
+            return [_row("bmes", "epsilon_precondition", f"i{k}", d, spec.n, spec.seed,
+                         epsilon_bmes_max(d), eps_d, epsilon_bmes_max(d) - eps_d, False)]
         w = tuple_weight(m, tup)
         if not w < 1.0 / (d + 1) + eps_d:
-            rows.append(_row("bmes", "weight_precondition", f"i{k}", d, spec.n, spec.seed,
-                             1.0 / (d + 1) + eps_d, w, 1.0 / (d + 1) + eps_d - w, False))
-            continue
+            return [_row("bmes", "weight_precondition", f"i{k}", d, spec.n, spec.seed,
+                         1.0 / (d + 1) + eps_d, w, 1.0 / (d + 1) + eps_d - w, False)]
         rep = bmes_report(m, tup, eps_d)
-        rows.append(_row("bmes", "mass_sum", f"i{k}", d, spec.n, spec.seed,
-                         rep.sum_bound, float(rep.cone_masses.sum()), rep.sum_slack, rep.sum_ok))
-        rows.append(_row("bmes", "mass_bounds", f"i{k}", d, spec.n, spec.seed,
-                         rep.lower, float(rep.cone_masses.min()),
-                         float(min(rep.lower_slacks.min(), rep.upper_slacks.min())),
-                         rep.bounds_ok))
-    return rows
+        return [
+            _row("bmes", "mass_sum", f"i{k}", d, spec.n, spec.seed,
+                 rep.sum_bound, float(rep.cone_masses.sum()), rep.sum_slack, rep.sum_ok),
+            _row("bmes", "mass_bounds", f"i{k}", d, spec.n, spec.seed,
+                 rep.lower, float(rep.cone_masses.min()),
+                 float(min(rep.lower_slacks.min(), rep.upper_slacks.min())),
+                 rep.bounds_ok),
+        ]
+
+    return _map_rows(one, range(count), threads)
 
 
 def bijection_suite(count: int = 20, max_angle_deg: float = 5.0, threads: int = 1) -> list[dict]:
     """Unique perfect matching between witness tuples and rotated copies."""
-    rows = []
-    for k, (spec, m, tup) in enumerate(_witness_instances(count, seed0=100)):
+
+    def one(k):
+        spec, m, tup = _witness_instance(k, 100)
         d = spec.dim
         eps = epsilon_match_max(d)
         angle = np.deg2rad(1.0 + (k % 5))
@@ -268,28 +266,31 @@ def bijection_suite(count: int = 20, max_angle_deg: float = 5.0, threads: int = 
         tup2 = tup.rotated(rot)
         try:
             rep = match_tuples(m, tup, tup2, eps=eps, delta_edge=1e-6)
-        except (MatchingError, ValueError) as e:
-            rows.append(_row("bijection", "perfect_matching", f"i{k}", d, spec.n, spec.seed,
-                             1.0, 0.0, -1.0, False))
-            continue
+        except (MatchingError, ValueError):
+            return [_row("bijection", "perfect_matching", f"i{k}", d, spec.n, spec.seed,
+                         1.0, 0.0, -1.0, False)]
         matched = rep.intersection_masses[np.arange(d + 1), rep.permutation]
         off = rep.intersection_masses.copy()
         off[np.arange(d + 1), rep.permutation] = 0.0
         floor = 1.0 / (d + 1) - (3 * d + 2) * eps
-        rows.append(_row("bijection", "matched_mass", f"i{k}", d, spec.n, spec.seed,
-                         floor, float(matched.min()), float(matched.min() - floor),
-                         bool(np.all(matched > floor))))
-        rows.append(_row("bijection", "off_matching_mass", f"i{k}", d, spec.n, spec.seed,
-                         1e-6, float(off.max()), float(1e-6 - off.max()),
-                         bool(np.all(off <= 1e-6))))
-    return rows
+        return [
+            _row("bijection", "matched_mass", f"i{k}", d, spec.n, spec.seed,
+                 floor, float(matched.min()), float(matched.min() - floor),
+                 bool(np.all(matched > floor))),
+            _row("bijection", "off_matching_mass", f"i{k}", d, spec.n, spec.seed,
+                 1e-6, float(off.max()), float(1e-6 - off.max()),
+                 bool(np.all(off <= 1e-6))),
+        ]
+
+    return _map_rows(one, range(count), threads)
 
 
 def central_suite(containment_pairs: int = 20, estimator_seeds=(0, 1, 2), threads: int = 1) -> list[dict]:
     """Central-cone containment on matched pairs, plus the axisymmetric
     estimator checks."""
-    rows = []
-    for k, (spec, m, tup) in enumerate(_witness_instances(containment_pairs, seed0=200)):
+
+    def pair(k):
+        spec, m, tup = _witness_instance(k, 200)
         d = spec.dim
         angle = np.deg2rad(1.0 + (k % 4))
         tup2 = tup.rotated(_small_rotation(d, angle, 700 + k))
@@ -298,9 +299,8 @@ def central_suite(containment_pairs: int = 20, estimator_seeds=(0, 1, 2), thread
         try:
             rep = match_tuples(m, tup, tup2, eps=epsilon_match_max(d))
         except (MatchingError, ValueError):
-            rows.append(_row("central", "containment", f"i{k}", d, spec.n, spec.seed,
-                             1.0, 0.0, -1.0, False))
-            continue
+            return [_row("central", "containment", f"i{k}", d, spec.n, spec.seed,
+                         1.0, 0.0, -1.0, False)]
         ok_all = True
         checked = 0
         for i in range(d + 1):
@@ -311,38 +311,37 @@ def central_suite(containment_pairs: int = 20, estimator_seeds=(0, 1, 2), thread
                 continue  # mass hypotheses not met for this pair
             checked += 1
             ok_all &= ok
-        rows.append(_row("central", "containment", f"i{k}", d, spec.n, spec.seed,
-                         1.0, 1.0 if (ok_all and checked) else 0.0,
-                         0.0 if (ok_all and checked) else -1.0, bool(ok_all and checked)))
+        return [_row("central", "containment", f"i{k}", d, spec.n, spec.seed,
+                     1.0, 1.0 if (ok_all and checked) else 0.0,
+                     0.0 if (ok_all and checked) else -1.0, bool(ok_all and checked))]
 
     # axisymmetric estimator: permutation-symmetric measure in the positive
     # octant of R^3, whose central vector must align with the diagonal
     axis = unit(np.ones(3))
     base = _octant_symmetric_measure(600, 0.15)
-    from .geometry import SimplicialCone
-
     octant = SimplicialCone(np.zeros(3), -np.eye(3))
-    for s in estimator_seeds:
+
+    def estimate(s):
         e, stderr, hits = central_vector(base, octant, sphere_samples=100_000, seed=s)
         ang = float(np.degrees(np.arccos(np.clip(e @ axis, -1, 1))))
-        rows.append(_row("central", "estimator_axis_angle_deg", f"seed{s}", 3, base.n, s,
-                         2.0, ang, 2.0 - ang, ang < 2.0))
         nrm_err = abs(float(np.linalg.norm(e)) - 1.0)
-        rows.append(_row("central", "estimator_unit_norm", f"seed{s}", 3, base.n, s,
-                         1e-12, nrm_err, 1e-12 - nrm_err, nrm_err <= 1e-12))
-    return rows
+        return [
+            _row("central", "estimator_axis_angle_deg", f"seed{s}", 3, base.n, s,
+                 2.0, ang, 2.0 - ang, ang < 2.0),
+            _row("central", "estimator_unit_norm", f"seed{s}", 3, base.n, s,
+                 1e-12, nrm_err, 1e-12 - nrm_err, nrm_err <= 1e-12),
+        ]
+
+    return (_map_rows(pair, range(containment_pairs), threads)
+            + _map_rows(estimate, estimator_seeds, threads))
 
 
 def _octant_symmetric_measure(n_base: int, sigma: float) -> DiscreteMeasure:
     """Coordinate-permutation-invariant cluster inside the positive octant."""
-    import itertools as _it
-
     rng = np.random.default_rng(424242)
     axis = unit(np.ones(3))
     base = np.abs(axis + sigma * rng.standard_normal((n_base, 3)))
-    pts = np.vstack([base[:, perm] for perm in _it.permutations(range(3))])
-    from .measures import make_measure
-
+    pts = np.vstack([base[:, perm] for perm in itertools.permutations(range(3))])
     return make_measure(pts)
 
 
@@ -358,23 +357,48 @@ def _empirical_cluster_dirs(mc: DiscreteMeasure, d: int) -> np.ndarray:
     return np.array([unit(mc.points[labels == j].mean(axis=0)) for j in range(d + 1)])
 
 
-def tmap_suite(seeds=(0, 1, 2), dims=(2, 3), n: int = 240, threads: int = 1) -> list[dict]:
-    """Structural-map validity: positive margin and cluster-aligned vectors."""
-    rows = []
-    for d in dims:
+def tmap_suite(seeds=(0, 1, 2), dims=(2, 3), n: int = 240, trials: int = 10,
+               threads: int = 1) -> list[dict]:
+    """Structural-map validity: positive margin and cluster-aligned vectors,
+    one map per (d, seed).  Then ``trials`` equivariance checks in d = 2:
+    rotating the measure maps the structural tuple by the same rotation, up to
+    Monte Carlo tolerance (Hausdorff 0.05 after unit max-norm scaling)."""
+
+    def validity(task):
+        d, s = task
         a = 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
-        for s in seeds:
-            spec = MeasureSpec("simplex_mixture", d, n, {"sigma": 0.01}, 300 + s)
-            m = generate_measure(spec)
-            mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=s)
-            st = structural_map(mc, a, tuple_samples=160, seed=s)
-            rows.append(_row("tmap", "interior_margin", f"d{d}s{s}", d, n, s,
-                             0.0, st.margin, st.margin, st.margin > 0))
-            ang = _cluster_angles_deg(st.vectors, _empirical_cluster_dirs(mc, d))
-            rows.append(_row("tmap", "cluster_angle_deg", f"d{d}s{s}", d, n, s,
-                             10.0, float(ang.max()), float(10.0 - ang.max()),
-                             bool(np.all(ang < 10.0))))
-    return rows
+        spec = MeasureSpec("simplex_mixture", d, n, {"sigma": 0.01}, 300 + s)
+        m = generate_measure(spec)
+        mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=s)
+        st = structural_map(mc, a, tuple_samples=160, seed=s)
+        ang = _cluster_angles_deg(st.vectors, _empirical_cluster_dirs(mc, d))
+        return [
+            _row("tmap", "interior_margin", f"d{d}s{s}", d, n, s,
+                 0.0, st.margin, st.margin, st.margin > 0),
+            _row("tmap", "cluster_angle_deg", f"d{d}s{s}", d, n, s,
+                 10.0, float(ang.max()), float(10.0 - ang.max()),
+                 bool(np.all(ang < 10.0))),
+        ]
+
+    def equivariance(t):
+        d = 2
+        a = 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
+        spec = MeasureSpec("simplex_mixture", d, n, {"sigma": 0.01}, 800 + t)
+        m = generate_measure(spec)
+        mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=t)
+        r = random_rotation(d, 900 + t)
+        st1 = structural_map(mc, a, tuple_samples=160, seed=t)
+        st2 = structural_map(mc.rotated(r), a, tuple_samples=160, seed=t)
+        v1 = st1.vectors @ r.T  # rotate the original output
+        v2 = st2.vectors
+        v1 = v1 / np.abs(np.linalg.norm(v1, axis=1)).max()
+        v2 = v2 / np.abs(np.linalg.norm(v2, axis=1)).max()
+        h = _hausdorff(v1, v2)
+        return [_row("tmap", "equivariance_hausdorff", f"t{t}", d, n, t,
+                     0.05, h, 0.05 - h, h <= 0.05)]
+
+    return (_map_rows(validity, [(d, s) for d in dims for s in seeds], threads)
+            + _map_rows(equivariance, range(trials), threads))
 
 
 def _cluster_angles_deg(vectors: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -396,54 +420,35 @@ def _cluster_angles_deg(vectors: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def equivariance_suite(trials: int = 10, n: int = 240, threads: int = 1) -> list[dict]:
-    """Rotating the measure maps the structural tuple by the same rotation,
-    up to Monte Carlo tolerance (Hausdorff 0.05 after unit max-norm scaling)."""
-    rows = []
-    d = 2
-    a = 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
-    for t in range(trials):
-        spec = MeasureSpec("simplex_mixture", d, n, {"sigma": 0.01}, 800 + t)
-        m = generate_measure(spec)
-        mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=t)
-        r = random_rotation(d, 900 + t)
-        st1 = structural_map(mc, a, tuple_samples=160, seed=t)
-        st2 = structural_map(mc.rotated(r), a, tuple_samples=160, seed=t)
-        v1 = st1.vectors @ r.T  # rotate the original output
-        v2 = st2.vectors
-        v1 = v1 / np.abs(np.linalg.norm(v1, axis=1)).max()
-        v2 = v2 / np.abs(np.linalg.norm(v2, axis=1)).max()
-        h = _hausdorff(v1, v2)
-        rows.append(_row("tmap", "equivariance_hausdorff", f"t{t}", d, n, t,
-                         0.05, h, 0.05 - h, h <= 0.05))
-    return rows
-
-
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     dists = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     return float(max(dists.min(axis=1).max(), dists.min(axis=0).max()))
 
 
+class Suite(NamedTuple):
+    """A registered suite: its function, whose keyword defaults are the
+    acceptance parameters, and the reduced parameters of the quick pass."""
+
+    fn: Callable[..., list[dict]]
+    quick: dict
+
+
+# The one definition of every suite and its sizes: the CLI ``verify``
+# command, scripts/run_verify_all.py and the acceptance tests all read it.
+SUITES = {
+    "oracle": Suite(oracle_suite, {"instances_per_dim": 20}),
+    "rado": Suite(rado_suite, {"dims": (2, 3), "seeds_per_dim": 8, "n": 200}),
+    "theorem1": Suite(theorem1_suite, {"grid_count": 300, "n": 300}),
+    "bmes": Suite(bmes_suite, {"count": 6}),
+    "bijection": Suite(bijection_suite, {"count": 6}),
+    "central": Suite(central_suite, {"containment_pairs": 4, "estimator_seeds": (0,)}),
+    "tmap": Suite(tmap_suite, {"seeds": (0,), "trials": 2}),
+}
+
+
 def run_suite(name: str, params: dict | None = None, threads: int = 1) -> list[dict]:
-    """Dispatch a named verification suite with optional parameter overrides."""
-    params = dict(params or {})
-    params.setdefault("threads", threads)
-    if name == "oracle":
-        return oracle_suite(**params)
-    if name == "rado":
-        return rado_suite(**params)
-    if name == "theorem1":
-        return theorem1_suite(**params)
-    if name == "bmes":
-        return bmes_suite(**params)
-    if name == "bijection":
-        return bijection_suite(**params)
-    if name == "central":
-        return central_suite(**params)
-    if name == "tmap":
-        rows = tmap_suite(**{k: v for k, v in params.items() if k != "trials"})
-        rows += equivariance_suite(
-            trials=params.get("trials", 10), threads=params.get("threads", 1)
-        )
-        return rows
-    raise ValueError(f"unknown suite {name!r}; valid: {', '.join(SUITES)}")
+    """Run a registered suite at its acceptance parameters, with ``params``
+    overriding any of them (``threads`` included)."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; valid: {', '.join(SUITES)}")
+    return SUITES[name].fn(**{"threads": threads, **(params or {})})

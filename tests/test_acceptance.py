@@ -1,7 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  Tolerances and budgets
-are pinned here; shortfalls are reported per instance, never silently passed.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Every suite runs at the
+acceptance parameters of the registry ``depthlab.suites.SUITES``; tolerances,
+instance counts and budgets are pinned here; shortfalls are reported per
+instance, never silently passed.
 """
 
 import time
@@ -9,17 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from depthlab.suites import (
-    bijection_suite,
-    bmes_suite,
-    central_suite,
-    equivariance_suite,
-    oracle_suite,
-    rado_suite,
-    rows_to_csv,
-    theorem1_suite,
-    tmap_suite,
-)
+from depthlab.suites import oracle_suite, rado_suite, rows_to_csv, run_suite
 
 THREADS = 2
 
@@ -34,7 +26,7 @@ def _failures(rows):
 
 def test_01_oracle_equivalence():
     t0 = time.perf_counter()
-    rows = oracle_suite(instances_per_dim=100, threads=THREADS)
+    rows = run_suite("oracle", threads=THREADS)
     dt = time.perf_counter() - t0
     bad = _failures(rows)
     ok = not bad and dt < 60
@@ -46,7 +38,7 @@ def test_01_oracle_equivalence():
 
 def test_02_rado_median_floor():
     t0 = time.perf_counter()
-    rows = rado_suite(dims=(2, 3, 4), seeds_per_dim=50, n=500, threads=THREADS)
+    rows = run_suite("rado", threads=THREADS)
     dt = time.perf_counter() - t0
     bad = _failures(rows)
     ok = not bad and dt < 300
@@ -61,7 +53,7 @@ def test_03_deep_lines_in_r3():
     t0 = time.perf_counter()
     # sequential: the profile evaluations are many small operations, which
     # thread pools only slow down on a small machine
-    rows = theorem1_suite(grid_count=2000, n=420, improved_quota=10, slack=0.02, threads=1)
+    rows = run_suite("theorem1", threads=1)
     dt = time.perf_counter() - t0
     floor_rows = [r for r in rows if r["check"] == "line_floor"]
     quota_rows = [r for r in rows if r["check"] == "improved_quota"]
@@ -81,7 +73,7 @@ def test_03_deep_lines_in_r3():
 
 
 def test_04_cone_mass_bounds():
-    rows = bmes_suite(count=20)
+    rows = run_suite("bmes")
     bad = _failures(rows)
     per_instance = {r["instance"] for r in rows if r["check"] != "weight_precondition"}
     ok = not bad and len(per_instance) == 20
@@ -93,7 +85,7 @@ def test_04_cone_mass_bounds():
 
 
 def test_05_matching_bijection():
-    rows = bijection_suite(count=20, max_angle_deg=5.0)
+    rows = run_suite("bijection")
     bad = _failures(rows)
     matched = [r for r in rows if r["check"] == "matched_mass"]
     ok = not bad and len(matched) == 20
@@ -103,18 +95,21 @@ def test_05_matching_bijection():
     assert len(matched) == 20
 
 
-_central_rows = None
+_shared = {}
 
 
-def _central():
-    global _central_rows
-    if _central_rows is None:
-        _central_rows = central_suite(containment_pairs=20, estimator_seeds=(0, 1, 2))
-    return _central_rows
+def _shared_run(name):
+    """(rows, seconds) of one sequential run of a suite whose rows serve two
+    criteria."""
+    if name not in _shared:
+        t0 = time.perf_counter()
+        rows = run_suite(name)
+        _shared[name] = rows, time.perf_counter() - t0
+    return _shared[name]
 
 
 def test_06_central_cone_containment():
-    rows = [r for r in _central() if r["check"] == "containment"]
+    rows = [r for r in _shared_run("central")[0] if r["check"] == "containment"]
     bad = _failures(rows)
     ok = not bad and len(rows) == 20
     _report(6, "central-cone rays and vectors inside partner cones", ok,
@@ -123,7 +118,7 @@ def test_06_central_cone_containment():
 
 
 def test_07_central_vector_estimator():
-    rows = [r for r in _central() if r["check"].startswith("estimator")]
+    rows = [r for r in _shared_run("central")[0] if r["check"].startswith("estimator")]
     bad = _failures(rows)
     angles = [r["observed"] for r in rows if r["check"] == "estimator_axis_angle_deg"]
     ok = not bad and len(angles) == 3
@@ -133,9 +128,9 @@ def test_07_central_vector_estimator():
 
 
 def test_08_structural_map_validity():
-    t0 = time.perf_counter()
-    rows = tmap_suite(seeds=(0, 1, 2), dims=(2, 3), n=240)
-    dt = time.perf_counter() - t0
+    # the time bound covers the whole tmap suite, equivariance rows included
+    rows, dt = _shared_run("tmap")
+    rows = [r for r in rows if r["check"] != "equivariance_hausdorff"]
     bad = _failures(rows)
     margins = [r["observed"] for r in rows if r["check"] == "interior_margin"]
     ok = not bad and dt < 600
@@ -146,7 +141,7 @@ def test_08_structural_map_validity():
 
 
 def test_09_equivariance():
-    rows = equivariance_suite(trials=10, n=240)
+    rows = [r for r in _shared_run("tmap")[0] if r["check"] == "equivariance_hausdorff"]
     bad = _failures(rows)
     worst = max(r["observed"] for r in rows)
     ok = not bad and len(rows) == 10

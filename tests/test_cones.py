@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depthlab.geometry import cone_contains, cone_contains_many, hull_interior_margin
+from depthlab.geometry import cone_contains_many, hull_interior_margin
 from depthlab.measures import MeasureSpec, cone_mass, generate_measure, make_measure
 from depthlab.median import recenter, witness_tuple
 from depthlab.cones import (
@@ -65,8 +65,8 @@ def test_cones_of_triangle(tri_tuple):
     # three 60-degree cones with pairwise disjoint interiors; cone i points
     # along +n_i for the symmetric tuple, and never contains -n_i
     for i, c in enumerate(cones):
-        assert cone_contains(c, tri_tuple.normals[i] * 2.0)
-        assert not cone_contains(c, -tri_tuple.normals[i] * 2.0)
+        assert cone_contains_many(c, tri_tuple.normals[i][None] * 2.0)[0]
+        assert not cone_contains_many(c, -tri_tuple.normals[i][None] * 2.0)[0]
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((2000, 2))
     inside = np.stack([
@@ -105,7 +105,7 @@ def test_bmes_report_triangle(triangle):
     tup, _ = witness_tuple(triangle, [0, 0])
     eps = 1 / 15
     rep = bmes_report(triangle, tup, eps)
-    assert rep.all_ok
+    assert rep.sum_ok and rep.bounds_ok
     assert rep.cone_masses.sum() == pytest.approx(1.0, abs=1e-9)
     assert rep.sum_bound == pytest.approx(1 - 3 * eps)
     assert rep.lower == pytest.approx(1 / 3 - 5 * eps)
@@ -216,7 +216,7 @@ def test_build_family_weight_precondition(mixture_with_witness):
     # shift mass toward one cluster so the tuple weight exceeds the level
     labels = np.arange(mc.n) % 3
     w2 = mc.weights * (1 + 0.03 * (labels == 0))
-    m2 = mc.reweighted(w2)
+    m2 = make_measure(mc.points, w2)
     a = 1 / 3 + 1e-6
     assert tuple_weight(m2, tup) > a
     with pytest.raises(ValueError, match="weight"):
@@ -236,7 +236,7 @@ def test_family_order_stability_under_reweighting(mixture_with_witness):
     delta = (a1 - a) / 2
     bump = rng.random(mc.n)
     w2 = mc.weights * (1 - delta) + delta * bump / bump.sum()
-    m2 = mc.reweighted(w2)
+    m2 = make_measure(mc.points, w2)
     fam2 = build_ordered_family(m2, a1, tups)
     for t1, t2 in zip(fam.tuples, fam2.tuples):
         assert np.allclose(t1.normals, t2.normals)

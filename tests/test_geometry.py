@@ -7,7 +7,6 @@ from depthlab.geometry import (
     SimplicialCone,
     canonical_direction,
     complement_basis,
-    cone_contains,
     cone_contains_many,
     hull_interior_margin,
     line,
@@ -46,9 +45,9 @@ def quadrant():
 
 def test_cone_contains_examples():
     b = quadrant()
-    assert cone_contains(b, [1, 1])
-    assert not cone_contains(b, [-1, 0.5])
-    assert cone_contains(b, [0, 0])  # apex belongs to the closed cone
+    assert cone_contains_many(b, np.array([[1.0, 1.0]]))[0]
+    assert not cone_contains_many(b, np.array([[-1.0, 0.5]]))[0]
+    assert cone_contains_many(b, np.array([[0.0, 0.0]]))[0]  # apex belongs to the closed cone
 
 
 def test_cone_requires_independent_normals():

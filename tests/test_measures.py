@@ -135,7 +135,7 @@ def test_halfspace_mass_complement_property():
         u /= np.linalg.norm(u)
         c = float(rng.standard_normal()) * 0.5
         h = HalfSpace(u, c)
-        s = halfspace_mass(m, h) + halfspace_mass(m, h.complement())
+        s = halfspace_mass(m, h) + halfspace_mass(m, HalfSpace(-h.normal, -h.offset))
         boundary = np.abs(m.points @ u - c) <= 1e-9
         assert s >= 1 - 1e-12
         if not boundary.any():

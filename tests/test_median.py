@@ -177,7 +177,7 @@ def test_median_stability_under_reweighting():
     bump = rng.random(m.n)
     bump = 0.05 * bump / bump.sum()
     w2 = w * (1 - 0.05) + bump
-    m2 = m.reweighted(w2)
+    m2 = make_measure(m.points, w2)
     delta = 0.5 * float(np.abs(w2 / w2.sum() - w).sum())
     r2 = tukey_median(m2, mode="multistart", starts=8, iters=20, seed=9)
     assert abs(r2.depth - base.depth) <= delta + 2.0 / m.n

@@ -1,0 +1,44 @@
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from depthlab.suites import SUITES, rows_to_csv, run_suite
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_quick_params_bind_to_suite_signatures():
+    for name, suite in SUITES.items():
+        inspect.signature(suite.fn).bind(**suite.quick)
+        assert "threads" in inspect.signature(suite.fn).parameters, name
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("bmes", {"count": 3}),
+        ("bijection", {"count": 3}),
+        ("central", {"containment_pairs": 2, "estimator_seeds": (0, 1)}),
+        ("tmap", {"seeds": (0, 1), "dims": (2,), "trials": 2}),
+    ],
+)
+def test_threads_leave_csv_unchanged(name, params):
+    one = rows_to_csv(run_suite(name, params, threads=1))
+    two = rows_to_csv(run_suite(name, params, threads=2))
+    assert one == two
+    if name == "tmap":
+        assert one.count("equivariance_hausdorff") == 2
+
+
+def test_verify_all_rejects_unknown_suite():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_verify_all.py"), "--suites", "nope"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert r.returncode == 2
+    assert all(name in r.stderr for name in SUITES)
