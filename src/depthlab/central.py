@@ -44,11 +44,19 @@ from .cones import (
     tuple_weight,
 )
 from .median import witness_tuple
-from .depth import point_depth
+from .depth import exact_affordable, point_depth
+
+# the structural map's Monte Carlo proposal: central rays per cone slot, the
+# constraint pool of each central cone, the angular scale of the witness
+# perturbations and the share of uniformly drawn tuples
+MAP_SPHERE_SAMPLES = 1200
+MAP_CONSTRAINT_SAMPLES = 384
+MAP_PERTURB_ANGLE = 0.1
+MAP_UNIFORM_SHARE = 0.1
 
 
 def default_capture_fraction(d: int) -> float:
-    """The capture fraction d/(d+1) used for central cones; any value above
+    """The capture fraction d/(d+1) of every central cone; any value above
     (d-1)/d works, smaller values only help marginally."""
     return d / (d + 1.0)
 
@@ -60,17 +68,10 @@ class CentralConeApprox:
 
     base: SimplicialCone
     constraints: np.ndarray  # (k, d) outer normals of origin half-spaces
-    t: float
-
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return bool(self.contains_many(np.asarray(x, dtype=float)[None, :], tol)[0])
 
     def contains_many(self, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        ok = cone_contains_many(self.base, pts, tol)
-        if self.constraints.shape[0]:
-            ok &= np.all(pts @ self.constraints.T <= tol, axis=1)
-        return ok
+        return cone_contains_many(self.base, pts, tol) & np.all(pts @ self.constraints.T <= tol, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +109,6 @@ def _exact_constraint_candidates(m: DiscreteMeasure, cap: int, seed: int) -> np.
 def central_cone(
     m: DiscreteMeasure,
     b: SimplicialCone,
-    t: float | None = None,
     samples: int = 1024,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
@@ -118,15 +118,11 @@ def central_cone(
 
     Candidate half-space normals come from a prefix-stable sphere stream plus
     exact candidates through measure points; a candidate is kept when its
-    half-space captures at least t * mass(B) of the mass inside B.  A larger
-    ``samples`` extends the candidate stream, so the approximation shrinks
-    monotonically toward the true central cone.
+    half-space captures at least the fraction d/(d+1) of the mass inside B.
+    A larger ``samples`` extends the candidate stream, so the approximation
+    shrinks monotonically toward the true central cone.
     """
     d = m.dim
-    if t is None:
-        t = default_capture_fraction(d)
-    if not ((d - 1.0) / d < t <= 1.0):
-        raise ValueError(f"capture fraction must lie in ((d-1)/d, 1], got {t}")
     mass_b = cone_mass(m, b, tol)
     if mass_b <= 0:
         raise ValueError("cone carries no mass")
@@ -140,7 +136,7 @@ def central_cone(
     )
     wb = m.weights * cone_contains_many(b, m.points, tol)
     captured = (pool @ m.points.T <= tol) @ wb
-    keep = captured >= t * mass_b - 1e-12
+    keep = captured >= default_capture_fraction(d) * mass_b - 1e-12
     retained = pool[keep]
     if max_constraints is not None and retained.shape[0] > max_constraints:
         # keep the most binding constraints (capture closest to the
@@ -148,7 +144,7 @@ def central_cone(
         # valid outer approximation
         order = np.argsort(captured[keep], kind="stable")
         retained = retained[order[:max_constraints]]
-    return CentralConeApprox(b, retained, float(t))
+    return CentralConeApprox(b, retained)
 
 
 def _uniform_cap(center: np.ndarray, theta: float, count: int, seed: int) -> np.ndarray:
@@ -196,7 +192,6 @@ def sample_central_rays(
     b: SimplicialCone,
     count: int,
     seed: int = 0,
-    t: float | None = None,
     constraint_samples: int = 1024,
     approx: CentralConeApprox | None = None,
     cap_state: tuple[np.ndarray, float] | None = None,
@@ -209,9 +204,7 @@ def sample_central_rays(
     (rays, approx, (cap_center, cap_angle)).
     """
     if approx is None:
-        approx = central_cone(
-            m, b, t=t, samples=constraint_samples, seed=seed, max_constraints=320
-        )
+        approx = central_cone(m, b, samples=constraint_samples, seed=seed, max_constraints=320)
     if cap_state is None:
         center = _mass_direction(m, b)
         inb = cone_contains_many(b, m.points)
@@ -259,12 +252,7 @@ def sample_central_rays(
         hit = pts[approx.contains_many(pts)]
         rays.append(hit)
         total += hit.shape[0]
-    rays = np.vstack(rays)
-    if rays.shape[0] == 0:
-        raise RuntimeError(
-            "no sample fell in the central cone approximation; increase samples"
-        )
-    return rays[:count], approx, (center, theta)
+    return np.vstack(rays)[:count], approx, (center, theta)
 
 
 def central_vector(
@@ -272,10 +260,8 @@ def central_vector(
     b: SimplicialCone,
     sphere_samples: int = 100_000,
     seed: int = 0,
-    t: float | None = None,
     constraint_samples: int = 1024,
     approx: CentralConeApprox | None = None,
-    cap_state=None,
 ):
     """Monte Carlo central vector of B: normalized mean of uniform samples of
     the central-cone sphere patch.
@@ -283,15 +269,8 @@ def central_vector(
     Returns (unit_vector, stderr, hits); deterministic in the seed; raises
     when no sample lands in the patch.
     """
-    rays, approx, cap_state = sample_central_rays(
-        m,
-        b,
-        count=sphere_samples,
-        seed=seed,
-        t=t,
-        constraint_samples=constraint_samples,
-        approx=approx,
-        cap_state=cap_state,
+    rays, _, _ = sample_central_rays(
+        m, b, count=sphere_samples, seed=seed, constraint_samples=constraint_samples, approx=approx
     )
     mean = rays.mean(axis=0)
     e = unit(mean)
@@ -306,15 +285,13 @@ def containment_check(
     b2: SimplicialCone,
     ray_samples: int = 10_000,
     seed: int = 0,
-    constraint_samples: int = 1024,
-    tol: float = 1e-7,
 ) -> bool:
     """Cross-containment of central cones for heavily overlapping cone pairs.
 
     Requires max(mass(B1), mass(B2)) <= 1/(d+1) + 1/(3(d+1)^3) and
     mass(B1 and B2) >= 1/(d+1) - (3d+2)/(3(d+1)^3); then every sampled
     central-cone ray of each cone must lie in the partner cone, and the two
-    central vectors must lie in the partner cones.
+    central vectors must lie in the partner cones (within 1e-7).
     """
     d = m.dim
     cap = family_level_cap(d)
@@ -328,19 +305,17 @@ def containment_check(
         raise ValueError(f"intersection mass {inter} below the floor {floor}")
     ok = True
     for this, other in ((b1, b2), (b2, b1)):
-        rays, approx, cap_state = sample_central_rays(
-            m, this, count=ray_samples, seed=seed, constraint_samples=constraint_samples
-        )
-        ok &= bool(np.all(cone_contains_many(other, rays, tol)))
+        rays, _, _ = sample_central_rays(m, this, count=ray_samples, seed=seed)
+        ok &= bool(np.all(cone_contains_many(other, rays, 1e-7)))
         e = unit(rays.mean(axis=0))
-        ok &= bool(cone_contains_many(other, e[None, :], tol)[0])
+        ok &= bool(cone_contains_many(other, e[None, :], 1e-7)[0])
     return ok
 
 
 def _family_member(m: DiscreteMeasure, a: float, family: OrderedFamily, normals: np.ndarray):
     """(tuple, weight, family order) when ``normals`` form a generating tuple of
     weight at most a that belongs to the family, else None."""
-    flag, _ = is_generating(normals, tol=1e-9)
+    flag, _ = is_generating(normals)
     if not flag:
         return None
     t = GeneratingTuple(normals)
@@ -358,7 +333,6 @@ def e_component(
     normals: np.ndarray,
     i: int,
     sphere_samples: int = 4000,
-    constraint_samples: int = 512,
     seed: int = 0,
 ) -> np.ndarray:
     """Per-tuple contribution vector for slot i.
@@ -376,9 +350,7 @@ def e_component(
         return np.zeros(d)
     t, w, _ = member
     b = cones_of(t).cones[i]
-    e, _, _ = central_vector(
-        m, b, sphere_samples=sphere_samples, constraint_samples=constraint_samples, seed=seed
-    )
+    e, _, _ = central_vector(m, b, sphere_samples=sphere_samples, constraint_samples=512, seed=seed)
     return (a - w) * e
 
 
@@ -392,24 +364,20 @@ def structural_map(
     m: DiscreteMeasure,
     a: float,
     tuple_samples: int = 240,
-    sphere_samples: int = 1200,
-    constraint_samples: int = 384,
     seed: int = 0,
-    perturb_angle: float = 0.1,
-    uniform_share: float = 0.1,
-    family: OrderedFamily | None = None,
 ) -> StructuralTuple:
     """Monte Carlo estimate of the structural tuple of a recentered measure.
 
     The integrand over normal-tuple space vanishes off the small-weight
     family region, so uniform sampling alone contributes almost nothing; the
-    estimator mixes uniform tuples with angular perturbations (scale
-    ``perturb_angle``) of the witness tuple.  The resulting overall positive
-    scale is proposal-dependent; validity is asserted through the interior
-    margin and the vector directions, which a common positive scale does not
-    affect.  Contributions of qualifying tuples are attached to their
-    family-ordered labeling, which realizes the unordered-tuple integral
-    because the proposal treats the d + 1 slots symmetrically.
+    estimator mixes uniform tuples (share ``MAP_UNIFORM_SHARE``) with
+    angular perturbations (scale ``MAP_PERTURB_ANGLE``) of the witness tuple
+    at the origin, which alone makes up the family.  The resulting overall
+    positive scale is proposal-dependent; validity is asserted through the
+    interior margin and the vector directions, which a common positive scale
+    does not affect.  Contributions of qualifying tuples are attached to
+    their family-ordered labeling, which realizes the unordered-tuple
+    integral because the proposal treats the d + 1 slots symmetrically.
 
     Requires the measure to be recentered (median at the origin) with depth
     below a < 1/(d+1) + 1/(3(d+1)^3); deterministic in the seed.
@@ -419,31 +387,30 @@ def structural_map(
     if not (1.0 / (d + 1) < a < cap):
         raise ValueError(f"a must lie in (1/(d+1), {cap!r}), got {a}")
     origin = np.zeros(d)
-    if family is None:
-        if d <= 3:
-            depth0 = point_depth(m, origin, mode="exact").depth
-        else:
-            depth0 = point_depth(m, origin, mode="sampled", sample_count=4096, seed=seed).depth
-        if depth0 >= a:
-            raise RuntimeError(
-                f"depth at the origin ({depth0}) is not below a = {a}; "
-                "recenter the measure or raise a"
-            )
-        # anchor tuples only need weight below a, so the witness may use the
-        # whole slack; a tolerance wider than the cluster imbalance keeps the
-        # minimizing set spread around the origin
-        wtol = max(1e-6, 0.9 * (a - depth0))
-        wt, _ = witness_tuple(m, origin, tol=wtol, seed=seed)
-        base_weight = tuple_weight(m, wt)
-        if base_weight > a:
-            raise RuntimeError(
-                f"tuple weight at the origin ({base_weight}) is not below a = {a}"
-            )
-        family = OrderedFamily([canonical_labeling(wt)], float(a), 0)
-    ref = family.tuples[family.reference_index]
+    if exact_affordable(m):
+        depth0 = point_depth(m, origin, mode="exact").depth
+    else:
+        depth0 = point_depth(m, origin, mode="sampled", sample_count=4096, seed=seed).depth
+    if depth0 >= a:
+        raise RuntimeError(
+            f"depth at the origin ({depth0}) is not below a = {a}; "
+            "recenter the measure or raise a"
+        )
+    # anchor tuples only need weight below a, so the witness may use the
+    # whole slack; a tolerance wider than the cluster imbalance keeps the
+    # minimizing set spread around the origin
+    wtol = max(1e-6, 0.9 * (a - depth0))
+    wt, _ = witness_tuple(m, origin, tol=wtol, seed=seed)
+    base_weight = tuple_weight(m, wt)
+    if base_weight > a:
+        raise RuntimeError(
+            f"tuple weight at the origin ({base_weight}) is not below a = {a}"
+        )
+    ref = canonical_labeling(wt)
+    family = OrderedFamily([ref], float(a))
 
     rng = np.random.default_rng(seed)
-    n_uniform = int(round(uniform_share * tuple_samples))
+    n_uniform = int(round(MAP_UNIFORM_SHARE * tuple_samples))
     n_perturb = tuple_samples - n_uniform
 
     sums = np.zeros((d + 1, d))
@@ -451,7 +418,7 @@ def structural_map(
     cap_states: dict[int, tuple] = {}
     for s in range(tuple_samples):
         if s < n_perturb:
-            nrm = _perturbed_normals(rng, ref.normals, perturb_angle)
+            nrm = _perturbed_normals(rng, ref.normals, MAP_PERTURB_ANGLE)
         else:
             g = rng.standard_normal((d + 1, d))
             nrm = g / np.linalg.norm(g, axis=1)[:, None]
@@ -468,9 +435,9 @@ def structural_map(
                 rays, _, cs = sample_central_rays(
                     m,
                     cones[j],
-                    count=sphere_samples,
+                    count=MAP_SPHERE_SAMPLES,
                     seed=seed + 31 * s + j,
-                    constraint_samples=constraint_samples,
+                    constraint_samples=MAP_CONSTRAINT_SAMPLES,
                     cap_state=cap_states.get(j),
                 )
             except RuntimeError:

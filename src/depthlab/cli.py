@@ -12,6 +12,7 @@ config seed; the --seed flag overrides both.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -32,6 +33,46 @@ COMMANDS = ("generate", "depth", "median", "line-search", "landscape", "verify",
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
+
+
+def _int_field(obj: dict, name: str, default: int, least: int, path: str = "config") -> int:
+    """The integer field ``name`` of a config object, at least ``least``."""
+    value = obj.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{path}.{name}: must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _param_fits(value, default) -> bool:
+    """Whether a JSON value may stand in for a suite parameter's default."""
+    if default is None:
+        return True
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_param_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _suite_params(suite: str, params) -> dict:
+    """``params`` of a verify config, checked against the suite function's
+    signature: every name must be a parameter, and every value must fit the
+    type of that parameter's default."""
+    if params is None:
+        return {}
+    if not isinstance(params, dict):
+        raise ConfigError("config.params: must be an object")
+    sig = inspect.signature(_suites.SUITES[suite].fn).parameters
+    for name, value in params.items():
+        if name not in sig:
+            raise ConfigError(f"config.params.{name}: not a parameter of suite {suite!r}; "
+                              f"valid: {', '.join(sig)}")
+        default = sig[name].default
+        if not _param_fits(value, default):
+            raise ConfigError(f"config.params.{name}: {value!r} does not fit the default {default!r}")
+    return params
 
 
 @dataclass
@@ -59,9 +100,13 @@ class ExperimentConfig:
         seed = raw.get("seed", 0)
         if not isinstance(seed, int):
             raise ConfigError("config.seed: must be an integer")
-        return ExperimentConfig(command, seed, raw.get("out", "depthlab_out"), int(raw.get("threads", 1)), raw)
+        for name in ("expected", "tolerance"):
+            value = raw.get(name, 0.0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"config.{name}: must be a number, got {value!r}")
+        return ExperimentConfig(command, seed, raw.get("out", "depthlab_out"), _int_field(raw, "threads", 1, 1), raw)
 
-    def measure(self, seed_override: int | None = None):
+    def measure(self):
         spec = self.raw.get("measure")
         if spec is None:
             raise ConfigError("config.measure: missing")
@@ -76,7 +121,7 @@ class ExperimentConfig:
                 dim=int(spec["dim"]),
                 n=int(spec.get("n", 1)),
                 params=spec.get("params", {}),
-                seed=int(spec.get("seed", seed_override if seed_override is not None else self.seed)),
+                seed=int(spec.get("seed", self.seed)),
             )
         except KeyError as e:
             raise ConfigError(f"config.measure.{e.args[0]}: missing")
@@ -110,14 +155,16 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
             raise ConfigError("config.query: missing")
         q = np.asarray(cfg.raw["query"], dtype=float)
         mode = cfg.raw.get("mode", "exact")
-        res = point_depth(m, q, mode=mode, sample_count=int(cfg.raw.get("sample_count", 512)), seed=cfg.seed)
+        res = point_depth(m, q, mode=mode, sample_count=_int_field(cfg.raw, "sample_count", 512, 1), seed=cfg.seed)
         return [_result_row("depth", res.depth, cfg, m.dim, m.n)]
     if cmd == "median":
         m = cfg.measure()
         budget = cfg.raw.get("budget", {})
+        if not isinstance(budget, dict):
+            raise ConfigError("config.budget: must be an object")
         res = tukey_median(m, mode=budget.get("mode", "auto"),
-                           starts=int(budget.get("starts", 16)),
-                           iters=int(budget.get("iters", 30)), seed=cfg.seed)
+                           starts=_int_field(budget, "starts", 16, 1, "config.budget"),
+                           iters=_int_field(budget, "iters", 30, 0, "config.budget"), seed=cfg.seed)
         rows = [_result_row("median_depth", res.depth, cfg, m.dim, m.n)]
         for j, c in enumerate(res.point):
             rows.append(_result_row(f"median_x{j}", float(c), cfg, m.dim, m.n, use_expected=False))
@@ -126,8 +173,8 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
         m = cfg.measure()
         res = deep_line_search(
             m,
-            grid_count=int(cfg.raw.get("grid_count", 512)),
-            refine_iters=int(cfg.raw.get("refine_iters", 3)),
+            grid_count=_int_field(cfg.raw, "grid_count", 512, 1),
+            refine_iters=_int_field(cfg.raw, "refine_iters", 3, 0),
             seed=cfg.seed,
         )
         th = line_depth_thresholds(m.dim)
@@ -142,7 +189,7 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
         return rows
     if cmd == "landscape":
         m = cfg.measure()
-        count = int(cfg.raw.get("grid_count", 64))
+        count = _int_field(cfg.raw, "grid_count", 64, 1)
         dirs = sample_directions(m.dim, count, mode="grid")
         budget = {"starts": 8, "iters": 12, "seed": cfg.seed}
         rows = []
@@ -154,10 +201,10 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
         suite = cfg.raw.get("suite")
         if suite not in _suites.SUITES:
             raise ConfigError(f"config.suite: {suite!r} invalid; valid: {', '.join(_suites.SUITES)}")
-        return _suites.run_suite(suite, cfg.raw.get("params"), threads=cfg.threads)
+        return _suites.run_suite(suite, _suite_params(suite, cfg.raw.get("params")), threads=cfg.threads)
     if cmd == "bench":
         m = cfg.measure()
-        reps = int(cfg.raw.get("reps", 3))
+        reps = _int_field(cfg.raw, "reps", 3, 1)
         t0 = time.perf_counter()
         for _ in range(reps):
             point_depth(m, np.zeros(m.dim), mode="exact" if m.dim <= 3 else "sampled")

@@ -20,6 +20,7 @@ from .geometry import DEFAULT_TOL, HalfSpace, SimplicialCone, hull_interior_marg
 from .measures import DiscreteMeasure, cone_mass, halfspace_mass
 
 GENERATING_MARGIN = 1e-9
+MATCH_EDGE_MASS = 1e-6  # intersection mass above which two cones share an edge
 
 
 class MatchingError(RuntimeError):
@@ -97,38 +98,29 @@ class ConeTuple:
 class MatchReport:
     permutation: np.ndarray  # sigma: cones_A[i] pairs with cones_B[sigma[i]]
     intersection_masses: np.ndarray  # (d+1, d+1)
-    epsilon_used: float
 
 
 @dataclass(frozen=True, eq=False)
 class OrderedFamily:
-    tuples: list[GeneratingTuple]
+    tuples: list[GeneratingTuple]  # the first one is the reference
     level: float
-    reference_index: int = 0
 
 
-def is_generating(halves_or_normals, tol: float = GENERATING_MARGIN):
-    """Whether d+1 origin half-spaces intersect only at the origin.
+def is_generating(normals: np.ndarray):
+    """Whether the d+1 origin half-spaces with these outer normals (rows)
+    intersect only at the origin.
 
-    Accepts HalfSpace lists (offsets must be 0) or a normal matrix; returns
-    (flag, margin) where the margin quantifies how strictly the origin sits
-    inside the hull of the outer normals.
+    Returns (flag, margin) where the margin quantifies how strictly the
+    origin sits inside the hull of the outer normals; the flag asks for a
+    margin of at least ``GENERATING_MARGIN``.
     """
-    if isinstance(halves_or_normals, np.ndarray):
-        normals = halves_or_normals
-    else:
-        halves = list(halves_or_normals)
-        for h in halves:
-            if abs(h.offset) > 1e-12:
-                raise ValueError("generating tuples require origin-anchored half-spaces")
-        normals = np.array([h.normal for h in halves])
     d = normals.shape[1]
     if normals.shape[0] != d + 1:
         raise ValueError(f"need d+1 half-spaces, got {normals.shape[0]} in dim {d}")
     lens = np.linalg.norm(normals, axis=1)
     normals = normals / lens[:, None]
     margin = hull_interior_margin(normals)
-    return margin >= tol, float(margin)
+    return margin >= GENERATING_MARGIN, float(margin)
 
 
 def cones_of(t: GeneratingTuple) -> ConeTuple:
@@ -152,7 +144,6 @@ def tuple_weight(m: DiscreteMeasure, t: GeneratingTuple, tol: float = DEFAULT_TO
 @dataclass(frozen=True, eq=False)
 class BmesReport:
     cone_masses: np.ndarray
-    epsilon: float
     sum_bound: float  # required strict lower bound on sum of cone masses
     lower: float  # required strict lower bound per cone
     upper: float  # required strict upper bound per cone
@@ -188,7 +179,6 @@ def bmes_report(m: DiscreteMeasure, t: GeneratingTuple, eps: float) -> BmesRepor
     upper = 1.0 / (d + 1) + eps
     return BmesReport(
         cone_masses=masses,
-        epsilon=eps,
         sum_bound=sum_bound,
         lower=lower,
         upper=upper,
@@ -235,22 +225,19 @@ def match_tuples(
     m: DiscreteMeasure,
     A: GeneratingTuple,
     B: GeneratingTuple,
-    eps: float | None = None,
-    delta_edge: float = 1e-6,
+    eps: float,
     tol: float = DEFAULT_TOL,
 ) -> MatchReport:
     """Match the cones of two small-weight tuples by shared mass.
 
     Builds the bipartite graph with an edge where the intersection mass
-    exceeds ``delta_edge``; the graph must be a unique perfect matching and
+    exceeds ``MATCH_EDGE_MASS``; the graph must be a unique perfect matching and
     every matched mass must exceed 1/(d+1) - (3d+2) eps.  Violations raise
     MatchingError rather than returning silently.
     """
     d = A.d
     if B.d != d:
         raise ValueError("tuples live in different dimensions")
-    if eps is None:
-        eps = epsilon_match_max(d)
     if not (0 < eps <= epsilon_match_max(d)):
         raise ValueError(f"eps must lie in (0, {epsilon_match_max(d)!r}], got {eps}")
     cap = 1.0 / (d + 1) + eps
@@ -259,24 +246,24 @@ def match_tuples(
         if not w < cap:
             raise ValueError(f"{name} tuple has weight {w}, not below 1/(d+1) + eps = {cap}")
     masses = _pair_masses(m, A, B, tol)
-    adj = masses > delta_edge
+    adj = masses > MATCH_EDGE_MASS
     sigma = _perfect_matching(adj)
     if sigma is None:
         raise MatchingError(f"no perfect matching; intersection masses:\n{masses}")
     floor = 1.0 / (d + 1) - (3 * d + 2) * eps
     off = masses.copy()
     off[np.arange(d + 1), sigma] = 0.0
-    if np.any(off > delta_edge):
+    if np.any(off > MATCH_EDGE_MASS):
         raise MatchingError(
             f"matching is not unique: off-matching mass up to {off.max():.3g} "
-            f"exceeds the edge threshold {delta_edge}"
+            f"exceeds the edge threshold {MATCH_EDGE_MASS}"
         )
     matched = masses[np.arange(d + 1), sigma]
     if np.any(matched <= floor):
         raise MatchingError(
             f"matched masses {matched} do not all exceed the floor {floor}"
         )
-    return MatchReport(sigma, masses, float(eps))
+    return MatchReport(sigma, masses)
 
 
 def canonical_labeling(t: GeneratingTuple) -> GeneratingTuple:
@@ -324,7 +311,7 @@ def build_ordered_family(
             raise MatchingError(
                 f"family pair ({i}, {j}) violates the overlap floor {floor}: {diag}"
             )
-    return OrderedFamily(ordered, float(a), 0)
+    return OrderedFamily(ordered, float(a))
 
 
 def family_member_order(
@@ -336,7 +323,7 @@ def family_member_order(
     """Permutation aligning a candidate tuple with the family's reference
     order (cone i of ``t.reordered(p)`` overlaps reference cone i), or None
     when the matching fails."""
-    ref = family.tuples[family.reference_index]
+    ref = family.tuples[0]
     try:
         rep = match_tuples(m, ref, t, eps=1.0 / (3.0 * (t.d + 1) ** 3), tol=tol)
     except (MatchingError, ValueError):

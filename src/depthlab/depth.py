@@ -6,8 +6,8 @@ and sweeps (Rousseeuw & Struyf 1998; Dyckerhoff & Mozharovskyi 2016): the
 minimum sits in a cell of the great-circle arrangement of the points p_i =
 x_i - q, so depth is the minimum over i of the mass antiparallel to p_i plus
 the depth of the other points projected onto p_i^perp, recursing down to an
-exact O(n log n) planar sweep; cost O(n^(d-1) log n).  The median search uses
-it up to n = 120 in d = 4 and the certified floor above.  ``depth_oracle``
+exact O(n log n) planar sweep; cost O(n^(d-1) log n).  ``exact_affordable``
+says where callers that pick a depth evaluator use it.  ``depth_oracle``
 is an independent brute-force referee built on lexicographic sign
 perturbation; the two implementations share no code path.
 """
@@ -33,6 +33,7 @@ from .measures import DiscreteMeasure, make_measure, project_measure
 
 EXACT_MAX_DIM = 4
 EXACT_MAX_N = 5000
+_EXACT4_MAX_N = 120
 ORACLE_MAX_DIM = 3
 ORACLE_MAX_N = 14
 
@@ -56,6 +57,13 @@ class LineSearchResult:
     anchor: np.ndarray
     depth: float
     iterations: int
+
+
+def exact_affordable(m: DiscreteMeasure) -> bool:
+    """Whether exact depth of m is cheap enough for the median search, the
+    minimizing-normal level and the structural map: always in dim <= 3, in
+    dim 4 up to n = 120, never above."""
+    return m.dim <= 3 or (m.dim == 4 and m.n <= _EXACT4_MAX_N)
 
 
 def line_depth_thresholds(dim: int) -> dict:
@@ -411,16 +419,16 @@ def _oracle_witness(P, w, target, u0, wvec, vvec, tol):
 # flats, profiles, line search
 
 
-def flat_depth(m: DiscreteMeasure, f: Flat, mode: str | None = None, **kw) -> DepthResult:
+def flat_depth(m: DiscreteMeasure, f: Flat) -> DepthResult:
     """Depth of a k-flat: project the measure along it and take the depth of
-    the projected anchor point (the image of the flat)."""
+    the projected anchor point (the image of the flat), exact where the
+    exact mode takes the projection and sampled otherwise."""
     if f.k >= m.dim:
         raise ValueError("flat dimension must be below the ambient dimension")
     proj = project_measure(m, f)
     anchor = complement_basis(f) @ f.base
-    if mode is None:
-        mode = "exact" if (proj.dim <= EXACT_MAX_DIM and proj.n <= EXACT_MAX_N) else "sampled"
-    return point_depth(proj, anchor, mode=mode, **kw)
+    mode = "exact" if (proj.dim <= EXACT_MAX_DIM and proj.n <= EXACT_MAX_N) else "sampled"
+    return point_depth(proj, anchor, mode=mode)
 
 
 def direction_profile(m: DiscreteMeasure, direction, budget: dict | None = None):
@@ -465,11 +473,10 @@ def deep_line_search(
     grid_count: int = 512,
     refine_iters: int = 3,
     seed: int = 0,
-    scan_subsample: int = 160,
     top_k: int = 6,
 ) -> LineSearchResult:
     """Search for a deep line: scan a projective direction grid (on a
-    subsampled copy of the measure), re-rank the best directions on the full
+    160-point subsample of the measure), re-rank the best directions on the full
     measure, then refine by shrinking-cap sampling.
 
     Heuristic maximizer: the depth guarantee promises existence, not
@@ -479,7 +486,7 @@ def deep_line_search(
     if m.dim < 3:
         raise ValueError("line search needs ambient dimension >= 3")
     grid = np.array([canonical_direction(u) for u in sample_directions(m.dim, grid_count, mode="grid")])
-    scan_m = _subsampled(m, scan_subsample, seed)
+    scan_m = _subsampled(m, 160, seed)
     cheap = {"starts": 4, "iters": 4, "seed": seed}
     mid = {"starts": 10, "iters": 16, "seed": seed}
     evals = 0
@@ -490,27 +497,27 @@ def deep_line_search(
         evals += 1
     order = np.argsort(-scores)[: max(1, top_k)]
 
-    best_a, best_u = -1.0, None
+    best_a, best_u, best_med = -1.0, None, None
     for i in order:
-        a, _ = direction_profile(m, grid[i], mid)
+        a, med = direction_profile(m, grid[i], mid)
         evals += 1
         if a > best_a:
-            best_a, best_u = a, grid[i]
+            best_a, best_u, best_med = a, grid[i], med
 
     cap = 2.0 * np.sqrt(4.0 * np.pi / max(grid_count, 1))
     for it in range(refine_iters):
         for u in _cap_samples(best_u, cap, 24, seed + 1000 + it):
             u = canonical_direction(u)
-            a, _ = direction_profile(m, u, mid)
+            a, med = direction_profile(m, u, mid)
             evals += 1
             if a > best_a:
-                best_a, best_u = a, u
+                best_a, best_u, best_med = a, u, med
         cap *= 0.5
 
     heavy = {"starts": 24, "iters": 40, "seed": seed}
     a, med = direction_profile(m, best_u, heavy)
     evals += 1
-    if a < best_a:  # deterministic re-derivation of the mid-budget median
-        a, med = direction_profile(m, best_u, mid)
+    if a < best_a:  # the heavy budget lost ground: keep the mid-budget median
+        a, med = best_a, best_med
     anchor = complement_basis(line(best_u)).T @ med
     return LineSearchResult(best_u, anchor, float(a), evals)

@@ -112,11 +112,10 @@ class Flat:
         return self.base.size
 
 
-def line(direction, through=None) -> Flat:
-    """1-flat with the given direction; defaults to passing through the origin."""
+def line(direction) -> Flat:
+    """1-flat through the origin with the given direction."""
     u = unit(direction)
-    base = np.zeros_like(u) if through is None else as_vector(through)
-    return Flat(base, u[None, :])
+    return Flat(np.zeros_like(u), u[None, :])
 
 
 def complement_basis(f: Flat) -> np.ndarray:
@@ -202,7 +201,6 @@ def sample_directions(dim: int, count: int, seed: int = 0, mode: str = "sphere")
     sphere      pseudo-uniform, deterministic in ``seed``; for a fixed seed the
                 first k rows of a count=k' >= k call equal the count=k call
                 (prefix stability, relied on by superset-sampling tests).
-    projective  sphere sampling followed by canonical-sign normalization.
     grid        deterministic low-discrepancy covering, independent of seed:
                 a projective angle grid for dim=2, a Fibonacci lattice for
                 dim=3, and a Halton-based covering for dim >= 4.
@@ -226,7 +224,7 @@ def sample_directions(dim: int, count: int, seed: int = 0, mode: str = "sphere")
         nrm = np.linalg.norm(g, axis=1)
         nrm[nrm == 0] = 1.0
         return g / nrm[:, None]
-    if mode not in ("sphere", "projective"):
+    if mode != "sphere":
         raise ValueError(f"unknown sampling mode {mode!r}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, dim))
@@ -236,10 +234,7 @@ def sample_directions(dim: int, count: int, seed: int = 0, mode: str = "sphere")
         bad = nrm < 1e-12
         g[bad] = rng.standard_normal((int(bad.sum()), dim))
         nrm = np.linalg.norm(g, axis=1)
-    out = g / nrm[:, None]
-    if mode == "projective":
-        out = np.array([canonical_direction(v) for v in out])
-    return out
+    return g / nrm[:, None]
 
 
 def random_rotation(dim: int, seed: int) -> np.ndarray:

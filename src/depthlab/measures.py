@@ -132,6 +132,9 @@ class MeasureSpec:
         sigma = self.params.get("sigma")
         if sigma is not None and sigma <= 0:
             raise ValueError("sigma must be positive")
+        need = {"point_masses": "points", "file": "path"}.get(self.kind)
+        if need is not None and need not in self.params:
+            raise ValueError(f"{self.kind} measures need params.{need}")
 
 
 def _round_robin_assign(n: int, k: int) -> np.ndarray:

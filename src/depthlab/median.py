@@ -2,9 +2,8 @@
 
 The median search is exact in the plane (arrangement mode) and a seeded
 multistart ascent elsewhere; reported depths come from the exact evaluator
-where that is affordable (dim <= 3, or small n in dim 4) and from the
-certified net lower bound otherwise, so a reported depth never overstates
-the true one.
+where ``depth.exact_affordable`` allows it and from the certified net lower
+bound otherwise, so a reported depth never overstates the true one.
 """
 
 from __future__ import annotations
@@ -16,11 +15,11 @@ import numpy as np
 
 from .geometry import DEFAULT_TOL, hull_interior_margin, sample_directions, unit
 from .measures import DiscreteMeasure, halfspace_mass
-from .depth import certified_depth_floor, exact_depth_value_2d, point_depth
+from .depth import certified_depth_floor, exact_affordable, exact_depth_value_2d, point_depth
 from . import cones as _cones
 
 ARRANGEMENT_MAX_N = 200
-_EXACT4_MAX_N = 120
+_LAMBDA_MIN = 1e-6  # smallest hull margin of the origin in a witness tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +47,7 @@ def _final_depth(m: DiscreteMeasure, x: np.ndarray) -> float:
     """Best affordable certified depth value at x (exact where feasible)."""
     if m.dim == 2:
         return exact_depth_value_2d(m, x)[0]
-    if m.dim <= 3 or m.n <= _EXACT4_MAX_N:
+    if exact_affordable(m):
         return point_depth(m, x, mode="exact").depth
     return certified_depth_floor(m, x, gamma=0.1)
 
@@ -57,10 +56,7 @@ def _cheap_depth(m: DiscreteMeasure, x: np.ndarray, seed: int):
     """Fast evaluator used inside the ascent; exact in the plane."""
     if m.dim == 2:
         return exact_depth_value_2d(m, x)
-    if m.dim == 1:
-        r = point_depth(m, x, mode="exact")
-    else:
-        r = point_depth(m, x, mode="sampled", sample_count=192, seed=seed)
+    r = point_depth(m, x, mode="sampled", sample_count=192, seed=seed)
     return r.depth, r.witness
 
 
@@ -71,7 +67,7 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _arrangement_median(m: DiscreteMeasure, tol: float):
+def _arrangement_median(m: DiscreteMeasure):
     """Exact planar median: evaluate depth at every intersection of lines
     through data-point pairs, plus the data points themselves."""
     pts = m.points
@@ -81,7 +77,7 @@ def _arrangement_median(m: DiscreteMeasure, tol: float):
     for i, j in itertools.combinations(range(n), 2):
         d = pts[j] - pts[i]
         nr = float(np.linalg.norm(d))
-        if nr > tol:
+        if nr > DEFAULT_TOL:
             nvec = np.array([-d[1], d[0]]) / nr
             lines.append((nvec, float(nvec @ pts[i])))
     for (n1, c1), (n2, c2) in itertools.combinations(lines, 2):
@@ -124,7 +120,6 @@ def tukey_median(
     starts: int = 16,
     iters: int = 30,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> MedianResult:
     """Search for a depth-maximizing point.
 
@@ -141,7 +136,7 @@ def tukey_median(
     if mode == "arrangement":
         if m.dim != 2 or m.n > ARRANGEMENT_MAX_N:
             raise ValueError(f"arrangement mode requires dim=2 and n <= {ARRANGEMENT_MAX_N}")
-        return _arrangement_median(m, tol)
+        return _arrangement_median(m)
     if mode != "multistart":
         raise ValueError(f"unknown budget mode {mode!r}")
 
@@ -202,7 +197,6 @@ def balanced_median(
     starts: int = 16,
     iters: int = 30,
     seed: int = 0,
-    tie_tol: float = 1e-9,
 ) -> MedianResult:
     """A depth maximizer chosen centrally within its plateau.
 
@@ -218,7 +212,7 @@ def balanced_median(
         scored.append((_final_depth(m, x), x))
         evals += 1
     best = max(s for s, _ in scored)
-    ties = [x for s, x in scored if s >= best - tie_tol]
+    ties = [x for s, x in scored if s >= best - 1e-9]
     center = np.mean(ties, axis=0)
     dep = _final_depth(m, center)
     evals += 1
@@ -238,7 +232,6 @@ def recenter(
     lexicographic tie-break, which witness extraction prefers.
     """
     if balanced:
-        budget.pop("mode", None)
         res = balanced_median(m, **budget)
     else:
         res = tukey_median(m, **budget)
@@ -249,7 +242,6 @@ def min_normal_set(
     m: DiscreteMeasure,
     o,
     tol: float = 1e-6,
-    dense_count: int = 4096,
     seed: int = 0,
 ) -> NormalSet:
     """Sample of the unit normals n whose closed half-space through o
@@ -257,13 +249,14 @@ def min_normal_set(
 
     Combines exact candidate normals (perpendiculars / pair crosses of the
     recentered points, with their one-sided rotational resolutions) and a
-    dense deterministic sphere sample; the level is depth(o).
+    dense deterministic sample of 4096 sphere directions; the level is
+    depth(o).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     o = np.asarray(o, dtype=float)
     d = m.dim
-    if d <= 3 or m.n <= _EXACT4_MAX_N:
+    if exact_affordable(m):
         level = point_depth(m, o, mode="exact").depth
     else:
         level = point_depth(m, o, mode="sampled", sample_count=8192, seed=seed).depth
@@ -271,7 +264,7 @@ def min_normal_set(
     norms = np.linalg.norm(p, axis=1)
     keep = norms > DEFAULT_TOL
     phat = p[keep] / norms[keep][:, None]
-    cands = [sample_directions(d, dense_count, seed=seed, mode="sphere")]
+    cands = [sample_directions(d, 4096, seed=seed, mode="sphere")]
     if phat.shape[0]:
         if d == 2:
             perp = np.column_stack([-phat[:, 1], phat[:, 0]])
@@ -345,7 +338,6 @@ def witness_tuple(
     m: DiscreteMeasure,
     o,
     tol: float = 1e-6,
-    lambda_min: float = 1e-6,
     seed: int = 0,
 ):
     """Generating (d+1)-tuple of half-spaces through o witnessing the median.
@@ -370,14 +362,14 @@ def witness_tuple(
         )
     cand = _spread_subsample(nset.normals, 28)
     sub, margin = _best_subtuple(cand, d)
-    if margin < lambda_min:
+    if margin < _LAMBDA_MIN:
         raise WitnessSearchError(
             f"no (d+1)-subset of minimizing normals surrounds the origin "
             f"(best margin {margin:.3g})",
             margin,
         )
     chosen = _center_in_normal_set(cand[sub], nset.normals, m, o, nset.level, tol)
-    if hull_interior_margin(chosen) < lambda_min:
+    if hull_interior_margin(chosen) < _LAMBDA_MIN:
         chosen = cand[sub]
     return _cones.GeneratingTuple(-chosen), nset
 

@@ -265,7 +265,7 @@ def bijection_suite(count: int = 20, max_angle_deg: float = 5.0, threads: int = 
         rot = _small_rotation(d, min(angle, np.deg2rad(max_angle_deg)), 500 + k)
         tup2 = tup.rotated(rot)
         try:
-            rep = match_tuples(m, tup, tup2, eps=eps, delta_edge=1e-6)
+            rep = match_tuples(m, tup, tup2, eps=eps)
         except (MatchingError, ValueError):
             return [_row("bijection", "perfect_matching", f"i{k}", d, spec.n, spec.seed,
                          1.0, 0.0, -1.0, False)]

@@ -66,10 +66,7 @@ def test_central_cone_monotone_refinement(mixture3):
 
 
 def test_central_cone_validations(mixture3):
-    mc, tup = mixture3
-    b = cones_of(tup).cones[0]
-    with pytest.raises(ValueError, match="capture fraction"):
-        central_cone(mc, b, t=0.5)
+    mc, _ = mixture3
     far = SimplicialCone([50.0, 50.0, 50.0], -np.eye(3))
     with pytest.raises(ValueError, match="no mass"):
         central_cone(mc, far)
@@ -90,7 +87,7 @@ def test_central_vector_in_own_approximation(mixture3):
     b = cones_of(tup).cones[2]
     approx = central_cone(mc, b, samples=384, seed=5)
     e, _, _ = central_vector(mc, b, sphere_samples=2000, seed=5, approx=approx)
-    assert approx.contains(e, tol=1e-7)
+    assert approx.contains_many(e[None], tol=1e-7)[0]
 
 
 def test_central_vector_concentrated_subcone():
@@ -158,7 +155,7 @@ def family2():
     mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=31)
     tup, _ = witness_tuple(mc, np.zeros(2), seed=31)
     a = 1 / 3 + 0.5 / 81
-    fam = OrderedFamily([canonical_labeling(tup)], a, 0)
+    fam = OrderedFamily([canonical_labeling(tup)], a)
     return mc, fam, a
 
 
@@ -184,7 +181,7 @@ def test_e_component_zero_at_exact_level(family2):
     w = tuple_weight(mc, ref)
     # at a == weight the scalar factor vanishes; use a family at that level
     lvl = w + 1e-12
-    fam_lvl = OrderedFamily(fam.tuples, lvl, 0)
+    fam_lvl = OrderedFamily(fam.tuples, lvl)
     v = e_component(mc, lvl, fam_lvl, ref.normals, 0, seed=3)
     assert np.linalg.norm(v) <= 2e-12
 

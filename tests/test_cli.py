@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from depthlab.cli import ConfigError, ExperimentConfig, main, run_experiment
+from depthlab.cli import ConfigError, ExperimentConfig, _suite_params, main, run_experiment
 from depthlab.suites import rows_to_csv, run_suite
 
 
@@ -192,3 +192,46 @@ def test_bench_command(tmp_path):
         {"command": "bench", "measure": {"kind": "gaussian", "dim": 2, "n": 40, "seed": 1}, "reps": 2},
     )
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"command": "verify", "suite": "bmes", "params": {"cout": 2}}, "config.params.cout"),
+        ({"command": "verify", "suite": "oracle", "params": {"instances_per_dim": "x"}},
+         "config.params.instances_per_dim"),
+        ({"command": "verify", "suite": "rado", "params": {"dims": [2, "x"]}}, "config.params.dims"),
+        ({"command": "depth", "measure": SQUARE, "query": [0, 0], "expected": "half"}, "config.expected"),
+        ({"command": "depth", "measure": SQUARE, "query": [0, 0], "expected": 0.5, "tolerance": "x"},
+         "config.tolerance"),
+        ({"command": "depth", "measure": {"kind": "point_masses", "dim": 2}, "query": [0, 0]},
+         "config.measure"),
+        ({"command": "depth", "measure": {"kind": "file", "dim": 2}, "query": [0, 0]}, "config.measure"),
+        ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "threads": "x"}, "config.threads"),
+        ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "mode": "sampled", "sample_count": 0},
+         "config.sample_count"),
+        ({"command": "landscape", "measure": GAUSS2, "grid_count": "many"}, "config.grid_count"),
+        ({"command": "line-search", "measure": GAUSS2, "refine_iters": 1.5}, "config.refine_iters"),
+        ({"command": "median", "measure": GAUSS2, "budget": {"starts": 0}}, "config.budget.starts"),
+        ({"command": "median", "measure": GAUSS2, "budget": {"iters": "x"}}, "config.budget.iters"),
+        ({"command": "median", "measure": GAUSS2, "budget": [1]}, "config.budget"),
+        ({"command": "bench", "measure": GAUSS2, "reps": 0}, "config.reps"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_config_error_names_field(tmp_path, capsys, config, field):
+    cfg = write(tmp_path, "c.json", config)
+    assert main([config["command"], "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_readme_rado_params_bind():
+    params = {"dims": [2, 3], "seeds_per_dim": 10, "n": 200}
+    assert _suite_params("rado", params) == params
+    assert _suite_params("bmes", {"eps": 0.2}) == {"eps": 0.2}  # a None default takes any value
+    assert _suite_params("theorem1", {"slack": 0}) == {"slack": 0}  # an int fits a float default
+    with pytest.raises(ConfigError, match="config.params.count"):
+        _suite_params("bmes", {"count": True})

@@ -220,7 +220,7 @@ def test_line_depth_thresholds_values():
 
 def test_deep_line_search_symmetric_measure():
     m = generate_measure(MeasureSpec("uniform_ball", 3, 600, {}, seed=3))
-    r = deep_line_search(m, grid_count=120, refine_iters=1, seed=3, scan_subsample=120)
+    r = deep_line_search(m, grid_count=120, refine_iters=1, seed=3)
     assert abs(r.depth - 0.5) < 0.05
     # the anchor lies on the reported line and reproduces the depth
     f = Flat(r.anchor, r.direction[None])

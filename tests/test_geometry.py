@@ -100,13 +100,6 @@ def test_grid_mode_ignores_seed():
     assert np.array_equal(a, b)
 
 
-def test_projective_mode_canonical_sign():
-    d = sample_directions(4, 200, seed=1, mode="projective")
-    for v in d:
-        nz = v[np.abs(v) > 1e-13]
-        assert nz[0] > 0
-
-
 @settings(max_examples=60, deadline=None)
 @given(vec(3).filter(lambda v: np.linalg.norm(v) > 1e-6))
 def test_canonical_direction_idempotent_and_antipodal(v):
