@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import sample_directions
 from .measures import MeasureSpec, generate_measure, load_measure, save_measure
-from .depth import deep_line_search, direction_profile, line_depth_thresholds, point_depth
+from .depth import deep_line_search, direction_profiles, line_depth_thresholds, point_depth
 from .median import tukey_median
 from . import suites as _suites
 
@@ -110,13 +110,15 @@ class ExperimentConfig:
         spec = self.raw.get("measure")
         if spec is None:
             raise ConfigError("config.measure: missing")
+        if not isinstance(spec, dict):
+            raise ConfigError(f"config.measure: must be an object, got {spec!r}")
         if "path" in spec:
             try:
                 return load_measure(spec["path"])
             except (OSError, ValueError) as e:
                 raise ConfigError(f"config.measure.path: {e}")
         try:
-            ms = MeasureSpec(
+            fields = dict(
                 kind=spec["kind"],
                 dim=int(spec["dim"]),
                 n=int(spec.get("n", 1)),
@@ -125,8 +127,12 @@ class ExperimentConfig:
             )
         except KeyError as e:
             raise ConfigError(f"config.measure.{e.args[0]}: missing")
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"config.measure: {e}")
+        try:
+            ms = MeasureSpec(**fields)
+        except ValueError as e:  # its message starts with the field
+            raise ConfigError(f"config.measure.{e}")
         return generate_measure(ms)
 
 
@@ -192,11 +198,9 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
         count = _int_field(cfg.raw, "grid_count", 64, 1)
         dirs = sample_directions(m.dim, count, mode="grid")
         budget = {"starts": 8, "iters": 12, "seed": cfg.seed}
-        rows = []
-        for i, u in enumerate(dirs):
-            a, _ = direction_profile(m, u, budget)
-            rows.append(_result_row("profile_depth", a, cfg, m.dim, m.n, instance=f"dir{i}"))
-        return rows
+        profile, _ = direction_profiles(m, dirs, budget)
+        return [_result_row("profile_depth", a, cfg, m.dim, m.n, instance=f"dir{i}")
+                for i, a in enumerate(profile)]
     if cmd == "verify":
         suite = cfg.raw.get("suite")
         if suite not in _suites.SUITES:

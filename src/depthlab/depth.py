@@ -209,15 +209,48 @@ def exact_depth_value_2d(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL):
 
     Same value as ``point_depth(..., mode="exact")``, with the direction of
     the first minimizing arc of the sweep instead of a checked witness, for
-    hot loops (median ascent, direction scans) that only need the number and
-    a descent direction.
+    callers that only need the number and a descent direction.
     """
-    q = np.asarray(q, dtype=float)
-    P, w, w0 = _split_query(m, q, tol)
-    if P.shape[0] == 0:
-        return 1.0, np.eye(2)[0]
-    val, phi = _sweep((P / np.linalg.norm(P, axis=1)[:, None])[None], w[None], tol)
-    return w0 + float(val[0]), np.array([np.cos(phi[0]), np.sin(phi[0])])
+    q = np.asarray(q, dtype=float)[None]
+    vals, dirs = exact_depth_values_2d([m.points], [m.weights], [0], q, tol)
+    return float(vals[0]), dirs[0]
+
+
+def exact_depth_values_2d(points, weights, which, q, tol: float = DEFAULT_TOL):
+    """``exact_depth_value_2d`` of many queries at once: row r is the query
+    q[r] (R, 2) in the planar measure (points[which[r]], weights[which[r]]),
+    points and weights being sequences of M arrays (n, 2) and (n,).  Rows go
+    to the sweep in blocks of at most _CHUNK points.  Each row's value and
+    direction are bit for bit those of splitting off the points at its query
+    and sweeping the rest alone.  Returns (values (R,), directions (R, 2)).
+    """
+    R, n = len(which), len(weights[0])
+    vals, dirs = np.empty(R), np.empty((R, 2))
+    step = max(1, _CHUNK // n)
+    for s in range(0, R, step):
+        k = which[s : s + step]
+        p = np.stack([points[i] for i in k]) - q[s : s + step, None, :]
+        norms = np.linalg.norm(p, axis=2)
+        kept = norms > tol
+        w = np.stack([weights[i] for i in k])
+        phat = p / np.where(kept, norms, 1.0)[..., None]
+        at_q = (~kept).sum(axis=1)
+        # the points at the query: their weight w0 is summed as a compressed
+        # array, as the single-query split sums it (exact for one or two
+        # points, so only larger groups need it); in the sweep they are
+        # copies of a kept point with weight 0, so they add no breakpoint
+        w0 = np.where(kept, 0.0, w).sum(axis=1)
+        for r in np.flatnonzero(at_q > 2):
+            w0[r] = w[r][~kept[r]].sum()
+        if at_q.any():
+            fill = phat[np.arange(len(k)), np.argmax(kept, axis=1)]
+            phat = np.where(kept[..., None], phat, fill[:, None, :])
+        val, phi = _sweep(phat, np.where(kept, w, 0.0), tol)
+        empty = at_q == n
+        vals[s : s + step] = np.where(empty, 1.0, w0 + val)
+        dirs[s : s + step, 0] = np.where(empty, 1.0, np.cos(phi))
+        dirs[s : s + step, 1] = np.where(empty, 0.0, np.sin(phi))
+    return vals, dirs
 
 
 def point_depth(
@@ -437,15 +470,23 @@ def direction_profile(m: DiscreteMeasure, direction, budget: dict | None = None)
     Returns (a, median_point), the median being expressed in the projected
     coordinates.  ``budget`` is forwarded to the median search.
     """
+    a, med = direction_profiles(m, [direction], budget)
+    return a[0], med[0]
+
+
+def direction_profiles(m: DiscreteMeasure, directions, budget: dict | None = None):
+    """``direction_profile`` of each direction, with the median ascents of
+    all the projections stepping in lockstep (``median.tukey_medians``).
+
+    Returns (a (D,), median points (D, dim - 1)).
+    """
     if m.dim < 2:
         raise ValueError("need ambient dimension >= 2")
     from . import median as _median
 
-    budget = dict(budget or {})
-    fl = line(direction)
-    proj = project_measure(m, fl)
-    res = _median.tukey_median(proj, **budget)
-    return res.depth, res.point
+    projs = [project_measure(m, line(u)) for u in directions]
+    res = _median.tukey_medians(projs, **(budget or {}))
+    return np.array([r.depth for r in res]), np.array([r.point for r in res])
 
 
 def _subsampled(m: DiscreteMeasure, count: int, seed: int) -> DiscreteMeasure:
@@ -477,7 +518,8 @@ def deep_line_search(
 ) -> LineSearchResult:
     """Search for a deep line: scan a projective direction grid (on a
     160-point subsample of the measure), re-rank the best directions on the full
-    measure, then refine by shrinking-cap sampling.
+    measure, then refine by shrinking-cap sampling.  Each phase profiles all
+    its directions in one lockstep batch (``direction_profiles``).
 
     Heuristic maximizer: the depth guarantee promises existence, not
     constructibility, so the result is best-found; its depth is certified by
@@ -489,33 +531,27 @@ def deep_line_search(
     scan_m = _subsampled(m, 160, seed)
     cheap = {"starts": 4, "iters": 4, "seed": seed}
     mid = {"starts": 10, "iters": 16, "seed": seed}
-    evals = 0
 
-    scores = np.empty(grid.shape[0])
-    for i, u in enumerate(grid):
-        scores[i], _ = direction_profile(scan_m, u, cheap)
-        evals += 1
+    scores, _ = direction_profiles(scan_m, grid, cheap)
+    evals = grid.shape[0]
     order = np.argsort(-scores)[: max(1, top_k)]
 
     best_a, best_u, best_med = -1.0, None, None
-    for i in order:
-        a, med = direction_profile(m, grid[i], mid)
-        evals += 1
-        if a > best_a:
-            best_a, best_u, best_med = a, grid[i], med
-
     cap = 2.0 * np.sqrt(4.0 * np.pi / max(grid_count, 1))
-    for it in range(refine_iters):
-        for u in _cap_samples(best_u, cap, 24, seed + 1000 + it):
-            u = canonical_direction(u)
-            a, med = direction_profile(m, u, mid)
-            evals += 1
+    cands = grid[order]  # the re-rank, then each refine step's cap samples
+    for it in range(refine_iters + 1):
+        if it:
+            cands = [canonical_direction(u) for u in _cap_samples(best_u, cap, 24, seed + 1000 + it - 1)]
+            cap *= 0.5
+        a_s, meds = direction_profiles(m, cands, mid)
+        evals += len(cands)
+        for u, a, med in zip(cands, a_s, meds):  # in order: the first of tied profiles wins
             if a > best_a:
                 best_a, best_u, best_med = a, u, med
-        cap *= 0.5
 
     heavy = {"starts": 24, "iters": 40, "seed": seed}
-    a, med = direction_profile(m, best_u, heavy)
+    a_s, meds = direction_profiles(m, [best_u], heavy)
+    a, med = a_s[0], meds[0]
     evals += 1
     if a < best_a:  # the heavy budget lost ground: keep the mid-budget median
         a, med = best_a, best_med

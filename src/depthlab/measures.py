@@ -8,6 +8,7 @@ stand in for smooth fast-decaying densities; tests that depend on smoothness
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,16 +126,33 @@ class MeasureSpec:
     KINDS = ("simplex_mixture", "gaussian", "uniform_ball", "cross_polytope", "point_masses", "file")
 
     def __post_init__(self):
+        """Checks the spec; each message starts with the field it names."""
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown measure kind {self.kind!r}; valid: {', '.join(self.KINDS)}")
+            raise ValueError(f"kind: unknown measure kind {self.kind!r}; valid: {', '.join(self.KINDS)}")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError("n: must be >= 1")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params: must be an object, got {self.params!r}")
+        for name in ("sigma", "radius"):
+            if self.params.get(name) is not None and not _is_number(self.params[name]):
+                raise ValueError(f"params.{name}: must be a number, got {self.params[name]!r}")
+        scales = self.params.get("scales")
+        if scales is not None and not _is_number(scales) and not (
+            isinstance(scales, (list, tuple, np.ndarray)) and len(scales) in (1, self.dim)
+            and all(map(_is_number, scales))
+        ):
+            raise ValueError(f"params.scales: must be a number or a list of 1 or {self.dim} numbers, "
+                             f"got {scales!r}")
         sigma = self.params.get("sigma")
         if sigma is not None and sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ValueError(f"params.sigma: must be positive, got {sigma!r}")
         need = {"point_masses": "points", "file": "path"}.get(self.kind)
         if need is not None and need not in self.params:
-            raise ValueError(f"{self.kind} measures need params.{need}")
+            raise ValueError(f"params.{need}: missing, {self.kind} measures need it")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _round_robin_assign(n: int, k: int) -> np.ndarray:

@@ -15,7 +15,13 @@ import numpy as np
 
 from .geometry import DEFAULT_TOL, hull_interior_margin, sample_directions, unit
 from .measures import DiscreteMeasure, halfspace_mass
-from .depth import certified_depth_floor, exact_affordable, exact_depth_value_2d, point_depth
+from .depth import (
+    certified_depth_floor,
+    exact_affordable,
+    exact_depth_value_2d,
+    exact_depth_values_2d,
+    point_depth,
+)
 from . import cones as _cones
 
 ARRANGEMENT_MAX_N = 200
@@ -52,12 +58,29 @@ def _final_depth(m: DiscreteMeasure, x: np.ndarray) -> float:
     return certified_depth_floor(m, x, gamma=0.1)
 
 
-def _cheap_depth(m: DiscreteMeasure, x: np.ndarray, seed: int):
-    """Fast evaluator used inside the ascent; exact in the plane."""
+def _finals(m: DiscreteMeasure, endpoints: list, count: int) -> list:
+    """(final depth, point) of the ``count`` best endpoints.  In the plane
+    the ascent's evaluator is the exact one, so its values are final."""
     if m.dim == 2:
-        return exact_depth_value_2d(m, x)
-    r = point_depth(m, x, mode="sampled", sample_count=192, seed=seed)
-    return r.depth, r.witness
+        return endpoints[:count]
+    return [(_final_depth(m, x), x) for _, x in endpoints[:count]]
+
+
+def _cheap_depths(ms: list, own: np.ndarray, seeds: np.ndarray):
+    """The ascent's evaluator: (rows, points) -> (depths, witness
+    directions), row r a point of measure ms[own[r]].  Exact in the plane,
+    all rows in one batched sweep; above, the sampled upper bound on seed
+    seeds[r]."""
+    if ms[0].dim == 2:
+        pts, w = [m.points for m in ms], [m.weights for m in ms]
+        return lambda rows, x: exact_depth_values_2d(pts, w, own[rows], x)
+
+    def sampled(rows, x):
+        res = [point_depth(ms[own[r]], xr, mode="sampled", sample_count=192, seed=int(seeds[r]))
+               for r, xr in zip(rows, x)]
+        return np.array([r.depth for r in res]), np.array([r.witness for r in res])
+
+    return sampled
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
@@ -131,65 +154,91 @@ def tukey_median(
     Deterministic in the seed; ties broken toward the lexicographically
     smallest evaluated candidate.
     """
+    return tukey_medians([m], mode, starts, iters, seed)[0]
+
+
+def tukey_medians(ms: list, mode: str = "auto", starts: int = 16, iters: int = 30,
+                  seed: int = 0) -> list[MedianResult]:
+    """``tukey_median`` of each measure in ms (one dimension and point
+    count), the multistart ascents of all of them stepping in lockstep."""
+    m = ms[0]
     if mode == "auto":
         mode = "arrangement" if (m.dim == 2 and m.n <= 40) else "multistart"
     if mode == "arrangement":
         if m.dim != 2 or m.n > ARRANGEMENT_MAX_N:
             raise ValueError(f"arrangement mode requires dim=2 and n <= {ARRANGEMENT_MAX_N}")
-        return _arrangement_median(m)
+        return [_arrangement_median(m) for m in ms]
     if mode != "multistart":
         raise ValueError(f"unknown budget mode {mode!r}")
-
     if m.dim == 1:
-        cands = np.unique(m.points[:, 0])
-        best_x, best_d = None, -1.0
-        for c in cands:
-            dep = point_depth(m, [c], mode="exact").depth
-            if dep > best_d:
-                best_x, best_d = np.array([c]), dep
-        return MedianResult(best_x, best_d, cands.size)
+        return [_line_median(m) for m in ms]
 
-    endpoints, evals = _multistart_endpoints(m, starts, iters, seed)
     finals = 3 if m.dim <= 2 else 1  # final evaluations are costly in d >= 3
+    out = []
+    for mk, (endpoints, evals) in zip(ms, _multistart_endpoints(ms, starts, iters, seed)):
+        best_x, best_d = None, -1.0
+        for dep, x in _finals(mk, endpoints, finals):
+            evals += 1
+            if dep > best_d + 1e-12 or (
+                abs(dep - best_d) <= 1e-12 and best_x is not None and _lex_less(x, best_x)
+            ):
+                best_x, best_d = x, dep
+        out.append(MedianResult(best_x, float(best_d), evals))
+    return out
+
+
+def _line_median(m: DiscreteMeasure) -> MedianResult:
+    cands = np.unique(m.points[:, 0])
     best_x, best_d = None, -1.0
-    for _, x in endpoints[: min(finals, len(endpoints))]:
-        dep = _final_depth(m, x)
-        evals += 1
-        if dep > best_d + 1e-12 or (
-            abs(dep - best_d) <= 1e-12 and best_x is not None and _lex_less(x, best_x)
-        ):
-            best_x, best_d = x, dep
-    return MedianResult(best_x, float(best_d), evals)
+    for c in cands:
+        dep = point_depth(m, [c], mode="exact").depth
+        if dep > best_d:
+            best_x, best_d = np.array([c]), dep
+    return MedianResult(best_x, best_d, cands.size)
 
 
-def _multistart_endpoints(m: DiscreteMeasure, starts: int, iters: int, seed: int):
-    """Witness-descent ascent from seeded starts; endpoints sorted by the
-    cheap depth estimate, best first."""
-    evals = 0
-    scale = float(np.mean(np.linalg.norm(m.points - m.weights @ m.points, axis=1))) or 1.0
-    endpoints = []
-    for s_i, x0 in enumerate(_start_points(m, starts, seed)):
-        x = np.asarray(x0, dtype=float).copy()
-        d_cur, wit = _cheap_depth(m, x, seed + 7 * s_i)
-        evals += 1
-        step = scale / 3.0
-        for _ in range(iters):
-            moved = False
-            for eta in (step, step / 4.0):
-                cand = x - eta * wit
-                d_new, wit_new = _cheap_depth(m, cand, seed + 7 * s_i)
-                evals += 1
-                if d_new > d_cur:
-                    x, d_cur, wit = cand, d_new, wit_new
-                    moved = True
-                    break
-            if not moved:
-                step *= 0.5
-                if step < 1e-4 * scale:
-                    break
-        endpoints.append((d_cur, x))
-    endpoints.sort(key=lambda t: -t[0])
-    return endpoints, evals
+def _multistart_endpoints(ms: list, starts: int, iters: int, seed: int) -> list:
+    """Witness-descent ascent from the seeded starts of every measure in ms.
+
+    All starts step in lockstep: each iteration evaluates the full step of
+    every active start in one batch, then the quarter step of those that did
+    not improve; a start that moves neither way halves its step and stops
+    below 1e-4 of its measure's scale.  Per measure: its endpoints (cheap
+    depth, point) sorted by the cheap depth, best first (stable in start
+    order), and its number of evaluations.
+    """
+    x0 = [_start_points(m, starts, seed) for m in ms]
+    own = np.repeat(np.arange(len(ms)), [len(xs) for xs in x0])
+    s_i = np.concatenate([np.arange(len(xs)) for xs in x0])
+    evaluate = _cheap_depths(ms, own, seed + 7 * s_i)
+    x = np.array([xi for xs in x0 for xi in xs], dtype=float)
+    d_cur, wit = evaluate(np.arange(len(x)), x)
+    evals = np.ones(len(x), dtype=int)
+    scale = np.array([float(np.mean(np.linalg.norm(m.points - m.weights @ m.points, axis=1))) or 1.0
+                      for m in ms])[own]
+    step = scale / 3.0
+    live = np.arange(len(x))
+    for _ in range(iters):
+        moved = np.zeros(len(live), dtype=bool)
+        for div in (1.0, 4.0):  # eta = step, then step / 4
+            rows = live[~moved]
+            if not rows.size:
+                break
+            cand = x[rows] - (step[rows] / div)[:, None] * wit[rows]
+            d_new, wit_new = evaluate(rows, cand)
+            evals[rows] += 1
+            up = d_new > d_cur[rows]
+            x[rows[up]], d_cur[rows[up]], wit[rows[up]] = cand[up], d_new[up], wit_new[up]
+            moved[~moved] = up
+        step[live[~moved]] *= 0.5
+        live = live[moved | (step[live] >= 1e-4 * scale[live])]
+    out = []
+    for k in range(len(ms)):
+        rows = np.flatnonzero(own == k)
+        endpoints = [(d_cur[r], x[r]) for r in rows]
+        endpoints.sort(key=lambda t: -t[0])
+        out.append((endpoints, int(evals[rows].sum())))
+    return out
 
 
 def balanced_median(
@@ -205,12 +254,9 @@ def balanced_median(
     which keeps the surrounding set of minimizing normals spread out (the
     lexicographic tie-break of ``tukey_median`` tends to a corner instead).
     """
-    endpoints, evals = _multistart_endpoints(m, starts, iters, seed)
-    finals = min(len(endpoints), 6 if m.dim <= 2 else 3)
-    scored = []
-    for _, x in endpoints[:finals]:
-        scored.append((_final_depth(m, x), x))
-        evals += 1
+    endpoints, evals = _multistart_endpoints([m], starts, iters, seed)[0]
+    scored = _finals(m, endpoints, 6 if m.dim <= 2 else 3)
+    evals += len(scored)
     best = max(s for s, _ in scored)
     ties = [x for s, x in scored if s >= best - 1e-9]
     center = np.mean(ties, axis=0)

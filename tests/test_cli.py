@@ -185,6 +185,22 @@ def test_landscape_command(tmp_path):
     assert len(rows) == 7  # header + one row per direction
 
 
+def test_landscape_csv_bytes(tmp_path):
+    """The batched profiles write the CSV that one profile per direction wrote."""
+    cfg = write(tmp_path, "c.json", {
+        "command": "landscape",
+        "measure": {"kind": "simplex_mixture", "dim": 3, "n": 90, "params": {"sigma": 0.2}, "seed": 4},
+        "grid_count": 10,
+        "seed": 7,
+    })
+    assert main(["landscape", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    depths = ["0.4", "0.4", "0.388888888889", "0.411111111111", "0.388888888889",
+              "0.422222222222", "0.4", "0.411111111111", "0.444444444444", "0.388888888889"]
+    expected = "suite,check,instance,d,n,seed,expected,observed,slack,pass\n" + "".join(
+        f"cli,profile_depth,dir{i},3,90,7,{a},{a},0,true\n" for i, a in enumerate(depths))
+    assert (tmp_path / "out" / "landscape.csv").read_bytes() == expected.encode()
+
+
 def test_bench_command(tmp_path):
     cfg = write(
         tmp_path,
@@ -219,6 +235,15 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
         ({"command": "median", "measure": GAUSS2, "budget": {"iters": "x"}}, "config.budget.iters"),
         ({"command": "median", "measure": GAUSS2, "budget": [1]}, "config.budget"),
         ({"command": "bench", "measure": GAUSS2, "reps": 0}, "config.reps"),
+        ({"command": "depth", "measure": 5, "query": [0, 0]}, "config.measure"),
+        ({"command": "depth", "measure": {**GAUSS2, "params": [1]}, "query": [0, 0]},
+         "config.measure.params"),
+        ({"command": "depth", "measure": {**GAUSS2, "params": {"sigma": "x"}}, "query": [0, 0]},
+         "config.measure.params.sigma"),
+        ({"command": "depth", "measure": {"kind": "uniform_ball", "dim": 2, "n": 5, "params": {"radius": "big"}},
+          "query": [0, 0]}, "config.measure.params.radius"),
+        ({"command": "depth", "measure": {**GAUSS2, "params": {"scales": "ab"}}, "query": [0, 0]},
+         "config.measure.params.scales"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -1,0 +1,103 @@
+"""The lockstep median ascent and the batched planar evaluator give the same
+bits as the single-query referee in ``ascent_referee``."""
+
+import numpy as np
+import pytest
+
+import ascent_referee as ref
+from depthlab.depth import _CHUNK, deep_line_search, direction_profiles, exact_depth_values_2d
+from depthlab.geometry import line, sample_directions
+from depthlab.measures import MeasureSpec, generate_measure, make_measure, project_measure
+from depthlab.median import balanced_median, tukey_median
+from depthlab.suites import line_search_suite_specs
+
+Q = np.array([0.25, -0.5])
+
+
+def _planar_cases():
+    """(name, measure, queries) with 40 points each, weights not uniform."""
+    rng = np.random.default_rng(0)
+    general = rng.standard_normal((40, 2))
+    crowd = rng.standard_normal((40, 2))
+    at = rng.random(40) < 0.5
+    crowd[at] = Q  # 15 points: their weights sum differently with zeros between them
+    line_pts = rng.standard_normal((40, 2))
+    line_pts[:9] = Q + np.arange(-4, 5)[:, None] * np.array([0.3, 0.1])
+    weights = [rng.random(40) ** 3 for _ in range(4)]
+    return [
+        ("general", make_measure(general, weights[0]), [Q, [0.0, 0.0], [5.0, 5.0]]),
+        ("on_point", make_measure(general, weights[0]), list(general)),
+        ("crowd", make_measure(crowd, weights[1]), [Q, crowd[np.argmin(at)]]),
+        ("all_at_query", make_measure(np.tile(Q, (40, 1)), weights[2]), [Q]),
+        ("collinear", make_measure(line_pts, weights[3]), [Q, line_pts[2], Q + [0.15, 0.05]]),
+    ]
+
+
+def test_batched_planar_depth_matches_single_query_bits():
+    cases = _planar_cases()
+    pts = [m.points for _, m, _ in cases]
+    w = [m.weights for _, m, _ in cases]
+    which = np.array([k for k, (_, _, qs) in enumerate(cases) for _ in qs])
+    q = np.array([qi for _, _, qs in cases for qi in qs], dtype=float)
+    vals, dirs = exact_depth_values_2d(pts, w, which, q)
+    for r, (k, qi) in enumerate(zip(which, q)):
+        name, m, _ = cases[k]
+        val, u = ref.exact_depth_value_2d(m, qi)
+        assert vals[r] == val and np.array_equal(dirs[r], u), (name, r)
+    assert vals[which == 3][0] == 1.0  # every point at the query
+
+
+def test_batched_planar_depth_across_blocks():
+    m = generate_measure(MeasureSpec("gaussian", 2, 300, {}, seed=4))
+    q = np.vstack([m.points[:60], np.random.default_rng(1).standard_normal((60, 2))])
+    assert len(q) * m.n > 2 * _CHUNK
+    vals, dirs = exact_depth_values_2d([m.points], [m.weights], np.zeros(len(q), dtype=int), q)
+    for r, qi in enumerate(q):
+        val, u = ref.exact_depth_value_2d(m, qi)
+        assert vals[r] == val and np.array_equal(dirs[r], u)
+
+
+def _same(a, b):
+    return np.array_equal(a.point, b.point) and a.depth == b.depth and (
+        a.candidates_evaluated == b.candidates_evaluated)
+
+
+@pytest.mark.parametrize("d, n", [(2, 150), (3, 120)])
+def test_multistart_median_matches_sequential_ascent(d, n):
+    m = generate_measure(MeasureSpec("simplex_mixture", d, n, {"sigma": 0.2}, seed=d))
+    for seed in (0, 5):
+        assert _same(tukey_median(m, mode="multistart", starts=6, iters=12, seed=seed),
+                     ref.tukey_median(m, starts=6, iters=12, seed=seed))
+        assert _same(balanced_median(m, starts=6, iters=12, seed=seed),
+                     ref.balanced_median(m, starts=6, iters=12, seed=seed))
+
+
+def test_profiles_in_lockstep_match_one_at_a_time():
+    m = generate_measure(MeasureSpec("gaussian", 3, 90, {"scales": [1.0, 0.6, 0.3]}, seed=8))
+    dirs = sample_directions(3, 12, mode="grid")
+    a, meds = direction_profiles(m, dirs, {"starts": 5, "iters": 8, "seed": 2})
+    for u, ai, med in zip(dirs, a, meds):
+        r = ref.tukey_median(project_measure(m, line(u)), starts=5, iters=8, seed=2)
+        assert ai == r.depth and np.array_equal(med, r.point)
+
+
+# deep_line_search(grid_count=60, refine_iters=2) on two theorem1 measures at
+# n = 200, as the one-direction-at-a-time search returned them
+LINES = {
+    0: (["0x1.720745120b687p-2", "0x1.31bc633806170p-2", "0x1.c444444444444p-1"],
+        ["0x1.3a5b2fb4e0c16p-6", "-0x1.e958ebbc919acp-5", "0x1.9469142cb5723p-7"],
+        "0x1.eb851eb851ebep-2", 115),
+    6: (["0x1.22d658f2b5573p-1", "0x1.a55e9752a99b1p-1", "0x1.29de7b28a5239p-8"],
+        ["0x1.64f0a3bf85f85p-9", "-0x1.e74d1056a8bbap-10", "-0x1.ebd7c81ceed04p-9"],
+        "0x1.e66666666666ap-2", 115),
+}
+
+
+@pytest.mark.parametrize("i", sorted(LINES))
+def test_deep_line_search_bits(i):
+    spec = line_search_suite_specs(200)[i]
+    r = deep_line_search(generate_measure(spec), grid_count=60, refine_iters=2, seed=spec.seed)
+    direction, anchor, depth, iterations = LINES[i]
+    assert [float(x).hex() for x in r.direction] == direction
+    assert [float(x).hex() for x in r.anchor] == anchor
+    assert float(r.depth).hex() == depth and r.iterations == iterations
