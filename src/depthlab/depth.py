@@ -38,6 +38,7 @@ ORACLE_MAX_DIM = 3
 ORACLE_MAX_N = 14
 
 _CHUNK = 16384
+_BLOCK_ENTRIES = 2**17  # direction-by-point entries per mask-product block
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,6 +254,32 @@ def exact_depth_values_2d(points, weights, which, q, tol: float = DEFAULT_TOL):
     return vals, dirs
 
 
+def sampled_depth_values(points, weights, which, q, directions, tol: float = DEFAULT_TOL):
+    """``point_depth(mode="sampled")`` of many queries at once: row r is the
+    query q[r] (R, d) in the measure (points[which[r]], weights[which[r]]),
+    minimized over its own unit directions directions[r] (R, count, d).  The
+    rows are centred and normalized in stacks of at most _CHUNK points; each
+    row then takes its direction and mask products in cache-sized blocks of
+    directions (``_row_blocks``), which give the bits of one product over
+    all of them.  Returns (values (R,), minimizing directions (R, d)).
+    """
+    R, n = len(which), len(weights[0])
+    vals, wits = np.empty(R), np.empty((R, directions.shape[2]))
+    step = max(1, _CHUNK // n)
+    for lo in range(0, R, step):
+        k = which[lo : lo + step]
+        p = np.stack([points[i] for i in k]) - q[lo : lo + step, None, :]
+        norms = np.linalg.norm(p, axis=2)
+        norms[norms == 0] = 1.0
+        phat = (p / norms[..., None]).transpose(0, 2, 1)
+        for b, i in enumerate(k):
+            u = directions[lo + b]
+            masses = np.concatenate([(u[blk] @ phat[b] >= -tol) @ weights[i] for blk in _row_blocks(len(u), n)])
+            j = int(np.argmin(masses))
+            vals[lo + b], wits[lo + b] = masses[j], u[j]
+    return vals, wits
+
+
 def point_depth(
     m: DiscreteMeasure,
     q,
@@ -270,7 +297,10 @@ def point_depth(
              "exact-upper-bound" when it misses the computed minimum.
     sampled  upper bound over ``sample_count`` seeded sphere directions; the
              direction stream is prefix-stable in the count, so a larger
-             sample with the same seed can only lower the bound.
+             sample with the same seed can only lower the bound.  This is
+             the one-row case of ``sampled_depth_values``, whose cache-sized
+             blocks of directions give the bits of one product over all of
+             them.
     """
     q = as_vector(q)
     if q.size != m.dim:
@@ -295,13 +325,8 @@ def point_depth(
         return DepthResult(depth, u, mode)
     if mode == "sampled":
         u = sample_directions(m.dim, sample_count, seed=seed, mode="sphere")
-        p = m.points - q
-        norms = np.linalg.norm(p, axis=1)
-        norms[norms == 0] = 1.0
-        s = u @ (p / norms[:, None]).T
-        masses = (s >= -tol) @ m.weights
-        j = int(np.argmin(masses))
-        return DepthResult(float(masses[j]), u[j], "sampled")
+        vals, us = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None], tol)
+        return DepthResult(float(vals[0]), us[0], "sampled")
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -312,6 +337,9 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     unit sphere: for every direction u there is a net point u0 within angle
     gamma, and {x : <u, x - q> >= 0} contains {x : <u0, x - q> >= gamma |x - q|}.
     Converges to the exact depth as gamma -> 0.  Supported for dim in {2,3,4}.
+    The net is swept in cache-sized blocks of about 2^17 net-by-point
+    entries (``_row_blocks``): 256 rows at n = 500, where the whole net of
+    d = 4, gamma = 0.1 has 230,000 rows.
     """
     q = as_vector(q)
     d = m.dim
@@ -334,11 +362,31 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     margin32 = (np.sin(gamma) * norms + 1e-5 * (norms + 1.0)).astype(np.float32)
     p32 = p.astype(np.float32)
     best = np.inf
-    for lo in range(0, net.shape[0], _CHUNK):
-        s = net[lo : lo + _CHUNK].astype(np.float32) @ p32.T
-        vals = (s >= margin32) @ m.weights
-        best = min(best, float(vals.min()))
+    for blk in _row_blocks(net.shape[0], m.n):
+        s = net[blk].astype(np.float32) @ p32.T
+        best = min(best, float(((s >= margin32) @ m.weights).min()))
     return best
+
+
+def _row_blocks(rows: int, n: int) -> list:
+    """Slices covering range(rows), for products of that many direction rows
+    with n points: blocks of about _BLOCK_ENTRIES entries, which stay in
+    cache where one product over all the rows would not.
+
+    The BLAS matrix-vector kernel sums a row in an order that depends on
+    the row's place in its group of four, and sums a product with a single
+    row differently again (19 of 20 weights 0.05 make 0.95 in a stack, but
+    0.9500000000000002 alone).  So every block is a multiple of 16 rows
+    and a one-row tail joins the block before it: each row's mass is then
+    that of one product over all the rows on one BLAS thread.  (A threaded
+    product splits its rows between the threads; a split off a multiple of
+    four regroups the rows after it.)
+    """
+    step = max(16, _BLOCK_ENTRIES // n // 16 * 16)
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
 
 
 # ---------------------------------------------------------------------------

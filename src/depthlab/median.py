@@ -21,6 +21,7 @@ from .depth import (
     exact_depth_value_2d,
     exact_depth_values_2d,
     point_depth,
+    sampled_depth_values,
 )
 from . import cones as _cones
 
@@ -69,18 +70,15 @@ def _finals(m: DiscreteMeasure, endpoints: list, count: int) -> list:
 def _cheap_depths(ms: list, own: np.ndarray, seeds: np.ndarray):
     """The ascent's evaluator: (rows, points) -> (depths, witness
     directions), row r a point of measure ms[own[r]].  Exact in the plane,
-    all rows in one batched sweep; above, the sampled upper bound on seed
-    seeds[r]."""
+    all rows in one batched sweep; above, the sampled upper bound over the
+    192 directions of seed seeds[r], drawn once per seed for the whole
+    ascent, all rows in one batched evaluation."""
+    pts, w = [m.points for m in ms], [m.weights for m in ms]
     if ms[0].dim == 2:
-        pts, w = [m.points for m in ms], [m.weights for m in ms]
         return lambda rows, x: exact_depth_values_2d(pts, w, own[rows], x)
-
-    def sampled(rows, x):
-        res = [point_depth(ms[own[r]], xr, mode="sampled", sample_count=192, seed=int(seeds[r]))
-               for r, xr in zip(rows, x)]
-        return np.array([r.depth for r in res]), np.array([r.witness for r in res])
-
-    return sampled
+    keys, pick = np.unique(seeds, return_inverse=True)
+    dirs = np.stack([sample_directions(ms[0].dim, 192, seed=int(s), mode="sphere") for s in keys])
+    return lambda rows, x: sampled_depth_values(pts, w, own[rows], x, dirs[pick[rows]])
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:

@@ -1,17 +1,23 @@
-"""Referee for the lockstep median ascent: the single-query planar depth and
-the sequential multistart ascent that the package used before the ascents
-of all starts and directions were batched, kept verbatim for the tests.
+"""Referee for the lockstep median ascent: the single-query planar depth,
+the one-query sampled depth, the certified floor in 16,384-row net chunks
+and the sequential multistart ascent that the package used before the
+ascents of all starts and directions were batched, kept verbatim for the
+tests.
 
 ``exact_depth_value_2d`` splits off the points at the query and sweeps the
-rest alone; ``_multistart_endpoints`` climbs one start after another.  The
+rest alone; ``sampled_depth`` draws its directions on every call and takes
+one product with them; ``certified_depth_floor`` sweeps its net in large
+chunks; ``_multistart_endpoints`` climbs one start after another.  The
 tests require the batched path to give the same bits.
 """
 
 import numpy as np
 
-from depthlab.depth import _split_query, _sweep, certified_depth_floor, exact_affordable, point_depth
-from depthlab.geometry import DEFAULT_TOL
+from depthlab.depth import DepthResult, _split_query, _sweep, exact_affordable, point_depth
+from depthlab.geometry import DEFAULT_TOL, as_vector, sample_directions
 from depthlab.median import MedianResult, _lex_less, _start_points
+
+_CHUNK = 16384
 
 
 def exact_depth_value_2d(m, q, tol: float = DEFAULT_TOL):
@@ -21,6 +27,48 @@ def exact_depth_value_2d(m, q, tol: float = DEFAULT_TOL):
         return 1.0, np.eye(2)[0]
     val, phi = _sweep((P / np.linalg.norm(P, axis=1)[:, None])[None], w[None], tol)
     return w0 + float(val[0]), np.array([np.cos(phi[0]), np.sin(phi[0])])
+
+
+def sampled_depth(m, q, sample_count: int = 512, seed: int = 0, tol: float = DEFAULT_TOL):
+    """``point_depth(m, q, mode="sampled", ...)``."""
+    q = as_vector(q)
+    u = sample_directions(m.dim, sample_count, seed=seed, mode="sphere")
+    p = m.points - q
+    norms = np.linalg.norm(p, axis=1)
+    norms[norms == 0] = 1.0
+    s = u @ (p / norms[:, None]).T
+    masses = (s >= -tol) @ m.weights
+    j = int(np.argmin(masses))
+    return DepthResult(float(masses[j]), u[j], "sampled")
+
+
+def certified_depth_floor(m, q, gamma: float = 0.1) -> float:
+    q = as_vector(q)
+    d = m.dim
+    if d not in (2, 3, 4):
+        raise ValueError("certified floor supported for dim in {2, 3, 4}")
+    # hyperspherical angles: d - 2 polar ones in [0, pi], an azimuth in [0, 2 pi]
+    step = 2.0 * gamma / (d - 1)
+    polar = np.arange(0.0, np.pi + step, step)
+    grid = np.meshgrid(*[polar] * (d - 2), np.arange(0.0, 2.0 * np.pi + step, step), indexing="ij")
+    net = np.empty((grid[0].size, d))
+    scale = 1.0
+    for k, ang in enumerate(grid):
+        net[:, k] = scale * np.cos(ang).ravel()
+        scale = scale * np.sin(ang).ravel()
+    net[:, -1] = scale
+    p = m.points - q
+    norms = np.linalg.norm(p, axis=1)
+    # float32 with a safety inflation of the margin keeps the bound valid:
+    # every counted point certainly satisfies <u0, p> >= sin(gamma) |p|
+    margin32 = (np.sin(gamma) * norms + 1e-5 * (norms + 1.0)).astype(np.float32)
+    p32 = p.astype(np.float32)
+    best = np.inf
+    for lo in range(0, net.shape[0], _CHUNK):
+        s = net[lo : lo + _CHUNK].astype(np.float32) @ p32.T
+        vals = (s >= margin32) @ m.weights
+        best = min(best, float(vals.min()))
+    return best
 
 
 def _final_depth(m, x: np.ndarray) -> float:
@@ -34,7 +82,7 @@ def _final_depth(m, x: np.ndarray) -> float:
 def _cheap_depth(m, x: np.ndarray, seed: int):
     if m.dim == 2:
         return exact_depth_value_2d(m, x)
-    r = point_depth(m, x, mode="sampled", sample_count=192, seed=seed)
+    r = sampled_depth(m, x, sample_count=192, seed=seed)
     return r.depth, r.witness
 
 

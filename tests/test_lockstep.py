@@ -1,14 +1,25 @@
-"""The lockstep median ascent and the batched planar evaluator give the same
-bits as the single-query referee in ``ascent_referee``."""
+"""The lockstep median ascent, the batched planar and sampled evaluators and
+the blocked certified floor give the same bits as the single-query referee
+in ``ascent_referee``."""
 
 import numpy as np
 import pytest
 
 import ascent_referee as ref
-from depthlab.depth import _CHUNK, deep_line_search, direction_profiles, exact_depth_values_2d
+import depthlab.depth
+import depthlab.median
+from depthlab.depth import (
+    _CHUNK,
+    _row_blocks,
+    certified_depth_floor,
+    deep_line_search,
+    direction_profiles,
+    exact_depth_values_2d,
+    point_depth,
+)
 from depthlab.geometry import line, sample_directions
 from depthlab.measures import MeasureSpec, generate_measure, make_measure, project_measure
-from depthlab.median import balanced_median, tukey_median
+from depthlab.median import balanced_median, tukey_median, tukey_medians
 from depthlab.suites import line_search_suite_specs
 
 Q = np.array([0.25, -0.5])
@@ -62,14 +73,78 @@ def _same(a, b):
         a.candidates_evaluated == b.candidates_evaluated)
 
 
-@pytest.mark.parametrize("d, n", [(2, 150), (3, 120)])
+@pytest.mark.parametrize("d, n", [(2, 150), (3, 120), (3, 500), (4, 200)])
 def test_multistart_median_matches_sequential_ascent(d, n):
+    # (4, 200) is above the exact size cutoff, so its finals are certified floors
     m = generate_measure(MeasureSpec("simplex_mixture", d, n, {"sigma": 0.2}, seed=d))
     for seed in (0, 5):
         assert _same(tukey_median(m, mode="multistart", starts=6, iters=12, seed=seed),
                      ref.tukey_median(m, starts=6, iters=12, seed=seed))
         assert _same(balanced_median(m, starts=6, iters=12, seed=seed),
                      ref.balanced_median(m, starts=6, iters=12, seed=seed))
+
+
+def test_medians_of_projections_match_one_at_a_time():
+    # the median ascents of d = 3 projections of one measure in R^4 share
+    # their start seeds, so they share each start's directions
+    m = generate_measure(MeasureSpec("gaussian", 4, 150, {"scales": [1.0, 0.8, 0.5, 0.3]}, seed=3))
+    projs = [project_measure(m, line(u)) for u in sample_directions(4, 4, seed=1)]
+    for r, p in zip(tukey_medians(projs, starts=5, iters=10, seed=4), projs):
+        assert _same(r, ref.tukey_median(p, starts=5, iters=10, seed=4))
+
+
+def test_sampled_ascent_draws_each_start_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_directions(*args, **kwargs)
+
+    monkeypatch.setattr(depthlab.median, "sample_directions", counted)
+    monkeypatch.setattr(depthlab.depth, "sample_directions", counted)
+    m = generate_measure(MeasureSpec("simplex_mixture", 3, 200, {"sigma": 0.2}, seed=1))
+    r = tukey_median(m, mode="multistart", starts=10, iters=25, seed=1)
+    assert r.candidates_evaluated > 100 and len(calls) == 10
+
+
+@pytest.mark.parametrize("count", [1, 192, 512, 8192])
+def test_sampled_depth_matches_single_product(count):
+    # 19 of 20 weights 0.05 sum to 0.95 in a stack of direction rows and to
+    # 0.9500000000000002 in a product with one row; seed 2's first direction
+    # leaves out the point at e_3
+    cases = [(make_measure(np.vstack([np.zeros((19, 3)), np.eye(3)[2]])), np.zeros(3))]
+    for d, n in ((2, 60), (3, 200), (4, 90)):
+        m = generate_measure(MeasureSpec("gaussian", d, n, {}, seed=d))
+        cases += [(m, np.full(d, 0.1)), (m, m.points[3])]
+    for m, q in cases:
+        for seed in (0, 2):
+            a = point_depth(m, q, mode="sampled", sample_count=count, seed=seed)
+            b = ref.sampled_depth(m, q, sample_count=count, seed=seed)
+            assert a.depth == b.depth and np.array_equal(a.witness, b.witness), (m.dim, count, seed)
+
+
+def _net_rows(d: int, gamma: float) -> int:
+    step = 2.0 * gamma / (d - 1)
+    return len(np.arange(0.0, np.pi + step, step)) ** (d - 2) * len(np.arange(0.0, 2.0 * np.pi + step, step))
+
+
+@pytest.mark.parametrize("d, n", [(2, 300), (3, 200), (4, 60)])
+@pytest.mark.parametrize("gamma", [0.05, 0.1, 0.3])
+def test_certified_floor_matches_large_chunks(d, n, gamma):
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((n, d))
+    for m in (make_measure(pts), make_measure(pts, rng.random(n) ** 2)):
+        for q in (np.full(d, 0.05), m.points[0]):
+            assert certified_depth_floor(m, q, gamma) == ref.certified_depth_floor(m, q, gamma)
+
+
+def test_certified_floor_one_row_tail():
+    d, n, gamma = 4, 241, 0.2
+    blocks = _row_blocks(_net_rows(d, gamma), n)
+    assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start == blocks[0].stop + 1
+    m = generate_measure(MeasureSpec("simplex_mixture", d, n, {"sigma": 0.3}, seed=2))
+    for q in (np.zeros(d), m.points[5]):
+        assert certified_depth_floor(m, q, gamma) == ref.certified_depth_floor(m, q, gamma)
 
 
 def test_profiles_in_lockstep_match_one_at_a_time():
