@@ -47,9 +47,7 @@ from .cones import (
     GeneratingTuple,
     MatchReport,
     MatchingError,
-    OrderedFamily,
     bmes_report,
-    build_ordered_family,
     cones_of,
     is_generating,
     match_tuples,
@@ -61,7 +59,6 @@ from .central import (
     central_cone,
     central_vector,
     containment_check,
-    e_component,
     structural_map,
 )
 

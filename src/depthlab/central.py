@@ -34,7 +34,6 @@ from .geometry import (
 from .measures import DiscreteMeasure, cone_mass
 from .cones import (
     GeneratingTuple,
-    OrderedFamily,
     canonical_labeling,
     cones_of,
     family_level_cap,
@@ -69,9 +68,9 @@ class CentralConeApprox:
     base: SimplicialCone
     constraints: np.ndarray  # (k, d) outer normals of origin half-spaces
 
-    def contains_many(self, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        return cone_contains_many(self.base, pts, tol) & np.all(pts @ self.constraints.T <= tol, axis=1)
+        return cone_contains_many(self.base, pts) & np.all(pts @ self.constraints.T <= DEFAULT_TOL, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +110,6 @@ def central_cone(
     b: SimplicialCone,
     samples: int = 1024,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     max_constraints: int | None = None,
 ) -> CentralConeApprox:
     """Sampled outer approximation of the central cone of B.
@@ -123,7 +121,7 @@ def central_cone(
     shrinks monotonically toward the true central cone.
     """
     d = m.dim
-    mass_b = cone_mass(m, b, tol)
+    mass_b = cone_mass(m, b)
     if mass_b <= 0:
         raise ValueError("cone carries no mass")
     # the exact-candidate block is independent of ``samples`` so that pools
@@ -134,8 +132,8 @@ def central_cone(
             _exact_constraint_candidates(m, 1024, seed + 1),
         ]
     )
-    wb = m.weights * cone_contains_many(b, m.points, tol)
-    captured = (pool @ m.points.T <= tol) @ wb
+    wb = m.weights * cone_contains_many(b, m.points)
+    captured = (pool @ m.points.T <= DEFAULT_TOL) @ wb
     keep = captured >= default_capture_fraction(d) * mass_b - 1e-12
     retained = pool[keep]
     if max_constraints is not None and retained.shape[0] > max_constraints:
@@ -176,8 +174,8 @@ def _uniform_cap(center: np.ndarray, theta: float, count: int, seed: int) -> np.
     return np.cos(tt)[:, None] * center + np.sin(tt)[:, None] * tang
 
 
-def _mass_direction(m: DiscreteMeasure, b: SimplicialCone, tol: float = DEFAULT_TOL) -> np.ndarray:
-    inb = cone_contains_many(b, m.points, tol)
+def _mass_direction(m: DiscreteMeasure, b: SimplicialCone) -> np.ndarray:
+    inb = cone_contains_many(b, m.points)
     if inb.any():
         v = (m.weights[inb])[:, None] * m.points[inb]
         s = v.sum(axis=0)
@@ -201,7 +199,7 @@ def sample_central_rays(
     Draws from a spherical cap that adapts until it strictly covers the patch
     (all hits at most 0.85 of the cap angle, and enough of them), then keeps
     batching until ``count`` rays are collected.  Returns
-    (rays, approx, (cap_center, cap_angle)).
+    (rays, (cap_center, cap_angle)).
     """
     if approx is None:
         approx = central_cone(m, b, samples=constraint_samples, seed=seed, max_constraints=320)
@@ -252,7 +250,7 @@ def sample_central_rays(
         hit = pts[approx.contains_many(pts)]
         rays.append(hit)
         total += hit.shape[0]
-    return np.vstack(rays)[:count], approx, (center, theta)
+    return np.vstack(rays)[:count], (center, theta)
 
 
 def central_vector(
@@ -260,7 +258,6 @@ def central_vector(
     b: SimplicialCone,
     sphere_samples: int = 100_000,
     seed: int = 0,
-    constraint_samples: int = 1024,
     approx: CentralConeApprox | None = None,
 ):
     """Monte Carlo central vector of B: normalized mean of uniform samples of
@@ -269,9 +266,7 @@ def central_vector(
     Returns (unit_vector, stderr, hits); deterministic in the seed; raises
     when no sample lands in the patch.
     """
-    rays, _, _ = sample_central_rays(
-        m, b, count=sphere_samples, seed=seed, constraint_samples=constraint_samples, approx=approx
-    )
+    rays, _ = sample_central_rays(m, b, count=sphere_samples, seed=seed, approx=approx)
     mean = rays.mean(axis=0)
     e = unit(mean)
     spread = float(np.mean(np.sum((rays - mean) ** 2, axis=1)))
@@ -305,16 +300,17 @@ def containment_check(
         raise ValueError(f"intersection mass {inter} below the floor {floor}")
     ok = True
     for this, other in ((b1, b2), (b2, b1)):
-        rays, _, _ = sample_central_rays(m, this, count=ray_samples, seed=seed)
+        rays, _ = sample_central_rays(m, this, count=ray_samples, seed=seed)
         ok &= bool(np.all(cone_contains_many(other, rays, 1e-7)))
         e = unit(rays.mean(axis=0))
         ok &= bool(cone_contains_many(other, e[None, :], 1e-7)[0])
     return ok
 
 
-def _family_member(m: DiscreteMeasure, a: float, family: OrderedFamily, normals: np.ndarray):
-    """(tuple, weight, family order) when ``normals`` form a generating tuple of
-    weight at most a that belongs to the family, else None."""
+def _family_member(m: DiscreteMeasure, a: float, ref: GeneratingTuple, normals: np.ndarray):
+    """(tuple, weight, order) when ``normals`` form a generating tuple of
+    weight at most a whose cones match those of the reference tuple, with
+    the permutation that labels it by the reference; else None."""
     flag, _ = is_generating(normals)
     if not flag:
         return None
@@ -322,36 +318,8 @@ def _family_member(m: DiscreteMeasure, a: float, family: OrderedFamily, normals:
     w = tuple_weight(m, t)
     if w > a:
         return None
-    order = family_member_order(m, family, t)
+    order = family_member_order(m, ref, t)
     return None if order is None else (t, w, order)
-
-
-def e_component(
-    m: DiscreteMeasure,
-    a: float,
-    family: OrderedFamily,
-    normals: np.ndarray,
-    i: int,
-    sphere_samples: int = 4000,
-    seed: int = 0,
-) -> np.ndarray:
-    """Per-tuple contribution vector for slot i.
-
-    Zero unless the ordered half-space tuple built from ``normals`` is a
-    family member in the family's own order (generating, weight at most a,
-    matching to the reference giving the identity labeling); otherwise
-    (a - weight) times the central vector of cone i.
-    """
-    d = m.dim
-    if not (0 <= i <= d):
-        raise IndexError(f"component index {i} out of range for d={d}")
-    member = _family_member(m, a, family, np.asarray(normals, dtype=float))
-    if member is None or not np.array_equal(member[2], np.arange(d + 1)):
-        return np.zeros(d)
-    t, w, _ = member
-    b = cones_of(t).cones[i]
-    e, _, _ = central_vector(m, b, sphere_samples=sphere_samples, constraint_samples=512, seed=seed)
-    return (a - w) * e
 
 
 def _perturbed_normals(rng: np.random.Generator, base: np.ndarray, angle: float) -> np.ndarray:
@@ -372,12 +340,13 @@ def structural_map(
     family region, so uniform sampling alone contributes almost nothing; the
     estimator mixes uniform tuples (share ``MAP_UNIFORM_SHARE``) with
     angular perturbations (scale ``MAP_PERTURB_ANGLE``) of the witness tuple
-    at the origin, which alone makes up the family.  The resulting overall
-    positive scale is proposal-dependent; validity is asserted through the
-    interior margin and the vector directions, which a common positive scale
-    does not affect.  Contributions of qualifying tuples are attached to
-    their family-ordered labeling, which realizes the unordered-tuple
-    integral because the proposal treats the d + 1 slots symmetrically.
+    at the origin, the reference tuple.  The resulting overall positive
+    scale is proposal-dependent; validity is asserted through the interior
+    margin and the vector directions, which a common positive scale does
+    not affect.  Each qualifying tuple is labelled by matching it to the
+    reference tuple, and its contributions are attached to that labeling,
+    which realizes the unordered-tuple integral because the proposal treats
+    the d + 1 slots symmetrically.
 
     Requires the measure to be recentered (median at the origin) with depth
     below a < 1/(d+1) + 1/(3(d+1)^3); deterministic in the seed.
@@ -407,7 +376,6 @@ def structural_map(
             f"tuple weight at the origin ({base_weight}) is not below a = {a}"
         )
     ref = canonical_labeling(wt)
-    family = OrderedFamily([ref], float(a))
 
     rng = np.random.default_rng(seed)
     n_uniform = int(round(MAP_UNIFORM_SHARE * tuple_samples))
@@ -422,7 +390,7 @@ def structural_map(
         else:
             g = rng.standard_normal((d + 1, d))
             nrm = g / np.linalg.norm(g, axis=1)[:, None]
-        member = _family_member(m, a, family, nrm)
+        member = _family_member(m, a, ref, nrm)
         if member is None:
             continue
         t, w, order = member
@@ -432,7 +400,7 @@ def structural_map(
         ok = True
         for j in range(d + 1):
             try:
-                rays, _, cs = sample_central_rays(
+                rays, cs = sample_central_rays(
                     m,
                     cones[j],
                     count=MAP_SPHERE_SAMPLES,

@@ -2,7 +2,7 @@
 
 Usage:  depthlab <command> --config <file> [--seed N] [--out DIR] [--threads N]
 
-Commands: generate, depth, median, line-search, landscape, verify, bench.
+Commands: generate, depth, median, line-search, landscape, verify.
 Every run writes a CSV of per-check rows plus a JSON summary to the output
 directory.  Exit codes: 0 all checks pass, 1 a verification failed,
 2 usage/config error.  The DEPTHLAB_SEED environment variable overrides the
@@ -20,15 +20,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .geometry import sample_directions
-from .measures import MeasureSpec, generate_measure, load_measure, save_measure
+from .measures import MeasureSpec, _is_number, generate_measure, load_measure, save_measure
 from .depth import deep_line_search, direction_profiles, line_depth_thresholds, point_depth
 from .median import tukey_median
 from . import suites as _suites
 
-COMMANDS = ("generate", "depth", "median", "line-search", "landscape", "verify", "bench")
+COMMANDS = ("generate", "depth", "median", "line-search", "landscape", "verify")
 
 
 class ConfigError(ValueError):
@@ -40,6 +38,14 @@ def _int_field(obj: dict, name: str, default: int, least: int, path: str = "conf
     value = obj.get(name, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{path}.{name}: must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _choice_field(obj: dict, name: str, default: str, valid: tuple, path: str = "config") -> str:
+    """The field ``name`` of a config object, one of ``valid``."""
+    value = obj.get(name, default)
+    if value not in valid:
+        raise ConfigError(f"{path}.{name}: {value!r} invalid; valid: {', '.join(valid)}")
     return value
 
 
@@ -114,9 +120,12 @@ class ExperimentConfig:
             raise ConfigError(f"config.measure: must be an object, got {spec!r}")
         if "path" in spec:
             try:
-                return load_measure(spec["path"])
+                m = load_measure(spec["path"])
             except (OSError, ValueError) as e:
                 raise ConfigError(f"config.measure.path: {e}")
+            if spec.get("dim", m.dim) != m.dim:
+                raise ConfigError(f"config.measure.dim: {spec['dim']!r}, but the file holds a {m.dim}-d measure")
+            return m
         try:
             fields = dict(
                 kind=spec["kind"],
@@ -159,8 +168,10 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
         m = cfg.measure()
         if "query" not in cfg.raw:
             raise ConfigError("config.query: missing")
-        q = np.asarray(cfg.raw["query"], dtype=float)
-        mode = cfg.raw.get("mode", "exact")
+        q = cfg.raw["query"]
+        if not (isinstance(q, list) and len(q) == m.dim and all(map(_is_number, q))):
+            raise ConfigError(f"config.query: must be a list of {m.dim} numbers, got {q!r}")
+        mode = _choice_field(cfg.raw, "mode", "exact", ("exact", "sampled"))
         res = point_depth(m, q, mode=mode, sample_count=_int_field(cfg.raw, "sample_count", 512, 1), seed=cfg.seed)
         return [_result_row("depth", res.depth, cfg, m.dim, m.n)]
     if cmd == "median":
@@ -168,7 +179,8 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
         budget = cfg.raw.get("budget", {})
         if not isinstance(budget, dict):
             raise ConfigError("config.budget: must be an object")
-        res = tukey_median(m, mode=budget.get("mode", "auto"),
+        mode = _choice_field(budget, "mode", "auto", ("auto", "arrangement", "multistart"), "config.budget")
+        res = tukey_median(m, mode=mode,
                            starts=_int_field(budget, "starts", 16, 1, "config.budget"),
                            iters=_int_field(budget, "iters", 30, 0, "config.budget"), seed=cfg.seed)
         rows = [_result_row("median_depth", res.depth, cfg, m.dim, m.n)]
@@ -206,14 +218,6 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
         if suite not in _suites.SUITES:
             raise ConfigError(f"config.suite: {suite!r} invalid; valid: {', '.join(_suites.SUITES)}")
         return _suites.run_suite(suite, _suite_params(suite, cfg.raw.get("params")), threads=cfg.threads)
-    if cmd == "bench":
-        m = cfg.measure()
-        reps = _int_field(cfg.raw, "reps", 3, 1)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            point_depth(m, np.zeros(m.dim), mode="exact" if m.dim <= 3 else "sampled")
-        dt = (time.perf_counter() - t0) / reps
-        return [_result_row("depth_seconds", dt, cfg, m.dim, m.n)]
     raise ConfigError(f"unknown command {cmd!r}")
 
 
@@ -270,6 +274,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out = args.out
         if args.threads is not None:
+            if args.threads < 1:
+                raise ConfigError(f"--threads: must be an integer >= 1, got {args.threads}")
             cfg.threads = args.threads
         return run_experiment(cfg)
     except (ConfigError, ValueError) as e:

@@ -5,14 +5,13 @@ intersection is exactly {0}; equivalently the origin lies strictly inside the
 convex hull of their outer normals.  Each tuple induces d + 1 simplicial
 cones (drop one half-space, intersect the rest).  Small-weight tuples have
 cone masses pinned near 1/(d+1), and the cones of two small-weight tuples
-match up one-to-one by shared mass; families of tuples can therefore be
-ordered consistently against a reference.
+match up one-to-one by shared mass, so a candidate tuple is labelled by
+matching it to one reference tuple.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +37,12 @@ def epsilon_match_max(d: int) -> float:
 
 
 def family_level_cap(d: int) -> float:
-    """Upper end of the admissible weight range for ordered families."""
+    """Upper end of the admissible weight range of the structural map."""
     return 1.0 / (d + 1) + 1.0 / (3.0 * (d + 1) ** 3)
 
 
 def family_overlap_floor(d: int) -> float:
-    """Pairwise matched-cone mass floor for ordered families."""
+    """Matched-cone mass floor of two tuples below ``family_level_cap``."""
     return 1.0 / (d + 1) - (3.0 * d + 2.0) / (3.0 * (d + 1) ** 3)
 
 
@@ -55,7 +54,6 @@ class GeneratingTuple:
     """
 
     normals: np.ndarray
-    margin: float = field(init=False)
 
     def __post_init__(self):
         nrm = np.asarray(self.normals, dtype=float)
@@ -71,7 +69,6 @@ class GeneratingTuple:
                 f"not generating: hull interior margin {margin:.3g} < {GENERATING_MARGIN}"
             )
         object.__setattr__(self, "normals", nrm)
-        object.__setattr__(self, "margin", float(margin))
         self.normals.setflags(write=False)
 
     @property
@@ -98,12 +95,6 @@ class ConeTuple:
 class MatchReport:
     permutation: np.ndarray  # sigma: cones_A[i] pairs with cones_B[sigma[i]]
     intersection_masses: np.ndarray  # (d+1, d+1)
-
-
-@dataclass(frozen=True, eq=False)
-class OrderedFamily:
-    tuples: list[GeneratingTuple]  # the first one is the reference
-    level: float
 
 
 def is_generating(normals: np.ndarray):
@@ -135,9 +126,9 @@ def cones_of(t: GeneratingTuple) -> ConeTuple:
     return ConeTuple(cones)
 
 
-def tuple_weight(m: DiscreteMeasure, t: GeneratingTuple, tol: float = DEFAULT_TOL) -> float:
+def tuple_weight(m: DiscreteMeasure, t: GeneratingTuple) -> float:
     """1 minus the smallest half-space mass of the tuple."""
-    masses = [halfspace_mass(m, h, tol) for h in t.halves]
+    masses = [halfspace_mass(m, h) for h in t.halves]
     return 1.0 - min(masses)
 
 
@@ -188,12 +179,11 @@ def bmes_report(m: DiscreteMeasure, t: GeneratingTuple, eps: float) -> BmesRepor
     )
 
 
-def _pair_masses(m: DiscreteMeasure, A: GeneratingTuple, B: GeneratingTuple, tol: float) -> np.ndarray:
+def _pair_masses(m: DiscreteMeasure, A: GeneratingTuple, B: GeneratingTuple) -> np.ndarray:
     """Masses of pairwise cone intersections, via joint membership masks."""
-    d = A.d
     ca, cb = cones_of(A).cones, cones_of(B).cones
-    in_a = np.stack([(m.points @ c.normals.T <= tol).all(axis=1) for c in ca])
-    in_b = np.stack([(m.points @ c.normals.T <= tol).all(axis=1) for c in cb])
+    in_a = np.stack([(m.points @ c.normals.T <= DEFAULT_TOL).all(axis=1) for c in ca])
+    in_b = np.stack([(m.points @ c.normals.T <= DEFAULT_TOL).all(axis=1) for c in cb])
     return (in_a * m.weights) @ in_b.T
 
 
@@ -226,7 +216,6 @@ def match_tuples(
     A: GeneratingTuple,
     B: GeneratingTuple,
     eps: float,
-    tol: float = DEFAULT_TOL,
 ) -> MatchReport:
     """Match the cones of two small-weight tuples by shared mass.
 
@@ -242,10 +231,10 @@ def match_tuples(
         raise ValueError(f"eps must lie in (0, {epsilon_match_max(d)!r}], got {eps}")
     cap = 1.0 / (d + 1) + eps
     for name, t in (("first", A), ("second", B)):
-        w = tuple_weight(m, t, tol)
+        w = tuple_weight(m, t)
         if not w < cap:
             raise ValueError(f"{name} tuple has weight {w}, not below 1/(d+1) + eps = {cap}")
-    masses = _pair_masses(m, A, B, tol)
+    masses = _pair_masses(m, A, B)
     adj = masses > MATCH_EDGE_MASS
     sigma = _perfect_matching(adj)
     if sigma is None:
@@ -272,60 +261,12 @@ def canonical_labeling(t: GeneratingTuple) -> GeneratingTuple:
     return t.reordered(order)
 
 
-def build_ordered_family(
-    m: DiscreteMeasure,
-    a: float,
-    tuples: list[GeneratingTuple],
-    tol: float = DEFAULT_TOL,
-) -> OrderedFamily:
-    """Order a list of generating tuples consistently against a reference.
-
-    Requires 1/(d+1) < a < 1/(d+1) + 1/(3(d+1)^3) and every tuple weight at
-    most a.  The first tuple, canonically labeled, fixes the reference order;
-    every other tuple is reordered by its cone matching to the reference, and
-    the pairwise matched-mass floor is verified across the whole family.
-    """
-    if not tuples:
-        raise ValueError("need at least one tuple")
-    d = tuples[0].d
-    cap = family_level_cap(d)
-    if not (1.0 / (d + 1) < a < cap):
-        raise ValueError(f"a must lie in (1/(d+1), {cap!r}), got {a}")
-    for i, t in enumerate(tuples):
-        w = tuple_weight(m, t, tol)
-        if w > a + 1e-12:
-            raise ValueError(f"tuple {i} has weight {w} > a = {a}")
-    eps = 1.0 / (3.0 * (d + 1) ** 3)  # gives the family floor via (3d+2) eps
-    ref = canonical_labeling(tuples[0])
-    ordered = [ref]
-    for t in tuples[1:]:
-        rep = match_tuples(m, ref, t, eps=eps, tol=tol)
-        # reordering by sigma aligns cone i of the member with cone i of ref:
-        # cone i of t.reordered(p) is cone p[i] of t
-        ordered.append(t.reordered(rep.permutation))
-    floor = family_overlap_floor(d)
-    for i, j in itertools.combinations(range(len(ordered)), 2):
-        masses = _pair_masses(m, ordered[i], ordered[j], tol)
-        diag = np.diag(masses)
-        if np.any(diag <= floor):
-            raise MatchingError(
-                f"family pair ({i}, {j}) violates the overlap floor {floor}: {diag}"
-            )
-    return OrderedFamily(ordered, float(a))
-
-
-def family_member_order(
-    m: DiscreteMeasure,
-    family: OrderedFamily,
-    t: GeneratingTuple,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray | None:
-    """Permutation aligning a candidate tuple with the family's reference
-    order (cone i of ``t.reordered(p)`` overlaps reference cone i), or None
-    when the matching fails."""
-    ref = family.tuples[0]
+def family_member_order(m: DiscreteMeasure, ref: GeneratingTuple, t: GeneratingTuple) -> np.ndarray | None:
+    """Permutation that labels a candidate tuple by matching it to the
+    reference tuple (cone i of ``t.reordered(p)`` overlaps cone i of
+    ``ref``), or None when the matching fails."""
     try:
-        rep = match_tuples(m, ref, t, eps=1.0 / (3.0 * (t.d + 1) ** 3), tol=tol)
+        rep = match_tuples(m, ref, t, eps=1.0 / (3.0 * (t.d + 1) ** 3))
     except (MatchingError, ValueError):
         return None
     return np.asarray(rep.permutation, dtype=int)

@@ -123,7 +123,7 @@ class MeasureSpec:
     params: dict = field(default_factory=dict)
     seed: int = 0
 
-    KINDS = ("simplex_mixture", "gaussian", "uniform_ball", "cross_polytope", "point_masses", "file")
+    KINDS = ("simplex_mixture", "gaussian", "uniform_ball", "cross_polytope", "point_masses")
 
     def __post_init__(self):
         """Checks the spec; each message starts with the field it names."""
@@ -146,9 +146,8 @@ class MeasureSpec:
         sigma = self.params.get("sigma")
         if sigma is not None and sigma <= 0:
             raise ValueError(f"params.sigma: must be positive, got {sigma!r}")
-        need = {"point_masses": "points", "file": "path"}.get(self.kind)
-        if need is not None and need not in self.params:
-            raise ValueError(f"params.{need}: missing, {self.kind} measures need it")
+        if self.kind == "point_masses" and "points" not in self.params:
+            raise ValueError("params.points: missing, point_masses measures need it")
 
 
 def _is_number(x) -> bool:
@@ -192,8 +191,6 @@ def generate_measure(spec: MeasureSpec) -> DiscreteMeasure:
         return make_measure(pts)
     if kind == "point_masses":
         return make_measure(spec.params["points"], spec.params.get("weights"))
-    if kind == "file":
-        return load_measure(spec.params["path"])
     raise ValueError(f"unknown measure kind {kind!r}")
 
 

@@ -63,6 +63,19 @@ def test_invalid_field_named(tmp_path, capsys):
     assert "config.measure" in capsys.readouterr().err
 
 
+def test_measure_path_checks_dim(tmp_path, capsys):
+    from depthlab.measures import make_measure, save_measure
+
+    path = str(tmp_path / "m.json")
+    save_measure(make_measure(SQUARE["params"]["points"]), path)
+    cfg = write(tmp_path, "c.json", {"command": "depth", "measure": {"path": path, "dim": 3}, "query": [0, 0, 0]})
+    assert main(["depth", "--config", cfg]) == 2
+    assert "config.measure.dim" in capsys.readouterr().err
+    cfg = write(tmp_path, "c.json", {"command": "depth", "measure": {"path": path, "dim": 2}, "query": [0, 0],
+                                     "expected": 0.5})
+    assert main(["depth", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_command_mismatch(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", {"command": "median", "measure": SQUARE})
     assert main(["depth", "--config", cfg]) == 2
@@ -201,15 +214,6 @@ def test_landscape_csv_bytes(tmp_path):
     assert (tmp_path / "out" / "landscape.csv").read_bytes() == expected.encode()
 
 
-def test_bench_command(tmp_path):
-    cfg = write(
-        tmp_path,
-        "c.json",
-        {"command": "bench", "measure": {"kind": "gaussian", "dim": 2, "n": 40, "seed": 1}, "reps": 2},
-    )
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-
-
 GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
 
 
@@ -225,7 +229,7 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
          "config.tolerance"),
         ({"command": "depth", "measure": {"kind": "point_masses", "dim": 2}, "query": [0, 0]},
          "config.measure"),
-        ({"command": "depth", "measure": {"kind": "file", "dim": 2}, "query": [0, 0]}, "config.measure"),
+        ({"command": "depth", "measure": {"kind": "file", "dim": 2}, "query": [0, 0]}, "config.measure.kind"),
         ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "threads": "x"}, "config.threads"),
         ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "mode": "sampled", "sample_count": 0},
          "config.sample_count"),
@@ -234,7 +238,7 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
         ({"command": "median", "measure": GAUSS2, "budget": {"starts": 0}}, "config.budget.starts"),
         ({"command": "median", "measure": GAUSS2, "budget": {"iters": "x"}}, "config.budget.iters"),
         ({"command": "median", "measure": GAUSS2, "budget": [1]}, "config.budget"),
-        ({"command": "bench", "measure": GAUSS2, "reps": 0}, "config.reps"),
+        ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "mode": "fast"}, "config.mode"),
         ({"command": "depth", "measure": 5, "query": [0, 0]}, "config.measure"),
         ({"command": "depth", "measure": {**GAUSS2, "params": [1]}, "query": [0, 0]},
          "config.measure.params"),
@@ -244,12 +248,17 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
           "query": [0, 0]}, "config.measure.params.radius"),
         ({"command": "depth", "measure": {**GAUSS2, "params": {"scales": "ab"}}, "query": [0, 0]},
          "config.measure.params.scales"),
+        ({"command": "depth", "measure": GAUSS2, "query": [0, 0, 0]}, "config.query"),
+        ({"command": "depth", "measure": GAUSS2, "query": "ab"}, "config.query"),
+        ({"command": "median", "measure": GAUSS2, "budget": {"mode": "fast"}}, "config.budget.mode"),
+        ({"command": "depth", "measure": GAUSS2, "query": [0, 0]}, "--threads"),  # with --threads 0
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_config_error_names_field(tmp_path, capsys, config, field):
     cfg = write(tmp_path, "c.json", config)
-    assert main([config["command"], "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    flags = ["--threads", "0"] if field == "--threads" else []
+    assert main([config["command"], "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
     assert field in capsys.readouterr().err
 
 

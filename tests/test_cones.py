@@ -8,11 +8,12 @@ from depthlab.cones import (
     GeneratingTuple,
     MatchingError,
     bmes_report,
-    build_ordered_family,
     canonical_labeling,
     cones_of,
     epsilon_bmes_max,
     epsilon_match_max,
+    family_level_cap,
+    family_member_order,
     is_generating,
     match_tuples,
     tuple_weight,
@@ -184,54 +185,47 @@ def test_match_transitivity(mixture_with_witness):
     assert np.array_equal(sac, sbc[sab])
 
 
-def test_build_ordered_family(mixture_with_witness):
+def test_family_member_order_permuted_reference(mixture_with_witness):
     mc, tup = mixture_with_witness
-    d = 2
-    a = 1 / 3 + 0.5 / (3 * 27)
-    tups = [
-        tup,
-        tup.rotated(_small_rotation(2, np.deg2rad(2), 1)),
-        tup.rotated(_small_rotation(2, np.deg2rad(4), 2)),
-    ]
-    fam = build_ordered_family(mc, a, tups)
-    assert len(fam.tuples) == 3
-    # reference is canonically labeled
-    ref = fam.tuples[0]
-    assert np.array_equal(ref.normals, canonical_labeling(ref).normals)
-    # singleton family: reference order returned unchanged
-    fam1 = build_ordered_family(mc, a, [tup])
-    assert len(fam1.tuples) == 1
+    ref = canonical_labeling(tup)
+    assert np.array_equal(canonical_labeling(ref).normals, ref.normals)  # idempotent
+    assert np.array_equal(family_member_order(mc, ref, ref), np.arange(3))
+    # a permuted reference is labelled by the inverse permutation
+    perm = np.array([2, 0, 1])
+    order = family_member_order(mc, ref, ref.reordered(perm))
+    assert np.array_equal(order, np.argsort(perm))
+    assert np.array_equal(ref.reordered(perm).reordered(order).normals, ref.normals)
+    # small rotations of the witness tuple are labelled too
+    for deg, seed in ((2, 1), (4, 2)):
+        assert family_member_order(mc, ref, tup.rotated(_small_rotation(2, np.deg2rad(deg), seed))) is not None
 
 
-def test_build_family_weight_precondition(mixture_with_witness):
+def test_family_member_order_over_weight(mixture_with_witness):
     mc, tup = mixture_with_witness
-    # shift mass toward one cluster so the tuple weight exceeds the level
+    # shift mass toward one cluster so the tuple weight exceeds the level cap
     labels = np.arange(mc.n) % 3
-    w2 = mc.weights * (1 + 0.03 * (labels == 0))
+    w2 = mc.weights * (1 + 0.3 * (labels == 0))
     m2 = make_measure(mc.points, w2)
-    a = 1 / 3 + 1e-6
-    assert tuple_weight(m2, tup) > a
-    with pytest.raises(ValueError, match="weight"):
-        build_ordered_family(m2, a, [tup])
+    assert tuple_weight(m2, tup) > family_level_cap(2)
+    assert family_member_order(m2, tup, tup) is None
+    assert family_member_order(mc, tup, tup) is not None
 
 
 def test_family_order_stability_under_reweighting(mixture_with_witness):
     # reweighting within half the level gap keeps every matching identical
     mc, tup = mixture_with_witness
-    d = 2
-    a0 = 1 / 3 + 1 / 81
     a = 1 / 3 + 0.5 / 81
-    a1 = (a + a0) / 2
-    tups = [tup, tup.rotated(_small_rotation(2, np.deg2rad(2), 11))]
-    fam = build_ordered_family(mc, a1, tups)
+    a1 = (a + 1 / 3 + 1 / 81) / 2
+    ref = canonical_labeling(tup)
     rng = np.random.default_rng(12)
     delta = (a1 - a) / 2
     bump = rng.random(mc.n)
     w2 = mc.weights * (1 - delta) + delta * bump / bump.sum()
     m2 = make_measure(mc.points, w2)
-    fam2 = build_ordered_family(m2, a1, tups)
-    for t1, t2 in zip(fam.tuples, fam2.tuples):
-        assert np.allclose(t1.normals, t2.normals)
+    for t in (tup, tup.rotated(_small_rotation(2, np.deg2rad(2), 11))):
+        order = family_member_order(mc, ref, t)
+        assert order is not None
+        assert np.array_equal(order, family_member_order(m2, ref, t))
 
 
 def test_family_limit_closure(mixture_with_witness):
