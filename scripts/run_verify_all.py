@@ -5,6 +5,12 @@ The reduced sizes are the ``quick`` parameters of each entry in the suite
 registry ``depthlab.suites.SUITES``, whose function defaults are the
 acceptance sizes; this script is a quick smoke pass (a few minutes) that
 exercises the same machinery.
+
+    python scripts/run_verify_all.py --out verify_out --compare ref_out
+
+With ``--compare DIR`` it also checks that each suite's CSV is
+byte-identical to ``DIR/<suite>.csv`` (say, the output of the parent
+commit), prints the first differing row of each that is not, and exits 1.
 """
 
 import argparse
@@ -21,10 +27,11 @@ def main():
     # small-op suites are GIL-bound: more threads only help the GEMM-heavy ones
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--suites", nargs="*", default=list(suites.SUITES), choices=list(suites.SUITES))
+    ap.add_argument("--compare", metavar="DIR", help="require CSVs byte-identical to DIR/<suite>.csv")
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    failed = 0
+    failed = differ = 0
     for name in args.suites:
         t0 = time.perf_counter()
         rows = suites.run_suite(name, suites.SUITES[name].quick, threads=args.threads)
@@ -35,7 +42,26 @@ def main():
         print(f"{name:10s} {len(rows) - len(bad):3d}/{len(rows):3d} pass  ({dt:.1f}s)")
         for r in bad[:5]:
             print(f"    FAIL {r['check']} {r['instance']}: observed {r['observed']:.6g} vs {r['expected']:.6g}")
-    return 1 if failed else 0
+        if args.compare is not None:
+            diff = _first_difference(out / f"{name}.csv", Path(args.compare) / f"{name}.csv")
+            if diff:
+                differ += 1
+                print(f"    DIFFERS {diff}")
+    return 1 if failed or differ else 0
+
+
+def _first_difference(path: Path, ref: Path) -> str | None:
+    """None when ``path`` and ``ref`` are byte-identical, else where they
+    first differ."""
+    if not ref.is_file():
+        return f"{ref}: missing"
+    new, old = path.read_bytes(), ref.read_bytes()
+    if new == old:
+        return None
+    a, b = new.splitlines(keepends=True), old.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    new_row, ref_row = (r[i].decode().rstrip("\r\n") if i < len(r) else "<end of file>" for r in (a, b))
+    return f"from {ref} at line {i + 1}:\n      new {new_row}\n      ref {ref_row}"
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from .cones import (
     tuple_weight,
 )
 from .median import witness_tuple
-from .depth import exact_affordable, point_depth
+from .depth import _row_blocks, exact_affordable, point_depth
 
 # the structural map's Monte Carlo proposal: central rays per cone slot, the
 # constraint pool of each central cone, the angular scale of the witness
@@ -52,6 +52,10 @@ MAP_SPHERE_SAMPLES = 1200
 MAP_CONSTRAINT_SAMPLES = 384
 MAP_PERTURB_ANGLE = 0.1
 MAP_UNIFORM_SHARE = 0.1
+# central-cone membership: rays per block, and the leading (most binding)
+# constraints every ray in the base cone meets before the rest
+MEMBER_BLOCK = 1024
+MEMBER_HEAD = 16
 
 
 def default_capture_fraction(d: int) -> float:
@@ -69,8 +73,32 @@ class CentralConeApprox:
     constraints: np.ndarray  # (k, d) outer normals of origin half-spaces
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
+        """Membership of an (n, d) array of points: in the base cone and
+        within DEFAULT_TOL of every constraint half-space.
+
+        Tests the rays in blocks of MEMBER_BLOCK; the rays of a block that
+        lie in the base cone meet the first MEMBER_HEAD constraints, and only
+        those that pass them meet the rest.  ``central_cone`` puts the most
+        binding constraints first whenever it truncates the pool, so most
+        misses exit after the head.  The decisions are those of one full
+        product, ``np.all(pts @ constraints.T <= DEFAULT_TOL, axis=1)``: a
+        block product may differ from it in the last bit of an entry, which
+        could only flip a ray within an ulp of a tolerance plane.
+        """
         pts = np.asarray(pts, dtype=float)
-        return cone_contains_many(self.base, pts) & np.all(pts @ self.constraints.T <= DEFAULT_TOL, axis=1)
+        inside = cone_contains_many(self.base, pts)
+        head = self.constraints[:MEMBER_HEAD]
+        rest = self.constraints[MEMBER_HEAD:]
+        for lo in range(0, len(pts), MEMBER_BLOCK):
+            keep = inside[lo : lo + MEMBER_BLOCK]  # a view: updates land in ``inside``
+            cols = pts[lo : lo + MEMBER_BLOCK][keep].T
+            for c in (head, rest):
+                if not (cols.shape[1] and len(c)):
+                    break
+                ok = (c @ cols).max(axis=0) <= DEFAULT_TOL
+                keep[keep] = ok
+                cols = cols[:, ok]
+        return inside
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +161,10 @@ def central_cone(
         ]
     )
     wb = m.weights * cone_contains_many(b, m.points)
-    captured = (pool @ m.points.T <= DEFAULT_TOL) @ wb
+    # in cache-sized blocks, with the bits of one product over the pool
+    captured = np.concatenate(
+        [(pool[blk] @ m.points.T <= DEFAULT_TOL) @ wb for blk in _row_blocks(pool.shape[0], m.n)]
+    )
     keep = captured >= default_capture_fraction(d) * mass_b - 1e-12
     retained = pool[keep]
     if max_constraints is not None and retained.shape[0] > max_constraints:
@@ -174,8 +205,9 @@ def _uniform_cap(center: np.ndarray, theta: float, count: int, seed: int) -> np.
     return np.cos(tt)[:, None] * center + np.sin(tt)[:, None] * tang
 
 
-def _mass_direction(m: DiscreteMeasure, b: SimplicialCone) -> np.ndarray:
-    inb = cone_contains_many(b, m.points)
+def _mass_direction(m: DiscreteMeasure, b: SimplicialCone, inb: np.ndarray) -> np.ndarray:
+    """Unit mean direction of the mass in B (``inb`` marks the measure points
+    in B), or of B's generating rays when that mass has no direction."""
     if inb.any():
         v = (m.weights[inb])[:, None] * m.points[inb]
         s = v.sum(axis=0)
@@ -204,8 +236,8 @@ def sample_central_rays(
     if approx is None:
         approx = central_cone(m, b, samples=constraint_samples, seed=seed, max_constraints=320)
     if cap_state is None:
-        center = _mass_direction(m, b)
         inb = cone_contains_many(b, m.points)
+        center = _mass_direction(m, b, inb)
         if inb.any():
             norms = np.linalg.norm(m.points[inb], axis=1)
             ok = norms > DEFAULT_TOL

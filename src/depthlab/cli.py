@@ -23,7 +23,7 @@ from pathlib import Path
 from .geometry import sample_directions
 from .measures import MeasureSpec, _is_number, generate_measure, load_measure, save_measure
 from .depth import deep_line_search, direction_profiles, line_depth_thresholds, point_depth
-from .median import tukey_median
+from .median import ARRANGEMENT_MAX_N, tukey_median
 from . import suites as _suites
 
 COMMANDS = ("generate", "depth", "median", "line-search", "landscape", "verify")
@@ -180,6 +180,9 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
         if not isinstance(budget, dict):
             raise ConfigError("config.budget: must be an object")
         mode = _choice_field(budget, "mode", "auto", ("auto", "arrangement", "multistart"), "config.budget")
+        if mode == "arrangement" and (m.dim != 2 or m.n > ARRANGEMENT_MAX_N):
+            raise ConfigError(f"config.budget.mode: arrangement mode requires dim=2 and n <= {ARRANGEMENT_MAX_N}, "
+                              f"got a {m.dim}-d measure of n = {m.n}")
         res = tukey_median(m, mode=mode,
                            starts=_int_field(budget, "starts", 16, 1, "config.budget"),
                            iters=_int_field(budget, "iters", 30, 0, "config.budget"), seed=cfg.seed)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depthlab.geometry import SimplicialCone, cone_contains_many, unit
+from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, sample_directions, unit
 from depthlab.measures import MeasureSpec, cone_mass, generate_measure, make_measure
 from depthlab.median import recenter, witness_tuple
 from depthlab.cones import (
@@ -14,6 +14,10 @@ from depthlab.cones import (
     tuple_weight,
 )
 from depthlab.central import (
+    MEMBER_BLOCK,
+    MEMBER_HEAD,
+    CentralConeApprox,
+    _exact_constraint_candidates,
     _family_member,
     central_cone,
     central_vector,
@@ -22,6 +26,7 @@ from depthlab.central import (
     sample_central_rays,
     structural_map,
 )
+from depthlab.depth import _row_blocks
 from depthlab.suites import _octant_symmetric_measure, _small_rotation
 
 
@@ -46,6 +51,50 @@ def test_central_cone_subset_of_base(mixture3):
     assert np.all(cone_contains_many(b, rays, 1e-9))
 
 
+def _full_product_membership(approx, pts):
+    return cone_contains_many(approx.base, pts) & np.all(pts @ approx.constraints.T <= DEFAULT_TOL, axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_contains_many_matches_full_product(d):
+    # the blocked, early-exit kernel decides every ray as one full product
+    # does: on both sides of the head and block sizes, on constraint planes,
+    # in the (0, tol] band beyond them, and with duplicate constraints
+    rng = np.random.default_rng(40 + d)
+    base = SimplicialCone(np.zeros(d), -np.eye(d))  # the positive orthant
+    center = unit(np.ones(d))
+    for k in (0, 1, MEMBER_HEAD - 1, MEMBER_HEAD, MEMBER_HEAD + 1, 320):
+        # half-spaces <c, x> <= 0 that keep every ray within 0.77-1.27
+        # rad of the central direction on the side of c
+        t = rng.standard_normal((k, d))
+        t -= np.outer(t @ center, center)
+        t /= np.linalg.norm(t, axis=1)[:, None]
+        beta = rng.uniform(0.3, 0.8, size=(k, 1))
+        c = np.cos(beta) * t - np.sin(beta) * center
+        if k > 2:
+            c[k // 2] = c[1]  # duplicate constraints
+        approx = CentralConeApprox(base, c)
+        for rows in (0, 1, MEMBER_BLOCK - 1, MEMBER_BLOCK, MEMBER_BLOCK + 1, 4000):
+            pts = center + 0.5 * rng.standard_normal((rows, d))
+            if k and rows > 8:
+                # rays exactly on a constraint plane, and rays in the band
+                # (0, tol] beyond one that the tolerance still admits
+                q = rows // 4
+                on, band = pts[:q], pts[q : 2 * q]
+                j = rng.integers(0, k, size=(2, q))
+                on -= np.sum(on * c[j[0]], axis=1)[:, None] * c[j[0]]
+                lift = (1.0 - rng.random(q)) * DEFAULT_TOL
+                band -= (np.sum(band * c[j[1]], axis=1) - lift)[:, None] * c[j[1]]
+            got = approx.contains_many(pts)
+            want = _full_product_membership(approx, pts)
+            assert got.dtype == bool and got.shape == (rows,)
+            assert np.array_equal(got, want), (k, rows)
+            if k == 320 and rows == 4000:
+                # hits, misses at the head, and misses past the head
+                head = _full_product_membership(CentralConeApprox(base, c[:MEMBER_HEAD]), pts)
+                assert 0 < got.sum() < head.sum() < rows
+
+
 def test_central_cone_positive_mass(mixture3):
     mc, tup = mixture3
     for b in cones_of(tup).cones:
@@ -62,6 +111,22 @@ def test_central_cone_monotone_refinement(mixture3):
     big = central_cone(mc, b, samples=512, seed=3)
     probe, _ = sample_central_rays(mc, b, count=2000, seed=4, approx=big)
     assert np.all(small.contains_many(probe))  # big-approximation rays pass the small set
+
+
+def test_central_cone_capture_in_blocks(mixture3):
+    # the retained constraints (and their stable tie order) are those of
+    # one capture product over the whole candidate pool
+    mc, tup = mixture3
+    for b in cones_of(tup).cones:
+        approx = central_cone(mc, b, samples=1024, seed=2, max_constraints=320)
+        pool = np.vstack([sample_directions(3, 1024, seed=2, mode="sphere"), _exact_constraint_candidates(mc, 1024, 3)])
+        assert len(_row_blocks(pool.shape[0], mc.n)) > 1
+        wb = mc.weights * cone_contains_many(b, mc.points)
+        captured = (pool @ mc.points.T <= DEFAULT_TOL) @ wb
+        keep = captured >= default_capture_fraction(3) * cone_mass(mc, b) - 1e-12
+        order = np.argsort(captured[keep], kind="stable")[:320]
+        assert np.array_equal(approx.constraints, pool[keep][order])
+        assert approx.constraints.shape[0] == 320
 
 
 def test_central_cone_validations(mixture3):

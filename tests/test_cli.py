@@ -107,6 +107,13 @@ def test_median_command(tmp_path):
     assert any("median_depth" in r for r in rows)
 
 
+def test_median_arrangement_mode_names_its_field(tmp_path, capsys):
+    gauss = {"kind": "gaussian", "dim": 3, "n": 50}
+    cfg = write(tmp_path, "c.json", {"command": "median", "measure": gauss, "budget": {"mode": "arrangement"}})
+    assert main(["median", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config.budget.mode" in capsys.readouterr().err
+
+
 def test_verify_command_and_determinism(tmp_path):
     cfg = write(
         tmp_path,

@@ -42,3 +42,23 @@ def test_verify_all_rejects_unknown_suite():
     )
     assert r.returncode == 2
     assert all(name in r.stderr for name in SUITES)
+
+
+def test_verify_all_compare_reports_first_difference(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_verify_all.py"), "--suites", "oracle", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    ref = tmp_path / "ref"
+    assert run("--out", str(ref)).returncode == 0
+    assert run("--out", str(tmp_path / "same"), "--compare", str(ref)).returncode == 0
+    rows = (ref / "oracle.csv").read_text().splitlines(keepends=True)
+    rows[3] = rows[3].replace("true", "false")
+    (ref / "oracle.csv").write_text("".join(rows), newline="")
+    r = run("--out", str(tmp_path / "new"), "--compare", str(ref))
+    assert r.returncode == 1
+    assert "DIFFERS" in r.stdout and "line 4" in r.stdout and rows[3].strip() in r.stdout
