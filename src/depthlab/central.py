@@ -223,7 +223,6 @@ def sample_central_rays(
     count: int,
     seed: int = 0,
     constraint_samples: int = 1024,
-    approx: CentralConeApprox | None = None,
     cap_state: tuple[np.ndarray, float] | None = None,
 ):
     """Uniformly distributed rays of the central-cone sphere patch.
@@ -233,8 +232,7 @@ def sample_central_rays(
     batching until ``count`` rays are collected.  Returns
     (rays, (cap_center, cap_angle)).
     """
-    if approx is None:
-        approx = central_cone(m, b, samples=constraint_samples, seed=seed, max_constraints=320)
+    approx = central_cone(m, b, samples=constraint_samples, seed=seed, max_constraints=320)
     if cap_state is None:
         inb = cone_contains_many(b, m.points)
         center = _mass_direction(m, b, inb)
@@ -290,7 +288,6 @@ def central_vector(
     b: SimplicialCone,
     sphere_samples: int = 100_000,
     seed: int = 0,
-    approx: CentralConeApprox | None = None,
 ):
     """Monte Carlo central vector of B: normalized mean of uniform samples of
     the central-cone sphere patch.
@@ -298,7 +295,7 @@ def central_vector(
     Returns (unit_vector, stderr, hits); deterministic in the seed; raises
     when no sample lands in the patch.
     """
-    rays, _ = sample_central_rays(m, b, count=sphere_samples, seed=seed, approx=approx)
+    rays, _ = sample_central_rays(m, b, count=sphere_samples, seed=seed)
     mean = rays.mean(axis=0)
     e = unit(mean)
     spread = float(np.mean(np.sum((rays - mean) ** 2, axis=1)))

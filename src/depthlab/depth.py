@@ -91,27 +91,74 @@ def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
     also splits a breakpoint shared by collinear points into such slivers.
     Returns each row's minimum mass and the midpoint angle of its first
     minimizing arc.
+
+    Three facts make the result independent of how the work is arranged,
+    bit for bit.  A sort permutation is unique when no two angles are
+    equal, and the prefix sums depend only on it, so the fast unstable
+    argsort is used and only rows with a tied pair are sorted again stably.
+    Every angle reduced mod 2 pi lies in [-2 pi, 4 pi), where one add or
+    subtract of 2 pi gives the bits of ``np.mod`` (a -0.0 left by atan2
+    reaches only comparisons and sums).  A search key off a skipped arc lies
+    about 2 gap from every point angle, so the side of the search cannot
+    move its index, and both ends of each semicircle share one search.
     """
-    two_pi = 2.0 * np.pi
+    two_pi, half = 2.0 * np.pi, 0.5 * np.pi
     R, m = w.shape
     rows = np.arange(R)[:, None]
-    ang = np.mod(np.arctan2(phat[..., 1], phat[..., 0]), two_pi)
-    order = np.argsort(ang, axis=1, kind="stable")
+    ang = np.arctan2(phat[..., 1], phat[..., 0])
+    np.add(ang, two_pi, out=ang, where=ang < 0.0)
+    order = np.argsort(ang, axis=1)
     sa = ang[rows, order]
+    tied = (sa[:, 1:] == sa[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(ang[tied], axis=1, kind="stable")
     cw = np.zeros((R, m + 1))
     np.cumsum(w[rows, order], axis=1, out=cw[:, 1:])
-    total = cw[:, -1:]
-    bps = np.sort(np.mod(np.concatenate([sa - 0.5 * np.pi, sa + 0.5 * np.pi], axis=1), two_pi), axis=1)
-    nxt = np.concatenate([bps[:, 1:], bps[:, :1] + two_pi], axis=1)
-    mids = np.mod(0.5 * (bps + nxt), two_pi)
-    lo = np.mod(mids - 0.5 * np.pi, two_pi)
-    hi = np.mod(mids + 0.5 * np.pi, two_pi)
-    cl = cw[rows, np.array([np.searchsorted(a, x, side="left") for a, x in zip(sa, lo)])]
-    ch = cw[rows, np.array([np.searchsorted(a, x, side="right") for a, x in zip(sa, hi)])]
-    masses = np.where(lo <= hi, ch - cl, (total - cl) + ch)
-    masses[nxt - bps <= 4.0 * gap] = np.inf
+    del ang, order
+    bps = np.empty((R, 2 * m))
+    _wrapped(sa, -half, bps[:, :m])
+    _wrapped(sa, half, bps[:, m:])
+    bps.sort(axis=1)
+    mids = np.empty_like(bps)  # first the next breakpoint, then the midpoint
+    mids[:, :-1] = bps[:, 1:]
+    np.add(bps[:, :1], two_pi, out=mids[:, -1:])
+    skip = mids - bps <= 4.0 * gap
+    mids += bps
+    del bps
+    mids *= 0.5
+    np.subtract(mids, two_pi, out=mids, where=mids >= two_pi)
+    keys = np.empty((R, 4 * m))
+    lo, hi = keys[:, : 2 * m], keys[:, 2 * m :]
+    _wrapped(mids, -half, lo)
+    _wrapped(mids, half, hi)
+    idx = np.empty(keys.shape, dtype=np.intp)
+    for r, (a, k) in enumerate(zip(sa, keys)):
+        idx[r] = a.searchsorted(k)
+    del sa
+    idx += rows * (m + 1)  # flat indices into cw
+    ends = np.take(cw, idx)
+    del idx
+    cl, ch = ends[:, : 2 * m], ends[:, 2 * m :]
+    masses = ch - cl
+    np.subtract(cw[:, -1:], cl, out=cl)
+    cl += ch
+    np.copyto(masses, cl, where=lo > hi)
+    masses[skip] = np.inf
     j = np.argmin(masses, axis=1)
     return masses[rows[:, 0], j], mids[rows[:, 0], j]
+
+
+def _wrapped(a: np.ndarray, shift: float, out: np.ndarray) -> None:
+    """out = (a + shift) mod 2 pi for a in [0, 2 pi] and |shift| <= pi:
+    one add or subtract of 2 pi on the side the shift can leave, which on
+    [-2 pi, 4 pi) gives the bits of ``np.mod``."""
+    two_pi = 2.0 * np.pi
+    if shift < 0:
+        np.subtract(a, -shift, out=out)
+        np.add(out, two_pi, out=out, where=out < 0.0)
+    else:
+        np.add(a, shift, out=out)
+        np.subtract(out, two_pi, out=out, where=out >= two_pi)
 
 
 def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, tol: float, gap: float):

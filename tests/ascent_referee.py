@@ -1,23 +1,61 @@
-"""Referee for the lockstep median ascent: the single-query planar depth,
-the one-query sampled depth, the certified floor in 16,384-row net chunks
-and the sequential multistart ascent that the package used before the
-ascents of all starts and directions were batched, kept verbatim for the
-tests.
+"""Referee for the lockstep median ascent: the planar sweep, the
+single-query planar depth, the one-query sampled depth, the certified
+floor in 16,384-row net chunks and the sequential multistart ascent that
+the package used before the ascents of all starts and directions were
+batched, kept verbatim for the tests.
 
+``_sweep`` sorts every row stably and reduces its angles with ``np.mod``;
 ``exact_depth_value_2d`` splits off the points at the query and sweeps the
-rest alone; ``sampled_depth`` draws its directions on every call and takes
-one product with them; ``certified_depth_floor`` sweeps its net in large
-chunks; ``_multistart_endpoints`` climbs one start after another.  The
-tests require the batched path to give the same bits.
+rest alone with it; ``sampled_depth`` draws its directions on every call
+and takes one product with them; ``certified_depth_floor`` sweeps its
+net in large chunks; ``_multistart_endpoints`` climbs one start after
+another.  The tests require the batched path to give the same bits.
 """
 
 import numpy as np
 
-from depthlab.depth import DepthResult, _split_query, _sweep, exact_affordable, point_depth
+from depthlab.depth import DepthResult, _split_query, exact_affordable, point_depth
 from depthlab.geometry import DEFAULT_TOL, as_vector, sample_directions
 from depthlab.median import MedianResult, _lex_less, _start_points
 
 _CHUNK = 16384
+
+
+def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
+    """Exact planar minimization by a rotating sweep, O(m log m) per row.
+
+    phat (R, m, 2) holds unit vectors and w (R, m) their weights.  The
+    closed-semicircle mass as a function of the normal's angle is piecewise
+    constant with breakpoints at the point angles +- 90 degrees, so
+    evaluating it at the midpoint of each arc between consecutive distinct
+    breakpoints is exact.  Arcs no wider than 4 gap are skipped, so every
+    point a midpoint leaves out lies more than 2 gap behind it: the attained
+    mass check counts points within the tolerance (``gap`` at the top level)
+    of the boundary, so a narrower arc's mass cannot be attained.  Rounding
+    also splits a breakpoint shared by collinear points into such slivers.
+    Returns each row's minimum mass and the midpoint angle of its first
+    minimizing arc.
+    """
+    two_pi = 2.0 * np.pi
+    R, m = w.shape
+    rows = np.arange(R)[:, None]
+    ang = np.mod(np.arctan2(phat[..., 1], phat[..., 0]), two_pi)
+    order = np.argsort(ang, axis=1, kind="stable")
+    sa = ang[rows, order]
+    cw = np.zeros((R, m + 1))
+    np.cumsum(w[rows, order], axis=1, out=cw[:, 1:])
+    total = cw[:, -1:]
+    bps = np.sort(np.mod(np.concatenate([sa - 0.5 * np.pi, sa + 0.5 * np.pi], axis=1), two_pi), axis=1)
+    nxt = np.concatenate([bps[:, 1:], bps[:, :1] + two_pi], axis=1)
+    mids = np.mod(0.5 * (bps + nxt), two_pi)
+    lo = np.mod(mids - 0.5 * np.pi, two_pi)
+    hi = np.mod(mids + 0.5 * np.pi, two_pi)
+    cl = cw[rows, np.array([np.searchsorted(a, x, side="left") for a, x in zip(sa, lo)])]
+    ch = cw[rows, np.array([np.searchsorted(a, x, side="right") for a, x in zip(sa, hi)])]
+    masses = np.where(lo <= hi, ch - cl, (total - cl) + ch)
+    masses[nxt - bps <= 4.0 * gap] = np.inf
+    j = np.argmin(masses, axis=1)
+    return masses[rows[:, 0], j], mids[rows[:, 0], j]
 
 
 def exact_depth_value_2d(m, q, tol: float = DEFAULT_TOL):

@@ -19,6 +19,7 @@ from depthlab.central import (
     CentralConeApprox,
     _exact_constraint_candidates,
     _family_member,
+    _uniform_cap,
     central_cone,
     central_vector,
     containment_check,
@@ -46,8 +47,7 @@ def test_capture_fraction_default():
 def test_central_cone_subset_of_base(mixture3):
     mc, tup = mixture3
     b = cones_of(tup).cones[0]
-    approx = central_cone(mc, b, samples=256, seed=0)
-    rays, _ = sample_central_rays(mc, b, count=500, seed=0, approx=approx)
+    rays, _ = sample_central_rays(mc, b, count=500, seed=0)
     assert np.all(cone_contains_many(b, rays, 1e-9))
 
 
@@ -109,7 +109,11 @@ def test_central_cone_monotone_refinement(mixture3):
     b = cones_of(tup).cones[1]
     small = central_cone(mc, b, samples=256, seed=3)
     big = central_cone(mc, b, samples=512, seed=3)
-    probe, _ = sample_central_rays(mc, b, count=2000, seed=4, approx=big)
+    # uniform rays in a cap twice as wide as the one that covers the patch
+    _, (center, theta) = sample_central_rays(mc, b, count=100, seed=4)
+    rays = _uniform_cap(center, 2.0 * theta, 20_000, seed=4)
+    probe = rays[big.contains_many(rays)]
+    assert 100 <= probe.shape[0] < rays.shape[0]
     assert np.all(small.contains_many(probe))  # big-approximation rays pass the small set
 
 
@@ -149,8 +153,8 @@ def test_central_vector_unit_norm_and_axis():
 def test_central_vector_in_own_approximation(mixture3):
     mc, tup = mixture3
     b = cones_of(tup).cones[2]
-    approx = central_cone(mc, b, samples=384, seed=5)
-    e, _, _ = central_vector(mc, b, sphere_samples=2000, seed=5, approx=approx)
+    approx = central_cone(mc, b, 1024, 5, max_constraints=320)  # the one central_vector samples
+    e, _, _ = central_vector(mc, b, sphere_samples=2000, seed=5)
     assert approx.contains_many(e[None])[0]
 
 

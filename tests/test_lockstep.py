@@ -68,6 +68,58 @@ def test_batched_planar_depth_across_blocks():
         assert vals[r] == val and np.array_equal(dirs[r], u)
 
 
+def _sweep_batches():
+    """(name, phat, weights) batches of several rows for the planar sweep,
+    each row of unit vectors."""
+    rng = np.random.default_rng(9)
+
+    def rows(p):
+        return p / np.linalg.norm(p, axis=-1, keepdims=True)
+
+    # +-0.0 in either coordinate: tied and exactly opposite angles
+    axes = np.array([[s * a, t * b] for a, b in ((1.0, 0.0), (0.0, 1.0)) for s in (1, -1) for t in (1, -1)])
+    grid = np.array([(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)], dtype=float)
+    tiny = rng.standard_normal((6, 40, 2))
+    tiny[:, :10] = [1.0, 1e-17]
+    tiny[:, 10:20] = [1.0, -1e-17]  # atan2 just below 0, which wraps to exactly 2 pi
+    tiny[:, 20:24] = [-1.0, -1e-17]
+    partial = rows(rng.standard_normal((9, 30, 2)))
+    partial[::3, 1] = partial[::3, 0]  # a tied angle in every third row only
+    partial[4, 7] = -partial[4, 2]  # an exactly opposite pair in an untied row
+    pair = rng.standard_normal((8, 2, 2))
+    pair[1, 1] = pair[1, 0]
+    pair[2, 1] = -pair[2, 0]
+    pair[3] = [[1.0, 0.0], [-1.0, 0.0]]  # the lighter point's arc has its midpoint at 2 pi
+    pair_w = rng.random((8, 2))
+    pair_w[3] = [0.25, 0.75]
+    # (0, -1) has angle 3 pi / 2 and a breakpoint at exactly 2 pi, which wraps to 0
+    turn = rows(np.array([[(0, -1), a, b] for a, b in (((-2, -2), (-2, -1)), ((-1, -1), (-1, 1)))], dtype=float))
+    zero_w = rng.random((7, 60))
+    zero_w[rng.random((7, 60)) < 0.5] = 0.0
+    return [
+        ("random", rows(rng.standard_normal((12, 50, 2))), rng.random((12, 50))),
+        ("grid", rows(grid[rng.integers(0, len(grid), (10, 70))]), rng.random((10, 70))),
+        ("axes", axes[rng.integers(0, len(axes), (10, 25))], rng.random((10, 25))),
+        ("tiny_y", rows(tiny), rng.random((6, 40))),
+        ("zero_weights", rows(rng.standard_normal((7, 60, 2))), zero_w),
+        ("m1", rows(rng.standard_normal((5, 1, 2))), rng.random((5, 1))),
+        ("m2", rows(pair), pair_w),
+        ("partial_ties", partial, rng.random((9, 30))),
+        ("two_pi_breakpoint", turn, np.tile([0.5, 0.25, 0.125], (2, 1))),
+    ]
+
+
+@pytest.mark.parametrize("gap", [1e-9, 2e-9, 4e-9])
+def test_sweep_matches_stable_sort_bits(gap):
+    # the unstable sort with a stable pass for tied rows, the in-place angle
+    # wraps and the one-sided search give the bits of the stable sweep
+    for name, phat, w in _sweep_batches():
+        val, phi = depthlab.depth._sweep(phat, w, gap)
+        want_val, want_phi = ref._sweep(phat, w, gap)
+        assert val.tobytes() == want_val.tobytes(), name
+        assert phi.tobytes() == want_phi.tobytes(), name
+
+
 def _same(a, b):
     return np.array_equal(a.point, b.point) and a.depth == b.depth and (
         a.candidates_evaluated == b.candidates_evaluated)
