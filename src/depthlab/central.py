@@ -149,7 +149,8 @@ def central_cone(
     shrinks monotonically toward the true central cone.
     """
     d = m.dim
-    mass_b = cone_mass(m, b)
+    inside = cone_contains_many(b, m.points)
+    mass_b = float(m.weights[inside].sum())  # ``cone_mass``, from the one membership test
     if mass_b <= 0:
         raise ValueError("cone carries no mass")
     # the exact-candidate block is independent of ``samples`` so that pools
@@ -160,7 +161,7 @@ def central_cone(
             _exact_constraint_candidates(m, 1024, seed + 1),
         ]
     )
-    wb = m.weights * cone_contains_many(b, m.points)
+    wb = m.weights * inside
     # in cache-sized blocks, with the bits of one product over the pool
     captured = np.concatenate(
         [(pool[blk] @ m.points.T <= DEFAULT_TOL) @ wb for blk in _row_blocks(pool.shape[0], m.n)]

@@ -136,13 +136,14 @@ def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
         idx[r] = a.searchsorted(k)
     del sa
     idx += rows * (m + 1)  # flat indices into cw
-    ends = np.take(cw, idx)
+    wrap = lo > hi
+    np.take(cw, idx, out=keys, mode="clip")  # every index is in range
     del idx
-    cl, ch = ends[:, : 2 * m], ends[:, 2 * m :]
+    cl, ch = lo, hi  # now the prefix sums at both ends of each semicircle
     masses = ch - cl
     np.subtract(cw[:, -1:], cl, out=cl)
     cl += ch
-    np.copyto(masses, cl, where=lo > hi)
+    np.copyto(masses, cl, where=wrap)
     masses[skip] = np.inf
     j = np.argmin(masses, axis=1)
     return masses[rows[:, 0], j], mids[rows[:, 0], j]
@@ -267,22 +268,25 @@ def exact_depth_value_2d(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL):
 def exact_depth_values_2d(points, weights, which, q, tol: float = DEFAULT_TOL):
     """``exact_depth_value_2d`` of many queries at once: row r is the query
     q[r] (R, 2) in the planar measure (points[which[r]], weights[which[r]]),
-    points and weights being sequences of M arrays (n, 2) and (n,).  Rows go
-    to the sweep in blocks of at most _CHUNK points.  Each row's value and
-    direction are bit for bit those of splitting off the points at its query
-    and sweeping the rest alone.  Returns (values (R,), directions (R, 2)).
+    points and weights being stacks (M, n, 2) and (M, n) of M measures
+    (sequences of their arrays are stacked first).  Rows go to the sweep in
+    blocks of at most _CHUNK points.  Each row's value and direction are bit
+    for bit those of splitting off the points at its query and sweeping the
+    rest alone.  Returns (values (R,), directions (R, 2)).
     """
-    R, n = len(which), len(weights[0])
+    points, weights = np.asarray(points), np.asarray(weights)
+    R, n = len(which), weights.shape[1]
     vals, dirs = np.empty(R), np.empty((R, 2))
     step = max(1, _CHUNK // n)
     for s in range(0, R, step):
         k = which[s : s + step]
-        p = np.stack([points[i] for i in k]) - q[s : s + step, None, :]
-        norms = np.linalg.norm(p, axis=2)
+        phat = points[k] - q[s : s + step, None, :]
+        norms = np.linalg.norm(phat, axis=2)
         kept = norms > tol
-        w = np.stack([weights[i] for i in k])
-        phat = p / np.where(kept, norms, 1.0)[..., None]
+        w = weights[k]
+        phat /= np.where(kept, norms, 1.0)[..., None]
         at_q = (~kept).sum(axis=1)
+        del norms
         # the points at the query: their weight w0 is summed as a compressed
         # array, as the single-query split sums it (exact for one or two
         # points, so only larger groups need it); in the sweep they are
@@ -304,18 +308,20 @@ def exact_depth_values_2d(points, weights, which, q, tol: float = DEFAULT_TOL):
 def sampled_depth_values(points, weights, which, q, directions, tol: float = DEFAULT_TOL):
     """``point_depth(mode="sampled")`` of many queries at once: row r is the
     query q[r] (R, d) in the measure (points[which[r]], weights[which[r]]),
-    minimized over its own unit directions directions[r] (R, count, d).  The
-    rows are centred and normalized in stacks of at most _CHUNK points; each
-    row then takes its direction and mask products in cache-sized blocks of
-    directions (``_row_blocks``), which give the bits of one product over
-    all of them.  Returns (values (R,), minimizing directions (R, d)).
+    stacked as there, minimized over its own unit directions directions[r]
+    (R, count, d).  The rows are centred and normalized in blocks of at most
+    _CHUNK points; each row then takes its direction and mask products in
+    cache-sized blocks of directions (``_row_blocks``), which give the bits
+    of one product over all of them.  Returns (values (R,), minimizing
+    directions (R, d)).
     """
-    R, n = len(which), len(weights[0])
+    points, weights = np.asarray(points), np.asarray(weights)
+    R, n = len(which), weights.shape[1]
     vals, wits = np.empty(R), np.empty((R, directions.shape[2]))
     step = max(1, _CHUNK // n)
     for lo in range(0, R, step):
         k = which[lo : lo + step]
-        p = np.stack([points[i] for i in k]) - q[lo : lo + step, None, :]
+        p = points[k] - q[lo : lo + step, None, :]
         norms = np.linalg.norm(p, axis=2)
         norms[norms == 0] = 1.0
         phat = (p / norms[..., None]).transpose(0, 2, 1)
@@ -325,6 +331,42 @@ def sampled_depth_values(points, weights, which, q, directions, tol: float = DEF
             j = int(np.argmin(masses))
             vals[lo + b], wits[lo + b] = masses[j], u[j]
     return vals, wits
+
+
+def closed_mass_bounds(points, weights, which, q, directions, tol: float = DEFAULT_TOL):
+    """Upper bounds on the values of ``exact_depth_values_2d`` (from any unit
+    directions) and ``sampled_depth_values`` (from directions among the
+    row's own), rows and stacks as there: row r gets the least, over its
+    unit directions u in directions[r] (R, D, d), of the mass of the points
+    p of measure which[r] with |p - q[r]| <= 2 tol or <u, p - q[r]> >= -eta
+    |p - q[r]|, eta = 3 (n + 1) tol.
+
+    The slack eta makes the bound hold for the planar sweep although it
+    skips arcs no wider than 4 tol: at most n breakpoints fall within angle
+    eta of u, so one of the pieces they cut that span into is wider than
+    2 eta / (n + 1) = 6 tol.  The arc holding it is swept, and its mass
+    counts no point but those above.  The sampled value is the mass at one
+    of its directions, which counts fewer points, with slack tol.  Both
+    margins, 2 tol and eta, dwarf the rounding of the evaluators' own
+    norms and products.  The products run in blocks of about 4 _CHUNK
+    direction-by-point entries.
+    """
+    points, weights = np.asarray(points), np.asarray(weights)
+    (R, D, d), n = directions.shape, weights.shape[1]
+    eta = 3.0 * (n + 1) * tol
+    out = np.empty(R)
+    step = max(1, 4 * _CHUNK // (n * D))
+    for lo in range(0, R, step):
+        k = which[lo : lo + step]
+        pt = np.empty((len(k), d, n))
+        np.subtract(points[k].transpose(0, 2, 1), q[lo : lo + step, :, None], out=pt)
+        norms = np.sqrt(np.einsum("rkn,rkn->rn", pt, pt))
+        norms[norms <= 2.0 * tol] = np.inf  # a point at the query counts under every direction
+        pt /= norms[:, None, :]
+        s = np.matmul(directions[lo : lo + step], pt) >= -eta
+        w = weights[k]
+        out[lo : lo + step] = np.matmul(s, w[..., None])[..., 0].min(axis=1)
+    return out
 
 
 def point_depth(

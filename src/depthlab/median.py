@@ -17,6 +17,7 @@ from .geometry import DEFAULT_TOL, hull_interior_margin, sample_directions, unit
 from .measures import DiscreteMeasure, halfspace_mass
 from .depth import (
     certified_depth_floor,
+    closed_mass_bounds,
     exact_affordable,
     exact_depth_value_2d,
     exact_depth_values_2d,
@@ -27,6 +28,7 @@ from . import cones as _cones
 
 ARRANGEMENT_MAX_N = 200
 _LAMBDA_MIN = 1e-6  # smallest hull margin of the origin in a witness tuple
+_RING = 4  # past witnesses each ascent start remembers
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,17 +70,33 @@ def _finals(m: DiscreteMeasure, endpoints: list, count: int) -> list:
 
 
 def _cheap_depths(ms: list, own: np.ndarray, seeds: np.ndarray):
-    """The ascent's evaluator: (rows, points) -> (depths, witness
-    directions), row r a point of measure ms[own[r]].  Exact in the plane,
-    all rows in one batched sweep; above, the sampled upper bound over the
-    192 directions of seed seeds[r], drawn once per seed for the whole
-    ascent, all rows in one batched evaluation."""
-    pts, w = [m.points for m in ms], [m.weights for m in ms]
+    """The ascent's evaluator and the rule for what bounds it, over one
+    stack of the measures' points and weights, row r a point of measure
+    ms[own[r]].  Exact in the plane, all rows in one batched sweep; above,
+    the sampled upper bound over the 192 directions of seed seeds[r], drawn
+    once per seed for the whole ascent, all rows in one batched evaluation.
+
+    Returns (evaluate, bound): evaluate(rows, x) -> (depths, witness
+    directions); bound(rows, x, mine, theirs) -> an upper bound on each
+    row's depth from the directions mine (R, a, d), the row's own past
+    witnesses, and theirs (R, b, d), the current witnesses of the other
+    starts of its measure.  The planar depth is a minimum over every
+    direction, so both kinds bound it; the sampled one is a minimum over
+    the row's own directions only, so only its own witnesses do.
+    """
+    pts = np.stack([m.points for m in ms])
+    if all(m.weights is ms[0].weights for m in ms):  # projections share one array
+        w = np.broadcast_to(ms[0].weights, (len(ms), ms[0].n))
+    else:
+        w = np.stack([m.weights for m in ms])
     if ms[0].dim == 2:
-        return lambda rows, x: exact_depth_values_2d(pts, w, own[rows], x)
+        return (lambda rows, x: exact_depth_values_2d(pts, w, own[rows], x),
+                lambda rows, x, mine, theirs: closed_mass_bounds(
+                    pts, w, own[rows], x, np.concatenate([mine, theirs], axis=1)))
     keys, pick = np.unique(seeds, return_inverse=True)
     dirs = np.stack([sample_directions(ms[0].dim, 192, seed=int(s), mode="sphere") for s in keys])
-    return lambda rows, x: sampled_depth_values(pts, w, own[rows], x, dirs[pick[rows]])
+    return (lambda rows, x: sampled_depth_values(pts, w, own[rows], x, dirs[pick[rows]]),
+            lambda rows, x, mine, theirs: closed_mass_bounds(pts, w, own[rows], x, mine))
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
@@ -204,14 +222,27 @@ def _multistart_endpoints(ms: list, starts: int, iters: int, seed: int) -> list:
     below 1e-4 of its measure's scale.  Per measure: its endpoints (cheap
     depth, point) sorted by the cheap depth, best first (stable in start
     order), and its number of evaluations.
+
+    A step is swept only if no remembered direction shows that it cannot
+    improve: each start keeps its last _RING witnesses, and where
+    ``_cheap_depths`` allows, the current witnesses of the other starts of
+    its measure count too.  A direction whose closed mass at the step
+    (``depth.closed_mass_bounds``) lies more than 1e-12 below the start's
+    depth bounds the step's depth below the start's, so the step would fail
+    ``d_new > d_cur``; it is dropped unswept and the start stays as it is.
+    It still counts as an evaluation, so the counts, endpoints and depths
+    are those of sweeping every step.
     """
     x0 = [_start_points(m, starts, seed) for m in ms]
     own = np.repeat(np.arange(len(ms)), [len(xs) for xs in x0])
     s_i = np.concatenate([np.arange(len(xs)) for xs in x0])
-    evaluate = _cheap_depths(ms, own, seed + 7 * s_i)
+    evaluate, bound = _cheap_depths(ms, own, seed + 7 * s_i)
     x = np.array([xi for xs in x0 for xi in xs], dtype=float)
     d_cur, wit = evaluate(np.arange(len(x)), x)
     evals = np.ones(len(x), dtype=int)
+    ring = np.repeat(wit[:, None, :], _RING, axis=1)  # slot: evaluation count mod _RING
+    per = len(x0[0])  # starts per measure, the same for every measure
+    others = own[:, None] * per + (s_i[:, None] + np.arange(1, per)) % per
     scale = np.array([float(np.mean(np.linalg.norm(m.points - m.weights @ m.points, axis=1))) or 1.0
                       for m in ms])[own]
     step = scale / 3.0
@@ -223,8 +254,12 @@ def _multistart_endpoints(ms: list, starts: int, iters: int, seed: int) -> list:
             if not rows.size:
                 break
             cand = x[rows] - (step[rows] / div)[:, None] * wit[rows]
-            d_new, wit_new = evaluate(rows, cand)
             evals[rows] += 1
+            swept = bound(rows, cand, ring[rows], wit[others[rows]]) >= d_cur[rows] - 1e-12
+            d_new, wit_new = np.full(len(rows), -np.inf), wit[rows]
+            sw = rows[swept]
+            d_new[swept], wit_new[swept] = evaluate(sw, cand[swept])
+            ring[sw, evals[sw] % _RING] = wit_new[swept]
             up = d_new > d_cur[rows]
             x[rows[up]], d_cur[rows[up]], wit[rows[up]] = cand[up], d_new[up], wit_new[up]
             moved[~moved] = up

@@ -1,0 +1,184 @@
+"""Certified early rejection in the lockstep median ascent: the bound that
+lets a step go unswept never falls below the evaluator's value, and the
+ascent with rejections gives the bits of the referee that sweeps every step.
+"""
+
+import numpy as np
+import pytest
+
+import ascent_referee as ref
+import depthlab.median
+from depthlab.depth import (
+    _CHUNK,
+    closed_mass_bounds,
+    deep_line_search,
+    exact_depth_values_2d,
+    sampled_depth_values,
+)
+from depthlab.geometry import DEFAULT_TOL, sample_directions
+from depthlab.measures import generate_measure, make_measure
+from depthlab.median import balanced_median, tukey_median
+from depthlab.suites import line_search_suite_specs
+
+# rows of exact_depth_values_2d in deep_line_search(grid_count=60,
+# refine_iters=2) on the theorem1 measures 0 and 6 at n = 200 when every
+# ascent step was swept
+SWEPT_ROWS_BEFORE = {0: 18468, 6: 18620}
+
+
+def _unit(a):
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
+def _degenerate_planar(rng):
+    """(measure, queries) pairs: integer grids with duplicates, collinear
+    runs, queries on or within tol of data points, weights far from
+    uniform."""
+    out = []
+    for _ in range(6):
+        grid = rng.integers(-2, 3, (30, 2)).astype(float)  # 25 sites, so duplicates
+        m = make_measure(grid, rng.random(30) ** 3 + 1e-3)
+        near = grid[1] + [4e-10, -3e-10]  # a data point within tol of the query
+        out.append((m, [grid[0], near, [0.0, 0.0], [0.5, 0.5], (grid[2] + grid[3]) / 2]))
+        run = rng.standard_normal((30, 2))
+        q = rng.standard_normal(2)
+        run[:12] = q + np.arange(-6, 6)[:, None] * _unit(rng.standard_normal(2))  # through q
+        run[12:16] = run[20]  # a crowd of duplicates
+        m = make_measure(run, rng.random(30) ** 2 + 1e-3)
+        out.append((m, [q, run[3], run[20], run[3] + [0.0, 1.0]]))
+        n = int(rng.integers(1, 5))
+        m = make_measure(rng.integers(-1, 2, (n, 2)).astype(float), rng.random(n) + 0.1)
+        out.append((m, [m.points[0], [0.0, 0.0]]))
+    return out
+
+
+def _probe_directions(rng, p):
+    """Random unit directions, the perpendiculars to each p_j and those
+    perpendiculars rotated by 1e-10 either way."""
+    p = p[np.linalg.norm(p, axis=1) > 0]
+    perp = np.vstack([np.column_stack([-p[:, 1], p[:, 0]]), np.column_stack([p[:, 1], -p[:, 0]])])
+    ang = np.arctan2(perp[:, 1], perp[:, 0])
+    turned = [np.column_stack([np.cos(ang + t), np.sin(ang + t)]) for t in (-1e-10, 1e-10)]
+    return np.vstack([_unit(rng.standard_normal((20, 2))), _unit(perp), *turned])
+
+
+def _bounds(m, q, u):
+    """closed_mass_bounds of the query q under each direction u[i] alone."""
+    return closed_mass_bounds([m.points], [m.weights], np.zeros(len(u), dtype=int),
+                              np.tile(q, (len(u), 1)), u[:, None, :])
+
+
+def test_planar_depth_never_exceeds_closed_mass_bound():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for m, queries in _degenerate_planar(rng):
+        for q in np.asarray(queries, dtype=float):
+            val = exact_depth_values_2d([m.points], [m.weights], [0], q[None])[0][0]
+            b = _bounds(m, q, _probe_directions(rng, m.points - q))
+            # the ascent rejects a step when a bound lies 1e-12 below its depth
+            assert np.all(val <= b + 1e-12), (m.points, q, val, b.min())
+            checked += len(b)
+    assert checked > 5000
+
+
+def test_bound_slack_covers_skipped_slivers():
+    # two nearly opposite points leave an arc 3e-9 wide between their
+    # breakpoints, which the sweep skips: under the sweep's own tolerance
+    # the mass at its midpoint is 0, below the reported 0.5
+    gap = 3e-9
+    pts = np.array([[1.0, 0.0], [np.cos(np.pi + gap), np.sin(np.pi + gap)]])
+    m = make_measure(pts)
+    val = exact_depth_values_2d([m.points], [m.weights], [0], np.zeros((1, 2)))[0][0]
+    mid = 0.5 * np.pi + 0.5 * gap
+    u = np.array([[np.cos(mid), np.sin(mid)]])
+    assert val == 0.5
+    assert float((pts @ u[0] >= -DEFAULT_TOL) @ m.weights) == 0.0
+    assert _bounds(m, np.zeros(2), u)[0] >= val
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sampled_depth_never_exceeds_bound_at_own_directions(d):
+    rng = np.random.default_rng(d)
+    u = sample_directions(d, 192, seed=5, mode="sphere")
+    for _ in range(8):
+        pts = rng.integers(-2, 3, (60, d)).astype(float)  # duplicates and coplanar runs
+        pts[:10] = pts[10] + np.arange(-5, 5)[:, None] * rng.integers(-1, 2, d)  # a collinear run
+        m = make_measure(pts, rng.random(60) ** 3 + 1e-3)
+        for q in (pts[10], pts[0] + 4e-10, np.zeros(d), rng.standard_normal(d)):
+            val = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])[0][0]
+            assert np.all(val <= _bounds(m, q, u) + 1e-12)
+
+
+def test_closed_mass_bounds_across_blocks():
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((3, 300, 2))
+    w = rng.random((3, 300)) ** 2
+    w /= w.sum(axis=1, keepdims=True)
+    which = rng.integers(0, 3, 40)
+    q = rng.standard_normal((40, 2))
+    q[::5] = pts[which[::5], 7]  # queries on data points
+    u = _unit(rng.standard_normal((40, 30, 2)))
+    got = closed_mass_bounds(pts, w, which, q, u)
+    assert 40 * 300 * 30 > 4 * 4 * _CHUNK  # several blocks
+    eta = 3.0 * 301 * DEFAULT_TOL
+    for r in range(40):
+        p = pts[which[r]] - q[r]
+        norms = np.linalg.norm(p, axis=1)
+        counted = (u[r] @ p.T >= -eta * norms) | (norms <= 2 * DEFAULT_TOL)
+        assert abs(got[r] - (counted @ w[which[r]]).min()) <= 1e-12
+
+
+def _rows_of(monkeypatch, name):
+    rows = []
+    inner = getattr(depthlab.median, name)
+
+    def counted(points, weights, which, *args, **kwargs):
+        rows.append(len(which))
+        return inner(points, weights, which, *args, **kwargs)
+
+    monkeypatch.setattr(depthlab.median, name, counted)
+    return rows
+
+
+def _same(a, b):
+    return np.array_equal(a.point, b.point) and a.depth == b.depth and (
+        a.candidates_evaluated == b.candidates_evaluated)
+
+
+def _weighted_cases():
+    """Weighted degenerate measures, 40 points in the plane, 120 in R^3 and
+    150 in R^4, as (measure, evaluator name)."""
+    rng = np.random.default_rng(4)
+    grid = rng.integers(-3, 4, (40, 2)).astype(float)
+    crowd = rng.standard_normal((40, 2))
+    crowd[rng.random(40) < 0.4] = [0.25, -0.5]
+    line_pts = rng.standard_normal((40, 2))
+    line_pts[:12] = np.arange(-6, 6)[:, None] * np.array([0.3, 0.1])
+    cube = rng.integers(-2, 3, (120, 3)).astype(float) + 0.1 * rng.standard_normal((120, 3))
+    cube[:20] = cube[20]
+    g4 = rng.standard_normal((150, 4)) * [1.0, 0.7, 0.5, 0.3]
+    return [(make_measure(p, rng.random(len(p)) ** 3 + 1e-3), name) for p, name in (
+        (grid, "exact_depth_values_2d"), (crowd, "exact_depth_values_2d"),
+        (line_pts, "exact_depth_values_2d"), (cube, "sampled_depth_values"),
+        (g4, "sampled_depth_values"))]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_medians_match_referee_where_rejections_fire(case, monkeypatch):
+    m, name = _weighted_cases()[case]
+    rows = _rows_of(monkeypatch, name)
+    for seed in (0, 5):
+        rows.clear()
+        r = tukey_median(m, mode="multistart", starts=6, iters=12, seed=seed)
+        assert sum(rows) <= 0.9 * r.candidates_evaluated  # some steps went unswept
+        assert _same(r, ref.tukey_median(m, starts=6, iters=12, seed=seed))
+        assert _same(balanced_median(m, starts=6, iters=12, seed=seed),
+                     ref.balanced_median(m, starts=6, iters=12, seed=seed))
+
+
+@pytest.mark.parametrize("i", sorted(SWEPT_ROWS_BEFORE))
+def test_deep_line_search_sweeps_fewer_rows(i, monkeypatch):
+    rows = _rows_of(monkeypatch, "exact_depth_values_2d")
+    spec = line_search_suite_specs(200)[i]
+    deep_line_search(generate_measure(spec), grid_count=60, refine_iters=2, seed=spec.seed)
+    assert sum(rows) <= 0.75 * SWEPT_ROWS_BEFORE[i]
