@@ -57,7 +57,7 @@ from .central import (
     CentralConeApprox,
     StructuralTuple,
     central_cone,
-    central_vector,
+    central_patch,
     containment_check,
     structural_map,
 )

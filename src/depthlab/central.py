@@ -3,14 +3,16 @@
 The central cone of a simplicial cone B (under a measure) is the part of B
 kept by every origin half-space that captures at least a d/(d+1) fraction of
 B's mass.  Its unit-sphere patch has a well-defined mean direction, the
-central vector e(B).  Both are approximated by sampling: a finite constraint
-pool for the cone (an outer approximation that shrinks as the pool grows) and
-uniform sampling of the sphere patch for the vector.
+central vector e(B).  The cone is approximated by a finite constraint pool
+(an outer approximation that shrinks as the pool grows); the patch of that
+polyhedral cone is then exact.  In d = 2 it is an arc, whose mean direction
+is its midpoint.  In d = 3 it is a convex spherical polygon, clipped from B's
+triangle in a gnomonic chart (Sutherland-Hodgman), whose first moment is, by
+Stokes' theorem,
 
-The patch can be extremely narrow (tightly clustered measures), so uniform
-rays are drawn from an adaptively sized spherical cap around the cone's mass
-direction; conditioning a cap-uniform sample on the patch is still uniform on
-the patch whenever the cap covers it, which the adaptation enforces.
+    int_P x dA = 1/2 sum_i theta_i (v_i x v_{i+1}) / |v_i x v_{i+1}|
+
+over its edges, theta_i being the arc length of edge i.
 
 The structural map sends a recentered measure to an unordered tuple of d + 1
 vectors, one per matched-cone slot, by integrating (a - weight) e(B_i) over
@@ -45,17 +47,12 @@ from .cones import (
 from .median import witness_tuple
 from .depth import _row_blocks, exact_affordable, point_depth
 
-# the structural map's Monte Carlo proposal: central rays per cone slot, the
-# constraint pool of each central cone, the angular scale of the witness
-# perturbations and the share of uniformly drawn tuples
-MAP_SPHERE_SAMPLES = 1200
+# the structural map's Monte Carlo proposal: the constraint pool of each
+# central cone, the angular scale of the witness perturbations and the share
+# of uniformly drawn tuples
 MAP_CONSTRAINT_SAMPLES = 384
 MAP_PERTURB_ANGLE = 0.1
 MAP_UNIFORM_SHARE = 0.1
-# central-cone membership: rays per block, and the leading (most binding)
-# constraints every ray in the base cone meets before the rest
-MEMBER_BLOCK = 1024
-MEMBER_HEAD = 16
 
 
 def default_capture_fraction(d: int) -> float:
@@ -72,33 +69,67 @@ class CentralConeApprox:
     base: SimplicialCone
     constraints: np.ndarray  # (k, d) outer normals of origin half-spaces
 
-    def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        """Membership of an (n, d) array of points: in the base cone and
-        within DEFAULT_TOL of every constraint half-space.
+    def patch(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exact sphere patch: its vertices (unit rows, in order) and its
+        unit mean direction, the central vector.
 
-        Tests the rays in blocks of MEMBER_BLOCK; the rays of a block that
-        lie in the base cone meet the first MEMBER_HEAD constraints, and only
-        those that pass them meet the rest.  ``central_cone`` puts the most
-        binding constraints first whenever it truncates the pool, so most
-        misses exit after the head.  The decisions are those of one full
-        product, ``np.all(pts @ constraints.T <= DEFAULT_TOL, axis=1)``: a
-        block product may differ from it in the last bit of an entry, which
-        could only flip a ray within an ulp of a tolerance plane.
+        B's rays -inv(normals) all lie in the plane <c, x> = 1 for
+        c = -(sum of B's normals), so B's section there is a segment (d = 2)
+        or a triangle (d = 3), and each constraint cuts it along a line.  In
+        d = 3 a constraint counts as met once every vertex meets it within
+        DEFAULT_TOL on the unit sphere.  Raises RuntimeError when the patch
+        has no interior, and ValueError in a dimension other than 2 and 3.
         """
-        pts = np.asarray(pts, dtype=float)
-        inside = cone_contains_many(self.base, pts)
-        head = self.constraints[:MEMBER_HEAD]
-        rest = self.constraints[MEMBER_HEAD:]
-        for lo in range(0, len(pts), MEMBER_BLOCK):
-            keep = inside[lo : lo + MEMBER_BLOCK]  # a view: updates land in ``inside``
-            cols = pts[lo : lo + MEMBER_BLOCK][keep].T
-            for c in (head, rest):
-                if not (cols.shape[1] and len(c)):
-                    break
-                ok = (c @ cols).max(axis=0) <= DEFAULT_TOL
-                keep[keep] = ok
-                cols = cols[:, ok]
-        return inside
+        d = self.base.dim
+        if d not in (2, 3):
+            raise ValueError(f"exact central-cone patches need d = 2 or 3, got d = {d}")
+        v = -np.linalg.inv(self.base.normals).T  # rows: B's rays, at height 1 on c
+        cons = self.constraints
+        if d == 2:
+            f0, f1 = v @ cons.T  # each constraint at both ends of the segment
+            g = f1 - f0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = -f0 / g  # where it crosses the segment v0 + t (v1 - v0)
+            lo, hi = t[g < 0].max(initial=0.0), t[g > 0].min(initial=1.0)
+            if np.any((g == 0) & (f0 > 0)) or not lo < hi:
+                raise RuntimeError("the central-cone sphere patch is empty")
+            u = v[0] + np.array([[lo], [hi]]) * (v[1] - v[0])
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            return u, unit(u.sum(axis=0))
+        if np.linalg.det(v) < 0:
+            v = v[::-1]  # counterclockwise seen from outside the sphere
+        while True:
+            f = v @ cons.T
+            worst = (f / np.linalg.norm(v, axis=1)[:, None]).max(axis=0)
+            cut = worst > DEFAULT_TOL
+            if not cut.any():
+                break
+            fj = f[:, np.argmax(worst)]  # clip by the deepest cut
+            cons = cons[cut]  # a constraint met by every vertex stays met
+            keep = fj <= 0
+            if not keep.any():
+                raise RuntimeError("the central-cone sphere patch is empty")
+            fn = np.roll(fj, -1)
+            e = np.flatnonzero(np.sign(fj) * np.sign(fn) < 0)  # edges i -> i + 1 that cross
+            t = fj[e] / (fj[e] - fn[e])
+            crossings = v[e] + t[:, None] * (np.roll(v, -1, axis=0)[e] - v[e])
+            order = np.argsort(np.concatenate([2 * np.flatnonzero(keep), 2 * e + 1]))
+            v = np.vstack([v[keep], crossings])[order]
+        u = v / np.linalg.norm(v, axis=1)[:, None]
+        moment, perimeter = _sphere_moment(u)
+        if not np.linalg.norm(moment) > DEFAULT_TOL * perimeter:
+            raise RuntimeError("the central-cone sphere patch is empty")
+        return u, unit(moment)
+
+
+def _sphere_moment(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """(int_P x dA, perimeter) of the spherical polygon P with unit vertices
+    ``u``, counterclockwise seen from outside; repeated vertices are harmless."""
+    nxt = np.roll(u, -1, axis=0)
+    cr = np.cross(u, nxt)
+    s = np.linalg.norm(cr, axis=1)
+    theta = np.arctan2(s, np.sum(u * nxt, axis=1))  # arc length of each edge
+    return 0.5 * (np.divide(theta, s, out=np.ones_like(s), where=s > 0) @ cr), float(theta.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,131 +208,21 @@ def central_cone(
     return CentralConeApprox(b, retained)
 
 
-def _uniform_cap(center: np.ndarray, theta: float, count: int, seed: int) -> np.ndarray:
-    """Uniform sample of the spherical cap of angular radius theta."""
-    d = center.size
-    rng = np.random.default_rng(seed)
-    if theta >= np.pi - 1e-9:
-        g = rng.standard_normal((count, d))
-        return g / np.linalg.norm(g, axis=1)[:, None]
-    if d == 2:
-        ang = theta * (2.0 * rng.random(count) - 1.0)
-        tang = np.array([-center[1], center[0]])
-        return np.cos(ang)[:, None] * center + np.sin(ang)[:, None] * tang
-    # polar angle density on S^(d-1) is proportional to sin(t)^(d-2)
-    if d == 3:
-        ct = 1.0 - rng.random(count) * (1.0 - np.cos(theta))
-        tt = np.arccos(np.clip(ct, -1.0, 1.0))
-    else:
-        grid = np.linspace(0.0, theta, 512)
-        pdf = np.sin(grid) ** (d - 2)
-        cdf = np.cumsum(pdf)
-        cdf /= cdf[-1]
-        tt = np.interp(rng.random(count), cdf, grid)
-    g = rng.standard_normal((count, d))
-    g -= np.outer(g @ center, center)
-    lens = np.linalg.norm(g, axis=1)
-    lens[lens == 0] = 1.0
-    tang = g / lens[:, None]
-    return np.cos(tt)[:, None] * center + np.sin(tt)[:, None] * tang
-
-
-def _mass_direction(m: DiscreteMeasure, b: SimplicialCone, inb: np.ndarray) -> np.ndarray:
-    """Unit mean direction of the mass in B (``inb`` marks the measure points
-    in B), or of B's generating rays when that mass has no direction."""
-    if inb.any():
-        v = (m.weights[inb])[:, None] * m.points[inb]
-        s = v.sum(axis=0)
-        if np.linalg.norm(s) > 1e-12:
-            return unit(s)
-    rays = -np.linalg.inv(b.normals)  # columns generate the cone
-    return unit(rays.sum(axis=1))
-
-
-def sample_central_rays(
+def central_patch(
     m: DiscreteMeasure,
     b: SimplicialCone,
-    count: int,
     seed: int = 0,
     constraint_samples: int = 1024,
-    cap_state: tuple[np.ndarray, float] | None = None,
-):
-    """Uniformly distributed rays of the central-cone sphere patch.
-
-    Draws from a spherical cap that adapts until it strictly covers the patch
-    (all hits at most 0.85 of the cap angle, and enough of them), then keeps
-    batching until ``count`` rays are collected.  Returns
-    (rays, (cap_center, cap_angle)).
-    """
-    approx = central_cone(m, b, samples=constraint_samples, seed=seed, max_constraints=320)
-    if cap_state is None:
-        inb = cone_contains_many(b, m.points)
-        center = _mass_direction(m, b, inb)
-        if inb.any():
-            norms = np.linalg.norm(m.points[inb], axis=1)
-            ok = norms > DEFAULT_TOL
-            cosang = (m.points[inb][ok] / norms[ok][:, None]) @ center
-            spread = float(np.arccos(np.clip(cosang.min(), -1.0, 1.0)))
-        else:
-            spread = 0.3
-        theta = max(0.02, 1.5 * spread)
-    else:
-        center, theta = cap_state
-    adapt_batch = 4000
-    hit = None
-    for attempt in range(48):
-        pts = _uniform_cap(center, theta, adapt_batch, seed + 101 * attempt)
-        hit = pts[approx.contains_many(pts)]
-        nh = hit.shape[0]
-        if nh == 0:
-            theta = min(np.pi, theta * 1.9)
-            continue
-        max_ang = float(np.arccos(np.clip((hit @ center).min(), -1.0, 1.0)))
-        covered = max_ang <= 0.85 * theta or theta >= np.pi - 1e-9
-        snug = covered and (max_ang >= 0.45 * theta or nh >= adapt_batch // 4)
-        if snug and nh >= 20:
-            break  # cap covers the patch and fits it snugly
-        center = unit(hit.mean(axis=0))
-        if not covered:
-            theta = min(np.pi, 2.5 * max_ang + 0.01)  # expand around the hits
-        elif nh >= 20:
-            theta = max(1e-4, 1.35 * max_ang)  # tighten a loose cap
-        else:
-            theta = max(1e-4, 0.7 * theta)  # too few hits to trust max_ang
-    else:
-        raise RuntimeError("could not locate the central-cone sphere patch")
-    rays = [hit]
-    total = hit.shape[0]
-    rate = max(total / adapt_batch, 1e-3)
-    extra = 0
-    while total < count and extra < 60:
-        extra += 1
-        need = int(min(400_000, 1.2 * (count - total) / rate)) + 64
-        pts = _uniform_cap(center, theta, need, seed + 101 * 40 + extra)
-        hit = pts[approx.contains_many(pts)]
-        rays.append(hit)
-        total += hit.shape[0]
-    return np.vstack(rays)[:count], (center, theta)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sphere patch of the central cone of B (its 320 most binding
+    constraints of a ``constraint_samples`` pool): (vertices, central
+    vector).  See ``CentralConeApprox.patch``."""
+    return central_cone(m, b, samples=constraint_samples, seed=seed, max_constraints=320).patch()
 
 
-def central_vector(
-    m: DiscreteMeasure,
-    b: SimplicialCone,
-    sphere_samples: int = 100_000,
-    seed: int = 0,
-):
-    """Monte Carlo central vector of B: normalized mean of uniform samples of
-    the central-cone sphere patch.
-
-    Returns (unit_vector, stderr, hits); deterministic in the seed; raises
-    when no sample lands in the patch.
-    """
-    rays, _ = sample_central_rays(m, b, count=sphere_samples, seed=seed)
-    mean = rays.mean(axis=0)
-    e = unit(mean)
-    spread = float(np.mean(np.sum((rays - mean) ** 2, axis=1)))
-    stderr = np.sqrt(spread / rays.shape[0]) / max(float(np.linalg.norm(mean)), 1e-12)
-    return e, float(stderr), int(rays.shape[0])
+# the benchmark's tracer hooks this name (its ray counter now counts patch
+# vertices); it goes with the benchmark change of ROADMAP item 8
+sample_central_rays = central_patch
 
 
 def containment_check(
@@ -314,9 +235,11 @@ def containment_check(
     """Cross-containment of central cones for heavily overlapping cone pairs.
 
     Requires max(mass(B1), mass(B2)) <= 1/(d+1) + 1/(3(d+1)^3) and
-    mass(B1 and B2) >= 1/(d+1) - (3d+2)/(3(d+1)^3); then every sampled
-    central-cone ray of each cone must lie in the partner cone, and the two
-    central vectors must lie in the partner cones (within 1e-7).
+    mass(B1 and B2) >= 1/(d+1) - (3d+2)/(3(d+1)^3); then the central-cone
+    patch of each cone and its central vector must lie in the partner cone
+    (within 1e-7).  The patch is convex, so it lies in a cone exactly when
+    its vertices do.  ``ray_samples`` is unused: it is kept only for the
+    benchmark's call and goes with the benchmark change of ROADMAP item 8.
     """
     d = m.dim
     cap = family_level_cap(d)
@@ -330,10 +253,8 @@ def containment_check(
         raise ValueError(f"intersection mass {inter} below the floor {floor}")
     ok = True
     for this, other in ((b1, b2), (b2, b1)):
-        rays, _ = sample_central_rays(m, this, count=ray_samples, seed=seed)
-        ok &= bool(np.all(cone_contains_many(other, rays, 1e-7)))
-        e = unit(rays.mean(axis=0))
-        ok &= bool(cone_contains_many(other, e[None, :], 1e-7)[0])
+        verts, e = central_patch(m, this, seed=seed)
+        ok &= bool(np.all(cone_contains_many(other, np.vstack([verts, e]), 1e-7)))
     return ok
 
 
@@ -413,7 +334,6 @@ def structural_map(
 
     sums = np.zeros((d + 1, d))
     nonzero = 0
-    cap_states: dict[int, tuple] = {}
     for s in range(tuple_samples):
         if s < n_perturb:
             nrm = _perturbed_normals(rng, ref.normals, MAP_PERTURB_ANGLE)
@@ -430,20 +350,12 @@ def structural_map(
         ok = True
         for j in range(d + 1):
             try:
-                rays, cs = sample_central_rays(
-                    m,
-                    cones[j],
-                    count=MAP_SPHERE_SAMPLES,
-                    seed=seed + 31 * s + j,
-                    constraint_samples=MAP_CONSTRAINT_SAMPLES,
-                    cap_state=cap_states.get(j),
-                )
+                _, e = central_patch(m, cones[j], seed=seed + 31 * s + j,
+                                     constraint_samples=MAP_CONSTRAINT_SAMPLES)
             except RuntimeError:
                 ok = False
                 break
-            contrib[j] = (a - w) * unit(rays.mean(axis=0))
-            # warm-start the next sample's cap search; coverage is re-checked
-            cap_states[j] = (cs[0], min(np.pi, cs[1] * 1.25))
+            contrib[j] = (a - w) * e
         if not ok:
             continue
         sums += contrib

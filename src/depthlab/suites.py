@@ -33,7 +33,7 @@ from .cones import (
     match_tuples,
     tuple_weight,
 )
-from .central import central_vector, containment_check, structural_map
+from .central import central_patch, containment_check, structural_map
 
 CSV_COLUMNS = ("suite", "check", "instance", "d", "n", "seed", "expected", "observed", "slack", "pass")
 
@@ -306,7 +306,7 @@ def central_suite(containment_pairs: int = 20, estimator_seeds=(0, 1, 2), thread
         for i in range(d + 1):
             b1, b2 = ca[i], cb[rep.permutation[i]]
             try:
-                ok = containment_check(m, b1, b2, ray_samples=10_000, seed=900 + k)
+                ok = containment_check(m, b1, b2, seed=900 + k)
             except ValueError:
                 continue  # mass hypotheses not met for this pair
             checked += 1
@@ -322,7 +322,7 @@ def central_suite(containment_pairs: int = 20, estimator_seeds=(0, 1, 2), thread
     octant = SimplicialCone(np.zeros(3), -np.eye(3))
 
     def estimate(s):
-        e, stderr, hits = central_vector(base, octant, sphere_samples=100_000, seed=s)
+        _, e = central_patch(base, octant, seed=s)
         ang = float(np.degrees(np.arccos(np.clip(e @ axis, -1, 1))))
         nrm_err = abs(float(np.linalg.norm(e)) - 1.0)
         return [

@@ -112,8 +112,8 @@ def test_06_central_cone_containment():
     rows = [r for r in _shared_run("central")[0] if r["check"] == "containment"]
     bad = _failures(rows)
     ok = not bad and len(rows) == 20
-    _report(6, "central-cone rays and vectors inside partner cones", ok,
-            f"({len(rows)} matched pairs, 10^4 rays each)")
+    _report(6, "central-cone patches and vectors inside partner cones", ok,
+            f"({len(rows)} matched pairs, exact patch vertices)")
     assert not bad, bad[:3]
 
 
@@ -123,7 +123,7 @@ def test_07_central_vector_estimator():
     angles = [r["observed"] for r in rows if r["check"] == "estimator_axis_angle_deg"]
     ok = not bad and len(angles) == 3
     _report(7, "axis-symmetric estimator (angle < 2 deg, unit norm)", ok,
-            f"(angles {['%.3f' % a for a in angles]} deg at 1e5 samples)")
+            f"(angles {['%.3f' % a for a in angles]} deg, exact patches)")
     assert not bad, bad[:3]
 
 

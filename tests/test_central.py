@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import central_referee as referee
 from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, sample_directions, unit
 from depthlab.measures import MeasureSpec, cone_mass, generate_measure, make_measure
 from depthlab.median import recenter, witness_tuple
@@ -14,21 +15,20 @@ from depthlab.cones import (
     tuple_weight,
 )
 from depthlab.central import (
-    MEMBER_BLOCK,
-    MEMBER_HEAD,
     CentralConeApprox,
     _exact_constraint_candidates,
     _family_member,
-    _uniform_cap,
+    _sphere_moment,
     central_cone,
-    central_vector,
+    central_patch,
     containment_check,
     default_capture_fraction,
-    sample_central_rays,
     structural_map,
 )
 from depthlab.depth import _row_blocks
 from depthlab.suites import _octant_symmetric_measure, _small_rotation
+
+OCTANT = SimplicialCone(np.zeros(3), -np.eye(3))
 
 
 @pytest.fixture(scope="module")
@@ -40,81 +40,131 @@ def mixture3():
     return mc, tup
 
 
+@pytest.fixture(scope="module")
+def mixture2():
+    spec = MeasureSpec("simplex_mixture", 2, 240, {"sigma": 0.01}, 31)
+    m = generate_measure(spec)
+    mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=31)
+    tup, _ = witness_tuple(mc, np.zeros(2), seed=31)
+    return mc, tup
+
+
+def _inside_patch(verts: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Membership of unit rays in the convex patch with ordered vertices
+    ``verts`` (an arc's ends in d = 2, a counterclockwise polygon in d = 3)."""
+    if verts.shape[1] == 2:
+        lo, hi = verts
+        cross = lambda a, b: a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]  # noqa: E731
+        turn = np.sign(cross(lo, hi))  # the arc runs either way
+        return (turn * cross(lo, pts) >= -tol) & (turn * cross(pts, hi) >= -tol)
+    edges = np.cross(verts, np.roll(verts, -1, axis=0))  # inward edge normals
+    return np.all(pts @ edges.T >= -tol, axis=1)
+
+
 def test_capture_fraction_default():
     assert default_capture_fraction(3) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_vector_matches_referee(d, mixture2, mixture3):
+    # the exact central vector against 10^6 rays of the frozen sampler on
+    # the same approximation: within 4 of the referee's standard errors;
+    # every ray lies in the exact patch and every vertex meets every
+    # constraint within 1e-9
+    mc, tup = mixture2 if d == 2 else mixture3
+    for j, b in enumerate(cones_of(tup).cones[:2]):
+        approx = central_cone(mc, b, samples=1024, seed=j, max_constraints=320)
+        verts, e = central_patch(mc, b, seed=j)
+        rays, _ = referee.sample_central_rays(mc, b, count=10**6, seed=j)
+        assert rays.shape == (10**6, d)
+        mean = rays.mean(axis=0)
+        stderr = np.sqrt(np.mean(np.sum((rays - mean) ** 2, axis=1)) / len(rays)) / np.linalg.norm(mean)
+        assert np.arccos(np.clip(e @ unit(mean), -1, 1)) <= 4 * stderr
+        assert np.all(_inside_patch(verts, rays, 1e-8))
+        assert np.all(verts @ approx.constraints.T <= 1e-9)
+        assert np.all(cone_contains_many(b, verts, 1e-9))
+
+
+def test_octant_moment_closed_form():
+    # the unconstrained octant: scale and orientation of the Stokes moment
+    verts, e = CentralConeApprox(OCTANT, np.empty((0, 3))).patch()
+    moment, perimeter = _sphere_moment(verts)
+    assert np.allclose(moment, np.full(3, np.pi / 4), atol=1e-12, rtol=0)
+    assert perimeter == pytest.approx(1.5 * np.pi, abs=1e-12)
+    assert np.allclose(e, np.ones(3) / np.sqrt(3), atol=1e-15)
+
+
+def test_constraint_through_base_ray():
+    # the plane x = y passes through the ray e3: the patch is the triangle
+    # e2, e3, (e1 + e2)/sqrt 2 with a closed-form moment
+    verts, e = CentralConeApprox(OCTANT, np.array([[1.0, -1.0, 0.0]]) / np.sqrt(2)).patch()
+    want = {(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (np.sqrt(0.5), np.sqrt(0.5), 0.0)}
+    assert len(verts) == 3
+    assert all(min(np.abs(v - w).max() for w in np.array(list(want))) < 1e-15 for v in verts)
+    moment, _ = _sphere_moment(verts)
+    r = np.sqrt(0.5)
+    assert np.allclose(moment, np.pi / 4 * np.array([1 - r, r, 0.5]), atol=1e-12, rtol=0)
+    assert np.allclose(e, unit(moment), atol=1e-15)
+    # in the plane: the line x = y through the quadrant's middle ray keeps
+    # the arc from (1, 1)/sqrt 2 to e2
+    quadrant = SimplicialCone(np.zeros(2), -np.eye(2))
+    verts, e = CentralConeApprox(quadrant, np.array([[1.0, -1.0]]) / np.sqrt(2)).patch()
+    assert np.allclose(verts, [[r, r], [0.0, 1.0]], atol=1e-15)
+    assert np.allclose(e, [np.sin(np.pi / 8), np.cos(np.pi / 8)], atol=1e-15)
+
+
+def test_nearly_parallel_constraints():
+    # constraints 1e-10 rad apart cut as the tighter one alone does
+    a = unit([1.0, -1.0, 0.2])
+    b = unit(a + 1e-10 * unit(np.cross(a, [0.0, 0.0, 1.0])))
+    _, one_e = CentralConeApprox(OCTANT, a[None]).patch()
+    both_v, both_e = CentralConeApprox(OCTANT, np.vstack([a, b])).patch()
+    assert np.all(both_v @ np.vstack([a, b]).T <= DEFAULT_TOL)
+    assert np.linalg.norm(one_e - both_e) < 1e-9
+    quadrant = SimplicialCone(np.zeros(2), -np.eye(2))
+    c = np.array([[1.0, -1.0], [1.0, -1.0 - 1e-10]])
+    verts, _ = CentralConeApprox(quadrant, c / np.linalg.norm(c, axis=1)[:, None]).patch()
+    assert np.all(verts @ (c / np.linalg.norm(c, axis=1)[:, None]).T <= 1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_empty_patch_raises(d):
+    base = SimplicialCone(np.zeros(d), -np.eye(d))
+    a = unit(np.r_[1.0, -1.0, np.zeros(d - 2)])
+    for cons in (np.ones((1, d)) / np.sqrt(d), np.vstack([a, -a])):  # nothing left; a zero-width sliver
+        with pytest.raises(RuntimeError, match="empty"):
+            CentralConeApprox(base, cons).patch()
+
+
+def test_patch_rejects_d4():
+    base = SimplicialCone(np.zeros(4), -np.eye(4))
+    with pytest.raises(ValueError, match="d = 4"):
+        CentralConeApprox(base, np.empty((0, 4))).patch()
+
+
 def test_central_cone_subset_of_base(mixture3):
     mc, tup = mixture3
-    b = cones_of(tup).cones[0]
-    rays, _ = sample_central_rays(mc, b, count=500, seed=0)
-    assert np.all(cone_contains_many(b, rays, 1e-9))
-
-
-def _full_product_membership(approx, pts):
-    return cone_contains_many(approx.base, pts) & np.all(pts @ approx.constraints.T <= DEFAULT_TOL, axis=1)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_contains_many_matches_full_product(d):
-    # the blocked, early-exit kernel decides every ray as one full product
-    # does: on both sides of the head and block sizes, on constraint planes,
-    # in the (0, tol] band beyond them, and with duplicate constraints
-    rng = np.random.default_rng(40 + d)
-    base = SimplicialCone(np.zeros(d), -np.eye(d))  # the positive orthant
-    center = unit(np.ones(d))
-    for k in (0, 1, MEMBER_HEAD - 1, MEMBER_HEAD, MEMBER_HEAD + 1, 320):
-        # half-spaces <c, x> <= 0 that keep every ray within 0.77-1.27
-        # rad of the central direction on the side of c
-        t = rng.standard_normal((k, d))
-        t -= np.outer(t @ center, center)
-        t /= np.linalg.norm(t, axis=1)[:, None]
-        beta = rng.uniform(0.3, 0.8, size=(k, 1))
-        c = np.cos(beta) * t - np.sin(beta) * center
-        if k > 2:
-            c[k // 2] = c[1]  # duplicate constraints
-        approx = CentralConeApprox(base, c)
-        for rows in (0, 1, MEMBER_BLOCK - 1, MEMBER_BLOCK, MEMBER_BLOCK + 1, 4000):
-            pts = center + 0.5 * rng.standard_normal((rows, d))
-            if k and rows > 8:
-                # rays exactly on a constraint plane, and rays in the band
-                # (0, tol] beyond one that the tolerance still admits
-                q = rows // 4
-                on, band = pts[:q], pts[q : 2 * q]
-                j = rng.integers(0, k, size=(2, q))
-                on -= np.sum(on * c[j[0]], axis=1)[:, None] * c[j[0]]
-                lift = (1.0 - rng.random(q)) * DEFAULT_TOL
-                band -= (np.sum(band * c[j[1]], axis=1) - lift)[:, None] * c[j[1]]
-            got = approx.contains_many(pts)
-            want = _full_product_membership(approx, pts)
-            assert got.dtype == bool and got.shape == (rows,)
-            assert np.array_equal(got, want), (k, rows)
-            if k == 320 and rows == 4000:
-                # hits, misses at the head, and misses past the head
-                head = _full_product_membership(CentralConeApprox(base, c[:MEMBER_HEAD]), pts)
-                assert 0 < got.sum() < head.sum() < rows
+    for j, b in enumerate(cones_of(tup).cones):
+        verts, e = central_patch(mc, b, seed=j)
+        assert np.all(cone_contains_many(b, np.vstack([verts, e]), 1e-9))
+        assert np.allclose(np.linalg.norm(verts, axis=1), 1.0, atol=1e-15)
 
 
 def test_central_cone_positive_mass(mixture3):
     mc, tup = mixture3
     for b in cones_of(tup).cones:
         approx = central_cone(mc, b, samples=512, seed=1)
-        inside = approx.contains_many(mc.points)
+        inside = referee.contains(approx, mc.points)
         assert float(mc.weights[inside].sum()) > 0
 
 
 def test_central_cone_monotone_refinement(mixture3):
-    # doubling the prefix-stable constraint stream only shrinks the region
+    # doubling the prefix-stable constraint stream only shrinks the patch
     mc, tup = mixture3
-    b = cones_of(tup).cones[1]
-    small = central_cone(mc, b, samples=256, seed=3)
-    big = central_cone(mc, b, samples=512, seed=3)
-    # uniform rays in a cap twice as wide as the one that covers the patch
-    _, (center, theta) = sample_central_rays(mc, b, count=100, seed=4)
-    rays = _uniform_cap(center, 2.0 * theta, 20_000, seed=4)
-    probe = rays[big.contains_many(rays)]
-    assert 100 <= probe.shape[0] < rays.shape[0]
-    assert np.all(small.contains_many(probe))  # big-approximation rays pass the small set
+    for b in cones_of(tup).cones:
+        small, _ = central_cone(mc, b, samples=256, seed=3).patch()
+        big, _ = central_cone(mc, b, samples=512, seed=3).patch()
+        assert np.all(_inside_patch(small, big, 1e-9))
 
 
 def test_central_cone_capture_in_blocks(mixture3):
@@ -142,20 +192,18 @@ def test_central_cone_validations(mixture3):
 
 def test_central_vector_unit_norm_and_axis():
     m = _octant_symmetric_measure(300, 0.15)
-    octant = SimplicialCone(np.zeros(3), -np.eye(3))
-    e, stderr, hits = central_vector(m, octant, sphere_samples=20_000, seed=2)
+    _, e = central_patch(m, OCTANT, seed=2)
     assert abs(np.linalg.norm(e) - 1.0) <= 1e-12
     ang = np.degrees(np.arccos(np.clip(e @ unit(np.ones(3)), -1, 1)))
     assert ang < 2.0
-    assert stderr < 0.01 and hits == 20_000
 
 
 def test_central_vector_in_own_approximation(mixture3):
     mc, tup = mixture3
     b = cones_of(tup).cones[2]
-    approx = central_cone(mc, b, 1024, 5, max_constraints=320)  # the one central_vector samples
-    e, _, _ = central_vector(mc, b, sphere_samples=2000, seed=5)
-    assert approx.contains_many(e[None])[0]
+    approx = central_cone(mc, b, 1024, 5, max_constraints=320)  # the one central_patch clips
+    _, e = central_patch(mc, b, seed=5)
+    assert referee.contains(approx, e[None])[0]
 
 
 def test_central_vector_concentrated_subcone():
@@ -167,10 +215,9 @@ def test_central_vector_concentrated_subcone():
     tang -= np.outer(tang @ ray, ray)
     pts = (rng.random(400)[:, None] * 2 + 0.5) * (ray[None, :] + tang)
     m = make_measure(pts)
-    b = SimplicialCone(np.zeros(3), -np.eye(3))  # wide host cone
-    # reference estimate with a 10x denser pool
-    e_ref, _, _ = central_vector(m, b, sphere_samples=20_000, seed=100)
-    e, _, _ = central_vector(m, b, sphere_samples=2000, seed=9)
+    # reference with a 4x denser constraint pool
+    _, e_ref = central_patch(m, OCTANT, seed=100, constraint_samples=4096)
+    _, e = central_patch(m, OCTANT, seed=9)
     assert np.degrees(np.arccos(np.clip(e @ ray, -1, 1))) < 5.0
     assert np.degrees(np.arccos(np.clip(e @ e_ref, -1, 1))) < 2.0
 
@@ -178,7 +225,7 @@ def test_central_vector_concentrated_subcone():
 def test_containment_identity(mixture3):
     mc, tup = mixture3
     b = cones_of(tup).cones[0]
-    assert containment_check(mc, b, b, ray_samples=1500, seed=0)
+    assert containment_check(mc, b, b, seed=0)
 
 
 def test_containment_matched_pair(mixture3):
@@ -187,14 +234,14 @@ def test_containment_matched_pair(mixture3):
     rep = match_tuples(mc, tup, t2, eps=epsilon_match_max(3))
     ca, cb = cones_of(tup).cones, cones_of(t2).cones
     for i in range(4):
-        assert containment_check(mc, ca[i], cb[rep.permutation[i]], ray_samples=1500, seed=i)
+        assert containment_check(mc, ca[i], cb[rep.permutation[i]], seed=i)
 
 
 def test_containment_hypotheses_enforced(mixture3):
     mc, tup = mixture3
     cones = cones_of(tup).cones
     with pytest.raises(ValueError, match="intersection mass"):
-        containment_check(mc, cones[0], cones[1], ray_samples=500, seed=0)
+        containment_check(mc, cones[0], cones[1], seed=0)
 
 
 def test_overlap_mass_pivot(mixture3):
