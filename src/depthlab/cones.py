@@ -187,30 +187,6 @@ def _pair_masses(m: DiscreteMeasure, A: GeneratingTuple, B: GeneratingTuple) -> 
     return (in_a * m.weights) @ in_b.T
 
 
-def _perfect_matching(adj: np.ndarray):
-    """Maximum bipartite matching by augmenting paths; returns column match
-    per row or None if no perfect matching exists."""
-    n = adj.shape[0]
-    match_col = [-1] * n  # column -> row
-
-    def try_row(r, visited):
-        for c in range(n):
-            if adj[r, c] and not visited[c]:
-                visited[c] = True
-                if match_col[c] == -1 or try_row(match_col[c], visited):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_row(r, [False] * n):
-            return None
-    sigma = np.empty(n, dtype=int)
-    for c, r in enumerate(match_col):
-        sigma[r] = c
-    return sigma
-
-
 def match_tuples(
     m: DiscreteMeasure,
     A: GeneratingTuple,
@@ -220,9 +196,11 @@ def match_tuples(
     """Match the cones of two small-weight tuples by shared mass.
 
     Builds the bipartite graph with an edge where the intersection mass
-    exceeds ``MATCH_EDGE_MASS``; the graph must be a unique perfect matching and
-    every matched mass must exceed 1/(d+1) - (3d+2) eps.  Violations raise
-    MatchingError rather than returning silently.
+    exceeds ``MATCH_EDGE_MASS``; the graph must be a unique perfect matching,
+    which with no edge off the matching means a permutation matrix (one edge
+    in every row and every column), and every matched mass must exceed
+    1/(d+1) - (3d+2) eps.  Violations raise MatchingError rather than
+    returning silently.
     """
     d = A.d
     if B.d != d:
@@ -236,17 +214,13 @@ def match_tuples(
             raise ValueError(f"{name} tuple has weight {w}, not below 1/(d+1) + eps = {cap}")
     masses = _pair_masses(m, A, B)
     adj = masses > MATCH_EDGE_MASS
-    sigma = _perfect_matching(adj)
-    if sigma is None:
-        raise MatchingError(f"no perfect matching; intersection masses:\n{masses}")
-    floor = 1.0 / (d + 1) - (3 * d + 2) * eps
-    off = masses.copy()
-    off[np.arange(d + 1), sigma] = 0.0
-    if np.any(off > MATCH_EDGE_MASS):
+    if np.any(adj.sum(axis=0) != 1) or np.any(adj.sum(axis=1) != 1):
         raise MatchingError(
-            f"matching is not unique: off-matching mass up to {off.max():.3g} "
-            f"exceeds the edge threshold {MATCH_EDGE_MASS}"
+            f"cone overlaps above the edge mass {MATCH_EDGE_MASS} are not one per row "
+            f"and column; intersection masses:\n{masses}"
         )
+    sigma = np.argmax(adj, axis=1)
+    floor = 1.0 / (d + 1) - (3 * d + 2) * eps
     matched = masses[np.arange(d + 1), sigma]
     if np.any(matched <= floor):
         raise MatchingError(

@@ -253,7 +253,7 @@ def _split_query(m: DiscreteMeasure, q: np.ndarray, tol: float):
     return p[~coincident], m.weights[~coincident], w0
 
 
-def exact_depth_value_2d(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL):
+def exact_depth_value_2d(m: DiscreteMeasure, q):
     """Exact planar depth value with an unresolved witness candidate.
 
     Same value as ``point_depth(..., mode="exact")``, with the direction of
@@ -261,11 +261,11 @@ def exact_depth_value_2d(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL):
     callers that only need the number and a descent direction.
     """
     q = np.asarray(q, dtype=float)[None]
-    vals, dirs = exact_depth_values_2d([m.points], [m.weights], [0], q, tol)
+    vals, dirs = exact_depth_values_2d([m.points], [m.weights], [0], q)
     return float(vals[0]), dirs[0]
 
 
-def exact_depth_values_2d(points, weights, which, q, tol: float = DEFAULT_TOL):
+def exact_depth_values_2d(points, weights, which, q):
     """``exact_depth_value_2d`` of many queries at once: row r is the query
     q[r] (R, 2) in the planar measure (points[which[r]], weights[which[r]]),
     points and weights being stacks (M, n, 2) and (M, n) of M measures
@@ -282,7 +282,7 @@ def exact_depth_values_2d(points, weights, which, q, tol: float = DEFAULT_TOL):
         k = which[s : s + step]
         phat = points[k] - q[s : s + step, None, :]
         norms = np.linalg.norm(phat, axis=2)
-        kept = norms > tol
+        kept = norms > DEFAULT_TOL
         w = weights[k]
         phat /= np.where(kept, norms, 1.0)[..., None]
         at_q = (~kept).sum(axis=1)
@@ -297,7 +297,7 @@ def exact_depth_values_2d(points, weights, which, q, tol: float = DEFAULT_TOL):
         if at_q.any():
             fill = phat[np.arange(len(k)), np.argmax(kept, axis=1)]
             phat = np.where(kept[..., None], phat, fill[:, None, :])
-        val, phi = _sweep(phat, np.where(kept, w, 0.0), tol)
+        val, phi = _sweep(phat, np.where(kept, w, 0.0), DEFAULT_TOL)
         empty = at_q == n
         vals[s : s + step] = np.where(empty, 1.0, w0 + val)
         dirs[s : s + step, 0] = np.where(empty, 1.0, np.cos(phi))
@@ -305,7 +305,7 @@ def exact_depth_values_2d(points, weights, which, q, tol: float = DEFAULT_TOL):
     return vals, dirs
 
 
-def sampled_depth_values(points, weights, which, q, directions, tol: float = DEFAULT_TOL):
+def sampled_depth_values(points, weights, which, q, directions):
     """``point_depth(mode="sampled")`` of many queries at once: row r is the
     query q[r] (R, d) in the measure (points[which[r]], weights[which[r]]),
     stacked as there, minimized over its own unit directions directions[r]
@@ -327,19 +327,19 @@ def sampled_depth_values(points, weights, which, q, directions, tol: float = DEF
         phat = (p / norms[..., None]).transpose(0, 2, 1)
         for b, i in enumerate(k):
             u = directions[lo + b]
-            masses = np.concatenate([(u[blk] @ phat[b] >= -tol) @ weights[i] for blk in _row_blocks(len(u), n)])
+            masses = np.concatenate([(u[blk] @ phat[b] >= -DEFAULT_TOL) @ weights[i] for blk in _row_blocks(len(u), n)])
             j = int(np.argmin(masses))
             vals[lo + b], wits[lo + b] = masses[j], u[j]
     return vals, wits
 
 
-def closed_mass_bounds(points, weights, which, q, directions, tol: float = DEFAULT_TOL):
+def closed_mass_bounds(points, weights, which, q, directions):
     """Upper bounds on the values of ``exact_depth_values_2d`` (from any unit
     directions) and ``sampled_depth_values`` (from directions among the
     row's own), rows and stacks as there: row r gets the least, over its
     unit directions u in directions[r] (R, D, d), of the mass of the points
     p of measure which[r] with |p - q[r]| <= 2 tol or <u, p - q[r]> >= -eta
-    |p - q[r]|, eta = 3 (n + 1) tol.
+    |p - q[r]|, eta = 3 (n + 1) tol, tol being ``DEFAULT_TOL``.
 
     The slack eta makes the bound hold for the planar sweep although it
     skips arcs no wider than 4 tol: at most n breakpoints fall within angle
@@ -353,7 +353,7 @@ def closed_mass_bounds(points, weights, which, q, directions, tol: float = DEFAU
     """
     points, weights = np.asarray(points), np.asarray(weights)
     (R, D, d), n = directions.shape, weights.shape[1]
-    eta = 3.0 * (n + 1) * tol
+    eta = 3.0 * (n + 1) * DEFAULT_TOL
     out = np.empty(R)
     step = max(1, 4 * _CHUNK // (n * D))
     for lo in range(0, R, step):
@@ -361,7 +361,7 @@ def closed_mass_bounds(points, weights, which, q, directions, tol: float = DEFAU
         pt = np.empty((len(k), d, n))
         np.subtract(points[k].transpose(0, 2, 1), q[lo : lo + step, :, None], out=pt)
         norms = np.sqrt(np.einsum("rkn,rkn->rn", pt, pt))
-        norms[norms <= 2.0 * tol] = np.inf  # a point at the query counts under every direction
+        norms[norms <= 2.0 * DEFAULT_TOL] = np.inf  # a point at the query counts under every direction
         pt /= norms[:, None, :]
         s = np.matmul(directions[lo : lo + step], pt) >= -eta
         w = weights[k]
@@ -375,7 +375,6 @@ def point_depth(
     mode: str = "exact",
     sample_count: int = 512,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> DepthResult:
     """Half-space depth of a point.
 
@@ -397,7 +396,7 @@ def point_depth(
     if mode == "exact":
         if m.dim > EXACT_MAX_DIM or m.n > EXACT_MAX_N:
             raise ValueError(f"exact mode limited to dim <= {EXACT_MAX_DIM}, n <= {EXACT_MAX_N}")
-        P, w, w0 = _split_query(m, q, tol)
+        P, w, w0 = _split_query(m, q, DEFAULT_TOL)
         if P.shape[0] == 0:
             return DepthResult(1.0, np.eye(m.dim)[0], "exact")
         phat = P / np.linalg.norm(P, axis=1)[:, None]
@@ -405,16 +404,16 @@ def point_depth(
             pos, neg = float(w[phat[:, 0] > 0].sum()), float(w[phat[:, 0] < 0].sum())
             val, u = min(pos, neg), np.array([1.0 if pos <= neg else -1.0])
         else:
-            vals, us = _min_halfspace_mass(phat[None], w[None], tol, tol)
+            vals, us = _min_halfspace_mass(phat[None], w[None], DEFAULT_TOL, DEFAULT_TOL)
             val, u = float(vals[0]), us[0]
-        depth = w0 + float(w[phat @ u >= -tol].sum())
+        depth = w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())
         # beyond general position the minimum may be unattainable at the
         # witness; its attained mass is then a certified upper bound
         mode = "exact" if abs(depth - (w0 + val)) <= 1e-9 else "exact-upper-bound"
         return DepthResult(depth, u, mode)
     if mode == "sampled":
         u = sample_directions(m.dim, sample_count, seed=seed, mode="sphere")
-        vals, us = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None], tol)
+        vals, us = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])
         return DepthResult(float(vals[0]), us[0], "sampled")
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -482,7 +481,7 @@ def _row_blocks(rows: int, n: int) -> list:
 # independent brute-force oracle
 
 
-def depth_oracle(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL) -> DepthResult:
+def depth_oracle(m: DiscreteMeasure, q) -> DepthResult:
     """Exhaustive ground-truth depth for tiny instances (n <= 14, dim <= 3).
 
     Enumerates hyperplane normals through q and <= d-1 points, composing each
@@ -493,7 +492,7 @@ def depth_oracle(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL) -> DepthResult
     q = as_vector(q)
     if m.dim > ORACLE_MAX_DIM or m.n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to dim <= {ORACLE_MAX_DIM}, n <= {ORACLE_MAX_N}")
-    P, w, w0 = _split_query(m, q, tol)
+    P, w, w0 = _split_query(m, q, DEFAULT_TOL)
     n, d = P.shape
     if n == 0:
         return DepthResult(1.0, np.eye(m.dim)[0], "oracle")
@@ -520,7 +519,7 @@ def depth_oracle(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL) -> DepthResult
         vals = (s >= 0) @ w
         i0, iw = np.unravel_index(int(np.argmin(vals)), vals.shape)
         best = float(vals[i0, iw])
-        witness = _oracle_witness(P, w, best, u0s[i0], wfam[iw], None, tol)
+        witness = _oracle_witness(P, w, best, u0s[i0], wfam[iw], None)
         return DepthResult(w0 + best, witness, "oracle")
 
     # d == 3
@@ -559,11 +558,11 @@ def depth_oracle(m: DiscreteMeasure, q, tol: float = DEFAULT_TOL) -> DepthResult
             best = float(vals[jw, jv])
             best_combo = (u0.copy(), wf[jw].copy(), vfam[jv].copy())
     u0, wv, vv = best_combo
-    witness = _oracle_witness(P, w, best, u0, wv, vv, tol)
+    witness = _oracle_witness(P, w, best, u0, wv, vv)
     return DepthResult(w0 + best, witness, "oracle")
 
 
-def _oracle_witness(P, w, target, u0, wvec, vvec, tol):
+def _oracle_witness(P, w, target, u0, wvec, vvec):
     """Realize a lexicographic perturbation as a concrete unit direction.
 
     ``target`` is the mass over the non-coincident points only.
@@ -578,7 +577,7 @@ def _oracle_witness(P, w, target, u0, wvec, vvec, tol):
         if vn is not None:
             u = u + (e1 * e1) * vn
         u = unit(u)
-        val = float(w[phat @ u >= -tol].sum())
+        val = float(w[phat @ u >= -DEFAULT_TOL].sum())
         if abs(val - target) <= 1e-12:
             return u
         e1 /= 8.0

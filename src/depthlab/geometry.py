@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * A half-space is stored as a unit outer normal ``n`` and an offset ``c``;
   the half-space is ``{x : <n, x> <= c}`` and its boundary is ``<n, x> = c``.
   Half-spaces through the origin have offset 0.
-* All predicates take an explicit tolerance (default ``DEFAULT_TOL``).
+* Predicates and masses count points within ``DEFAULT_TOL`` of a boundary
+  as on it.
 * Projective directions are canonicalized so that the first coordinate whose
   magnitude exceeds a tiny threshold is positive.
 
@@ -40,16 +41,16 @@ def unit(x) -> np.ndarray:
     return v / nrm
 
 
-def canonical_direction(v, tol: float = 1e-13) -> np.ndarray:
+def canonical_direction(v) -> np.ndarray:
     """Unit representative of the line through v with the canonical sign.
 
-    The sign rule: the first coordinate with magnitude above ``tol`` is
+    The sign rule: the first coordinate with magnitude above 1e-13 is
     positive.  Stable under small perturbations away from coordinate
     hyperplanes, and makes directions hashable/deduplicatable.
     """
     u = unit(v)
     for c in u:
-        if abs(c) > tol:
+        if abs(c) > 1e-13:
             return u if c > 0 else -u
     raise ValueError("direction vector is numerically zero")
 

@@ -206,19 +206,19 @@ def project_measure(m: DiscreteMeasure, f: Flat) -> DiscreteMeasure:
     return DiscreteMeasure(m.dim - f.k, m.points @ comp.T, m.weights)
 
 
-def halfspace_mass(m: DiscreteMeasure, h: HalfSpace, tol: float = DEFAULT_TOL) -> float:
-    """Mass of the closed half-space; boundary points (within tol) count."""
+def halfspace_mass(m: DiscreteMeasure, h: HalfSpace) -> float:
+    """Mass of the closed half-space; boundary points (within ``DEFAULT_TOL``) count."""
     if h.dim != m.dim:
         raise ValueError(f"half-space dim {h.dim} != measure dim {m.dim}")
     s = m.points @ h.normal - h.offset
-    return float(m.weights[s <= tol].sum())
+    return float(m.weights[s <= DEFAULT_TOL].sum())
 
 
-def cone_mass(m: DiscreteMeasure, b: SimplicialCone, tol: float = DEFAULT_TOL) -> float:
+def cone_mass(m: DiscreteMeasure, b: SimplicialCone) -> float:
     """Mass of the closed simplicial cone."""
     if b.dim != m.dim:
         raise ValueError(f"cone dim {b.dim} != measure dim {m.dim}")
-    return float(m.weights[cone_contains_many(b, m.points, tol)].sum())
+    return float(m.weights[cone_contains_many(b, m.points)].sum())
 
 
 def save_measure(m: DiscreteMeasure, path) -> None:

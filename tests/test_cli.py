@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from depthlab.cli import ConfigError, ExperimentConfig, _suite_params, main, run_experiment
+from depthlab.median import ARRANGEMENT_MAX_N
 from depthlab.suites import rows_to_csv, run_suite
 
 
@@ -112,6 +113,14 @@ def test_median_arrangement_mode_names_its_field(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", {"command": "median", "measure": gauss, "budget": {"mode": "arrangement"}})
     assert main(["median", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "config.budget.mode" in capsys.readouterr().err
+
+
+def test_median_arrangement_mode_refuses_n_above_limit(tmp_path, capsys):
+    gauss = {"kind": "gaussian", "dim": 2, "n": ARRANGEMENT_MAX_N + 1}
+    cfg = write(tmp_path, "c.json", {"command": "median", "measure": gauss, "budget": {"mode": "arrangement"}})
+    assert main(["median", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config.budget.mode" in err and f"n = {ARRANGEMENT_MAX_N + 1}" in err
 
 
 def test_verify_command_and_determinism(tmp_path):

@@ -147,6 +147,25 @@ def test_match_weight_precondition(tri_tuple):
         match_tuples(m, tri_tuple, tri_tuple, eps=epsilon_match_max(2))
 
 
+@pytest.mark.parametrize("masses, sigma", [
+    ([[0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.3, 0.0, 0.0]], [1, 2, 0]),
+    ([[0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.3, 0.0, 1e-3]], None),  # an extra edge
+    ([[0.0, 0.3, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 0.3]], None),  # a row with no edge
+    ([[0.3, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.3]], None),  # two rows on one column
+])
+def test_match_needs_permutation_of_edges(monkeypatch, tri_tuple, masses, sigma):
+    import depthlab.cones as cones
+
+    monkeypatch.setattr(cones, "_pair_masses", lambda m, A, B: np.array(masses))
+    at_apex = make_measure([[0.0, 0.0]])  # in every closed half-space: tuple weight 0
+    if sigma is None:
+        with pytest.raises(MatchingError):
+            match_tuples(at_apex, tri_tuple, tri_tuple, eps=epsilon_match_max(2))
+    else:
+        rep = match_tuples(at_apex, tri_tuple, tri_tuple, eps=epsilon_match_max(2))
+        assert rep.permutation.tolist() == sigma
+
+
 def test_match_shuffled_recovers_permutation(mixture_with_witness):
     mc, tup = mixture_with_witness
     perm = np.array([2, 0, 1])

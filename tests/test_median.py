@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import arrangement_referee
+import depthlab.median
 from depthlab.geometry import HalfSpace
 from depthlab.measures import MeasureSpec, generate_measure, make_measure, halfspace_mass
 from depthlab.depth import point_depth
 from depthlab.median import (
+    ARRANGEMENT_MAX_N,
     WitnessSearchError,
     min_normal_set,
     recenter,
@@ -62,6 +65,52 @@ def test_arrangement_mode_limits():
     m = make_measure(np.random.default_rng(0).standard_normal((10, 3)))
     with pytest.raises(ValueError):
         tukey_median(m, mode="arrangement")
+
+
+def test_arrangement_mode_refuses_n_above_limit():
+    m = generate_measure(MeasureSpec("gaussian", 2, ARRANGEMENT_MAX_N + 1, {}, seed=0))
+    with pytest.raises(ValueError, match=f"n <= {ARRANGEMENT_MAX_N}"):
+        tukey_median(m, mode="arrangement")
+
+
+def _grid_measure(seed):
+    """Integer points in [-3, 3]^2, n = 3..15: duplicates and collinear
+    triples throughout, a planted collinear run at every third seed, a
+    repeated point at every fifth, integer weights at odd seeds."""
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 13
+    pts = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    if seed % 3 == 0:
+        k = max(3, n // 2)
+        pts[:k] = rng.integers(-2, 3, size=2) + np.arange(k)[:, None] * rng.integers(-1, 2, size=2)
+    if seed % 5 == 0 and n > 3:
+        pts[-1] = pts[0]
+    w = rng.integers(1, 5, size=n).astype(float) if seed % 2 else None
+    return make_measure(pts, w)
+
+
+@pytest.mark.parametrize("m", [_grid_measure(s) for s in range(40)]
+                         + [generate_measure(MeasureSpec("gaussian", 2, 20, {}, seed=0))])
+def test_arrangement_median_matches_referee(m):
+    got = tukey_median(m, mode="arrangement")
+    ref = arrangement_referee._arrangement_median(m)
+    assert got.point.tobytes() == ref.point.tobytes()
+    assert got.depth == ref.depth
+    assert got.candidates_evaluated == ref.candidates_evaluated
+
+
+def test_arrangement_median_checks_one_witness(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return point_depth(*args, **kwargs)
+
+    monkeypatch.setattr(depthlab.median, "point_depth", counted)
+    for seed in (7, 12):
+        calls.clear()
+        r = tukey_median(_grid_measure(seed), mode="arrangement")
+        assert len(calls) == 1 and r.candidates_evaluated > 100
 
 
 def test_grid_is_not_a_median_mode(square):
