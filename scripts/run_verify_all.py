@@ -4,13 +4,17 @@
 The reduced sizes are the ``quick`` parameters of each entry in the suite
 registry ``depthlab.suites.SUITES``, whose function defaults are the
 acceptance sizes; this script is a quick smoke pass (a few minutes) that
-exercises the same machinery.
+exercises the same machinery.  ``--full`` runs each suite at its
+acceptance sizes instead (a few minutes for most suites, longer for
+theorem1).
 
     python scripts/run_verify_all.py --out verify_out --compare ref_out
+    python scripts/run_verify_all.py --full --suites rado --out full_out --compare full_ref
 
 With ``--compare DIR`` it also checks that each suite's CSV is
 byte-identical to ``DIR/<suite>.csv`` (say, the output of the parent
-commit), prints the first differing row of each that is not, and exits 1.
+commit at the same sizes), prints the first differing row of each that is
+not, and exits 1.
 """
 
 import argparse
@@ -28,13 +32,14 @@ def main():
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--suites", nargs="*", default=list(suites.SUITES), choices=list(suites.SUITES))
     ap.add_argument("--compare", metavar="DIR", help="require CSVs byte-identical to DIR/<suite>.csv")
+    ap.add_argument("--full", action="store_true", help="acceptance sizes (the suite function defaults)")
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     failed = differ = 0
     for name in args.suites:
         t0 = time.perf_counter()
-        rows = suites.run_suite(name, suites.SUITES[name].quick, threads=args.threads)
+        rows = suites.run_suite(name, None if args.full else suites.SUITES[name].quick, threads=args.threads)
         dt = time.perf_counter() - t0
         (out / f"{name}.csv").write_text(suites.rows_to_csv(rows), newline="")
         bad = [r for r in rows if not r["pass"]]

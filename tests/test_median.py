@@ -99,6 +99,20 @@ def test_arrangement_median_matches_referee(m):
     assert got.candidates_evaluated == ref.candidates_evaluated
 
 
+def test_first_rows_match_unique():
+    # the arrangement dedupe keeps the rows np.unique(axis=0) keeps, with
+    # -0.0 and 0.0 equal keys
+    signed = np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, -0.0]])
+    assert depthlab.median._first_rows(signed).tolist() == [0, 2]
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 7, 40, 300, 5000):
+        keys = rng.integers(-3, 4, size=(k, 2)).astype(float)
+        keys[rng.random(k) < 0.5] *= -1.0
+        keys[rng.integers(0, k, size=k // 3)] = keys[0]
+        want = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+        assert np.array_equal(depthlab.median._first_rows(keys), want)
+
+
 def test_arrangement_median_checks_one_witness(monkeypatch):
     calls = []
 

@@ -62,3 +62,14 @@ def test_verify_all_compare_reports_first_difference(tmp_path):
     r = run("--out", str(tmp_path / "new"), "--compare", str(ref))
     assert r.returncode == 1
     assert "DIFFERS" in r.stdout and "line 4" in r.stdout and rows[3].strip() in r.stdout
+
+
+def test_verify_all_full_runs_acceptance_sizes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_verify_all.py"), "--suites", "oracle", "--full",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert r.returncode == 0
+    assert (tmp_path / "oracle.csv").read_text() == rows_to_csv(run_suite("oracle"))
