@@ -12,11 +12,16 @@ Stokes' theorem,
 
     int_P x dA = 1/2 sum_i theta_i (v_i x v_{i+1}) / |v_i x v_{i+1}|
 
-over its edges, theta_i being the arc length of edge i.
+over its edges, theta_i being the arc length of edge i.  Patches are clipped
+in lockstep, many cones at once on padded arrays, with the bits of one clip
+per cone.
 
 The structural map sends a recentered measure to an unordered tuple of d + 1
 vectors, one per matched-cone slot, by integrating (a - weight) e(B_i) over
-normal tuples; the origin ends up strictly inside their convex hull.
+normal tuples; the origin ends up strictly inside their convex hull.  It
+screens every tuple sample first, then builds the central cones of
+``MAP_BLOCK`` family members at a time, clips all their patches together
+and adds the contributions in sample order.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ from .depth import _row_blocks, exact_affordable, point_depth
 MAP_CONSTRAINT_SAMPLES = 384
 MAP_PERTURB_ANGLE = 0.1
 MAP_UNIFORM_SHARE = 0.1
+# tuple samples whose central cones are built and clipped together
+MAP_BLOCK = 8
 
 
 def default_capture_fraction(d: int) -> float:
@@ -71,65 +78,166 @@ class CentralConeApprox:
 
     def patch(self) -> tuple[np.ndarray, np.ndarray]:
         """The exact sphere patch: its vertices (unit rows, in order) and its
-        unit mean direction, the central vector.
-
-        B's rays -inv(normals) all lie in the plane <c, x> = 1 for
-        c = -(sum of B's normals), so B's section there is a segment (d = 2)
-        or a triangle (d = 3), and each constraint cuts it along a line.  In
-        d = 3 a constraint counts as met once every vertex meets it within
-        DEFAULT_TOL on the unit sphere.  Raises RuntimeError when the patch
-        has no interior, and ValueError in a dimension other than 2 and 3.
+        unit mean direction, the central vector.  One clip of
+        ``_clip_patches``; raises RuntimeError when the patch has no
+        interior, and ValueError in a dimension other than 2 and 3.
         """
-        d = self.base.dim
-        if d not in (2, 3):
-            raise ValueError(f"exact central-cone patches need d = 2 or 3, got d = {d}")
-        v = -np.linalg.inv(self.base.normals).T  # rows: B's rays, at height 1 on c
-        cons = self.constraints
-        if d == 2:
-            f0, f1 = v @ cons.T  # each constraint at both ends of the segment
-            g = f1 - f0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = -f0 / g  # where it crosses the segment v0 + t (v1 - v0)
-            lo, hi = t[g < 0].max(initial=0.0), t[g > 0].min(initial=1.0)
-            if np.any((g == 0) & (f0 > 0)) or not lo < hi:
-                raise RuntimeError("the central-cone sphere patch is empty")
-            u = v[0] + np.array([[lo], [hi]]) * (v[1] - v[0])
-            u /= np.linalg.norm(u, axis=1)[:, None]
-            return u, unit(u.sum(axis=0))
-        if np.linalg.det(v) < 0:
-            v = v[::-1]  # counterclockwise seen from outside the sphere
-        while True:
-            f = v @ cons.T
-            worst = (f / np.linalg.norm(v, axis=1)[:, None]).max(axis=0)
+        return _nonempty(_clip_patches([self])[0])
+
+
+def _nonempty(patch):
+    if patch is None:
+        raise RuntimeError("the central-cone sphere patch is empty")
+    return patch
+
+
+def _clip_patches(approxes) -> list:
+    """Exact sphere patches of central-cone approximations of one dimension,
+    clipped in lockstep: per approximation (vertices, central vector), or
+    None when its patch has no interior.
+
+    B's rays -inv(normals) all lie in the plane <c, x> = 1 for
+    c = -(sum of B's normals), so B's section there is a segment (d = 2) or
+    a triangle (d = 3), and each constraint cuts it along a line.  The
+    sections and constraint sets are padded arrays, and every value is the
+    one a clip of that approximation alone computes, bit for bit.  Raises
+    ValueError in a dimension other than 2 and 3.
+    """
+    if not approxes:
+        return []
+    d = approxes[0].base.dim
+    if d not in (2, 3):
+        raise ValueError(f"exact central-cone patches need d = 2 or 3, got d = {d}")
+    v = -np.linalg.inv(np.stack([a.base.normals for a in approxes])).transpose(0, 2, 1)
+    nk = np.array([a.constraints.shape[0] for a in approxes])
+    cons, _ = _pack(np.arange(nk.max(initial=0)) < nk[:, None], np.vstack([a.constraints for a in approxes]))
+    return (_clip_arcs if d == 2 else _clip_polygons)(v, cons, nk)
+
+
+def _products(v: np.ndarray, cons: np.ndarray, nk: np.ndarray, held=None) -> np.ndarray:
+    """(P, M, K) products of each padded section with its constraints, each
+    value as the one-approximation product ``v @ cons.T`` gives it: a matrix
+    product per slice, but for a set of one constraint a matrix-vector
+    product, whose bits also depend on the memory layout of the section;
+    ``held`` (default ``v``) holds each section in the layout that a clip of
+    its approximation alone holds it in."""
+    f = v @ cons.transpose(0, 2, 1)
+    held = v if held is None else held
+    for i in np.flatnonzero(nk == 1):
+        f[i, :, 0] = held[i] @ cons[i, 0]
+    return f
+
+
+def _pack(mask: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values``, one per True entry of ``mask`` in row-major order, moved
+    to the front of each row of a zero-padded (rows, width, d) array; and
+    the row lengths."""
+    lengths = mask.sum(axis=tuple(range(1, mask.ndim)))
+    width = max(int(lengths.max(initial=0)), 1)
+    out = np.zeros((mask.shape[0], width, values.shape[-1]))
+    out[np.arange(width) < lengths[:, None]] = values
+    return out, lengths
+
+
+def _clip_arcs(v: np.ndarray, cons: np.ndarray, nk: np.ndarray) -> list:
+    """d = 2: each segment v0 + t (v1 - v0), t in [0, 1], clipped by all of
+    its constraints at once (a padding constraint is 0 at both ends, so it
+    never cuts); the central vector is the arc's midpoint."""
+    f = _products(v, cons, nk)
+    f0, f1 = f[:, 0], f[:, 1]  # each constraint at both ends of the segment
+    g = f1 - f0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -f0 / g  # where it crosses the segment
+    lo = t.max(axis=1, where=g < 0, initial=0.0)
+    hi = t.min(axis=1, where=g > 0, initial=1.0)
+    empty = np.any((g == 0) & (f0 > 0), axis=1) | ~(lo < hi)
+    u = v[:, :1] + np.stack([lo, hi], axis=1)[:, :, None] * (v[:, 1:] - v[:, :1])
+    u /= np.linalg.norm(u, axis=2)[:, :, None]
+    return [None if bad else (ui, unit(ui.sum(axis=0))) for ui, bad in zip(u, empty)]
+
+
+def _clip_polygons(v: np.ndarray, cons: np.ndarray, nk: np.ndarray) -> list:
+    """d = 3: each step clips every unfinished triangle-section polygon by
+    its deepest cut (the first of equal ones, in the constraints' order),
+    each edge crossing placed between the edge's two vertices (a
+    Sutherland-Hodgman step).  A constraint counts as met once every vertex
+    meets it within DEFAULT_TOL on the unit sphere, and then leaves its
+    polygon's active set for good; a polygon is done when none is left, and
+    empty when a cut keeps none of its vertices."""
+    # counterclockwise seen from outside the sphere, as views of B's rays
+    held = [r[::-1] if flip else r for r, flip in zip(v, np.linalg.det(v) < 0)]
+    v = np.stack(held)
+    out = [None] * v.shape[0]
+    ids = np.arange(v.shape[0])
+    nv = np.full(v.shape[0], 3)
+    done_ids, done_v, done_n = [], [], []
+    with np.errstate(divide="ignore", invalid="ignore"):  # padding rows are zero
+        while ids.size:
+            f = _products(v, cons, nk, held)
+            held = None  # from the first cut on, each section is a new row-major array
+            rows = np.arange(v.shape[1]) < nv[:, None]
+            # 0 / 0 on a padding row, which fmax passes over; a padding
+            # constraint gives 0 and never cuts
+            worst = np.fmax.reduce(f / np.linalg.norm(v, axis=2)[:, :, None], axis=1)
             cut = worst > DEFAULT_TOL
-            if not cut.any():
-                break
-            fj = f[:, np.argmax(worst)]  # clip by the deepest cut
-            cons = cons[cut]  # a constraint met by every vertex stays met
-            keep = fj <= 0
-            if not keep.any():
-                raise RuntimeError("the central-cone sphere patch is empty")
-            fn = np.roll(fj, -1)
-            e = np.flatnonzero(np.sign(fj) * np.sign(fn) < 0)  # edges i -> i + 1 that cross
-            t = fj[e] / (fj[e] - fn[e])
-            crossings = v[e] + t[:, None] * (np.roll(v, -1, axis=0)[e] - v[e])
-            order = np.argsort(np.concatenate([2 * np.flatnonzero(keep), 2 * e + 1]))
-            v = np.vstack([v[keep], crossings])[order]
-        u = v / np.linalg.norm(v, axis=1)[:, None]
-        moment, perimeter = _sphere_moment(u)
-        if not np.linalg.norm(moment) > DEFAULT_TOL * perimeter:
-            raise RuntimeError("the central-cone sphere patch is empty")
-        return u, unit(moment)
+            more = cut.any(axis=1)
+            done_ids.append(ids[~more])
+            done_v.append(v[~more][rows[~more]])
+            done_n.append(nv[~more])
+            fj = f[np.arange(len(ids)), :, np.argmax(worst, axis=1)]  # the deepest cut
+            keep = (fj <= 0) & rows
+            go = more & keep.any(axis=1)
+            cons = cons[cut & go[:, None]]
+            v, nv, fj, keep, cut, ids = (x[go] for x in (v, nv, fj, keep, cut, ids))
+            nxt = np.arange(1, v.shape[1] + 1)
+            nxt = np.where(nxt < nv[:, None], nxt, 0)  # vertex i + 1 around each polygon
+            fn = np.take_along_axis(fj, nxt, axis=1)
+            pe, e = np.nonzero(np.sign(fj) * np.sign(fn) < 0)  # edges i -> i + 1 that cross
+            t = fj[pe, e] / (fj[pe, e] - fn[pe, e])
+            slots = np.zeros(v.shape[:2] + (2,), dtype=bool)  # vertex i, then edge i's crossing
+            slots[:, :, 0] = keep
+            slots[pe, e, 1] = True
+            points = np.stack([v, np.zeros_like(v)], axis=2)
+            points[pe, e, 1] = v[pe, e] + t[:, None] * (v[pe, nxt[pe, e]] - v[pe, e])
+            v, nv = _pack(slots, points[slots])
+            cons, nk = _pack(cut, cons)  # a constraint met by every vertex stays met
+    for i, patch in zip(np.concatenate(done_ids), _polygon_patches(np.concatenate(done_v), np.concatenate(done_n))):
+        out[i] = patch
+    return out
+
+
+def _polygon_patches(v: np.ndarray, lengths: np.ndarray) -> list:
+    """(unit vertices, central vector) of each clipped d = 3 section, or None
+    when its sphere polygon has no interior; ``v`` holds the sections'
+    vertices one section after another, ``lengths`` their counts."""
+    u = v / np.linalg.norm(v, axis=1)[:, None]
+    polygons = np.split(u, np.cumsum(lengths)[:-1])
+    moments, perimeters = _sphere_moments(u, lengths)
+    return [(ui, unit(mo)) if np.linalg.norm(mo) > DEFAULT_TOL * per else None
+            for ui, mo, per in zip(polygons, moments, perimeters)]
+
+
+def _sphere_moments(u: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(int_P x dA, perimeter) of each spherical polygon P, its unit vertices
+    counterclockwise seen from outside: ``u`` holds the polygons' vertices
+    one polygon after another, ``lengths`` their counts.  Repeated vertices
+    are harmless.  Each polygon's sums are taken over its own rows."""
+    ends = np.cumsum(lengths)
+    nxt = np.arange(1, len(u) + 1)
+    nxt[ends - 1] = ends - lengths  # each polygon's last vertex is followed by its first
+    cr = np.cross(u, u[nxt])
+    s = np.linalg.norm(cr, axis=1)
+    theta = np.arctan2(s, np.sum(u * u[nxt], axis=1))  # arc length of each edge
+    w = np.divide(theta, s, out=np.ones_like(s), where=s > 0)
+    spans = [slice(b - n, b) for b, n in zip(ends, lengths)]
+    return (0.5 * np.array([w[sp] @ cr[sp] for sp in spans]).reshape(-1, 3),
+            np.array([theta[sp].sum() for sp in spans]))
 
 
 def _sphere_moment(u: np.ndarray) -> tuple[np.ndarray, float]:
-    """(int_P x dA, perimeter) of the spherical polygon P with unit vertices
-    ``u``, counterclockwise seen from outside; repeated vertices are harmless."""
-    nxt = np.roll(u, -1, axis=0)
-    cr = np.cross(u, nxt)
-    s = np.linalg.norm(cr, axis=1)
-    theta = np.arctan2(s, np.sum(u * nxt, axis=1))  # arc length of each edge
-    return 0.5 * (np.divide(theta, s, out=np.ones_like(s), where=s > 0) @ cr), float(theta.sum())
+    """``_sphere_moments`` of one polygon."""
+    moments, perimeters = _sphere_moments(u, np.array([len(u)]))
+    return moments[0], float(perimeters[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +256,20 @@ def _exact_constraint_candidates(m: DiscreteMeasure, cap: int, seed: int) -> np.
     if d == 2:
         cand = np.column_stack([-phat[:, 1], phat[:, 0]])
     elif d == 3:
+        # the drawn pairs p of the row-major upper triangle i < j, as (i, j)
         n = phat.shape[0]
-        ii, jj = np.triu_indices(n, k=1)
-        if ii.size > cap:
-            sel = rng.choice(ii.size, size=cap, replace=False)
-            ii, jj = ii[sel], jj[sel]
-        cr = np.cross(phat[ii], phat[jj])
-        lens = np.linalg.norm(cr, axis=1)
-        cand = cr[lens > 1e-9] / lens[lens > 1e-9][:, None]
+        pairs = n * (n - 1) // 2
+        p = rng.choice(pairs, size=cap, replace=False) if pairs > cap else np.arange(pairs)
+        rows = np.arange(n)
+        start = rows * (2 * n - rows - 1) // 2  # where row i begins
+        ii = np.searchsorted(start, p, side="right") - 1
+        jj = p - start[ii] + ii + 1
+        # phat_i x phat_j and its length, with the bits of np.cross and norm
+        x, y, z = phat.T
+        xi, yi, zi, xj, yj, zj = x[ii], y[ii], z[ii], x[jj], y[jj], z[jj]
+        cr = np.stack([yi * zj - zi * yj, zi * xj - xi * zj, xi * yj - yi * xj])
+        lens = np.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
+        cand = (cr[:, lens > 1e-9] / lens[lens > 1e-9]).T
     else:
         return np.empty((0, d))
     cand = np.vstack([cand, -cand])
@@ -252,8 +366,9 @@ def containment_check(
     if inter < floor - 1e-12:
         raise ValueError(f"intersection mass {inter} below the floor {floor}")
     ok = True
-    for this, other in ((b1, b2), (b2, b1)):
-        verts, e = central_patch(m, this, seed=seed)
+    approxes = [central_cone(m, this, seed=seed, max_constraints=320) for this in (b1, b2)]
+    for patch, other in zip(_clip_patches(approxes), (b2, b1)):
+        verts, e = _nonempty(patch)
         ok &= bool(np.all(cone_contains_many(other, np.vstack([verts, e]), 1e-7)))
     return ok
 
@@ -279,6 +394,19 @@ def _perturbed_normals(rng: np.random.Generator, base: np.ndarray, angle: float)
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
+def _sample_cones(m: DiscreteMeasure, cones, seed: int):
+    """The central-cone approximations of a tuple sample's cones in order,
+    cone j seeded ``seed + j``, up to the first that has no mass; and that
+    cone's ValueError, or None."""
+    out = []
+    for j, b in enumerate(cones):
+        try:
+            out.append(central_cone(m, b, samples=MAP_CONSTRAINT_SAMPLES, seed=seed + j, max_constraints=320))
+        except ValueError as err:
+            return out, err
+    return out, None
+
+
 def structural_map(
     m: DiscreteMeasure,
     a: float,
@@ -300,7 +428,10 @@ def structural_map(
     the d + 1 slots symmetrically.
 
     Requires the measure to be recentered (median at the origin) with depth
-    below a < 1/(d+1) + 1/(3(d+1)^3); deterministic in the seed.
+    below a < 1/(d+1) + 1/(3(d+1)^3); deterministic in the seed.  A sample
+    with an empty central-cone patch contributes nothing; a cone without
+    mass raises the ValueError of ``central_cone``, unless an earlier cone of
+    its sample has an empty patch.
     """
     d = m.dim
     cap = family_level_cap(d)
@@ -332,8 +463,7 @@ def structural_map(
     n_uniform = int(round(MAP_UNIFORM_SHARE * tuple_samples))
     n_perturb = tuple_samples - n_uniform
 
-    sums = np.zeros((d + 1, d))
-    nonzero = 0
+    members = []  # (sample, weight, matched cones) of each tuple in the family
     for s in range(tuple_samples):
         if s < n_perturb:
             nrm = _perturbed_normals(rng, ref.normals, MAP_PERTURB_ANGLE)
@@ -341,25 +471,24 @@ def structural_map(
             g = rng.standard_normal((d + 1, d))
             nrm = g / np.linalg.norm(g, axis=1)[:, None]
         member = _family_member(m, a, ref, nrm)
-        if member is None:
-            continue
-        t, w, order = member
-        t_ord = t.reordered(order)
-        cones = cones_of(t_ord).cones
-        contrib = np.zeros((d + 1, d))
-        ok = True
-        for j in range(d + 1):
-            try:
-                _, e = central_patch(m, cones[j], seed=seed + 31 * s + j,
-                                     constraint_samples=MAP_CONSTRAINT_SAMPLES)
-            except RuntimeError:
-                ok = False
-                break
-            contrib[j] = (a - w) * e
-        if not ok:
-            continue
-        sums += contrib
-        nonzero += 1
+        if member is not None:
+            t, w, order = member
+            members.append((s, w, cones_of(t.reordered(order)).cones))
+
+    sums = np.zeros((d + 1, d))
+    nonzero = 0
+    for lo in range(0, len(members), MAP_BLOCK):
+        block = members[lo : lo + MAP_BLOCK]
+        rows = [_sample_cones(m, cones, seed + 31 * s) for s, _, cones in block]
+        patches = iter(_clip_patches([c for approxes, _ in rows for c in approxes]))
+        for (_, w, _), (approxes, err) in zip(block, rows):
+            clipped = [next(patches) for _ in approxes]
+            if any(p is None for p in clipped):
+                continue  # an empty patch comes before any later cone's error
+            if err is not None:
+                raise err
+            sums += (a - w) * np.array([e for _, e in clipped])
+            nonzero += 1
     if nonzero == 0:
         raise RuntimeError(
             "no tuple sample produced a nonzero contribution: either the "

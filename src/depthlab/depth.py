@@ -768,14 +768,17 @@ def deep_line_search(
 
     Heuristic maximizer: the depth guarantee promises existence, not
     constructibility, so the result is best-found; its depth is certified by
-    a final exact median evaluation of the chosen projection.
+    a final exact median evaluation of the chosen projection.  The scan and
+    refine phases run the multistart ascent on every measure; only the final
+    profile takes ``tukey_medians``' default mode, so a measure of at most 40
+    points gets one exact planar median, not one per direction.
     """
     if m.dim < 3:
         raise ValueError("line search needs ambient dimension >= 3")
     grid = np.array([canonical_direction(u) for u in sample_directions(m.dim, grid_count, mode="grid")])
     scan_m = _subsampled(m, 160, seed)
-    cheap = {"starts": 4, "iters": 4, "seed": seed}
-    mid = {"starts": 10, "iters": 16, "seed": seed}
+    cheap = {"mode": "multistart", "starts": 4, "iters": 4, "seed": seed}
+    mid = {"mode": "multistart", "starts": 10, "iters": 16, "seed": seed}
 
     scores, _ = direction_profiles(scan_m, grid, cheap)
     evals = grid.shape[0]

@@ -1,20 +1,39 @@
-"""Referee for the exact central-cone patch: the Monte Carlo sampler of
-central rays that the package used before the patch was computed in closed
-form, kept for the tests.
+"""Referees for the exact central-cone patch and the structural map.
 
-``sample_central_rays`` draws uniform rays from a spherical cap around the
-mass direction of B, adapts the cap until it covers the central-cone patch,
-and keeps the rays that fall in the patch.  Membership is one plain product
-of the rays with the base normals and with the constraints (taken in row
-chunks to bound memory), within DEFAULT_TOL.  The tests require the exact
-central vector to agree with the mean of many of these rays.
+``sample_central_rays`` is the Monte Carlo sampler of central rays that the
+package used before the patch was computed in closed form.  It draws uniform
+rays from a spherical cap around the mass direction of B, adapts the cap
+until it covers the central-cone patch, and keeps the rays that fall in the
+patch.  Membership is one plain product of the rays with the base normals and
+with the constraints (taken in row chunks to bound memory), within
+DEFAULT_TOL.  The tests require the exact central vector to agree with the
+mean of many of these rays.
+
+``patch`` clips one approximation at a time, a Python loop of small numpy
+calls, and ``structural_map`` builds and clips the central cones of one tuple
+sample after another: the package's code before the cones of a map were
+clipped in lockstep.  ``exact_constraint_candidates`` draws its point pairs
+from the full ``np.triu_indices`` list.  The tests require the package's
+lockstep clip, map and pair draw to give the same bits.
 """
 
 import numpy as np
 
-from depthlab.central import CentralConeApprox, central_cone
-from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, unit
+from depthlab.central import (
+    MAP_CONSTRAINT_SAMPLES,
+    MAP_PERTURB_ANGLE,
+    MAP_UNIFORM_SHARE,
+    CentralConeApprox,
+    StructuralTuple,
+    _family_member,
+    _perturbed_normals,
+    central_cone,
+)
+from depthlab.cones import canonical_labeling, cones_of, tuple_weight
+from depthlab.depth import exact_affordable, point_depth
+from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, hull_interior_margin, unit
 from depthlab.measures import DiscreteMeasure
+from depthlab.median import witness_tuple
 
 _ROWS = 8192
 
@@ -130,3 +149,136 @@ def sample_central_rays(
         rays.append(hit)
         total += hit.shape[0]
     return np.vstack(rays)[:count], (center, theta)
+
+
+def _sphere_moment(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """(int_P x dA, perimeter) of the spherical polygon P with unit vertices
+    ``u``, counterclockwise seen from outside; repeated vertices are harmless."""
+    nxt = np.roll(u, -1, axis=0)
+    cr = np.cross(u, nxt)
+    s = np.linalg.norm(cr, axis=1)
+    theta = np.arctan2(s, np.sum(u * nxt, axis=1))  # arc length of each edge
+    return 0.5 * (np.divide(theta, s, out=np.ones_like(s), where=s > 0) @ cr), float(theta.sum())
+
+
+def patch(approx: CentralConeApprox) -> tuple[np.ndarray, np.ndarray]:
+    """The exact sphere patch of one approximation, (vertices, central
+    vector); RuntimeError when it has no interior."""
+    d = approx.base.dim
+    if d not in (2, 3):
+        raise ValueError(f"exact central-cone patches need d = 2 or 3, got d = {d}")
+    v = -np.linalg.inv(approx.base.normals).T  # rows: B's rays, at height 1 on c
+    cons = approx.constraints
+    if d == 2:
+        f0, f1 = v @ cons.T  # each constraint at both ends of the segment
+        g = f1 - f0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -f0 / g  # where it crosses the segment v0 + t (v1 - v0)
+        lo, hi = t[g < 0].max(initial=0.0), t[g > 0].min(initial=1.0)
+        if np.any((g == 0) & (f0 > 0)) or not lo < hi:
+            raise RuntimeError("the central-cone sphere patch is empty")
+        u = v[0] + np.array([[lo], [hi]]) * (v[1] - v[0])
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        return u, unit(u.sum(axis=0))
+    if np.linalg.det(v) < 0:
+        v = v[::-1]  # counterclockwise seen from outside the sphere
+    while True:
+        f = v @ cons.T
+        worst = (f / np.linalg.norm(v, axis=1)[:, None]).max(axis=0)
+        cut = worst > DEFAULT_TOL
+        if not cut.any():
+            break
+        fj = f[:, np.argmax(worst)]  # clip by the deepest cut
+        cons = cons[cut]  # a constraint met by every vertex stays met
+        keep = fj <= 0
+        if not keep.any():
+            raise RuntimeError("the central-cone sphere patch is empty")
+        fn = np.roll(fj, -1)
+        e = np.flatnonzero(np.sign(fj) * np.sign(fn) < 0)  # edges i -> i + 1 that cross
+        t = fj[e] / (fj[e] - fn[e])
+        crossings = v[e] + t[:, None] * (np.roll(v, -1, axis=0)[e] - v[e])
+        order = np.argsort(np.concatenate([2 * np.flatnonzero(keep), 2 * e + 1]))
+        v = np.vstack([v[keep], crossings])[order]
+    u = v / np.linalg.norm(v, axis=1)[:, None]
+    moment, perimeter = _sphere_moment(u)
+    if not np.linalg.norm(moment) > DEFAULT_TOL * perimeter:
+        raise RuntimeError("the central-cone sphere patch is empty")
+    return u, unit(moment)
+
+
+def structural_map(m: DiscreteMeasure, a: float, tuple_samples: int = 240, seed: int = 0,
+                   clip=patch) -> StructuralTuple:
+    """The structural map, one tuple sample and one cone at a time; each
+    approximation is clipped by ``clip``."""
+    d = m.dim
+    origin = np.zeros(d)
+    if exact_affordable(m):
+        depth0 = point_depth(m, origin, mode="exact").depth
+    else:
+        depth0 = point_depth(m, origin, mode="sampled", sample_count=4096, seed=seed).depth
+    wtol = max(1e-6, 0.9 * (a - depth0))
+    wt, _ = witness_tuple(m, origin, tol=wtol, seed=seed)
+    assert tuple_weight(m, wt) <= a
+    ref = canonical_labeling(wt)
+
+    rng = np.random.default_rng(seed)
+    n_uniform = int(round(MAP_UNIFORM_SHARE * tuple_samples))
+    n_perturb = tuple_samples - n_uniform
+
+    sums = np.zeros((d + 1, d))
+    nonzero = 0
+    for s in range(tuple_samples):
+        if s < n_perturb:
+            nrm = _perturbed_normals(rng, ref.normals, MAP_PERTURB_ANGLE)
+        else:
+            g = rng.standard_normal((d + 1, d))
+            nrm = g / np.linalg.norm(g, axis=1)[:, None]
+        member = _family_member(m, a, ref, nrm)
+        if member is None:
+            continue
+        t, w, order = member
+        cones = cones_of(t.reordered(order)).cones
+        contrib = np.zeros((d + 1, d))
+        ok = True
+        for j in range(d + 1):
+            try:
+                _, e = clip(central_cone(m, cones[j], samples=MAP_CONSTRAINT_SAMPLES,
+                                         seed=seed + 31 * s + j, max_constraints=320))
+            except RuntimeError:
+                ok = False
+                break
+            contrib[j] = (a - w) * e
+        if not ok:
+            continue
+        sums += contrib
+        nonzero += 1
+    if nonzero == 0:
+        raise RuntimeError("no tuple sample produced a nonzero contribution")
+    vectors = sums / tuple_samples
+    return StructuralTuple(vectors, float(hull_interior_margin(vectors)))
+
+
+def exact_constraint_candidates(m: DiscreteMeasure, cap: int, seed: int) -> np.ndarray:
+    """Hyperplane normals through the origin spanned by measure points."""
+    d = m.dim
+    norms = np.linalg.norm(m.points, axis=1)
+    keep = norms > DEFAULT_TOL
+    phat = m.points[keep] / norms[keep][:, None]
+    rng = np.random.default_rng(seed)
+    if d == 2:
+        cand = np.column_stack([-phat[:, 1], phat[:, 0]])
+    elif d == 3:
+        n = phat.shape[0]
+        ii, jj = np.triu_indices(n, k=1)
+        if ii.size > cap:
+            sel = rng.choice(ii.size, size=cap, replace=False)
+            ii, jj = ii[sel], jj[sel]
+        cr = np.cross(phat[ii], phat[jj])
+        lens = np.linalg.norm(cr, axis=1)
+        cand = cr[lens > 1e-9] / lens[lens > 1e-9][:, None]
+    else:
+        return np.empty((0, d))
+    cand = np.vstack([cand, -cand])
+    if cand.shape[0] > cap:
+        cand = cand[rng.choice(cand.shape[0], size=cap, replace=False)]
+    return cand

@@ -1,0 +1,182 @@
+"""The lockstep clip of central-cone patches and the blocked structural map
+give the bits of the referees in ``central_referee``: one approximation
+clipped at a time, and the map built one tuple sample and one cone at a time.
+"""
+
+import numpy as np
+import pytest
+
+import central_referee as referee
+from depthlab import central
+from depthlab.central import MAP_BLOCK, CentralConeApprox, _clip_patches, _exact_constraint_candidates
+from depthlab.geometry import SimplicialCone, unit
+from depthlab.measures import MeasureSpec, generate_measure, make_measure
+from depthlab.median import recenter
+
+# tuple samples per map: 46 family members in d = 2 and 44 in d = 3, so the
+# last block of each map is a partial one
+MAPS = {2: 60, 3: 80}
+
+
+def _map_case(d):
+    spec = MeasureSpec("simplex_mixture", d, 240, {"sigma": 0.01}, 300)
+    mc, _ = recenter(generate_measure(spec), balanced=True, starts=8, iters=20, seed=0)
+    return mc, 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
+
+
+@pytest.fixture(scope="module", params=sorted(MAPS))
+def recorded(request):
+    """(d, measure, a, map, [(approximations, patches)] of each clip call)."""
+    d = request.param
+    mc, a = _map_case(d)
+    calls = []
+    real = central._clip_patches
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(central, "_clip_patches", lambda approxes: calls.append((approxes, real(approxes))) or calls[-1][1])
+        st = central.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
+    return d, mc, a, st, calls
+
+
+def _referee_patch(approx):
+    try:
+        return referee.patch(approx)
+    except RuntimeError:
+        return None
+
+
+def _same(p, q) -> bool:
+    if p is None or q is None:
+        return p is None and q is None
+    return np.array_equal(p[0], q[0]) and np.array_equal(p[1], q[1])
+
+
+def _sliver(b: SimplicialCone) -> np.ndarray:
+    """Two opposite constraints whose plane crosses B's interior: a patch of
+    zero width."""
+    r = -np.linalg.inv(b.normals)  # columns: B's rays
+    n = unit(np.cross(r[:, 0], r[:, 1] + r[:, 2])) if b.dim == 3 else unit([-(r[1, 0] + r[1, 1]), r[0, 0] + r[0, 1]])
+    return np.vstack([n, -n])
+
+
+def test_every_cone_of_a_map_matches_referee(recorded):
+    d, _, _, _, calls = recorded
+    approxes = [x for batch, _ in calls for x in batch]
+    assert len(calls) > 1 and len(approxes) % (d + 1) == 0
+    assert (len(approxes) // (d + 1)) % MAP_BLOCK != 0  # a partial last block
+    assert all(len(batch) == MAP_BLOCK * (d + 1) for batch, _ in calls[:-1])
+    for batch, patches in calls:
+        for approx, p in zip(batch, patches, strict=True):
+            assert p is not None
+            assert _same(p, _referee_patch(approx))
+
+
+def test_map_matches_referee(recorded):
+    d, mc, a, st, _ = recorded
+    ref = referee.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
+    assert np.array_equal(st.vectors, ref.vectors)
+    assert st.margin == ref.margin
+
+
+def test_constraint_counts_in_one_batch(recorded):
+    # 0, 1 (a matrix-vector product), 2, fewer than 320 and all of a cone's
+    # constraints, clipped together
+    d, _, _, _, calls = recorded
+    base = calls[0][0][0]
+    cons = base.constraints
+    assert cons.shape[0] == 320
+    batch = [CentralConeApprox(base.base, cons[:k]) for k in (0, 1, 2, 37, 320, 1)]
+    batch.append(CentralConeApprox(calls[0][0][1].base, cons[5:6]))
+    for approx, p in zip(batch, _clip_patches(batch), strict=True):
+        assert _same(p, _referee_patch(approx))
+        assert _same(p, approx.patch())
+
+
+def test_empty_patch_in_a_batch(recorded):
+    d, _, _, _, calls = recorded
+    first, second = calls[0][0][:2]
+    empty = CentralConeApprox(first.base, np.vstack([first.constraints, _sliver(first.base)]))
+    with pytest.raises(RuntimeError, match="empty"):
+        referee.patch(empty)
+    with pytest.raises(RuntimeError, match="empty"):
+        empty.patch()
+    patches = _clip_patches([first, empty, second])
+    assert patches[1] is None
+    assert _same(patches[0], referee.patch(first)) and _same(patches[2], referee.patch(second))
+
+
+def _with_faults(monkeypatch, faults):
+    """Route the package's and the referee's ``central_cone`` through one
+    wrapper: ``faults(s, j)`` names what cone j of tuple sample s gets
+    (None, "empty" or "no mass")."""
+    real = central.central_cone
+    hits = []
+
+    def faulty(m, b, samples=1024, seed=0, max_constraints=None):
+        approx = real(m, b, samples=samples, seed=seed, max_constraints=max_constraints)
+        fault = faults(seed // 31, seed % 31)
+        hits.append(fault)
+        if fault == "no mass":
+            raise ValueError("cone carries no mass")
+        if fault == "empty":
+            return CentralConeApprox(b, np.vstack([approx.constraints, _sliver(b)]))
+        return approx
+
+    monkeypatch.setattr(central, "central_cone", faulty)
+    monkeypatch.setattr(referee, "central_cone", faulty)
+    return hits
+
+
+def test_map_skips_empty_patches_like_referee(recorded, monkeypatch):
+    # cone 1 of every third sample has an empty patch and cone 2 of those
+    # samples has no mass: the referee never builds cone 2, so neither map
+    # raises, and both skip those samples
+    d, mc, a, _, _ = recorded
+    hits = _with_faults(monkeypatch, lambda s, j: {1: "empty", 2: "no mass"}.get(j) if s % 3 == 0 else None)
+    ref = referee.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
+    assert "empty" in hits and "no mass" not in hits
+    hits.clear()
+    st = central.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
+    assert "no mass" in hits  # built, but never raised
+    assert np.array_equal(st.vectors, ref.vectors) and st.margin == ref.margin
+
+
+def test_map_raises_the_no_mass_error_the_referee_raises(recorded, monkeypatch):
+    d, mc, a, _, _ = recorded
+    _with_faults(monkeypatch, lambda s, j: "no mass" if (s % 3 == 1 and j == d) else None)
+    with pytest.raises(ValueError, match="no mass"):
+        referee.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
+    with pytest.raises(ValueError, match="no mass"):
+        central.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
+
+
+@pytest.mark.parametrize("origin", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 45, 46, 240])
+def test_exact_constraint_candidates_match_referee(n, origin):
+    # 45 kept points give 990 pairs (no draw), 46 give 1,035 (one draw);
+    # a point at the origin is dropped
+    rng = np.random.default_rng(n)
+    pts = rng.standard_normal((n, 3)) * rng.random((n, 1))
+    if origin:
+        pts = np.insert(pts, n // 2, 0.0, axis=0)
+    m = make_measure(pts)
+    for seed in range(3):
+        got = _exact_constraint_candidates(m, 1024, seed)
+        want = referee.exact_constraint_candidates(m, 1024, seed)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_random_cones_in_batches_match_referee(d):
+    # generic cones of either orientation with 0 to 6 unit constraints,
+    # many of them empty, clipped in batches of 25
+    rng = np.random.default_rng(d)
+    approxes = []
+    for _ in range(150):
+        k = int(rng.choice([0, 1, 1, 2, 3, 6]))
+        cons = rng.standard_normal((k, d))
+        approxes.append(CentralConeApprox(SimplicialCone(np.zeros(d), rng.standard_normal((d, d))),
+                                          cons / np.linalg.norm(cons, axis=1, keepdims=True)))
+    patches = [p for lo in range(0, 150, 25) for p in _clip_patches(approxes[lo : lo + 25])]
+    assert 10 < sum(p is None for p in patches) < 140
+    for approx, p in zip(approxes, patches, strict=True):
+        assert _same(p, _referee_patch(approx))

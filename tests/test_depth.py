@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import depthlab.median
 from enumerator_referee import enumerator_depth
 from depthlab.geometry import Flat, line, random_rotation, sample_directions
 from depthlab.measures import MeasureSpec, generate_measure, make_measure
@@ -303,3 +304,65 @@ def test_exact_depth_not_above_sampled_bound():
     m = make_measure(np.vstack([np.zeros((19, 3)), [[0.0, 0.0, 1.0]]]))
     q = np.zeros(3)
     assert point_depth(m, q).depth <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth
+
+
+def test_small_line_search_takes_one_arrangement_median(monkeypatch):
+    # the scan and refine phases run the ascent even on a measure of at most
+    # 40 points; only the final profile takes the exact planar median
+    calls = []
+    real = depthlab.median._arrangement_median
+    monkeypatch.setattr(depthlab.median, "_arrangement_median", lambda m: calls.append(m.n) or real(m))
+    m = generate_measure(MeasureSpec("gaussian", 3, 20, {}, seed=4))
+    r = deep_line_search(m, grid_count=16, refine_iters=1, seed=4)
+    assert calls == [20]
+    assert 0 < r.depth <= 1
+
+
+@st.composite
+def grid_measures(draw, d):
+    """An integer-grid measure in d = 2 or 3 (duplicates allowed) and an
+    integer query, which is a data point half of the time."""
+    n = draw(st.integers(3, 14))
+    coord = st.integers(-5, 5)
+    pts = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):
+        q = pts[draw(st.integers(0, n - 1))].copy()
+    else:
+        q = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), dtype=float)
+    return pts, q
+
+
+@st.composite
+def unimodular(draw, d):
+    """An integer matrix of determinant +-1: a signed permutation times up
+    to three elementary shears with multipliers in [-2, 2]."""
+    a = np.eye(d)[draw(st.permutations(range(d)))] * np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i != j:
+            a[i] += draw(st.integers(-2, 2)) * a[j]
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(grid_measures(d), unimodular(d), st.lists(st.integers(-4, 4), min_size=d, max_size=d))))
+def test_exact_depth_affine_invariance_on_grids(inst):
+    # an integer unimodular map plus an integer shift keeps every point on
+    # the grid and maps half-spaces to half-spaces, so the depth is unchanged
+    (pts, q), a, shift = inst
+    r0 = point_depth(make_measure(pts), q)
+    r1 = point_depth(make_measure(pts @ a.T + shift), a @ q + shift)
+    assert r0.mode == r1.mode == "exact"
+    assert r1.depth == pytest.approx(r0.depth, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(grid_measures(d), st.lists(st.integers(-4, 4), min_size=d, max_size=d))))
+def test_exact_depth_quasi_concave_on_segments(inst):
+    # depth regions are convex: the midpoint of a segment is at least as
+    # deep as the shallower end
+    (pts, q0), q1 = inst
+    m = make_measure(pts)
+    q1 = np.array(q1, dtype=float)
+    mid = point_depth(m, (q0 + q1) / 2).depth
+    assert mid >= min(point_depth(m, q0).depth, point_depth(m, q1).depth) - 1e-12

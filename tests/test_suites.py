@@ -24,6 +24,7 @@ def test_quick_params_bind_to_suite_signatures():
         ("bijection", {"count": 3}),
         ("central", {"containment_pairs": 2, "estimator_seeds": (0, 1)}),
         ("tmap", {"seeds": (0, 1), "dims": (2,), "trials": 2}),
+        ("tmap", {"seeds": (0,), "dims": (3,), "trials": 0}),
     ],
 )
 def test_threads_leave_csv_unchanged(name, params):
@@ -31,7 +32,8 @@ def test_threads_leave_csv_unchanged(name, params):
     two = rows_to_csv(run_suite(name, params, threads=2))
     assert one == two
     if name == "tmap":
-        assert one.count("equivariance_hausdorff") == 2
+        assert one.count("equivariance_hausdorff") == params["trials"]
+        assert one.count("interior_margin") == len(params["seeds"]) * len(params["dims"])
 
 
 def test_verify_all_rejects_unknown_suite():
