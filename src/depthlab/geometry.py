@@ -120,22 +120,23 @@ def line(direction) -> Flat:
 
 
 def complement_basis(f: Flat) -> np.ndarray:
-    """Deterministic orthonormal basis of the orthogonal complement of f's directions.
+    """Orthonormal basis (dim - k, dim) of the orthogonal complement of f's
+    directions: ``complement_bases`` of the one flat."""
+    if f.k == 0:
+        return np.eye(f.dim)
+    return complement_bases(f.basis[None])[0]
 
-    Built by a full QR decomposition of the flat's basis, with a fixed sign
-    convention per column, so projections are reproducible across runs.
-    Shape (dim - k, dim).
-    """
-    d, k = f.dim, f.k
-    if k == 0:
-        return np.eye(d)
-    q, _ = np.linalg.qr(f.basis.T, mode="complete")
-    comp = q[:, k:].T.copy()
-    # fix signs: make the entry of largest magnitude in each row positive
-    for row in comp:
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            row *= -1.0
+
+def complement_bases(bases: np.ndarray) -> np.ndarray:
+    """Complement bases (D, dim - k, dim) of a stack of flat bases (D, k,
+    dim), k >= 1: one stacked full QR decomposition, each flat's with the
+    bits of its own, and a fixed sign per row (its first entry of largest
+    magnitude is made positive), so projections are reproducible."""
+    k = bases.shape[1]
+    q, _ = np.linalg.qr(bases.transpose(0, 2, 1), mode="complete")
+    comp = q[:, :, k:].transpose(0, 2, 1).copy()
+    j = np.argmax(np.abs(comp), axis=2)[..., None]
+    np.negative(comp, out=comp, where=np.take_along_axis(comp, j, axis=2) < 0)
     return comp
 
 

@@ -61,20 +61,21 @@ def _final_depth(m: DiscreteMeasure, x: np.ndarray) -> float:
     return certified_depth_floor(m, x, gamma=0.1)
 
 
-def _finals(m: DiscreteMeasure, endpoints: list, count: int) -> list:
-    """(final depth, point) of the ``count`` best endpoints.  In the plane
-    the ascent's evaluator is the exact one, so its values are final."""
-    if m.dim == 2:
+def _finals(points: np.ndarray, weights: np.ndarray, endpoints: list, count: int) -> list:
+    """(final depth, point) of the ``count`` best endpoints in (points,
+    weights).  In the plane the ascent's evaluator is exact: they are final."""
+    if points.shape[1] == 2:
         return endpoints[:count]
+    m = DiscreteMeasure(points.shape[1], points, weights)
     return [(_final_depth(m, x), x) for _, x in endpoints[:count]]
 
 
-def _cheap_depths(ms: list, own: np.ndarray, seeds: np.ndarray):
-    """The ascent's evaluator and the rule for what bounds it, over one
-    stack of the measures' points and weights, row r a point of measure
-    ms[own[r]].  Exact in the plane, all rows in one batched sweep; above,
-    the sampled upper bound over the 192 directions of seed seeds[r], drawn
-    once per seed for the whole ascent, all rows in one batched evaluation.
+def _cheap_depths(pts: np.ndarray, w: np.ndarray, own: np.ndarray, seeds: np.ndarray):
+    """The ascent's evaluator and the rule for what bounds it in the
+    measures (pts[k], w[k]), row r a point of measure own[r].  Exact in the
+    plane, all rows in one batched sweep; above, the sampled upper bound
+    over the 192 directions of seed seeds[r], drawn once per seed for the
+    whole ascent, all rows in one batched evaluation.
 
     Returns (evaluate, bound): evaluate(rows, x) -> (depths, witness
     directions); bound(rows, x, mine, theirs) -> an upper bound on each
@@ -84,17 +85,12 @@ def _cheap_depths(ms: list, own: np.ndarray, seeds: np.ndarray):
     direction, so both kinds bound it; the sampled one is a minimum over
     the row's own directions only, so only its own witnesses do.
     """
-    pts = np.stack([m.points for m in ms])
-    if all(m.weights is ms[0].weights for m in ms):  # projections share one array
-        w = np.broadcast_to(ms[0].weights, (len(ms), ms[0].n))
-    else:
-        w = np.stack([m.weights for m in ms])
-    if ms[0].dim == 2:
+    if pts.shape[2] == 2:
         return (lambda rows, x: exact_depth_values_2d(pts, w, own[rows], x),
                 lambda rows, x, mine, theirs: closed_mass_bounds(
                     pts, w, own[rows], x, np.concatenate([mine, theirs], axis=1)))
     keys, pick = np.unique(seeds, return_inverse=True)
-    dirs = np.stack([sample_directions(ms[0].dim, 192, seed=int(s), mode="sphere") for s in keys])
+    dirs = np.stack([sample_directions(pts.shape[2], 192, seed=int(s), mode="sphere") for s in keys])
     return (lambda rows, x: sampled_depth_values(pts, w, own[rows], x, dirs[pick[rows]]),
             lambda rows, x, mine, theirs: closed_mass_bounds(pts, w, own[rows], x, mine))
 
@@ -164,14 +160,13 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(order[new])
 
 
-def _start_points(m: DiscreteMeasure, starts: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    out = [m.weights @ m.points, np.median(m.points, axis=0)]
-    k = max(0, starts - len(out))
-    if k:
-        idx = rng.integers(0, m.n, size=k)
-        out.extend(m.points[i] for i in idx)
-    return out[:starts]
+def _start_points(pts: np.ndarray, w: np.ndarray, starts: int, seed: int) -> np.ndarray:
+    """(M, starts, d) ascent starts in (pts[k], w[k]): the weighted mean (the
+    bits of w[k] @ pts[k]), the coordinate medians, then points seed draws."""
+    out = [np.matmul(w[:, None, :], pts), np.median(pts, axis=1, keepdims=True)]
+    if starts > 2:
+        out.append(pts[:, np.random.default_rng(seed).integers(0, pts.shape[1], size=starts - 2)])
+    return np.concatenate(out, axis=1)[:, :starts]
 
 
 def tukey_median(
@@ -191,29 +186,32 @@ def tukey_median(
     Deterministic in the seed; ties broken toward the lexicographically
     smallest evaluated candidate.
     """
-    return tukey_medians([m], mode, starts, iters, seed)[0]
+    return tukey_medians(m.points[None], m.weights, mode, starts, iters, seed)[0]
 
 
-def tukey_medians(ms: list, mode: str = "auto", starts: int = 16, iters: int = 30,
+def tukey_medians(points, weights, mode: str = "auto", starts: int = 16, iters: int = 30,
                   seed: int = 0) -> list[MedianResult]:
-    """``tukey_median`` of each measure in ms (one dimension and point
-    count), the multistart ascents of all of them stepping in lockstep."""
-    m = ms[0]
+    """``tukey_median`` of each measure (points[k], weights[k]) of one
+    stack, points (M, n, d) and weights (M, n) or one (n,) array that all
+    share, the multistart ascents of all of them stepping in lockstep."""
+    weights = np.broadcast_to(weights, points.shape[:2])
+    _, n, d = points.shape
     if mode == "auto":
-        mode = "arrangement" if (m.dim == 2 and m.n <= 40) else "multistart"
+        mode = "arrangement" if (d == 2 and n <= 40) else "multistart"
     if mode == "arrangement":
-        if m.dim != 2 or m.n > ARRANGEMENT_MAX_N:
+        if d != 2 or n > ARRANGEMENT_MAX_N:
             raise ValueError(f"arrangement mode requires dim=2 and n <= {ARRANGEMENT_MAX_N}")
-        return [_arrangement_median(m) for m in ms]
+        return [_arrangement_median(DiscreteMeasure(d, p, w)) for p, w in zip(points, weights)]
     if mode != "multistart":
         raise ValueError(f"unknown budget mode {mode!r}")
-    if m.dim == 1:
-        return [_line_median(m) for m in ms]
+    if d == 1:
+        return [_line_median(DiscreteMeasure(d, p, w)) for p, w in zip(points, weights)]
 
-    finals = 3 if m.dim <= 2 else 1  # final evaluations are costly in d >= 3
+    finals = 3 if d <= 2 else 1  # final evaluations are costly in d >= 3
     out = []
-    for mk, (endpoints, evals) in zip(ms, _multistart_endpoints(ms, starts, iters, seed)):
-        scored = _finals(mk, endpoints, finals)
+    for p, w, (endpoints, evals) in zip(points, weights,
+                                        _multistart_endpoints(points, weights, starts, iters, seed)):
+        scored = _finals(p, w, endpoints, finals)
         best_x, best_d = _deepest(scored)
         out.append(MedianResult(best_x, float(best_d), evals + len(scored)))
     return out
@@ -229,8 +227,9 @@ def _line_median(m: DiscreteMeasure) -> MedianResult:
     return MedianResult(best_x, best_d, cands.size)
 
 
-def _multistart_endpoints(ms: list, starts: int, iters: int, seed: int) -> list:
-    """Witness-descent ascent from the seeded starts of every measure in ms.
+def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: int, seed: int) -> list:
+    """Witness-descent ascent from the seeded starts of every measure
+    (pts[k], w[k]) of the stacks pts (M, n, d) and w (M, n).
 
     All starts step in lockstep: each iteration evaluates the full step of
     every active start in one batch, then the quarter step of those that did
@@ -249,18 +248,20 @@ def _multistart_endpoints(ms: list, starts: int, iters: int, seed: int) -> list:
     It still counts as an evaluation, so the counts, endpoints and depths
     are those of sweeping every step.
     """
-    x0 = [_start_points(m, starts, seed) for m in ms]
-    own = np.repeat(np.arange(len(ms)), [len(xs) for xs in x0])
-    s_i = np.concatenate([np.arange(len(xs)) for xs in x0])
-    evaluate, bound = _cheap_depths(ms, own, seed + 7 * s_i)
-    x = np.array([xi for xs in x0 for xi in xs], dtype=float)
+    M, _, d = pts.shape
+    x0 = _start_points(pts, w, starts, seed)
+    per = x0.shape[1]  # starts per measure
+    x = x0.reshape(M * per, d)
+    own, s_i = np.divmod(np.arange(M * per), per)
+    dev = pts - x0[:, :1]  # from the weighted mean, squared in place with np.linalg.norm's bits
+    scale = np.sqrt(np.multiply(dev, dev, out=dev).sum(axis=2)).mean(axis=1)
+    scale = np.where(scale == 0.0, 1.0, scale)[own]
+    del dev
+    evaluate, bound = _cheap_depths(pts, w, own, seed + 7 * s_i)
     d_cur, wit = evaluate(np.arange(len(x)), x)
     evals = np.ones(len(x), dtype=int)
     ring = np.repeat(wit[:, None, :], _RING, axis=1)  # slot: evaluation count mod _RING
-    per = len(x0[0])  # starts per measure, the same for every measure
     others = own[:, None] * per + (s_i[:, None] + np.arange(1, per)) % per
-    scale = np.array([float(np.mean(np.linalg.norm(m.points - m.weights @ m.points, axis=1))) or 1.0
-                      for m in ms])[own]
     step = scale / 3.0
     live = np.arange(len(x))
     for _ in range(iters):
@@ -282,7 +283,7 @@ def _multistart_endpoints(ms: list, starts: int, iters: int, seed: int) -> list:
         step[live[~moved]] *= 0.5
         live = live[moved | (step[live] >= 1e-4 * scale[live])]
     out = []
-    for k in range(len(ms)):
+    for k in range(M):
         rows = np.flatnonzero(own == k)
         endpoints = [(d_cur[r], x[r]) for r in rows]
         endpoints.sort(key=lambda t: -t[0])
@@ -303,8 +304,8 @@ def balanced_median(
     which keeps the surrounding set of minimizing normals spread out (the
     lexicographic tie-break of ``tukey_median`` tends to a corner instead).
     """
-    endpoints, evals = _multistart_endpoints([m], starts, iters, seed)[0]
-    scored = _finals(m, endpoints, 6 if m.dim <= 2 else 3)
+    endpoints, evals = _multistart_endpoints(m.points[None], m.weights[None], starts, iters, seed)[0]
+    scored = _finals(m.points, m.weights, endpoints, 6 if m.dim <= 2 else 3)
     evals += len(scored)
     best = max(s for s, _ in scored)
     ties = [x for s, x in scored if s >= best - 1e-9]

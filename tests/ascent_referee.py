@@ -1,22 +1,25 @@
 """Referee for the lockstep median ascent: the planar sweep, the
 single-query planar depth, the one-query sampled depth, the certified
-floor in 16,384-row net chunks and the sequential multistart ascent that
-the package used before the ascents of all starts and directions were
-batched, kept verbatim for the tests.
+floor in 16,384-row net chunks, the one-direction projection and the
+sequential multistart ascent that the package used before the ascents of
+all starts and directions were batched, kept verbatim for the tests.
 
 ``_sweep`` sorts every row stably and reduces its angles with ``np.mod``;
 ``exact_depth_value_2d`` splits off the points at the query and sweeps the
 rest alone with it; ``sampled_depth`` draws its directions on every call
 and takes one product with them; ``certified_depth_floor`` sweeps its
-net in large chunks; ``_multistart_endpoints`` climbs one start after
-another.  The tests require the batched path to give the same bits.
+net in large chunks; ``project_line`` takes one QR per direction and
+fixes its signs row by row; ``_start_points`` draws one measure's starts;
+``_multistart_endpoints`` climbs one start after another.  The tests
+require the batched path to give the same bits.
 """
 
 import numpy as np
 
 from depthlab.depth import DepthResult, _split_query, exact_affordable, point_depth
-from depthlab.geometry import DEFAULT_TOL, as_vector, sample_directions
-from depthlab.median import MedianResult, _lex_less, _start_points
+from depthlab.geometry import DEFAULT_TOL, as_vector, sample_directions, unit
+from depthlab.measures import DiscreteMeasure
+from depthlab.median import MedianResult, _lex_less
 
 _CHUNK = 16384
 
@@ -115,6 +118,28 @@ def _final_depth(m, x: np.ndarray) -> float:
     if exact_affordable(m):
         return point_depth(m, x, mode="exact").depth
     return certified_depth_floor(m, x, gamma=0.1)
+
+
+def project_line(m, direction):
+    """``project_measure(m, line(direction))``."""
+    u = unit(direction)
+    q, _ = np.linalg.qr(u[:, None], mode="complete")
+    comp = q[:, 1:].T.copy()
+    for row in comp:
+        j = int(np.argmax(np.abs(row)))
+        if row[j] < 0:
+            row *= -1.0
+    return DiscreteMeasure(m.dim - 1, m.points @ comp.T, m.weights)
+
+
+def _start_points(m, starts: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    out = [m.weights @ m.points, np.median(m.points, axis=0)]
+    k = max(0, starts - len(out))
+    if k:
+        idx = rng.integers(0, m.n, size=k)
+        out.extend(m.points[i] for i in idx)
+    return out[:starts]
 
 
 def _cheap_depth(m, x: np.ndarray, seed: int):

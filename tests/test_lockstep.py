@@ -2,6 +2,11 @@
 the blocked certified floor give the same bits as the single-query referee
 in ``ascent_referee``."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,9 +22,9 @@ from depthlab.depth import (
     exact_depth_values_2d,
     point_depth,
 )
-from depthlab.geometry import line, sample_directions
+from depthlab.geometry import canonical_direction, line, sample_directions
 from depthlab.measures import MeasureSpec, generate_measure, make_measure, project_measure
-from depthlab.median import balanced_median, tukey_median, tukey_medians
+from depthlab.median import _start_points, balanced_median, tukey_median, tukey_medians
 from depthlab.suites import line_search_suite_specs
 
 Q = np.array([0.25, -0.5])
@@ -106,7 +111,52 @@ def _sweep_batches():
         ("m2", rows(pair), pair_w),
         ("partial_ties", partial, rng.random((9, 30))),
         ("two_pi_breakpoint", turn, np.tile([0.5, 0.25, 0.125], (2, 1))),
-    ]
+    ] + _boundary_batches(rng) + _sweep_fuzz(300)
+
+
+_AXES = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])  # angles 0, pi/2, pi, 3 pi/2 exactly
+
+
+def _axis_rows(k: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Unit rows at the axis angles k pi/2 moved by offset, exact where the
+    offset is 0."""
+    a = 0.5 * np.pi * k + offset
+    return np.where((offset == 0.0)[..., None], _AXES[k], np.stack([np.cos(a), np.sin(a)], axis=-1))
+
+
+def _boundary_batches(rng) -> list:
+    """Point angles at exactly 0, pi/2, pi and 3 pi/2 or within 1e-15 of
+    them: breakpoints land on exactly 0 or 2 pi beside arcs of zero width,
+    where a skipped arc's count can run out of range.  The rows come as one
+    batch and one at a time, so such a count also falls on a last row."""
+    offsets = [0.0, 0.0, 2.2e-16, -2.2e-16, 4.4e-16, -4.4e-16, 1e-15, -1e-15]
+    p = _axis_rows(rng.integers(0, 4, (12, 16)), rng.choice(offsets, (12, 16)))
+    w = rng.random((12, 16))
+    return [("boundary", p, w)] + [(f"boundary_row{i}", p[i : i + 1], w[i : i + 1]) for i in range(12)]
+
+
+def _sweep_fuzz(count: int) -> list:
+    """Seeded batches of random rows, integer grids, antipodal copies and
+    axis angles moved by 0, +-1e-12 or 3e-9, with uniform, random or partly
+    zero weights."""
+    rng = np.random.default_rng(15)
+    out = []
+    for t in range(count):
+        r, m = int(rng.integers(1, 9)), int(rng.integers(1, 31))
+        kind = ("random", "grid", "antipodal", "axes")[t % 4]
+        if kind == "random":
+            p = rng.standard_normal((r, m, 2))
+        elif kind == "grid":
+            p = rng.integers(-3, 4, (r, m, 2)).astype(float)
+            p[(p == 0.0).all(axis=-1)] = [1.0, 0.0]
+        elif kind == "antipodal":
+            p = rng.standard_normal((r, m, 2))
+            p[:, m // 2: 2 * (m // 2)] = -p[:, : m // 2]
+        else:
+            p = _axis_rows(rng.integers(0, 4, (r, m)), rng.choice([0.0, 1e-12, -1e-12, 3e-9], (r, m)))
+        w = (np.full((r, m), 1.0 / m), rng.random((r, m)), rng.random((r, m)) * (rng.random((r, m)) < 0.5))
+        out.append((f"fuzz{t}_{kind}", p / np.linalg.norm(p, axis=-1, keepdims=True), w[(t // 4) % 3]))
+    return out
 
 
 @pytest.mark.parametrize("gap", [1e-9, 2e-9, 4e-9])
@@ -141,8 +191,59 @@ def test_medians_of_projections_match_one_at_a_time():
     # their start seeds, so they share each start's directions
     m = generate_measure(MeasureSpec("gaussian", 4, 150, {"scales": [1.0, 0.8, 0.5, 0.3]}, seed=3))
     projs = [project_measure(m, line(u)) for u in sample_directions(4, 4, seed=1)]
-    for r, p in zip(tukey_medians(projs, starts=5, iters=10, seed=4), projs):
+    stack = np.stack([p.points for p in projs])
+    for r, p in zip(tukey_medians(stack, m.weights, starts=5, iters=10, seed=4), projs):
         assert _same(r, ref.tukey_median(p, starts=5, iters=10, seed=4))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_medians_of_differently_weighted_measures_match_one_at_a_time(d):
+    # two measures share their points and differ only in their weights
+    rng = np.random.default_rng(d)
+    pts = [rng.standard_normal((60, d)) for _ in range(3)]
+    ms = [make_measure(p, rng.random(60) ** 2) for p in (pts[0], pts[0], pts[1], pts[2])]
+    ms.append(make_measure(pts[1]))
+    got = tukey_medians(np.stack([m.points for m in ms]), np.stack([m.weights for m in ms]),
+                        starts=5, iters=10, seed=3)
+    for r, m in zip(got, ms):
+        assert _same(r, tukey_median(m, starts=5, iters=10, seed=3))
+        assert _same(r, ref.tukey_median(m, starts=5, iters=10, seed=3))
+
+
+def _profile_directions():
+    """The scan grid of a deep-line search, and the axis and diagonal
+    directions, unit and not, whose complement rows hold entries of nearly
+    equal magnitude, where the sign rule looks for the first largest."""
+    grid = [canonical_direction(u) for u in sample_directions(3, 800, mode="grid")]
+    ties = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, -1.0, 1.0], [0.0, 0.0, -2.0]]
+    return np.array(grid + ties + [np.array(u) / np.linalg.norm(u) for u in ties])
+
+
+def test_batched_projections_match_one_direction_at_a_time(monkeypatch):
+    # the stacked QR and matmul give each direction the bits of its own
+    # project_measure(m, line(u)), and the stacked starts those of each
+    # measure's own starts
+    stacks = []
+
+    def captured(points, weights, *args, **kwargs):
+        stacks.append((points, weights))
+        return tukey_medians(points, weights, *args, **kwargs)
+
+    monkeypatch.setattr(depthlab.median, "tukey_medians", captured)
+    m = generate_measure(MeasureSpec("simplex_mixture", 3, 160, {"sigma": 0.2}, seed=5))
+    dirs = _profile_directions()
+    direction_profiles(m, dirs, {"mode": "multistart", "starts": 2, "iters": 1, "seed": 0})
+    (pts, w), = stacks
+    assert pts.shape == (len(dirs), m.n, 2)
+    for u, p, wk in zip(dirs, pts, np.broadcast_to(w, pts.shape[:2])):
+        proj = project_measure(m, line(u))
+        assert p.tobytes() == proj.points.tobytes() == ref.project_line(m, u).points.tobytes()
+        assert wk.tobytes() == m.weights.tobytes()
+    for starts in (1, 2, 4, 10, 24):
+        x0 = _start_points(pts, np.broadcast_to(w, pts.shape[:2]), starts, 7)
+        for u, xs in zip(dirs, x0):
+            want = ref._start_points(ref.project_line(m, u), starts, 7)
+            assert xs.tobytes() == np.array(want).tobytes(), (u, starts)
 
 
 def test_sampled_ascent_draws_each_start_once(monkeypatch):
@@ -218,6 +319,31 @@ LINES = {
         ["0x1.64f0a3bf85f85p-9", "-0x1.e74d1056a8bbap-10", "-0x1.ebd7c81ceed04p-9"],
         "0x1.e66666666666ap-2", 115),
 }
+
+
+_THREADS_PROBE = """
+from depthlab.depth import deep_line_search
+from depthlab.measures import MeasureSpec, generate_measure
+for kind, params in (("simplex_mixture", {"sigma": 0.2}), ("gaussian", {})):
+    r = deep_line_search(generate_measure(MeasureSpec(kind, 3, 200, params, seed=3)),
+                         grid_count=96, refine_iters=1, seed=3)
+    print(r.direction.tobytes().hex(), r.anchor.tobytes().hex(), float(r.depth).hex(), r.iterations)
+"""
+
+
+def test_deep_line_search_bits_do_not_depend_on_blas_threads():
+    # the stacked QR, matmuls and sweeps give the same bytes at any BLAS
+    # thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        r = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True, text=True,
+                           env=env, timeout=300)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 2
 
 
 @pytest.mark.parametrize("i", sorted(LINES))
