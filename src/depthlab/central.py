@@ -16,11 +16,17 @@ over its edges, theta_i being the arc length of edge i.  Patches are clipped
 in lockstep, many cones at once on padded arrays, with the bits of one clip
 per cone.
 
+A constraint's capture runs over the points inside B only, the ones that
+carry B's mass: an exact count when all weights are equal, a sum of the
+captured weights in point order otherwise.
+
 The structural map sends a recentered measure to an unordered tuple of d + 1
 vectors, one per matched-cone slot, by integrating (a - weight) e(B_i) over
 normal tuples; the origin ends up strictly inside their convex hull.  It
-screens every tuple sample first, then builds the central cones of
-``MAP_BLOCK`` family members at a time, clips all their patches together
+screens every tuple sample first against the reference tuple's weight and
+cone masks, computed once, then builds the central cones of ``MAP_BLOCK``
+family members at a time (their pools drawn seed by seed, normalised,
+crossed and counted on stacked arrays), clips all their patches together
 and adds the contributions in sample order.
 """
 
@@ -35,7 +41,7 @@ from .geometry import (
     SimplicialCone,
     cone_contains_many,
     hull_interior_margin,
-    sample_directions,
+    sphere_direction_sets,
     unit,
 )
 from .measures import DiscreteMeasure, cone_mass
@@ -47,10 +53,12 @@ from .cones import (
     family_member_order,
     family_overlap_floor,
     is_generating,
+    TupleMasses,
+    tuple_masses,
     tuple_weight,
 )
 from .median import witness_tuple
-from .depth import _row_blocks, exact_affordable, point_depth
+from .depth import _BLOCK_ENTRIES, exact_affordable, point_depth
 
 # the structural map's Monte Carlo proposal: the constraint pool of each
 # central cone, the angular scale of the witness perturbations and the share
@@ -234,32 +242,32 @@ def _sphere_moments(u: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.
             np.array([theta[sp].sum() for sp in spans]))
 
 
-def _sphere_moment(u: np.ndarray) -> tuple[np.ndarray, float]:
-    """``_sphere_moments`` of one polygon."""
-    moments, perimeters = _sphere_moments(u, np.array([len(u)]))
-    return moments[0], float(perimeters[0])
-
-
 @dataclass(frozen=True, eq=False)
 class StructuralTuple:
     vectors: np.ndarray  # (d+1, d), unordered
     margin: float  # interior margin of 0 in conv(vectors)
 
 
-def _exact_constraint_candidates(m: DiscreteMeasure, cap: int, seed: int) -> np.ndarray:
-    """Hyperplane normals through the origin spanned by measure points."""
+def _exact_constraint_candidates(m: DiscreteMeasure, cap: int, seeds) -> list:
+    """Hyperplane normals through the origin spanned by measure points: for
+    each seed, at most ``cap`` of them, drawn by that seed's generator.  The
+    unit points are computed once, and the normals of every seed's pairs on
+    one stack; each seed's rows have the bits of its draw alone."""
     d = m.dim
+    if d not in (2, 3):
+        return [np.empty((0, d)) for _ in seeds]
     norms = np.linalg.norm(m.points, axis=1)
     keep = norms > DEFAULT_TOL
     phat = m.points[keep] / norms[keep][:, None]
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
     if d == 2:
-        cand = np.column_stack([-phat[:, 1], phat[:, 0]])
-    elif d == 3:
+        cands = [np.column_stack([-phat[:, 1], phat[:, 0]])] * len(rngs)
+    else:
         # the drawn pairs p of the row-major upper triangle i < j, as (i, j)
         n = phat.shape[0]
         pairs = n * (n - 1) // 2
-        p = rng.choice(pairs, size=cap, replace=False) if pairs > cap else np.arange(pairs)
+        p = np.concatenate([rng.choice(pairs, size=cap, replace=False) if pairs > cap else np.arange(pairs)
+                            for rng in rngs])
         rows = np.arange(n)
         start = rows * (2 * n - rows - 1) // 2  # where row i begins
         ii = np.searchsorted(start, p, side="right") - 1
@@ -269,13 +277,96 @@ def _exact_constraint_candidates(m: DiscreteMeasure, cap: int, seed: int) -> np.
         xi, yi, zi, xj, yj, zj = x[ii], y[ii], z[ii], x[jj], y[jj], z[jj]
         cr = np.stack([yi * zj - zi * yj, zi * xj - xi * zj, xi * yj - yi * xj])
         lens = np.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
-        cand = (cr[:, lens > 1e-9] / lens[lens > 1e-9]).T
+        ok = lens > 1e-9
+        cands = np.split((cr[:, ok] / lens[ok]).T, np.cumsum(ok.reshape(len(rngs), -1).sum(axis=1))[:-1])
+    out = []
+    for cand, rng in zip(cands, rngs):
+        cand = np.vstack([cand, -cand])
+        if cand.shape[0] > cap:
+            cand = cand[rng.choice(cand.shape[0], size=cap, replace=False)]
+        out.append(cand)
+    return out
+
+
+def _constraint_pools(m: DiscreteMeasure, samples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint pool of each seed, zero-padded (len(seeds), width, d)
+    (a zero row captures every point), and the pool sizes: ``samples``
+    sphere directions of the seed, then the exact candidates of seed + 1."""
+    exact = _exact_constraint_candidates(m, 1024, seeds + 1)
+    sizes = samples + np.array([e.shape[0] for e in exact])
+    pools = np.zeros((len(seeds), sizes.max(initial=0), m.dim))
+    pools[:, :samples] = sphere_direction_sets(m.dim, samples, seeds)
+    for pool, e in zip(pools, exact):
+        pool[samples : samples + len(e)] = e
+    return pools, sizes
+
+
+def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constraints: int | None = None) -> list:
+    """The sampled outer approximations of the central cones of ``cones``
+    under m, cone i from the constraint pool of seed seeds[i]: per cone its
+    ``CentralConeApprox``, or None when the cone carries no mass.
+
+    Each seed's pool (``_constraint_pools``) is drawn once, however many
+    cones share it; its exact block does not depend on ``samples``, so pools
+    nest across sample counts and the approximation shrinks monotonically
+    toward the true central cone.  A constraint is kept when its half-space captures at least the fraction
+    d/(d+1) of B's mass; only the points inside B carry that mass, so the
+    capture runs over them alone, on stacked padded arrays, in blocks of
+    about ``_BLOCK_ENTRIES`` entries.  With equal weights it is an exact
+    count k of the K points in B, kept when (d+1) k >= d K: the rule
+    ``captured >= d/(d+1) mass(B) - 1e-12`` exactly, since a count step of
+    1/((d+1) n) exceeds the slack.  Otherwise it is each row's sum of the
+    captured weights in point order (a ``cumsum``, whose bits no padding
+    moves), against the same sum over B.  ``max_constraints`` keeps the
+    most binding constraints (capture closest to the threshold cuts deepest
+    into the cone) in the stable order of their captures; any subset still
+    yields a valid outer approximation.
+    """
+    d = m.dim
+    normals = np.stack([b.normals for b in cones])
+    apexes = np.stack([b.apex for b in cones])
+    inside = np.all((m.points[None] - apexes[:, None, :]) @ normals.transpose(0, 2, 1) <= DEFAULT_TOL, axis=2)
+    counts = inside.sum(axis=1)
+    keys, pick = np.unique(np.asarray(seeds), return_inverse=True)
+    pools, sizes = _constraint_pools(m, samples, keys)
+    # each cone's points, then zero rows, which every constraint captures
+    width = max(int(counts.max(initial=0)), 1)
+    slots, idx = np.arange(width) < counts[:, None], np.nonzero(inside)[1]
+    pts = np.zeros((len(cones), width, d))
+    pts[slots] = m.points[idx]
+    uniform = bool(np.all(m.weights == m.weights[0]))
+    if not uniform:
+        w = np.zeros((len(cones), width))
+        w[slots] = m.weights[idx]
+        mass = np.cumsum(w, axis=1)[:, -1]
+    captured = np.empty((len(cones), pools.shape[1]))
+    ones = np.ones(width, dtype=np.float32)
+    per = max(1, _BLOCK_ENTRIES // (pools.shape[1] * width))
+    rows = pools.shape[1] if per > 1 else max(1, _BLOCK_ENTRIES // width)
+    for c in range(0, len(cones), per):
+        for r in range(0, pools.shape[1], rows):
+            hit = np.matmul(pools[pick[c : c + per], r : r + rows], pts[c : c + per].transpose(0, 2, 1)) <= DEFAULT_TOL
+            if uniform:  # float32 sums of zeros and ones are exact counts in any order
+                captured[c : c + per, r : r + rows] = hit.astype(np.float32) @ ones - (width - counts[c : c + per, None])
+            else:
+                captured[c : c + per, r : r + rows] = np.cumsum(hit * w[c : c + per, None, :], axis=2)[..., -1]
+    if uniform:
+        keep = (d + 1) * captured >= d * counts[:, None]
     else:
-        return np.empty((0, d))
-    cand = np.vstack([cand, -cand])
-    if cand.shape[0] > cap:
-        cand = cand[rng.choice(cand.shape[0], size=cap, replace=False)]
-    return cand
+        keep = captured >= default_capture_fraction(d) * mass[:, None] - 1e-12
+    keep &= np.arange(pools.shape[1]) < sizes[pick][:, None]
+    nkeep = keep.sum(axis=1)
+    if max_constraints is not None and (nkeep > max_constraints).any():
+        binding = np.argsort(np.where(keep, captured, np.inf), axis=1, kind="stable")[:, :max_constraints]
+    out = []
+    for i, b in enumerate(cones):
+        if counts[i] == 0:
+            out.append(None)
+        elif max_constraints is not None and nkeep[i] > max_constraints:
+            out.append(CentralConeApprox(b, pools[pick[i], binding[i]]))
+        else:
+            out.append(CentralConeApprox(b, pools[pick[i], keep[i]]))
+    return out
 
 
 def central_cone(
@@ -285,41 +376,13 @@ def central_cone(
     seed: int = 0,
     max_constraints: int | None = None,
 ) -> CentralConeApprox:
-    """Sampled outer approximation of the central cone of B.
-
-    Candidate half-space normals come from a prefix-stable sphere stream plus
-    exact candidates through measure points; a candidate is kept when its
-    half-space captures at least the fraction d/(d+1) of the mass inside B.
-    A larger ``samples`` extends the candidate stream, so the approximation
-    shrinks monotonically toward the true central cone.
-    """
-    d = m.dim
-    inside = cone_contains_many(b, m.points)
-    mass_b = float(m.weights[inside].sum())  # ``cone_mass``, from the one membership test
-    if mass_b <= 0:
+    """Sampled outer approximation of the central cone of B: the one-cone
+    case of ``_central_cones``, whose docstring gives the candidate pool and
+    the capture rule.  Raises ValueError when B carries no mass."""
+    approx = _central_cones(m, [b], [seed], samples, max_constraints)[0]
+    if approx is None:
         raise ValueError("cone carries no mass")
-    # the exact-candidate block is independent of ``samples`` so that pools
-    # nest across sample counts (monotone refinement)
-    pool = np.vstack(
-        [
-            sample_directions(d, samples, seed=seed, mode="sphere"),
-            _exact_constraint_candidates(m, 1024, seed + 1),
-        ]
-    )
-    wb = m.weights * inside
-    # in cache-sized blocks, with the bits of one product over the pool
-    captured = np.concatenate(
-        [(pool[blk] @ m.points.T <= DEFAULT_TOL) @ wb for blk in _row_blocks(pool.shape[0], m.n)]
-    )
-    keep = captured >= default_capture_fraction(d) * mass_b - 1e-12
-    retained = pool[keep]
-    if max_constraints is not None and retained.shape[0] > max_constraints:
-        # keep the most binding constraints (capture closest to the
-        # threshold cuts deepest into the cone); any subset still yields a
-        # valid outer approximation
-        order = np.argsort(captured[keep], kind="stable")
-        retained = retained[order[:max_constraints]]
-    return CentralConeApprox(b, retained)
+    return approx
 
 
 def central_patch(
@@ -366,45 +429,32 @@ def containment_check(
     if inter < floor - 1e-12:
         raise ValueError(f"intersection mass {inter} below the floor {floor}")
     ok = True
-    approxes = [central_cone(m, this, seed=seed, max_constraints=320) for this in (b1, b2)]
+    approxes = _central_cones(m, [b1, b2], [seed, seed], 1024, 320)  # both carry mass: inter > 0
     for patch, other in zip(_clip_patches(approxes), (b2, b1)):
         verts, e = _nonempty(patch)
         ok &= bool(np.all(cone_contains_many(other, np.vstack([verts, e]), 1e-7)))
     return ok
 
 
-def _family_member(m: DiscreteMeasure, a: float, ref: GeneratingTuple, normals: np.ndarray):
+def _family_member(m: DiscreteMeasure, a: float, ref: GeneratingTuple | TupleMasses, normals: np.ndarray):
     """(tuple, weight, order) when ``normals`` form a generating tuple of
-    weight at most a whose cones match those of the reference tuple, with
-    the permutation that labels it by the reference; else None."""
+    weight at most a whose cones match those of the reference tuple (or of
+    its ``tuple_masses``, computed once for many calls), with the
+    permutation that labels it by the reference; else None."""
     flag, _ = is_generating(normals)
     if not flag:
         return None
-    t = GeneratingTuple(normals)
-    w = tuple_weight(m, t)
-    if w > a:
+    t = tuple_masses(m, GeneratingTuple(normals))
+    if t.weight > a:
         return None
     order = family_member_order(m, ref, t)
-    return None if order is None else (t, w, order)
+    return None if order is None else (t.tuple, t.weight, order)
 
 
 def _perturbed_normals(rng: np.random.Generator, base: np.ndarray, angle: float) -> np.ndarray:
     g = rng.standard_normal(base.shape) * angle
     out = base + g - (np.sum(g * base, axis=1))[:, None] * base
     return out / np.linalg.norm(out, axis=1)[:, None]
-
-
-def _sample_cones(m: DiscreteMeasure, cones, seed: int):
-    """The central-cone approximations of a tuple sample's cones in order,
-    cone j seeded ``seed + j``, up to the first that has no mass; and that
-    cone's ValueError, or None."""
-    out = []
-    for j, b in enumerate(cones):
-        try:
-            out.append(central_cone(m, b, samples=MAP_CONSTRAINT_SAMPLES, seed=seed + j, max_constraints=320))
-        except ValueError as err:
-            return out, err
-    return out, None
 
 
 def structural_map(
@@ -431,7 +481,9 @@ def structural_map(
     below a < 1/(d+1) + 1/(3(d+1)^3); deterministic in the seed.  A sample
     with an empty central-cone patch contributes nothing; a cone without
     mass raises the ValueError of ``central_cone``, unless an earlier cone of
-    its sample has an empty patch.
+    its sample has an empty patch.  The reference tuple's weight and cone
+    masks are computed once (``tuple_masses``), and the central cones of
+    ``MAP_BLOCK`` family members are built together (``_central_cones``).
     """
     d = m.dim
     cap = family_level_cap(d)
@@ -457,7 +509,7 @@ def structural_map(
         raise RuntimeError(
             f"tuple weight at the origin ({base_weight}) is not below a = {a}"
         )
-    ref = canonical_labeling(wt)
+    ref = tuple_masses(m, canonical_labeling(wt))
 
     rng = np.random.default_rng(seed)
     n_uniform = int(round(MAP_UNIFORM_SHARE * tuple_samples))
@@ -466,7 +518,7 @@ def structural_map(
     members = []  # (sample, weight, matched cones) of each tuple in the family
     for s in range(tuple_samples):
         if s < n_perturb:
-            nrm = _perturbed_normals(rng, ref.normals, MAP_PERTURB_ANGLE)
+            nrm = _perturbed_normals(rng, ref.tuple.normals, MAP_PERTURB_ANGLE)
         else:
             g = rng.standard_normal((d + 1, d))
             nrm = g / np.linalg.norm(g, axis=1)[:, None]
@@ -479,14 +531,22 @@ def structural_map(
     nonzero = 0
     for lo in range(0, len(members), MAP_BLOCK):
         block = members[lo : lo + MAP_BLOCK]
-        rows = [_sample_cones(m, cones, seed + 31 * s) for s, _, cones in block]
-        patches = iter(_clip_patches([c for approxes, _ in rows for c in approxes]))
-        for (_, w, _), (approxes, err) in zip(block, rows):
+        # cone j of sample s from the pool of seed + 31 s + j; a sample's
+        # cones count up to the first that has no mass
+        built = iter(_central_cones(m, [b for _, _, cones in block for b in cones],
+                                    [seed + 31 * s + j for s, _, cones in block for j in range(len(cones))],
+                                    MAP_CONSTRAINT_SAMPLES, 320))
+        rows = []
+        for _, _, cones in block:
+            approxes = [next(built) for _ in cones]
+            rows.append(approxes[: approxes.index(None)] if None in approxes else approxes)
+        patches = iter(_clip_patches([c for approxes in rows for c in approxes]))
+        for (_, w, cones), approxes in zip(block, rows):
             clipped = [next(patches) for _ in approxes]
             if any(p is None for p in clipped):
                 continue  # an empty patch comes before any later cone's error
-            if err is not None:
-                raise err
+            if len(approxes) < len(cones):
+                raise ValueError("cone carries no mass")
             sums += (a - w) * np.array([e for _, e in clipped])
             nonzero += 1
     if nonzero == 0:

@@ -179,21 +179,35 @@ def bmes_report(m: DiscreteMeasure, t: GeneratingTuple, eps: float) -> BmesRepor
     )
 
 
-def _pair_masses(m: DiscreteMeasure, A: GeneratingTuple, B: GeneratingTuple) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class TupleMasses:
+    """A tuple's weight under a measure and the membership masks of its
+    cones, computed once for the many matchings of a reference tuple."""
+
+    tuple: GeneratingTuple
+    weight: float  # ``tuple_weight``
+    inside: np.ndarray  # (d+1, n) bool: row i marks the points in cone i
+
+
+def tuple_masses(m: DiscreteMeasure, t: GeneratingTuple) -> TupleMasses:
+    """The ``TupleMasses`` of a tuple under a measure."""
+    inside = np.stack([(m.points @ c.normals.T <= DEFAULT_TOL).all(axis=1) for c in cones_of(t).cones])
+    return TupleMasses(t, tuple_weight(m, t), inside)
+
+
+def _pair_masses(m: DiscreteMeasure, A: TupleMasses, B: TupleMasses) -> np.ndarray:
     """Masses of pairwise cone intersections, via joint membership masks."""
-    ca, cb = cones_of(A).cones, cones_of(B).cones
-    in_a = np.stack([(m.points @ c.normals.T <= DEFAULT_TOL).all(axis=1) for c in ca])
-    in_b = np.stack([(m.points @ c.normals.T <= DEFAULT_TOL).all(axis=1) for c in cb])
-    return (in_a * m.weights) @ in_b.T
+    return (A.inside * m.weights) @ B.inside.T
 
 
 def match_tuples(
     m: DiscreteMeasure,
-    A: GeneratingTuple,
-    B: GeneratingTuple,
+    A: GeneratingTuple | TupleMasses,
+    B: GeneratingTuple | TupleMasses,
     eps: float,
 ) -> MatchReport:
-    """Match the cones of two small-weight tuples by shared mass.
+    """Match the cones of two small-weight tuples by shared mass.  Either
+    tuple may come as its ``tuple_masses`` under m, computed beforehand.
 
     Builds the bipartite graph with an edge where the intersection mass
     exceeds ``MATCH_EDGE_MASS``; the graph must be a unique perfect matching,
@@ -202,16 +216,16 @@ def match_tuples(
     1/(d+1) - (3d+2) eps.  Violations raise MatchingError rather than
     returning silently.
     """
-    d = A.d
-    if B.d != d:
+    A, B = (t if isinstance(t, TupleMasses) else tuple_masses(m, t) for t in (A, B))
+    d = A.tuple.d
+    if B.tuple.d != d:
         raise ValueError("tuples live in different dimensions")
     if not (0 < eps <= epsilon_match_max(d)):
         raise ValueError(f"eps must lie in (0, {epsilon_match_max(d)!r}], got {eps}")
     cap = 1.0 / (d + 1) + eps
-    for name, t in (("first", A), ("second", B)):
-        w = tuple_weight(m, t)
-        if not w < cap:
-            raise ValueError(f"{name} tuple has weight {w}, not below 1/(d+1) + eps = {cap}")
+    for name, side in (("first", A), ("second", B)):
+        if not side.weight < cap:
+            raise ValueError(f"{name} tuple has weight {side.weight}, not below 1/(d+1) + eps = {cap}")
     masses = _pair_masses(m, A, B)
     adj = masses > MATCH_EDGE_MASS
     if np.any(adj.sum(axis=0) != 1) or np.any(adj.sum(axis=1) != 1):
@@ -235,12 +249,15 @@ def canonical_labeling(t: GeneratingTuple) -> GeneratingTuple:
     return t.reordered(order)
 
 
-def family_member_order(m: DiscreteMeasure, ref: GeneratingTuple, t: GeneratingTuple) -> np.ndarray | None:
+def family_member_order(
+    m: DiscreteMeasure, ref: GeneratingTuple | TupleMasses, t: GeneratingTuple | TupleMasses
+) -> np.ndarray | None:
     """Permutation that labels a candidate tuple by matching it to the
     reference tuple (cone i of ``t.reordered(p)`` overlaps cone i of
-    ``ref``), or None when the matching fails."""
+    ``ref``), or None when the matching fails; either tuple may come as its
+    ``tuple_masses``, as in ``match_tuples``."""
     try:
-        rep = match_tuples(m, ref, t, eps=1.0 / (3.0 * (t.d + 1) ** 3))
+        rep = match_tuples(m, ref, t, eps=1.0 / (3.0 * (m.dim + 1) ** 3))
     except (MatchingError, ValueError):
         return None
     return np.asarray(rep.permutation, dtype=int)

@@ -15,6 +15,8 @@ perturbation; the two implementations share no code path.
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,11 @@ ORACLE_MAX_N = 14
 
 _CHUNK = 16384
 _BLOCK_ENTRIES = 2**17  # direction-by-point entries per mask-product block
+# the exact results of the last _MEMO_SIZE queries, keyed on the shape and
+# bytes of (points - q) and of the weights
+_MEMO_SIZE = 16
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +402,10 @@ def point_depth(
              limited to dim <= 4 and n <= 5000 (see ``certified_depth_floor``
              for a fast conservative bound).  Reports the closed mass of the
              witness direction, a sum of weights; the mode is
-             "exact-upper-bound" when it misses the computed minimum.
+             "exact-upper-bound" when it misses the computed minimum.  The
+             results of the last 16 queries are kept (thread-safe, their
+             witnesses read-only), keyed on the bytes of (points - q) and
+             the weights, so a repeated query returns the same result.
     sampled  upper bound over ``sample_count`` seeded sphere directions; the
              direction stream is prefix-stable in the count, so a larger
              sample with the same seed can only lower the bound.  This is
@@ -409,26 +419,44 @@ def point_depth(
     if mode == "exact":
         if m.dim > EXACT_MAX_DIM or m.n > EXACT_MAX_N:
             raise ValueError(f"exact mode limited to dim <= {EXACT_MAX_DIM}, n <= {EXACT_MAX_N}")
-        P, w, w0 = _split_query(m, q, DEFAULT_TOL)
-        if P.shape[0] == 0:
-            return DepthResult(1.0, np.eye(m.dim)[0], "exact")
-        phat = P / np.linalg.norm(P, axis=1)[:, None]
-        if m.dim == 1:
-            pos, neg = float(w[phat[:, 0] > 0].sum()), float(w[phat[:, 0] < 0].sum())
-            val, u = min(pos, neg), np.array([1.0 if pos <= neg else -1.0])
-        else:
-            vals, us = _min_halfspace_mass(phat[None], w[None], DEFAULT_TOL, DEFAULT_TOL)
-            val, u = float(vals[0]), us[0]
-        depth = w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())
-        # beyond general position the minimum may be unattainable at the
-        # witness; its attained mass is then a certified upper bound
-        mode = "exact" if abs(depth - (w0 + val)) <= 1e-9 else "exact-upper-bound"
-        return DepthResult(depth, u, mode)
+        p = m.points - q
+        key = (p.shape, p.tobytes(), m.weights.tobytes())
+        with _memo_lock:
+            res = _memo.get(key)
+            if res is not None:
+                _memo.move_to_end(key)
+                return res
+        res = _exact_depth(m, q)
+        res.witness.setflags(write=False)
+        with _memo_lock:
+            _memo[key] = res
+            if len(_memo) > _MEMO_SIZE:
+                _memo.popitem(last=False)
+        return res
     if mode == "sampled":
         u = sample_directions(m.dim, sample_count, seed=seed, mode="sphere")
         vals, us = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])
         return DepthResult(float(vals[0]), us[0], "sampled")
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _exact_depth(m: DiscreteMeasure, q: np.ndarray) -> DepthResult:
+    """The exact mode of ``point_depth``, without the memo."""
+    P, w, w0 = _split_query(m, q, DEFAULT_TOL)
+    if P.shape[0] == 0:
+        return DepthResult(1.0, np.eye(m.dim)[0], "exact")
+    phat = P / np.linalg.norm(P, axis=1)[:, None]
+    if m.dim == 1:
+        pos, neg = float(w[phat[:, 0] > 0].sum()), float(w[phat[:, 0] < 0].sum())
+        val, u = min(pos, neg), np.array([1.0 if pos <= neg else -1.0])
+    else:
+        vals, us = _min_halfspace_mass(phat[None], w[None], DEFAULT_TOL, DEFAULT_TOL)
+        val, u = float(vals[0]), us[0]
+    depth = w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())
+    # beyond general position the minimum may be unattainable at the
+    # witness; its attained mass is then a certified upper bound
+    mode = "exact" if abs(depth - (w0 + val)) <= 1e-9 else "exact-upper-bound"
+    return DepthResult(depth, u, mode)
 
 
 def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:

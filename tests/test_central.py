@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,14 +23,13 @@ from depthlab.central import (
     CentralConeApprox,
     _exact_constraint_candidates,
     _family_member,
-    _sphere_moment,
+    _sphere_moments,
     central_cone,
     central_patch,
     containment_check,
     default_capture_fraction,
     structural_map,
 )
-from depthlab.depth import _row_blocks
 from depthlab.suites import _octant_symmetric_measure, _small_rotation
 
 OCTANT = SimplicialCone(np.zeros(3), -np.eye(3))
@@ -88,7 +92,7 @@ def test_exact_vector_matches_referee(d, mixture2, mixture3):
 def test_octant_moment_closed_form():
     # the unconstrained octant: scale and orientation of the Stokes moment
     verts, e = CentralConeApprox(OCTANT, np.empty((0, 3))).patch()
-    moment, perimeter = _sphere_moment(verts)
+    (moment,), (perimeter,) = _sphere_moments(verts, np.array([len(verts)]))
     assert np.allclose(moment, np.full(3, np.pi / 4), atol=1e-12, rtol=0)
     assert perimeter == pytest.approx(1.5 * np.pi, abs=1e-12)
     assert np.allclose(e, np.ones(3) / np.sqrt(3), atol=1e-15)
@@ -101,7 +105,7 @@ def test_constraint_through_base_ray():
     want = {(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (np.sqrt(0.5), np.sqrt(0.5), 0.0)}
     assert len(verts) == 3
     assert all(min(np.abs(v - w).max() for w in np.array(list(want))) < 1e-15 for v in verts)
-    moment, _ = _sphere_moment(verts)
+    (moment,), _ = _sphere_moments(verts, np.array([len(verts)]))
     r = np.sqrt(0.5)
     assert np.allclose(moment, np.pi / 4 * np.array([1 - r, r, 0.5]), atol=1e-12, rtol=0)
     assert np.allclose(e, unit(moment), atol=1e-15)
@@ -168,19 +172,32 @@ def test_central_cone_monotone_refinement(mixture3):
 
 
 def test_central_cone_capture_in_blocks(mixture3):
-    # the retained constraints (and their stable tie order) are those of
-    # one capture product over the whole candidate pool
+    # the retained constraints are those of one float capture product over
+    # all points and the whole candidate pool, and their order is the
+    # stable order of the capture over the points in B alone, counted in
+    # blocks: an exact count with equal weights, each row's sum of captured
+    # weights in point order otherwise; the octant holds 3,600 points, whose
+    # counts take 15 blocks of pool rows
     mc, tup = mixture3
-    for b in cones_of(tup).cones:
-        approx = central_cone(mc, b, samples=1024, seed=2, max_constraints=320)
-        pool = np.vstack([sample_directions(3, 1024, seed=2, mode="sphere"), _exact_constraint_candidates(mc, 1024, 3)])
-        assert len(_row_blocks(pool.shape[0], mc.n)) > 1
-        wb = mc.weights * cone_contains_many(b, mc.points)
-        captured = (pool @ mc.points.T <= DEFAULT_TOL) @ wb
-        keep = captured >= default_capture_fraction(3) * cone_mass(mc, b) - 1e-12
-        order = np.argsort(captured[keep], kind="stable")[:320]
-        assert np.array_equal(approx.constraints, pool[keep][order])
-        assert approx.constraints.shape[0] == 320
+    weighted = make_measure(mc.points, 0.5 + np.random.default_rng(3).random(mc.n))
+    cases = [(m, b) for m in (mc, weighted) for b in cones_of(tup).cones]
+    for m, b in cases + [(_octant_symmetric_measure(600, 0.15), OCTANT)]:
+        approx = central_cone(m, b, samples=1024, seed=2, max_constraints=320)
+        pool = np.vstack([sample_directions(3, 1024, seed=2, mode="sphere"),
+                          _exact_constraint_candidates(m, 1024, [3])[0]])
+        inside = cone_contains_many(b, m.points)
+        hits = np.vstack([pool[lo : lo + 256] @ m.points.T <= DEFAULT_TOL for lo in range(0, len(pool), 256)])
+        captured = hits @ (m.weights * inside)
+        keep = captured >= default_capture_fraction(3) * cone_mass(m, b) - 1e-12
+        old = pool[keep][np.argsort(captured[keep], kind="stable")[:320]]
+        if m is weighted:
+            exact = np.cumsum(hits[:, inside] * m.weights[inside], axis=1)[:, -1]
+        else:
+            exact = hits[:, inside].sum(axis=1)
+            assert np.array_equal(keep, 4 * exact >= 3 * inside.sum())
+        assert approx.constraints.shape[0] == 320 < keep.sum()
+        assert np.array_equal(approx.constraints, pool[keep][np.argsort(exact[keep], kind="stable")[:320]])
+        assert sorted(map(tuple, approx.constraints)) == sorted(map(tuple, old))
 
 
 def test_central_cone_validations(mixture3):
@@ -337,3 +354,40 @@ def test_structural_map_requires_low_depth():
     a = 1 / 3 + 0.5 / 81
     with pytest.raises(RuntimeError):
         structural_map(mc, a, tuple_samples=40, seed=0)
+
+
+_THREADS_PROBE = """
+import numpy as np
+from depthlab.central import central_patch, containment_check, structural_map
+from depthlab.cones import cones_of, epsilon_match_max, match_tuples
+from depthlab.measures import MeasureSpec, generate_measure
+from depthlab.median import recenter, witness_tuple
+from depthlab.suites import _small_rotation
+for d in (2, 3):
+    m = generate_measure(MeasureSpec("simplex_mixture", d, 240, {"sigma": 0.01}, 40 + d))
+    mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=d)
+    st = structural_map(mc, 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3), tuple_samples=40, seed=d)
+    print(st.vectors.tobytes().hex(), float(st.margin).hex())
+    tup, _ = witness_tuple(mc, np.zeros(d), seed=d)
+    t2 = tup.rotated(_small_rotation(d, np.deg2rad(2.0), d))
+    rep = match_tuples(mc, tup, t2, eps=epsilon_match_max(d))
+    ca, cb = cones_of(tup).cones, cones_of(t2).cones
+    print([containment_check(mc, ca[i], cb[rep.permutation[i]], seed=i) for i in range(d + 1)])
+    verts, e = central_patch(mc, ca[0], seed=d)
+    print(verts.tobytes().hex(), e.tobytes().hex())
+"""
+
+
+def test_map_and_containment_bits_do_not_depend_on_blas_threads():
+    # the stacked pools, capture counts and lockstep clips give the same
+    # bytes at any BLAS thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        r = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True, text=True,
+                           env=env, timeout=300)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 6

@@ -10,7 +10,7 @@ import central_referee as referee
 from depthlab import central
 from depthlab.central import MAP_BLOCK, CentralConeApprox, _clip_patches, _exact_constraint_candidates
 from depthlab.geometry import SimplicialCone, unit
-from depthlab.measures import MeasureSpec, generate_measure, make_measure
+from depthlab.measures import MeasureSpec, cone_mass, generate_measure, make_measure
 from depthlab.median import recenter
 
 # tuple samples per map: 46 family members in d = 2 and 44 in d = 3, so the
@@ -105,24 +105,25 @@ def test_empty_patch_in_a_batch(recorded):
 
 
 def _with_faults(monkeypatch, faults):
-    """Route the package's and the referee's ``central_cone`` through one
-    wrapper: ``faults(s, j)`` names what cone j of tuple sample s gets
-    (None, "empty" or "no mass")."""
-    real = central.central_cone
+    """Route every central-cone build, the package's blocks and the
+    referee's one cone at a time alike, through one wrapper of
+    ``_central_cones``: ``faults(s, j)`` names what cone j of tuple sample s
+    gets (None, "empty" or "no mass")."""
+    real = central._central_cones
     hits = []
 
-    def faulty(m, b, samples=1024, seed=0, max_constraints=None):
-        approx = real(m, b, samples=samples, seed=seed, max_constraints=max_constraints)
-        fault = faults(seed // 31, seed % 31)
-        hits.append(fault)
-        if fault == "no mass":
-            raise ValueError("cone carries no mass")
-        if fault == "empty":
-            return CentralConeApprox(b, np.vstack([approx.constraints, _sliver(b)]))
-        return approx
+    def faulty(m, cones, seeds, samples, max_constraints=None):
+        out = real(m, cones, seeds, samples, max_constraints)
+        for i, (b, seed) in enumerate(zip(cones, seeds)):
+            fault = faults(seed // 31, seed % 31)
+            hits.append(fault)
+            if fault == "no mass":
+                out[i] = None
+            elif fault == "empty":
+                out[i] = CentralConeApprox(b, np.vstack([out[i].constraints, _sliver(b)]))
+        return out
 
-    monkeypatch.setattr(central, "central_cone", faulty)
-    monkeypatch.setattr(referee, "central_cone", faulty)
+    monkeypatch.setattr(central, "_central_cones", faulty)
     return hits
 
 
@@ -159,10 +160,35 @@ def test_exact_constraint_candidates_match_referee(n, origin):
     if origin:
         pts = np.insert(pts, n // 2, 0.0, axis=0)
     m = make_measure(pts)
-    for seed in range(3):
-        got = _exact_constraint_candidates(m, 1024, seed)
-        want = referee.exact_constraint_candidates(m, 1024, seed)
-        assert got.shape == want.shape and np.array_equal(got, want)
+    # the seeds drawn one at a time, then all on one stack
+    for seeds in ([0], [1], [2], [0, 1, 2]):
+        for seed, got in zip(seeds, _exact_constraint_candidates(m, 1024, seeds), strict=True):
+            want = referee.exact_constraint_candidates(m, 1024, seed)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cones_built_together_match_each_built_alone(recorded, weighted):
+    # cones of different masses, one without mass and two on one seed, in
+    # one stacked build: each is its one-cone build, bit for bit
+    d, mc, _, _, calls = recorded
+    m = make_measure(mc.points, 0.5 + np.random.default_rng(d).random(mc.n)) if weighted else mc
+    # the map's cones each hold one whole cluster; orthants at two cluster
+    # centres hold parts of a cluster
+    centres = [mc.points[j :: d + 1].mean(axis=0) for j in (0, 1)]
+    cones = [a.base for a in calls[0][0][: 2 * (d + 1)]] + [SimplicialCone(c, -np.eye(d)) for c in centres]
+    cones.insert(3, SimplicialCone(np.full(d, 50.0), -np.eye(d)))
+    assert len({cone_mass(m, b) for b in cones}) > 3
+    seeds = list(range(len(cones)))
+    seeds[-1] = seeds[0]
+    together = central._central_cones(m, cones, seeds, 384, 320)
+    assert together[3] is None
+    with pytest.raises(ValueError, match="no mass"):
+        central.central_cone(m, cones[3], samples=384, seed=3, max_constraints=320)
+    for b, seed, got in zip(cones, seeds, together, strict=True):
+        if got is not None:
+            alone = central.central_cone(m, b, samples=384, seed=seed, max_constraints=320)
+            assert got.base is b and np.array_equal(got.constraints, alone.constraints)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import depthlab.central
+import depthlab.depth
 import depthlab.median
 from enumerator_referee import enumerator_depth
 from depthlab.geometry import Flat, line, random_rotation, sample_directions
@@ -366,3 +368,98 @@ def test_exact_depth_quasi_concave_on_segments(inst):
     q1 = np.array(q1, dtype=float)
     mid = point_depth(m, (q0 + q1) / 2).depth
     assert mid >= min(point_depth(m, q0).depth, point_depth(m, q1).depth) - 1e-12
+
+
+def _exact_kernel_queries(monkeypatch):
+    """Record the top-level exact kernel runs (``_min_halfspace_mass`` at the
+    measure's own dimension) by the bytes of their unit points, after
+    emptying the exact-depth memo."""
+    depthlab.depth._memo.clear()
+    real = depthlab.depth._min_halfspace_mass
+    runs = []
+
+    def counted(phat, w, tol, gap):
+        if phat.shape[2] == 3:
+            runs.append(phat.tobytes())
+        return real(phat, w, tol, gap)
+
+    monkeypatch.setattr(depthlab.depth, "_min_halfspace_mass", counted)
+    return runs
+
+
+def test_exact_memo_runs_the_kernel_once_per_point(monkeypatch):
+    # recenter -> witness_tuple -> structural_map asks for the depth at the
+    # median three times and more; the d = 3 kernel runs once per point
+    runs = _exact_kernel_queries(monkeypatch)
+    asked = []
+    real = depthlab.depth.point_depth
+
+    def counted(m, q, mode="exact", **kw):
+        if mode == "exact":
+            asked.append((m.points - np.asarray(q, dtype=float)).tobytes())
+        return real(m, q, mode=mode, **kw)
+
+    for mod in (depthlab.median, depthlab.central):
+        monkeypatch.setattr(mod, "point_depth", counted)
+    m = generate_measure(MeasureSpec("simplex_mixture", 3, 240, {"sigma": 0.01}, 1002))
+    mc, _ = depthlab.median.recenter(m, balanced=True, starts=8, iters=20, seed=2)
+    depthlab.median.witness_tuple(mc, np.zeros(3), seed=2)
+    depthlab.central.structural_map(mc, 0.25 + 0.5 / 192, tuple_samples=16, seed=2)
+    assert len(asked) >= len(set(asked)) + 3
+    assert len(runs) == len(set(runs)) == len(set(asked))
+
+
+def test_exact_memo_hit_is_the_fresh_result(monkeypatch):
+    runs = _exact_kernel_queries(monkeypatch)
+    m = generate_measure(MeasureSpec("gaussian", 3, 60, {}, seed=4))
+    q = np.array([0.1, -0.2, 0.05])
+    first = point_depth(m, q)
+    hit = point_depth(m, q)
+    assert hit is first and len(runs) == 1
+    assert not hit.witness.flags.writeable
+    depthlab.depth._memo.clear()
+    fresh = point_depth(m, q)
+    assert len(runs) == 2
+    assert float(hit.depth).hex() == float(fresh.depth).hex()
+    assert hit.witness.tobytes() == fresh.witness.tobytes() and hit.mode == fresh.mode
+    # another query point, or another measure, is a miss
+    point_depth(m, q + np.array([0.0, 0.0, 1e-9]))
+    assert len(runs) == 3
+    point_depth(make_measure(m.points, np.linspace(1.0, 2.0, m.n)), q)
+    assert len(runs) == 4
+    point_depth(m.translated([0.0, 1e-12, 0.0]), q)
+    assert len(runs) == 5
+
+
+def test_exact_memo_under_thread_contention():
+    # 6 threads on 24 queries, more than the memo holds, with a short switch
+    # interval: every result is the fresh one and the memo stays bounded
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    m = generate_measure(MeasureSpec("gaussian", 3, 24, {}, seed=9))
+    qs = np.random.default_rng(9).standard_normal((24, 3)) * 0.3
+    depthlab.depth._memo.clear()
+    fresh = [point_depth(m, q) for q in qs]
+    depthlab.depth._memo.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = [f.result(timeout=120) for f in [pool.submit(point_depth, m, qs[(i * 7) % 24]) for i in range(144)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, r in enumerate(got):
+        want = fresh[(i * 7) % 24]
+        assert float(r.depth).hex() == float(want.depth).hex() and r.witness.tobytes() == want.witness.tobytes()
+    assert len(depthlab.depth._memo) <= depthlab.depth._MEMO_SIZE
+
+
+def test_suite_with_exact_memo_does_not_depend_on_threads():
+    from depthlab.suites import SUITES, rows_to_csv, run_suite
+
+    depthlab.depth._memo.clear()
+    one = rows_to_csv(run_suite("central", SUITES["central"].quick, threads=1))
+    depthlab.depth._memo.clear()
+    two = rows_to_csv(run_suite("central", SUITES["central"].quick, threads=2))
+    assert one == two
