@@ -25,8 +25,8 @@ vectors, one per matched-cone slot, by integrating (a - weight) e(B_i) over
 normal tuples; the origin ends up strictly inside their convex hull.  It
 screens every tuple sample first against the reference tuple's weight and
 cone masks, computed once, then builds the central cones of ``MAP_BLOCK``
-family members at a time (their pools drawn seed by seed, normalised,
-crossed and counted on stacked arrays), clips all their patches together
+family members at a time (their pools drawn seed by seed, then stacked
+and counted together), clips all their patches together
 and adds the contributions in sample order.
 """
 
@@ -41,7 +41,7 @@ from .geometry import (
     SimplicialCone,
     cone_contains_many,
     hull_interior_margin,
-    sphere_direction_sets,
+    sample_directions,
     unit,
 )
 from .measures import DiscreteMeasure, cone_mass
@@ -248,26 +248,20 @@ class StructuralTuple:
     margin: float  # interior margin of 0 in conv(vectors)
 
 
-def _exact_constraint_candidates(m: DiscreteMeasure, cap: int, seeds) -> list:
-    """Hyperplane normals through the origin spanned by measure points: for
-    each seed, at most ``cap`` of them, drawn by that seed's generator.  The
-    unit points are computed once, and the normals of every seed's pairs on
-    one stack; each seed's rows have the bits of its draw alone."""
+def _exact_constraint_candidates(m: DiscreteMeasure, cap: int, seed: int) -> np.ndarray:
+    """Hyperplane normals through the origin spanned by measure points."""
     d = m.dim
-    if d not in (2, 3):
-        return [np.empty((0, d)) for _ in seeds]
     norms = np.linalg.norm(m.points, axis=1)
     keep = norms > DEFAULT_TOL
     phat = m.points[keep] / norms[keep][:, None]
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rng = np.random.default_rng(seed)
     if d == 2:
-        cands = [np.column_stack([-phat[:, 1], phat[:, 0]])] * len(rngs)
-    else:
+        cand = np.column_stack([-phat[:, 1], phat[:, 0]])
+    elif d == 3:
         # the drawn pairs p of the row-major upper triangle i < j, as (i, j)
         n = phat.shape[0]
         pairs = n * (n - 1) // 2
-        p = np.concatenate([rng.choice(pairs, size=cap, replace=False) if pairs > cap else np.arange(pairs)
-                            for rng in rngs])
+        p = rng.choice(pairs, size=cap, replace=False) if pairs > cap else np.arange(pairs)
         rows = np.arange(n)
         start = rows * (2 * n - rows - 1) // 2  # where row i begins
         ii = np.searchsorted(start, p, side="right") - 1
@@ -277,28 +271,36 @@ def _exact_constraint_candidates(m: DiscreteMeasure, cap: int, seeds) -> list:
         xi, yi, zi, xj, yj, zj = x[ii], y[ii], z[ii], x[jj], y[jj], z[jj]
         cr = np.stack([yi * zj - zi * yj, zi * xj - xi * zj, xi * yj - yi * xj])
         lens = np.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
-        ok = lens > 1e-9
-        cands = np.split((cr[:, ok] / lens[ok]).T, np.cumsum(ok.reshape(len(rngs), -1).sum(axis=1))[:-1])
-    out = []
-    for cand, rng in zip(cands, rngs):
-        cand = np.vstack([cand, -cand])
-        if cand.shape[0] > cap:
-            cand = cand[rng.choice(cand.shape[0], size=cap, replace=False)]
-        out.append(cand)
-    return out
+        cand = (cr[:, lens > 1e-9] / lens[lens > 1e-9]).T
+    else:
+        return np.empty((0, d))
+    cand = np.vstack([cand, -cand])
+    if cand.shape[0] > cap:
+        cand = cand[rng.choice(cand.shape[0], size=cap, replace=False)]
+    return cand
 
 
 def _constraint_pools(m: DiscreteMeasure, samples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """The constraint pool of each seed, zero-padded (len(seeds), width, d)
     (a zero row captures every point), and the pool sizes: ``samples``
     sphere directions of the seed, then the exact candidates of seed + 1."""
-    exact = _exact_constraint_candidates(m, 1024, seeds + 1)
-    sizes = samples + np.array([e.shape[0] for e in exact])
+    built = [np.vstack([sample_directions(m.dim, samples, seed=s, mode="sphere"),
+                        _exact_constraint_candidates(m, 1024, s + 1)]) for s in seeds]
+    sizes = np.array([len(p) for p in built])
     pools = np.zeros((len(seeds), sizes.max(initial=0), m.dim))
-    pools[:, :samples] = sphere_direction_sets(m.dim, samples, seeds)
-    for pool, e in zip(pools, exact):
-        pool[samples : samples + len(e)] = e
+    for pool, p in zip(pools, built):
+        pool[: len(p)] = p
     return pools, sizes
+
+
+def _capture_blocks(cones: int, rows: int, width: int) -> list:
+    """The (cone slice, pool-row slice) blocks of a capture of ``cones``
+    pools of ``rows`` rows against ``width`` points each, about
+    ``_BLOCK_ENTRIES`` entries a block: the whole pools of several cones
+    when they fit, else one cone's pool rows in runs."""
+    per = max(1, _BLOCK_ENTRIES // max(1, rows * width))
+    step = rows if per > 1 else max(1, _BLOCK_ENTRIES // width)
+    return [(slice(c, c + per), slice(r, r + step)) for c in range(0, cones, per) for r in range(0, rows, step)]
 
 
 def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constraints: int | None = None) -> list:
@@ -309,18 +311,22 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constrain
     Each seed's pool (``_constraint_pools``) is drawn once, however many
     cones share it; its exact block does not depend on ``samples``, so pools
     nest across sample counts and the approximation shrinks monotonically
-    toward the true central cone.  A constraint is kept when its half-space captures at least the fraction
-    d/(d+1) of B's mass; only the points inside B carry that mass, so the
-    capture runs over them alone, on stacked padded arrays, in blocks of
-    about ``_BLOCK_ENTRIES`` entries.  With equal weights it is an exact
-    count k of the K points in B, kept when (d+1) k >= d K: the rule
-    ``captured >= d/(d+1) mass(B) - 1e-12`` exactly, since a count step of
+    toward the true central cone.  A constraint is kept when its half-space
+    captures at least the fraction d/(d+1) of B's mass, within a slack of
+    1e-12.  Only the points inside B carry that mass, so the capture runs
+    over them alone, on stacked zero-padded arrays, in ``_capture_blocks``
+    blocks.  With equal weights it is an exact count k of the K points in
+    B (a float32 product of zeros and ones, exact in any summation order),
+    kept when (d+1) k >= d K: the float rule exactly, since a count step of
     1/((d+1) n) exceeds the slack.  Otherwise it is each row's sum of the
-    captured weights in point order (a ``cumsum``, whose bits no padding
-    moves), against the same sum over B.  ``max_constraints`` keeps the
-    most binding constraints (capture closest to the threshold cuts deepest
-    into the cone) in the stable order of their captures; any subset still
-    yields a valid outer approximation.
+    captured weights in point order (a ``cumsum``, whose bits neither the
+    padding nor the other cones of a block move), against the same sum over
+    B.  On equal weights that sum would give the same keep decisions and
+    order, but the count runs as one BLAS product and the ``cumsum`` row by
+    row.  ``max_constraints`` keeps the most binding constraints (capture
+    closest to the threshold cuts deepest into the cone) in the stable
+    order of their captures; any subset still yields a valid outer
+    approximation.
     """
     d = m.dim
     normals = np.stack([b.normals for b in cones])
@@ -341,15 +347,12 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constrain
         mass = np.cumsum(w, axis=1)[:, -1]
     captured = np.empty((len(cones), pools.shape[1]))
     ones = np.ones(width, dtype=np.float32)
-    per = max(1, _BLOCK_ENTRIES // (pools.shape[1] * width))
-    rows = pools.shape[1] if per > 1 else max(1, _BLOCK_ENTRIES // width)
-    for c in range(0, len(cones), per):
-        for r in range(0, pools.shape[1], rows):
-            hit = np.matmul(pools[pick[c : c + per], r : r + rows], pts[c : c + per].transpose(0, 2, 1)) <= DEFAULT_TOL
-            if uniform:  # float32 sums of zeros and ones are exact counts in any order
-                captured[c : c + per, r : r + rows] = hit.astype(np.float32) @ ones - (width - counts[c : c + per, None])
-            else:
-                captured[c : c + per, r : r + rows] = np.cumsum(hit * w[c : c + per, None, :], axis=2)[..., -1]
+    for cs, rs in _capture_blocks(len(cones), pools.shape[1], width):
+        hit = np.matmul(pools[pick[cs], rs], pts[cs].transpose(0, 2, 1)) <= DEFAULT_TOL
+        if uniform:  # less the zero padding points, which every row captures
+            captured[cs, rs] = hit.astype(np.float32) @ ones - (width - counts[cs, None])
+        else:
+            captured[cs, rs] = np.cumsum(hit * w[cs, None, :], axis=2)[..., -1]
     if uniform:
         keep = (d + 1) * captured >= d * counts[:, None]
     else:
@@ -444,11 +447,12 @@ def _family_member(m: DiscreteMeasure, a: float, ref: GeneratingTuple | TupleMas
     flag, _ = is_generating(normals)
     if not flag:
         return None
-    t = tuple_masses(m, GeneratingTuple(normals))
-    if t.weight > a:
+    t = GeneratingTuple(normals)
+    w = tuple_weight(m, t)
+    if w > a:
         return None
-    order = family_member_order(m, ref, t)
-    return None if order is None else (t.tuple, t.weight, order)
+    order = family_member_order(m, ref, tuple_masses(m, t, w))
+    return None if order is None else (t, w, order)
 
 
 def _perturbed_normals(rng: np.random.Generator, base: np.ndarray, angle: float) -> np.ndarray:

@@ -189,10 +189,11 @@ class TupleMasses:
     inside: np.ndarray  # (d+1, n) bool: row i marks the points in cone i
 
 
-def tuple_masses(m: DiscreteMeasure, t: GeneratingTuple) -> TupleMasses:
-    """The ``TupleMasses`` of a tuple under a measure."""
+def tuple_masses(m: DiscreteMeasure, t: GeneratingTuple, weight: float | None = None) -> TupleMasses:
+    """The ``TupleMasses`` of a tuple under a measure; ``weight`` is its
+    ``tuple_weight``, when computed beforehand."""
     inside = np.stack([(m.points @ c.normals.T <= DEFAULT_TOL).all(axis=1) for c in cones_of(t).cones])
-    return TupleMasses(t, tuple_weight(m, t), inside)
+    return TupleMasses(t, tuple_weight(m, t) if weight is None else weight, inside)
 
 
 def _pair_masses(m: DiscreteMeasure, A: TupleMasses, B: TupleMasses) -> np.ndarray:

@@ -228,27 +228,15 @@ def sample_directions(dim: int, count: int, seed: int = 0, mode: str = "sphere")
         return g / nrm[:, None]
     if mode != "sphere":
         raise ValueError(f"unknown sampling mode {mode!r}")
-    return sphere_direction_sets(dim, count, [seed])[0]
-
-
-def sphere_direction_sets(dim: int, count: int, seeds) -> np.ndarray:
-    """The "sphere" directions of ``sample_directions`` for each seed,
-    stacked (len(seeds), count, dim).  Each set is drawn from its own
-    seeded generator; the norms and the division run once on the stack, and
-    each row's bits are those of its set alone (a row's norm is a sum over
-    that row only)."""
-    rngs = [np.random.default_rng(s) for s in seeds]
-    g = np.empty((len(rngs), count, dim))
-    for gi, rng in zip(g, rngs):
-        gi[:] = rng.standard_normal((count, dim))
-    nrm = np.linalg.norm(g, axis=2)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, dim))
+    nrm = np.linalg.norm(g, axis=1)
     # resample the (measure-zero) degenerate rows deterministically
-    for i in np.flatnonzero((nrm < 1e-12).any(axis=1)):
-        while np.any(nrm[i] < 1e-12):
-            bad = nrm[i] < 1e-12
-            g[i][bad] = rngs[i].standard_normal((int(bad.sum()), dim))
-            nrm[i] = np.linalg.norm(g[i], axis=1)
-    return g / nrm[..., None]
+    while np.any(nrm < 1e-12):
+        bad = nrm < 1e-12
+        g[bad] = rng.standard_normal((int(bad.sum()), dim))
+        nrm = np.linalg.norm(g, axis=1)
+    return g / nrm[:, None]
 
 
 def random_rotation(dim: int, seed: int) -> np.ndarray:

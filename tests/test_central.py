@@ -19,6 +19,7 @@ from depthlab.cones import (
     match_tuples,
     tuple_weight,
 )
+from depthlab import central
 from depthlab.central import (
     CentralConeApprox,
     _exact_constraint_candidates,
@@ -171,33 +172,50 @@ def test_central_cone_monotone_refinement(mixture3):
         assert np.all(_inside_patch(small, big, 1e-9))
 
 
-def test_central_cone_capture_in_blocks(mixture3):
+def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
     # the retained constraints are those of one float capture product over
     # all points and the whole candidate pool, and their order is the
-    # stable order of the capture over the points in B alone, counted in
-    # blocks: an exact count with equal weights, each row's sum of captured
-    # weights in point order otherwise; the octant holds 3,600 points, whose
-    # counts take 15 blocks of pool rows
+    # stable order of the exact counts of captured points in B (equal
+    # weights) or of each row's sum of captured weights in point order;
+    # the octant's 3,600 points take 57 blocks of 36 pool rows, and small
+    # orthants built together share one block of whole pools
+    blocks = []
+    real = central._capture_blocks
+    monkeypatch.setattr(central, "_capture_blocks", lambda *args: blocks.append(real(*args)) or blocks[-1])
     mc, tup = mixture3
     weighted = make_measure(mc.points, 0.5 + np.random.default_rng(3).random(mc.n))
-    cases = [(m, b) for m in (mc, weighted) for b in cones_of(tup).cones]
-    for m, b in cases + [(_octant_symmetric_measure(600, 0.15), OCTANT)]:
-        approx = central_cone(m, b, samples=1024, seed=2, max_constraints=320)
-        pool = np.vstack([sample_directions(3, 1024, seed=2, mode="sphere"),
-                          _exact_constraint_candidates(m, 1024, [3])[0]])
-        inside = cone_contains_many(b, m.points)
-        hits = np.vstack([pool[lo : lo + 256] @ m.points.T <= DEFAULT_TOL for lo in range(0, len(pool), 256)])
-        captured = hits @ (m.weights * inside)
-        keep = captured >= default_capture_fraction(3) * cone_mass(m, b) - 1e-12
-        old = pool[keep][np.argsort(captured[keep], kind="stable")[:320]]
-        if m is weighted:
-            exact = np.cumsum(hits[:, inside] * m.weights[inside], axis=1)[:, -1]
-        else:
-            exact = hits[:, inside].sum(axis=1)
-            assert np.array_equal(keep, 4 * exact >= 3 * inside.sum())
-        assert approx.constraints.shape[0] == 320 < keep.sum()
-        assert np.array_equal(approx.constraints, pool[keep][np.argsort(exact[keep], kind="stable")[:320]])
-        assert sorted(map(tuple, approx.constraints)) == sorted(map(tuple, old))
+    octant = _octant_symmetric_measure(600, 0.15)
+    orthants = [SimplicialCone(p, -np.eye(3)) for p in mc.points]
+    small = [b for b in orthants if 4 <= cone_contains_many(b, mc.points).sum() <= 16][:4]
+    groups = [(m, [b], [2]) for m in (mc, weighted) for b in cones_of(tup).cones]
+    groups += [(octant, [OCTANT], [2]), (mc, small, [2, 5, 2, 7]), (weighted, small, [2, 5, 2, 7])]
+    for m, cones, seeds in groups:
+        blocks.clear()
+        approxes = central._central_cones(m, cones, seeds, 1024, 320)
+        (got,) = blocks
+        if len(cones) == 1:
+            assert np.array_equal(approxes[0].constraints, central_cone(m, cones[0], seed=2, max_constraints=320).constraints)
+        if m is octant:
+            assert len(got) == 57 and got[0][1] == slice(0, 36)
+        elif cones is small:
+            assert len(got) == 1 and got[0][0].stop >= 4 and got[0][1] == slice(0, 2048)
+        for b, s, approx in zip(cones, seeds, approxes, strict=True):
+            pool = np.vstack([sample_directions(3, 1024, seed=s, mode="sphere"), _exact_constraint_candidates(m, 1024, s + 1)])
+            assert len(pool) == 2048
+            inside = cone_contains_many(b, m.points)
+            assert 0 < inside.sum() <= 16 if cones is small else inside.sum() > 16
+            hits = np.vstack([pool[lo : lo + 256] @ m.points.T <= DEFAULT_TOL for lo in range(0, len(pool), 256)])
+            captured = hits @ (m.weights * inside)
+            keep = captured >= default_capture_fraction(3) * cone_mass(m, b) - 1e-12
+            old = pool[keep][np.argsort(captured[keep], kind="stable")[:320]]
+            if m is weighted:
+                exact = np.cumsum(hits[:, inside] * m.weights[inside], axis=1)[:, -1]
+            else:
+                exact = hits[:, inside].sum(axis=1)
+                assert np.array_equal(keep, 4 * exact >= 3 * inside.sum())
+            assert approx.constraints.shape[0] == min(320, keep.sum())
+            assert np.array_equal(approx.constraints, pool[keep][np.argsort(exact[keep], kind="stable")[:320]])
+            assert sorted(map(tuple, approx.constraints)) == sorted(map(tuple, old))
 
 
 def test_central_cone_validations(mixture3):

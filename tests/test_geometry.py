@@ -11,7 +11,6 @@ from depthlab.geometry import (
     hull_interior_margin,
     line,
     sample_directions,
-    sphere_direction_sets,
     unit,
 )
 
@@ -73,15 +72,6 @@ def test_sample_directions_prefix_stable():
     a = sample_directions(3, 100, seed=3)
     b = sample_directions(3, 1000, seed=3)
     assert np.array_equal(a, b[:100])
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_sphere_direction_sets_have_the_bits_of_each_seed_alone(dim):
-    seeds = [7, 3, 7, 100]
-    stack = sphere_direction_sets(dim, 384, seeds)
-    assert stack.shape == (4, 384, dim)
-    for s, got in zip(seeds, stack):
-        assert np.array_equal(got, sample_directions(dim, 384, seed=s))
 
 
 def test_sample_directions_grid_gap_shrinks():
