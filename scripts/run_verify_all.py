@@ -13,11 +13,13 @@ theorem1).
 
 With ``--compare DIR`` it also checks that each suite's CSV is
 byte-identical to ``DIR/<suite>.csv`` (say, the output of the parent
-commit at the same sizes), prints the first differing row of each that is
-not, and exits 1.
+commit at the same sizes), prints every differing row of each that is not
+(line, suite, check, instance, and the old -> new observed value and pass
+flag), and exits 1.
 """
 
 import argparse
+import csv
 import sys
 import time
 from pathlib import Path
@@ -48,25 +50,38 @@ def main():
         for r in bad[:5]:
             print(f"    FAIL {r['check']} {r['instance']}: observed {r['observed']:.6g} vs {r['expected']:.6g}")
         if args.compare is not None:
-            diff = _first_difference(out / f"{name}.csv", Path(args.compare) / f"{name}.csv")
-            if diff:
-                differ += 1
+            diffs = _differences(out / f"{name}.csv", Path(args.compare) / f"{name}.csv")
+            differ += bool(diffs)
+            for diff in diffs:
                 print(f"    DIFFERS {diff}")
     return 1 if failed or differ else 0
 
 
-def _first_difference(path: Path, ref: Path) -> str | None:
-    """None when ``path`` and ``ref`` are byte-identical, else where they
-    first differ."""
+def _differences(path: Path, ref: Path) -> list[str]:
+    """Nothing when ``path`` and ``ref`` are byte-identical, else each row
+    that differs from the row at the same line of ``ref``: its line, suite,
+    check and instance, and its observed value and pass flag, ref -> new
+    (``-`` for a row that one file lacks).  A row with fewer than ten
+    fields is printed whole, ref -> new."""
     if not ref.is_file():
-        return f"{ref}: missing"
+        return [f"{ref}: missing"]
     new, old = path.read_bytes(), ref.read_bytes()
     if new == old:
-        return None
-    a, b = new.splitlines(keepends=True), old.splitlines(keepends=True)
-    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-    new_row, ref_row = (r[i].decode().rstrip("\r\n") if i < len(r) else "<end of file>" for r in (a, b))
-    return f"from {ref} at line {i + 1}:\n      new {new_row}\n      ref {ref_row}"
+        return []
+    a, b = (list(csv.reader(x.decode().splitlines())) for x in (new, old))
+    out = []
+    for i in range(max(len(a), len(b))):
+        x, y = (r[i] if i < len(r) else None for r in (a, b))
+        if x == y:
+            continue
+        if any(r is not None and len(r) < 10 for r in (x, y)):
+            old_row, new_row = (",".join(r) if r is not None else "-" for r in (y, x))
+            out.append(f"line {i + 1}: {old_row} -> {new_row}")
+        else:
+            key = " ".join((x or y)[:3])
+            obs, ok = (f"{y[k] if y else '-'} -> {x[k] if x else '-'}" for k in (7, 9))
+            out.append(f"line {i + 1}: {key}: observed {obs}, pass {ok}")
+    return out or [f"{path} and {ref} differ outside their fields"]
 
 
 if __name__ == "__main__":

@@ -6,10 +6,14 @@ and sweeps (Rousseeuw & Struyf 1998; Dyckerhoff & Mozharovskyi 2016): the
 minimum sits in a cell of the great-circle arrangement of the points p_i =
 x_i - q, so depth is the minimum over i of the mass antiparallel to p_i plus
 the depth of the other points projected onto p_i^perp, recursing down to an
-exact O(n log n) planar sweep; cost O(n^(d-1) log n).  ``exact_affordable``
-says where callers that pick a depth evaluator use it.  ``depth_oracle``
-is an independent brute-force referee built on lexicographic sign
-perturbation; the two implementations share no code path.
+exact O(n log n) planar sweep over a half-turn; cost O(n^(d-1) log n).
+``exact_affordable`` says where callers that pick a depth evaluator use it.
+Every evaluator sums mass units (``_units``) and divides by a scale once:
+a uniform measure counts its points and divides by n, so its masses are
+exact in any summation order and compare bit for bit across the exact,
+sampled and certified paths.  ``depth_oracle`` is an independent
+brute-force referee built on lexicographic sign perturbation; the two
+implementations share no code path.
 """
 
 from __future__ import annotations
@@ -85,106 +89,83 @@ def line_depth_thresholds(dim: int) -> dict:
 # exact closed-half-space minimization through the origin
 
 
-def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
-    """Exact planar minimization by a rotating sweep, O(m log m) per row.
+def _units(w: np.ndarray):
+    """Mass units of the weights w (..., n) and the scale that turns a sum of
+    units into mass.  A uniform measure (all its weights equal) counts 1.0
+    per point and divides by n, so each of its masses is an integer count,
+    exact in any summation order, over n; any other measure sums its weights
+    and divides by 1.0.  Returns (units, scale (...,))."""
+    uniform = (w == w[..., :1]).all(axis=-1)
+    return np.where(uniform[..., None], 1.0, w), np.where(uniform, float(w.shape[-1]), 1.0)
 
-    phat (R, m, 2) holds unit vectors and w (R, m) their weights.  The
-    closed-semicircle mass as a function of the normal's angle is piecewise
-    constant with breakpoints at the point angles +- 90 degrees, so
-    evaluating it at the midpoint of each arc between consecutive distinct
-    breakpoints is exact.  Arcs no wider than 4 gap are skipped, so every
-    point a midpoint leaves out lies more than 2 gap behind it: the attained
-    mass check counts points within the tolerance (``gap`` at the top level)
-    of the boundary, so a narrower arc's mass cannot be attained.  Rounding
-    also splits a breakpoint shared by collinear points into such slivers.
-    Returns each row's minimum mass and the midpoint angle of its first
-    minimizing arc.
 
-    Three facts make the result independent of how the work is arranged,
-    bit for bit.  A sort permutation is unique when no two angles are
-    equal, and the prefix sums depend only on it, so the fast unstable
-    argsort is used and only rows with a tied pair are sorted again stably.
-    Every angle reduced mod 2 pi lies in [-2 pi, 4 pi), where one add or
-    subtract of 2 pi gives the bits of ``np.mod`` (a -0.0 left by atan2
-    reaches only comparisons and sums).  And no row is searched: the ends of
-    an unskipped arc's semicircle lie about 2 gap or more from every point
-    angle, so the points below each end are counted by the breakpoints below
-    the arc's midpoint.  The wrapped breakpoints A = angle - pi/2 and H =
-    angle + pi/2 are never -0.0 or NaN, so as uint64 bits they sort as the
-    numbers do: with the label H in a new bit 0, one plain sort and a cumsum
-    count ch H and ca = j + 1 - ch A below the midpoint of arc j (none below
-    a last midpoint reduced by 2 pi).  Then ch - nwh + m [lower end wraps]
-    points lie below the lower end and ca + nwa - m [upper end wraps] below
-    the upper one, where nwa A wrapped up and nwh H down; a skipped arc may
-    count out of range, but its mass is discarded.  (Counting after an
-    argsort, which costs twice the sort, was no faster than one search per
-    row.)
+def _sweep(p: np.ndarray, w: np.ndarray, gap: float):
+    """Exact planar minimization by a half-turn sweep (Rousseeuw & Ruts
+    1996, Algorithm AS 307), one sort per row.
+
+    p (R, m, 2) holds nonzero vectors and w (R, m) their mass units.  The
+    closed-half-plane mass of a normal at angle theta is piecewise constant:
+    point j counts from its entry at angle alpha_j - pi/2 to its exit at
+    alpha_j + pi/2.  The two are antipodal, so each point has one
+    breakpoint in [0, pi): alpha_j + pi/2 reduced by pi into it, its exit
+    if no reduction was needed, else its entry.  Sorted, these cut the
+    half-turn into m arcs, arc k ending where the next one begins (the last
+    at the first plus pi).  Arc k holds the exiting units (the points
+    counted at angle 0) plus the prefix sum through k of the signed units
+    (+ entry, - exit), and its antipodal arc holds the total less that,
+    since off the breakpoints every point lies on one side.  The mass at
+    each arc's midpoint is the arc's mass.  Arcs no wider than 4 gap are
+    skipped with their antipodes, so every point a midpoint leaves out lies
+    more than 2 gap behind it: the attained mass check counts points within
+    the tolerance (``gap`` at the top level) of the boundary, so a narrower
+    arc's mass cannot be attained.  Rounding also splits a breakpoint shared
+    by collinear points into such slivers.  Returns each row's minimum mass
+    and the midpoint angle of its first minimizing arc, the first half-turn
+    before the second.
+
+    One cumsum runs over the exiting units in point order, then over the
+    signed units in sorted order.  A sort permutation is unique when no two
+    breakpoints are equal, so the fast unstable argsort is used and only
+    rows with a tied pair are sorted again stably: a tied group then keeps
+    its points in point order.  A point of unit 0 adds nothing to the
+    cumsum, and one that copies another point's vector adds only a
+    zero-width arc, so removing such points gives the same bits.  Integer
+    units give exact masses in any order.
     """
-    two_pi, half = 2.0 * np.pi, 0.5 * np.pi
     R, m = w.shape
-    rows = np.arange(R)[:, None]
-    ang = np.arctan2(phat[..., 1], phat[..., 0])
-    np.add(ang, two_pi, out=ang, where=ang < 0.0)
-    order = np.argsort(ang, axis=1)
-    sa = ang[rows, order]
-    tied = (sa[:, 1:] == sa[:, :-1]).any(axis=1)
+    b = np.arctan2(p[..., 1], p[..., 0])
+    b += 0.5 * np.pi
+    up, down = b >= np.pi, b < 0.0
+    np.subtract(b, np.pi, out=b, where=up)
+    np.add(b, np.pi, out=b, where=down)
+    out = ~(up | down)
+    order = np.argsort(b, axis=1)
+    order += np.arange(0, R * m, m)[:, None]  # flat indices
+    sb = np.take(b, order)
+    tied = (sb[:, 1:] == sb[:, :-1]).any(axis=1)
     if tied.any():
-        order[tied] = np.argsort(ang[tied], axis=1, kind="stable")
-    cw = np.zeros((R, m + 1))
-    np.cumsum(w[rows, order], axis=1, out=cw[:, 1:])
-    del ang, order
-    bps = np.empty((R, 2 * m))
-    _wrapped(sa, -half, bps[:, :m])
-    _wrapped(sa, half, bps[:, m:])
-    nwa, nwh = np.count_nonzero(sa < half, axis=1), np.count_nonzero(sa + half >= two_pi, axis=1)  # A up, H down
-    del sa
-    key = bps.view(np.uint64)
-    key <<= 1
-    key[:, m:] |= 1
-    key.sort(axis=1)
-    ch = np.cumsum(key & 1, axis=1, dtype=np.intp)  # H breakpoints up to each
-    key >>= 1
-    mids = np.empty_like(bps)  # first the next breakpoint, then the midpoint
-    mids[:, :-1] = bps[:, 1:]
-    np.add(bps[:, :1], two_pi, out=mids[:, -1:])
-    skip = mids - bps <= 4.0 * gap
-    mids += bps
-    del bps, key
-    mids *= 0.5
-    past = mids[:, -1] >= two_pi
-    np.subtract(mids, two_pi, out=mids, where=mids >= two_pi)
-    ca = np.arange(1, 2 * m + 1) - ch
-    ch[past, -1] = ca[past, -1] = 0
-    lo_wraps, hi_wraps = mids < half, mids + half >= two_pi  # the tests of ``_wrapped``
-    off = rows * (m + 1)  # flat indices into cw
-    ch += off - nwh[:, None] + m * lo_wraps
-    ca += off + nwa[:, None] - m * hi_wraps
-    cl, cu = np.take(cw, ch, mode="clip"), np.take(cw, ca, mode="clip")  # the prefix sums at both ends
-    masses = cu - cl
-    np.subtract(cw[:, -1:], cl, out=cl)
-    cl += cu
-    np.copyto(masses, cl, where=lo_wraps | hi_wraps)
-    masses[skip] = np.inf
-    j = np.argmin(masses, axis=1)
-    return masses[rows[:, 0], j], mids[rows[:, 0], j]
-
-
-def _wrapped(a: np.ndarray, shift: float, out: np.ndarray) -> None:
-    """out = (a + shift) mod 2 pi for a in [0, 2 pi] and |shift| <= pi:
-    one add or subtract of 2 pi on the side the shift can leave, which on
-    [-2 pi, 4 pi) gives the bits of ``np.mod``."""
-    two_pi = 2.0 * np.pi
-    if shift < 0:
-        np.subtract(a, -shift, out=out)
-        np.add(out, two_pi, out=out, where=out < 0.0)
-    else:
-        np.add(a, shift, out=out)
-        np.subtract(out, two_pi, out=out, where=out >= two_pi)
+        order[tied] = np.argsort(b[tied], axis=1, kind="stable") + np.flatnonzero(tied)[:, None] * m
+        sb[tied] = np.take(b, order[tied])
+    b = sb
+    c = np.empty((R, 2 * m))
+    np.multiply(out, w, out=c[:, :m])
+    np.take(np.where(out, -w, w), order, out=c[:, m:])
+    np.cumsum(c, axis=1, out=c)
+    total = c[:, m - 1] + c[:, -1]
+    c[:, :m] = c[:, m:]
+    np.subtract(total[:, None], c[:, :m], out=c[:, m:])  # the antipodal arcs
+    nxt = np.empty_like(b)
+    nxt[:, :-1] = b[:, 1:]
+    nxt[:, -1] = b[:, 0] + np.pi
+    np.putmask(c, np.tile(nxt - b <= 4.0 * gap, 2), np.inf)
+    j = np.argmin(c, axis=1)
+    rows, k = np.arange(R), j % m
+    return c[rows, j], 0.5 * (b[rows, k] + nxt[rows, k]) + np.pi * (j >= m)
 
 
 def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, tol: float, gap: float):
     """min over unit u of sum_j w_j [<u, p_j> >= 0] and an attaining u, row
-    by row: phat (R, m, k) unit rows, k >= 2.
+    by row: phat (R, m, k) unit rows, k >= 2, and w (R, m) their mass units.
 
     k = 2 is the sweep; k >= 3 takes the minimum over pivots i of the mass
     antiparallel to p_i plus the depth of the rest projected onto p_i^perp.
@@ -248,9 +229,9 @@ def _project(pts: np.ndarray, w: np.ndarray, piv: np.ndarray, tol: float):
 
     The coordinates are entries 1..k-1 of the image under the Householder
     reflection that swaps the unit pivot with -+e_0.  Returns the unit
-    projections, the weights with the parallel class zeroed and the mass
-    antiparallel to each pivot.  Parallel rows are replaced by a copy of the
-    row's first kept point, so they add no breakpoint.
+    projections, the mass units w with the parallel class zeroed and the
+    units antiparallel to each pivot.  Parallel rows are replaced by a copy
+    of the row's first kept point, so they add no breakpoint.
     """
     sign = np.where(piv[:, 0] >= 0.0, 1.0, -1.0)
     cos = np.einsum("bmk,bk->bm", pts, piv)
@@ -265,12 +246,12 @@ def _project(pts: np.ndarray, w: np.ndarray, piv: np.ndarray, tol: float):
     return sub, np.where(kept, w, 0.0), anti
 
 
-def _split_query(m: DiscreteMeasure, q: np.ndarray, tol: float):
-    p = m.points - q
-    norms = np.linalg.norm(p, axis=1)
-    coincident = norms <= tol
-    w0 = float(m.weights[coincident].sum())
-    return p[~coincident], m.weights[~coincident], w0
+def _split_query(p: np.ndarray, w: np.ndarray):
+    """The points p (n, d), relative to the query, that lie farther than
+    ``DEFAULT_TOL`` from it, their masses w, and the mass of the rest,
+    summed over the full mask in point order."""
+    at = (p * p).sum(axis=1) <= DEFAULT_TOL**2
+    return p[~at], w[~at], float(np.where(at, w, 0.0).sum())
 
 
 def exact_depth_value_2d(m: DiscreteMeasure, q):
@@ -290,9 +271,14 @@ def exact_depth_values_2d(points, weights, which, q):
     q[r] (R, 2) in the planar measure (points[which[r]], weights[which[r]]),
     points and weights being stacks (M, n, 2) and (M, n) of M measures
     (sequences of their arrays are stacked first).  Rows go to the sweep in
-    blocks of at most _CHUNK points.  Each row's value and direction are bit
-    for bit those of splitting off the points at its query and sweeping the
-    rest alone.  Returns (values (R,), directions (R, 2)).
+    blocks of at most _CHUNK points, unnormalized and in mass units
+    (``_units``).  A point within ``DEFAULT_TOL`` of the query (squared
+    distance at most its square) counts under every direction: its units
+    are summed over the full mask in point order, and in the sweep it is a
+    copy of the row's first other point with unit 0, so it adds no
+    breakpoint.  Each row's value is (the units at the query + the swept
+    minimum) / scale, a count over n for a uniform measure.  Returns
+    (values (R,), directions (R, 2)).
     """
     points, weights = np.asarray(points), np.asarray(weights)
     R, n = len(which), weights.shape[1]
@@ -300,26 +286,18 @@ def exact_depth_values_2d(points, weights, which, q):
     step = max(1, _CHUNK // n)
     for s in range(0, R, step):
         k = which[s : s + step]
-        phat = points[k] - q[s : s + step, None, :]
-        norms = np.linalg.norm(phat, axis=2)
-        kept = norms > DEFAULT_TOL
-        w = weights[k]
-        phat /= np.where(kept, norms, 1.0)[..., None]
-        at_q = (~kept).sum(axis=1)
-        del norms
-        # the points at the query: their weight w0 is summed as a compressed
-        # array, as the single-query split sums it (exact for one or two
-        # points, so only larger groups need it); in the sweep they are
-        # copies of a kept point with weight 0, so they add no breakpoint
-        w0 = np.where(kept, 0.0, w).sum(axis=1)
-        for r in np.flatnonzero(at_q > 2):
-            w0[r] = w[r][~kept[r]].sum()
-        if at_q.any():
-            fill = phat[np.arange(len(k)), np.argmax(kept, axis=1)]
-            phat = np.where(kept[..., None], phat, fill[:, None, :])
-        val, phi = _sweep(phat, np.where(kept, w, 0.0), DEFAULT_TOL)
-        empty = at_q == n
-        vals[s : s + step] = np.where(empty, 1.0, w0 + val)
+        p = points[k] - q[s : s + step, None, :]
+        at = p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] <= DEFAULT_TOL**2  # the bits of _split_query's
+        w, scale = _units(weights[k])
+        w0 = np.zeros(len(k))
+        if at.any():
+            w0 = np.where(at, w, 0.0).sum(axis=1)
+            fill = p[np.arange(len(k)), np.argmax(~at, axis=1)]
+            p = np.where(at[..., None], fill[:, None, :], p)
+            w = np.where(at, 0.0, w)
+        val, phi = _sweep(p, w, DEFAULT_TOL)
+        empty = at.all(axis=1)
+        vals[s : s + step] = np.where(empty, 1.0, (w0 + val) / scale)
         dirs[s : s + step, 0] = np.where(empty, 1.0, np.cos(phi))
         dirs[s : s + step, 1] = np.where(empty, 0.0, np.sin(phi))
     return vals, dirs
@@ -332,8 +310,9 @@ def sampled_depth_values(points, weights, which, q, directions):
     (R, count, d).  The rows are centred and normalized in blocks of at most
     _CHUNK points; each row then takes its direction and mask products in
     cache-sized blocks of directions (``_row_blocks``), which give the bits
-    of one product over all of them.  Returns (values (R,), minimizing
-    directions (R, d)).
+    of one product over all of them.  The masks count mass units
+    (``_units``), divided by the scale once.  Returns (values (R,),
+    minimizing directions (R, d)).
     """
     points, weights = np.asarray(points), np.asarray(weights)
     R, n = len(which), weights.shape[1]
@@ -345,11 +324,12 @@ def sampled_depth_values(points, weights, which, q, directions):
         norms = np.linalg.norm(p, axis=2)
         norms[norms == 0] = 1.0
         phat = (p / norms[..., None]).transpose(0, 2, 1)
-        for b, i in enumerate(k):
+        units, scale = _units(weights[k])
+        for b in range(len(k)):
             u = directions[lo + b]
-            masses = np.concatenate([(u[blk] @ phat[b] >= -DEFAULT_TOL) @ weights[i] for blk in _row_blocks(len(u), n)])
+            masses = np.concatenate([(u[blk] @ phat[b] >= -DEFAULT_TOL) @ units[b] for blk in _row_blocks(len(u), n)])
             j = int(np.argmin(masses))
-            vals[lo + b], wits[lo + b] = masses[j], u[j]
+            vals[lo + b], wits[lo + b] = masses[j] / scale[b], u[j]
     return vals, wits
 
 
@@ -369,7 +349,8 @@ def closed_mass_bounds(points, weights, which, q, directions):
     of its directions, which counts fewer points, with slack tol.  Both
     margins, 2 tol and eta, dwarf the rounding of the evaluators' own
     norms and products.  The products run in blocks of about 4 _CHUNK
-    direction-by-point entries.
+    direction-by-point entries and count mass units (``_units``), divided
+    by the scale once.
     """
     points, weights = np.asarray(points), np.asarray(weights)
     (R, D, d), n = directions.shape, weights.shape[1]
@@ -384,8 +365,8 @@ def closed_mass_bounds(points, weights, which, q, directions):
         norms[norms <= 2.0 * DEFAULT_TOL] = np.inf  # a point at the query counts under every direction
         pt /= norms[:, None, :]
         s = np.matmul(directions[lo : lo + step], pt) >= -eta
-        w = weights[k]
-        out[lo : lo + step] = np.matmul(s, w[..., None])[..., 0].min(axis=1)
+        units, scale = _units(weights[k])
+        out[lo : lo + step] = np.matmul(s, units[..., None])[..., 0].min(axis=1) / scale
     return out
 
 
@@ -401,8 +382,10 @@ def point_depth(
     exact    project and sweep (see the module docstring), O(n^(d-1) log n);
              limited to dim <= 4 and n <= 5000 (see ``certified_depth_floor``
              for a fast conservative bound).  Reports the closed mass of the
-             witness direction, a sum of weights; the mode is
-             "exact-upper-bound" when it misses the computed minimum.  The
+             witness direction, summed in mass units (``_units``): for a
+             uniform measure a count of points over n, exact whatever the
+             order of the sums.  The mode is "exact-upper-bound" when that
+             mass misses the computed minimum.  The
              results of the last 16 queries are kept (thread-safe, their
              witnesses read-only), keyed on the bytes of (points - q) and
              the weights, so a repeated query returns the same result.
@@ -426,7 +409,7 @@ def point_depth(
             if res is not None:
                 _memo.move_to_end(key)
                 return res
-        res = _exact_depth(m, q)
+        res = _exact_depth(p, m.weights)
         res.witness.setflags(write=False)
         with _memo_lock:
             _memo[key] = res
@@ -440,22 +423,24 @@ def point_depth(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _exact_depth(m: DiscreteMeasure, q: np.ndarray) -> DepthResult:
-    """The exact mode of ``point_depth``, without the memo."""
-    P, w, w0 = _split_query(m, q, DEFAULT_TOL)
+def _exact_depth(p: np.ndarray, weights: np.ndarray) -> DepthResult:
+    """The exact mode of ``point_depth`` for the points p = x - q, without
+    the memo."""
+    units, scale = _units(weights)
+    P, w, w0 = _split_query(p, units)
     if P.shape[0] == 0:
-        return DepthResult(1.0, np.eye(m.dim)[0], "exact")
+        return DepthResult(1.0, np.eye(p.shape[1])[0], "exact")
     phat = P / np.linalg.norm(P, axis=1)[:, None]
-    if m.dim == 1:
+    if p.shape[1] == 1:
         pos, neg = float(w[phat[:, 0] > 0].sum()), float(w[phat[:, 0] < 0].sum())
         val, u = min(pos, neg), np.array([1.0 if pos <= neg else -1.0])
     else:
         vals, us = _min_halfspace_mass(phat[None], w[None], DEFAULT_TOL, DEFAULT_TOL)
         val, u = float(vals[0]), us[0]
-    depth = w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())
+    depth = (w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())) / scale
     # beyond general position the minimum may be unattainable at the
     # witness; its attained mass is then a certified upper bound
-    mode = "exact" if abs(depth - (w0 + val)) <= 1e-9 else "exact-upper-bound"
+    mode = "exact" if abs(depth - (w0 + val) / scale) <= 1e-9 else "exact-upper-bound"
     return DepthResult(depth, u, mode)
 
 
@@ -481,8 +466,10 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     points and product (about 6 2^-24 |p|), so a bracket is the mass of
     points that the row's float32 product counts too, and lies below the
     row's mass up to the rounding of the two sums, which ``slack`` = 1e-15
-    (4 n + azimuths) bounds (weights sum to 1).  The rows go in 16-row
-    groups aligned to row 0, a one-row tail joining the group before it,
+    (4 n + azimuths) bounds for weights summing to 1.  Both sums count mass
+    units (``_units``; exact integers for a uniform measure), so the slack
+    is taken times the scale, which divides the floor once.  The rows go in
+    16-row groups aligned to row 0, a one-row tail joining the group before it,
     as in ``_row_blocks``.  ``best`` is the float32 least mass of the group
     holding the least bracket; then the float32 product runs on the groups
     with a bracket within ``slack`` of ``best``, which hold every row of
@@ -504,8 +491,9 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     p = m.points - q
     norms = np.linalg.norm(p, axis=1)
     margin = np.sin(gamma) * norms + 1e-5 * (norms + 1.0)
+    units, scale = _units(m.weights)
     rings = _net_rows(polar, azimuth, d, np.arange(polar.size ** (d - 2)) * azimuth.size)
-    bracket = _ring_brackets(p, m.weights, rings, step, azimuth.size, margin + 1e-6 * (norms + 1.0))
+    bracket = _ring_brackets(p, units, rings, step, azimuth.size, margin + 1e-6 * (norms + 1.0))
     # float32 with a safety inflation of the margin keeps the bound valid:
     # every counted point certainly satisfies <u0, p> >= sin(gamma) |p|
     margin32, p32 = margin.astype(np.float32), p.astype(np.float32)
@@ -513,15 +501,15 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     def least_mass(selected):
         rows = np.flatnonzero(selected)
         return float(min(((_net_rows(polar, azimuth, d, rows[blk]).astype(np.float32) @ p32.T >= margin32)
-                          @ m.weights).min() for blk in _row_blocks(rows.size, m.n)))
+                          @ units).min() for blk in _row_blocks(rows.size, m.n)))
 
     count = bracket.size
     groups = count // 16 if count % 16 == 1 and count > 1 else -(-count // 16)
     group = np.minimum(np.arange(count) // 16, groups - 1)
     low = np.minimum.reduceat(bracket, np.arange(groups) * 16)
     best = least_mass(group == np.argmin(low))
-    slack = 1e-15 * (4 * m.n + azimuth.size)  # the rounding of bracket and mass sums
-    return min(best, least_mass((low <= best + slack)[group]))
+    slack = 1e-15 * (4 * m.n + azimuth.size) * scale  # the rounding of bracket and mass sums
+    return min(best, least_mass((low <= best + slack)[group])) / scale
 
 
 def _net_rows(polar: np.ndarray, azimuth: np.ndarray, d: int, rows: np.ndarray) -> np.ndarray:
@@ -642,7 +630,7 @@ def depth_oracle(m: DiscreteMeasure, q) -> DepthResult:
     q = as_vector(q)
     if m.dim > ORACLE_MAX_DIM or m.n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to dim <= {ORACLE_MAX_DIM}, n <= {ORACLE_MAX_N}")
-    P, w, w0 = _split_query(m, q, DEFAULT_TOL)
+    P, w, w0 = _split_query(m.points - q, m.weights)
     n, d = P.shape
     if n == 0:
         return DepthResult(1.0, np.eye(m.dim)[0], "oracle")

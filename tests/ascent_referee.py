@@ -2,21 +2,29 @@
 single-query planar depth, the one-query sampled depth, the certified
 floor in 16,384-row net chunks, the one-direction projection and the
 sequential multistart ascent that the package used before the ascents of
-all starts and directions were batched, kept verbatim for the tests.
+all starts and directions were batched.  Masses count the package's mass
+units (``depth._units``: 1.0 per point of a uniform measure, divided by n
+once at the end; the weights otherwise).
 
-``_sweep`` sorts every row stably and reduces its angles with ``np.mod``;
+``_sweep`` is the full-turn sweep: it sorts every row's angles stably,
+reduces its 2m breakpoints with ``np.mod`` and finds the prefix sums at
+both ends of each arc's semicircle by search.  The tests require the
+package's half-turn sweep to give its value exactly on integer units and
+within 1e-12 on weights, whose sums run in another order.
 ``exact_depth_value_2d`` splits off the points at the query and sweeps the
-rest alone with it; ``sampled_depth`` draws its directions on every call
-and takes one product with them; ``certified_depth_floor`` sweeps its
-net in large chunks; ``project_line`` takes one QR per direction and
-fixes its signs row by row; ``_start_points`` draws one measure's starts;
-``_multistart_endpoints`` climbs one start after another.  The tests
-require the batched path to give the same bits.
+rest alone with the package's one-row sweep, so the sequential ascent
+gives the bits of the batched one; ``sampled_depth`` draws its directions
+on every call and takes one product with them; ``certified_depth_floor``
+sweeps its net in large chunks; ``project_line`` takes one QR per
+direction and fixes its signs row by row; ``_start_points`` draws one
+measure's starts; ``_multistart_endpoints`` climbs one start after
+another.  The tests require the batched path to give the same bits.
 """
 
 import numpy as np
 
-from depthlab.depth import DepthResult, _split_query, exact_affordable, point_depth
+import depthlab.depth
+from depthlab.depth import DepthResult, _split_query, _units, exact_affordable, point_depth
 from depthlab.geometry import DEFAULT_TOL, as_vector, sample_directions, unit
 from depthlab.measures import DiscreteMeasure
 from depthlab.median import MedianResult, _lex_less
@@ -27,7 +35,7 @@ _CHUNK = 16384
 def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
     """Exact planar minimization by a rotating sweep, O(m log m) per row.
 
-    phat (R, m, 2) holds unit vectors and w (R, m) their weights.  The
+    phat (R, m, 2) holds nonzero vectors and w (R, m) their mass units.  The
     closed-semicircle mass as a function of the normal's angle is piecewise
     constant with breakpoints at the point angles +- 90 degrees, so
     evaluating it at the midpoint of each arc between consecutive distinct
@@ -61,13 +69,13 @@ def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
     return masses[rows[:, 0], j], mids[rows[:, 0], j]
 
 
-def exact_depth_value_2d(m, q, tol: float = DEFAULT_TOL):
-    q = np.asarray(q, dtype=float)
-    P, w, w0 = _split_query(m, q, tol)
+def exact_depth_value_2d(m, q):
+    units, scale = _units(m.weights)
+    P, w, w0 = _split_query(m.points - np.asarray(q, dtype=float), units)
     if P.shape[0] == 0:
         return 1.0, np.eye(2)[0]
-    val, phi = _sweep((P / np.linalg.norm(P, axis=1)[:, None])[None], w[None], tol)
-    return w0 + float(val[0]), np.array([np.cos(phi[0]), np.sin(phi[0])])
+    val, phi = depthlab.depth._sweep(P[None], w[None], DEFAULT_TOL)
+    return (w0 + float(val[0])) / scale, np.array([np.cos(phi[0]), np.sin(phi[0])])
 
 
 def sampled_depth(m, q, sample_count: int = 512, seed: int = 0, tol: float = DEFAULT_TOL):
@@ -78,9 +86,10 @@ def sampled_depth(m, q, sample_count: int = 512, seed: int = 0, tol: float = DEF
     norms = np.linalg.norm(p, axis=1)
     norms[norms == 0] = 1.0
     s = u @ (p / norms[:, None]).T
-    masses = (s >= -tol) @ m.weights
+    units, scale = _units(m.weights)
+    masses = (s >= -tol) @ units
     j = int(np.argmin(masses))
-    return DepthResult(float(masses[j]), u[j], "sampled")
+    return DepthResult(float(masses[j] / scale), u[j], "sampled")
 
 
 def certified_depth_floor(m, q, gamma: float = 0.1) -> float:
@@ -104,12 +113,13 @@ def certified_depth_floor(m, q, gamma: float = 0.1) -> float:
     # every counted point certainly satisfies <u0, p> >= sin(gamma) |p|
     margin32 = (np.sin(gamma) * norms + 1e-5 * (norms + 1.0)).astype(np.float32)
     p32 = p.astype(np.float32)
+    units, scale = _units(m.weights)
     best = np.inf
     for lo in range(0, net.shape[0], _CHUNK):
         s = net[lo : lo + _CHUNK].astype(np.float32) @ p32.T
-        vals = (s >= margin32) @ m.weights
+        vals = (s >= margin32) @ units
         best = min(best, float(vals.min()))
-    return best
+    return best / scale
 
 
 def _final_depth(m, x: np.ndarray) -> float:

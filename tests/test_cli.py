@@ -223,7 +223,7 @@ def test_landscape_csv_bytes(tmp_path):
         "seed": 7,
     })
     assert main(["landscape", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    depths = ["0.4", "0.4", "0.388888888889", "0.411111111111", "0.388888888889",
+    depths = ["0.4", "0.4", "0.388888888889", "0.411111111111", "0.366666666667",
               "0.422222222222", "0.4", "0.411111111111", "0.444444444444", "0.388888888889"]
     expected = "suite,check,instance,d,n,seed,expected,observed,slack,pass\n" + "".join(
         f"cli,profile_depth,dir{i},3,90,7,{a},{a},0,true\n" for i, a in enumerate(depths))

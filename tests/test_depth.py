@@ -15,6 +15,7 @@ from depthlab.depth import (
     depth_oracle,
     direction_profile,
     exact_depth_value_2d,
+    exact_depth_values_2d,
     flat_depth,
     line_depth_thresholds,
     point_depth,
@@ -299,13 +300,17 @@ def test_certified_floor_exact_sampled_order(inst):
     assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth
 
 
-@pytest.mark.xfail(strict=True, reason="exact and sampled paths sum the same masses in different orders (ROADMAP item 2)")
-def test_exact_depth_not_above_sampled_bound():
-    # 19 points at the query and one at e3: the exact sum w0 + w[mask].sum()
-    # gives 0.9500000000000002, one ulp above the sampled upper bound 0.95
-    m = make_measure(np.vstack([np.zeros((19, 3)), [[0.0, 0.0, 1.0]]]))
-    q = np.zeros(3)
-    assert point_depth(m, q).depth <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth
+@pytest.mark.parametrize("at_query, at_e3", [(19, 1), (15, 2)])
+def test_exact_depth_not_above_sampled_bound(at_query, at_e3):
+    # points at the query and at e3: a uniform measure's masses are counts
+    # over n in every evaluator, so the exact depth (once 0.9500000000000002
+    # and 0.8823529411764707) equals the sampled bound
+    pts = np.vstack([np.zeros((at_query, 3)), np.tile([0.0, 0.0, 1.0], (at_e3, 1))])
+    m, q = make_measure(pts), np.zeros(3)
+    exact = point_depth(m, q).depth
+    assert exact == at_query / m.n
+    assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth
+    assert certified_depth_floor(m, q) <= exact
 
 
 def test_small_line_search_takes_one_arrangement_median(monkeypatch):
@@ -368,6 +373,21 @@ def test_exact_depth_quasi_concave_on_segments(inst):
     q1 = np.array(q1, dtype=float)
     mid = point_depth(m, (q0 + q1) / 2).depth
     assert mid >= min(point_depth(m, q0).depth, point_depth(m, q1).depth) - 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(grid_measures))
+def test_uniform_exact_depth_is_a_count(inst):
+    # a uniform measure's exact depth is its oracle count over n, with no
+    # tolerance: times n it is that integer (as c / n * n is for n <= 14)
+    pts, q = inst
+    m = make_measure(pts)
+    count = round(depth_oracle(m, q).depth * m.n)
+    if m.dim == 2:
+        vals, _ = exact_depth_values_2d([m.points], [m.weights], [0], q[None])
+        assert vals[0] * m.n == count and vals[0] == count / m.n
+    r = point_depth(m, q)
+    assert r.depth * m.n == count and r.depth == count / m.n
 
 
 def _exact_kernel_queries(monkeypatch):

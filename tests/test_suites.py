@@ -36,6 +36,27 @@ def test_threads_leave_csv_unchanged(name, params):
         assert one.count("interior_margin") == len(params["seeds"]) * len(params["dims"])
 
 
+_RADO_PROBE = """
+import sys
+from depthlab.suites import SUITES, rows_to_csv, run_suite
+sys.stdout.write(rows_to_csv(run_suite("rado", SUITES["rado"].quick)))
+"""
+
+
+def test_quick_rado_csv_does_not_depend_on_blas_threads():
+    # uniform masses are counts, and every evaluator's sums of them are
+    # exact, so the medians, floors and their CSV bytes do not move with
+    # the BLAS thread count
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        r = subprocess.run([sys.executable, "-c", _RADO_PROBE], capture_output=True, env=env, timeout=300)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1] and outs[0].count(b"\n") == 17
+
+
 def test_verify_all_rejects_unknown_suite():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     r = subprocess.run(
@@ -46,7 +67,7 @@ def test_verify_all_rejects_unknown_suite():
     assert all(name in r.stderr for name in SUITES)
 
 
-def test_verify_all_compare_reports_first_difference(tmp_path):
+def test_verify_all_compare_reports_every_difference(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
 
     def run(*args):
@@ -59,11 +80,20 @@ def test_verify_all_compare_reports_first_difference(tmp_path):
     assert run("--out", str(ref)).returncode == 0
     assert run("--out", str(tmp_path / "same"), "--compare", str(ref)).returncode == 0
     rows = (ref / "oracle.csv").read_text().splitlines(keepends=True)
+    fields = [r.split(",") for r in rows]
     rows[3] = rows[3].replace("true", "false")
-    (ref / "oracle.csv").write_text("".join(rows), newline="")
+    rows[7] = ",".join(fields[7][:7] + ["0.123"] + fields[7][8:])
+    full, rows[9] = rows[9], ",".join(fields[9][:5]) + "\n"  # a truncated row
+    (ref / "oracle.csv").write_text("".join(rows[:-1]), newline="")
     r = run("--out", str(tmp_path / "new"), "--compare", str(ref))
     assert r.returncode == 1
-    assert "DIFFERS" in r.stdout and "line 4" in r.stdout and rows[3].strip() in r.stdout
+    lines = [s.strip() for s in r.stdout.splitlines() if "DIFFERS" in s]
+    assert lines == [
+        f"DIFFERS line 4: {' '.join(fields[3][:3])}: observed {fields[3][7]} -> {fields[3][7]}, pass false -> true",
+        f"DIFFERS line 8: {' '.join(fields[7][:3])}: observed 0.123 -> {fields[7][7]}, pass true -> true",
+        f"DIFFERS line 10: {','.join(fields[9][:5])} -> {full.rstrip()}",
+        f"DIFFERS line {len(rows)}: {' '.join(fields[-1][:3])}: observed - -> {fields[-1][7]}, pass - -> true",
+    ]
 
 
 def test_verify_all_full_runs_acceptance_sizes(tmp_path):
