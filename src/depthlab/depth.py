@@ -280,15 +280,15 @@ def exact_depth_values_2d(points, weights, which, q):
     minimum) / scale, a count over n for a uniform measure.  Returns
     (values (R,), directions (R, 2)).
     """
-    points, weights = np.asarray(points), np.asarray(weights)
-    R, n = len(which), weights.shape[1]
+    points, (units, scales) = np.asarray(points), _units(np.asarray(weights))
+    R, n = len(which), units.shape[1]
     vals, dirs = np.empty(R), np.empty((R, 2))
     step = max(1, _CHUNK // n)
     for s in range(0, R, step):
         k = which[s : s + step]
         p = points[k] - q[s : s + step, None, :]
         at = p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] <= DEFAULT_TOL**2  # the bits of _split_query's
-        w, scale = _units(weights[k])
+        w, scale = units[k], scales[k]
         w0 = np.zeros(len(k))
         if at.any():
             w0 = np.where(at, w, 0.0).sum(axis=1)
@@ -308,28 +308,30 @@ def sampled_depth_values(points, weights, which, q, directions):
     query q[r] (R, d) in the measure (points[which[r]], weights[which[r]]),
     stacked as there, minimized over its own unit directions directions[r]
     (R, count, d).  The rows are centred and normalized in blocks of at most
-    _CHUNK points; each row then takes its direction and mask products in
-    cache-sized blocks of directions (``_row_blocks``), which give the bits
-    of one product over all of them.  The masks count mass units
-    (``_units``), divided by the scale once.  Returns (values (R,),
-    minimizing directions (R, d)).
+    _CHUNK points; a point within ``DEFAULT_TOL`` of the query (squared
+    distance at most its square, as ``_split_query`` says) counts under every
+    direction, as in the exact depth.  Each row then takes its direction and
+    mask products in cache-sized blocks of directions (``_row_blocks``),
+    which give the bits of one product over all of them.  The masks count
+    mass units (``_units``, taken once for the stack), divided by the scale
+    once.  Returns (values (R,), minimizing directions (R, d)).
     """
-    points, weights = np.asarray(points), np.asarray(weights)
-    R, n = len(which), weights.shape[1]
+    points, (units, scales) = np.asarray(points), _units(np.asarray(weights))
+    R, n = len(which), units.shape[1]
     vals, wits = np.empty(R), np.empty((R, directions.shape[2]))
     step = max(1, _CHUNK // n)
     for lo in range(0, R, step):
         k = which[lo : lo + step]
         p = points[k] - q[lo : lo + step, None, :]
-        norms = np.linalg.norm(p, axis=2)
-        norms[norms == 0] = 1.0
+        sq = (p * p).sum(axis=2)
+        norms = np.sqrt(sq)  # the bits of np.linalg.norm
+        norms[sq <= DEFAULT_TOL**2] = np.inf  # at the query, as _split_query says: counted everywhere
         phat = (p / norms[..., None]).transpose(0, 2, 1)
-        units, scale = _units(weights[k])
-        for b in range(len(k)):
+        for b, r in enumerate(k):
             u = directions[lo + b]
-            masses = np.concatenate([(u[blk] @ phat[b] >= -DEFAULT_TOL) @ units[b] for blk in _row_blocks(len(u), n)])
+            masses = np.concatenate([(u[blk] @ phat[b] >= -DEFAULT_TOL) @ units[r] for blk in _row_blocks(len(u), n)])
             j = int(np.argmin(masses))
-            vals[lo + b], wits[lo + b] = masses[j] / scale[b], u[j]
+            vals[lo + b], wits[lo + b] = masses[j] / scales[r], u[j]
     return vals, wits
 
 
@@ -346,14 +348,17 @@ def closed_mass_bounds(points, weights, which, q, directions):
     eta of u, so one of the pieces they cut that span into is wider than
     2 eta / (n + 1) = 6 tol.  The arc holding it is swept, and its mass
     counts no point but those above.  The sampled value is the mass at one
-    of its directions, which counts fewer points, with slack tol.  Both
-    margins, 2 tol and eta, dwarf the rounding of the evaluators' own
-    norms and products.  The products run in blocks of about 4 _CHUNK
-    direction-by-point entries and count mass units (``_units``), divided
-    by the scale once.
+    of its directions, which counts fewer points, with slack tol, and its
+    points within tol of the query are within 2 tol.  Both margins, 2 tol
+    and eta, dwarf the rounding of the evaluators' own norms and products.
+    The products run in blocks of about 4 _CHUNK direction-by-point entries
+    and count mass units (``_units``, taken once for the stack), divided by
+    the scale once: for a uniform measure a bound and an evaluator's value
+    are counts over the same n, so the bound is at least the value exactly,
+    not only up to rounding.
     """
-    points, weights = np.asarray(points), np.asarray(weights)
-    (R, D, d), n = directions.shape, weights.shape[1]
+    points, (units, scales) = np.asarray(points), _units(np.asarray(weights))
+    (R, D, d), n = directions.shape, units.shape[1]
     eta = 3.0 * (n + 1) * DEFAULT_TOL
     out = np.empty(R)
     step = max(1, 4 * _CHUNK // (n * D))
@@ -365,8 +370,7 @@ def closed_mass_bounds(points, weights, which, q, directions):
         norms[norms <= 2.0 * DEFAULT_TOL] = np.inf  # a point at the query counts under every direction
         pt /= norms[:, None, :]
         s = np.matmul(directions[lo : lo + step], pt) >= -eta
-        units, scale = _units(weights[k])
-        out[lo : lo + step] = np.matmul(s, units[..., None])[..., 0].min(axis=1) / scale
+        out[lo : lo + step] = np.matmul(s, units[k, :, None])[..., 0].min(axis=1) / scales[k]
     return out
 
 

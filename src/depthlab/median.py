@@ -16,6 +16,8 @@ import numpy as np
 from .geometry import DEFAULT_TOL, hull_interior_margin, sample_directions, unit
 from .measures import DiscreteMeasure, halfspace_mass
 from .depth import (
+    _row_blocks,
+    _units,
     certified_depth_floor,
     closed_mass_bounds,
     exact_affordable,
@@ -241,10 +243,13 @@ def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: in
     A step is swept only if no remembered direction shows that it cannot
     improve: each start keeps its last _RING witnesses, and where
     ``_cheap_depths`` allows, the current witnesses of the other starts of
-    its measure count too.  A direction whose closed mass at the step
-    (``depth.closed_mass_bounds``) lies more than 1e-12 below the start's
-    depth bounds the step's depth below the start's, so the step would fail
-    ``d_new > d_cur``; it is dropped unswept and the start stays as it is.
+    its measure count too.  A direction's closed mass at the step
+    (``depth.closed_mass_bounds``) bounds the step's depth from above.  For
+    a uniform measure the bound and the depths are counts over the same n
+    (``depth._units``), so a bound at most the start's depth proves that the
+    step would fail ``d_new > d_cur``; for a weighted one the bound must lie
+    more than 1e-12 below it.  Such a step is dropped unswept (the evaluator
+    is not called when a batch sweeps no row) and the start stays as it is.
     It still counts as an evaluation, so the counts, endpoints and depths
     are those of sweeping every step.
     """
@@ -258,6 +263,7 @@ def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: in
     scale = np.where(scale == 0.0, 1.0, scale)[own]
     del dev
     evaluate, bound = _cheap_depths(pts, w, own, seed + 7 * s_i)
+    margin = np.where((_units(w)[0] == 1.0).all(axis=1), 0.0, 1e-12)[own]  # 0 for exact counts
     d_cur, wit = evaluate(np.arange(len(x)), x)
     evals = np.ones(len(x), dtype=int)
     ring = np.repeat(wit[:, None, :], _RING, axis=1)  # slot: evaluation count mod _RING
@@ -272,11 +278,12 @@ def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: in
                 break
             cand = x[rows] - (step[rows] / div)[:, None] * wit[rows]
             evals[rows] += 1
-            swept = bound(rows, cand, ring[rows], wit[others[rows]]) >= d_cur[rows] - 1e-12
+            swept = bound(rows, cand, ring[rows], wit[others[rows]]) > d_cur[rows] - margin[rows]
             d_new, wit_new = np.full(len(rows), -np.inf), wit[rows]
             sw = rows[swept]
-            d_new[swept], wit_new[swept] = evaluate(sw, cand[swept])
-            ring[sw, evals[sw] % _RING] = wit_new[swept]
+            if sw.size:
+                d_new[swept], wit_new[swept] = evaluate(sw, cand[swept])
+                ring[sw, evals[sw] % _RING] = wit_new[swept]
             up = d_new > d_cur[rows]
             x[rows[up]], d_cur[rows[up]], wit[rows[up]] = cand[up], d_new[up], wit_new[up]
             moved[~moved] = up
@@ -386,13 +393,13 @@ def min_normal_set(
             cands.append(base)
     cand = np.vstack(cands)
     cand /= np.linalg.norm(cand, axis=1)[:, None]
-    # closed mass of H(n) = {x : <n, x - o> <= 0} for every candidate normal
+    # closed mass of H(n) = {x : <n, x - o> <= 0} for every candidate normal,
+    # in mass units; level + tol lies far from every other count over n
+    units, scale = _units(m.weights)
     masses = np.empty(cand.shape[0])
-    pts = m.points - o
-    for lo in range(0, cand.shape[0], 8192):
-        blk = cand[lo : lo + 8192]
-        masses[lo : lo + 8192] = ((blk @ pts.T) <= DEFAULT_TOL) @ m.weights
-    sel = masses <= level + tol
+    for blk in _row_blocks(cand.shape[0], m.n):
+        masses[blk] = ((cand[blk] @ p.T) <= DEFAULT_TOL) @ units
+    sel = masses / scale <= level + tol
     return NormalSet(cand[sel], float(level))
 
 
@@ -476,6 +483,7 @@ def _center_in_normal_set(chosen, all_normals, m, o, level, tol, radius=0.35):
     nearby rotation of the tuple then stays minimizing).  A centered normal
     is kept only if its half-space mass still qualifies."""
     pts = m.points - o
+    units, scale = _units(m.weights)
     out = chosen.copy()
     for i, n in enumerate(chosen):
         near = all_normals[all_normals @ n >= np.cos(radius)]
@@ -486,7 +494,6 @@ def _center_in_normal_set(chosen, all_normals, m, o, level, tol, radius=0.35):
         if nc < 1e-9:
             continue
         c /= nc
-        mass = float(m.weights[pts @ c <= DEFAULT_TOL].sum())
-        if mass <= level + tol:
+        if float(units[pts @ c <= DEFAULT_TOL].sum()) / scale <= level + tol:
             out[i] = c
     return out

@@ -84,7 +84,7 @@ def sampled_depth(m, q, sample_count: int = 512, seed: int = 0, tol: float = DEF
     u = sample_directions(m.dim, sample_count, seed=seed, mode="sphere")
     p = m.points - q
     norms = np.linalg.norm(p, axis=1)
-    norms[norms == 0] = 1.0
+    norms[(p * p).sum(axis=1) <= tol**2] = np.inf  # at the query: counted under every direction
     s = u @ (p / norms[:, None]).T
     units, scale = _units(m.weights)
     masses = (s >= -tol) @ units

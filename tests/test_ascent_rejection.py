@@ -18,12 +18,16 @@ from depthlab.depth import (
 from depthlab.geometry import DEFAULT_TOL, sample_directions
 from depthlab.measures import generate_measure, make_measure
 from depthlab.median import balanced_median, tukey_median
-from depthlab.suites import line_search_suite_specs
+from depthlab.suites import _rado_spec, line_search_suite_specs
 
 # rows of exact_depth_values_2d in deep_line_search(grid_count=60,
 # refine_iters=2) on the theorem1 measures 0 and 6 at n = 200 when every
 # ascent step was swept
 SWEPT_ROWS_BEFORE = {0: 18468, 6: 18620}
+# rows of sampled_depth_values in the rado median of d = 3, seed 1 (n = 500,
+# 10 starts, 25 iterations) when a uniform step was swept unless its bound
+# lay more than 1e-12 below the start's depth
+SAMPLED_ROWS_BEFORE = 263
 
 
 def _unit(a):
@@ -71,13 +75,15 @@ def _bounds(m, q, u):
 def test_planar_depth_never_exceeds_closed_mass_bound():
     rng = np.random.default_rng(11)
     checked = 0
-    for m, queries in _degenerate_planar(rng):
-        for q in np.asarray(queries, dtype=float):
-            val = exact_depth_values_2d([m.points], [m.weights], [0], q[None])[0][0]
-            b = _bounds(m, q, _probe_directions(rng, m.points - q))
-            # the ascent rejects a step when a bound lies 1e-12 below its depth
-            assert np.all(val <= b + 1e-12), (m.points, q, val, b.min())
-            checked += len(b)
+    for weighted, queries in _degenerate_planar(rng):
+        # the ascent rejects a weighted step when a bound lies 1e-12 below
+        # its depth, a uniform one when a bound (a count) is at most it
+        for m, slack in ((weighted, 1e-12), (make_measure(weighted.points), 0.0)):
+            for q in np.asarray(queries, dtype=float):
+                val = exact_depth_values_2d([m.points], [m.weights], [0], q[None])[0][0]
+                b = _bounds(m, q, _probe_directions(rng, m.points - q))
+                assert np.all(val <= b + slack), (m.points, q, val, b.min())
+                checked += len(b)
     assert checked > 5000
 
 
@@ -103,10 +109,10 @@ def test_sampled_depth_never_exceeds_bound_at_own_directions(d):
     for _ in range(8):
         pts = rng.integers(-2, 3, (60, d)).astype(float)  # duplicates and coplanar runs
         pts[:10] = pts[10] + np.arange(-5, 5)[:, None] * rng.integers(-1, 2, d)  # a collinear run
-        m = make_measure(pts, rng.random(60) ** 3 + 1e-3)
-        for q in (pts[10], pts[0] + 4e-10, np.zeros(d), rng.standard_normal(d)):
-            val = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])[0][0]
-            assert np.all(val <= _bounds(m, q, u) + 1e-12)
+        for m, slack in ((make_measure(pts, rng.random(60) ** 3 + 1e-3), 1e-12), (make_measure(pts), 0.0)):
+            for q in (pts[10], pts[0] + 4e-10, np.zeros(d), rng.standard_normal(d)):
+                val = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])[0][0]
+                assert np.all(val <= _bounds(m, q, u) + slack)
 
 
 def test_closed_mass_bounds_across_blocks():
@@ -163,9 +169,26 @@ def _weighted_cases():
         (g4, "sampled_depth_values"))]
 
 
-@pytest.mark.parametrize("case", range(5))
+def _uniform_cases():
+    """Uniform measures, whose steps are rejected on exact counts: an
+    integer grid with duplicates and a crowd in the plane, an integer grid
+    with duplicates in R^3 and 150 points in R^4, as (measure, evaluator
+    name)."""
+    rng = np.random.default_rng(9)
+    grid = rng.integers(-3, 4, (60, 2)).astype(float)  # 49 sites, so duplicates
+    crowd = rng.standard_normal((50, 2))
+    crowd[rng.random(50) < 0.4] = [0.25, -0.5]
+    cube = rng.integers(-2, 3, (120, 3)).astype(float)
+    cube[:20] = cube[20]
+    g4 = rng.standard_normal((150, 4)) * [1.0, 0.7, 0.5, 0.3]
+    return [(make_measure(p), name) for p, name in (
+        (grid, "exact_depth_values_2d"), (crowd, "exact_depth_values_2d"),
+        (cube, "sampled_depth_values"), (g4, "sampled_depth_values"))]
+
+
+@pytest.mark.parametrize("case", range(9))
 def test_medians_match_referee_where_rejections_fire(case, monkeypatch):
-    m, name = _weighted_cases()[case]
+    m, name = (_weighted_cases() + _uniform_cases())[case]
     rows = _rows_of(monkeypatch, name)
     for seed in (0, 5):
         rows.clear()
@@ -182,3 +205,12 @@ def test_deep_line_search_sweeps_fewer_rows(i, monkeypatch):
     spec = line_search_suite_specs(200)[i]
     deep_line_search(generate_measure(spec), grid_count=60, refine_iters=2, seed=spec.seed)
     assert sum(rows) <= 0.75 * SWEPT_ROWS_BEFORE[i]
+
+
+def test_rado_median_rejects_steps_that_can_only_tie(monkeypatch):
+    # a uniform measure's bound and depths are counts over n: a bound equal
+    # to the start's depth rejects the step
+    rows = _rows_of(monkeypatch, "sampled_depth_values")
+    m = generate_measure(_rado_spec(3, 500, 1))
+    tukey_median(m, mode="multistart", starts=10, iters=25, seed=1)
+    assert sum(rows) <= 0.6 * SAMPLED_ROWS_BEFORE

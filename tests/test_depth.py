@@ -247,10 +247,11 @@ def test_rado_floor_in_projections():
 
 
 @st.composite
-def degenerate_instances(draw, d, n_min, n_max):
+def degenerate_instances(draw, d, n_min, n_max, near=False):
     """Small integer instances with duplicates, a coplanar layer, a query on
-    a data point, points in a 2-plane through the query and/or a run of
-    points on a line through the query."""
+    a data point (with near=True, or within ``DEFAULT_TOL`` of it), points
+    in a 2-plane through the query and/or a run of points on a line through
+    the query."""
     n = draw(st.integers(n_min, n_max))
     coord = st.integers(-6, 6)
     pts = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n)), dtype=float)
@@ -261,6 +262,8 @@ def degenerate_instances(draw, d, n_min, n_max):
         pts[: n // 2, -1] = 0.0
     if draw(st.booleans()):
         q = pts[draw(st.integers(0, n - 1))].copy()
+        if near:
+            q[draw(st.integers(0, d - 1))] += draw(st.sampled_from([0.0, 3e-10, -5e-10, 1e-9]))
     else:
         q = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), dtype=float)
     if d >= 3 and draw(st.booleans()):
@@ -292,11 +295,24 @@ def test_exact_d3_matches_enumerator_beyond_oracle_size(inst):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([3, 4]).flatmap(lambda d: degenerate_instances(d, 5, 20)))
+@given(st.sampled_from([3, 4]).flatmap(lambda d: degenerate_instances(d, 5, 20, near=True)))
 def test_certified_floor_exact_sampled_order(inst):
     m, q = inst
     exact = point_depth(m, q).depth
     assert certified_depth_floor(m, q, gamma=0.2) <= exact
+    assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth
+
+
+@pytest.mark.parametrize("offset, count", [(5e-10, 4), (1e-9, 4), (2e-9, 3)])
+def test_point_near_query_counts_everywhere_in_sampled_bound(offset, count):
+    # a point within tol of the query counts under every direction in the
+    # exact depth, so the sampled bound must count it too (it once gave 3/7
+    # against the exact 4/7); at 2e-9 neither path counts it everywhere
+    pts = np.vstack([offset * np.eye(3)[0], np.eye(3), -np.eye(3)])
+    m, q = make_measure(pts), np.zeros(3)
+    exact = point_depth(m, q).depth
+    assert exact == count / 7
+    assert certified_depth_floor(m, q) <= exact
     assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth
 
 

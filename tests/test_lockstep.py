@@ -280,7 +280,7 @@ def test_sampled_depth_matches_single_product(count):
     cases = [(make_measure(np.vstack([np.zeros((19, 3)), np.eye(3)[2]])), np.zeros(3))]
     for d, n in ((2, 60), (3, 200), (4, 90)):
         m = generate_measure(MeasureSpec("gaussian", d, n, {}, seed=d))
-        cases += [(m, np.full(d, 0.1)), (m, m.points[3])]
+        cases += [(m, np.full(d, 0.1)), (m, m.points[3]), (m, m.points[3] + 5e-10)]  # within tol of a point
     for m, q in cases:
         for seed in (0, 2):
             a = point_depth(m, q, mode="sampled", sample_count=count, seed=seed)
