@@ -103,14 +103,14 @@ class ExperimentConfig:
         cfg_cmd = raw.get("command", command)
         if cfg_cmd != command:
             raise ConfigError(f"config.command: {cfg_cmd!r} does not match CLI command {command!r}")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("config.seed: must be an integer")
         for name in ("expected", "tolerance"):
             value = raw.get(name, 0.0)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"config.{name}: must be a number, got {value!r}")
-        return ExperimentConfig(command, seed, raw.get("out", "depthlab_out"), _int_field(raw, "threads", 1, 1), raw)
+        out = raw.get("out", "depthlab_out")
+        if not isinstance(out, str):
+            raise ConfigError(f"config.out: must be a path string, got {out!r}")
+        return ExperimentConfig(command, _int_field(raw, "seed", 0, 0), out, _int_field(raw, "threads", 1, 1), raw)
 
     def measure(self):
         spec = self.raw.get("measure")
@@ -119,6 +119,8 @@ class ExperimentConfig:
         if not isinstance(spec, dict):
             raise ConfigError(f"config.measure: must be an object, got {spec!r}")
         if "path" in spec:
+            if not isinstance(spec["path"], str):  # open() takes an integer as a file descriptor
+                raise ConfigError(f"config.measure.path: must be a path string, got {spec['path']!r}")
             try:
                 m = load_measure(spec["path"])
             except (OSError, ValueError) as e:
@@ -126,20 +128,14 @@ class ExperimentConfig:
             if spec.get("dim", m.dim) != m.dim:
                 raise ConfigError(f"config.measure.dim: {spec['dim']!r}, but the file holds a {m.dim}-d measure")
             return m
+        for name in ("kind", "dim"):
+            if name not in spec:
+                raise ConfigError(f"config.measure.{name}: missing")
+        dim = _int_field(spec, "dim", 1, 1, "config.measure")
+        n = _int_field(spec, "n", 1, 1, "config.measure")
+        seed = _int_field(spec, "seed", self.seed, 0, "config.measure")
         try:
-            fields = dict(
-                kind=spec["kind"],
-                dim=int(spec["dim"]),
-                n=int(spec.get("n", 1)),
-                params=spec.get("params", {}),
-                seed=int(spec.get("seed", self.seed)),
-            )
-        except KeyError as e:
-            raise ConfigError(f"config.measure.{e.args[0]}: missing")
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"config.measure: {e}")
-        try:
-            ms = MeasureSpec(**fields)
+            ms = MeasureSpec(spec["kind"], dim, n, spec.get("params", {}), seed)
         except ValueError as e:  # its message starts with the field
             raise ConfigError(f"config.measure.{e}")
         return generate_measure(ms)
@@ -274,6 +270,8 @@ def main(argv=None) -> int:
                 raise ConfigError("DEPTHLAB_SEED: must be an integer")
         if args.seed is not None:
             cfg.seed = args.seed
+        if cfg.seed < 0:  # the config's own seed is checked in from_file
+            raise ConfigError(f"--seed or DEPTHLAB_SEED: must be an integer >= 0, got {cfg.seed}")
         if args.out is not None:
             cfg.out = args.out
         if args.threads is not None:

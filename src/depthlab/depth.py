@@ -455,32 +455,21 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     unit sphere: for every direction u there is a net point u0 within angle
     gamma, and {x : <u, x - q> >= 0} contains {x : <u0, x - q> >= sin(gamma)
     |x - q|}, which needs 0 < gamma <= pi / 2 (``ValueError`` otherwise).
-    The floor is the least, over the net, of the mass of the points p = x -
-    q with float32 <u0, p> >= margin32, sin(gamma) |p| inflated by 1e-5 (|p|
-    + 1) to cover the float32 rounding.  Converges to the exact depth as
-    gamma -> 0.  Supported for dim in {2, 3, 4}; in d = 4 at gamma = 0.1
-    the net has 230,496 rows.
-
-    Bracket, then confirm.  The net's rows come in rings, d - 2 polar
-    angles fixed and the azimuth theta turning, so along a ring <u0, p> =
-    A + B cos(theta - alpha) and a point is counted on one arc of azimuths
-    (the circular sweep of Rousseeuw & Ruts 1996).  ``_ring_brackets``
-    counts each point on its arc where that value clears the margin by
-    delta = 1e-6 (|p| + 1).  Delta exceeds the float32 rounding of net,
-    points and product (about 6 2^-24 |p|), so a bracket is the mass of
-    points that the row's float32 product counts too, and lies below the
-    row's mass up to the rounding of the two sums, which ``slack`` = 1e-15
-    (4 n + azimuths) bounds for weights summing to 1.  Both sums count mass
-    units (``_units``; exact integers for a uniform measure), so the slack
-    is taken times the scale, which divides the floor once.  The rows go in
-    16-row groups aligned to row 0, a one-row tail joining the group before it,
-    as in ``_row_blocks``.  ``best`` is the float32 least mass of the group
-    holding the least bracket; then the float32 product runs on the groups
-    with a bracket within ``slack`` of ``best``, which hold every row of
-    mass below it.  Their rows are rebuilt from their angles with the whole
-    net's bits (``_net_rows``) and stacked in group order, so each keeps its
-    place in its group of four and the mass it has in one product over the
-    whole net: the floor is bit for bit that of sweeping every row.
+    The net's rows come in rings, d - 2 polar angles fixed and the azimuth
+    turning (``_net_rows``), and ``_ring_brackets`` counts, row by row with
+    the circular sweep of Rousseeuw & Ruts (1996), the mass units
+    (``_units``) of the points p = x - q with <u0, p> >= t, t = sin(gamma)
+    |p| + 1.1e-5 (|p| + 1) (summed as a 1e-5 and a 1e-6 term).
+    The inflation of t dwarfs the float64 rounding of the ring sweep, so
+    every point counted on a row lies in its covered half-space.  The floor
+    is the least row mass over the scale.  For a uniform measure that is an
+    exact count over n.  For weights it is the least sum less ``slack`` =
+    1e-15 (4 n + azimuths), which bounds the rounding of the sums of weights
+    summing to 1, clamped at 0, so it never exceeds the mass of the points
+    it counts.  No BLAS product is taken, so the floor does not depend on
+    the BLAS thread count.  Converges to the exact depth as gamma -> 0, up
+    to the inflation.  Supported for dim in {2, 3, 4}; in d = 4 at gamma =
+    0.1 the net has 230,496 rows in 2,401 rings.
     """
     q = as_vector(q)
     d = m.dim
@@ -491,56 +480,39 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     # hyperspherical angles: d - 2 polar ones in [0, pi], an azimuth in [0, 2 pi]
     step = 2.0 * gamma / (d - 1)
     polar = np.arange(0.0, np.pi + step, step)
-    azimuth = np.arange(0.0, 2.0 * np.pi + step, step)
+    count = np.arange(0.0, 2.0 * np.pi + step, step).size
     p = m.points - q
     norms = np.linalg.norm(p, axis=1)
-    margin = np.sin(gamma) * norms + 1e-5 * (norms + 1.0)
+    t = np.sin(gamma) * norms + 1e-5 * (norms + 1.0) + 1e-6 * (norms + 1.0)
     units, scale = _units(m.weights)
-    rings = _net_rows(polar, azimuth, d, np.arange(polar.size ** (d - 2)) * azimuth.size)
-    bracket = _ring_brackets(p, units, rings, step, azimuth.size, margin + 1e-6 * (norms + 1.0))
-    # float32 with a safety inflation of the margin keeps the bound valid:
-    # every counted point certainly satisfies <u0, p> >= sin(gamma) |p|
-    margin32, p32 = margin.astype(np.float32), p.astype(np.float32)
-
-    def least_mass(selected):
-        rows = np.flatnonzero(selected)
-        return float(min(((_net_rows(polar, azimuth, d, rows[blk]).astype(np.float32) @ p32.T >= margin32)
-                          @ units).min() for blk in _row_blocks(rows.size, m.n)))
-
-    count = bracket.size
-    groups = count // 16 if count % 16 == 1 and count > 1 else -(-count // 16)
-    group = np.minimum(np.arange(count) // 16, groups - 1)
-    low = np.minimum.reduceat(bracket, np.arange(groups) * 16)
-    best = least_mass(group == np.argmin(low))
-    slack = 1e-15 * (4 * m.n + azimuth.size) * scale  # the rounding of bracket and mass sums
-    return min(best, least_mass((low <= best + slack)[group])) / scale
+    low = float(_ring_brackets(p, units, _net_rows(polar, d), step, count, t).min())
+    if scale != m.n:  # weights, not counts: take off the rounding of their sums (slack)
+        low = max(0.0, low - 1e-15 * (4 * m.n + count))
+    return low / scale
 
 
-def _net_rows(polar: np.ndarray, azimuth: np.ndarray, d: int, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` (indices) of the angle net of ``certified_depth_floor``
-    as unit vectors (len(rows), d): d - 2 polar angles from ``polar`` and an
-    azimuth from ``azimuth``, in C order, in hyperspherical coordinates.
-    Each coordinate is the same product of cosines and sines of the row's
-    own angles whichever rows are built, so a row has the same bits in a
-    selection as in the whole net.  The rows at azimuth 0 hold each ring's
-    fixed coordinates and its scale s in coordinate d - 2."""
-    ring, k = np.divmod(rows, azimuth.size)
-    angles = [polar[i] for i in np.unravel_index(ring, (polar.size,) * (d - 2))] if d > 2 else []
-    out = np.empty((rows.size, d))
+def _net_rows(polar: np.ndarray, d: int) -> np.ndarray:
+    """The rows of the angle net of ``certified_depth_floor`` at azimuth 0,
+    one per ring, (polar.size ** (d - 2), d): the d - 2 polar angles from
+    ``polar`` in C order, in hyperspherical coordinates.  A row holds its
+    ring's fixed coordinates, then its scale s in coordinate d - 2, then 0."""
+    rings = polar.size ** (d - 2)
+    angles = [polar[i] for i in np.unravel_index(np.arange(rings), (polar.size,) * (d - 2))] if d > 2 else []
+    out = np.zeros((rings, d))
     scale = 1.0
-    for j, ang in enumerate(angles + [azimuth[k]]):
+    for j, ang in enumerate(angles):
         out[:, j] = scale * np.cos(ang)
         scale = scale * np.sin(ang)
-    out[:, -1] = scale
+    out[:, -2] = scale
     return out
 
 
 def _ring_brackets(p: np.ndarray, w: np.ndarray, rings: np.ndarray, step: float, count: int,
                    t: np.ndarray) -> np.ndarray:
-    """Lower bounds on the net's row masses, ring after ring.  A ring is
-    given by its row at azimuth 0 in ``rings`` (fixed coordinates, then its
-    scale s, then 0); at each of its ``count`` azimuths j step the bound is
-    the mass of the points p with A + B cos(j step - alpha) >= t, where A
+    """The brackets of the net's rows, ring after ring.  A ring is given by
+    its row at azimuth 0 in ``rings`` (fixed coordinates, then its scale s,
+    then 0); at each of its ``count`` azimuths j step the bracket is the
+    mass of the points p with A + B cos(j step - alpha) >= t, where A
     is the ring's fixed part of <u0, p>, B = |s| |(p_{d-2}, p_{d-1})| and
     alpha that pair's angle, turned by pi where s < 0 (polar angles past
     pi).
@@ -553,17 +525,18 @@ def _ring_brackets(p: np.ndarray, w: np.ndarray, rings: np.ndarray, step: float,
     (arccos(x) < pi), so a difference array over ring by column, filled by
     ``np.bincount``, and a ``cumsum`` count each point at most once per
     column.  A point with x <= -1 counts on the whole ring, and the turn
-    down starts at column 0: both go in by one matrix-vector product.  B =
-    0 gives x = +-inf, and 0 / 0 (nan) counts nowhere.  Only the points on
-    an arc (about a third of the entries at a median) reach the index
-    step.  Rings go in blocks of about _BLOCK_ENTRIES ring-by-point
-    entries.  Returns the bounds of the rows in net order, (len(rings)
-    count,).
+    down starts at column 0: both go in by one sum per ring.  B = 0 gives x
+    = +-inf, and 0 / 0 (nan) counts nowhere.  Only the points on an arc
+    (about a third of the entries at a median) reach the index step.  Rings
+    go in blocks of about _BLOCK_ENTRIES ring-by-point entries.  A and the
+    whole-ring sums are ``np.einsum`` loops, not BLAS products, so each sum
+    runs in one order whatever the blocks and the BLAS thread count.
+    Returns the brackets of the rows in net order, (len(rings) count,).
     """
     n = len(w)
     N = 2.0 * np.pi / step
     J = count - 1
-    fixed, scale = rings[:, :-2], rings[:, -2]
+    fixed, scale, lead = rings[:, :-2], rings[:, -2], np.ascontiguousarray(p[:, :-2].T)
     with np.errstate(divide="ignore"):
         inv_r = 1.0 / np.hypot(p[:, -2], p[:, -1])
         inv_s = 1.0 / np.abs(scale)
@@ -574,7 +547,7 @@ def _ring_brackets(p: np.ndarray, w: np.ndarray, rings: np.ndarray, step: float,
     rb = max(1, _BLOCK_ENTRIES // n)
     for a in range(0, len(rings), rb):
         b = min(a + rb, len(rings))
-        x = fixed[a:b] @ p[:, :-2].T
+        x = np.einsum("rk,kn->rn", fixed[a:b], lead)
         np.subtract(t, x, out=x)
         with np.errstate(invalid="ignore"):
             x *= inv_s[a:b, None]
@@ -593,7 +566,7 @@ def _ring_brackets(p: np.ndarray, w: np.ndarray, rings: np.ndarray, step: float,
         diff -= np.bincount(off + np.maximum(np.floor(hi - N) + 1.0, 0.0).astype(np.intp), wa, size)
         diff += np.bincount(off + J + (lo > J - N) + (hi < J - N), wa, size)  # the turn up
         diff = diff.reshape(b - a, cols)
-        diff[:, 0] += (x < 1.0) @ w
+        diff[:, 0] += np.einsum("rn,n->r", x < 1.0, w)
         np.cumsum(diff, axis=1, out=out[a:b])
     return out[:, :count].ravel()
 

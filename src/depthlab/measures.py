@@ -243,15 +243,14 @@ def load_measure(path) -> DiscreteMeasure:
     for key in ("dim", "points"):
         if key not in obj:
             raise ValueError(f"measure file {path}: missing field {key!r}")
-    dim = int(obj["dim"])
-    raw_pts = obj["points"]
-    if not raw_pts:
-        raise ValueError(f"measure file {path}: empty point list")
+    dim, raw_pts = obj["dim"], obj["points"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"measure file {path}: dim must be an integer >= 1, got {dim!r}")
+    if not isinstance(raw_pts, list) or not raw_pts:
+        raise ValueError(f"measure file {path}: points must be a nonempty list, got {raw_pts!r}")
     for i, p in enumerate(raw_pts):
-        if len(p) != dim:
-            raise ValueError(
-                f"measure file {path}: point index {i} has {len(p)} coordinates, expected {dim}"
-            )
+        if not isinstance(p, list) or len(p) != dim:
+            raise ValueError(f"measure file {path}: point index {i} must be a list of {dim} coordinates, got {p!r}")
     pts = np.asarray(raw_pts, dtype=float)
     if "weights" in obj and obj["weights"] is not None:
         w = np.asarray(obj["weights"], dtype=float)

@@ -15,7 +15,10 @@ within 1e-12 on weights, whose sums run in another order.
 rest alone with the package's one-row sweep, so the sequential ascent
 gives the bits of the batched one; ``sampled_depth`` draws its directions
 on every call and takes one product with them; ``certified_depth_floor``
-sweeps its net in large chunks; ``project_line`` takes one QR per
+sweeps its whole net in float32 products, and bounds the package's
+one-stage floor (``assert_valid_floor``), which the tests check against it
+and against its definition, so ``_final_depth`` calls the package floor;
+``project_line`` takes one QR per
 direction and fixes its signs row by row; ``_start_points`` draws one
 measure's starts; ``_multistart_endpoints`` climbs one start after
 another.  The tests require the batched path to give the same bits.
@@ -122,12 +125,26 @@ def certified_depth_floor(m, q, gamma: float = 0.1) -> float:
     return best / scale
 
 
+def assert_valid_floor(m, q, gamma: float = 0.1):
+    """The package floor against ``certified_depth_floor``: its bits for a
+    uniform measure.  For weights never above it, and below it by the slack
+    1e-15 (4 n + azimuths) that the package takes off a weighted sum plus
+    the rounding of the two sums, which the slack also bounds."""
+    got, want = depthlab.depth.certified_depth_floor(m, q, gamma), certified_depth_floor(m, q, gamma)
+    if (m.weights == m.weights[0]).all():
+        assert got == want
+    else:
+        step = 2.0 * gamma / (m.dim - 1)
+        slack = 1e-15 * (4 * m.n + np.arange(0.0, 2.0 * np.pi + step, step).size)
+        assert want - 2.0 * slack <= got <= want
+
+
 def _final_depth(m, x: np.ndarray) -> float:
     if m.dim == 2:
         return exact_depth_value_2d(m, x)[0]
     if exact_affordable(m):
         return point_depth(m, x, mode="exact").depth
-    return certified_depth_floor(m, x, gamma=0.1)
+    return depthlab.depth.certified_depth_floor(m, x, gamma=0.1)
 
 
 def project_line(m, direction):

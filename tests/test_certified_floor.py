@@ -1,6 +1,14 @@
-"""The bracket-then-confirm certified floor: the same bits as the full-net
-sweep of ``ascent_referee``, rows rebuilt with the full net's bits, the
-covering range of gamma, and how few rows reach the float32 product."""
+"""The one-stage certified floor, the least ring bracket: bit for bit the
+brute-force count of its definition and the float32 full-net sweep of
+``ascent_referee`` on uniform measures; on weighted ones never above that
+sweep and within the floor's slack of it, at any BLAS thread count.  Also
+the ring table, the covering range of gamma, and a floor that takes no
+blocked product."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,16 +66,34 @@ def floor_instances(draw):
     return make_measure(pts, weights), q, draw(st.sampled_from(GAMMAS))
 
 
-@settings(max_examples=80, deadline=None)
-@given(floor_instances())
-def test_floor_matches_full_sweep(inst):
-    m, q, gamma = inst
-    assert certified_depth_floor(m, q, gamma) == ref.certified_depth_floor(m, q, gamma)
-
-
 def _angles(d: int, gamma: float):
     step = 2.0 * gamma / (d - 1)
     return step, np.arange(0.0, np.pi + step, step), np.arange(0.0, 2.0 * np.pi + step, step)
+
+
+def _definition_floor(m, q, gamma: float) -> float:
+    """The floor by its definition: over the whole net in float64, the least
+    count of the points p = x - q with <u0, p> >= sin(gamma) |p| + 1.1e-5
+    (|p| + 1), over n (a uniform measure), in chunks of 16,384 rows."""
+    p = m.points - q
+    norms = np.linalg.norm(p, axis=1)
+    t = np.sin(gamma) * norms + 1e-5 * (norms + 1.0) + 1e-6 * (norms + 1.0)
+    net = _full_net(m.dim, gamma)
+    return min((net[lo : lo + 16384] @ p.T >= t).sum(axis=1).min() for lo in range(0, len(net), 16384)) / m.n
+
+
+@settings(max_examples=80, deadline=None)
+@given(floor_instances())
+def test_floor_matches_full_sweep(inst):
+    ref.assert_valid_floor(*inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(floor_instances())
+def test_floor_is_its_definition_on_uniform_measures(inst):
+    m, q, gamma = inst
+    m = make_measure(m.points)
+    assert certified_depth_floor(m, q, gamma) == _definition_floor(m, q, gamma)
 
 
 @pytest.mark.parametrize("d, gamma", [(2, 0.3), (3, 0.1), (3, np.pi / 2), (4, 0.1), (4, 0.3)])
@@ -76,7 +102,11 @@ def test_brackets_count_every_point_past_threshold(d, gamma):
     # float64 value on the row clears t, polar angles past pi, the last
     # azimuth past a full turn and B = 0 included
     step, polar, azimuth = _angles(d, gamma)
-    rings = depthlab.depth._net_rows(polar, azimuth, d, np.arange(polar.size ** (d - 2)) * azimuth.size)
+    rings = depthlab.depth._net_rows(polar, d)
+    full = _full_net(d, gamma)
+    # each ring's row is the whole net's row at azimuth 0, but for the sign of its 0
+    assert rings[:, :-1].tobytes() == full[:: azimuth.size, :-1].tobytes()
+    assert np.array_equal(rings, full[:: azimuth.size])
     rng = np.random.default_rng(d)
     p = rng.standard_normal((60, d))
     p[:4, -2:] = 0.0
@@ -84,7 +114,7 @@ def test_brackets_count_every_point_past_threshold(d, gamma):
     w /= w.sum()
     t = 0.2 * np.linalg.norm(p, axis=1) - 0.1
     got = depthlab.depth._ring_brackets(p, w, rings, step, azimuth.size, t)
-    want = (_full_net(d, gamma) @ p.T >= t) @ w
+    want = (full @ p.T >= t) @ w
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -115,45 +145,17 @@ def test_brackets_stay_below_float32_masses_at_the_margin(monkeypatch):
     assert np.all(brackets[0] <= count)  # the measure is uniform: brackets count points
 
 
-def test_floor_with_every_point_at_query_checks_every_group(monkeypatch):
-    # no point passes the margin on any row: every bracket and every mass is
-    # 0, so every group reaches the product
-    rows = []
-    real = depthlab.depth._row_blocks
-    monkeypatch.setattr(depthlab.depth, "_row_blocks", lambda r, n: rows.append(r) or real(r, n))
+def test_floor_with_every_point_at_query_is_zero():
+    # no point passes the margin on any row: every bracket is 0, and the
+    # slack taken off the weighted sum leaves it at 0
     q = np.array([1.0, -2.0, 0.5])
     m = make_measure(np.tile(q, (6, 1)), np.arange(1.0, 7.0))
     assert certified_depth_floor(m, q, 0.1) == ref.certified_depth_floor(m, q, 0.1) == 0.0
-    assert rows[-1] == len(_full_net(3, 0.1))
-
-
-@pytest.mark.parametrize("d, gamma", [(2, 0.1), (3, 0.05), (3, 0.3), (4, 0.1), (4, 0.3), (4, np.pi / 2)])
-def test_rebuilt_rows_match_full_net(monkeypatch, d, gamma):
-    full = _full_net(d, gamma)
-    built = []
-    real = depthlab.depth._net_rows
-
-    def spy(polar, azimuth, dim, rows):
-        out = real(polar, azimuth, dim, rows)
-        built.append((rows, out))
-        return out
-
-    monkeypatch.setattr(depthlab.depth, "_net_rows", spy)
-    rng = np.random.default_rng(d)
-    m = make_measure(rng.standard_normal((40, d)), rng.random(40))
-    for q in (np.zeros(d), m.points[0], np.full(d, 0.3)):
-        certified_depth_floor(m, q, gamma)
-    assert len(built) >= 9  # per query the rings, the least bracket's group, the survivors' blocks
-    for rows, out in built:
-        assert out.tobytes() == full[rows].tobytes()
-    step = 2.0 * gamma / (d - 1)
-    polar, azimuth = np.arange(0.0, np.pi + step, step), np.arange(0.0, 2.0 * np.pi + step, step)
-    assert real(polar, azimuth, d, np.arange(len(full))).tobytes() == full.tobytes()
 
 
 def test_floor_prunes_rado_median(monkeypatch):
-    # a rado instance in d = 4 at n = 500 at its median: the float32 product
-    # runs on fewer than 1% of the 230,496 net rows
+    # a rado instance in d = 4 at n = 500 at its median: the floor is the
+    # least ring bracket, with no product over net rows in _row_blocks
     m = generate_measure(MeasureSpec("gaussian", 4, 500, {"sigma": 1.0}, 0))
     x = tukey_median(m, mode="multistart", starts=10, iters=25, seed=0).point
     rows = []
@@ -161,7 +163,31 @@ def test_floor_prunes_rado_median(monkeypatch):
     monkeypatch.setattr(depthlab.depth, "_row_blocks", lambda r, n: rows.append(r) or real(r, n))
     assert certified_depth_floor(m, x, 0.1) == ref.certified_depth_floor(m, x, 0.1)
     assert len(_full_net(4, 0.1)) == 230_496
-    assert sum(rows) < 0.01 * 230_496
+    assert rows == []
+
+
+_THREADS_PROBE = """
+import numpy as np
+from depthlab.depth import certified_depth_floor
+from depthlab.measures import MeasureSpec, generate_measure, make_measure
+m = generate_measure(MeasureSpec("simplex_mixture", 4, 400, {"sigma": 0.3}, seed=1))
+m = make_measure(m.points, np.random.default_rng(1).random(m.n) ** 2)
+for q in (m.weights @ m.points, m.points[3], np.full(4, 0.05)):
+    print(certified_depth_floor(m, q, 0.1).hex(), certified_depth_floor(m, q, 0.3).hex())
+"""
+
+
+def test_weighted_floor_bits_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        r = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True, text=True,
+                           env=env, timeout=300)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 3
 
 
 @pytest.mark.parametrize("gamma", [-0.1, 0.0, 3.0, np.pi / 2 + 1e-9, float("nan")])

@@ -75,6 +75,9 @@ def test_measure_path_checks_dim(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", {"command": "depth", "measure": {"path": path, "dim": 2}, "query": [0, 0],
                                      "expected": 0.5})
     assert main(["depth", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    cfg = write(tmp_path, "c.json", {"command": "depth", "measure": {"path": 0}, "query": [0, 0]})
+    assert main(["depth", "--config", cfg]) == 2  # not a read of file descriptor 0
+    assert "config.measure.path: must be a path string" in capsys.readouterr().err
 
 
 def test_command_mismatch(tmp_path, capsys):
@@ -268,12 +271,17 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
         ({"command": "depth", "measure": GAUSS2, "query": "ab"}, "config.query"),
         ({"command": "median", "measure": GAUSS2, "budget": {"mode": "fast"}}, "config.budget.mode"),
         ({"command": "depth", "measure": GAUSS2, "query": [0, 0]}, "--threads"),  # with --threads 0
+        ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "out": 5}, "config.out"),
+        ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "seed": True}, "config.seed"),
+        ({"command": "depth", "measure": {**GAUSS2, "dim": 2.5}, "query": [0, 0]}, "config.measure.dim"),
+        ({"command": "depth", "measure": {**GAUSS2, "dim": "two"}, "query": [0, 0]}, "config.measure.dim"),
+        ({"command": "depth", "measure": GAUSS2, "query": [0, 0]}, "--seed"),  # with --seed -1
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_config_error_names_field(tmp_path, capsys, config, field):
     cfg = write(tmp_path, "c.json", config)
-    flags = ["--threads", "0"] if field == "--threads" else []
+    flags = {"--threads": ["--threads", "0"], "--seed": ["--seed", "-1"]}.get(field, [])
     assert main([config["command"], "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
     assert field in capsys.readouterr().err
 

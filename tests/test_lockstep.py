@@ -1,7 +1,7 @@
-"""The lockstep median ascent, the batched planar and sampled evaluators and
-the blocked certified floor give the same bits as the single-query referee
-in ``ascent_referee``, and the half-turn planar sweep gives the minimum of
-its full-turn sweep."""
+"""The lockstep median ascent and the batched planar and sampled evaluators
+give the same bits as the single-query referee in ``ascent_referee``, the
+certified floor is valid against its full-net sweep there, and the
+half-turn planar sweep gives the minimum of its full-turn sweep."""
 
 import os
 import subprocess
@@ -17,7 +17,6 @@ import depthlab.median
 from depthlab.depth import (
     _CHUNK,
     _row_blocks,
-    certified_depth_floor,
     deep_line_search,
     direction_profiles,
     exact_depth_values_2d,
@@ -288,11 +287,6 @@ def test_sampled_depth_matches_single_product(count):
             assert a.depth == b.depth and np.array_equal(a.witness, b.witness), (m.dim, count, seed)
 
 
-def _net_rows(d: int, gamma: float) -> int:
-    step = 2.0 * gamma / (d - 1)
-    return len(np.arange(0.0, np.pi + step, step)) ** (d - 2) * len(np.arange(0.0, 2.0 * np.pi + step, step))
-
-
 @pytest.mark.parametrize("d, n", [(2, 300), (3, 200), (4, 60)])
 @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.3])
 def test_certified_floor_matches_large_chunks(d, n, gamma):
@@ -300,16 +294,19 @@ def test_certified_floor_matches_large_chunks(d, n, gamma):
     pts = rng.standard_normal((n, d))
     for m in (make_measure(pts), make_measure(pts, rng.random(n) ** 2)):
         for q in (np.full(d, 0.05), m.points[0]):
-            assert certified_depth_floor(m, q, gamma) == ref.certified_depth_floor(m, q, gamma)
+            ref.assert_valid_floor(m, q, gamma)
 
 
-def test_certified_floor_one_row_tail():
-    d, n, gamma = 4, 241, 0.2
-    blocks = _row_blocks(_net_rows(d, gamma), n)
-    assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start == blocks[0].stop + 1
-    m = generate_measure(MeasureSpec("simplex_mixture", d, n, {"sigma": 0.3}, seed=2))
-    for q in (np.zeros(d), m.points[5]):
-        assert certified_depth_floor(m, q, gamma) == ref.certified_depth_floor(m, q, gamma)
+def test_sampled_depth_one_row_tail():
+    # 3 blocks of 528 directions and a one-row tail, which joins the last
+    n = 241
+    blocks = _row_blocks(3 * 528 + 1, n)
+    assert len(blocks) == 3 and blocks[-1].stop - blocks[-1].start == blocks[0].stop + 1
+    m = generate_measure(MeasureSpec("simplex_mixture", 4, n, {"sigma": 0.3}, seed=2))
+    for q in (np.zeros(4), m.points[5]):
+        a = point_depth(m, q, mode="sampled", sample_count=3 * 528 + 1, seed=1)
+        b = ref.sampled_depth(m, q, sample_count=3 * 528 + 1, seed=1)
+        assert a.depth == b.depth and np.array_equal(a.witness, b.witness)
 
 
 def test_profiles_in_lockstep_match_one_at_a_time():

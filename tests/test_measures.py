@@ -193,6 +193,10 @@ def test_measure_io_bad_point_dim(tmp_path):
 
 def test_measure_io_malformed(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"dim": 2, "points": [[0,0]')
-    with pytest.raises(ValueError, match="line"):
-        load_measure(path)
+    cases = [('{"dim": 2, "points": [[0,0]', "line"), ('{"dim": 2, "points": 5}', "points"),
+             ('{"dim": 2, "points": [[1, 2], 3]}', "index 1"), ('{"dim": 2.5, "points": [[1, 2]]}', "dim"),
+             ('{"dim": true, "points": [[1]]}', "dim"), ('{"dim": "two", "points": [[1, 2]]}', "dim")]
+    for text, field in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=field):
+            load_measure(path)

@@ -3,7 +3,7 @@ import pytest
 
 import arrangement_referee
 import depthlab.median
-from depthlab.geometry import HalfSpace
+from depthlab.geometry import DEFAULT_TOL, HalfSpace
 from depthlab.measures import MeasureSpec, generate_measure, make_measure, halfspace_mass
 from depthlab.depth import point_depth
 from depthlab.median import (
@@ -168,6 +168,23 @@ def test_min_normal_set_symmetric_closed_under_negation(square):
     for nrm in ns.normals[:100]:
         mass = halfspace_mass(square, HalfSpace(-nrm, 0.0))
         assert mass <= ns.level + 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="in d = 3 above 160 points min_normal_set has only its 4,096 sphere normals")
+@pytest.mark.parametrize("n, count", [(161, 70), (240, 107)])
+def test_min_normal_set_keeps_the_exact_witness_above_160_points(n, count):
+    m, _ = recenter(generate_measure(MeasureSpec("gaussian", 3, n, {}, seed=2)),
+                    balanced=True, starts=8, iters=20, seed=2)
+    exact = point_depth(m, np.zeros(3))
+    # the negated witness passes the set's own test: closed mass of
+    # {x : <-u, x> <= 0} at most the level (tol 1e-6)
+    mass = int((m.points @ -exact.witness <= DEFAULT_TOL).sum())
+    if not (exact.mode == "exact" and exact.depth * n == count == mass):
+        pytest.fail(f"not the pinned instance: {exact.mode} depth {exact.depth * n}/{n}, witness mass {mass}")
+    ns = min_normal_set(m, np.zeros(3))
+    assert ns.level * n == count
+    assert len(ns.normals) > 0
 
 
 def test_witness_tuple_triangle(triangle):

@@ -1,5 +1,6 @@
-"""Every public top-level function and class of depthlab has a caller, and
-every name the benchmark reaches into exists.
+"""Every public top-level function and class of depthlab has a caller, every
+parameter of a function is read, and every name the benchmark reaches into
+exists.
 
 A name counts as used when the code under ``src/``, ``scripts/`` or
 ``benchmark/`` mentions it outside its own definition and outside the
@@ -21,6 +22,8 @@ PACKAGE = ROOT / "src" / "depthlab"
 # public names kept for a planned caller (ROADMAP item 4: lines in R^4 and
 # the k-flat corollary)
 ALLOWED = {"flat_depth"}
+# parameters kept unread: the benchmark passes ray_samples (ROADMAP item 8)
+UNREAD_ALLOWED = {"central.containment_check.ray_samples"}
 
 
 def _mentions(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -66,6 +69,24 @@ def test_every_public_name_has_a_caller():
         if not used and node.name not in ALLOWED:
             unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"public names with no caller outside tests: {unused}"
+
+
+def test_every_parameter_is_read():
+    # a parameter that is accepted and then ignored; a def only, since a
+    # lambda fills a callback's signature, which its caller fixes
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]:
+                name = f"{path.stem}.{fn.name}.{arg.arg}"
+                if arg.arg not in read and name not in UNREAD_ALLOWED:
+                    unread.append(name)
+    assert not unread, f"parameters never read: {unread}"
 
 
 def _benchmark_module(name: str):
