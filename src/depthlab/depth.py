@@ -335,43 +335,73 @@ def sampled_depth_values(points, weights, which, q, directions):
     return vals, wits
 
 
-def closed_mass_bounds(points, weights, which, q, directions):
-    """Upper bounds on the values of ``exact_depth_values_2d`` (from any unit
-    directions) and ``sampled_depth_values`` (from directions among the
-    row's own), rows and stacks as there: row r gets the least, over its
-    unit directions u in directions[r] (R, D, d), of the mass of the points
-    p of measure which[r] with |p - q[r]| <= 2 tol or <u, p - q[r]> >= -eta
-    |p - q[r]|, eta = 3 (n + 1) tol, tol being ``DEFAULT_TOL``.
+def closed_mass_bounds(points, weights):
+    """The rule that bounds from above the values of ``exact_depth_values_2d``
+    (from any unit directions) and ``sampled_depth_values`` (from directions
+    among the row's own) in the measures (points[k], weights[k]) of one
+    stack, set up once for them.  Returns bound(which, q, directions): row r
+    gets the least, over its unit directions u in directions[r] (R, D, d),
+    of the mass of the points p of measure which[r] with <u, p - q[r]> >=
+    -s_r, where
+
+        s_r = max(eta reach_r, 2 tol) + 1e-14 (|c_k|_1 + |h_k|_1 + |q[r]|_1),
+
+    eta = 3 (n + 1) tol, tol being ``DEFAULT_TOL``, c_k and h_k the centre
+    and half-widths of the bounding box of measure k, and reach_r = |h_k| +
+    |q[r] - c_k|.  So reach_r >= |p - q[r]| and |c_k|_1 + |h_k|_1 >= |p|_1
+    for each point p of the measure.
 
     The slack eta makes the bound hold for the planar sweep although it
     skips arcs no wider than 4 tol: at most n breakpoints fall within angle
     eta of u, so one of the pieces they cut that span into is wider than
     2 eta / (n + 1) = 6 tol.  The arc holding it is swept, and its mass
-    counts no point but those above.  The sampled value is the mass at one
-    of its directions, which counts fewer points, with slack tol, and its
-    points within tol of the query are within 2 tol.  Both margins, 2 tol
-    and eta, dwarf the rounding of the evaluators' own norms and products.
-    The products run in blocks of about 4 _CHUNK direction-by-point entries
-    and count mass units (``_units``, taken once for the stack), divided by
-    the scale once: for a uniform measure a bound and an evaluator's value
-    are counts over the same n, so the bound is at least the value exactly,
+    counts no point p but those within 2 tol of the query or with <u, p -
+    q> >= -eta |p - q| >= -eta reach_r.  The sampled value is the mass at
+    one of its directions, which counts fewer points, with slack tol, and
+    its points within tol of the query are within 2 tol.  Both margins
+    dwarf the rounding of the evaluators' own norms and products, and the
+    last term of s_r covers the bound's own: <u, p> and <u, q> are rounded
+    apart, since each (row, direction) is one affine test <(u, s_r - <u,
+    q>), (p, 1)> >= 0 on the measures' points augmented by a 1 (M, d + 1,
+    n), built here once.  The tests run as stacked matmuls in blocks of
+    about 4 _CHUNK direction-by-point entries and count mass units
+    (``_units``), divided by the scale once: a uniform block sums its masks
+    as integers, so for a uniform measure a bound and an evaluator's value
+    are counts over the same n and the bound is at least the value exactly,
     not only up to rounding.
     """
     points, (units, scales) = np.asarray(points), _units(np.asarray(weights))
-    (R, D, d), n = directions.shape, units.shape[1]
+    M, n, d = points.shape
+    aug = np.ones((M, d + 1, n))
+    aug[:, :d] = points.transpose(0, 2, 1)
+    low, high = aug[:, :d].min(axis=2), aug[:, :d].max(axis=2)
+    centre, half = 0.5 * (low + high), 0.5 * (high - low)
+    rad = np.sqrt((half * half).sum(axis=1))
+    top = (np.abs(centre) + half).sum(axis=1)  # the box's farthest corner: at least every |p|_1
+    uniform = (units == 1.0).all(axis=1)
     eta = 3.0 * (n + 1) * DEFAULT_TOL
-    out = np.empty(R)
-    step = max(1, 4 * _CHUNK // (n * D))
-    for lo in range(0, R, step):
-        k = which[lo : lo + step]
-        pt = np.empty((len(k), d, n))
-        np.subtract(points[k].transpose(0, 2, 1), q[lo : lo + step, :, None], out=pt)
-        norms = np.sqrt(np.einsum("rkn,rkn->rn", pt, pt))
-        norms[norms <= 2.0 * DEFAULT_TOL] = np.inf  # a point at the query counts under every direction
-        pt /= norms[:, None, :]
-        s = np.matmul(directions[lo : lo + step], pt) >= -eta
-        out[lo : lo + step] = np.matmul(s, units[k, :, None])[..., 0].min(axis=1) / scales[k]
-    return out
+
+    def bound(which, q, directions):
+        R, D, _ = directions.shape
+        off = q - centre[which]
+        reach = rad[which] + np.sqrt((off * off).sum(axis=1))
+        s = np.maximum(eta * reach, 2.0 * DEFAULT_TOL) + 1e-14 * (top[which] + np.abs(q).sum(axis=1))
+        a = np.empty((R, D, d + 1))
+        a[..., :d] = directions
+        a[..., d] = s[:, None] - np.matmul(directions, q[:, :, None])[..., 0]
+        out = np.empty(R)
+        step = max(1, 4 * _CHUNK // (n * D))
+        for lo in range(0, R, step):
+            k = which[lo : lo + step]
+            hit = np.matmul(a[lo : lo + step], aug[k]) >= 0.0
+            if uniform[k].all():
+                mass = hit.view(np.uint8).sum(axis=2, dtype=np.int32)
+            else:
+                mass = np.matmul(hit, units[k, :, None])[..., 0]
+            out[lo : lo + step] = mass.min(axis=1) / scales[k]
+        return out
+
+    return bound
 
 
 def point_depth(
@@ -730,13 +760,16 @@ def direction_profiles(m: DiscreteMeasure, directions, budget: dict | None = Non
     the bits of ``project_measure(m, line(u))``, from one stacked QR and one
     matmul, whose median ascents step in lockstep (``tukey_medians``).
 
-    Returns (a (D,), median points (D, dim - 1)).
+    Returns (a (D,), median points (D, dim - 1)); no directions give empty
+    arrays and no median search.
     """
     if m.dim < 2:
         raise ValueError("need ambient dimension >= 2")
     from . import median as _median
 
     u = np.asarray(directions, dtype=float)
+    if not u.size:
+        return np.empty(0), np.empty((0, m.dim - 1))
     norms = np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])  # the bits of ``unit``'s norm
     if not (np.isfinite(u).all() and norms.all()):
         raise ValueError("directions must be finite and nonzero")

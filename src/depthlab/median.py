@@ -85,16 +85,19 @@ def _cheap_depths(pts: np.ndarray, w: np.ndarray, own: np.ndarray, seeds: np.nda
     witnesses, and theirs (R, b, d), the current witnesses of the other
     starts of its measure.  The planar depth is a minimum over every
     direction, so both kinds bound it; the sampled one is a minimum over
-    the row's own directions only, so only its own witnesses do.
+    the row's own directions only, so only its own witnesses do.  The
+    bound's set-up (``depth.closed_mass_bounds``: the measures' points
+    augmented by a 1 and their bounding boxes) is built here, once per
+    ascent.
     """
+    bound = closed_mass_bounds(pts, w)
     if pts.shape[2] == 2:
         return (lambda rows, x: exact_depth_values_2d(pts, w, own[rows], x),
-                lambda rows, x, mine, theirs: closed_mass_bounds(
-                    pts, w, own[rows], x, np.concatenate([mine, theirs], axis=1)))
+                lambda rows, x, mine, theirs: bound(own[rows], x, np.concatenate([mine, theirs], axis=1)))
     keys, pick = np.unique(seeds, return_inverse=True)
     dirs = np.stack([sample_directions(pts.shape[2], 192, seed=int(s), mode="sphere") for s in keys])
     return (lambda rows, x: sampled_depth_values(pts, w, own[rows], x, dirs[pick[rows]]),
-            lambda rows, x, mine, theirs: closed_mass_bounds(pts, w, own[rows], x, mine))
+            lambda rows, x, mine, theirs: bound(own[rows], x, mine))
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
@@ -243,8 +246,9 @@ def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: in
     A step is swept only if no remembered direction shows that it cannot
     improve: each start keeps its last _RING witnesses, and where
     ``_cheap_depths`` allows, the current witnesses of the other starts of
-    its measure count too.  A direction's closed mass at the step
-    (``depth.closed_mass_bounds``) bounds the step's depth from above.  For
+    its measure count too.  A direction's closed mass at the step, with one
+    slack for the step (``depth.closed_mass_bounds``, one affine test per
+    direction), bounds the step's depth from above.  For
     a uniform measure the bound and the depths are counts over the same n
     (``depth._units``), so a bound at most the start's depth proves that the
     step would fail ``d_new > d_cur``; for a weighted one the bound must lie

@@ -68,8 +68,8 @@ def _probe_directions(rng, p):
 
 def _bounds(m, q, u):
     """closed_mass_bounds of the query q under each direction u[i] alone."""
-    return closed_mass_bounds([m.points], [m.weights], np.zeros(len(u), dtype=int),
-                              np.tile(q, (len(u), 1)), u[:, None, :])
+    return closed_mass_bounds([m.points], [m.weights])(np.zeros(len(u), dtype=int),
+                                                       np.tile(q, (len(u), 1)), u[:, None, :])
 
 
 def test_planar_depth_never_exceeds_closed_mass_bound():
@@ -115,23 +115,93 @@ def test_sampled_depth_never_exceeds_bound_at_own_directions(d):
                 assert np.all(val <= _bounds(m, q, u) + slack)
 
 
+def _row_units(w):
+    """Mass units and scale of one measure: 1.0 per point over n if its
+    weights are equal, else the weights over 1.0."""
+    return (np.ones(len(w)), len(w)) if (w == w[0]).all() else (w, 1.0)
+
+
+def _slack_rule(points, weights, which, q, u):
+    """The bound's rule, one row at a time: the least mass, over the row's
+    directions u, of the points p with <u, p - q> >= -s, for the row's one
+    slack s = max(3 (n + 1) tol reach, 2 tol) + 1e-14 (|c|_1 + |h|_1 +
+    |q|_1), c and h being the centre and half-widths of the measure's
+    bounding box and reach = |h| + |q - c|."""
+    n = points.shape[1]
+    out = []
+    for r, k in enumerate(which):
+        pts, (units, scale) = points[k], _row_units(weights[k])
+        low, high = pts.min(axis=0), pts.max(axis=0)
+        c, h = (low + high) / 2, (high - low) / 2
+        reach = np.linalg.norm(h) + np.linalg.norm(q[r] - c)
+        s = max(3.0 * (n + 1) * DEFAULT_TOL * reach, 2.0 * DEFAULT_TOL) + 1e-14 * (
+            np.abs(c).sum() + h.sum() + np.abs(q[r]).sum())
+        out.append(((u[r] @ (pts - q[r]).T >= -s) @ units).min() / scale)
+    return np.array(out)
+
+
+def _per_point_rule(points, weights, which, q, u):
+    """The bound's earlier rule, kept as a reference: the least mass, over
+    the row's directions u, of the points p within 2 tol of q or with
+    <u, (p - q) / |p - q|> >= -3 (n + 1) tol."""
+    eta = 3.0 * (points.shape[1] + 1) * DEFAULT_TOL
+    out = []
+    for r, k in enumerate(which):
+        p, (units, scale) = points[k] - q[r], _row_units(weights[k])
+        norms = np.linalg.norm(p, axis=1)
+        norms[norms <= 2.0 * DEFAULT_TOL] = np.inf  # at the query: counted under every direction
+        out.append(((u[r] @ (p / norms[:, None]).T >= -eta) @ units).min() / scale)
+    return np.array(out)
+
+
 def test_closed_mass_bounds_across_blocks():
     rng = np.random.default_rng(3)
-    pts = rng.standard_normal((3, 300, 2))
-    w = rng.random((3, 300)) ** 2
-    w /= w.sum(axis=1, keepdims=True)
-    which = rng.integers(0, 3, 40)
-    q = rng.standard_normal((40, 2))
-    q[::5] = pts[which[::5], 7]  # queries on data points
-    u = _unit(rng.standard_normal((40, 30, 2)))
-    got = closed_mass_bounds(pts, w, which, q, u)
     assert 40 * 300 * 30 > 4 * 4 * _CHUNK  # several blocks
-    eta = 3.0 * 301 * DEFAULT_TOL
-    for r in range(40):
-        p = pts[which[r]] - q[r]
-        norms = np.linalg.norm(p, axis=1)
-        counted = (u[r] @ p.T >= -eta * norms) | (norms <= 2 * DEFAULT_TOL)
-        assert abs(got[r] - (counted @ w[which[r]]).min()) <= 1e-12
+    for d in (2, 3):
+        pts = rng.standard_normal((3, 300, d))
+        weighted = rng.random((3, 300)) ** 2
+        weighted /= weighted.sum(axis=1, keepdims=True)
+        mixed = weighted.copy()
+        mixed[1] = 1.0 / 300
+        which = rng.integers(0, 3, 40)
+        q = rng.standard_normal((40, d))
+        q[::5] = pts[which[::5], 7]  # queries on data points
+        u = _unit(rng.standard_normal((40, 30, d)))
+        for w in (weighted, np.full((3, 300), 1.0 / 300), mixed):
+            got = closed_mass_bounds(pts, w)(which, q, u)
+            # a uniform row is a count over n, exact in any order; a
+            # weighted one is a sum whose order may differ
+            slack = np.where((w[which] == w[which, :1]).all(axis=1), 0.0, 1e-12)
+            assert np.all(np.abs(got - _slack_rule(pts, w, which, q, u)) <= slack)
+            assert np.all(got >= _per_point_rule(pts, w, which, q, u) - slack)
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
+def test_bound_holds_far_from_the_origin(offset):
+    # <u, p> and <u, q> are rounded apart, to about 1e-16 of |p| and |q|:
+    # the slack's absolute term keeps the bound above the evaluators, which
+    # round p - q first
+    rng = np.random.default_rng(11)
+    shift = offset * np.array([1.0, -0.5])
+    for weighted, queries in _degenerate_planar(rng):
+        for m, slack in ((weighted, 1e-12), (make_measure(weighted.points), 0.0)):
+            m = make_measure(m.points + shift, m.weights)
+            for q in np.asarray(queries, dtype=float) + shift:
+                val = exact_depth_values_2d([m.points], [m.weights], [0], q[None])[0][0]
+                b = _bounds(m, q, _probe_directions(rng, m.points - q))
+                assert np.all(val <= b + slack), (m.points, q, val, b.min())
+    for d in (3, 4):
+        rng = np.random.default_rng(d)
+        u = sample_directions(d, 192, seed=5, mode="sphere")
+        shift = offset * np.linspace(1.0, -0.5, d)
+        for _ in range(8):
+            pts = rng.integers(-2, 3, (60, d)).astype(float)
+            pts[:10] = pts[10] + np.arange(-5, 5)[:, None] * rng.integers(-1, 2, d)
+            pts += shift
+            for m, slack in ((make_measure(pts, rng.random(60) ** 3 + 1e-3), 1e-12), (make_measure(pts), 0.0)):
+                for q in (pts[10], pts[0], pts[25], shift + rng.standard_normal(d)):  # three on data points
+                    val = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])[0][0]
+                    assert np.all(val <= _bounds(m, q, u) + slack)
 
 
 def _rows_of(monkeypatch, name):

@@ -318,6 +318,18 @@ def test_profiles_in_lockstep_match_one_at_a_time():
         assert ai == r.depth and np.array_equal(med, r.point)
 
 
+def test_profiles_of_no_directions_are_empty(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("median search called")
+
+    monkeypatch.setattr(depthlab.median, "tukey_medians", refused)
+    for d in (2, 3, 4):
+        m = generate_measure(MeasureSpec("gaussian", d, 30, {}, seed=d))
+        for dirs in ([], np.empty((0, d))):
+            a, meds = direction_profiles(m, dirs)
+            assert a.shape == (0,) and meds.shape == (0, d - 1)
+
+
 # deep_line_search(grid_count=60, refine_iters=2) on two theorem1 measures at
 # n = 200: their directions, anchors, depths (96/200 and 95/200) and
 # evaluation counts
