@@ -17,8 +17,7 @@ in lockstep, many cones at once on padded arrays, with the bits of one clip
 per cone.
 
 A constraint's capture runs over the points inside B only, the ones that
-carry B's mass: an exact count when all weights are equal, a sum of the
-captured weights in point order otherwise.
+carry B's mass: an exact count of B's mass units (``depth._units``).
 
 The structural map sends a recentered measure to an unordered tuple of d + 1
 vectors, one per matched-cone slot, by integrating (a - weight) e(B_i) over
@@ -58,7 +57,7 @@ from .cones import (
     tuple_weight,
 )
 from .median import witness_tuple
-from .depth import _BLOCK_ENTRIES, exact_affordable, point_depth
+from .depth import _BLOCK_ENTRIES, _units, exact_affordable, point_depth
 
 # the structural map's Monte Carlo proposal: the constraint pool of each
 # central cone, the angular scale of the witness perturbations and the share
@@ -68,12 +67,6 @@ MAP_PERTURB_ANGLE = 0.1
 MAP_UNIFORM_SHARE = 0.1
 # tuple samples whose central cones are built and clipped together
 MAP_BLOCK = 8
-
-
-def default_capture_fraction(d: int) -> float:
-    """The capture fraction d/(d+1) of every central cone; any value above
-    (d-1)/d works, smaller values only help marginally."""
-    return d / (d + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,21 +305,18 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constrain
     cones share it; its exact block does not depend on ``samples``, so pools
     nest across sample counts and the approximation shrinks monotonically
     toward the true central cone.  A constraint is kept when its half-space
-    captures at least the fraction d/(d+1) of B's mass, within a slack of
-    1e-12.  Only the points inside B carry that mass, so the capture runs
-    over them alone, on stacked zero-padded arrays, in ``_capture_blocks``
-    blocks.  With equal weights it is an exact count k of the K points in
-    B (a float32 product of zeros and ones, exact in any summation order),
-    kept when (d+1) k >= d K: the float rule exactly, since a count step of
-    1/((d+1) n) exceeds the slack.  Otherwise it is each row's sum of the
-    captured weights in point order (a ``cumsum``, whose bits neither the
-    padding nor the other cones of a block move), against the same sum over
-    B.  On equal weights that sum would give the same keep decisions and
-    order, but the count runs as one BLAS product and the ``cumsum`` row by
-    row.  ``max_constraints`` keeps the most binding constraints (capture
-    closest to the threshold cuts deepest into the cone) in the stable
-    order of their captures; any subset still yields a valid outer
-    approximation.
+    captures at least the fraction d/(d+1) of B's mass.  Only the points
+    inside B carry that mass, so the capture runs over them alone, on
+    stacked zero-padded arrays, in ``_capture_blocks`` blocks: one product
+    of the hit mask with the cone's mass units (``depth._units``), padding
+    points weighing 0.  Its sums are integers, exact in any order, in the
+    narrowest dtype that holds the measure's scale exactly: float32 below
+    2^24 (a uniform measure's n), float64 above.  A constraint capturing k
+    of B's K units is kept when (d+1) k >= d K, compared in int64, since
+    (d+1) K can pass 2^53.  ``max_constraints`` keeps the most binding
+    constraints (capture closest to the threshold cuts deepest into the
+    cone) in the stable order of their captures; any subset still yields a
+    valid outer approximation.
     """
     d = m.dim
     normals = np.stack([b.normals for b in cones])
@@ -340,23 +330,14 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constrain
     slots, idx = np.arange(width) < counts[:, None], np.nonzero(inside)[1]
     pts = np.zeros((len(cones), width, d))
     pts[slots] = m.points[idx]
-    uniform = bool(np.all(m.weights == m.weights[0]))
-    if not uniform:
-        w = np.zeros((len(cones), width))
-        w[slots] = m.weights[idx]
-        mass = np.cumsum(w, axis=1)[:, -1]
+    units, scale = _units(m.weights)
+    w = np.zeros((len(cones), width, 1), dtype=np.float32 if scale < 2**24 else np.float64)
+    w[slots, 0] = units[idx]
     captured = np.empty((len(cones), pools.shape[1]))
-    ones = np.ones(width, dtype=np.float32)
     for cs, rs in _capture_blocks(len(cones), pools.shape[1], width):
         hit = np.matmul(pools[pick[cs], rs], pts[cs].transpose(0, 2, 1)) <= DEFAULT_TOL
-        if uniform:  # less the zero padding points, which every row captures
-            captured[cs, rs] = hit.astype(np.float32) @ ones - (width - counts[cs, None])
-        else:
-            captured[cs, rs] = np.cumsum(hit * w[cs, None, :], axis=2)[..., -1]
-    if uniform:
-        keep = (d + 1) * captured >= d * counts[:, None]
-    else:
-        keep = captured >= default_capture_fraction(d) * mass[:, None] - 1e-12
+        captured[cs, rs] = np.matmul(hit.astype(w.dtype), w[cs])[..., 0]
+    keep = (d + 1) * captured.astype(np.int64) >= d * w[..., 0].sum(axis=1, dtype=np.int64)[:, None]
     keep &= np.arange(pools.shape[1]) < sizes[pick][:, None]
     nkeep = keep.sum(axis=1)
     if max_constraints is not None and (nkeep > max_constraints).any():

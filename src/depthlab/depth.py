@@ -8,9 +8,14 @@ x_i - q, so depth is the minimum over i of the mass antiparallel to p_i plus
 the depth of the other points projected onto p_i^perp, recursing down to an
 exact O(n log n) planar sweep over a half-turn; cost O(n^(d-1) log n).
 ``exact_affordable`` says where callers that pick a depth evaluator use it.
-Every evaluator sums mass units (``_units``) and divides by a scale once:
-a uniform measure counts its points and divides by n, so its masses are
-exact in any summation order and compare bit for bit across the exact,
+
+Every evaluator sums mass units (``_units``) and divides by a scale once,
+by one rule for every measure.  A uniform measure counts 1.0 per point and
+divides by n.  Any other measure gets the integer units u_i = max(1,
+rint(2^52 w_i / sum w)) and divides by sum u.  Every partial sum of units
+is then an integer below 2^53, exact in float64 in any order, under any
+BLAS blocking and at any thread count; a mass is one correctly rounded
+division of such a count, so equal counts compare equal across the exact,
 sampled and certified paths.  ``depth_oracle`` is an independent
 brute-force referee built on lexicographic sign perturbation; the two
 implementations share no code path.
@@ -19,6 +24,7 @@ implementations share no code path.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -90,13 +96,24 @@ def line_depth_thresholds(dim: int) -> dict:
 
 
 def _units(w: np.ndarray):
-    """Mass units of the weights w (..., n) and the scale that turns a sum of
-    units into mass.  A uniform measure (all its weights equal) counts 1.0
-    per point and divides by n, so each of its masses is an integer count,
-    exact in any summation order, over n; any other measure sums its weights
-    and divides by 1.0.  Returns (units, scale (...,))."""
+    """Mass units of the positive weights w (..., n) and the scale, their
+    sum, that turns a sum of units into mass.  A uniform measure (all its
+    weights equal) counts 1.0 per point, so its scale is n.  Any other
+    measure gets u_i = max(1, rint(2^52 w_i / sum w)), sum w being the
+    correctly rounded sum (``math.fsum``), so a measure's units do not
+    depend on how its weights are stacked.  Every partial sum of units is
+    an integer below 2^53, so every mass is an exact count over the scale,
+    whatever the order of the sums.  The rint moves each weight by at most
+    2^-53 of the total, besides the rounding of the quotient (by at most
+    2^-52 where the floor of one unit lifts a weight below 2^-53 of it), so
+    the scale lies within about n of 2^52.  Returns (units, scale (...,))."""
     uniform = (w == w[..., :1]).all(axis=-1)
-    return np.where(uniform[..., None], 1.0, w), np.where(uniform, float(w.shape[-1]), 1.0)
+    units = np.ones(w.shape)
+    if not uniform.all():
+        rows = w[~uniform]
+        total = np.array([math.fsum(r) for r in rows])
+        units[~uniform] = np.maximum(1.0, np.rint(rows * 2.0**52 / total[:, None]))
+    return units, units.sum(axis=-1)
 
 
 def _sweep(p: np.ndarray, w: np.ndarray, gap: float):
@@ -277,7 +294,7 @@ def exact_depth_values_2d(points, weights, which, q):
     are summed over the full mask in point order, and in the sweep it is a
     copy of the row's first other point with unit 0, so it adds no
     breakpoint.  Each row's value is (the units at the query + the swept
-    minimum) / scale, a count over n for a uniform measure.  Returns
+    minimum) / scale, an exact count over the scale.  Returns
     (values (R,), directions (R, 2)).
     """
     points, (units, scales) = np.asarray(points), _units(np.asarray(weights))
@@ -365,10 +382,11 @@ def closed_mass_bounds(points, weights):
     q>), (p, 1)> >= 0 on the measures' points augmented by a 1 (M, d + 1,
     n), built here once.  The tests run as stacked matmuls in blocks of
     about 4 _CHUNK direction-by-point entries and count mass units
-    (``_units``), divided by the scale once: a uniform block sums its masks
-    as integers, so for a uniform measure a bound and an evaluator's value
-    are counts over the same n and the bound is at least the value exactly,
-    not only up to rounding.
+    (``_units``), divided by the scale once, so a bound and an evaluator's
+    value are exact counts over the same scale and the bound is at least
+    the value exactly, not only up to rounding.  A uniform block sums its
+    masks as integers, the same counts faster than a product with its
+    units.
     """
     points, (units, scales) = np.asarray(points), _units(np.asarray(weights))
     M, n, d = points.shape
@@ -416,13 +434,13 @@ def point_depth(
     exact    project and sweep (see the module docstring), O(n^(d-1) log n);
              limited to dim <= 4 and n <= 5000 (see ``certified_depth_floor``
              for a fast conservative bound).  Reports the closed mass of the
-             witness direction, summed in mass units (``_units``): for a
-             uniform measure a count of points over n, exact whatever the
-             order of the sums.  The mode is "exact-upper-bound" when that
-             mass misses the computed minimum.  The
-             results of the last 16 queries are kept (thread-safe, their
-             witnesses read-only), keyed on the bytes of (points - q) and
-             the weights, so a repeated query returns the same result.
+             witness direction, summed in mass units (``_units``): an
+             exact count over the scale, whatever the order of the sums.
+             The mode is "exact-upper-bound" when that mass misses the
+             computed minimum.  The results of the last 16 queries are
+             kept (thread-safe, their witnesses read-only), keyed on the
+             bytes of (points - q) and the weights, so a repeated query
+             returns the same result.
     sampled  upper bound over ``sample_count`` seeded sphere directions; the
              direction stream is prefix-stable in the count, so a larger
              sample with the same seed can only lower the bound.  This is
@@ -492,13 +510,10 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     |p| + 1.1e-5 (|p| + 1) (summed as a 1e-5 and a 1e-6 term).
     The inflation of t dwarfs the float64 rounding of the ring sweep, so
     every point counted on a row lies in its covered half-space.  The floor
-    is the least row mass over the scale.  For a uniform measure that is an
-    exact count over n.  For weights it is the least sum less ``slack`` =
-    1e-15 (4 n + azimuths), which bounds the rounding of the sums of weights
-    summing to 1, clamped at 0, so it never exceeds the mass of the points
-    it counts.  No BLAS product is taken, so the floor does not depend on
-    the BLAS thread count.  Converges to the exact depth as gamma -> 0, up
-    to the inflation.  Supported for dim in {2, 3, 4}; in d = 4 at gamma =
+    is the least row mass, an exact count of integer units, over the scale.
+    No BLAS product is taken, so the floor does not depend on the BLAS
+    thread count.  Converges to the exact depth as gamma -> 0, up to the
+    inflation.  Supported for dim in {2, 3, 4}; in d = 4 at gamma =
     0.1 the net has 230,496 rows in 2,401 rings.
     """
     q = as_vector(q)
@@ -515,10 +530,7 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     norms = np.linalg.norm(p, axis=1)
     t = np.sin(gamma) * norms + 1e-5 * (norms + 1.0) + 1e-6 * (norms + 1.0)
     units, scale = _units(m.weights)
-    low = float(_ring_brackets(p, units, _net_rows(polar, d), step, count, t).min())
-    if scale != m.n:  # weights, not counts: take off the rounding of their sums (slack)
-        low = max(0.0, low - 1e-15 * (4 * m.n + count))
-    return low / scale
+    return float(_ring_brackets(p, units, _net_rows(polar, d), step, count, t).min()) / scale
 
 
 def _net_rows(polar: np.ndarray, d: int) -> np.ndarray:
@@ -559,9 +571,10 @@ def _ring_brackets(p: np.ndarray, w: np.ndarray, rings: np.ndarray, step: float,
     = +-inf, and 0 / 0 (nan) counts nowhere.  Only the points on an arc
     (about a third of the entries at a median) reach the index step.  Rings
     go in blocks of about _BLOCK_ENTRIES ring-by-point entries.  A and the
-    whole-ring sums are ``np.einsum`` loops, not BLAS products, so each sum
-    runs in one order whatever the blocks and the BLAS thread count.
-    Returns the brackets of the rows in net order, (len(rings) count,).
+    whole-ring sums are ``np.einsum`` loops, not BLAS products.  On integer
+    units (``_units``) every partial sum that reaches a bracket stays
+    within -+ their total, so the brackets are exact.  Returns the brackets
+    of the rows in net order, (len(rings) count,).
     """
     n = len(w)
     N = 2.0 * np.pi / step
@@ -603,23 +616,13 @@ def _ring_brackets(p: np.ndarray, w: np.ndarray, rings: np.ndarray, step: float,
 
 def _row_blocks(rows: int, n: int) -> list:
     """Slices covering range(rows), for products of that many direction rows
-    with n points: blocks of about _BLOCK_ENTRIES entries, which stay in
-    cache where one product over all the rows would not.
-
-    The BLAS matrix-vector kernel sums a row in an order that depends on
-    the row's place in its group of four, and sums a product with a single
-    row differently again (19 of 20 weights 0.05 make 0.95 in a stack, but
-    0.9500000000000002 alone).  So every block is a multiple of 16 rows
-    and a one-row tail joins the block before it: each row's mass is then
-    that of one product over all the rows on one BLAS thread.  (A threaded
-    product splits its rows between the threads; a split off a multiple of
-    four regroups the rows after it.)
-    """
-    step = max(16, _BLOCK_ENTRIES // n // 16 * 16)
-    starts = list(range(0, rows, step))
-    if len(starts) > 1 and rows - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
+    with n points: blocks of _BLOCK_ENTRIES // n rows, which stay in cache
+    where one product over all the rows would not.  The products sum
+    integer mass units (``_units``), so each row's mass has the bits of one
+    product over all the rows, however the blocks and the BLAS threads
+    split them."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +764,8 @@ def direction_profiles(m: DiscreteMeasure, directions, budget: dict | None = Non
     matmul, whose median ascents step in lockstep (``tukey_medians``).
 
     Returns (a (D,), median points (D, dim - 1)); no directions give empty
-    arrays and no median search.
+    arrays and no median search.  Raises ValueError unless the directions
+    are an array (D, dim) of finite nonzero rows.
     """
     if m.dim < 2:
         raise ValueError("need ambient dimension >= 2")
@@ -770,6 +774,8 @@ def direction_profiles(m: DiscreteMeasure, directions, budget: dict | None = Non
     u = np.asarray(directions, dtype=float)
     if not u.size:
         return np.empty(0), np.empty((0, m.dim - 1))
+    if u.ndim != 2 or u.shape[1] != m.dim:
+        raise ValueError(f"directions must have shape (D, {m.dim}), got {u.shape}")
     norms = np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])  # the bits of ``unit``'s norm
     if not (np.isfinite(u).all() and norms.all()):
         raise ValueError("directions must be finite and nonzero")

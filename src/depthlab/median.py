@@ -248,12 +248,12 @@ def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: in
     ``_cheap_depths`` allows, the current witnesses of the other starts of
     its measure count too.  A direction's closed mass at the step, with one
     slack for the step (``depth.closed_mass_bounds``, one affine test per
-    direction), bounds the step's depth from above.  For
-    a uniform measure the bound and the depths are counts over the same n
-    (``depth._units``), so a bound at most the start's depth proves that the
-    step would fail ``d_new > d_cur``; for a weighted one the bound must lie
-    more than 1e-12 below it.  Such a step is dropped unswept (the evaluator
-    is not called when a batch sweeps no row) and the start stays as it is.
+    direction), bounds the step's depth from above.  The bound and the
+    depths are exact counts of mass units over the same scale
+    (``depth._units``), so for every measure a bound at most the start's
+    depth proves that the step would fail ``d_new > d_cur``.  Such a step
+    is dropped unswept (the evaluator is not called when a batch sweeps no
+    row) and the start stays as it is.
     It still counts as an evaluation, so the counts, endpoints and depths
     are those of sweeping every step.
     """
@@ -267,7 +267,6 @@ def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: in
     scale = np.where(scale == 0.0, 1.0, scale)[own]
     del dev
     evaluate, bound = _cheap_depths(pts, w, own, seed + 7 * s_i)
-    margin = np.where((_units(w)[0] == 1.0).all(axis=1), 0.0, 1e-12)[own]  # 0 for exact counts
     d_cur, wit = evaluate(np.arange(len(x)), x)
     evals = np.ones(len(x), dtype=int)
     ring = np.repeat(wit[:, None, :], _RING, axis=1)  # slot: evaluation count mod _RING
@@ -282,7 +281,7 @@ def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: in
                 break
             cand = x[rows] - (step[rows] / div)[:, None] * wit[rows]
             evals[rows] += 1
-            swept = bound(rows, cand, ring[rows], wit[others[rows]]) > d_cur[rows] - margin[rows]
+            swept = bound(rows, cand, ring[rows], wit[others[rows]]) > d_cur[rows]
             d_new, wit_new = np.full(len(rows), -np.inf), wit[rows]
             sw = rows[swept]
             if sw.size:
@@ -398,7 +397,7 @@ def min_normal_set(
     cand = np.vstack(cands)
     cand /= np.linalg.norm(cand, axis=1)[:, None]
     # closed mass of H(n) = {x : <n, x - o> <= 0} for every candidate normal,
-    # in mass units; level + tol lies far from every other count over n
+    # an exact count of mass units over the scale, as the level is
     units, scale = _units(m.weights)
     masses = np.empty(cand.shape[0])
     for blk in _row_blocks(cand.shape[0], m.n):

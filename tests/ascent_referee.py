@@ -2,37 +2,60 @@
 single-query planar depth, the one-query sampled depth, the certified
 floor in 16,384-row net chunks, the one-direction projection and the
 sequential multistart ascent that the package used before the ascents of
-all starts and directions were batched.  Masses count the package's mass
-units (``depth._units``: 1.0 per point of a uniform measure, divided by n
-once at the end; the weights otherwise).
+all starts and directions were batched.  Masses count mass units built here
+with exact rationals (``mass_units``), by the rule the package states for
+``depth._units``, and divide by their sum once at the end.
 
 ``_sweep`` is the full-turn sweep: it sorts every row's angles stably,
 reduces its 2m breakpoints with ``np.mod`` and finds the prefix sums at
 both ends of each arc's semicircle by search.  The tests require the
 package's half-turn sweep to give its value exactly on integer units and
-within 1e-12 on weights, whose sums run in another order.
+within 1e-12 on arbitrary weights, whose sums run in another order.
 ``exact_depth_value_2d`` splits off the points at the query and sweeps the
 rest alone with the package's one-row sweep, so the sequential ascent
 gives the bits of the batched one; ``sampled_depth`` draws its directions
 on every call and takes one product with them; ``certified_depth_floor``
 sweeps its whole net in float32 products, and bounds the package's
-one-stage floor (``assert_valid_floor``), which the tests check against it
-and against its definition, so ``_final_depth`` calls the package floor;
+one-stage floor (``assert_valid_floor``: the same bits), which the tests
+check against it and against its definition, so ``_final_depth`` calls the
+package floor;
 ``project_line`` takes one QR per
 direction and fixes its signs row by row; ``_start_points`` draws one
 measure's starts; ``_multistart_endpoints`` climbs one start after
 another.  The tests require the batched path to give the same bits.
 """
 
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 
 import depthlab.depth
-from depthlab.depth import DepthResult, _split_query, _units, exact_affordable, point_depth
+from depthlab.depth import DepthResult, _split_query, exact_affordable, point_depth
 from depthlab.geometry import DEFAULT_TOL, as_vector, sample_directions, unit
 from depthlab.measures import DiscreteMeasure
 from depthlab.median import MedianResult, _lex_less
 
 _CHUNK = 16384
+
+
+def mass_units(w):
+    """Mass units of the weights w (n,) and their sum, the scale: 1.0 per
+    point and n if the weights are equal, else u_i = max(1, rint(2^52 w_i /
+    S)), S being the weights' sum rounded once to float64 and the quotient
+    rounded once before rint, as float64 division rounds it.  Built from
+    Python integers and ``Fraction``s, not from the package."""
+    units = _mass_units(np.asarray(w, dtype=float).tobytes())
+    return np.array(units, dtype=float), float(sum(units))
+
+
+@lru_cache(maxsize=256)
+def _mass_units(raw: bytes) -> tuple:
+    w = [Fraction(x) for x in np.frombuffer(raw)]
+    if all(x == w[0] for x in w):
+        return (1,) * len(w)
+    total = Fraction(float(sum(w)))
+    return tuple(max(1, round(float(x * 2**52 / total))) for x in w)
 
 
 def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
@@ -73,7 +96,7 @@ def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
 
 
 def exact_depth_value_2d(m, q):
-    units, scale = _units(m.weights)
+    units, scale = mass_units(m.weights)
     P, w, w0 = _split_query(m.points - np.asarray(q, dtype=float), units)
     if P.shape[0] == 0:
         return 1.0, np.eye(2)[0]
@@ -89,7 +112,7 @@ def sampled_depth(m, q, sample_count: int = 512, seed: int = 0, tol: float = DEF
     norms = np.linalg.norm(p, axis=1)
     norms[(p * p).sum(axis=1) <= tol**2] = np.inf  # at the query: counted under every direction
     s = u @ (p / norms[:, None]).T
-    units, scale = _units(m.weights)
+    units, scale = mass_units(m.weights)
     masses = (s >= -tol) @ units
     j = int(np.argmin(masses))
     return DepthResult(float(masses[j] / scale), u[j], "sampled")
@@ -116,7 +139,7 @@ def certified_depth_floor(m, q, gamma: float = 0.1) -> float:
     # every counted point certainly satisfies <u0, p> >= sin(gamma) |p|
     margin32 = (np.sin(gamma) * norms + 1e-5 * (norms + 1.0)).astype(np.float32)
     p32 = p.astype(np.float32)
-    units, scale = _units(m.weights)
+    units, scale = mass_units(m.weights)
     best = np.inf
     for lo in range(0, net.shape[0], _CHUNK):
         s = net[lo : lo + _CHUNK].astype(np.float32) @ p32.T
@@ -126,17 +149,9 @@ def certified_depth_floor(m, q, gamma: float = 0.1) -> float:
 
 
 def assert_valid_floor(m, q, gamma: float = 0.1):
-    """The package floor against ``certified_depth_floor``: its bits for a
-    uniform measure.  For weights never above it, and below it by the slack
-    1e-15 (4 n + azimuths) that the package takes off a weighted sum plus
-    the rounding of the two sums, which the slack also bounds."""
-    got, want = depthlab.depth.certified_depth_floor(m, q, gamma), certified_depth_floor(m, q, gamma)
-    if (m.weights == m.weights[0]).all():
-        assert got == want
-    else:
-        step = 2.0 * gamma / (m.dim - 1)
-        slack = 1e-15 * (4 * m.n + np.arange(0.0, 2.0 * np.pi + step, step).size)
-        assert want - 2.0 * slack <= got <= want
+    """The package floor against ``certified_depth_floor``: its bits, for
+    every measure, since both count integer mass units exactly."""
+    assert depthlab.depth.certified_depth_floor(m, q, gamma) == certified_depth_floor(m, q, gamma)
 
 
 def _final_depth(m, x: np.ndarray) -> float:

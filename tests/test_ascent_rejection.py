@@ -76,13 +76,13 @@ def test_planar_depth_never_exceeds_closed_mass_bound():
     rng = np.random.default_rng(11)
     checked = 0
     for weighted, queries in _degenerate_planar(rng):
-        # the ascent rejects a weighted step when a bound lies 1e-12 below
-        # its depth, a uniform one when a bound (a count) is at most it
-        for m, slack in ((weighted, 1e-12), (make_measure(weighted.points), 0.0)):
+        # the ascent rejects a step when a bound (a count of mass units) is
+        # at most its depth, weighted or not
+        for m in (weighted, make_measure(weighted.points)):
             for q in np.asarray(queries, dtype=float):
                 val = exact_depth_values_2d([m.points], [m.weights], [0], q[None])[0][0]
                 b = _bounds(m, q, _probe_directions(rng, m.points - q))
-                assert np.all(val <= b + slack), (m.points, q, val, b.min())
+                assert np.all(val <= b), (m.points, q, val, b.min())
                 checked += len(b)
     assert checked > 5000
 
@@ -109,16 +109,10 @@ def test_sampled_depth_never_exceeds_bound_at_own_directions(d):
     for _ in range(8):
         pts = rng.integers(-2, 3, (60, d)).astype(float)  # duplicates and coplanar runs
         pts[:10] = pts[10] + np.arange(-5, 5)[:, None] * rng.integers(-1, 2, d)  # a collinear run
-        for m, slack in ((make_measure(pts, rng.random(60) ** 3 + 1e-3), 1e-12), (make_measure(pts), 0.0)):
+        for m in (make_measure(pts, rng.random(60) ** 3 + 1e-3), make_measure(pts)):
             for q in (pts[10], pts[0] + 4e-10, np.zeros(d), rng.standard_normal(d)):
                 val = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])[0][0]
-                assert np.all(val <= _bounds(m, q, u) + slack)
-
-
-def _row_units(w):
-    """Mass units and scale of one measure: 1.0 per point over n if its
-    weights are equal, else the weights over 1.0."""
-    return (np.ones(len(w)), len(w)) if (w == w[0]).all() else (w, 1.0)
+                assert np.all(val <= _bounds(m, q, u))
 
 
 def _slack_rule(points, weights, which, q, u):
@@ -130,7 +124,7 @@ def _slack_rule(points, weights, which, q, u):
     n = points.shape[1]
     out = []
     for r, k in enumerate(which):
-        pts, (units, scale) = points[k], _row_units(weights[k])
+        pts, (units, scale) = points[k], ref.mass_units(weights[k])
         low, high = pts.min(axis=0), pts.max(axis=0)
         c, h = (low + high) / 2, (high - low) / 2
         reach = np.linalg.norm(h) + np.linalg.norm(q[r] - c)
@@ -147,7 +141,7 @@ def _per_point_rule(points, weights, which, q, u):
     eta = 3.0 * (points.shape[1] + 1) * DEFAULT_TOL
     out = []
     for r, k in enumerate(which):
-        p, (units, scale) = points[k] - q[r], _row_units(weights[k])
+        p, (units, scale) = points[k] - q[r], ref.mass_units(weights[k])
         norms = np.linalg.norm(p, axis=1)
         norms[norms <= 2.0 * DEFAULT_TOL] = np.inf  # at the query: counted under every direction
         out.append(((u[r] @ (p / norms[:, None]).T >= -eta) @ units).min() / scale)
@@ -169,11 +163,9 @@ def test_closed_mass_bounds_across_blocks():
         u = _unit(rng.standard_normal((40, 30, d)))
         for w in (weighted, np.full((3, 300), 1.0 / 300), mixed):
             got = closed_mass_bounds(pts, w)(which, q, u)
-            # a uniform row is a count over n, exact in any order; a
-            # weighted one is a sum whose order may differ
-            slack = np.where((w[which] == w[which, :1]).all(axis=1), 0.0, 1e-12)
-            assert np.all(np.abs(got - _slack_rule(pts, w, which, q, u)) <= slack)
-            assert np.all(got >= _per_point_rule(pts, w, which, q, u) - slack)
+            # every row is an exact count of mass units, in any order
+            assert np.array_equal(got, _slack_rule(pts, w, which, q, u))
+            assert np.all(got >= _per_point_rule(pts, w, which, q, u))
 
 
 @pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
@@ -184,12 +176,12 @@ def test_bound_holds_far_from_the_origin(offset):
     rng = np.random.default_rng(11)
     shift = offset * np.array([1.0, -0.5])
     for weighted, queries in _degenerate_planar(rng):
-        for m, slack in ((weighted, 1e-12), (make_measure(weighted.points), 0.0)):
+        for m in (weighted, make_measure(weighted.points)):
             m = make_measure(m.points + shift, m.weights)
             for q in np.asarray(queries, dtype=float) + shift:
                 val = exact_depth_values_2d([m.points], [m.weights], [0], q[None])[0][0]
                 b = _bounds(m, q, _probe_directions(rng, m.points - q))
-                assert np.all(val <= b + slack), (m.points, q, val, b.min())
+                assert np.all(val <= b), (m.points, q, val, b.min())
     for d in (3, 4):
         rng = np.random.default_rng(d)
         u = sample_directions(d, 192, seed=5, mode="sphere")
@@ -198,10 +190,10 @@ def test_bound_holds_far_from_the_origin(offset):
             pts = rng.integers(-2, 3, (60, d)).astype(float)
             pts[:10] = pts[10] + np.arange(-5, 5)[:, None] * rng.integers(-1, 2, d)
             pts += shift
-            for m, slack in ((make_measure(pts, rng.random(60) ** 3 + 1e-3), 1e-12), (make_measure(pts), 0.0)):
+            for m in (make_measure(pts, rng.random(60) ** 3 + 1e-3), make_measure(pts)):
                 for q in (pts[10], pts[0], pts[25], shift + rng.standard_normal(d)):  # three on data points
                     val = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])[0][0]
-                    assert np.all(val <= _bounds(m, q, u) + slack)
+                    assert np.all(val <= _bounds(m, q, u))
 
 
 def _rows_of(monkeypatch, name):

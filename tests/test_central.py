@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ascent_referee as ref
 import central_referee as referee
 from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, sample_directions, unit
 from depthlab.measures import MeasureSpec, cone_mass, generate_measure, make_measure
@@ -28,7 +29,6 @@ from depthlab.central import (
     central_cone,
     central_patch,
     containment_check,
-    default_capture_fraction,
     structural_map,
 )
 from depthlab.suites import _octant_symmetric_measure, _small_rotation
@@ -64,10 +64,6 @@ def _inside_patch(verts: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
         return (turn * cross(lo, pts) >= -tol) & (turn * cross(pts, hi) >= -tol)
     edges = np.cross(verts, np.roll(verts, -1, axis=0))  # inward edge normals
     return np.all(pts @ edges.T >= -tol, axis=1)
-
-
-def test_capture_fraction_default():
-    assert default_capture_fraction(3) == pytest.approx(0.75)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -175,10 +171,11 @@ def test_central_cone_monotone_refinement(mixture3):
 def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
     # the retained constraints are those of one float capture product over
     # all points and the whole candidate pool, and their order is the
-    # stable order of the exact counts of captured points in B (equal
-    # weights) or of each row's sum of captured weights in point order;
-    # the octant's 3,600 points take 57 blocks of 36 pool rows, and small
-    # orthants built together share one block of whole pools
+    # stable order of the exact counts of captured mass units in B (one
+    # per point for equal weights), kept where 4 k >= 3 K, which keeps what
+    # the float rule keeps; the octant's 3,600 points take 57 blocks of 36
+    # pool rows, and small orthants built together share one block of
+    # whole pools
     blocks = []
     real = central._capture_blocks
     monkeypatch.setattr(central, "_capture_blocks", lambda *args: blocks.append(real(*args)) or blocks[-1])
@@ -206,13 +203,11 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
             assert 0 < inside.sum() <= 16 if cones is small else inside.sum() > 16
             hits = np.vstack([pool[lo : lo + 256] @ m.points.T <= DEFAULT_TOL for lo in range(0, len(pool), 256)])
             captured = hits @ (m.weights * inside)
-            keep = captured >= default_capture_fraction(3) * cone_mass(m, b) - 1e-12
+            keep = captured >= 3 / 4 * cone_mass(m, b) - 1e-12
             old = pool[keep][np.argsort(captured[keep], kind="stable")[:320]]
-            if m is weighted:
-                exact = np.cumsum(hits[:, inside] * m.weights[inside], axis=1)[:, -1]
-            else:
-                exact = hits[:, inside].sum(axis=1)
-                assert np.array_equal(keep, 4 * exact >= 3 * inside.sum())
+            units = ref.mass_units(m.weights)[0][inside].astype(np.int64)
+            exact = hits[:, inside].astype(np.int64) @ units
+            assert np.array_equal(keep, 4 * exact >= 3 * units.sum())
             assert approx.constraints.shape[0] == min(320, keep.sum())
             assert np.array_equal(approx.constraints, pool[keep][np.argsort(exact[keep], kind="stable")[:320]])
             assert sorted(map(tuple, approx.constraints)) == sorted(map(tuple, old))

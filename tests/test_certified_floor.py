@@ -1,9 +1,8 @@
 """The one-stage certified floor, the least ring bracket: bit for bit the
-brute-force count of its definition and the float32 full-net sweep of
-``ascent_referee`` on uniform measures; on weighted ones never above that
-sweep and within the floor's slack of it, at any BLAS thread count.  Also
-the ring table, the covering range of gamma, and a floor that takes no
-blocked product."""
+brute-force count of its definition on uniform measures and the float32
+full-net sweep of ``ascent_referee`` on every measure, at any BLAS thread
+count.  Also the ring table, the covering range of gamma, and a floor that
+takes no blocked product."""
 
 import os
 import subprocess
@@ -146,8 +145,8 @@ def test_brackets_stay_below_float32_masses_at_the_margin(monkeypatch):
 
 
 def test_floor_with_every_point_at_query_is_zero():
-    # no point passes the margin on any row: every bracket is 0, and the
-    # slack taken off the weighted sum leaves it at 0
+    # no point passes the margin on any row: every bracket is 0, weighted
+    # or not
     q = np.array([1.0, -2.0, 0.5])
     m = make_measure(np.tile(q, (6, 1)), np.arange(1.0, 7.0))
     assert certified_depth_floor(m, q, 0.1) == ref.certified_depth_floor(m, q, 0.1) == 0.0

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 import depthlab.central
 import depthlab.depth
 import depthlab.median
+import ascent_referee as ref
 from enumerator_referee import enumerator_depth
 from depthlab.geometry import Flat, line, random_rotation, sample_directions
-from depthlab.measures import MeasureSpec, generate_measure, make_measure
+from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure
 from depthlab.depth import (
     certified_depth_floor,
     deep_line_search,
@@ -404,6 +407,39 @@ def test_uniform_exact_depth_is_a_count(inst):
         assert vals[0] * m.n == count and vals[0] == count / m.n
     r = point_depth(m, q)
     assert r.depth * m.n == count and r.depth == count / m.n
+
+
+def _weighted_oracle_cases():
+    """24 weighted measures in d = 2, 3 with n <= 14: Dirichlet weights on
+    Gaussian points or on integer grids with duplicates, one weight below
+    2^-60 in every third, and a query on a data point in every other."""
+    for d in (2, 3):
+        for i in range(12):
+            rng = np.random.default_rng(41_000 + 100 * d + i)
+            n = int(rng.integers(4, 15))
+            pts = rng.integers(-2, 3, (n, d)).astype(float) if i % 2 else rng.standard_normal((n, d))
+            pts[1] = pts[0]
+            w = rng.dirichlet(np.ones(n))
+            if i % 3 == 0:
+                w[2] = 2.0**-62
+            q = pts[int(rng.integers(0, n))] if i % 4 < 2 else rng.integers(-1, 2, d).astype(float)
+            yield make_measure(pts, w), q
+
+
+def test_weighted_exact_depth_is_the_oracle_count():
+    # the oracle on the mass units built with exact rationals, each over
+    # 2^52 so that every sum it takes is exact, gives the least count of
+    # units; that count over their sum is the exact depth bit for bit.  On
+    # the weights themselves the oracle cannot tell a half-space with the
+    # weight below 2^-60 from one without it
+    for m, q in _weighted_oracle_cases():
+        units, scale = ref.mass_units(m.weights)
+        assert m.weights.min() >= 2.0**-60 or units.min() == 1.0  # the floor of one unit
+        count = Fraction(depth_oracle(DiscreteMeasure(m.dim, m.points, units / 2**52), q).depth) * 2**52
+        assert count.denominator == 1
+        r = point_depth(m, q, mode="exact")
+        assert r.mode == "exact" and r.depth == float(count / int(scale)), (m.dim, m.n, q)
+        assert abs(r.depth - depth_oracle(m, q).depth) <= 1e-12
 
 
 def _exact_kernel_queries(monkeypatch):

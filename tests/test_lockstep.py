@@ -297,16 +297,18 @@ def test_certified_floor_matches_large_chunks(d, n, gamma):
             ref.assert_valid_floor(m, q, gamma)
 
 
-def test_sampled_depth_one_row_tail():
-    # 3 blocks of 528 directions and a one-row tail, which joins the last
+def test_weighted_sampled_depth_in_plain_blocks():
+    # 3 blocks of 543 directions (not a multiple of 16) and a one-row tail:
+    # integer mass units give the bits of the referee's single product
     n = 241
-    blocks = _row_blocks(3 * 528 + 1, n)
-    assert len(blocks) == 3 and blocks[-1].stop - blocks[-1].start == blocks[0].stop + 1
+    blocks = _row_blocks(3 * 543 + 1, n)
+    assert [b.stop - b.start for b in blocks] == [543, 543, 543, 1]
     m = generate_measure(MeasureSpec("simplex_mixture", 4, n, {"sigma": 0.3}, seed=2))
-    for q in (np.zeros(4), m.points[5]):
-        a = point_depth(m, q, mode="sampled", sample_count=3 * 528 + 1, seed=1)
-        b = ref.sampled_depth(m, q, sample_count=3 * 528 + 1, seed=1)
-        assert a.depth == b.depth and np.array_equal(a.witness, b.witness)
+    for m in (m, make_measure(m.points, np.random.default_rng(2).random(n) ** 2)):
+        for q in (np.zeros(4), m.points[5]):
+            a = point_depth(m, q, mode="sampled", sample_count=3 * 543 + 1, seed=1)
+            b = ref.sampled_depth(m, q, sample_count=3 * 543 + 1, seed=1)
+            assert a.depth == b.depth and np.array_equal(a.witness, b.witness)
 
 
 def test_profiles_in_lockstep_match_one_at_a_time():
@@ -328,6 +330,21 @@ def test_profiles_of_no_directions_are_empty(monkeypatch):
         for dirs in ([], np.empty((0, d))):
             a, meds = direction_profiles(m, dirs)
             assert a.shape == (0,) and meds.shape == (0, d - 1)
+
+
+def test_profiles_refuse_one_direction_as_a_vector():
+    # a bare IndexError before the shape was checked
+    m = generate_measure(MeasureSpec("gaussian", 3, 30, {}, seed=3))
+    with pytest.raises(ValueError, match=r"directions must have shape \(D, 3\), got \(3,\)"):
+        direction_profiles(m, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("dirs", [[[1.0, 0.0, 0.0, 0.0]], [[1.0, 0.0]]])
+def test_profiles_refuse_directions_of_another_dimension(dirs):
+    # numpy's matmul core-dimension ValueError before the shape was checked
+    m = generate_measure(MeasureSpec("gaussian", 3, 30, {}, seed=3))
+    with pytest.raises(ValueError, match=r"directions must have shape \(D, 3\)"):
+        direction_profiles(m, dirs)
 
 
 # deep_line_search(grid_count=60, refine_iters=2) on two theorem1 measures at
@@ -353,19 +370,58 @@ for kind, params in (("simplex_mixture", {"sigma": 0.2}), ("gaussian", {})):
 """
 
 
-def test_deep_line_search_bits_do_not_depend_on_blas_threads():
-    # the stacked QR, matmuls and sweeps give the same bytes at any BLAS
-    # thread count
+def _outputs_at_one_and_two_threads(probe: str) -> list:
+    """The standard output of the script ``probe`` at OPENBLAS_NUM_THREADS
+    1 and 2, each in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        r = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True, text=True,
-                           env=env, timeout=300)
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout)
+    return outs
+
+
+def test_deep_line_search_bits_do_not_depend_on_blas_threads():
+    # the stacked QR, matmuls and sweeps give the same bytes at any BLAS
+    # thread count
+    outs = _outputs_at_one_and_two_threads(_THREADS_PROBE)
     assert outs[0] == outs[1] and len(outs[0].splitlines()) == 2
+
+
+_WEIGHTED_PROBE = """
+import numpy as np
+from depthlab.central import _central_cones
+from depthlab.depth import closed_mass_bounds, sampled_depth_values
+from depthlab.geometry import SimplicialCone, sample_directions
+from depthlab.measures import MeasureSpec, generate_measure, make_measure
+from depthlab.median import min_normal_set
+rng = np.random.default_rng(5)
+for d, n in ((2, 241), (3, 151), (4, 397)):
+    m = generate_measure(MeasureSpec("simplex_mixture", d, n, {"sigma": 0.3}, seed=d))
+    m = make_measure(m.points, rng.random(n) ** 2)
+    q = np.vstack([m.weights @ m.points, m.points[3], np.full(d, 0.05)])
+    u = np.stack([sample_directions(d, 1001, seed=s, mode="sphere") for s in range(3)])
+    vals, wits = sampled_depth_values(m.points[None], m.weights[None], [0, 0, 0], q, u)
+    print(vals.tobytes().hex(), wits.tobytes().hex())
+    print(closed_mass_bounds(m.points[None], m.weights[None])(np.zeros(3, dtype=int), q, u[:, :37]).tobytes().hex())
+    if d == 3:
+        print(min_normal_set(m, q[0]).normals.tobytes().hex())
+        cones = [SimplicialCone(p, -np.eye(3)) for p in m.points[:6]]
+        for a in _central_cones(m, cones, [1, 2, 3, 1, 2, 3], 999, 320):
+            print(None if a is None else a.constraints.tobytes().hex())
+"""
+
+
+def test_weighted_bits_do_not_depend_on_blas_threads():
+    # weighted mask products sum integer mass units, so the sampled depth
+    # (1,001 directions, 543 rows a block at n = 241), the ascent's bound
+    # (37 directions), the minimizing normals and the central-cone capture
+    # (2,023 pool rows) give the same bytes at any BLAS thread count
+    outs = _outputs_at_one_and_two_threads(_WEIGHTED_PROBE)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 13
 
 
 @pytest.mark.parametrize("i", sorted(LINES))
