@@ -57,7 +57,7 @@ from .cones import (
     tuple_weight,
 )
 from .median import witness_tuple
-from .depth import _BLOCK_ENTRIES, _units, exact_affordable, point_depth
+from .depth import _BLOCK_ENTRIES, _units, point_depth
 
 # the structural map's Monte Carlo proposal: the constraint pool of each
 # central cone, the angular scale of the witness perturbations and the share
@@ -462,8 +462,10 @@ def structural_map(
     which realizes the unordered-tuple integral because the proposal treats
     the d + 1 slots symmetrically.
 
-    Requires the measure to be recentered (median at the origin) with depth
-    below a < 1/(d+1) + 1/(3(d+1)^3); deterministic in the seed.  A sample
+    Requires d = 2 or 3, where central-cone patches exist (``ValueError``
+    otherwise, before any work), and the measure to be recentered (median
+    at the origin) with exact depth there below a < 1/(d+1) +
+    1/(3(d+1)^3); deterministic in the seed.  A sample
     with an empty central-cone patch contributes nothing; a cone without
     mass raises the ValueError of ``central_cone``, unless an earlier cone of
     its sample has an empty patch.  The reference tuple's weight and cone
@@ -471,14 +473,13 @@ def structural_map(
     ``MAP_BLOCK`` family members are built together (``_central_cones``).
     """
     d = m.dim
+    if d not in (2, 3):
+        raise ValueError(f"structural maps need d = 2 or 3, got d = {d}")
     cap = family_level_cap(d)
     if not (1.0 / (d + 1) < a < cap):
         raise ValueError(f"a must lie in (1/(d+1), {cap!r}), got {a}")
     origin = np.zeros(d)
-    if exact_affordable(m):
-        depth0 = point_depth(m, origin, mode="exact").depth
-    else:
-        depth0 = point_depth(m, origin, mode="sampled", sample_count=4096, seed=seed).depth
+    depth0 = point_depth(m, origin, mode="exact").depth
     if depth0 >= a:
         raise RuntimeError(
             f"depth at the origin ({depth0}) is not below a = {a}; "

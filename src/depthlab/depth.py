@@ -79,9 +79,9 @@ class LineSearchResult:
 
 
 def exact_affordable(m: DiscreteMeasure) -> bool:
-    """Whether exact depth of m is cheap enough for the median search, the
-    minimizing-normal level and the structural map: always in dim <= 3, in
-    dim 4 up to n = 120, never above."""
+    """Whether exact depth of m is cheap enough for the median search and
+    the minimizing-normal level: always in dim <= 3, in dim 4 up to
+    n = 120, never above."""
     return m.dim <= 3 or (m.dim == 4 and m.n <= _EXACT4_MAX_N)
 
 

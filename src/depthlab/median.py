@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, hull_interior_margin, sample_directions, unit
-from .measures import DiscreteMeasure, halfspace_mass
+from .geometry import DEFAULT_TOL, hull_interior_margin, sample_directions
+from .measures import DiscreteMeasure
 from .depth import (
     _row_blocks,
     _units,
@@ -31,6 +31,7 @@ from . import cones as _cones
 ARRANGEMENT_MAX_N = 70  # 2.75 million candidates at n = 70: about a minute and 0.35 GB
 _LAMBDA_MIN = 1e-6  # smallest hull margin of the origin in a witness tuple
 _RING = 4  # past witnesses each ascent start remembers
+_CENTER_RADIUS = 0.35  # angle (radians) of the neighbourhood a witness normal is centred in
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,57 +354,31 @@ def min_normal_set(
     """Sample of the unit normals n whose closed half-space through o
     (outer normal n) carries mass at most depth(o) + tol.
 
-    Combines exact candidate normals (perpendiculars / pair crosses of the
-    recentered points, with their one-sided rotational resolutions) and a
-    dense deterministic sample of 4096 sphere directions; the level is
-    depth(o).
+    One ``point_depth`` call gives the level depth(o) and its witness u:
+    exact where ``exact_affordable`` holds, else the sampled upper bound over
+    8192 directions with the same seed.  The witness minimizes the mass of
+    {x : <u, x - o> >= 0}, so the normal that attains the level is n = -u.
+    The candidates are 4096 seeded sphere directions plus -u; each is kept
+    when its closed mass, an exact count of mass units, passes the test.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     o = np.asarray(o, dtype=float)
-    d = m.dim
     if exact_affordable(m):
-        level = point_depth(m, o, mode="exact").depth
+        res = point_depth(m, o, mode="exact")
     else:
-        level = point_depth(m, o, mode="sampled", sample_count=8192, seed=seed).depth
-    p = m.points - o
-    norms = np.linalg.norm(p, axis=1)
-    keep = norms > DEFAULT_TOL
-    phat = p[keep] / norms[keep][:, None]
-    cands = [sample_directions(d, 4096, seed=seed, mode="sphere")]
-    if phat.shape[0]:
-        if d == 2:
-            perp = np.column_stack([-phat[:, 1], phat[:, 0]])
-            base = np.vstack([perp, -perp])
-            eps = 1e-4
-            shift = np.vstack([phat, phat])
-            cands.append(base)
-            cands.append(base + eps * shift)
-            cands.append(base - eps * shift)
-        elif d == 3 and phat.shape[0] <= 160:
-            ii, jj = np.triu_indices(phat.shape[0], k=1)
-            cr = np.cross(phat[ii], phat[jj])
-            lens = np.linalg.norm(cr, axis=1)
-            cr = cr[lens > 1e-9] / lens[lens > 1e-9][:, None]
-            base = np.vstack([cr, -cr])
-            eps = 1e-4
-            for da, db in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                cands.append(
-                    base
-                    + eps * da * np.vstack([phat[ii][lens > 1e-9]] * 2)
-                    + eps * db * np.vstack([phat[jj][lens > 1e-9]] * 2)
-                )
-            cands.append(base)
-    cand = np.vstack(cands)
+        res = point_depth(m, o, mode="sampled", sample_count=8192, seed=seed)
+    cand = np.vstack([sample_directions(m.dim, 4096, seed=seed, mode="sphere"), -res.witness])
     cand /= np.linalg.norm(cand, axis=1)[:, None]
     # closed mass of H(n) = {x : <n, x - o> <= 0} for every candidate normal,
     # an exact count of mass units over the scale, as the level is
+    p = m.points - o
     units, scale = _units(m.weights)
     masses = np.empty(cand.shape[0])
     for blk in _row_blocks(cand.shape[0], m.n):
         masses[blk] = ((cand[blk] @ p.T) <= DEFAULT_TOL) @ units
-    sel = masses / scale <= level + tol
-    return NormalSet(cand[sel], float(level))
+    sel = masses / scale <= res.depth + tol
+    return NormalSet(cand[sel], float(res.depth))
 
 
 def _best_subtuple(normals: np.ndarray, d: int):
@@ -480,7 +455,7 @@ def witness_tuple(
     return _cones.GeneratingTuple(-chosen), nset
 
 
-def _center_in_normal_set(chosen, all_normals, m, o, level, tol, radius=0.35):
+def _center_in_normal_set(chosen, all_normals, m, o, level, tol):
     """Replace each chosen normal by the centroid of its angular neighborhood
     inside the minimizing set, keeping it well clear of the set's edges (a
     nearby rotation of the tuple then stays minimizing).  A centered normal
@@ -489,7 +464,7 @@ def _center_in_normal_set(chosen, all_normals, m, o, level, tol, radius=0.35):
     units, scale = _units(m.weights)
     out = chosen.copy()
     for i, n in enumerate(chosen):
-        near = all_normals[all_normals @ n >= np.cos(radius)]
+        near = all_normals[all_normals @ n >= np.cos(_CENTER_RADIUS)]
         if near.shape[0] < 2:
             continue
         c = near.mean(axis=0)

@@ -369,6 +369,20 @@ def test_structural_map_requires_low_depth():
         structural_map(mc, a, tuple_samples=40, seed=0)
 
 
+@pytest.mark.parametrize("d", [1, 4])
+def test_structural_map_refuses_other_dimensions_before_any_work(monkeypatch, d):
+    # central-cone patches exist only in d = 2, 3, so the map refuses any
+    # other d before it evaluates a depth or searches a witness tuple
+    def no_work(*args, **kwargs):
+        raise AssertionError("structural_map did work before refusing d")
+
+    monkeypatch.setattr(central, "point_depth", no_work)
+    monkeypatch.setattr(central, "witness_tuple", no_work)
+    m = generate_measure(MeasureSpec("gaussian", d, 100, {}, seed=d))
+    with pytest.raises(ValueError, match=f"d = {d}"):
+        structural_map(m, 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3), tuple_samples=8)
+
+
 _THREADS_PROBE = """
 import numpy as np
 from depthlab.central import central_patch, containment_check, structural_map

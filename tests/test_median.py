@@ -170,8 +170,15 @@ def test_min_normal_set_symmetric_closed_under_negation(square):
         assert mass <= ns.level + 1e-9
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="in d = 3 above 160 points min_normal_set has only its 4,096 sphere normals")
+def _assert_holds_the_negated_witness(m, ns, witness, tol=1e-6):
+    # the set is not empty, holds -u, and every normal's closed half-space
+    # {x : <n, x> <= 0} carries at most the level + tol
+    assert len(ns.normals) > 0
+    assert np.any(np.all(np.abs(ns.normals + witness) <= 1e-12, axis=1))
+    masses = (m.points @ ns.normals.T <= DEFAULT_TOL).sum(axis=0) / m.n
+    assert masses.max() <= ns.level + tol
+
+
 @pytest.mark.parametrize("n, count", [(161, 70), (240, 107)])
 def test_min_normal_set_keeps_the_exact_witness_above_160_points(n, count):
     m, _ = recenter(generate_measure(MeasureSpec("gaussian", 3, n, {}, seed=2)),
@@ -184,7 +191,18 @@ def test_min_normal_set_keeps_the_exact_witness_above_160_points(n, count):
         pytest.fail(f"not the pinned instance: {exact.mode} depth {exact.depth * n}/{n}, witness mass {mass}")
     ns = min_normal_set(m, np.zeros(3))
     assert ns.level * n == count
-    assert len(ns.normals) > 0
+    _assert_holds_the_negated_witness(m, ns, exact.witness)
+
+
+def test_min_normal_set_keeps_the_sampled_witness_in_d4():
+    # above n = 120 in d = 4 the level is the sampled bound over 8,192
+    # directions; none of the 4,096 sphere normals attains it here
+    m, _ = recenter(generate_measure(MeasureSpec("gaussian", 4, 200, {}, seed=0)),
+                    balanced=True, starts=8, iters=20, seed=0)
+    sampled = point_depth(m, np.zeros(4), mode="sampled", sample_count=8192, seed=0)
+    ns = min_normal_set(m, np.zeros(4))
+    assert ns.level == sampled.depth
+    _assert_holds_the_negated_witness(m, ns, sampled.witness)
 
 
 def test_witness_tuple_triangle(triangle):
