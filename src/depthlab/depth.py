@@ -80,9 +80,9 @@ class LineSearchResult:
 
 def exact_affordable(m: DiscreteMeasure) -> bool:
     """Whether exact depth of m is cheap enough for the median search and
-    the minimizing-normal level: always in dim <= 3, in dim 4 up to
-    n = 120, never above."""
-    return m.dim <= 3 or (m.dim == 4 and m.n <= _EXACT4_MAX_N)
+    the minimizing-normal level: in dim <= 3 up to n = ``EXACT_MAX_N``, the
+    exact mode's own limit, in dim 4 up to n = 120, never above."""
+    return m.n <= EXACT_MAX_N and (m.dim <= 3 or (m.dim == 4 and m.n <= _EXACT4_MAX_N))
 
 
 def line_depth_thresholds(dim: int) -> dict:
@@ -141,13 +141,13 @@ def _sweep(p: np.ndarray, w: np.ndarray, gap: float):
     before the second.
 
     One cumsum runs over the exiting units in point order, then over the
-    signed units in sorted order.  A sort permutation is unique when no two
-    breakpoints are equal, so the fast unstable argsort is used and only
-    rows with a tied pair are sorted again stably: a tied group then keeps
-    its points in point order.  A point of unit 0 adds nothing to the
-    cumsum, and one that copies another point's vector adds only a
-    zero-width arc, so removing such points gives the same bits.  Integer
-    units give exact masses in any order.
+    signed units in the order of one unstable argsort.  Integer units make
+    every prefix sum exact in any order, so the order within a group of
+    tied breakpoints moves no bit: the arcs inside the group have width 0
+    and are skipped, and the arc after it sums the whole group.  A point of
+    unit 0 adds nothing to the cumsum, and one that copies another point's
+    vector adds only a zero-width arc, so removing such points gives the
+    same bits.
     """
     R, m = w.shape
     b = np.arctan2(p[..., 1], p[..., 0])
@@ -158,12 +158,7 @@ def _sweep(p: np.ndarray, w: np.ndarray, gap: float):
     out = ~(up | down)
     order = np.argsort(b, axis=1)
     order += np.arange(0, R * m, m)[:, None]  # flat indices
-    sb = np.take(b, order)
-    tied = (sb[:, 1:] == sb[:, :-1]).any(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(b[tied], axis=1, kind="stable") + np.flatnonzero(tied)[:, None] * m
-        sb[tied] = np.take(b, order[tied])
-    b = sb
+    b = np.take(b, order)
     c = np.empty((R, 2 * m))
     np.multiply(out, w, out=c[:, :m])
     np.take(np.where(out, -w, w), order, out=c[:, m:])
@@ -216,6 +211,14 @@ def _pivot_masses(phat: np.ndarray, w: np.ndarray, tol: float, gap: float) -> np
     plus the minimum mass of the rest projected onto p_i^perp, solved with
     ``gap``, in blocks of at most 4 * _CHUNK planar points.
 
+    For k = 3 a block of b pivots of one row takes cos, x and y of every
+    point from one product: the pivots' basis rows stacked basis-major (3b,
+    3), the pivots and then rows 1 and 2 of their reflections (those of
+    ``_project``), times the row's points (3, m).  The sweep then reads x
+    and y as contiguous (b, m) rows, unnormalized.  A pivot's parallel class
+    (x^2 + y^2 <= tol^2) counts in its antiparallel mass if cos < 0 and is
+    filled in place with the pivot's first kept point at unit 0.
+
     For k = 4 the subproblem of pivot i takes only the pivots j > i, so it
     may come out too high, but the minimum over i stays exact: near the
     plane span(p_i, p_j) an optimal direction lies in a wedge bounded by
@@ -223,15 +226,32 @@ def _pivot_masses(phat: np.ndarray, w: np.ndarray, tol: float, gap: float) -> np
     the pivot orders (c, d) and (d, c) both reach that wedge.
     """
     R, m, k = phat.shape
+    step = max(1, 4 * _CHUNK // m ** (k - 2))
+    if k == 3:
+        t = phat.copy()  # (p_i + sign e_0) / (1 + |p_i0|): entry 0 is the sign exactly
+        t[..., 0] += np.where(phat[..., 0] >= 0.0, 1.0, -1.0)
+        t /= 1.0 + np.abs(phat[..., :1])
+        basis = np.empty((R, 3, m, 3))
+        basis[:, 0] = phat
+        basis[:, 1:] = np.eye(3)[1:, None, :] - phat.transpose(0, 2, 1)[:, 1:, :, None] * t[:, None]
+        out = np.empty((R, m))
+        for r in range(R):
+            for s in range(0, m, step):
+                blk = basis[r, :, s : s + step]
+                b = blk.shape[1]
+                prod = (blk.reshape(3 * b, 3) @ phat[r].T).reshape(3, b, m)
+                cos, xy = prod[0], prod[1:]
+                kept = (xy * xy).sum(axis=0) > tol * tol
+                anti = np.where(~kept & (cos < 0.0), w[r], 0.0).sum(axis=1)
+                fill = xy[:, np.arange(b), np.argmax(kept, axis=1)]
+                np.copyto(xy, fill[..., None], where=~kept)
+                out[r, s : s + b] = anti + _sweep(xy.transpose(1, 2, 0), np.where(kept, w[r], 0.0), gap)[0]
+        return out
     rr, ii = np.divmod(np.arange(R * m), m)
     tot = np.empty(R * m)
-    step = max(1, 4 * _CHUNK // m ** (k - 2))
     for s in range(0, R * m, step):
         r, i = rr[s : s + step], ii[s : s + step]
         sub, ws, anti = _project(phat[r], w[r], phat[r, i], tol)
-        if k == 3:
-            tot[s : s + step] = anti + _sweep(sub, ws, gap)[0]
-            continue
         b, j = np.nonzero(np.arange(m) > i[:, None])
         val = np.full((len(r), m), np.inf)
         if len(b):
@@ -248,7 +268,9 @@ def _project(pts: np.ndarray, w: np.ndarray, piv: np.ndarray, tol: float):
     reflection that swaps the unit pivot with -+e_0.  Returns the unit
     projections, the mass units w with the parallel class zeroed and the
     units antiparallel to each pivot.  Parallel rows are replaced by a copy
-    of the row's first kept point, so they add no breakpoint.
+    of the row's first kept point, so they add no breakpoint.  Called by
+    ``_min_halfspace_mass``, for the chosen pivot's subproblem and witness
+    lift, and by the k = 4 screen of ``_pivot_masses``.
     """
     sign = np.where(piv[:, 0] >= 0.0, 1.0, -1.0)
     cos = np.einsum("bmk,bk->bm", pts, piv)

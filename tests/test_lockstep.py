@@ -181,6 +181,46 @@ def test_sweep_matches_stable_sort_bits(gap):
         assert np.abs(val - want).max() <= 1e-12 and np.abs(at - want).max() <= 1e-12, name
 
 
+def _tied_batches() -> list:
+    """Rows with many tied breakpoints, in integer units: integer grids
+    (duplicates and antipodal pairs share a breakpoint) and axis angles,
+    some with points replaced by a fill copy of the row's last point at
+    unit 0, as the exact screens fill a parallel class.  Units of 1, small
+    integers with zeros, or the units of Dirichlet weights (about 2^52)."""
+    rng = np.random.default_rng(29)
+    out = []
+    for t in range(48):
+        r, m = int(rng.integers(1, 7)), int(rng.integers(2, 90))
+        if t % 4 == 3:
+            p = _axis_rows(rng.integers(0, 4, (r, m)), np.zeros((r, m)))
+        else:
+            p = rng.integers(-3, 4, (r, m, 2)).astype(float)
+            p[(p == 0.0).all(axis=-1)] = [1.0, 0.0]
+        w = (np.ones((r, m)), rng.integers(0, 4, (r, m)).astype(float),
+             depthlab.depth._units(rng.dirichlet(np.ones(m), r))[0])[t % 3]
+        if t % 2:
+            fill = rng.random((r, m)) < 0.3
+            p = np.where(fill[..., None], p[:, -1:], p)
+            w = np.where(fill, 0.0, w)
+        out.append((f"tied{t}", p, w))
+    return out
+
+
+@pytest.mark.parametrize("gap", [1e-9, 2e-9])
+def test_sweep_bits_do_not_depend_on_the_order_of_tied_breakpoints(gap):
+    # a random permutation of a row's points reorders each group of tied
+    # breakpoints in the sweep's unstable sort; on integer units every
+    # prefix sum is exact, so the minimum and its angle keep their bits
+    rng = np.random.default_rng(31)
+    for name, p, w in _tied_batches():
+        val, phi = depthlab.depth._sweep(p, w, gap)
+        for _ in range(8):
+            perm = np.argsort(rng.random(w.shape), axis=1)
+            pv, pphi = depthlab.depth._sweep(np.take_along_axis(p, perm[..., None], axis=1),
+                                             np.take_along_axis(w, perm, axis=1), gap)
+            assert np.array_equal(pv, val) and np.array_equal(pphi, phi), name
+
+
 def _same(a, b):
     return np.array_equal(a.point, b.point) and a.depth == b.depth and (
         a.candidates_evaluated == b.candidates_evaluated)

@@ -5,7 +5,7 @@ import arrangement_referee
 import depthlab.median
 from depthlab.geometry import DEFAULT_TOL, HalfSpace
 from depthlab.measures import MeasureSpec, generate_measure, make_measure, halfspace_mass
-from depthlab.depth import point_depth
+from depthlab.depth import EXACT_MAX_N, certified_depth_floor, exact_affordable, point_depth
 from depthlab.median import (
     ARRANGEMENT_MAX_N,
     WitnessSearchError,
@@ -203,6 +203,20 @@ def test_min_normal_set_keeps_the_sampled_witness_in_d4():
     ns = min_normal_set(m, np.zeros(4))
     assert ns.level == sampled.depth
     _assert_holds_the_negated_witness(m, ns, sampled.witness)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_above_the_exact_size_limit_the_median_and_the_level_fall_back(d):
+    # the exact mode refuses n > EXACT_MAX_N, so there the normal set takes
+    # the sampled level and the d = 3 median's finals the certified floor
+    m = generate_measure(MeasureSpec("gaussian", d, EXACT_MAX_N + 1, {}, seed=1))
+    assert not exact_affordable(m)
+    o = m.points.mean(axis=0)
+    ns = min_normal_set(m, o)
+    assert ns.level == point_depth(m, o, mode="sampled", sample_count=8192, seed=0).depth
+    r = tukey_median(m, mode="multistart", starts=2, iters=3, seed=0)
+    if d == 3:
+        assert r.depth == certified_depth_floor(m, r.point)
 
 
 def test_witness_tuple_triangle(triangle):

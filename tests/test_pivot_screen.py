@@ -1,0 +1,120 @@
+"""The exact d = 3 screen, one product per pivot block, gives the pivot
+masses of its ``_project``-based referee in ``pivot_referee`` bit for bit,
+and exact ``point_depth`` in d = 3 the referee path's depth, witness and
+mode."""
+
+import numpy as np
+import pytest
+
+import depthlab.depth
+import pivot_referee as ref
+from depthlab.depth import _pivot_masses, _split_query, _units, point_depth
+from depthlab.geometry import DEFAULT_TOL
+from depthlab.measures import DiscreteMeasure, generate_measure, make_measure
+from depthlab.median import tukey_median
+from depthlab.suites import _rado_spec
+
+
+def _rado_cases() -> list:
+    """The four rado families at n = 240 and 500, each at its median and at
+    a data point."""
+    out = []
+    for n in (240, 500):
+        for s in range(4):
+            spec = _rado_spec(3, n, s)
+            m = generate_measure(spec)
+            med = tukey_median(m, mode="multistart", starts=10, iters=25, seed=s).point
+            out += [(f"{spec.kind}-n{n}-median", m, med), (f"{spec.kind}-n{n}-point", m, m.points[s])]
+    return out
+
+
+def _grid_cases(rng) -> list:
+    """Integer grids with duplicates, some with a collinear run through the
+    query, the query on a grid point or a data point."""
+    out = []
+    for t in range(60):
+        n = int(rng.integers(20, 160))
+        pts = rng.integers(-3, 4, (n, 3)).astype(float)
+        q = pts[0].copy() if t % 3 == 0 else rng.integers(-2, 3, 3).astype(float)
+        if t % 2:
+            g = rng.integers(-2, 3, 3).astype(float)
+            g[0] = g[0] or 1.0
+            ks = rng.integers(-4, 5, int(rng.integers(3, 9)))
+            pts[-len(ks):] = q + ks[:, None] * g
+        out.append((f"grid{t}", make_measure(pts), q))
+    return out
+
+
+def _signed_zero_cases(rng) -> list:
+    """Coordinates in {-1, -0.0, 0.0, 1, 2}, so that pivots and projections
+    carry both zeros, queried at (0.0, -0.0, 0.0) and at -0.0 in each
+    coordinate."""
+    out = []
+    for t in range(16):
+        n = int(rng.integers(20, 80))
+        pts = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], (n, 3))
+        q = np.array([0.0, -0.0, 0.0]) if t % 2 else np.array([-0.0, -0.0, -0.0])
+        out.append((f"signed_zero{t}", make_measure(pts), q))
+    return out
+
+
+def _weighted_cases(rng) -> list:
+    """Dirichlet weights (integer units of about 2^52) on gaussian points
+    and on grids with duplicates."""
+    out = []
+    for t in range(24):
+        n = int(rng.integers(40, 300))
+        pts = rng.standard_normal((n, 3)) if t % 2 else rng.integers(-3, 4, (n, 3)).astype(float)
+        m = DiscreteMeasure(3, pts, rng.dirichlet(np.ones(n)))
+        out.append((f"dirichlet{t}", m, pts[1] if t % 3 == 0 else 0.1 * rng.standard_normal(3)))
+    return out
+
+
+def _narrow_arc_cases(rng) -> list:
+    """The pivot (1, 0, 0) projects the other points onto their last two
+    coordinates exactly.  Two of them, at angles -delta and pi + delta
+    there, and the rest in the lower half-plane, leave its subproblem one
+    minimizing arc of width 2 delta = 12e-9, just above the screen's 8e-9.
+    The pivot's own point projects to (0, 0), whose breakpoint would split
+    that arc into two skipped slivers, so the pivot's mass holds only if
+    the parallel class is filled with a kept point."""
+    delta = 6e-9
+    out = []
+    for t in range(4):
+        lower = -np.pi + 0.3 + (np.pi - 0.6) * rng.random(8)
+        side = np.array([-delta, np.pi + delta, *lower])
+        pts = np.column_stack([rng.random(side.size), np.cos(side), np.sin(side)])
+        pts = np.vstack([[1.0 + t, 0.0, 0.0], pts])
+        out.append((f"narrow_arc{t}", make_measure(pts), np.zeros(3)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def battery() -> list:
+    rng = np.random.default_rng(23)
+    return (_rado_cases() + _grid_cases(rng) + _signed_zero_cases(rng) + _weighted_cases(rng)
+            + _narrow_arc_cases(rng))
+
+
+def _rows(m, q):
+    """The unit rows and mass units that exact ``point_depth`` screens."""
+    units, _ = _units(m.weights)
+    P, w, _ = _split_query(m.points - q, units)
+    return (P / np.linalg.norm(P, axis=1)[:, None])[None], w[None]
+
+
+def test_screen_matches_project_referee(battery):
+    for name, m, q in battery:
+        phat, w = _rows(m, q)
+        for gap in (DEFAULT_TOL, 2.0 * DEFAULT_TOL):
+            assert np.array_equal(_pivot_masses(phat, w, DEFAULT_TOL, gap),
+                                  ref.pivot_masses(phat, w, DEFAULT_TOL, gap)), name
+
+
+def test_exact_d3_depth_matches_referee_path(battery, monkeypatch):
+    got = [point_depth(m, q, mode="exact") for _, m, q in battery]
+    monkeypatch.setattr(depthlab.depth, "_pivot_masses", ref.pivot_masses)
+    for (name, m, q), r in zip(battery, got):
+        want = depthlab.depth._exact_depth(m.points - q, m.weights)
+        assert r.depth == want.depth and r.mode == want.mode, name
+        assert r.witness.tobytes() == want.witness.tobytes(), name
