@@ -838,12 +838,12 @@ def deep_line_search(
     measure, then refine by shrinking-cap sampling.  Each phase profiles all
     its directions in one lockstep batch (``direction_profiles``).
 
-    Heuristic maximizer: the depth guarantee promises existence, not
-    constructibility, so the result is best-found; its depth is certified by
-    a final exact median evaluation of the chosen projection.  The scan and
-    refine phases run the multistart ascent on every measure; only the final
-    profile takes ``tukey_medians``' default mode, so a measure of at most 40
-    points gets one exact planar median, not one per direction.
+    Heuristic maximizer over directions: the depth guarantee promises
+    existence, not constructibility, so the direction is best-found.  The
+    scan, re-rank and refine phases run the multistart ascent; only the
+    final profile takes ``tukey_medians``' default mode, which in R^3 is the
+    exact planar median, so the reported depth is the exact a(u) of the
+    chosen direction.
     """
     if m.dim < 3:
         raise ValueError("line search needs ambient dimension >= 3")
@@ -869,11 +869,11 @@ def deep_line_search(
             if a > best_a:
                 best_a, best_u, best_med = a, u, med
 
-    heavy = {"starts": 24, "iters": 40, "seed": seed}
+    heavy = {"starts": 24, "iters": 40, "seed": seed}  # auto: exact in R^3, the heavy ascent above
     a_s, meds = direction_profiles(m, [best_u], heavy)
     a, med = a_s[0], meds[0]
     evals += 1
-    if a < best_a:  # the heavy budget lost ground: keep the mid-budget median
+    if a < best_a:  # the final profile lost ground: keep the mid-budget median
         a, med = best_a, best_med
     anchor = complement_basis(line(best_u)).T @ med
     return LineSearchResult(best_u, anchor, float(a), evals)

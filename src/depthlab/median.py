@@ -1,9 +1,9 @@
 """Tukey median search, minimizing-normal sets, witness tuple extraction, recentering.
 
-The median search is exact in the plane (arrangement mode) and a seeded
-multistart ascent elsewhere; reported depths come from the exact evaluator
-where ``depth.exact_affordable`` allows it and from the certified net lower
-bound otherwise, so a reported depth never overstates the true one.
+The median search is exact in dim <= 2 at any n (lazy depth-region cuts in
+the plane) and a seeded multistart ascent above, whose depths come from the
+exact evaluator where ``depth.exact_affordable`` allows it and from the
+certified net lower bound otherwise: no reported depth overstates the truth.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .depth import (
 )
 from . import cones as _cones
 
-ARRANGEMENT_MAX_N = 70  # 2.75 million candidates at n = 70: about a minute and 0.35 GB
+_AXES = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])  # the first cuts of the planar median
 _LAMBDA_MIN = 1e-6  # smallest hull margin of the origin in a witness tuple
 _RING = 4  # past witnesses each ascent start remembers
 _CENTER_RADIUS = 0.35  # angle (radians) of the neighbourhood a witness normal is centred in
@@ -101,71 +101,6 @@ def _cheap_depths(pts: np.ndarray, w: np.ndarray, own: np.ndarray, seeds: np.nda
             lambda rows, x, mine, theirs: bound(own[rows], x, mine))
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
-
-
-def _deepest(scored):
-    """(point, depth) of the deepest of the (depth, point) pairs scored, in
-    one pass in order: a later pair wins if it is deeper by more than 1e-12,
-    or within 1e-12 and lexicographically smaller."""
-    best_x, best_d = None, -1.0
-    for dep, x in scored:
-        if dep > best_d + 1e-12 or (
-            abs(dep - best_d) <= 1e-12 and best_x is not None and _lex_less(x, best_x)
-        ):
-            best_x, best_d = x, dep
-    return best_x, best_d
-
-
-def _arrangement_vertices(pts: np.ndarray) -> np.ndarray:
-    """Every intersection of two lines through data-point pairs, in the
-    order of the pairs of lines, each line in the order of its pair of
-    points.  The line norms and offsets are stacked matmuls, which give the
-    bits of ``np.linalg.norm`` and ``@`` on one row where elementwise sums
-    need not."""
-    i, j = np.triu_indices(len(pts), k=1)
-    d = pts[j] - pts[i]
-    nr = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-    keep = nr > DEFAULT_TOL
-    nvec = np.column_stack([-d[keep, 1], d[keep, 0]]) / nr[keep, None]
-    c = np.matmul(nvec[:, None, :], pts[i[keep], :, None])[:, 0, 0]
-    a, b = np.triu_indices(len(c), k=1)
-    (n1x, n1y), (n2x, n2y), c1, c2 = nvec[a].T, nvec[b].T, c[a], c[b]
-    det = n1x * n2y - n1y * n2x
-    ok = np.abs(det) >= 1e-12
-    return np.column_stack([(c1 * n2y - c2 * n1y)[ok] / det[ok], (n1x * c2 - n2x * c1)[ok] / det[ok]])
-
-
-def _arrangement_median(m: DiscreteMeasure):
-    """Exact planar median: evaluate depth at the data points and every
-    arrangement vertex (``_arrangement_vertices``), keeping the first of
-    those that share a cell of the 1e-9 grid (``_first_rows``), in one
-    batched planar sweep.  The winner's depth is then the mass of its
-    checked witness (``point_depth``)."""
-    cands = np.vstack([m.points, _arrangement_vertices(m.points)])
-    cands = cands[_first_rows(np.round(cands / 1e-9))]
-    vals, _ = exact_depth_values_2d(m.points[None], m.weights[None], np.zeros(len(cands), dtype=int), cands)
-    best_x, _ = _deepest(zip(vals.tolist(), cands))
-    return MedianResult(best_x.copy(), point_depth(m, best_x, mode="exact").depth, len(cands))
-
-
-def _first_rows(keys: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct row of
-    keys (k, 2), rows equal as floats (-0.0 == 0.0): the sorted indices of
-    ``np.unique(keys, axis=0, return_index=True)``, from a stable
-    ``np.lexsort`` and a row-change mask in place of its sort of
-    structured rows (about 3x faster on 3 million rows)."""
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    a, b = keys[order, 0], keys[order, 1]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return np.sort(order[new])
-
-
 def _start_points(pts: np.ndarray, w: np.ndarray, starts: int, seed: int) -> np.ndarray:
     """(M, starts, d) ascent starts in (pts[k], w[k]): the weighted mean (the
     bits of w[k] @ pts[k]), the coordinate medians, then points seed draws."""
@@ -184,13 +119,12 @@ def tukey_median(
 ) -> MedianResult:
     """Search for a depth-maximizing point.
 
-    arrangement  (dim = 2, n <= 70) exact: scans all arrangement vertices.
-    multistart   seeded starts refined by witness descent: step against the
-                 minimizing half-space normal with a shrinking step size.
-    auto         arrangement for small planar inputs, else multistart.
-
-    Deterministic in the seed; ties broken toward the lexicographically
-    smallest evaluated candidate.
+    exact        (dim <= 2, any n) one pass over the distinct values on a
+                 line, lazy depth-region cuts in the plane.
+    multistart   seeded starts refined by witness descent (steps against the
+                 minimizing half-space normal, shrinking); the best cheap depth
+                 wins, the earlier start on a tie, re-evaluated in dim >= 3.
+    auto         exact in dim <= 2, else multistart.
     """
     return tukey_medians(m.points[None], m.weights, mode, starts, iters, seed)[0]
 
@@ -201,36 +135,102 @@ def tukey_medians(points, weights, mode: str = "auto", starts: int = 16, iters: 
     stack, points (M, n, d) and weights (M, n) or one (n,) array that all
     share, the multistart ascents of all of them stepping in lockstep."""
     weights = np.broadcast_to(weights, points.shape[:2])
-    _, n, d = points.shape
+    d = points.shape[2]
     if mode == "auto":
-        mode = "arrangement" if (d == 2 and n <= 40) else "multistart"
-    if mode == "arrangement":
-        if d != 2 or n > ARRANGEMENT_MAX_N:
-            raise ValueError(f"arrangement mode requires dim=2 and n <= {ARRANGEMENT_MAX_N}")
-        return [_arrangement_median(DiscreteMeasure(d, p, w)) for p, w in zip(points, weights)]
-    if mode != "multistart":
+        mode = "exact" if d <= 2 else "multistart"
+    if mode not in ("exact", "multistart"):
         raise ValueError(f"unknown budget mode {mode!r}")
     if d == 1:
-        return [_line_median(DiscreteMeasure(d, p, w)) for p, w in zip(points, weights)]
-
-    finals = 3 if d <= 2 else 1  # final evaluations are costly in d >= 3
+        return [_line_median(p[:, 0], w) for p, w in zip(points, weights)]
+    if mode == "exact":
+        if d != 2:
+            raise ValueError(f"exact mode requires dim <= 2, got dim = {d}")
+        return [_planar_median(p, w) for p, w in zip(points, weights)]
     out = []
     for p, w, (endpoints, evals) in zip(points, weights,
                                         _multistart_endpoints(points, weights, starts, iters, seed)):
-        scored = _finals(p, w, endpoints, finals)
-        best_x, best_d = _deepest(scored)
-        out.append(MedianResult(best_x, float(best_d), evals + len(scored)))
+        (dep, x), = _finals(p, w, endpoints, 1)
+        out.append(MedianResult(x, float(dep), evals + 1))
     return out
 
 
-def _line_median(m: DiscreteMeasure) -> MedianResult:
-    cands = np.unique(m.points[:, 0])
-    best_x, best_d = None, -1.0
-    for c in cands:
-        dep = point_depth(m, [c], mode="exact").depth
-        if dep > best_d:
-            best_x, best_d = np.array([c]), dep
-    return MedianResult(best_x, best_d, cands.size)
+def _line_median(x: np.ndarray, w: np.ndarray) -> MedianResult:
+    """Exact median on a line: a distinct value's depth is the lesser of the
+    units at or below it and at or above it; the smallest deepest wins."""
+    vals, which = np.unique(x, return_inverse=True)
+    units, scale = _units(w)
+    per = np.bincount(which, weights=units, minlength=vals.size)
+    below = np.cumsum(per)
+    depth = np.minimum(below, below[-1] - below + per) / scale
+    j = int(np.argmax(depth))
+    return MedianResult(vals[j : j + 1], float(depth[j]), vals.size)
+
+
+def _level(y: np.ndarray, units: np.ndarray, scale: float, depth: float, cuts: np.ndarray):
+    """t(v) for each unit row v of cuts (C, 2), the largest t with more than
+    ``depth`` mass (exact unit counts) in {<v, y> >= t}, and the point of y
+    holding it.  Products here and in ``_planar_median`` are elementwise, so
+    BLAS moves no bit."""
+    proj = cuts[:, None, 0] * y[:, 0] + cuts[:, None, 1] * y[:, 1]
+    order = np.argsort(-proj, axis=1)
+    hold = order[np.arange(len(cuts)), np.argmax(np.cumsum(units[order], axis=1) / scale > depth, axis=1)]
+    return proj[np.arange(len(cuts)), hold], hold
+
+
+def _planar_median(pts: np.ndarray, w: np.ndarray) -> MedianResult:
+    """Exact planar median by lazy depth-region cuts (after Rousseeuw & Ruts,
+    "Constructing the bivariate Tukey median", 1998): the depth at z is above
+    k if and only if <v, z> <= t(v) for every unit v (``_level``), and t is
+    linear between the critical directions, the normals of x_i - x_j.
+
+    From the weighted mean, its exact depth k and the axes as cuts (centred
+    at the mean), each round sweeps in one batch the vertices of the cut
+    polygon (pairwise intersections of cut lines that satisfy every cut
+    within 1e-12 of the data's span), their mean and the data points within
+    1e-6 of the span of a vertex, and moves to the deepest if it beats k.
+    Else the mean's witness u violates its cut, and so does one of the two
+    critical directions that bracket u among the normals of x_i - x_j, x_j
+    holding t(u): both become cuts.  Cuts compare as exact rows, so they are
+    finitely many; the loop stops at no vertex, no new cut or no level left.
+    """
+    units, scale = _units(w)
+    centre = (w[:, None] * pts).sum(axis=0)
+    y = pts - centre
+    span = float(np.abs(y).max()) or 1.0
+    (depth,), _ = exact_depth_values_2d(pts[None], w[None], [0], centre[None])
+    x, evals, cuts = centre, 1, _AXES
+    while depth < 1.0:
+        t, _ = _level(y, units, scale, depth, cuts)
+        a, b = np.triu_indices(len(cuts), k=1)
+        det = cuts[a, 0] * cuts[b, 1] - cuts[a, 1] * cuts[b, 0]
+        keep = np.abs(det) > 1e-12
+        a, b, det = a[keep], b[keep], det[keep]
+        z = np.column_stack([(t[a] * cuts[b, 1] - t[b] * cuts[a, 1]) / det,
+                             (cuts[a, 0] * t[b] - cuts[b, 0] * t[a]) / det])
+        inside = z[:, None, 0] * cuts[:, 0] + z[:, None, 1] * cuts[:, 1] <= t + 1e-12 * span
+        z = np.unique(z[inside.all(axis=1)], axis=0)
+        if not len(z):
+            break
+        near = np.array([((y - v) ** 2).sum(axis=1) for v in z]).min(axis=0) <= (1e-6 * span) ** 2
+        q = np.vstack([z + centre, z.mean(axis=0) + centre, pts[near]])
+        vals, dirs = exact_depth_values_2d(pts[None], w[None], np.zeros(len(q), dtype=int), q)
+        evals += len(q)
+        j = int(np.argmax(vals))
+        if vals[j] > depth:
+            x, depth = q[j], vals[j]
+            continue
+        u = dirs[len(z)]
+        _, (h,) = _level(y, units, scale, depth, u[None])
+        # of the axes and both normals of each y_i - y_h != 0, the nearest on either side of u
+        d = y[(y != y[h]).any(axis=1)] - y[h]
+        nrm = np.column_stack([-d[:, 1], d[:, 0]]) / np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[:, None]
+        cand = np.vstack([nrm, -nrm, _AXES])
+        ang = np.mod(np.arctan2(cand[:, 1], cand[:, 0]) - np.arctan2(u[1], u[0]), 2.0 * np.pi)
+        new = [c for c in cand[[np.argmin(ang), np.argmax(ang)]] if not (cuts == c).all(axis=1).any()]
+        if not new:
+            break
+        cuts = np.vstack([cuts, new])
+    return MedianResult(x.copy(), float(depth), evals)
 
 
 def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: int, seed: int) -> list:
@@ -308,12 +308,12 @@ def balanced_median(
     iters: int = 30,
     seed: int = 0,
 ) -> MedianResult:
-    """A depth maximizer chosen centrally within its plateau.
+    """A depth maximizer chosen centrally within its plateau (multistart).
 
     Depth super-level sets are convex, so the average of tied maximizers is
     again a maximizer; averaging pulls the anchor away from plateau corners,
     which keeps the surrounding set of minimizing normals spread out (the
-    lexicographic tie-break of ``tukey_median`` tends to a corner instead).
+    single point of ``tukey_median`` may sit at a corner instead).
     """
     endpoints, evals = _multistart_endpoints(m.points[None], m.weights[None], starts, iters, seed)[0]
     scored = _finals(m.points, m.weights, endpoints, 6 if m.dim <= 2 else 3)
@@ -333,10 +333,10 @@ def balanced_median(
 def recenter(
     m: DiscreteMeasure, balanced: bool = False, **budget
 ) -> tuple[DiscreteMeasure, MedianResult]:
-    """Translate the measure so its best-found median sits at the origin.
-
-    ``balanced=True`` anchors at a plateau-central maximizer instead of the
-    lexicographic tie-break, which witness extraction prefers.
+    """Translate the measure so its median sits at the origin:
+    ``tukey_median`` with the budget given (exact in the plane under the
+    default ``auto``), or with ``balanced=True`` the plateau-central
+    maximizer of ``balanced_median``, which witness extraction prefers.
     """
     if balanced:
         res = balanced_median(m, **budget)

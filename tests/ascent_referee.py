@@ -34,7 +34,7 @@ import depthlab.depth
 from depthlab.depth import DepthResult, _split_query, exact_affordable, point_depth
 from depthlab.geometry import DEFAULT_TOL, as_vector, sample_directions, unit
 from depthlab.measures import DiscreteMeasure
-from depthlab.median import MedianResult, _lex_less
+from depthlab.median import MedianResult
 
 _CHUNK = 16384
 
@@ -220,18 +220,12 @@ def _multistart_endpoints(m, starts: int, iters: int, seed: int):
 
 
 def tukey_median(m, starts: int = 16, iters: int = 30, seed: int = 0) -> MedianResult:
-    """``tukey_median(mode="multistart")`` for dim >= 2."""
+    """``tukey_median(mode="multistart")`` for dim >= 2: the first endpoint,
+    the best cheap depth with the earlier start winning a tie, its depth
+    re-evaluated once."""
     endpoints, evals = _multistart_endpoints(m, starts, iters, seed)
-    finals = 3 if m.dim <= 2 else 1
-    best_x, best_d = None, -1.0
-    for _, x in endpoints[: min(finals, len(endpoints))]:
-        dep = _final_depth(m, x)
-        evals += 1
-        if dep > best_d + 1e-12 or (
-            abs(dep - best_d) <= 1e-12 and best_x is not None and _lex_less(x, best_x)
-        ):
-            best_x, best_d = x, dep
-    return MedianResult(best_x, float(best_d), evals)
+    _, x = endpoints[0]
+    return MedianResult(x, float(_final_depth(m, x)), evals + 1)
 
 
 def balanced_median(m, starts: int = 16, iters: int = 30, seed: int = 0) -> MedianResult:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from depthlab.cli import ConfigError, ExperimentConfig, _suite_params, main, run_experiment
-from depthlab.median import ARRANGEMENT_MAX_N
+from depthlab.measures import MeasureSpec, generate_measure
+from depthlab.median import tukey_median
 from depthlab.suites import rows_to_csv, run_suite
 
 
@@ -103,7 +105,7 @@ def test_median_command(tmp_path):
     cfg = write(
         tmp_path,
         "c.json",
-        {"command": "median", "measure": SQUARE, "budget": {"mode": "arrangement"}, "expected": 0.5, "tolerance": 1e-9},
+        {"command": "median", "measure": SQUARE, "budget": {"mode": "exact"}, "expected": 0.5, "tolerance": 1e-9},
     )
     out = tmp_path / "out"
     assert main(["median", "--config", cfg, "--out", str(out)]) == 0
@@ -112,18 +114,32 @@ def test_median_command(tmp_path):
 
 
 def test_median_arrangement_mode_names_its_field(tmp_path, capsys):
-    gauss = {"kind": "gaussian", "dim": 3, "n": 50}
-    cfg = write(tmp_path, "c.json", {"command": "median", "measure": gauss, "budget": {"mode": "arrangement"}})
-    assert main(["median", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "config.budget.mode" in capsys.readouterr().err
-
-
-def test_median_arrangement_mode_refuses_n_above_limit(tmp_path, capsys):
-    gauss = {"kind": "gaussian", "dim": 2, "n": ARRANGEMENT_MAX_N + 1}
-    cfg = write(tmp_path, "c.json", {"command": "median", "measure": gauss, "budget": {"mode": "arrangement"}})
+    # the arrangement scan is gone: its mode is not a valid value
+    cfg = write(tmp_path, "c.json", {"command": "median", "measure": SQUARE, "budget": {"mode": "arrangement"}})
     assert main(["median", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "config.budget.mode" in err and f"n = {ARRANGEMENT_MAX_N + 1}" in err
+    assert "config.budget.mode: 'arrangement' invalid; valid: auto, exact, multistart" in err
+
+
+def test_median_exact_mode_names_its_field_and_the_dim(tmp_path, capsys):
+    gauss = {"kind": "gaussian", "dim": 3, "n": 50}
+    cfg = write(tmp_path, "c.json", {"command": "median", "measure": gauss, "budget": {"mode": "exact"}})
+    assert main(["median", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config.budget.mode" in err and "dim = 3" in err
+
+
+def test_median_exact_mode_at_n_500(tmp_path):
+    # no size limit on the exact planar median: the CLI reports the depth
+    # of the library's exact median
+    gauss = {"kind": "gaussian", "dim": 2, "n": 500, "seed": 3}
+    cfg = write(tmp_path, "c.json", {"command": "median", "measure": gauss, "budget": {"mode": "exact"}})
+    out = tmp_path / "out"
+    assert main(["median", "--config", cfg, "--out", str(out)]) == 0
+    want = tukey_median(generate_measure(MeasureSpec("gaussian", 2, 500, {}, 3)), mode="exact")
+    rows = list(csv.DictReader((out / "median.csv").open()))
+    assert [r["check"] for r in rows] == ["median_depth", "median_x0", "median_x1"]
+    assert float(rows[0]["observed"]) == pytest.approx(want.depth, abs=1e-11)
 
 
 def test_verify_command_and_determinism(tmp_path):

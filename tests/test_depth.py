@@ -332,15 +332,16 @@ def test_exact_depth_not_above_sampled_bound(at_query, at_e3):
     assert certified_depth_floor(m, q) <= exact
 
 
-def test_small_line_search_takes_one_arrangement_median(monkeypatch):
-    # the scan and refine phases run the ascent even on a measure of at most
-    # 40 points; only the final profile takes the exact planar median
+@pytest.mark.parametrize("n", [20, 200])
+def test_line_search_takes_one_exact_planar_median(n, monkeypatch):
+    # the scan and refine phases run the ascent at every size; only the
+    # final profile takes the exact planar median
     calls = []
-    real = depthlab.median._arrangement_median
-    monkeypatch.setattr(depthlab.median, "_arrangement_median", lambda m: calls.append(m.n) or real(m))
-    m = generate_measure(MeasureSpec("gaussian", 3, 20, {}, seed=4))
+    real = depthlab.median._planar_median
+    monkeypatch.setattr(depthlab.median, "_planar_median", lambda p, w: calls.append(len(p)) or real(p, w))
+    m = generate_measure(MeasureSpec("gaussian", 3, n, {}, seed=4))
     r = deep_line_search(m, grid_count=16, refine_iters=1, seed=4)
-    assert calls == [20]
+    assert calls == [n]
     assert 0 < r.depth <= 1
 
 

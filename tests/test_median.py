@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 import arrangement_referee
-import depthlab.median
-from depthlab.geometry import DEFAULT_TOL, HalfSpace
-from depthlab.measures import MeasureSpec, generate_measure, make_measure, halfspace_mass
-from depthlab.depth import EXACT_MAX_N, certified_depth_floor, exact_affordable, point_depth
+from depthlab.geometry import DEFAULT_TOL, HalfSpace, line, sample_directions
+from depthlab.measures import MeasureSpec, generate_measure, make_measure, halfspace_mass, project_measure
+from depthlab.depth import EXACT_MAX_N, certified_depth_floor, direction_profiles, exact_affordable, point_depth
 from depthlab.median import (
-    ARRANGEMENT_MAX_N,
     WitnessSearchError,
     min_normal_set,
     recenter,
@@ -15,16 +13,17 @@ from depthlab.median import (
     witness_tuple,
 )
 from depthlab.cones import is_generating, tuple_weight
+from depthlab.suites import _rado_spec, line_search_suite_specs
 
 
 def test_square_median_arrangement(square):
-    r = tukey_median(square, mode="arrangement")
+    r = tukey_median(square, mode="exact")
     assert r.depth == pytest.approx(0.5, abs=1e-12)
     assert point_depth(square, r.point).depth == pytest.approx(r.depth, abs=1e-12)
 
 
 def test_triangle_median_arrangement(triangle):
-    r = tukey_median(triangle, mode="arrangement")
+    r = tukey_median(triangle, mode="exact")
     assert r.depth == pytest.approx(1 / 3, abs=1e-12)
     # maximizer is non-unique; any point of the closed triangle qualifies
     margin = np.min(1 - np.abs(r.point))
@@ -41,7 +40,7 @@ def test_single_point_mass_median():
 def test_arrangement_optimality_exhaustive():
     rng = np.random.default_rng(17)
     m = make_measure(rng.integers(-5, 6, size=(9, 2)).astype(float))
-    r = tukey_median(m, mode="arrangement")
+    r = tukey_median(m, mode="exact")
     # no arrangement vertex can beat the returned point
     import itertools
 
@@ -62,15 +61,23 @@ def test_arrangement_optimality_exhaustive():
 
 
 def test_arrangement_mode_limits():
+    # the exact median is planar or on a line; the arrangement scan is gone
     m = make_measure(np.random.default_rng(0).standard_normal((10, 3)))
-    with pytest.raises(ValueError):
-        tukey_median(m, mode="arrangement")
+    with pytest.raises(ValueError, match="dim = 3"):
+        tukey_median(m, mode="exact")
+    with pytest.raises(ValueError, match="arrangement"):
+        tukey_median(make_measure(m.points[:, :2]), mode="arrangement")
 
 
-def test_arrangement_mode_refuses_n_above_limit():
-    m = generate_measure(MeasureSpec("gaussian", 2, ARRANGEMENT_MAX_N + 1, {}, seed=0))
-    with pytest.raises(ValueError, match=f"n <= {ARRANGEMENT_MAX_N}"):
-        tukey_median(m, mode="arrangement")
+def test_exact_mode_runs_at_n_500():
+    # no size limit: at n = 500 the exact median is as deep as the heavy
+    # ascent, and auto takes it in the plane
+    m = generate_measure(MeasureSpec("gaussian", 2, 500, {}, seed=0))
+    r = tukey_median(m, mode="exact")
+    assert point_depth(m, r.point).depth == r.depth
+    assert r.depth >= tukey_median(m, mode="multistart", starts=24, iters=40).depth
+    auto = tukey_median(m)
+    assert auto.depth == r.depth and np.array_equal(auto.point, r.point)
 
 
 def _grid_measure(seed):
@@ -92,39 +99,99 @@ def _grid_measure(seed):
 @pytest.mark.parametrize("m", [_grid_measure(s) for s in range(40)]
                          + [generate_measure(MeasureSpec("gaussian", 2, 20, {}, seed=0))])
 def test_arrangement_median_matches_referee(m):
-    got = tukey_median(m, mode="arrangement")
-    ref = arrangement_referee._arrangement_median(m)
-    assert got.point.tobytes() == ref.point.tobytes()
-    assert got.depth == ref.depth
-    assert got.candidates_evaluated == ref.candidates_evaluated
+    _assert_matches_referee(m, m)
 
 
-def test_first_rows_match_unique():
-    # the arrangement dedupe keeps the rows np.unique(axis=0) keeps, with
-    # -0.0 and 0.0 equal keys
-    signed = np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, -0.0]])
-    assert depthlab.median._first_rows(signed).tolist() == [0, 2]
-    rng = np.random.default_rng(3)
-    for k in (1, 2, 7, 40, 300, 5000):
-        keys = rng.integers(-3, 4, size=(k, 2)).astype(float)
-        keys[rng.random(k) < 0.5] *= -1.0
-        keys[rng.integers(0, k, size=k // 3)] = keys[0]
-        want = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-        assert np.array_equal(depthlab.median._first_rows(keys), want)
+def _assert_matches_referee(m, base):
+    # the depth of the referee's scan of base, a measure of the same depth
+    # on which the scan is exact: bit for bit if uniform; if weighted, at
+    # least it and within 1e-12 (integer units may leave a nominal tie one
+    # unit apart).  Never below the scan of m itself, and the exact point
+    # depth at the returned point agrees
+    got = tukey_median(m, mode="exact")
+    ref = arrangement_referee._arrangement_median(base).depth
+    if (m.weights == m.weights[0]).all():
+        assert got.depth == ref
+    else:
+        assert ref <= got.depth <= ref + 1e-12
+    if base is not m:
+        assert got.depth >= arrangement_referee._arrangement_median(m).depth
+    check = point_depth(m, got.point)
+    assert check.depth == got.depth and check.mode == "exact"
 
 
-def test_arrangement_median_checks_one_witness(monkeypatch):
-    calls = []
+def _hard_measures():
+    """(measure, base) pairs: grids scaled by 1e3 and shifted by 1e6 or
+    1e12, and grids scaled by 1e-6, each with its integer grid as the base
+    (at a shift of 1e12 the scan's own vertices lose about 1e-4 to
+    cancellation, enough to miss the deepest one); then all-collinear rows,
+    duplicated and heavy points, a 2^-60 weight, two points and a point
+    mass, each its own base."""
+    out = []
+    for seed in (1, 4, 6, 9, 12):
+        g = _grid_measure(seed)
+        out += [(make_measure(g.points * 1e3 + shift, g.weights), g) for shift in (1e6, 1e12)]
+        out.append((make_measure(g.points * 1e-6, g.weights), g))
+    rng = np.random.default_rng(5)
+    for n in (3, 7, 12):
+        t = rng.integers(-4, 5, size=n).astype(float)
+        out.append(make_measure(np.column_stack([t, 2.0 * t - 1.0])))
+        out.append(make_measure(np.column_stack([t, np.full(n, 3.0)]), rng.integers(1, 4, size=n).astype(float)))
+    pts = rng.integers(-2, 3, size=(8, 2)).astype(float)
+    out.append(make_measure(np.vstack([pts, np.tile(pts[2], (5, 1))])))
+    out.append(make_measure(pts, [1.0] * 7 + [20.0]))
+    out.append(make_measure(pts, [1.0] * 7 + [2.0**-60]))
+    out.append(make_measure([[0.0, 0.0], [1.0, 2.0]]))
+    out.append(make_measure([[3.0, -1.0]] * 4))
+    return [m if isinstance(m, tuple) else (m, m) for m in out]
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return point_depth(*args, **kwargs)
 
-    monkeypatch.setattr(depthlab.median, "point_depth", counted)
-    for seed in (7, 12):
-        calls.clear()
-        r = tukey_median(_grid_measure(seed), mode="arrangement")
-        assert len(calls) == 1 and r.candidates_evaluated > 100
+@pytest.mark.parametrize("m, base", _hard_measures())
+def test_exact_median_matches_referee_on_hard_measures(m, base):
+    _assert_matches_referee(m, base)
+
+
+def _projections(specs, count):
+    for spec in specs:
+        m = generate_measure(spec)
+        for u in sample_directions(3, count, seed=spec.seed, mode="sphere"):
+            yield project_measure(m, line(u))
+
+
+@pytest.mark.parametrize("m", [generate_measure(_rado_spec(2, 500, s)) for s in range(8)]
+                         + list(_projections(line_search_suite_specs(420), 4)))
+def test_exact_median_not_below_heavy_ascent(m):
+    r = tukey_median(m, mode="exact")
+    assert r.depth >= tukey_median(m, mode="multistart", starts=24, iters=40).depth
+    assert point_depth(m, r.point).depth == r.depth
+
+
+def _line_grid(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    x = rng.integers(-6, 7, size=(n, 1)).astype(float)
+    return make_measure(x, rng.dirichlet(np.ones(n)) if seed % 2 else None)
+
+
+def test_line_median_is_the_best_point_depth():
+    for seed in range(300):
+        m = _line_grid(seed)
+        r = tukey_median(m)
+        best = max(point_depth(m, [v]).depth for v in np.unique(m.points))
+        assert r.depth == best == point_depth(m, r.point).depth, seed
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_line_medians_above_the_exact_size_limit(d):
+    m = generate_measure(MeasureSpec("gaussian", d, EXACT_MAX_N + 1, {}, seed=2))
+    # exact point depth raises above n = 5000; the median of 5,001 distinct
+    # values on a line is the middle one, of depth 2501/5001
+    if d == 1:
+        r = tukey_median(m)
+        assert r.point.tolist() == [np.sort(m.points[:, 0])[2500]] and r.depth == 2501 / 5001
+    else:
+        a, meds = direction_profiles(m, [[1.0, 0.0], [0.6, 0.8]])
+        assert meds.shape == (2, 1) and (a == 2501 / 5001).all()
 
 
 def test_grid_is_not_a_median_mode(square):
