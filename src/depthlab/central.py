@@ -17,7 +17,7 @@ in lockstep, many cones at once on padded arrays, with the bits of one clip
 per cone.
 
 A constraint's capture runs over the points inside B only, the ones that
-carry B's mass: an exact count of B's mass units (``depth._units``).
+carry B's mass: an exact count of the measure's mass units in B.
 
 The structural map sends a recentered measure to an unordered tuple of d + 1
 vectors, one per matched-cone slot, by integrating (a - weight) e(B_i) over
@@ -57,7 +57,7 @@ from .cones import (
     tuple_weight,
 )
 from .median import witness_tuple
-from .depth import _BLOCK_ENTRIES, _units, point_depth
+from .depth import _BLOCK_ENTRIES, point_depth
 
 # the structural map's Monte Carlo proposal: the constraint pool of each
 # central cone, the angular scale of the witness perturbations and the share
@@ -308,7 +308,7 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constrain
     captures at least the fraction d/(d+1) of B's mass.  Only the points
     inside B carry that mass, so the capture runs over them alone, on
     stacked zero-padded arrays, in ``_capture_blocks`` blocks: one product
-    of the hit mask with the cone's mass units (``depth._units``), padding
+    of the hit mask with the mass units of the cone's points, padding
     points weighing 0.  Its sums are integers, exact in any order, in the
     narrowest dtype that holds the measure's scale exactly: float32 below
     2^24 (a uniform measure's n), float64 above.  A constraint capturing k
@@ -330,9 +330,8 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constrain
     slots, idx = np.arange(width) < counts[:, None], np.nonzero(inside)[1]
     pts = np.zeros((len(cones), width, d))
     pts[slots] = m.points[idx]
-    units, scale = _units(m.weights)
-    w = np.zeros((len(cones), width, 1), dtype=np.float32 if scale < 2**24 else np.float64)
-    w[slots, 0] = units[idx]
+    w = np.zeros((len(cones), width, 1), dtype=np.float32 if m.scale < 2**24 else np.float64)
+    w[slots, 0] = m.units[idx]
     captured = np.empty((len(cones), pools.shape[1]))
     for cs, rs in _capture_blocks(len(cones), pools.shape[1], width):
         hit = np.matmul(pools[pick[cs], rs], pts[cs].transpose(0, 2, 1)) <= DEFAULT_TOL
@@ -409,7 +408,7 @@ def containment_check(
     if max(m1, m2) > cap + 1e-12:
         raise ValueError(f"cone masses ({m1}, {m2}) exceed the cap {cap}")
     both = cone_contains_many(b1, m.points) & cone_contains_many(b2, m.points)
-    inter = float(m.weights[both].sum())
+    inter = float(m.units[both].sum()) / m.scale
     if inter < floor - 1e-12:
         raise ValueError(f"intersection mass {inter} below the floor {floor}")
     ok = True

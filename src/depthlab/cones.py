@@ -197,8 +197,9 @@ def tuple_masses(m: DiscreteMeasure, t: GeneratingTuple, weight: float | None = 
 
 
 def _pair_masses(m: DiscreteMeasure, A: TupleMasses, B: TupleMasses) -> np.ndarray:
-    """Masses of pairwise cone intersections, via joint membership masks."""
-    return (A.inside * m.weights) @ B.inside.T
+    """Masses of pairwise cone intersections, via joint membership masks:
+    exact counts of m's mass units over its scale."""
+    return (A.inside * m.units) @ B.inside.T / m.scale
 
 
 def match_tuples(

@@ -9,22 +9,18 @@ the depth of the other points projected onto p_i^perp, recursing down to an
 exact O(n log n) planar sweep over a half-turn; cost O(n^(d-1) log n).
 ``exact_affordable`` says where callers that pick a depth evaluator use it.
 
-Every evaluator sums mass units (``_units``) and divides by a scale once,
-by one rule for every measure.  A uniform measure counts 1.0 per point and
-divides by n.  Any other measure gets the integer units u_i = max(1,
-rint(2^52 w_i / sum w)) and divides by sum u.  Every partial sum of units
-is then an integer below 2^53, exact in float64 in any order, under any
-BLAS blocking and at any thread count; a mass is one correctly rounded
-division of such a count, so equal counts compare equal across the exact,
-sampled and certified paths.  ``depth_oracle`` is an independent
-brute-force referee built on lexicographic sign perturbation; the two
-implementations share no code path.
+Every evaluator sums the measure's integer mass units and divides by its
+scale once (``DiscreteMeasure``, the one mass rule for every measure), so a
+depth is an exact count over the scale in any order of the sums.  The
+stacked evaluators take the images (M, n, k) of one measure's points, all
+weighted by that measure's units.  ``depth_oracle`` is an independent
+brute-force referee built on lexicographic sign perturbation and the raw
+weights; the two implementations share no code path.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -95,35 +91,14 @@ def line_depth_thresholds(dim: int) -> dict:
 # exact closed-half-space minimization through the origin
 
 
-def _units(w: np.ndarray):
-    """Mass units of the positive weights w (..., n) and the scale, their
-    sum, that turns a sum of units into mass.  A uniform measure (all its
-    weights equal) counts 1.0 per point, so its scale is n.  Any other
-    measure gets u_i = max(1, rint(2^52 w_i / sum w)), sum w being the
-    correctly rounded sum (``math.fsum``), so a measure's units do not
-    depend on how its weights are stacked.  Every partial sum of units is
-    an integer below 2^53, so every mass is an exact count over the scale,
-    whatever the order of the sums.  The rint moves each weight by at most
-    2^-53 of the total, besides the rounding of the quotient (by at most
-    2^-52 where the floor of one unit lifts a weight below 2^-53 of it), so
-    the scale lies within about n of 2^52.  Returns (units, scale (...,))."""
-    uniform = (w == w[..., :1]).all(axis=-1)
-    units = np.ones(w.shape)
-    if not uniform.all():
-        rows = w[~uniform]
-        total = np.array([math.fsum(r) for r in rows])
-        units[~uniform] = np.maximum(1.0, np.rint(rows * 2.0**52 / total[:, None]))
-    return units, units.sum(axis=-1)
-
-
 def _sweep(p: np.ndarray, w: np.ndarray, gap: float):
     """Exact planar minimization by a half-turn sweep (Rousseeuw & Ruts
     1996, Algorithm AS 307), one sort per row.
 
-    p (R, m, 2) holds nonzero vectors and w (R, m) their mass units.  The
-    closed-half-plane mass of a normal at angle theta is piecewise constant:
-    point j counts from its entry at angle alpha_j - pi/2 to its exit at
-    alpha_j + pi/2.  The two are antipodal, so each point has one
+    p (R, m, 2) holds nonzero vectors and w (R, m) or (m,) their mass
+    units.  The closed-half-plane mass of a normal at angle theta is
+    piecewise constant: point j counts from its entry at angle alpha_j -
+    pi/2 to its exit at alpha_j + pi/2.  The two are antipodal, so each point has one
     breakpoint in [0, pi): alpha_j + pi/2 reduced by pi into it, its exit
     if no reduction was needed, else its entry.  Sorted, these cut the
     half-turn into m arcs, arc k ending where the next one begins (the last
@@ -149,7 +124,7 @@ def _sweep(p: np.ndarray, w: np.ndarray, gap: float):
     vector adds only a zero-width arc, so removing such points gives the
     same bits.
     """
-    R, m = w.shape
+    R, m = p.shape[:2]
     b = np.arctan2(p[..., 1], p[..., 0])
     b += 0.5 * np.pi
     up, down = b >= np.pi, b < 0.0
@@ -301,34 +276,32 @@ def exact_depth_value_2d(m: DiscreteMeasure, q):
     callers that only need the number and a descent direction.
     """
     q = np.asarray(q, dtype=float)[None]
-    vals, dirs = exact_depth_values_2d([m.points], [m.weights], [0], q)
+    vals, dirs = exact_depth_values_2d(m.points[None], m, [0], q)
     return float(vals[0]), dirs[0]
 
 
-def exact_depth_values_2d(points, weights, which, q):
+def exact_depth_values_2d(points, m: DiscreteMeasure, which, q):
     """``exact_depth_value_2d`` of many queries at once: row r is the query
-    q[r] (R, 2) in the planar measure (points[which[r]], weights[which[r]]),
-    points and weights being stacks (M, n, 2) and (M, n) of M measures
-    (sequences of their arrays are stacked first).  Rows go to the sweep in
-    blocks of at most _CHUNK points, unnormalized and in mass units
-    (``_units``).  A point within ``DEFAULT_TOL`` of the query (squared
+    q[r] (R, 2) among the points points[which[r]], points being a stack (M,
+    n, 2) of planar images of the points of m, each weighted by m's mass
+    units.  Rows go to the sweep in blocks of at most _CHUNK points,
+    unnormalized.  A point within ``DEFAULT_TOL`` of the query (squared
     distance at most its square) counts under every direction: its units
     are summed over the full mask in point order, and in the sweep it is a
     copy of the row's first other point with unit 0, so it adds no
     breakpoint.  Each row's value is (the units at the query + the swept
-    minimum) / scale, an exact count over the scale.  Returns
-    (values (R,), directions (R, 2)).
+    minimum) / scale, an exact count over the scale.  Returns (values (R,),
+    directions (R, 2)).
     """
-    points, (units, scales) = np.asarray(points), _units(np.asarray(weights))
-    R, n = len(which), units.shape[1]
+    points, units = np.asarray(points), m.units
+    R, n = len(which), len(units)
     vals, dirs = np.empty(R), np.empty((R, 2))
     step = max(1, _CHUNK // n)
     for s in range(0, R, step):
         k = which[s : s + step]
         p = points[k] - q[s : s + step, None, :]
         at = p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] <= DEFAULT_TOL**2  # the bits of _split_query's
-        w, scale = units[k], scales[k]
-        w0 = np.zeros(len(k))
+        w, w0 = units, np.zeros(len(k))
         if at.any():
             w0 = np.where(at, w, 0.0).sum(axis=1)
             fill = p[np.arange(len(k)), np.argmax(~at, axis=1)]
@@ -336,15 +309,15 @@ def exact_depth_values_2d(points, weights, which, q):
             w = np.where(at, 0.0, w)
         val, phi = _sweep(p, w, DEFAULT_TOL)
         empty = at.all(axis=1)
-        vals[s : s + step] = np.where(empty, 1.0, (w0 + val) / scale)
+        vals[s : s + step] = np.where(empty, 1.0, (w0 + val) / m.scale)
         dirs[s : s + step, 0] = np.where(empty, 1.0, np.cos(phi))
         dirs[s : s + step, 1] = np.where(empty, 0.0, np.sin(phi))
     return vals, dirs
 
 
-def sampled_depth_values(points, weights, which, q, directions):
+def sampled_depth_values(points, m: DiscreteMeasure, which, q, directions):
     """``point_depth(mode="sampled")`` of many queries at once: row r is the
-    query q[r] (R, d) in the measure (points[which[r]], weights[which[r]]),
+    query q[r] (R, d) among the images points[which[r]] of the points of m,
     stacked as there, minimized over its own unit directions directions[r]
     (R, count, d).  The rows are centred and normalized in blocks of at most
     _CHUNK points; a point within ``DEFAULT_TOL`` of the query (squared
@@ -352,11 +325,11 @@ def sampled_depth_values(points, weights, which, q, directions):
     direction, as in the exact depth.  Each row then takes its direction and
     mask products in cache-sized blocks of directions (``_row_blocks``),
     which give the bits of one product over all of them.  The masks count
-    mass units (``_units``, taken once for the stack), divided by the scale
-    once.  Returns (values (R,), minimizing directions (R, d)).
+    m's mass units, divided by its scale once.  Returns (values (R,),
+    minimizing directions (R, d)).
     """
-    points, (units, scales) = np.asarray(points), _units(np.asarray(weights))
-    R, n = len(which), units.shape[1]
+    points, units = np.asarray(points), m.units
+    R, n = len(which), len(units)
     vals, wits = np.empty(R), np.empty((R, directions.shape[2]))
     step = max(1, _CHUNK // n)
     for lo in range(0, R, step):
@@ -366,29 +339,29 @@ def sampled_depth_values(points, weights, which, q, directions):
         norms = np.sqrt(sq)  # the bits of np.linalg.norm
         norms[sq <= DEFAULT_TOL**2] = np.inf  # at the query, as _split_query says: counted everywhere
         phat = (p / norms[..., None]).transpose(0, 2, 1)
-        for b, r in enumerate(k):
+        for b in range(len(k)):
             u = directions[lo + b]
-            masses = np.concatenate([(u[blk] @ phat[b] >= -DEFAULT_TOL) @ units[r] for blk in _row_blocks(len(u), n)])
+            masses = np.concatenate([(u[blk] @ phat[b] >= -DEFAULT_TOL) @ units for blk in _row_blocks(len(u), n)])
             j = int(np.argmin(masses))
-            vals[lo + b], wits[lo + b] = masses[j] / scales[r], u[j]
+            vals[lo + b], wits[lo + b] = masses[j] / m.scale, u[j]
     return vals, wits
 
 
-def closed_mass_bounds(points, weights):
+def closed_mass_bounds(points, m: DiscreteMeasure):
     """The rule that bounds from above the values of ``exact_depth_values_2d``
     (from any unit directions) and ``sampled_depth_values`` (from directions
-    among the row's own) in the measures (points[k], weights[k]) of one
-    stack, set up once for them.  Returns bound(which, q, directions): row r
-    gets the least, over its unit directions u in directions[r] (R, D, d),
-    of the mass of the points p of measure which[r] with <u, p - q[r]> >=
-    -s_r, where
+    among the row's own) in the images points (M, n, d) of the points of m,
+    set up once for them.  Returns bound(which, q, directions): row r gets
+    the least, over its unit directions u in directions[r] (R, D, d), of the
+    mass of the points p of image which[r] with <u, p - q[r]> >= -s_r,
+    where
 
         s_r = max(eta reach_r, 2 tol) + 1e-14 (|c_k|_1 + |h_k|_1 + |q[r]|_1),
 
     eta = 3 (n + 1) tol, tol being ``DEFAULT_TOL``, c_k and h_k the centre
-    and half-widths of the bounding box of measure k, and reach_r = |h_k| +
+    and half-widths of the bounding box of image k, and reach_r = |h_k| +
     |q[r] - c_k|.  So reach_r >= |p - q[r]| and |c_k|_1 + |h_k|_1 >= |p|_1
-    for each point p of the measure.
+    for each point p of the image.
 
     The slack eta makes the bound hold for the planar sweep although it
     skips arcs no wider than 4 tol: at most n breakpoints fall within angle
@@ -401,16 +374,15 @@ def closed_mass_bounds(points, weights):
     dwarf the rounding of the evaluators' own norms and products, and the
     last term of s_r covers the bound's own: <u, p> and <u, q> are rounded
     apart, since each (row, direction) is one affine test <(u, s_r - <u,
-    q>), (p, 1)> >= 0 on the measures' points augmented by a 1 (M, d + 1,
-    n), built here once.  The tests run as stacked matmuls in blocks of
-    about 4 _CHUNK direction-by-point entries and count mass units
-    (``_units``), divided by the scale once, so a bound and an evaluator's
-    value are exact counts over the same scale and the bound is at least
-    the value exactly, not only up to rounding.  A uniform block sums its
-    masks as integers, the same counts faster than a product with its
-    units.
+    q>), (p, 1)> >= 0 on the images' points augmented by a 1 (M, d + 1, n),
+    built here once.  The tests run as stacked matmuls in blocks of about 4
+    _CHUNK direction-by-point entries and count m's mass units, divided by
+    its scale once, so a bound and an evaluator's value are exact counts
+    over the same scale and the bound is at least the value exactly, not
+    only up to rounding.  A uniform measure sums its masks as integers, the
+    same counts faster than a product with its units.
     """
-    points, (units, scales) = np.asarray(points), _units(np.asarray(weights))
+    points = np.asarray(points)
     M, n, d = points.shape
     aug = np.ones((M, d + 1, n))
     aug[:, :d] = points.transpose(0, 2, 1)
@@ -418,7 +390,7 @@ def closed_mass_bounds(points, weights):
     centre, half = 0.5 * (low + high), 0.5 * (high - low)
     rad = np.sqrt((half * half).sum(axis=1))
     top = (np.abs(centre) + half).sum(axis=1)  # the box's farthest corner: at least every |p|_1
-    uniform = (units == 1.0).all(axis=1)
+    uniform = m.scale == n  # every unit is at least 1
     eta = 3.0 * (n + 1) * DEFAULT_TOL
 
     def bound(which, q, directions):
@@ -434,11 +406,11 @@ def closed_mass_bounds(points, weights):
         for lo in range(0, R, step):
             k = which[lo : lo + step]
             hit = np.matmul(a[lo : lo + step], aug[k]) >= 0.0
-            if uniform[k].all():
+            if uniform:
                 mass = hit.view(np.uint8).sum(axis=2, dtype=np.int32)
             else:
-                mass = np.matmul(hit, units[k, :, None])[..., 0]
-            out[lo : lo + step] = mass.min(axis=1) / scales[k]
+                mass = np.matmul(hit, m.units)
+            out[lo : lo + step] = mass.min(axis=1) / m.scale
         return out
 
     return bound
@@ -456,8 +428,8 @@ def point_depth(
     exact    project and sweep (see the module docstring), O(n^(d-1) log n);
              limited to dim <= 4 and n <= 5000 (see ``certified_depth_floor``
              for a fast conservative bound).  Reports the closed mass of the
-             witness direction, summed in mass units (``_units``): an
-             exact count over the scale, whatever the order of the sums.
+             witness direction, summed in mass units: an exact count
+             over the scale, whatever the order of the sums.
              The mode is "exact-upper-bound" when that mass misses the
              computed minimum.  The results of the last 16 queries are
              kept (thread-safe, their witnesses read-only), keyed on the
@@ -483,7 +455,7 @@ def point_depth(
             if res is not None:
                 _memo.move_to_end(key)
                 return res
-        res = _exact_depth(p, m.weights)
+        res = _exact_depth(p, m)
         res.witness.setflags(write=False)
         with _memo_lock:
             _memo[key] = res
@@ -492,16 +464,15 @@ def point_depth(
         return res
     if mode == "sampled":
         u = sample_directions(m.dim, sample_count, seed=seed, mode="sphere")
-        vals, us = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])
+        vals, us = sampled_depth_values(m.points[None], m, [0], q[None], u[None])
         return DepthResult(float(vals[0]), us[0], "sampled")
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _exact_depth(p: np.ndarray, weights: np.ndarray) -> DepthResult:
-    """The exact mode of ``point_depth`` for the points p = x - q, without
-    the memo."""
-    units, scale = _units(weights)
-    P, w, w0 = _split_query(p, units)
+def _exact_depth(p: np.ndarray, m: DiscreteMeasure) -> DepthResult:
+    """The exact mode of ``point_depth`` for the points p = x - q of m,
+    without the memo."""
+    P, w, w0 = _split_query(p, m.units)
     if P.shape[0] == 0:
         return DepthResult(1.0, np.eye(p.shape[1])[0], "exact")
     phat = P / np.linalg.norm(P, axis=1)[:, None]
@@ -511,10 +482,10 @@ def _exact_depth(p: np.ndarray, weights: np.ndarray) -> DepthResult:
     else:
         vals, us = _min_halfspace_mass(phat[None], w[None], DEFAULT_TOL, DEFAULT_TOL)
         val, u = float(vals[0]), us[0]
-    depth = (w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())) / scale
+    depth = (w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())) / m.scale
     # beyond general position the minimum may be unattainable at the
     # witness; its attained mass is then a certified upper bound
-    mode = "exact" if abs(depth - (w0 + val) / scale) <= 1e-9 else "exact-upper-bound"
+    mode = "exact" if abs(depth - (w0 + val) / m.scale) <= 1e-9 else "exact-upper-bound"
     return DepthResult(depth, u, mode)
 
 
@@ -528,7 +499,7 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     The net's rows come in rings, d - 2 polar angles fixed and the azimuth
     turning (``_net_rows``), and ``_ring_brackets`` counts, row by row with
     the circular sweep of Rousseeuw & Ruts (1996), the mass units
-    (``_units``) of the points p = x - q with <u0, p> >= t, t = sin(gamma)
+    of the points p = x - q with <u0, p> >= t, t = sin(gamma)
     |p| + 1.1e-5 (|p| + 1) (summed as a 1e-5 and a 1e-6 term).
     The inflation of t dwarfs the float64 rounding of the ring sweep, so
     every point counted on a row lies in its covered half-space.  The floor
@@ -551,8 +522,7 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     p = m.points - q
     norms = np.linalg.norm(p, axis=1)
     t = np.sin(gamma) * norms + 1e-5 * (norms + 1.0) + 1e-6 * (norms + 1.0)
-    units, scale = _units(m.weights)
-    return float(_ring_brackets(p, units, _net_rows(polar, d), step, count, t).min()) / scale
+    return float(_ring_brackets(p, m.units, _net_rows(polar, d), step, count, t).min()) / m.scale
 
 
 def _net_rows(polar: np.ndarray, d: int) -> np.ndarray:
@@ -594,7 +564,7 @@ def _ring_brackets(p: np.ndarray, w: np.ndarray, rings: np.ndarray, step: float,
     (about a third of the entries at a median) reach the index step.  Rings
     go in blocks of about _BLOCK_ENTRIES ring-by-point entries.  A and the
     whole-ring sums are ``np.einsum`` loops, not BLAS products.  On integer
-    units (``_units``) every partial sum that reaches a bracket stays
+    mass units every partial sum that reaches a bracket stays
     within -+ their total, so the brackets are exact.  Returns the brackets
     of the rows in net order, (len(rings) count,).
     """
@@ -640,7 +610,7 @@ def _row_blocks(rows: int, n: int) -> list:
     """Slices covering range(rows), for products of that many direction rows
     with n points: blocks of _BLOCK_ENTRIES // n rows, which stay in cache
     where one product over all the rows would not.  The products sum
-    integer mass units (``_units``), so each row's mass has the bits of one
+    integer mass units, so each row's mass has the bits of one
     product over all the rows, however the blocks and the BLAS threads
     split them."""
     step = max(1, _BLOCK_ENTRIES // n)
@@ -657,12 +627,15 @@ def depth_oracle(m: DiscreteMeasure, q) -> DepthResult:
     Enumerates hyperplane normals through q and <= d-1 points, composing each
     with one or two lexicographic perturbation levels so that every drop/keep
     pattern reachable by infinitesimal rotation is evaluated.  Exact on
-    integer-coordinate inputs; shares no code with ``point_depth``.
+    integer-coordinate inputs; sums the raw weights and shares no code with
+    ``point_depth``.
     """
     q = as_vector(q)
     if m.dim > ORACLE_MAX_DIM or m.n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to dim <= {ORACLE_MAX_DIM}, n <= {ORACLE_MAX_N}")
-    P, w, w0 = _split_query(m.points - q, m.weights)
+    p = m.points - q
+    at = np.linalg.norm(p, axis=1) <= DEFAULT_TOL  # at the query: counted under every direction
+    P, w, w0 = p[~at], m.weights[~at], float(m.weights[at].sum())
     n, d = P.shape
     if n == 0:
         return DepthResult(1.0, np.eye(m.dim)[0], "oracle")
@@ -760,14 +733,17 @@ def _oracle_witness(P, w, target, u0, wvec, vvec):
 
 def flat_depth(m: DiscreteMeasure, f: Flat) -> DepthResult:
     """Depth of a k-flat: project the measure along it and take the depth of
-    the projected anchor point (the image of the flat), exact where the
-    exact mode takes the projection and sampled otherwise."""
+    the projected anchor point (the image of the flat), exact where
+    ``exact_affordable`` allows it.  Elsewhere (a projection in dim >= 5,
+    or in dim 4 above n = 120) it is the ``sampled`` upper bound, which can
+    overstate the depth; in dim 4 up to n = ``EXACT_MAX_N``,
+    ``point_depth(..., mode="exact")`` of the projection still gives the
+    exact depth, at a cost cubic in n."""
     if f.k >= m.dim:
         raise ValueError("flat dimension must be below the ambient dimension")
     proj = project_measure(m, f)
     anchor = complement_basis(f) @ f.base
-    mode = "exact" if (proj.dim <= EXACT_MAX_DIM and proj.n <= EXACT_MAX_N) else "sampled"
-    return point_depth(proj, anchor, mode=mode)
+    return point_depth(proj, anchor, mode="exact" if exact_affordable(proj) else "sampled")
 
 
 def direction_profile(m: DiscreteMeasure, direction, budget: dict | None = None):
@@ -802,7 +778,7 @@ def direction_profiles(m: DiscreteMeasure, directions, budget: dict | None = Non
     if not (np.isfinite(u).all() and norms.all()):
         raise ValueError("directions must be finite and nonzero")
     comp = complement_bases((u / norms)[:, None, :])
-    res = _median.tukey_medians(np.matmul(m.points, comp.transpose(0, 2, 1)), m.weights, **(budget or {}))
+    res = _median.tukey_medians(np.matmul(m.points, comp.transpose(0, 2, 1)), m, **(budget or {}))
     return np.array([r.depth for r in res]), np.array([r.point for r in res])
 
 

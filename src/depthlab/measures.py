@@ -8,6 +8,7 @@ stand in for smooth fast-decaying densities; tests that depend on smoothness
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -28,11 +29,29 @@ WEIGHT_SUM_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Finite weighted point set in R^dim; weights strictly positive, summing to 1."""
+    """Finite weighted point set in R^dim; weights strictly positive, summing to 1.
+
+    Every mass in the package is a sum of the measure's mass ``units``
+    divided by their sum, its ``scale``, both computed once here and
+    read-only.  A uniform measure (all its weights equal) counts 1.0 per
+    point, so its scale is n.  Any other measure gets u_i = max(1, rint(2^52
+    w_i / sum w)), sum w being the correctly rounded sum (``math.fsum``).
+    Every partial sum of units is an integer below 2^53, so every mass is an
+    exact count over the scale, whatever the order of the sums, the BLAS
+    blocking or the thread count, and equal counts compare equal across the
+    exact, sampled and certified paths.  The rint moves each weight by at
+    most 2^-53 of the total, besides the rounding of the quotient (by at
+    most 2^-52 where the floor of one unit lifts a weight below 2^-53 of
+    it), so the scale lies within about n of 2^52.  The raw weights serve
+    only what is not a mass: weighted means and draws, the exact memo's key
+    and the oracle, a referee on the raw weights.
+    """
 
     dim: int
     points: np.ndarray
     weights: np.ndarray
+    units: np.ndarray = field(init=False, repr=False)
+    scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -49,10 +68,11 @@ class DiscreteMeasure:
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
+        units = np.ones(w.shape) if (w == w[0]).all() else np.maximum(1.0, np.rint(w * 2.0**52 / math.fsum(w)))
+        for name, a in (("points", pts), ("weights", w), ("units", units)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "scale", float(units.sum()))
 
     @property
     def n(self) -> int:
@@ -211,14 +231,14 @@ def halfspace_mass(m: DiscreteMeasure, h: HalfSpace) -> float:
     if h.dim != m.dim:
         raise ValueError(f"half-space dim {h.dim} != measure dim {m.dim}")
     s = m.points @ h.normal - h.offset
-    return float(m.weights[s <= DEFAULT_TOL].sum())
+    return float(m.units[s <= DEFAULT_TOL].sum()) / m.scale
 
 
 def cone_mass(m: DiscreteMeasure, b: SimplicialCone) -> float:
     """Mass of the closed simplicial cone."""
     if b.dim != m.dim:
         raise ValueError(f"cone dim {b.dim} != measure dim {m.dim}")
-    return float(m.weights[cone_contains_many(b, m.points)].sum())
+    return float(m.units[cone_contains_many(b, m.points)].sum()) / m.scale
 
 
 def save_measure(m: DiscreteMeasure, path) -> None:

@@ -17,7 +17,6 @@ from .geometry import DEFAULT_TOL, hull_interior_margin, sample_directions
 from .measures import DiscreteMeasure
 from .depth import (
     _row_blocks,
-    _units,
     certified_depth_floor,
     closed_mass_bounds,
     exact_affordable,
@@ -64,18 +63,19 @@ def _final_depth(m: DiscreteMeasure, x: np.ndarray) -> float:
     return certified_depth_floor(m, x, gamma=0.1)
 
 
-def _finals(points: np.ndarray, weights: np.ndarray, endpoints: list, count: int) -> list:
-    """(final depth, point) of the ``count`` best endpoints in (points,
-    weights).  In the plane the ascent's evaluator is exact: they are final."""
+def _finals(points: np.ndarray, m: DiscreteMeasure, endpoints: list, count: int) -> list:
+    """(final depth, point) of the ``count`` best endpoints in points, an
+    image of the points of m weighted as m.  In the plane the ascent's
+    evaluator is exact: they are final."""
     if points.shape[1] == 2:
         return endpoints[:count]
-    m = DiscreteMeasure(points.shape[1], points, weights)
-    return [(_final_depth(m, x), x) for _, x in endpoints[:count]]
+    image = DiscreteMeasure(points.shape[1], points, m.weights)
+    return [(_final_depth(image, x), x) for _, x in endpoints[:count]]
 
 
-def _cheap_depths(pts: np.ndarray, w: np.ndarray, own: np.ndarray, seeds: np.ndarray):
-    """The ascent's evaluator and the rule for what bounds it in the
-    measures (pts[k], w[k]), row r a point of measure own[r].  Exact in the
+def _cheap_depths(pts: np.ndarray, m: DiscreteMeasure, own: np.ndarray, seeds: np.ndarray):
+    """The ascent's evaluator and the rule for what bounds it in the images
+    pts[k] of the points of m, row r a point of image own[r].  Exact in the
     plane, all rows in one batched sweep; above, the sampled upper bound
     over the 192 directions of seed seeds[r], drawn once per seed for the
     whole ascent, all rows in one batched evaluation.
@@ -84,27 +84,28 @@ def _cheap_depths(pts: np.ndarray, w: np.ndarray, own: np.ndarray, seeds: np.nda
     directions); bound(rows, x, mine, theirs) -> an upper bound on each
     row's depth from the directions mine (R, a, d), the row's own past
     witnesses, and theirs (R, b, d), the current witnesses of the other
-    starts of its measure.  The planar depth is a minimum over every
+    starts of its image.  The planar depth is a minimum over every
     direction, so both kinds bound it; the sampled one is a minimum over
     the row's own directions only, so only its own witnesses do.  The
-    bound's set-up (``depth.closed_mass_bounds``: the measures' points
+    bound's set-up (``depth.closed_mass_bounds``: the images' points
     augmented by a 1 and their bounding boxes) is built here, once per
     ascent.
     """
-    bound = closed_mass_bounds(pts, w)
+    bound = closed_mass_bounds(pts, m)
     if pts.shape[2] == 2:
-        return (lambda rows, x: exact_depth_values_2d(pts, w, own[rows], x),
+        return (lambda rows, x: exact_depth_values_2d(pts, m, own[rows], x),
                 lambda rows, x, mine, theirs: bound(own[rows], x, np.concatenate([mine, theirs], axis=1)))
     keys, pick = np.unique(seeds, return_inverse=True)
     dirs = np.stack([sample_directions(pts.shape[2], 192, seed=int(s), mode="sphere") for s in keys])
-    return (lambda rows, x: sampled_depth_values(pts, w, own[rows], x, dirs[pick[rows]]),
+    return (lambda rows, x: sampled_depth_values(pts, m, own[rows], x, dirs[pick[rows]]),
             lambda rows, x, mine, theirs: bound(own[rows], x, mine))
 
 
-def _start_points(pts: np.ndarray, w: np.ndarray, starts: int, seed: int) -> np.ndarray:
-    """(M, starts, d) ascent starts in (pts[k], w[k]): the weighted mean (the
-    bits of w[k] @ pts[k]), the coordinate medians, then points seed draws."""
-    out = [np.matmul(w[:, None, :], pts), np.median(pts, axis=1, keepdims=True)]
+def _start_points(pts: np.ndarray, m: DiscreteMeasure, starts: int, seed: int) -> np.ndarray:
+    """(M, starts, d) ascent starts in the images pts[k] of the points of m:
+    the weighted mean (the bits of m.weights @ pts[k]), the coordinate
+    medians, then points seed draws."""
+    out = [np.matmul(m.weights, pts)[:, None], np.median(pts, axis=1, keepdims=True)]
     if starts > 2:
         out.append(pts[:, np.random.default_rng(seed).integers(0, pts.shape[1], size=starts - 2)])
     return np.concatenate(out, axis=1)[:, :starts]
@@ -126,58 +127,56 @@ def tukey_median(
                  wins, the earlier start on a tie, re-evaluated in dim >= 3.
     auto         exact in dim <= 2, else multistart.
     """
-    return tukey_medians(m.points[None], m.weights, mode, starts, iters, seed)[0]
+    return tukey_medians(m.points[None], m, mode, starts, iters, seed)[0]
 
 
-def tukey_medians(points, weights, mode: str = "auto", starts: int = 16, iters: int = 30,
+def tukey_medians(points, m: DiscreteMeasure, mode: str = "auto", starts: int = 16, iters: int = 30,
                   seed: int = 0) -> list[MedianResult]:
-    """``tukey_median`` of each measure (points[k], weights[k]) of one
-    stack, points (M, n, d) and weights (M, n) or one (n,) array that all
-    share, the multistart ascents of all of them stepping in lockstep."""
-    weights = np.broadcast_to(weights, points.shape[:2])
+    """``tukey_median`` of each image points[k] (points (M, n, d)) of the
+    points of m, weighted as m, the multistart ascents of all of them
+    stepping in lockstep."""
     d = points.shape[2]
     if mode == "auto":
         mode = "exact" if d <= 2 else "multistart"
     if mode not in ("exact", "multistart"):
         raise ValueError(f"unknown budget mode {mode!r}")
     if d == 1:
-        return [_line_median(p[:, 0], w) for p, w in zip(points, weights)]
+        return [_line_median(p[:, 0], m) for p in points]
     if mode == "exact":
         if d != 2:
             raise ValueError(f"exact mode requires dim <= 2, got dim = {d}")
-        return [_planar_median(p, w) for p, w in zip(points, weights)]
+        return [_planar_median(p, m) for p in points]
     out = []
-    for p, w, (endpoints, evals) in zip(points, weights,
-                                        _multistart_endpoints(points, weights, starts, iters, seed)):
-        (dep, x), = _finals(p, w, endpoints, 1)
+    for p, (endpoints, evals) in zip(points, _multistart_endpoints(points, m, starts, iters, seed)):
+        (dep, x), = _finals(p, m, endpoints, 1)
         out.append(MedianResult(x, float(dep), evals + 1))
     return out
 
 
-def _line_median(x: np.ndarray, w: np.ndarray) -> MedianResult:
-    """Exact median on a line: a distinct value's depth is the lesser of the
-    units at or below it and at or above it; the smallest deepest wins."""
+def _line_median(x: np.ndarray, m: DiscreteMeasure) -> MedianResult:
+    """Exact median on a line x, the image of the points of m: a distinct
+    value's depth is the lesser of m's units at or below it and at or above
+    it; the smallest deepest wins."""
     vals, which = np.unique(x, return_inverse=True)
-    units, scale = _units(w)
-    per = np.bincount(which, weights=units, minlength=vals.size)
+    per = np.bincount(which, weights=m.units, minlength=vals.size)
     below = np.cumsum(per)
-    depth = np.minimum(below, below[-1] - below + per) / scale
+    depth = np.minimum(below, below[-1] - below + per) / m.scale
     j = int(np.argmax(depth))
     return MedianResult(vals[j : j + 1], float(depth[j]), vals.size)
 
 
-def _level(y: np.ndarray, units: np.ndarray, scale: float, depth: float, cuts: np.ndarray):
+def _level(y: np.ndarray, m: DiscreteMeasure, depth: float, cuts: np.ndarray):
     """t(v) for each unit row v of cuts (C, 2), the largest t with more than
-    ``depth`` mass (exact unit counts) in {<v, y> >= t}, and the point of y
-    holding it.  Products here and in ``_planar_median`` are elementwise, so
-    BLAS moves no bit."""
+    ``depth`` mass (exact counts of m's units) in {<v, y> >= t}, y an image
+    of the points of m, and the point of y holding it.  Products here and
+    in ``_planar_median`` are elementwise, so BLAS moves no bit."""
     proj = cuts[:, None, 0] * y[:, 0] + cuts[:, None, 1] * y[:, 1]
     order = np.argsort(-proj, axis=1)
-    hold = order[np.arange(len(cuts)), np.argmax(np.cumsum(units[order], axis=1) / scale > depth, axis=1)]
+    hold = order[np.arange(len(cuts)), np.argmax(np.cumsum(m.units[order], axis=1) / m.scale > depth, axis=1)]
     return proj[np.arange(len(cuts)), hold], hold
 
 
-def _planar_median(pts: np.ndarray, w: np.ndarray) -> MedianResult:
+def _planar_median(pts: np.ndarray, m: DiscreteMeasure) -> MedianResult:
     """Exact planar median by lazy depth-region cuts (after Rousseeuw & Ruts,
     "Constructing the bivariate Tukey median", 1998): the depth at z is above
     k if and only if <v, z> <= t(v) for every unit v (``_level``), and t is
@@ -193,14 +192,13 @@ def _planar_median(pts: np.ndarray, w: np.ndarray) -> MedianResult:
     holding t(u): both become cuts.  Cuts compare as exact rows, so they are
     finitely many; the loop stops at no vertex, no new cut or no level left.
     """
-    units, scale = _units(w)
-    centre = (w[:, None] * pts).sum(axis=0)
+    centre = (m.weights[:, None] * pts).sum(axis=0)
     y = pts - centre
     span = float(np.abs(y).max()) or 1.0
-    (depth,), _ = exact_depth_values_2d(pts[None], w[None], [0], centre[None])
+    (depth,), _ = exact_depth_values_2d(pts[None], m, [0], centre[None])
     x, evals, cuts = centre, 1, _AXES
     while depth < 1.0:
-        t, _ = _level(y, units, scale, depth, cuts)
+        t, _ = _level(y, m, depth, cuts)
         a, b = np.triu_indices(len(cuts), k=1)
         det = cuts[a, 0] * cuts[b, 1] - cuts[a, 1] * cuts[b, 0]
         keep = np.abs(det) > 1e-12
@@ -213,14 +211,14 @@ def _planar_median(pts: np.ndarray, w: np.ndarray) -> MedianResult:
             break
         near = np.array([((y - v) ** 2).sum(axis=1) for v in z]).min(axis=0) <= (1e-6 * span) ** 2
         q = np.vstack([z + centre, z.mean(axis=0) + centre, pts[near]])
-        vals, dirs = exact_depth_values_2d(pts[None], w[None], np.zeros(len(q), dtype=int), q)
+        vals, dirs = exact_depth_values_2d(pts[None], m, np.zeros(len(q), dtype=int), q)
         evals += len(q)
         j = int(np.argmax(vals))
         if vals[j] > depth:
             x, depth = q[j], vals[j]
             continue
         u = dirs[len(z)]
-        _, (h,) = _level(y, units, scale, depth, u[None])
+        _, (h,) = _level(y, m, depth, u[None])
         # of the axes and both normals of each y_i - y_h != 0, the nearest on either side of u
         d = y[(y != y[h]).any(axis=1)] - y[h]
         nrm = np.column_stack([-d[:, 1], d[:, 0]]) / np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[:, None]
@@ -233,33 +231,32 @@ def _planar_median(pts: np.ndarray, w: np.ndarray) -> MedianResult:
     return MedianResult(x.copy(), float(depth), evals)
 
 
-def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: int, seed: int) -> list:
-    """Witness-descent ascent from the seeded starts of every measure
-    (pts[k], w[k]) of the stacks pts (M, n, d) and w (M, n).
+def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iters: int, seed: int) -> list:
+    """Witness-descent ascent from the seeded starts of every image pts[k]
+    (pts (M, n, d)) of the points of m, weighted as m.
 
     All starts step in lockstep: each iteration evaluates the full step of
     every active start in one batch, then the quarter step of those that did
     not improve; a start that moves neither way halves its step and stops
-    below 1e-4 of its measure's scale.  Per measure: its endpoints (cheap
+    below 1e-4 of its image's scale.  Per image: its endpoints (cheap
     depth, point) sorted by the cheap depth, best first (stable in start
     order), and its number of evaluations.
 
     A step is swept only if no remembered direction shows that it cannot
     improve: each start keeps its last _RING witnesses, and where
     ``_cheap_depths`` allows, the current witnesses of the other starts of
-    its measure count too.  A direction's closed mass at the step, with one
+    its image count too.  A direction's closed mass at the step, with one
     slack for the step (``depth.closed_mass_bounds``, one affine test per
     direction), bounds the step's depth from above.  The bound and the
-    depths are exact counts of mass units over the same scale
-    (``depth._units``), so for every measure a bound at most the start's
-    depth proves that the step would fail ``d_new > d_cur``.  Such a step
-    is dropped unswept (the evaluator is not called when a batch sweeps no
-    row) and the start stays as it is.
-    It still counts as an evaluation, so the counts, endpoints and depths
+    depths are exact counts of m's mass units over its scale, so a bound
+    at most the start's depth proves that the step would fail ``d_new >
+    d_cur``.  Such a step is dropped unswept (the evaluator is not called
+    when a batch sweeps no row) and the start stays as it is.  It still
+    counts as an evaluation, so the counts, endpoints and depths
     are those of sweeping every step.
     """
     M, _, d = pts.shape
-    x0 = _start_points(pts, w, starts, seed)
+    x0 = _start_points(pts, m, starts, seed)
     per = x0.shape[1]  # starts per measure
     x = x0.reshape(M * per, d)
     own, s_i = np.divmod(np.arange(M * per), per)
@@ -267,7 +264,7 @@ def _multistart_endpoints(pts: np.ndarray, w: np.ndarray, starts: int, iters: in
     scale = np.sqrt(np.multiply(dev, dev, out=dev).sum(axis=2)).mean(axis=1)
     scale = np.where(scale == 0.0, 1.0, scale)[own]
     del dev
-    evaluate, bound = _cheap_depths(pts, w, own, seed + 7 * s_i)
+    evaluate, bound = _cheap_depths(pts, m, own, seed + 7 * s_i)
     d_cur, wit = evaluate(np.arange(len(x)), x)
     evals = np.ones(len(x), dtype=int)
     ring = np.repeat(wit[:, None, :], _RING, axis=1)  # slot: evaluation count mod _RING
@@ -315,8 +312,8 @@ def balanced_median(
     which keeps the surrounding set of minimizing normals spread out (the
     single point of ``tukey_median`` may sit at a corner instead).
     """
-    endpoints, evals = _multistart_endpoints(m.points[None], m.weights[None], starts, iters, seed)[0]
-    scored = _finals(m.points, m.weights, endpoints, 6 if m.dim <= 2 else 3)
+    endpoints, evals = _multistart_endpoints(m.points[None], m, starts, iters, seed)[0]
+    scored = _finals(m.points, m, endpoints, 6 if m.dim <= 2 else 3)
     evals += len(scored)
     best = max(s for s, _ in scored)
     ties = [x for s, x in scored if s >= best - 1e-9]
@@ -373,11 +370,10 @@ def min_normal_set(
     # closed mass of H(n) = {x : <n, x - o> <= 0} for every candidate normal,
     # an exact count of mass units over the scale, as the level is
     p = m.points - o
-    units, scale = _units(m.weights)
     masses = np.empty(cand.shape[0])
     for blk in _row_blocks(cand.shape[0], m.n):
-        masses[blk] = ((cand[blk] @ p.T) <= DEFAULT_TOL) @ units
-    sel = masses / scale <= res.depth + tol
+        masses[blk] = ((cand[blk] @ p.T) <= DEFAULT_TOL) @ m.units
+    sel = masses / m.scale <= res.depth + tol
     return NormalSet(cand[sel], float(res.depth))
 
 
@@ -461,7 +457,6 @@ def _center_in_normal_set(chosen, all_normals, m, o, level, tol):
     nearby rotation of the tuple then stays minimizing).  A centered normal
     is kept only if its half-space mass still qualifies."""
     pts = m.points - o
-    units, scale = _units(m.weights)
     out = chosen.copy()
     for i, n in enumerate(chosen):
         near = all_normals[all_normals @ n >= np.cos(_CENTER_RADIUS)]
@@ -472,6 +467,6 @@ def _center_in_normal_set(chosen, all_normals, m, o, level, tol):
         if nc < 1e-9:
             continue
         c /= nc
-        if float(units[pts @ c <= DEFAULT_TOL].sum()) / scale <= level + tol:
+        if float(m.units[pts @ c <= DEFAULT_TOL].sum()) / m.scale <= level + tol:
             out[i] = c
     return out

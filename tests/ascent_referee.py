@@ -4,7 +4,7 @@ floor in 16,384-row net chunks, the one-direction projection and the
 sequential multistart ascent that the package used before the ascents of
 all starts and directions were batched.  Masses count mass units built here
 with exact rationals (``mass_units``), by the rule the package states for
-``depth._units``, and divide by their sum once at the end.
+``DiscreteMeasure.units``, and divide by their sum once at the end.
 
 ``_sweep`` is the full-turn sweep: it sorts every row's angles stably,
 reduces its 2m breakpoints with ``np.mod`` and finds the prefix sums at

@@ -16,7 +16,7 @@ from depthlab.depth import (
     sampled_depth_values,
 )
 from depthlab.geometry import DEFAULT_TOL, sample_directions
-from depthlab.measures import generate_measure, make_measure
+from depthlab.measures import DiscreteMeasure, generate_measure, make_measure
 from depthlab.median import balanced_median, tukey_median
 from depthlab.suites import _rado_spec, line_search_suite_specs
 
@@ -68,8 +68,8 @@ def _probe_directions(rng, p):
 
 def _bounds(m, q, u):
     """closed_mass_bounds of the query q under each direction u[i] alone."""
-    return closed_mass_bounds([m.points], [m.weights])(np.zeros(len(u), dtype=int),
-                                                       np.tile(q, (len(u), 1)), u[:, None, :])
+    return closed_mass_bounds(m.points[None], m)(np.zeros(len(u), dtype=int), np.tile(q, (len(u), 1)),
+                                                 u[:, None, :])
 
 
 def test_planar_depth_never_exceeds_closed_mass_bound():
@@ -80,7 +80,7 @@ def test_planar_depth_never_exceeds_closed_mass_bound():
         # at most its depth, weighted or not
         for m in (weighted, make_measure(weighted.points)):
             for q in np.asarray(queries, dtype=float):
-                val = exact_depth_values_2d([m.points], [m.weights], [0], q[None])[0][0]
+                val = exact_depth_values_2d(m.points[None], m, [0], q[None])[0][0]
                 b = _bounds(m, q, _probe_directions(rng, m.points - q))
                 assert np.all(val <= b), (m.points, q, val, b.min())
                 checked += len(b)
@@ -94,7 +94,7 @@ def test_bound_slack_covers_skipped_slivers():
     gap = 3e-9
     pts = np.array([[1.0, 0.0], [np.cos(np.pi + gap), np.sin(np.pi + gap)]])
     m = make_measure(pts)
-    val = exact_depth_values_2d([m.points], [m.weights], [0], np.zeros((1, 2)))[0][0]
+    val = exact_depth_values_2d(m.points[None], m, [0], np.zeros((1, 2)))[0][0]
     mid = 0.5 * np.pi + 0.5 * gap
     u = np.array([[np.cos(mid), np.sin(mid)]])
     assert val == 0.5
@@ -111,20 +111,22 @@ def test_sampled_depth_never_exceeds_bound_at_own_directions(d):
         pts[:10] = pts[10] + np.arange(-5, 5)[:, None] * rng.integers(-1, 2, d)  # a collinear run
         for m in (make_measure(pts, rng.random(60) ** 3 + 1e-3), make_measure(pts)):
             for q in (pts[10], pts[0] + 4e-10, np.zeros(d), rng.standard_normal(d)):
-                val = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])[0][0]
+                val = sampled_depth_values(m.points[None], m, [0], q[None], u[None])[0][0]
                 assert np.all(val <= _bounds(m, q, u))
 
 
-def _slack_rule(points, weights, which, q, u):
+def _slack_rule(points, w, which, q, u):
     """The bound's rule, one row at a time: the least mass, over the row's
     directions u, of the points p with <u, p - q> >= -s, for the row's one
     slack s = max(3 (n + 1) tol reach, 2 tol) + 1e-14 (|c|_1 + |h|_1 +
-    |q|_1), c and h being the centre and half-widths of the measure's
-    bounding box and reach = |h| + |q - c|."""
+    |q|_1), c and h being the centre and half-widths of the image's
+    bounding box and reach = |h| + |q - c|; every image weighs its points
+    by w."""
     n = points.shape[1]
+    units, scale = ref.mass_units(w)
     out = []
     for r, k in enumerate(which):
-        pts, (units, scale) = points[k], ref.mass_units(weights[k])
+        pts = points[k]
         low, high = pts.min(axis=0), pts.max(axis=0)
         c, h = (low + high) / 2, (high - low) / 2
         reach = np.linalg.norm(h) + np.linalg.norm(q[r] - c)
@@ -134,14 +136,15 @@ def _slack_rule(points, weights, which, q, u):
     return np.array(out)
 
 
-def _per_point_rule(points, weights, which, q, u):
+def _per_point_rule(points, w, which, q, u):
     """The bound's earlier rule, kept as a reference: the least mass, over
     the row's directions u, of the points p within 2 tol of q or with
     <u, (p - q) / |p - q|> >= -3 (n + 1) tol."""
     eta = 3.0 * (points.shape[1] + 1) * DEFAULT_TOL
+    units, scale = ref.mass_units(w)
     out = []
     for r, k in enumerate(which):
-        p, (units, scale) = points[k] - q[r], ref.mass_units(weights[k])
+        p = points[k] - q[r]
         norms = np.linalg.norm(p, axis=1)
         norms[norms <= 2.0 * DEFAULT_TOL] = np.inf  # at the query: counted under every direction
         out.append(((u[r] @ (p / norms[:, None]).T >= -eta) @ units).min() / scale)
@@ -155,14 +158,13 @@ def test_closed_mass_bounds_across_blocks():
         pts = rng.standard_normal((3, 300, d))
         weighted = rng.random((3, 300)) ** 2
         weighted /= weighted.sum(axis=1, keepdims=True)
-        mixed = weighted.copy()
-        mixed[1] = 1.0 / 300
         which = rng.integers(0, 3, 40)
         q = rng.standard_normal((40, d))
         q[::5] = pts[which[::5], 7]  # queries on data points
         u = _unit(rng.standard_normal((40, 30, d)))
-        for w in (weighted, np.full((3, 300), 1.0 / 300), mixed):
-            got = closed_mass_bounds(pts, w)(which, q, u)
+        # one stack per weighting: three random ones and the uniform one
+        for w in (*weighted, np.full(300, 1.0 / 300)):
+            got = closed_mass_bounds(pts, DiscreteMeasure(d, pts[0], w))(which, q, u)
             # every row is an exact count of mass units, in any order
             assert np.array_equal(got, _slack_rule(pts, w, which, q, u))
             assert np.all(got >= _per_point_rule(pts, w, which, q, u))
@@ -179,7 +181,7 @@ def test_bound_holds_far_from_the_origin(offset):
         for m in (weighted, make_measure(weighted.points)):
             m = make_measure(m.points + shift, m.weights)
             for q in np.asarray(queries, dtype=float) + shift:
-                val = exact_depth_values_2d([m.points], [m.weights], [0], q[None])[0][0]
+                val = exact_depth_values_2d(m.points[None], m, [0], q[None])[0][0]
                 b = _bounds(m, q, _probe_directions(rng, m.points - q))
                 assert np.all(val <= b), (m.points, q, val, b.min())
     for d in (3, 4):
@@ -192,7 +194,7 @@ def test_bound_holds_far_from_the_origin(offset):
             pts += shift
             for m in (make_measure(pts, rng.random(60) ** 3 + 1e-3), make_measure(pts)):
                 for q in (pts[10], pts[0], pts[25], shift + rng.standard_normal(d)):  # three on data points
-                    val = sampled_depth_values([m.points], [m.weights], [0], q[None], u[None])[0][0]
+                    val = sampled_depth_values(m.points[None], m, [0], q[None], u[None])[0][0]
                     assert np.all(val <= _bounds(m, q, u))
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from depthlab.geometry import cone_contains_many, hull_interior_margin
-from depthlab.measures import MeasureSpec, cone_mass, generate_measure, make_measure
+import ascent_referee as ref
+from depthlab.geometry import DEFAULT_TOL, HalfSpace, cone_contains_many, hull_interior_margin
+from depthlab.measures import MeasureSpec, cone_mass, generate_measure, halfspace_mass, make_measure
 from depthlab.median import recenter, witness_tuple
 from depthlab.cones import (
     GeneratingTuple,
@@ -259,3 +260,30 @@ def test_family_limit_closure(mixture_with_witness):
     limit = match_tuples(mc, tup, tup, eps=eps).permutation
     for p in perms:
         assert np.array_equal(p, limit)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cone_layer_masses_are_exact_unit_counts(mixture_with_witness, weighted):
+    # every mass of the cone layer is a count of the measure's mass units
+    # (built with exact rationals) over their sum, one rounding in all: a
+    # sum of raw weights misses that value in the last bits for most masks
+    mc, tup = mixture_with_witness
+    rng = np.random.default_rng(7)
+    if weighted:  # within the level gap, so the tuples still match
+        bump = rng.random(mc.n)
+        mc = make_measure(mc.points, mc.weights * 0.99 + 0.01 * bump / bump.sum())
+    units, scale = ref.mass_units(mc.weights)
+
+    def count(mask):
+        return sum(int(u) for u in units[mask]) / scale
+
+    halves = tup.halves + [HalfSpace(u, o) for u, o in zip(rng.standard_normal((200, 2)), rng.normal(0, 0.3, 200))]
+    for h in halves:
+        assert halfspace_mass(mc, h) == count(mc.points @ h.normal - h.offset <= DEFAULT_TOL)
+    assert tuple_weight(mc, tup) == 1.0 - min(halfspace_mass(mc, h) for h in tup.halves)
+    inside = [cone_contains_many(b, mc.points) for b in cones_of(tup).cones]
+    assert [cone_mass(mc, b) for b in cones_of(tup).cones] == [count(c) for c in inside]
+    t2 = tup.rotated(_small_rotation(2, np.deg2rad(3), 42))
+    inside2 = [cone_contains_many(b, mc.points) for b in cones_of(t2).cones]
+    rep = match_tuples(mc, tup, t2, eps=epsilon_match_max(2))
+    assert rep.intersection_masses.tolist() == [[count(a & b) for b in inside2] for a in inside]

@@ -200,6 +200,21 @@ def test_flat_depth_far_from_hull():
     assert flat_depth(m, f).depth == 0.0
 
 
+def test_flat_depth_takes_sampled_where_exact_is_not_affordable(monkeypatch):
+    # a line in R^5 projects to R^4, where n = 200 is above the exact
+    # kernel's affordable size; at n = 60 the line's depth stays exact
+    def refused(*args):
+        raise AssertionError("exact kernel called")
+
+    rng = np.random.default_rng(3)
+    m = make_measure(rng.standard_normal((200, 5)))
+    monkeypatch.setattr(depthlab.depth, "_exact_depth", refused)
+    r = flat_depth(m, line(np.eye(5)[0]))
+    assert r.mode == "sampled" and 0.0 < r.depth <= 0.5
+    monkeypatch.undo()
+    assert flat_depth(make_measure(rng.standard_normal((60, 5))), line(np.eye(5)[0])).mode == "exact"
+
+
 def test_direction_profile_point_mass():
     m = make_measure(np.tile([[1.0, 2.0, 3.0]], (5, 1)))
     a, _ = direction_profile(m, [0, 0, 1])
@@ -338,7 +353,7 @@ def test_line_search_takes_one_exact_planar_median(n, monkeypatch):
     # final profile takes the exact planar median
     calls = []
     real = depthlab.median._planar_median
-    monkeypatch.setattr(depthlab.median, "_planar_median", lambda p, w: calls.append(len(p)) or real(p, w))
+    monkeypatch.setattr(depthlab.median, "_planar_median", lambda p, m: calls.append(len(p)) or real(p, m))
     m = generate_measure(MeasureSpec("gaussian", 3, n, {}, seed=4))
     r = deep_line_search(m, grid_count=16, refine_iters=1, seed=4)
     assert calls == [n]
@@ -404,7 +419,7 @@ def test_uniform_exact_depth_is_a_count(inst):
     m = make_measure(pts)
     count = round(depth_oracle(m, q).depth * m.n)
     if m.dim == 2:
-        vals, _ = exact_depth_values_2d([m.points], [m.weights], [0], q[None])
+        vals, _ = exact_depth_values_2d(m.points[None], m, [0], q[None])
         assert vals[0] * m.n == count and vals[0] == count / m.n
     r = point_depth(m, q)
     assert r.depth * m.n == count and r.depth == count / m.n

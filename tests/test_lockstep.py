@@ -23,7 +23,7 @@ from depthlab.depth import (
     point_depth,
 )
 from depthlab.geometry import canonical_direction, line, sample_directions
-from depthlab.measures import MeasureSpec, generate_measure, make_measure, project_measure
+from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure, project_measure
 from depthlab.median import _start_points, balanced_median, tukey_median, tukey_medians
 from depthlab.suites import line_search_suite_specs
 
@@ -52,26 +52,28 @@ def _planar_cases():
 
 
 def test_batched_planar_depth_matches_single_query_bits():
-    # each case with its own weights and with uniform ones
+    # one stack per weighting: each case's points and their mirror image,
+    # with its own weights and with uniform ones, each query asked of both
     cases = _planar_cases()
     cases += [(name + "_uniform", make_measure(m.points), qs) for name, m, qs in cases]
-    pts = [m.points for _, m, _ in cases]
-    w = [m.weights for _, m, _ in cases]
-    which = np.array([k for k, (_, _, qs) in enumerate(cases) for _ in qs])
-    q = np.array([qi for _, _, qs in cases for qi in qs], dtype=float)
-    vals, dirs = exact_depth_values_2d(pts, w, which, q)
-    for r, (k, qi) in enumerate(zip(which, q)):
-        name, m, _ = cases[k]
-        val, u = ref.exact_depth_value_2d(m, qi)
-        assert vals[r] == val and np.array_equal(dirs[r], u), (name, r)
-    assert vals[which == 3][0] == 1.0  # every point at the query
+    flip = np.array([-1.0, 1.0])
+    for name, m, qs in cases:
+        images = np.stack([m.points, m.points * flip])
+        which = np.arange(2 * len(qs)) % 2
+        q = np.repeat(np.asarray(qs, dtype=float), 2, axis=0) * np.where(which[:, None] == 1, flip, 1.0)
+        vals, dirs = exact_depth_values_2d(images, m, which, q)
+        for r, (k, qi) in enumerate(zip(which, q)):
+            val, u = ref.exact_depth_value_2d(DiscreteMeasure(2, images[k], m.weights), qi)
+            assert vals[r] == val and np.array_equal(dirs[r], u), (name, r)
+        if name.startswith("all_at_query"):
+            assert (vals == 1.0).all()  # every point at the query
 
 
 def test_batched_planar_depth_across_blocks():
     m = generate_measure(MeasureSpec("gaussian", 2, 300, {}, seed=4))
     q = np.vstack([m.points[:60], np.random.default_rng(1).standard_normal((60, 2))])
     assert len(q) * m.n > 2 * _CHUNK
-    vals, dirs = exact_depth_values_2d([m.points], [m.weights], np.zeros(len(q), dtype=int), q)
+    vals, dirs = exact_depth_values_2d(m.points[None], m, np.zeros(len(q), dtype=int), q)
     for r, qi in enumerate(q):
         val, u = ref.exact_depth_value_2d(m, qi)
         assert vals[r] == val and np.array_equal(dirs[r], u)
@@ -197,7 +199,7 @@ def _tied_batches() -> list:
             p = rng.integers(-3, 4, (r, m, 2)).astype(float)
             p[(p == 0.0).all(axis=-1)] = [1.0, 0.0]
         w = (np.ones((r, m)), rng.integers(0, 4, (r, m)).astype(float),
-             depthlab.depth._units(rng.dirichlet(np.ones(m), r))[0])[t % 3]
+             np.stack([ref.mass_units(x)[0] for x in rng.dirichlet(np.ones(m), r)]))[t % 3]
         if t % 2:
             fill = rng.random((r, m)) < 0.3
             p = np.where(fill[..., None], p[:, -1:], p)
@@ -243,22 +245,23 @@ def test_medians_of_projections_match_one_at_a_time():
     m = generate_measure(MeasureSpec("gaussian", 4, 150, {"scales": [1.0, 0.8, 0.5, 0.3]}, seed=3))
     projs = [project_measure(m, line(u)) for u in sample_directions(4, 4, seed=1)]
     stack = np.stack([p.points for p in projs])
-    for r, p in zip(tukey_medians(stack, m.weights, starts=5, iters=10, seed=4), projs):
+    for r, p in zip(tukey_medians(stack, m, starts=5, iters=10, seed=4), projs):
         assert _same(r, ref.tukey_median(p, starts=5, iters=10, seed=4))
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_medians_of_differently_weighted_measures_match_one_at_a_time(d):
-    # two measures share their points and differ only in their weights
+    # one stack per weighting: the same three point sets under four random
+    # weightings and the uniform one, each stack stepping in lockstep
     rng = np.random.default_rng(d)
-    pts = [rng.standard_normal((60, d)) for _ in range(3)]
-    ms = [make_measure(p, rng.random(60) ** 2) for p in (pts[0], pts[0], pts[1], pts[2])]
-    ms.append(make_measure(pts[1]))
-    got = tukey_medians(np.stack([m.points for m in ms]), np.stack([m.weights for m in ms]),
-                        mode="multistart", starts=5, iters=10, seed=3)
-    for r, m in zip(got, ms):
-        assert _same(r, tukey_median(m, mode="multistart", starts=5, iters=10, seed=3))
-        assert _same(r, ref.tukey_median(m, starts=5, iters=10, seed=3))
+    pts = np.stack([rng.standard_normal((60, d)) for _ in range(3)])
+    for w in [rng.random(60) ** 2 for _ in range(4)] + [None]:
+        base = make_measure(pts[0], w)
+        got = tukey_medians(pts, base, mode="multistart", starts=5, iters=10, seed=3)
+        for r, p in zip(got, pts):
+            m = DiscreteMeasure(d, p, base.weights)
+            assert _same(r, tukey_median(m, mode="multistart", starts=5, iters=10, seed=3))
+            assert _same(r, ref.tukey_median(m, starts=5, iters=10, seed=3))
 
 
 def _profile_directions():
@@ -276,22 +279,21 @@ def test_batched_projections_match_one_direction_at_a_time(monkeypatch):
     # measure's own starts
     stacks = []
 
-    def captured(points, weights, *args, **kwargs):
-        stacks.append((points, weights))
-        return tukey_medians(points, weights, *args, **kwargs)
+    def captured(points, measure, *args, **kwargs):
+        stacks.append((points, measure))
+        return tukey_medians(points, measure, *args, **kwargs)
 
     monkeypatch.setattr(depthlab.median, "tukey_medians", captured)
     m = generate_measure(MeasureSpec("simplex_mixture", 3, 160, {"sigma": 0.2}, seed=5))
     dirs = _profile_directions()
     direction_profiles(m, dirs, {"mode": "multistart", "starts": 2, "iters": 1, "seed": 0})
-    (pts, w), = stacks
-    assert pts.shape == (len(dirs), m.n, 2)
-    for u, p, wk in zip(dirs, pts, np.broadcast_to(w, pts.shape[:2])):
+    (pts, measure), = stacks
+    assert pts.shape == (len(dirs), m.n, 2) and measure is m
+    for u, p in zip(dirs, pts):
         proj = project_measure(m, line(u))
         assert p.tobytes() == proj.points.tobytes() == ref.project_line(m, u).points.tobytes()
-        assert wk.tobytes() == m.weights.tobytes()
     for starts in (1, 2, 4, 10, 24):
-        x0 = _start_points(pts, np.broadcast_to(w, pts.shape[:2]), starts, 7)
+        x0 = _start_points(pts, m, starts, 7)
         for u, xs in zip(dirs, x0):
             want = ref._start_points(ref.project_line(m, u), starts, 7)
             assert xs.tobytes() == np.array(want).tobytes(), (u, starts)
@@ -444,9 +446,9 @@ for d, n in ((2, 241), (3, 151), (4, 397)):
     m = make_measure(m.points, rng.random(n) ** 2)
     q = np.vstack([m.weights @ m.points, m.points[3], np.full(d, 0.05)])
     u = np.stack([sample_directions(d, 1001, seed=s, mode="sphere") for s in range(3)])
-    vals, wits = sampled_depth_values(m.points[None], m.weights[None], [0, 0, 0], q, u)
+    vals, wits = sampled_depth_values(m.points[None], m, [0, 0, 0], q, u)
     print(vals.tobytes().hex(), wits.tobytes().hex())
-    print(closed_mass_bounds(m.points[None], m.weights[None])(np.zeros(3, dtype=int), q, u[:, :37]).tobytes().hex())
+    print(closed_mass_bounds(m.points[None], m)(np.zeros(3, dtype=int), q, u[:, :37]).tobytes().hex())
     if d == 3:
         print(min_normal_set(m, q[0]).normals.tobytes().hex())
         cones = [SimplicialCone(p, -np.eye(3)) for p in m.points[:6]]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import arrangement_referee
+import depthlab.median
 from depthlab.geometry import DEFAULT_TOL, HalfSpace, line, sample_directions
 from depthlab.measures import MeasureSpec, generate_measure, make_measure, halfspace_mass, project_measure
 from depthlab.depth import EXACT_MAX_N, certified_depth_floor, direction_profiles, exact_affordable, point_depth
@@ -103,30 +104,27 @@ def test_arrangement_median_matches_referee(m):
 
 
 def _assert_matches_referee(m, base):
-    # the depth of the referee's scan of base, a measure of the same depth
-    # on which the scan is exact: bit for bit if uniform; if weighted, at
-    # least it and within 1e-12 (integer units may leave a nominal tie one
-    # unit apart).  Never below the scan of m itself, and the exact point
-    # depth at the returned point agrees
+    # the depth of the referee's scan of m, and of base, a measure of the
+    # same depth: bit for bit if uniform; if weighted, at least it and
+    # within 1e-12 (integer units may leave a nominal tie one unit apart).
+    # The exact point depth at the returned point agrees
     got = tukey_median(m, mode="exact")
-    ref = arrangement_referee._arrangement_median(base).depth
-    if (m.weights == m.weights[0]).all():
-        assert got.depth == ref
-    else:
-        assert ref <= got.depth <= ref + 1e-12
-    if base is not m:
-        assert got.depth >= arrangement_referee._arrangement_median(m).depth
+    for b in (m,) if base is m else (m, base):
+        ref = arrangement_referee._arrangement_median(b).depth
+        if (m.weights == m.weights[0]).all():
+            assert got.depth == ref
+        else:
+            assert ref <= got.depth <= ref + 1e-12
     check = point_depth(m, got.point)
     assert check.depth == got.depth and check.mode == "exact"
 
 
 def _hard_measures():
     """(measure, base) pairs: grids scaled by 1e3 and shifted by 1e6 or
-    1e12, and grids scaled by 1e-6, each with its integer grid as the base
-    (at a shift of 1e12 the scan's own vertices lose about 1e-4 to
-    cancellation, enough to miss the deepest one); then all-collinear rows,
-    duplicated and heavy points, a 2^-60 weight, two points and a point
-    mass, each its own base."""
+    1e12, and grids scaled by 1e-6, each against the referee's scan of
+    itself (centred, so far from the origin too) and of its integer grid,
+    the base; then all-collinear rows, duplicated and heavy points, a 2^-60
+    weight, two points and a point mass, each its own base."""
     out = []
     for seed in (1, 4, 6, 9, 12):
         g = _grid_measure(seed)

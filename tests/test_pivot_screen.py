@@ -8,7 +8,7 @@ import pytest
 
 import depthlab.depth
 import pivot_referee as ref
-from depthlab.depth import _pivot_masses, _split_query, _units, point_depth
+from depthlab.depth import _pivot_masses, _split_query, point_depth
 from depthlab.geometry import DEFAULT_TOL
 from depthlab.measures import DiscreteMeasure, generate_measure, make_measure
 from depthlab.median import tukey_median
@@ -98,8 +98,7 @@ def battery() -> list:
 
 def _rows(m, q):
     """The unit rows and mass units that exact ``point_depth`` screens."""
-    units, _ = _units(m.weights)
-    P, w, _ = _split_query(m.points - q, units)
+    P, w, _ = _split_query(m.points - q, m.units)
     return (P / np.linalg.norm(P, axis=1)[:, None])[None], w[None]
 
 
@@ -115,6 +114,6 @@ def test_exact_d3_depth_matches_referee_path(battery, monkeypatch):
     got = [point_depth(m, q, mode="exact") for _, m, q in battery]
     monkeypatch.setattr(depthlab.depth, "_pivot_masses", ref.pivot_masses)
     for (name, m, q), r in zip(battery, got):
-        want = depthlab.depth._exact_depth(m.points - q, m.weights)
+        want = depthlab.depth._exact_depth(m.points - q, m)
         assert r.depth == want.depth and r.mode == want.mode, name
         assert r.witness.tobytes() == want.witness.tobytes(), name

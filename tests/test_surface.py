@@ -24,6 +24,11 @@ PACKAGE = ROOT / "src" / "depthlab"
 ALLOWED = {"flat_depth"}
 # parameters kept unread: the benchmark passes ray_samples (ROADMAP item 8)
 UNREAD_ALLOWED = {"central.containment_check.ray_samples"}
+# the functions outside measures.py that read a measure's raw weights, none
+# of them for a mass: the exact memo's key, the oracle (a referee on the
+# raw weights), a weighted draw, weighted means and a projection's measure
+WEIGHT_READERS = {"depth.point_depth", "depth.depth_oracle", "depth._subsampled", "median._finals",
+                  "median._start_points", "median._planar_median"}
 
 
 def _mentions(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -87,6 +92,22 @@ def test_every_parameter_is_read():
                 if arg.arg not in read and name not in UNREAD_ALLOWED:
                     unread.append(name)
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_masses_come_from_units():
+    # every mass is a sum of the measure's units over its scale
+    # (``DiscreteMeasure``): a top-level function or class outside
+    # measures.py that reads ``.weights`` is a named non-mass use, so a
+    # mass summed from raw weights cannot come back unnoticed
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "measures.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(n, ast.Attribute) and n.attr == "weights" for n in ast.walk(node)):
+                readers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert readers == WEIGHT_READERS, f"raw weights read by {sorted(readers - WEIGHT_READERS)}; " \
+        f"listed but unread: {sorted(WEIGHT_READERS - readers)}"
 
 
 def _benchmark_module(name: str):
