@@ -169,7 +169,8 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
             raise ConfigError(f"config.query: must be a list of {m.dim} numbers, got {q!r}")
         mode = _choice_field(cfg.raw, "mode", "exact", ("exact", "sampled"))
         res = point_depth(m, q, mode=mode, sample_count=_int_field(cfg.raw, "sample_count", 512, 1), seed=cfg.seed)
-        return [_result_row("depth", res.depth, cfg, m.dim, m.n)]
+        return [_result_row("depth", res.depth, cfg, m.dim, m.n),
+                _result_row("depth_upper", res.upper, cfg, m.dim, m.n, use_expected=False)]
     if cmd == "median":
         m = cfg.measure()
         budget = cfg.raw.get("budget", {})

@@ -7,7 +7,8 @@ minimum sits in a cell of the great-circle arrangement of the points p_i =
 x_i - q, so depth is the minimum over i of the mass antiparallel to p_i plus
 the depth of the other points projected onto p_i^perp, recursing down to an
 exact O(n log n) planar sweep over a half-turn; cost O(n^(d-1) log n).
-``exact_affordable`` says where callers that pick a depth evaluator use it.
+Every depth is a certified bracket (``DepthResult``), and ``depth_bracket``
+is the one rule that picks an evaluator for it.
 
 Every evaluator sums the measure's integer mass units and divides by its
 scale once (``DiscreteMeasure``, the one mass rule for every measure), so a
@@ -57,13 +58,25 @@ _memo_lock = threading.Lock()
 
 @dataclass(frozen=True, eq=False)
 class DepthResult:
-    depth: float
+    """A bracket [lower, upper] on the depth of a point: ``lower`` (read as
+    ``depth``) never exceeds the true depth, ``upper`` is the closed mass of
+    the half-space of ``witness``; exact when the two are equal."""
+
+    lower: float
+    upper: float
     witness: np.ndarray
-    mode: str
 
     def __post_init__(self):
-        if not (-1e-12 <= self.depth <= 1 + 1e-12):
-            raise ValueError(f"depth {self.depth} outside [0, 1]")
+        if not (-1e-12 <= self.lower <= self.upper <= 1 + 1e-12):
+            raise ValueError(f"depth bracket [{self.lower}, {self.upper}] not in [0, 1]")
+
+    @property
+    def depth(self) -> float:
+        return self.lower
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.lower == self.upper else "bracket"
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +85,6 @@ class LineSearchResult:
     anchor: np.ndarray
     depth: float
     iterations: int
-
-
-def exact_affordable(m: DiscreteMeasure) -> bool:
-    """Whether exact depth of m is cheap enough for the median search and
-    the minimizing-normal level: in dim <= 3 up to n = ``EXACT_MAX_N``, the
-    exact mode's own limit, in dim 4 up to n = 120, never above."""
-    return m.n <= EXACT_MAX_N and (m.dim <= 3 or (m.dim == 4 and m.n <= _EXACT4_MAX_N))
 
 
 def line_depth_thresholds(dim: int) -> dict:
@@ -268,8 +274,8 @@ def _split_query(p: np.ndarray, w: np.ndarray):
     return p[~at], w[~at], float(np.where(at, w, 0.0).sum())
 
 
-def exact_depth_value_2d(m: DiscreteMeasure, q):
-    """Exact planar depth value with an unresolved witness candidate.
+def exact_depth_value_2d(m: DiscreteMeasure, q) -> DepthResult:
+    """Exact planar depth [v, v] with an unresolved witness candidate.
 
     Same value as ``point_depth(..., mode="exact")``, with the direction of
     the first minimizing arc of the sweep instead of a checked witness, for
@@ -277,7 +283,7 @@ def exact_depth_value_2d(m: DiscreteMeasure, q):
     """
     q = np.asarray(q, dtype=float)[None]
     vals, dirs = exact_depth_values_2d(m.points[None], m, [0], q)
-    return float(vals[0]), dirs[0]
+    return DepthResult(float(vals[0]), float(vals[0]), dirs[0])
 
 
 def exact_depth_values_2d(points, m: DiscreteMeasure, which, q):
@@ -423,24 +429,24 @@ def point_depth(
     sample_count: int = 512,
     seed: int = 0,
 ) -> DepthResult:
-    """Half-space depth of a point.
+    """Half-space depth of a point, as a bracket (``DepthResult``).
 
     exact    project and sweep (see the module docstring), O(n^(d-1) log n);
-             limited to dim <= 4 and n <= 5000 (see ``certified_depth_floor``
-             for a fast conservative bound).  Reports the closed mass of the
-             witness direction, summed in mass units: an exact count
-             over the scale, whatever the order of the sums.
-             The mode is "exact-upper-bound" when that mass misses the
-             computed minimum.  The results of the last 16 queries are
-             kept (thread-safe, their witnesses read-only), keyed on the
+             limited to dim <= 4 and n <= 5000.  The upper end is the closed
+             mass of the witness direction, summed in mass units: an exact
+             count over the scale, whatever the order of the sums.  It is
+             the lower end too, unless it misses the computed minimum
+             (beyond general position): there the lower end is
+             ``certified_depth_floor``.  The results of the last 16 queries
+             are kept (thread-safe, their witnesses read-only), keyed on the
              bytes of (points - q) and the weights, so a repeated query
              returns the same result.
-    sampled  upper bound over ``sample_count`` seeded sphere directions; the
-             direction stream is prefix-stable in the count, so a larger
-             sample with the same seed can only lower the bound.  This is
-             the one-row case of ``sampled_depth_values``, whose cache-sized
-             blocks of directions give the bits of one product over all of
-             them.
+    sampled  [0, the least closed mass over ``sample_count`` seeded sphere
+             directions]; the direction stream is prefix-stable in the
+             count, so a larger sample with the same seed can only lower the
+             upper end.  This is the one-row case of
+             ``sampled_depth_values``, whose cache-sized blocks of
+             directions give the bits of one product over all of them.
     """
     q = as_vector(q)
     if q.size != m.dim:
@@ -455,7 +461,7 @@ def point_depth(
             if res is not None:
                 _memo.move_to_end(key)
                 return res
-        res = _exact_depth(p, m)
+        res = _exact_depth(p, m, q)
         res.witness.setflags(write=False)
         with _memo_lock:
             _memo[key] = res
@@ -465,16 +471,16 @@ def point_depth(
     if mode == "sampled":
         u = sample_directions(m.dim, sample_count, seed=seed, mode="sphere")
         vals, us = sampled_depth_values(m.points[None], m, [0], q[None], u[None])
-        return DepthResult(float(vals[0]), us[0], "sampled")
+        return DepthResult(0.0, float(vals[0]), us[0])
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _exact_depth(p: np.ndarray, m: DiscreteMeasure) -> DepthResult:
-    """The exact mode of ``point_depth`` for the points p = x - q of m,
+def _exact_depth(p: np.ndarray, m: DiscreteMeasure, q: np.ndarray) -> DepthResult:
+    """The exact mode of ``point_depth`` at q in m, for its points p = x - q,
     without the memo."""
     P, w, w0 = _split_query(p, m.units)
     if P.shape[0] == 0:
-        return DepthResult(1.0, np.eye(p.shape[1])[0], "exact")
+        return DepthResult(1.0, 1.0, np.eye(p.shape[1])[0])
     phat = P / np.linalg.norm(P, axis=1)[:, None]
     if p.shape[1] == 1:
         pos, neg = float(w[phat[:, 0] > 0].sum()), float(w[phat[:, 0] < 0].sum())
@@ -482,11 +488,25 @@ def _exact_depth(p: np.ndarray, m: DiscreteMeasure) -> DepthResult:
     else:
         vals, us = _min_halfspace_mass(phat[None], w[None], DEFAULT_TOL, DEFAULT_TOL)
         val, u = float(vals[0]), us[0]
-    depth = (w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())) / m.scale
+    upper = (w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())) / m.scale
     # beyond general position the minimum may be unattainable at the
-    # witness; its attained mass is then a certified upper bound
-    mode = "exact" if abs(depth - (w0 + val) / m.scale) <= 1e-9 else "exact-upper-bound"
-    return DepthResult(depth, u, mode)
+    # witness; its attained mass is then only an upper bound
+    lower = upper if abs(upper - (w0 + val) / m.scale) <= 1e-9 else certified_depth_floor(m, q)
+    return DepthResult(lower, upper, u)
+
+
+def depth_bracket(m: DiscreteMeasure, q, seed: int = 0, upper: DepthResult | None = None) -> DepthResult:
+    """The depth of q in m by the one rule that picks an evaluator: exact
+    (``point_depth``) in dim <= 3 up to n = ``EXACT_MAX_N`` and in dim 4 up
+    to n = 120; elsewhere from ``certified_depth_floor`` at gamma 0.1 (0
+    outside dim 2 to 4) to the sampled bound over 8,192 directions of
+    ``seed``, or to the upper end and witness of ``upper``, a caller's own
+    bracket at q."""
+    q = as_vector(q)
+    if m.n <= EXACT_MAX_N and (m.dim <= 3 or (m.dim == 4 and m.n <= _EXACT4_MAX_N)):
+        return point_depth(m, q)
+    upper = upper or point_depth(m, q, mode="sampled", sample_count=8192, seed=seed)
+    return DepthResult(certified_depth_floor(m, q) if 2 <= m.dim <= 4 else 0.0, upper.upper, upper.witness)
 
 
 def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
@@ -622,7 +642,7 @@ def _row_blocks(rows: int, n: int) -> list:
 
 
 def depth_oracle(m: DiscreteMeasure, q) -> DepthResult:
-    """Exhaustive ground-truth depth for tiny instances (n <= 14, dim <= 3).
+    """Exhaustive ground-truth depth [v, v] of tiny instances (n <= 14, dim <= 3).
 
     Enumerates hyperplane normals through q and <= d-1 points, composing each
     with one or two lexicographic perturbation levels so that every drop/keep
@@ -638,14 +658,14 @@ def depth_oracle(m: DiscreteMeasure, q) -> DepthResult:
     P, w, w0 = p[~at], m.weights[~at], float(m.weights[at].sum())
     n, d = P.shape
     if n == 0:
-        return DepthResult(1.0, np.eye(m.dim)[0], "oracle")
+        return DepthResult(1.0, 1.0, np.eye(m.dim)[0])
     scale = np.linalg.norm(P, axis=1)
 
     if d == 1:
         pos = float(w[P[:, 0] > 0].sum())
         neg = float(w[P[:, 0] < 0].sum())
         u = np.array([1.0]) if pos <= neg else np.array([-1.0])
-        return DepthResult(w0 + min(pos, neg), u, "oracle")
+        return DepthResult(w0 + min(pos, neg), w0 + min(pos, neg), u)
 
     basis = np.eye(d)
     if d == 2:
@@ -663,7 +683,7 @@ def depth_oracle(m: DiscreteMeasure, q) -> DepthResult:
         i0, iw = np.unravel_index(int(np.argmin(vals)), vals.shape)
         best = float(vals[i0, iw])
         witness = _oracle_witness(P, w, best, u0s[i0], wfam[iw], None)
-        return DepthResult(w0 + best, witness, "oracle")
+        return DepthResult(w0 + best, w0 + best, witness)
 
     # d == 3
     aug = np.vstack([P, basis])
@@ -702,7 +722,7 @@ def depth_oracle(m: DiscreteMeasure, q) -> DepthResult:
             best_combo = (u0.copy(), wf[jw].copy(), vfam[jv].copy())
     u0, wv, vv = best_combo
     witness = _oracle_witness(P, w, best, u0, wv, vv)
-    return DepthResult(w0 + best, witness, "oracle")
+    return DepthResult(w0 + best, w0 + best, witness)
 
 
 def _oracle_witness(P, w, target, u0, wvec, vvec):
@@ -732,18 +752,12 @@ def _oracle_witness(P, w, target, u0, wvec, vvec):
 
 
 def flat_depth(m: DiscreteMeasure, f: Flat) -> DepthResult:
-    """Depth of a k-flat: project the measure along it and take the depth of
-    the projected anchor point (the image of the flat), exact where
-    ``exact_affordable`` allows it.  Elsewhere (a projection in dim >= 5,
-    or in dim 4 above n = 120) it is the ``sampled`` upper bound, which can
-    overstate the depth; in dim 4 up to n = ``EXACT_MAX_N``,
-    ``point_depth(..., mode="exact")`` of the projection still gives the
-    exact depth, at a cost cubic in n."""
+    """Depth of a k-flat: project the measure along it and take the
+    ``depth_bracket`` of the projected anchor point (the image of the flat),
+    whose lower end never overstates the depth."""
     if f.k >= m.dim:
         raise ValueError("flat dimension must be below the ambient dimension")
-    proj = project_measure(m, f)
-    anchor = complement_basis(f) @ f.base
-    return point_depth(proj, anchor, mode="exact" if exact_affordable(proj) else "sampled")
+    return depth_bracket(project_measure(m, f), complement_basis(f) @ f.base)
 
 
 def direction_profile(m: DiscreteMeasure, direction, budget: dict | None = None):

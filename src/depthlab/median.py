@@ -1,9 +1,9 @@
 """Tukey median search, minimizing-normal sets, witness tuple extraction, recentering.
 
 The median search is exact in dim <= 2 at any n (lazy depth-region cuts in
-the plane) and a seeded multistart ascent above, whose depths come from the
-exact evaluator where ``depth.exact_affordable`` allows it and from the
-certified net lower bound otherwise: no reported depth overstates the truth.
+the plane) and a seeded multistart ascent above, whose depth bracket comes
+from ``depth.depth_bracket`` with the ascent's sampled depth as its upper
+end: no reported depth (the lower end) overstates the truth.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ import numpy as np
 from .geometry import DEFAULT_TOL, hull_interior_margin, sample_directions
 from .measures import DiscreteMeasure
 from .depth import (
+    DepthResult,
     _row_blocks,
-    certified_depth_floor,
     closed_mass_bounds,
-    exact_affordable,
+    depth_bracket,
     exact_depth_value_2d,
     exact_depth_values_2d,
-    point_depth,
     sampled_depth_values,
 )
 from . import cones as _cones
@@ -36,8 +35,12 @@ _CENTER_RADIUS = 0.35  # angle (radians) of the neighbourhood a witness normal i
 @dataclass(frozen=True, eq=False)
 class MedianResult:
     point: np.ndarray
-    depth: float
+    bracket: DepthResult  # at point; depth reads its lower end
     candidates_evaluated: int
+
+    @property
+    def depth(self) -> float:
+        return self.bracket.lower
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,23 +57,14 @@ class WitnessSearchError(RuntimeError):
         self.best_margin = best_margin
 
 
-def _final_depth(m: DiscreteMeasure, x: np.ndarray) -> float:
-    """Best affordable certified depth value at x (exact where feasible)."""
-    if m.dim == 2:
-        return exact_depth_value_2d(m, x)[0]
-    if exact_affordable(m):
-        return point_depth(m, x, mode="exact").depth
-    return certified_depth_floor(m, x, gamma=0.1)
-
-
 def _finals(points: np.ndarray, m: DiscreteMeasure, endpoints: list, count: int) -> list:
-    """(final depth, point) of the ``count`` best endpoints in points, an
-    image of the points of m weighted as m.  In the plane the ascent's
-    evaluator is exact: they are final."""
+    """(bracket, point) of the ``count`` best endpoints (cheap depth, point,
+    witness) in points, an image of the points of m weighted as m.  In the
+    plane the ascent's evaluator is exact: they are final."""
     if points.shape[1] == 2:
-        return endpoints[:count]
+        return [(DepthResult(v, v, u), x) for v, x, u in endpoints[:count]]
     image = DiscreteMeasure(points.shape[1], points, m.weights)
-    return [(_final_depth(image, x), x) for _, x in endpoints[:count]]
+    return [(depth_bracket(image, x, upper=DepthResult(0.0, v, u)), x) for v, x, u in endpoints[:count]]
 
 
 def _cheap_depths(pts: np.ndarray, m: DiscreteMeasure, own: np.ndarray, seeds: np.ndarray):
@@ -148,21 +142,22 @@ def tukey_medians(points, m: DiscreteMeasure, mode: str = "auto", starts: int = 
         return [_planar_median(p, m) for p in points]
     out = []
     for p, (endpoints, evals) in zip(points, _multistart_endpoints(points, m, starts, iters, seed)):
-        (dep, x), = _finals(p, m, endpoints, 1)
-        out.append(MedianResult(x, float(dep), evals + 1))
+        (res, x), = _finals(p, m, endpoints, 1)
+        out.append(MedianResult(x, res, evals + 1))
     return out
 
 
 def _line_median(x: np.ndarray, m: DiscreteMeasure) -> MedianResult:
     """Exact median on a line x, the image of the points of m: a distinct
     value's depth is the lesser of m's units at or below it and at or above
-    it; the smallest deepest wins."""
+    it; the smallest deepest wins, its witness toward the lesser side."""
     vals, which = np.unique(x, return_inverse=True)
     per = np.bincount(which, weights=m.units, minlength=vals.size)
     below = np.cumsum(per)
     depth = np.minimum(below, below[-1] - below + per) / m.scale
     j = int(np.argmax(depth))
-    return MedianResult(vals[j : j + 1], float(depth[j]), vals.size)
+    res = DepthResult(float(depth[j]), float(depth[j]), np.array([-1.0 if depth[j] == below[j] / m.scale else 1.0]))
+    return MedianResult(vals[j : j + 1], res, vals.size)
 
 
 def _level(y: np.ndarray, m: DiscreteMeasure, depth: float, cuts: np.ndarray):
@@ -186,17 +181,20 @@ def _planar_median(pts: np.ndarray, m: DiscreteMeasure) -> MedianResult:
     at the mean), each round sweeps in one batch the vertices of the cut
     polygon (pairwise intersections of cut lines that satisfy every cut
     within 1e-12 of the data's span), their mean and the data points within
-    1e-6 of the span of a vertex, and moves to the deepest if it beats k.
-    Else the mean's witness u violates its cut, and so does one of the two
-    critical directions that bracket u among the normals of x_i - x_j, x_j
-    holding t(u): both become cuts.  Cuts compare as exact rows, so they are
-    finitely many; the loop stops at no vertex, no new cut or no level left.
+    1e-6 of the span of a vertex, and moves to the first deepest if it beats
+    k.  Each distinct row is swept once per median, its first copy in
+    order: a row swept before is at most the level, so it cannot win, and
+    its witness is kept.  Else the mean's witness u violates its cut, and
+    so does one of the two critical directions that bracket u among the
+    normals of x_i - x_j, x_j holding t(u): both become cuts.  Cuts compare
+    as exact rows, so they are finitely many; the loop stops at no vertex,
+    no new cut or no level left.
     """
     centre = (m.weights[:, None] * pts).sum(axis=0)
     y = pts - centre
     span = float(np.abs(y).max()) or 1.0
-    (depth,), _ = exact_depth_values_2d(pts[None], m, [0], centre[None])
-    x, evals, cuts = centre, 1, _AXES
+    (depth,), (wit,) = exact_depth_values_2d(pts[None], m, [0], centre[None])
+    x, evals, cuts, swept = centre, 1, _AXES, {centre.tobytes(): wit}  # row bytes -> witness
     while depth < 1.0:
         t, _ = _level(y, m, depth, cuts)
         a, b = np.triu_indices(len(cuts), k=1)
@@ -210,14 +208,17 @@ def _planar_median(pts: np.ndarray, m: DiscreteMeasure) -> MedianResult:
         if not len(z):
             break
         near = np.array([((y - v) ** 2).sum(axis=1) for v in z]).min(axis=0) <= (1e-6 * span) ** 2
-        q = np.vstack([z + centre, z.mean(axis=0) + centre, pts[near]])
+        mean = z.mean(axis=0) + centre
+        rows = dict.fromkeys(r.tobytes() for r in np.vstack([z + centre, mean[None], pts[near]]))
+        q = np.array([np.frombuffer(r) for r in rows if r not in swept]).reshape(-1, 2)
         vals, dirs = exact_depth_values_2d(pts[None], m, np.zeros(len(q), dtype=int), q)
+        swept.update(zip(map(np.ndarray.tobytes, q), dirs))
         evals += len(q)
-        j = int(np.argmax(vals))
-        if vals[j] > depth:
-            x, depth = q[j], vals[j]
+        if len(q) and vals.max() > depth:
+            j = int(np.argmax(vals))
+            x, depth, wit = q[j], vals[j], dirs[j]
             continue
-        u = dirs[len(z)]
+        u = swept[mean.tobytes()]
         _, (h,) = _level(y, m, depth, u[None])
         # of the axes and both normals of each y_i - y_h != 0, the nearest on either side of u
         d = y[(y != y[h]).any(axis=1)] - y[h]
@@ -228,7 +229,7 @@ def _planar_median(pts: np.ndarray, m: DiscreteMeasure) -> MedianResult:
         if not new:
             break
         cuts = np.vstack([cuts, new])
-    return MedianResult(x.copy(), float(depth), evals)
+    return MedianResult(x.copy(), DepthResult(float(depth), float(depth), wit), evals)
 
 
 def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iters: int, seed: int) -> list:
@@ -239,8 +240,8 @@ def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iter
     every active start in one batch, then the quarter step of those that did
     not improve; a start that moves neither way halves its step and stops
     below 1e-4 of its image's scale.  Per image: its endpoints (cheap
-    depth, point) sorted by the cheap depth, best first (stable in start
-    order), and its number of evaluations.
+    depth, point, witness) sorted by the cheap depth, best first (stable in
+    start order), and its number of evaluations.
 
     A step is swept only if no remembered direction shows that it cannot
     improve: each start keeps its last _RING witnesses, and where
@@ -293,7 +294,7 @@ def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iter
     out = []
     for k in range(M):
         rows = np.flatnonzero(own == k)
-        endpoints = [(d_cur[r], x[r]) for r in rows]
+        endpoints = [(float(d_cur[r]), x[r], wit[r]) for r in rows]
         endpoints.sort(key=lambda t: -t[0])
         out.append((endpoints, int(evals[rows].sum())))
     return out
@@ -315,16 +316,17 @@ def balanced_median(
     endpoints, evals = _multistart_endpoints(m.points[None], m, starts, iters, seed)[0]
     scored = _finals(m.points, m, endpoints, 6 if m.dim <= 2 else 3)
     evals += len(scored)
-    best = max(s for s, _ in scored)
-    ties = [x for s, x in scored if s >= best - 1e-9]
+    best = max(r.depth for r, _ in scored)
+    ties = [x for r, x in scored if r.depth >= best - 1e-9]
     center = np.mean(ties, axis=0)
-    dep = _final_depth(m, center)
+    # in the plane the ascent's exact evaluator, as in the finals
+    res = exact_depth_value_2d(m, center) if m.dim == 2 else depth_bracket(m, center, seed=seed)
     evals += 1
-    if dep >= best - 1e-12:
-        return MedianResult(center, float(dep), evals)
+    if res.depth >= best - 1e-12:
+        return MedianResult(center, res, evals)
     # numerically off the plateau; fall back to the best endpoint
-    s, x = max(scored, key=lambda t: t[0])
-    return MedianResult(x, float(s), evals)
+    r, x = max(scored, key=lambda t: t[0].depth)
+    return MedianResult(x, r, evals)
 
 
 def recenter(
@@ -351,20 +353,18 @@ def min_normal_set(
     """Sample of the unit normals n whose closed half-space through o
     (outer normal n) carries mass at most depth(o) + tol.
 
-    One ``point_depth`` call gives the level depth(o) and its witness u:
-    exact where ``exact_affordable`` holds, else the sampled upper bound over
-    8192 directions with the same seed.  The witness minimizes the mass of
-    {x : <u, x - o> >= 0}, so the normal that attains the level is n = -u.
+    One ``depth_bracket`` at o gives the level, its upper end (the exact
+    depth where that is affordable, else the sampled bound over 8192
+    directions with the same seed), and its witness u, whose closed
+    half-space {x : <u, x - o> >= 0} carries the level, so the normal that
+    attains it is n = -u.
     The candidates are 4096 seeded sphere directions plus -u; each is kept
     when its closed mass, an exact count of mass units, passes the test.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     o = np.asarray(o, dtype=float)
-    if exact_affordable(m):
-        res = point_depth(m, o, mode="exact")
-    else:
-        res = point_depth(m, o, mode="sampled", sample_count=8192, seed=seed)
+    res = depth_bracket(m, o, seed=seed)
     cand = np.vstack([sample_directions(m.dim, 4096, seed=seed, mode="sphere"), -res.witness])
     cand /= np.linalg.norm(cand, axis=1)[:, None]
     # closed mass of H(n) = {x : <n, x - o> <= 0} for every candidate normal,
@@ -373,8 +373,8 @@ def min_normal_set(
     masses = np.empty(cand.shape[0])
     for blk in _row_blocks(cand.shape[0], m.n):
         masses[blk] = ((cand[blk] @ p.T) <= DEFAULT_TOL) @ m.units
-    sel = masses / m.scale <= res.depth + tol
-    return NormalSet(cand[sel], float(res.depth))
+    sel = masses / m.scale <= res.upper + tol
+    return NormalSet(cand[sel], res.upper)
 
 
 def _best_subtuple(normals: np.ndarray, d: int):

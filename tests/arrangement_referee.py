@@ -66,11 +66,11 @@ def _arrangement_median(m: DiscreteMeasure):
         if key not in seen:
             seen.add(key)
             uniq.append(x)
-    best_x, best_d = None, -1.0
+    best_x, best_d, best = None, -1.0, None
     for x in uniq:
-        dep = point_depth(m, x, mode="exact").depth
-        if dep > best_d + 1e-12 or (
-            abs(dep - best_d) <= 1e-12 and best_x is not None and _lex_less(x, best_x)
+        r = point_depth(m, x, mode="exact")
+        if r.depth > best_d + 1e-12 or (
+            abs(r.depth - best_d) <= 1e-12 and best_x is not None and _lex_less(x, best_x)
         ):
-            best_x, best_d = x, dep
-    return MedianResult(best_x + c, best_d, len(uniq))
+            best_x, best_d, best = x, r.depth, r
+    return MedianResult(best_x + c, best, len(uniq))

@@ -17,8 +17,8 @@ gives the bits of the batched one; ``sampled_depth`` draws its directions
 on every call and takes one product with them; ``certified_depth_floor``
 sweeps its whole net in float32 products, and bounds the package's
 one-stage floor (``assert_valid_floor``: the same bits), which the tests
-check against it and against its definition, so ``_final_depth`` calls the
-package floor;
+check against it and against its definition, so ``_final`` calls the
+package floor, by its own copy of the package's size rule for exact depth;
 ``project_line`` takes one QR per
 direction and fixes its signs row by row; ``_start_points`` draws one
 measure's starts; ``_multistart_endpoints`` climbs one start after
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 import depthlab.depth
-from depthlab.depth import DepthResult, _split_query, exact_affordable, point_depth
+from depthlab.depth import DepthResult, _split_query, point_depth
 from depthlab.geometry import DEFAULT_TOL, as_vector, sample_directions, unit
 from depthlab.measures import DiscreteMeasure
 from depthlab.median import MedianResult
@@ -115,7 +115,7 @@ def sampled_depth(m, q, sample_count: int = 512, seed: int = 0, tol: float = DEF
     units, scale = mass_units(m.weights)
     masses = (s >= -tol) @ units
     j = int(np.argmin(masses))
-    return DepthResult(float(masses[j] / scale), u[j], "sampled")
+    return DepthResult(0.0, float(masses[j] / scale), u[j])
 
 
 def certified_depth_floor(m, q, gamma: float = 0.1) -> float:
@@ -154,12 +154,19 @@ def assert_valid_floor(m, q, gamma: float = 0.1):
     assert depthlab.depth.certified_depth_floor(m, q, gamma) == certified_depth_floor(m, q, gamma)
 
 
-def _final_depth(m, x: np.ndarray) -> float:
+def _final(m, x: np.ndarray, seed: int, cheap=None) -> DepthResult:
+    """The bracket at x: in the plane the exact sweep (the ascent's value
+    and witness ``cheap``, else a new one); above, exact depth where the
+    size rule allows it, else the floor and ``cheap`` or a sample."""
     if m.dim == 2:
-        return exact_depth_value_2d(m, x)[0]
-    if exact_affordable(m):
-        return point_depth(m, x, mode="exact").depth
-    return depthlab.depth.certified_depth_floor(m, x, gamma=0.1)
+        v, u = cheap or exact_depth_value_2d(m, x)
+        return DepthResult(v, v, u)
+    if m.n <= 5000 and (m.dim <= 3 or (m.dim == 4 and m.n <= 120)):
+        return point_depth(m, x, mode="exact")
+    if cheap is None:
+        s = sampled_depth(m, x, sample_count=8192, seed=seed)
+        cheap = (s.upper, s.witness)
+    return DepthResult(depthlab.depth.certified_depth_floor(m, x, gamma=0.1), *cheap)
 
 
 def project_line(m, direction):
@@ -188,7 +195,7 @@ def _cheap_depth(m, x: np.ndarray, seed: int):
     if m.dim == 2:
         return exact_depth_value_2d(m, x)
     r = sampled_depth(m, x, sample_count=192, seed=seed)
-    return r.depth, r.witness
+    return r.upper, r.witness
 
 
 def _multistart_endpoints(m, starts: int, iters: int, seed: int):
@@ -214,7 +221,7 @@ def _multistart_endpoints(m, starts: int, iters: int, seed: int):
                 step *= 0.5
                 if step < 1e-4 * scale:
                     break
-        endpoints.append((d_cur, x))
+        endpoints.append((d_cur, x, wit))
     endpoints.sort(key=lambda t: -t[0])
     return endpoints, evals
 
@@ -224,23 +231,23 @@ def tukey_median(m, starts: int = 16, iters: int = 30, seed: int = 0) -> MedianR
     the best cheap depth with the earlier start winning a tie, its depth
     re-evaluated once."""
     endpoints, evals = _multistart_endpoints(m, starts, iters, seed)
-    _, x = endpoints[0]
-    return MedianResult(x, float(_final_depth(m, x)), evals + 1)
+    v, x, u = endpoints[0]
+    return MedianResult(x, _final(m, x, seed, (v, u)), evals + 1)
 
 
 def balanced_median(m, starts: int = 16, iters: int = 30, seed: int = 0) -> MedianResult:
     endpoints, evals = _multistart_endpoints(m, starts, iters, seed)
     finals = min(len(endpoints), 6 if m.dim <= 2 else 3)
     scored = []
-    for _, x in endpoints[:finals]:
-        scored.append((_final_depth(m, x), x))
+    for v, x, u in endpoints[:finals]:
+        scored.append((_final(m, x, seed, (v, u)), x))
         evals += 1
-    best = max(s for s, _ in scored)
-    ties = [x for s, x in scored if s >= best - 1e-9]
+    best = max(r.depth for r, _ in scored)
+    ties = [x for r, x in scored if r.depth >= best - 1e-9]
     center = np.mean(ties, axis=0)
-    dep = _final_depth(m, center)
+    dep = _final(m, center, seed)
     evals += 1
-    if dep >= best - 1e-12:
-        return MedianResult(center, float(dep), evals)
-    s, x = max(scored, key=lambda t: t[0])
-    return MedianResult(x, float(s), evals)
+    if dep.depth >= best - 1e-12:
+        return MedianResult(center, dep, evals)
+    r, x = max(scored, key=lambda t: t[0].depth)
+    return MedianResult(x, r, evals)

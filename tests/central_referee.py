@@ -30,7 +30,7 @@ from depthlab.central import (
     central_cone,
 )
 from depthlab.cones import canonical_labeling, cones_of, tuple_weight
-from depthlab.depth import exact_affordable, point_depth
+from depthlab.depth import point_depth
 from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, hull_interior_margin, unit
 from depthlab.measures import DiscreteMeasure
 from depthlab.median import witness_tuple
@@ -212,10 +212,11 @@ def structural_map(m: DiscreteMeasure, a: float, tuple_samples: int = 240, seed:
     approximation is clipped by ``clip``."""
     d = m.dim
     origin = np.zeros(d)
-    if exact_affordable(m):
+    # the package's size rule for exact depth, kept here as its own copy
+    if m.n <= 5000 and (d <= 3 or (d == 4 and m.n <= 120)):
         depth0 = point_depth(m, origin, mode="exact").depth
     else:
-        depth0 = point_depth(m, origin, mode="sampled", sample_count=4096, seed=seed).depth
+        depth0 = point_depth(m, origin, mode="sampled", sample_count=4096, seed=seed).upper
     wtol = max(1e-6, 0.9 * (a - depth0))
     wt, _ = witness_tuple(m, origin, tol=wtol, seed=seed)
     assert tuple_weight(m, wt) <= a

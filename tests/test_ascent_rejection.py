@@ -211,8 +211,10 @@ def _rows_of(monkeypatch, name):
 
 
 def _same(a, b):
-    return np.array_equal(a.point, b.point) and a.depth == b.depth and (
-        a.candidates_evaluated == b.candidates_evaluated)
+    # the point, both ends of the depth bracket and its witness, bit for bit
+    x, y = a.bracket, b.bracket
+    return np.array_equal(a.point, b.point) and (x.lower, x.upper) == (y.lower, y.upper) and (
+        x.witness.tobytes() == y.witness.tobytes() and a.candidates_evaluated == b.candidates_evaluated)
 
 
 def _weighted_cases():

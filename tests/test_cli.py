@@ -37,6 +37,20 @@ def test_depth_command_square(tmp_path):
     assert ",0.5," in lines[1] and lines[1].endswith("true")
 
 
+def test_depth_command_reports_both_ends(tmp_path):
+    # a sampled query: the depth row is the certified lower end, 0, and
+    # passes against expected; the bound itself is the depth_upper row,
+    # not checked against expected
+    cfg = write(tmp_path, "c.json", {"command": "depth", "measure": SQUARE, "query": [0.2, 0.1], "mode": "sampled",
+                                     "sample_count": 64, "expected": 0.0})
+    assert main(["depth", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "depth.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["check"] for r in rows] == ["depth", "depth_upper"]
+    assert float(rows[0]["observed"]) == 0.0 and float(rows[1]["observed"]) == 0.25
+    assert rows[1]["expected"] == rows[1]["observed"] and rows[1]["pass"] == "true"
+
+
 def test_failing_expectation_exit_1(tmp_path):
     cfg = write(tmp_path, "c.json", {"command": "depth", "measure": SQUARE, "query": [0, 0], "expected": 0.75})
     assert main(["depth", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -185,7 +199,7 @@ def test_summary_json(tmp_path):
     out = tmp_path / "out"
     main(["depth", "--config", cfg, "--out", str(out)])
     summary = json.loads((out / "depth_summary.json").read_text())
-    assert summary["rows"] == 1 and summary["failed"] == 0 and summary["exit_code"] == 0
+    assert summary["rows"] == 2 and summary["failed"] == 0 and summary["exit_code"] == 0  # depth, depth_upper
 
 
 def test_cli_entry_point_subprocess(tmp_path):

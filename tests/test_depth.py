@@ -10,11 +10,12 @@ import depthlab.depth
 import depthlab.median
 import ascent_referee as ref
 from enumerator_referee import enumerator_depth
-from depthlab.geometry import Flat, line, random_rotation, sample_directions
-from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure
+from depthlab.geometry import Flat, complement_basis, line, random_rotation, sample_directions
+from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure, project_measure
 from depthlab.depth import (
     certified_depth_floor,
     deep_line_search,
+    depth_bracket,
     depth_oracle,
     direction_profile,
     exact_depth_value_2d,
@@ -119,15 +120,16 @@ def test_sliver_arc_is_not_a_witness(pts, depth):
     assert r.mode == "exact"
     assert r.depth == pytest.approx(depth, abs=1e-12)
     if m.dim == 2:
-        val, u = exact_depth_value_2d(m, q)
-        assert val == pytest.approx(depth, abs=1e-12)
+        r = exact_depth_value_2d(m, q)
+        val, u = r.depth, r.witness
+        assert r.mode == "exact" and val == pytest.approx(depth, abs=1e-12)
         assert float(m.weights[m.points @ u >= -1e-9].sum()) == pytest.approx(depth, abs=1e-12)
 
 
 def test_sampled_mode_monotone_upper_bound(square):
     exact = point_depth(square, [0.2, 0.1]).depth
-    d1 = point_depth(square, [0.2, 0.1], mode="sampled", sample_count=8, seed=5).depth
-    d2 = point_depth(square, [0.2, 0.1], mode="sampled", sample_count=256, seed=5).depth
+    d1 = point_depth(square, [0.2, 0.1], mode="sampled", sample_count=8, seed=5).upper
+    d2 = point_depth(square, [0.2, 0.1], mode="sampled", sample_count=256, seed=5).upper
     assert d2 <= d1 + 1e-15  # superset of directions can only lower the bound
     assert exact <= d2 + 1e-15
 
@@ -157,7 +159,7 @@ def test_exact_value_2d_agrees_with_point_depth():
     m = make_measure(rng.standard_normal((80, 2)))
     for s in range(10):
         q = rng.standard_normal(2) * 0.5
-        assert exact_depth_value_2d(m, q)[0] == pytest.approx(
+        assert exact_depth_value_2d(m, q).depth == pytest.approx(
             point_depth(m, q).depth, abs=1e-12
         )
 
@@ -200,19 +202,73 @@ def test_flat_depth_far_from_hull():
     assert flat_depth(m, f).depth == 0.0
 
 
-def test_flat_depth_takes_sampled_where_exact_is_not_affordable(monkeypatch):
+def test_flat_depth_never_overstates():
     # a line in R^5 projects to R^4, where n = 200 is above the exact
-    # kernel's affordable size; at n = 60 the line's depth stays exact
-    def refused(*args):
-        raise AssertionError("exact kernel called")
-
+    # kernel's affordable size: the depth is the certified floor, at most
+    # the exact depth of the projected anchor, and the upper end at least it
     rng = np.random.default_rng(3)
-    m = make_measure(rng.standard_normal((200, 5)))
-    monkeypatch.setattr(depthlab.depth, "_exact_depth", refused)
-    r = flat_depth(m, line(np.eye(5)[0]))
-    assert r.mode == "sampled" and 0.0 < r.depth <= 0.5
-    monkeypatch.undo()
-    assert flat_depth(make_measure(rng.standard_normal((60, 5))), line(np.eye(5)[0])).mode == "exact"
+    m, f = make_measure(rng.standard_normal((200, 5))), line(np.eye(5)[0])
+    r = flat_depth(m, f)
+    exact = point_depth(project_measure(m, f), complement_basis(f) @ f.base)
+    assert exact.mode == "exact" and r.mode != "exact"
+    assert r.depth <= exact.depth <= r.upper
+    # at n = 60 the line's depth stays exact; in R^6 the projection is in
+    # dim 5, with no floor, so the lower end is 0
+    assert flat_depth(make_measure(rng.standard_normal((60, 5))), f).mode == "exact"
+    r = flat_depth(make_measure(rng.standard_normal((60, 6))), line(np.eye(6)[0]))
+    assert r.lower == 0.0 and r.mode != "exact" and 0.0 < r.upper <= 0.5
+
+
+def _bracket_cases():
+    """(measure, query) with d <= 3 and n <= 14: seeded gaussians (every
+    third weighted) and integer grids with a duplicate point, a collinear
+    run of four or the query on a data point."""
+    out = []
+    for s in range(18):
+        rng = np.random.default_rng(s)
+        d, n = 2 + s % 2, int(rng.integers(5, 15))
+        out.append((make_measure(rng.standard_normal((n, d)), rng.random(n) + 0.1 if s % 3 == 0 else None),
+                    0.3 * rng.standard_normal(d)))
+        pts = rng.integers(-4, 5, size=(n, d)).astype(float)
+        q = rng.integers(-2, 3, size=d).astype(float)
+        if s % 3 == 0:
+            pts[1] = pts[0]
+        elif s % 3 == 1:
+            pts[2:5] = pts[0] + np.arange(1, 4)[:, None] * np.eye(d)[s % d]
+        else:
+            q = pts[0].copy()
+        out.append((make_measure(pts), q))
+    return out
+
+
+@pytest.mark.parametrize("m, q", _bracket_cases())
+def test_every_bracket_holds_the_oracle(m, q, monkeypatch):
+    # the exact and sampled modes of point_depth and both branches of the
+    # one evaluator rule; the exact branch is the rule's at this size, the
+    # other (the floor and an 8,192-direction sample) is forced
+    truth = depth_oracle(m, q).depth
+    got = [point_depth(m, q), point_depth(m, q, mode="sampled", sample_count=64, seed=1), depth_bracket(m, q)]
+    assert got[2].mode == "exact"
+    monkeypatch.setattr(depthlab.depth, "EXACT_MAX_N", 0)
+    got.append(depth_bracket(m, q, seed=1))
+    for r in got:
+        assert r.lower <= truth + 1e-12 and truth <= r.upper + 1e-12, (r.lower, truth, r.upper)
+
+
+@pytest.mark.parametrize("n", [9, 30, 60])
+def test_d4_bracket_holds_the_exact_depth(n, monkeypatch):
+    # the rule's floor-and-sample branch, forced at sizes where the exact
+    # d = 4 kernel is the referee: a gaussian, and an integer grid queried
+    # at a data point
+    rng = np.random.default_rng(n)
+    grid = rng.integers(-2, 3, size=(n, 4)).astype(float)
+    cases = [(make_measure(rng.standard_normal((n, 4))), 0.2 * rng.standard_normal(4)), (make_measure(grid), grid[0])]
+    for m, q in cases:
+        exact = point_depth(m, q)
+        monkeypatch.setattr(depthlab.depth, "_EXACT4_MAX_N", 0)
+        r = depth_bracket(m, q)
+        monkeypatch.undo()
+        assert exact.mode == "exact" and r.lower <= exact.depth <= r.upper
 
 
 def test_direction_profile_point_mass():
@@ -318,7 +374,7 @@ def test_certified_floor_exact_sampled_order(inst):
     m, q = inst
     exact = point_depth(m, q).depth
     assert certified_depth_floor(m, q, gamma=0.2) <= exact
-    assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth
+    assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).upper
 
 
 @pytest.mark.parametrize("offset, count", [(5e-10, 4), (1e-9, 4), (2e-9, 3)])
@@ -331,7 +387,7 @@ def test_point_near_query_counts_everywhere_in_sampled_bound(offset, count):
     exact = point_depth(m, q).depth
     assert exact == count / 7
     assert certified_depth_floor(m, q) <= exact
-    assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth
+    assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).upper
 
 
 @pytest.mark.parametrize("at_query, at_e3", [(19, 1), (15, 2)])
@@ -343,7 +399,7 @@ def test_exact_depth_not_above_sampled_bound(at_query, at_e3):
     m, q = make_measure(pts), np.zeros(3)
     exact = point_depth(m, q).depth
     assert exact == at_query / m.n
-    assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).depth
+    assert exact <= point_depth(m, q, mode="sampled", sample_count=256, seed=1).upper
     assert certified_depth_floor(m, q) <= exact
 
 
@@ -487,7 +543,7 @@ def test_exact_memo_runs_the_kernel_once_per_point(monkeypatch):
             asked.append((m.points - np.asarray(q, dtype=float)).tobytes())
         return real(m, q, mode=mode, **kw)
 
-    for mod in (depthlab.median, depthlab.central):
+    for mod in (depthlab.depth, depthlab.central):  # the median asks through depth_bracket
         monkeypatch.setattr(mod, "point_depth", counted)
     m = generate_measure(MeasureSpec("simplex_mixture", 3, 240, {"sigma": 0.01}, 1002))
     mc, _ = depthlab.median.recenter(m, balanced=True, starts=8, iters=20, seed=2)

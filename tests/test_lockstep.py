@@ -224,8 +224,10 @@ def test_sweep_bits_do_not_depend_on_the_order_of_tied_breakpoints(gap):
 
 
 def _same(a, b):
-    return np.array_equal(a.point, b.point) and a.depth == b.depth and (
-        a.candidates_evaluated == b.candidates_evaluated)
+    # the point, both ends of the depth bracket and its witness, bit for bit
+    x, y = a.bracket, b.bracket
+    return np.array_equal(a.point, b.point) and (x.lower, x.upper) == (y.lower, y.upper) and (
+        x.witness.tobytes() == y.witness.tobytes() and a.candidates_evaluated == b.candidates_evaluated)
 
 
 @pytest.mark.parametrize("d, n", [(2, 150), (3, 120), (3, 500), (4, 200)])
@@ -326,7 +328,7 @@ def test_sampled_depth_matches_single_product(count):
         for seed in (0, 2):
             a = point_depth(m, q, mode="sampled", sample_count=count, seed=seed)
             b = ref.sampled_depth(m, q, sample_count=count, seed=seed)
-            assert a.depth == b.depth and np.array_equal(a.witness, b.witness), (m.dim, count, seed)
+            assert a.upper == b.upper and np.array_equal(a.witness, b.witness), (m.dim, count, seed)
 
 
 @pytest.mark.parametrize("d, n", [(2, 300), (3, 200), (4, 60)])
@@ -350,7 +352,7 @@ def test_weighted_sampled_depth_in_plain_blocks():
         for q in (np.zeros(4), m.points[5]):
             a = point_depth(m, q, mode="sampled", sample_count=3 * 543 + 1, seed=1)
             b = ref.sampled_depth(m, q, sample_count=3 * 543 + 1, seed=1)
-            assert a.depth == b.depth and np.array_equal(a.witness, b.witness)
+            assert a.upper == b.upper and np.array_equal(a.witness, b.witness)
 
 
 def test_profiles_in_lockstep_match_one_at_a_time():

@@ -5,7 +5,7 @@ import arrangement_referee
 import depthlab.median
 from depthlab.geometry import DEFAULT_TOL, HalfSpace, line, sample_directions
 from depthlab.measures import MeasureSpec, generate_measure, make_measure, halfspace_mass, project_measure
-from depthlab.depth import EXACT_MAX_N, certified_depth_floor, direction_profiles, exact_affordable, point_depth
+from depthlab.depth import EXACT_MAX_N, certified_depth_floor, direction_profiles, point_depth
 from depthlab.median import (
     WitnessSearchError,
     min_normal_set,
@@ -164,6 +164,38 @@ def test_exact_median_not_below_heavy_ascent(m):
     assert point_depth(m, r.point).depth == r.depth
 
 
+# point and depth bits of the exact planar median, as it gave them when it
+# swept every copy of a row, and its swept rows then: 3,000-point integer
+# grids on the 49 sites of [-3, 3]^2, then seeded gaussians (n, seed)
+_PLANAR_PINS = [
+    (("grid", 0), ["0x0.0p+0", "0x0.0p+0"], "0x1.fea27983c131dp-2", 329),
+    (("grid", 1), ["-0x1.5c00000000000p-52", "0x0.0p+0"], "0x1.0000000000000p-1", 509),
+    ((420, 1), ["-0x1.084810d9b00f1p-3", "0x1.80ece3c2482d0p-9"], "0x1.e79e79e79e79ep-2", 43),
+    ((2000, 2), ["-0x1.4ccc6f91fa6bep-7", "-0x1.0784316c19f09p-7"], "0x1.f7ced916872b0p-2", 38),
+    ((300, 3), ["0x1.0c26e3b9c7a8ep-5", "0x1.71b7e251d07a1p-3"], "0x1.e4b17e4b17e4bp-2", 40),
+]
+
+
+@pytest.mark.parametrize("which, point, depth, rows_before", _PLANAR_PINS)
+def test_planar_median_sweeps_each_row_once(which, point, depth, rows_before, monkeypatch):
+    # a row swept before is at most the level, so skipping it moves no bit
+    if which[0] == "grid":
+        m = make_measure(np.random.default_rng(which[1]).integers(-3, 4, size=(3000, 2)).astype(float))
+    else:
+        m = generate_measure(MeasureSpec("gaussian", 2, which[0], {}, seed=which[1]))
+    rows = []
+    real = depthlab.median.exact_depth_values_2d
+
+    def spy(points, m, which, q):
+        rows.extend(r.tobytes() for r in q)
+        return real(points, m, which, q)
+
+    monkeypatch.setattr(depthlab.median, "exact_depth_values_2d", spy)
+    r = tukey_median(m, mode="exact")
+    assert [c.hex() for c in r.point] == point and r.depth.hex() == depth and r.bracket.mode == "exact"
+    assert len(rows) == len(set(rows)) == r.candidates_evaluated < rows_before
+
+
 def _line_grid(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 30))
@@ -177,6 +209,7 @@ def test_line_median_is_the_best_point_depth():
         r = tukey_median(m)
         best = max(point_depth(m, [v]).depth for v in np.unique(m.points))
         assert r.depth == best == point_depth(m, r.point).depth, seed
+        assert m.units[(m.points - r.point) @ r.bracket.witness >= 0].sum() / m.scale == r.depth, seed
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -266,22 +299,27 @@ def test_min_normal_set_keeps_the_sampled_witness_in_d4():
                     balanced=True, starts=8, iters=20, seed=0)
     sampled = point_depth(m, np.zeros(4), mode="sampled", sample_count=8192, seed=0)
     ns = min_normal_set(m, np.zeros(4))
-    assert ns.level == sampled.depth
+    assert ns.level == sampled.upper
     _assert_holds_the_negated_witness(m, ns, sampled.witness)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_above_the_exact_size_limit_the_median_and_the_level_fall_back(d):
     # the exact mode refuses n > EXACT_MAX_N, so there the normal set takes
-    # the sampled level and the d = 3 median's finals the certified floor
+    # the sampled level, and the d = 3 median a bracket from the certified
+    # floor to the ascent's sampled depth: the cliff at n = 5,000 shows as
+    # a bracket that is not exact
     m = generate_measure(MeasureSpec("gaussian", d, EXACT_MAX_N + 1, {}, seed=1))
-    assert not exact_affordable(m)
     o = m.points.mean(axis=0)
     ns = min_normal_set(m, o)
-    assert ns.level == point_depth(m, o, mode="sampled", sample_count=8192, seed=0).depth
+    assert ns.level == point_depth(m, o, mode="sampled", sample_count=8192, seed=0).upper
     r = tukey_median(m, mode="multistart", starts=2, iters=3, seed=0)
-    if d == 3:
-        assert r.depth == certified_depth_floor(m, r.point)
+    if d == 2:
+        assert r.bracket.mode == "exact"
+    else:
+        assert r.bracket.mode != "exact"
+        assert r.depth == r.bracket.lower == certified_depth_floor(m, r.point)
+        assert r.bracket.upper >= r.bracket.lower
 
 
 def test_witness_tuple_triangle(triangle):

@@ -114,6 +114,6 @@ def test_exact_d3_depth_matches_referee_path(battery, monkeypatch):
     got = [point_depth(m, q, mode="exact") for _, m, q in battery]
     monkeypatch.setattr(depthlab.depth, "_pivot_masses", ref.pivot_masses)
     for (name, m, q), r in zip(battery, got):
-        want = depthlab.depth._exact_depth(m.points - q, m)
+        want = depthlab.depth._exact_depth(m.points - q, m, q)
         assert r.depth == want.depth and r.mode == want.mode, name
         assert r.witness.tobytes() == want.witness.tobytes(), name
