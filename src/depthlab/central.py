@@ -22,15 +22,19 @@ carry B's mass: an exact count of the measure's mass units in B.
 The structural map sends a recentered measure to an unordered tuple of d + 1
 vectors, one per matched-cone slot, by integrating (a - weight) e(B_i) over
 normal tuples; the origin ends up strictly inside their convex hull.  It
-screens every tuple sample first against the reference tuple's weight and
-cone masks, computed once, then builds the central cones of ``MAP_BLOCK``
-family members at a time (their pools drawn seed by seed, then stacked
-and counted together), clips all their patches together
-and adds the contributions in sample order.
+draws all its tuple samples at once and screens them in one stacked pass
+against the reference tuple's cone masks, computed once: one product of the
+points with every sample's normals gives the half-space masses, the weights
+and the cone masks, and one product the masses shared with the reference's
+cones.  It then builds the central cones of ``MAP_BLOCK`` family members at
+a time (their pools drawn seed by seed from each seed's own generators,
+then crossed, normalized and counted together), clips all the map's patches
+together and adds the contributions in sample order.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +49,16 @@ from .geometry import (
 )
 from .measures import DiscreteMeasure, cone_mass
 from .cones import (
+    GENERATING_MARGIN,
     GeneratingTuple,
+    TupleMasses,
+    _family_eps,
+    _generating_margins,
+    _matchings,
     canonical_labeling,
     cones_of,
     family_level_cap,
-    family_member_order,
     family_overlap_floor,
-    is_generating,
-    TupleMasses,
     tuple_masses,
     tuple_weight,
 )
@@ -65,7 +71,7 @@ from .depth import _BLOCK_ENTRIES, point_depth
 MAP_CONSTRAINT_SAMPLES = 384
 MAP_PERTURB_ANGLE = 0.1
 MAP_UNIFORM_SHARE = 0.1
-# tuple samples whose central cones are built and clipped together
+# family members whose central cones are built together
 MAP_BLOCK = 8
 
 
@@ -111,7 +117,9 @@ def _clip_patches(approxes) -> list:
         raise ValueError(f"exact central-cone patches need d = 2 or 3, got d = {d}")
     v = -np.linalg.inv(np.stack([a.base.normals for a in approxes])).transpose(0, 2, 1)
     nk = np.array([a.constraints.shape[0] for a in approxes])
-    cons, _ = _pack(np.arange(nk.max(initial=0)) < nk[:, None], np.vstack([a.constraints for a in approxes]))
+    cons = np.zeros((len(approxes), max(int(nk.max()), 1), d))
+    for row, a in zip(cons, approxes):
+        row[: len(a.constraints)] = a.constraints
     return (_clip_arcs if d == 2 else _clip_polygons)(v, cons, nk)
 
 
@@ -178,18 +186,29 @@ def _clip_polygons(v: np.ndarray, cons: np.ndarray, nk: np.ndarray) -> list:
             held = None  # from the first cut on, each section is a new row-major array
             rows = np.arange(v.shape[1]) < nv[:, None]
             # 0 / 0 on a padding row, which fmax passes over; a padding
-            # constraint gives 0 and never cuts
-            worst = np.fmax.reduce(f / np.linalg.norm(v, axis=2)[:, :, None], axis=1)
+            # constraint gives 0 and never cuts.  Row by row, so no second
+            # array of f's size is held
+            scale = np.linalg.norm(v, axis=2)
+            worst = np.full((len(ids), f.shape[2]), np.nan)
+            for j in range(f.shape[1]):
+                np.fmax(worst, f[:, j] / scale[:, j, None], out=worst)
             cut = worst > DEFAULT_TOL
             more = cut.any(axis=1)
             done_ids.append(ids[~more])
             done_v.append(v[~more][rows[~more]])
             done_n.append(nv[~more])
             fj = f[np.arange(len(ids)), :, np.argmax(worst, axis=1)]  # the deepest cut
+            del f
             keep = (fj <= 0) & rows
             go = more & keep.any(axis=1)
-            cons = cons[cut & go[:, None]]
-            v, nv, fj, keep, cut, ids = (x[go] for x in (v, nv, fj, keep, cut, ids))
+            # a constraint met by every vertex stays met: each going
+            # polygon's cutting ones move to the front of its row
+            nk = cut[go].sum(axis=1)
+            width = max(int(nk.max(initial=0)), 1)
+            front = np.argsort(~cut[go], axis=1, kind="stable")[:, :width]
+            cons = cons[np.flatnonzero(go)[:, None], front]
+            cons[np.arange(width) >= nk[:, None]] = 0.0
+            v, nv, fj, keep, ids = (x[go] for x in (v, nv, fj, keep, ids))
             nxt = np.arange(1, v.shape[1] + 1)
             nxt = np.where(nxt < nv[:, None], nxt, 0)  # vertex i + 1 around each polygon
             fn = np.take_along_axis(fj, nxt, axis=1)
@@ -201,7 +220,6 @@ def _clip_polygons(v: np.ndarray, cons: np.ndarray, nk: np.ndarray) -> list:
             points = np.stack([v, np.zeros_like(v)], axis=2)
             points[pe, e, 1] = v[pe, e] + t[:, None] * (v[pe, nxt[pe, e]] - v[pe, e])
             v, nv = _pack(slots, points[slots])
-            cons, nk = _pack(cut, cons)  # a constraint met by every vertex stays met
     for i, patch in zip(np.concatenate(done_ids), _polygon_patches(np.concatenate(done_v), np.concatenate(done_n))):
         out[i] = patch
     return out
@@ -241,49 +259,78 @@ class StructuralTuple:
     margin: float  # interior margin of 0 in conv(vectors)
 
 
-def _exact_constraint_candidates(m: DiscreteMeasure, cap: int, seed: int) -> np.ndarray:
-    """Hyperplane normals through the origin spanned by measure points."""
-    d = m.dim
-    norms = np.linalg.norm(m.points, axis=1)
-    keep = norms > DEFAULT_TOL
-    phat = m.points[keep] / norms[keep][:, None]
-    rng = np.random.default_rng(seed)
-    if d == 2:
-        cand = np.column_stack([-phat[:, 1], phat[:, 0]])
-    elif d == 3:
-        # the drawn pairs p of the row-major upper triangle i < j, as (i, j)
-        n = phat.shape[0]
-        pairs = n * (n - 1) // 2
-        p = rng.choice(pairs, size=cap, replace=False) if pairs > cap else np.arange(pairs)
-        rows = np.arange(n)
-        start = rows * (2 * n - rows - 1) // 2  # where row i begins
-        ii = np.searchsorted(start, p, side="right") - 1
-        jj = p - start[ii] + ii + 1
-        # phat_i x phat_j and its length, with the bits of np.cross and norm
-        x, y, z = phat.T
-        xi, yi, zi, xj, yj, zj = x[ii], y[ii], z[ii], x[jj], y[jj], z[jj]
-        cr = np.stack([yi * zj - zi * yj, zi * xj - xi * zj, xi * yj - yi * xj])
-        lens = np.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
-        cand = (cr[:, lens > 1e-9] / lens[lens > 1e-9]).T
-    else:
-        return np.empty((0, d))
-    cand = np.vstack([cand, -cand])
-    if cand.shape[0] > cap:
-        cand = cand[rng.choice(cand.shape[0], size=cap, replace=False)]
-    return cand
-
-
 def _constraint_pools(m: DiscreteMeasure, samples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """The constraint pool of each seed, zero-padded (len(seeds), width, d)
     (a zero row captures every point), and the pool sizes: ``samples``
-    sphere directions of the seed, then the exact candidates of seed + 1."""
-    built = [np.vstack([sample_directions(m.dim, samples, seed=s, mode="sphere"),
-                        _exact_constraint_candidates(m, 1024, s + 1)]) for s in seeds]
-    sizes = np.array([len(p) for p in built])
-    pools = np.zeros((len(seeds), sizes.max(initial=0), m.dim))
-    for pool, p in zip(pools, built):
-        pool[: len(p)] = p
-    return pools, sizes
+    sphere directions of the seed, then up to 1,024 exact candidates
+    (``_exact_constraint_candidates``) from the generator of seed + 1: the
+    kept candidates and their negations, stacked, or 1,024 rows of that
+    stack drawn without replacement when it holds more.  Each seed draws
+    from its own generators; the sign stacks of all the seeds are taken in
+    one pass.
+    """
+    d, cap = m.dim, 1024
+    rngs = [np.random.default_rng(s + 1) for s in seeds]
+    cand, kept = _exact_constraint_candidates(m, rngs, cap)
+    # row r of a seed's signed stack [cand; -cand] of its c kept rows: kept
+    # row r mod c, negated from r = c on
+    c = kept.sum(axis=1)
+    picks = [rng.choice(2 * k, size=cap, replace=False) if 2 * k > cap else np.arange(2 * k)
+             for rng, k in zip(rngs, c)]
+    sizes = np.array([len(r) for r in picks], dtype=int)
+    valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    r = np.zeros(valid.shape, dtype=np.intp)
+    r[valid] = np.concatenate(picks + [np.empty(0, dtype=np.intp)])
+    order = np.argsort(~kept, axis=1, kind="stable")  # each seed's kept rows first, in order
+    row = np.arange(len(rngs))[:, None] * kept.shape[1]  # where each seed's rows begin, flat
+    src = np.take(order, row + r % np.maximum(c, 1)[:, None])
+    exact = np.take(cand.reshape(-1, d), row + src, axis=0)
+    exact *= np.where(r < c[:, None], 1.0, -1.0)[..., None]
+    pools = np.zeros((len(rngs), samples + valid.shape[1], d))
+    pools[:, samples:] = exact
+    pools[:, samples:][~valid] = 0.0
+    for pool, s in zip(pools, seeds):
+        pool[:samples] = sample_directions(d, samples, seed=s, mode="sphere")
+    return pools, samples + sizes
+
+
+def _exact_constraint_candidates(m: DiscreteMeasure, rngs: list, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hyperplane normals through the origin spanned by measure points, for
+    each generator of ``rngs`` (len(rngs), rows, d), and which of them are
+    kept: in d = 2 the unit points turned a quarter turn, all kept; in d = 3
+    the unit crosses of ``cap`` point pairs drawn by each generator (all
+    pairs when there are fewer), kept when of length above 1e-9; none in
+    other dimensions.  The crosses of all the generators are taken in one
+    pass, in place, which keeps their temporaries few."""
+    d, k = m.dim, len(rngs)
+    norms = np.linalg.norm(m.points, axis=1)
+    keep = norms > DEFAULT_TOL
+    phat = m.points[keep] / norms[keep][:, None]
+    n = phat.shape[0]
+    if d == 2:
+        return np.broadcast_to(np.column_stack([-phat[:, 1], phat[:, 0]]), (k, n, 2)), np.ones((k, n), dtype=bool)
+    if d != 3:
+        return np.empty((k, 0, d)), np.zeros((k, 0), dtype=bool)
+    # the drawn pairs p of the row-major upper triangle i < j, as (i, j): row
+    # i begins at i (2n - i - 1) / 2, so i is the integer part of the smaller
+    # root of i^2 - (2n - 1) i + 2p, exact in float64 (the discriminant is an
+    # integer below 2^53, a square at each row start)
+    pairs = n * (n - 1) // 2
+    p = (np.stack([rng.choice(pairs, size=cap, replace=False) for rng in rngs]) if pairs > cap
+         else np.broadcast_to(np.arange(pairs), (k, pairs)))
+    ii = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8.0 * p)) * 0.5).astype(np.intp)
+    jj = p - ii * (2 * n - ii - 1) // 2 + ii + 1
+    # phat_i x phat_j and its length, with the bits of np.cross and norm
+    a, b = phat[:, [1, 2, 0]], phat[:, [2, 0, 1]]
+    cand = np.take(a, ii, axis=0)
+    cand *= np.take(b, jj, axis=0)
+    t = np.take(b, ii, axis=0)
+    t *= np.take(a, jj, axis=0)
+    cand -= t
+    np.multiply(cand, cand, out=t)
+    lens = np.sqrt(t[..., 0] + t[..., 1] + t[..., 2])
+    cand /= np.where(lens > 1e-9, lens, 1.0)[..., None]
+    return cand, lens > 1e-9
 
 
 def _capture_blocks(cones: int, rows: int, width: int) -> list:
@@ -419,26 +466,34 @@ def containment_check(
     return ok
 
 
-def _family_member(m: DiscreteMeasure, a: float, ref: GeneratingTuple | TupleMasses, normals: np.ndarray):
-    """(tuple, weight, order) when ``normals`` form a generating tuple of
-    weight at most a whose cones match those of the reference tuple (or of
-    its ``tuple_masses``, computed once for many calls), with the
-    permutation that labels it by the reference; else None."""
-    flag, _ = is_generating(normals)
-    if not flag:
-        return None
-    t = GeneratingTuple(normals)
-    w = tuple_weight(m, t)
-    if w > a:
-        return None
-    order = family_member_order(m, ref, tuple_masses(m, t, w))
-    return None if order is None else (t, w, order)
+def _family_members(m: DiscreteMeasure, a: float, ref: TupleMasses, normals: np.ndarray):
+    """(indices, weights, orders) of the tuple samples in a stack ``normals``
+    (N, d+1, d) whose unit rows form a generating tuple of weight at most a
+    whose cones match the reference's, each with the permutation that
+    labels it.  One product of the points with every sample's unit normals
+    gives each half-space's mass, so the weights, and each cone's points
+    (those in every half-space but the one the cone drops); the cones are
+    matched in one stacked ``_matchings``."""
+    d = m.dim
+    unit = normals / np.linalg.norm(normals, axis=2)[..., None]
+    hits = (m.points @ unit.reshape(-1, d).T <= DEFAULT_TOL).reshape(m.n, -1, d + 1)
+    weights = 1.0 - (m.units @ hits.reshape(m.n, -1) / m.scale).reshape(-1, d + 1).min(axis=1)
+    cand = np.flatnonzero((_generating_margins(normals) >= GENERATING_MARGIN) & (weights <= a))
+    h = hits[:, cand]
+    inside = (h.sum(axis=2)[..., None] - h == d).transpose(1, 2, 0)  # in every half-space but i
+    _, sigma, perm, above = _matchings(m, ref, inside, _family_eps(d))
+    ok = perm & above
+    return cand[ok], weights[cand[ok]], sigma[ok]
 
 
-def _perturbed_normals(rng: np.random.Generator, base: np.ndarray, angle: float) -> np.ndarray:
-    g = rng.standard_normal(base.shape) * angle
-    out = base + g - (np.sum(g * base, axis=1))[:, None] * base
-    return out / np.linalg.norm(out, axis=1)[:, None]
+def _tuple_samples(rng: np.random.Generator, base: np.ndarray, samples: int) -> np.ndarray:
+    """(samples, d+1, d) unit normals: tangent perturbations of the base
+    tuple, then a ``MAP_UNIFORM_SHARE`` of uniform tuples, one draw each."""
+    n_uniform = int(round(MAP_UNIFORM_SHARE * samples))
+    g = rng.standard_normal((samples - n_uniform,) + base.shape) * MAP_PERTURB_ANGLE
+    perturbed = base + g - np.sum(g * base, axis=2)[..., None] * base
+    g = rng.standard_normal((n_uniform,) + base.shape)
+    return np.concatenate([x / np.linalg.norm(x, axis=2)[..., None] for x in (perturbed, g)])
 
 
 def structural_map(
@@ -461,19 +516,23 @@ def structural_map(
     which realizes the unordered-tuple integral because the proposal treats
     the d + 1 slots symmetrically.
 
-    Requires d = 2 or 3, where central-cone patches exist (``ValueError``
-    otherwise, before any work), and the measure to be recentered (median
-    at the origin) with exact depth there below a < 1/(d+1) +
-    1/(3(d+1)^3); deterministic in the seed.  A sample
-    with an empty central-cone patch contributes nothing; a cone without
-    mass raises the ValueError of ``central_cone``, unless an earlier cone of
-    its sample has an empty patch.  The reference tuple's weight and cone
-    masks are computed once (``tuple_masses``), and the central cones of
-    ``MAP_BLOCK`` family members are built together (``_central_cones``).
+    Requires d = 2 or 3, where central-cone patches exist, and a positive
+    integer ``tuple_samples`` (``ValueError`` otherwise, before any work),
+    and the measure to be recentered (median at the origin) with exact
+    depth there below a < 1/(d+1) + 1/(3(d+1)^3); deterministic in the
+    seed.  A sample with an empty central-cone patch contributes nothing; a
+    cone without mass raises the ValueError of ``central_cone``, unless an
+    earlier cone of its sample has an empty patch.  All tuple samples are
+    drawn and screened at once (``_family_members``, against the reference
+    tuple's weight and cone masks, computed once); the central cones of
+    ``MAP_BLOCK`` family members are built together (``_central_cones``),
+    and all their patches are clipped together.
     """
     d = m.dim
     if d not in (2, 3):
         raise ValueError(f"structural maps need d = 2 or 3, got d = {d}")
+    if isinstance(tuple_samples, bool) or not isinstance(tuple_samples, numbers.Integral) or tuple_samples < 1:
+        raise ValueError(f"tuple_samples must be a positive integer, got {tuple_samples!r}")
     cap = family_level_cap(d)
     if not (1.0 / (d + 1) < a < cap):
         raise ValueError(f"a must lie in (1/(d+1), {cap!r}), got {a}")
@@ -496,44 +555,31 @@ def structural_map(
         )
     ref = tuple_masses(m, canonical_labeling(wt))
 
-    rng = np.random.default_rng(seed)
-    n_uniform = int(round(MAP_UNIFORM_SHARE * tuple_samples))
-    n_perturb = tuple_samples - n_uniform
-
-    members = []  # (sample, weight, matched cones) of each tuple in the family
-    for s in range(tuple_samples):
-        if s < n_perturb:
-            nrm = _perturbed_normals(rng, ref.tuple.normals, MAP_PERTURB_ANGLE)
-        else:
-            g = rng.standard_normal((d + 1, d))
-            nrm = g / np.linalg.norm(g, axis=1)[:, None]
-        member = _family_member(m, a, ref, nrm)
-        if member is not None:
-            t, w, order = member
-            members.append((s, w, cones_of(t.reordered(order)).cones))
-
-    sums = np.zeros((d + 1, d))
-    nonzero = 0
+    normals = _tuple_samples(np.random.default_rng(seed), ref.tuple.normals, tuple_samples)
+    # (sample, weight, matched cones) of each tuple in the family
+    members = [(s, w, cones_of(GeneratingTuple(normals[s]).reordered(order)).cones)
+               for s, w, order in zip(*_family_members(m, a, ref, normals))]
+    rows = []  # per member, its cones' approximations up to the first without mass
     for lo in range(0, len(members), MAP_BLOCK):
         block = members[lo : lo + MAP_BLOCK]
-        # cone j of sample s from the pool of seed + 31 s + j; a sample's
-        # cones count up to the first that has no mass
+        # cone j of sample s from the pool of seed + 31 s + j
         built = iter(_central_cones(m, [b for _, _, cones in block for b in cones],
                                     [seed + 31 * s + j for s, _, cones in block for j in range(len(cones))],
                                     MAP_CONSTRAINT_SAMPLES, 320))
-        rows = []
         for _, _, cones in block:
             approxes = [next(built) for _ in cones]
             rows.append(approxes[: approxes.index(None)] if None in approxes else approxes)
-        patches = iter(_clip_patches([c for approxes in rows for c in approxes]))
-        for (_, w, cones), approxes in zip(block, rows):
-            clipped = [next(patches) for _ in approxes]
-            if any(p is None for p in clipped):
-                continue  # an empty patch comes before any later cone's error
-            if len(approxes) < len(cones):
-                raise ValueError("cone carries no mass")
-            sums += (a - w) * np.array([e for _, e in clipped])
-            nonzero += 1
+    patches = iter(_clip_patches([c for approxes in rows for c in approxes]))
+    sums = np.zeros((d + 1, d))
+    nonzero = 0
+    for (_, w, cones), approxes in zip(members, rows):
+        clipped = [next(patches) for _ in approxes]
+        if any(p is None for p in clipped):
+            continue  # an empty patch comes before any later cone's error
+        if len(approxes) < len(cones):
+            raise ValueError("cone carries no mass")
+        sums += (a - w) * np.array([e for _, e in clipped])
+        nonzero += 1
     if nonzero == 0:
         raise RuntimeError(
             "no tuple sample produced a nonzero contribution: either the "

@@ -59,15 +59,12 @@ class GeneratingTuple:
         nrm = np.asarray(self.normals, dtype=float)
         if nrm.ndim != 2 or nrm.shape[0] != nrm.shape[1] + 1:
             raise ValueError(f"need (d+1) x d normals, got {nrm.shape}")
-        lens = np.linalg.norm(nrm, axis=1)
-        if np.any(lens == 0):
-            raise ValueError("zero normal")
-        nrm = nrm / lens[:, None]
-        margin = hull_interior_margin(nrm)
-        if margin < GENERATING_MARGIN:
+        flag, margin = is_generating(nrm)
+        if not flag:
             raise ValueError(
                 f"not generating: hull interior margin {margin:.3g} < {GENERATING_MARGIN}"
             )
+        nrm = nrm / np.linalg.norm(nrm, axis=1)[:, None]
         object.__setattr__(self, "normals", nrm)
         self.normals.setflags(write=False)
 
@@ -103,15 +100,32 @@ def is_generating(normals: np.ndarray):
 
     Returns (flag, margin) where the margin quantifies how strictly the
     origin sits inside the hull of the outer normals; the flag asks for a
-    margin of at least ``GENERATING_MARGIN``.
+    margin of at least ``GENERATING_MARGIN``.  A zero or non-finite row
+    raises ValueError.
     """
     d = normals.shape[1]
     if normals.shape[0] != d + 1:
         raise ValueError(f"need d+1 half-spaces, got {normals.shape[0]} in dim {d}")
     lens = np.linalg.norm(normals, axis=1)
-    normals = normals / lens[:, None]
-    margin = hull_interior_margin(normals)
-    return margin >= GENERATING_MARGIN, float(margin)
+    bad = np.flatnonzero(~(np.isfinite(lens) & (lens > 0)))
+    if bad.size:
+        raise ValueError(f"normal {bad[0]} is zero or not finite: {normals[bad[0]]}")
+    margin = float(_generating_margins(normals[None])[0])
+    return margin >= GENERATING_MARGIN, margin
+
+
+def _generating_margins(normals: np.ndarray) -> np.ndarray:
+    """``hull_interior_margin`` of the unit rows of each tuple of a stack
+    (N, d+1, d), with its bits: one stacked solve, or one solve per tuple
+    when some system is exactly singular."""
+    unit = normals / np.linalg.norm(normals, axis=2)[..., None]
+    system = np.concatenate([unit.transpose(0, 2, 1), np.ones((len(unit), 1, unit.shape[1]))], axis=1)
+    rhs = np.zeros(unit.shape[1])
+    rhs[-1] = 1.0
+    try:
+        return np.linalg.solve(system, rhs).min(axis=1)
+    except np.linalg.LinAlgError:
+        return np.array([hull_interior_margin(u) for u in unit])
 
 
 def cones_of(t: GeneratingTuple) -> ConeTuple:
@@ -189,17 +203,33 @@ class TupleMasses:
     inside: np.ndarray  # (d+1, n) bool: row i marks the points in cone i
 
 
-def tuple_masses(m: DiscreteMeasure, t: GeneratingTuple, weight: float | None = None) -> TupleMasses:
-    """The ``TupleMasses`` of a tuple under a measure; ``weight`` is its
-    ``tuple_weight``, when computed beforehand."""
+def tuple_masses(m: DiscreteMeasure, t: GeneratingTuple) -> TupleMasses:
+    """The ``TupleMasses`` of a tuple under a measure."""
     inside = np.stack([(m.points @ c.normals.T <= DEFAULT_TOL).all(axis=1) for c in cones_of(t).cones])
-    return TupleMasses(t, tuple_weight(m, t) if weight is None else weight, inside)
+    return TupleMasses(t, tuple_weight(m, t), inside)
 
 
-def _pair_masses(m: DiscreteMeasure, A: TupleMasses, B: TupleMasses) -> np.ndarray:
-    """Masses of pairwise cone intersections, via joint membership masks:
-    exact counts of m's mass units over its scale."""
-    return (A.inside * m.units) @ B.inside.T / m.scale
+def _pair_masses(m: DiscreteMeasure, A: TupleMasses, inside: np.ndarray) -> np.ndarray:
+    """Masses [..., i, j] of cone i of A with cone j of one tuple or of each
+    of a stack, from their masks ``inside`` ((d+1, n) or (N, d+1, n)): exact
+    counts of m's mass units over its scale, from one product."""
+    flat = (A.inside * m.units) @ inside.reshape(-1, m.n).T / m.scale
+    return np.moveaxis(flat.reshape(A.inside.shape[:1] + inside.shape[:-1]), 0, -2)
+
+
+def _matchings(m: DiscreteMeasure, A: TupleMasses, inside: np.ndarray, eps: float):
+    """The rule of ``match_tuples``, for A against one tuple or a stack, by
+    their cone masks ``inside``: the masses, the permutation sigma pairing
+    cone i of A with cone sigma[i], whether the edges form a permutation
+    matrix, and whether every matched mass is above the floor."""
+    d = A.tuple.d
+    masses = _pair_masses(m, A, inside)
+    adj = masses > MATCH_EDGE_MASS
+    sigma = np.argmax(adj, axis=-1)
+    perm = (adj.sum(axis=-2) == 1).all(axis=-1) & (adj.sum(axis=-1) == 1).all(axis=-1)
+    floor = 1.0 / (d + 1) - (3 * d + 2) * eps
+    above = (np.take_along_axis(masses, sigma[..., None], axis=-1)[..., 0] > floor).all(axis=-1)
+    return masses, sigma, perm, above
 
 
 def match_tuples(
@@ -216,7 +246,7 @@ def match_tuples(
     which with no edge off the matching means a permutation matrix (one edge
     in every row and every column), and every matched mass must exceed
     1/(d+1) - (3d+2) eps.  Violations raise MatchingError rather than
-    returning silently.
+    returning silently.  The one-tuple case of ``_matchings``.
     """
     A, B = (t if isinstance(t, TupleMasses) else tuple_masses(m, t) for t in (A, B))
     d = A.tuple.d
@@ -228,19 +258,16 @@ def match_tuples(
     for name, side in (("first", A), ("second", B)):
         if not side.weight < cap:
             raise ValueError(f"{name} tuple has weight {side.weight}, not below 1/(d+1) + eps = {cap}")
-    masses = _pair_masses(m, A, B)
-    adj = masses > MATCH_EDGE_MASS
-    if np.any(adj.sum(axis=0) != 1) or np.any(adj.sum(axis=1) != 1):
+    masses, sigma, perm, above = _matchings(m, A, B.inside, eps)
+    if not perm:
         raise MatchingError(
             f"cone overlaps above the edge mass {MATCH_EDGE_MASS} are not one per row "
             f"and column; intersection masses:\n{masses}"
         )
-    sigma = np.argmax(adj, axis=1)
-    floor = 1.0 / (d + 1) - (3 * d + 2) * eps
-    matched = masses[np.arange(d + 1), sigma]
-    if np.any(matched <= floor):
+    if not above:
+        floor = 1.0 / (d + 1) - (3 * d + 2) * eps
         raise MatchingError(
-            f"matched masses {matched} do not all exceed the floor {floor}"
+            f"matched masses {masses[np.arange(d + 1), sigma]} do not all exceed the floor {floor}"
         )
     return MatchReport(sigma, masses)
 
@@ -251,6 +278,12 @@ def canonical_labeling(t: GeneratingTuple) -> GeneratingTuple:
     return t.reordered(order)
 
 
+def _family_eps(d: int) -> float:
+    """The matching epsilon of the family: 1/(3(d+1)^3), so that its
+    weight cap 1/(d+1) + eps is ``family_level_cap``."""
+    return 1.0 / (3.0 * (d + 1) ** 3)
+
+
 def family_member_order(
     m: DiscreteMeasure, ref: GeneratingTuple | TupleMasses, t: GeneratingTuple | TupleMasses
 ) -> np.ndarray | None:
@@ -259,7 +292,7 @@ def family_member_order(
     ``ref``), or None when the matching fails; either tuple may come as its
     ``tuple_masses``, as in ``match_tuples``."""
     try:
-        rep = match_tuples(m, ref, t, eps=1.0 / (3.0 * (m.dim + 1) ** 3))
+        rep = match_tuples(m, ref, t, eps=_family_eps(m.dim))
     except (MatchingError, ValueError):
         return None
     return np.asarray(rep.permutation, dtype=int)

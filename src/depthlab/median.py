@@ -8,7 +8,9 @@ end: no reported depth (the lower end) overstates the truth.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,24 +380,44 @@ def min_normal_set(
 
 
 def _best_subtuple(normals: np.ndarray, d: int):
-    """(d+1)-subset of rows maximizing the interior margin of 0 in its hull."""
-    k = normals.shape[0]
-    idx = np.array(list(itertools.combinations(range(k), d + 1)), dtype=int)
-    mats = np.empty((idx.shape[0], d + 1, d + 1))
-    mats[:, :d, :] = np.transpose(normals[idx], (0, 2, 1))
-    mats[:, d, :] = 1.0
-    rhs = np.zeros(d + 1)
-    rhs[d] = 1.0
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-12
-    lams = np.full((idx.shape[0], d + 1), -np.inf)
-    if ok.any():
-        nb = int(ok.sum())
-        rhs_b = np.broadcast_to(rhs[:, None], (nb, d + 1, 1)).copy()
-        lams[ok] = np.linalg.solve(mats[ok], rhs_b)[:, :, 0]
-    margins = lams.min(axis=1)
+    """(d+1)-subset of rows maximizing the interior margin of 0 in its hull
+    (the first of equal ones) and that margin, -inf when all are singular.
+    By Cramer's rule the barycentric coordinates of 0 in the hull of v_0,
+    ..., v_d are lambda_i = (-1)^i D_i / sum_j (-1)^j D_j, D_i the d x d
+    minor without v_i, so one table of minors serves every subset; a signed
+    sum (+-det of [v_0 ... v_d; 1 ... 1]) of at most 1e-12 is singular."""
+    sub, minors, drop = _subset_tables(normals.shape[0], d)
+    sd = np.linalg.det(normals[minors])[drop]  # row i: D_i of every subset
+    sd[1::2] *= -1.0
+    total = sd.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margins = (sd / total).min(axis=0)
+    margins[~(np.abs(total) > 1e-12)] = -np.inf
     j = int(np.argmax(margins))
-    return idx[j], float(margins[j])
+    return sub[j], float(margins[j])
+
+
+@functools.cache
+def _subset_tables(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index tables over k rows: the (d+1)-subsets (lexicographic),
+    the d-subsets by colex rank sum_j C(a_j, j + 1), and in row i of a
+    (d+1, C(k, d+1)) table the rank of each subset less its i-th member."""
+    sub = np.array(list(itertools.combinations(range(k), d + 1)), dtype=np.intp).reshape(-1, d + 1)
+    binom = np.array([[math.comb(a, j) for j in range(d + 1)] for a in range(k)], dtype=np.intp)
+
+    def rank(rows):
+        return binom[rows, np.arange(1, d + 1)].sum(axis=1)
+
+    minors = np.empty((math.comb(k, d), d), dtype=np.intp)
+    lex = np.array(list(itertools.combinations(range(k), d)), dtype=np.intp).reshape(-1, d)
+    minors[rank(lex)] = lex
+    drop = np.stack([rank(np.delete(sub, i, axis=1)) for i in range(d + 1)])
+    # kept in the narrowest index types, since they stay cached
+    out = (sub.astype(np.min_scalar_type(k)), minors.astype(np.min_scalar_type(k)),
+           drop.astype(np.min_scalar_type(len(minors))))
+    for table in out:
+        table.setflags(write=False)
+    return out
 
 
 def _spread_subsample(normals: np.ndarray, target: int) -> np.ndarray:

@@ -10,9 +10,10 @@ DEFAULT_TOL.  The tests require the exact central vector to agree with the
 mean of many of these rays.
 
 ``patch`` clips one approximation at a time, a Python loop of small numpy
-calls, and ``structural_map`` builds and clips the central cones of one tuple
-sample after another: the package's code before the cones of a map were
-clipped in lockstep.  ``exact_constraint_candidates`` draws its point pairs
+calls, and ``structural_map`` draws, screens, builds and clips the central
+cones of one tuple sample after another (``draw_tuple_samples``,
+``family_member``): the package's code before the samples of a map were
+drawn and screened at once and its cones clipped in lockstep.  ``exact_constraint_candidates`` draws its point pairs
 from the full ``np.triu_indices`` list.  The tests require the package's
 lockstep clip, map and pair draw to give the same bits.
 """
@@ -25,11 +26,17 @@ from depthlab.central import (
     MAP_UNIFORM_SHARE,
     CentralConeApprox,
     StructuralTuple,
-    _family_member,
-    _perturbed_normals,
     central_cone,
 )
-from depthlab.cones import canonical_labeling, cones_of, tuple_weight
+from depthlab.cones import (
+    GeneratingTuple,
+    TupleMasses,
+    canonical_labeling,
+    cones_of,
+    family_member_order,
+    is_generating,
+    tuple_weight,
+)
 from depthlab.depth import point_depth
 from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, hull_interior_margin, unit
 from depthlab.measures import DiscreteMeasure
@@ -206,35 +213,61 @@ def patch(approx: CentralConeApprox) -> tuple[np.ndarray, np.ndarray]:
     return u, unit(moment)
 
 
+def family_member(m: DiscreteMeasure, a: float, ref: GeneratingTuple | TupleMasses, normals: np.ndarray):
+    """(tuple, weight, order) when ``normals`` form a generating tuple of
+    weight at most a whose cones match those of the reference tuple, with
+    the permutation that labels it by the reference; else None.  One tuple
+    sample at a time."""
+    flag, _ = is_generating(normals)
+    if not flag:
+        return None
+    t = GeneratingTuple(normals)
+    w = tuple_weight(m, t)
+    if w > a:
+        return None
+    order = family_member_order(m, ref, t)
+    return None if order is None else (t, w, order)
+
+
+def perturbed_normals(rng: np.random.Generator, base: np.ndarray, angle: float) -> np.ndarray:
+    """One perturbed tuple sample: a tangent gaussian step of scale angle
+    from each base normal, normalized."""
+    g = rng.standard_normal(base.shape) * angle
+    out = base + g - (np.sum(g * base, axis=1))[:, None] * base
+    return out / np.linalg.norm(out, axis=1)[:, None]
+
+
+def draw_tuple_samples(m: DiscreteMeasure, a: float, tuple_samples: int, seed: int):
+    """(reference tuple, [normals of each sample]) of the structural map,
+    drawn one sample at a time."""
+    d = m.dim
+    origin = np.zeros(d)
+    depth0 = point_depth(m, origin, mode="exact").depth
+    wt, _ = witness_tuple(m, origin, tol=max(1e-6, 0.9 * (a - depth0)), seed=seed)
+    assert tuple_weight(m, wt) <= a
+    ref = canonical_labeling(wt)
+    rng = np.random.default_rng(seed)
+    n_uniform = int(round(MAP_UNIFORM_SHARE * tuple_samples))
+    out = []
+    for s in range(tuple_samples):
+        if s < tuple_samples - n_uniform:
+            out.append(perturbed_normals(rng, ref.normals, MAP_PERTURB_ANGLE))
+        else:
+            g = rng.standard_normal((d + 1, d))
+            out.append(g / np.linalg.norm(g, axis=1)[:, None])
+    return ref, out
+
+
 def structural_map(m: DiscreteMeasure, a: float, tuple_samples: int = 240, seed: int = 0,
                    clip=patch) -> StructuralTuple:
     """The structural map, one tuple sample and one cone at a time; each
     approximation is clipped by ``clip``."""
     d = m.dim
-    origin = np.zeros(d)
-    # the package's size rule for exact depth, kept here as its own copy
-    if m.n <= 5000 and (d <= 3 or (d == 4 and m.n <= 120)):
-        depth0 = point_depth(m, origin, mode="exact").depth
-    else:
-        depth0 = point_depth(m, origin, mode="sampled", sample_count=4096, seed=seed).upper
-    wtol = max(1e-6, 0.9 * (a - depth0))
-    wt, _ = witness_tuple(m, origin, tol=wtol, seed=seed)
-    assert tuple_weight(m, wt) <= a
-    ref = canonical_labeling(wt)
-
-    rng = np.random.default_rng(seed)
-    n_uniform = int(round(MAP_UNIFORM_SHARE * tuple_samples))
-    n_perturb = tuple_samples - n_uniform
-
+    ref, samples = draw_tuple_samples(m, a, tuple_samples, seed)
     sums = np.zeros((d + 1, d))
     nonzero = 0
-    for s in range(tuple_samples):
-        if s < n_perturb:
-            nrm = _perturbed_normals(rng, ref.normals, MAP_PERTURB_ANGLE)
-        else:
-            g = rng.standard_normal((d + 1, d))
-            nrm = g / np.linalg.norm(g, axis=1)[:, None]
-        member = _family_member(m, a, ref, nrm)
+    for s, nrm in enumerate(samples):
+        member = family_member(m, a, ref, nrm)
         if member is None:
             continue
         t, w, order = member

@@ -18,13 +18,13 @@ from depthlab.cones import (
     family_level_cap,
     family_overlap_floor,
     match_tuples,
+    tuple_masses,
     tuple_weight,
 )
 from depthlab import central
 from depthlab.central import (
     CentralConeApprox,
-    _exact_constraint_candidates,
-    _family_member,
+    _family_members,
     _sphere_moments,
     central_cone,
     central_patch,
@@ -197,7 +197,7 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
         elif cones is small:
             assert len(got) == 1 and got[0][0].stop >= 4 and got[0][1] == slice(0, 2048)
         for b, s, approx in zip(cones, seeds, approxes, strict=True):
-            pool = np.vstack([sample_directions(3, 1024, seed=s, mode="sphere"), _exact_constraint_candidates(m, 1024, s + 1)])
+            pool = np.vstack([sample_directions(3, 1024, seed=s, mode="sphere"), referee.exact_constraint_candidates(m, 1024, s + 1)])
             assert len(pool) == 2048
             inside = cone_contains_many(b, m.points)
             assert 0 < inside.sum() <= 16 if cones is small else inside.sum() > 16
@@ -305,18 +305,19 @@ def family2():
 
 def test_family_member_cases(family2):
     mc, ref, a = family2
-    # the reference tuple is a member, labelled by the identity
-    t, w, order = _family_member(mc, a, ref, ref.normals)
-    assert w == tuple_weight(mc, ref) and w < a
-    assert np.array_equal(t.normals, ref.normals) and np.array_equal(order, np.arange(3))
-    # non-generating normals are not members
+    # one screen of the reference tuple, non-generating normals, a reordered
+    # reference and three equal normals, whose hull system is singular
     bad = np.array([[1.0, 0.0], [0.98, 0.2], [0.9, 0.43]])
-    assert _family_member(mc, a, ref, bad) is None
+    samples = np.stack([ref.normals, bad, ref.normals[[1, 2, 0]], np.tile([0.6, 0.8], (3, 1))])
+    idx, w, orders = _family_members(mc, a, tuple_masses(mc, ref), samples)
+    # the reference tuple is a member, labelled by the identity; the
+    # non-generating and the singular normals are not; a reordered reference
+    # is labelled by the inverse order
+    assert idx.tolist() == [0, 2]
+    assert w.tolist() == [tuple_weight(mc, ref)] * 2 and w[0] < a
+    assert orders.tolist() == [[0, 1, 2], [2, 0, 1]]
     # neither is a tuple of weight above a
-    assert _family_member(mc, w - 1e-9, ref, ref.normals) is None
-    # a reordered reference is labelled by the inverse order
-    _, _, order = _family_member(mc, a, ref, ref.normals[[1, 2, 0]])
-    assert np.array_equal(order, [2, 0, 1])
+    assert _family_members(mc, w[0] - 1e-9, tuple_masses(mc, ref), samples)[0].size == 0
 
 
 def test_structural_map_margin_and_directions(family2):
@@ -337,13 +338,9 @@ def test_structural_map_case1_dominance(family2):
     # uniform random tuples essentially never qualify, which is why the
     # estimator needs the perturbation proposal
     mc, ref, a = family2
-    rng = np.random.default_rng(5)
-    hits = 0
-    for _ in range(200):
-        g = rng.standard_normal((3, 2))
-        nrm = g / np.linalg.norm(g, axis=1)[:, None]
-        hits += int(_family_member(mc, a, ref, nrm) is not None)
-    assert hits <= 20  # below 10%
+    g = np.random.default_rng(5).standard_normal((200, 3, 2))
+    idx, _, _ = _family_members(mc, a, tuple_masses(mc, ref), g / np.linalg.norm(g, axis=2)[..., None])
+    assert idx.size <= 20  # below 10%
 
 
 def test_structural_map_stability_under_reweighting(family2):
@@ -369,32 +366,41 @@ def test_structural_map_requires_low_depth():
         structural_map(mc, a, tuple_samples=40, seed=0)
 
 
-@pytest.mark.parametrize("d", [1, 4])
-def test_structural_map_refuses_other_dimensions_before_any_work(monkeypatch, d):
-    # central-cone patches exist only in d = 2, 3, so the map refuses any
-    # other d before it evaluates a depth or searches a witness tuple
+@pytest.mark.parametrize("d, samples, match", [
+    pytest.param(1, 8, "d = 1", id="1"),
+    pytest.param(4, 8, "d = 4", id="4"),
+    *(pytest.param(2, bad, "tuple_samples", id=f"tuple_samples={bad!r}") for bad in (0, -3, 80.0, True)),
+])
+def test_structural_map_refuses_other_dimensions_before_any_work(monkeypatch, d, samples, match):
+    # central-cone patches exist only in d = 2, 3, and the estimate needs a
+    # positive whole number of tuple samples, so the map refuses any other
+    # d or count before it evaluates a depth or searches a witness tuple
     def no_work(*args, **kwargs):
-        raise AssertionError("structural_map did work before refusing d")
+        raise AssertionError("structural_map did work before refusing its arguments")
 
     monkeypatch.setattr(central, "point_depth", no_work)
     monkeypatch.setattr(central, "witness_tuple", no_work)
     m = generate_measure(MeasureSpec("gaussian", d, 100, {}, seed=d))
-    with pytest.raises(ValueError, match=f"d = {d}"):
-        structural_map(m, 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3), tuple_samples=8)
+    with pytest.raises(ValueError, match=match):
+        structural_map(m, 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3), tuple_samples=samples)
 
 
 _THREADS_PROBE = """
 import numpy as np
 from depthlab.central import central_patch, containment_check, structural_map
 from depthlab.cones import cones_of, epsilon_match_max, match_tuples
-from depthlab.measures import MeasureSpec, generate_measure
+from depthlab.measures import MeasureSpec, generate_measure, make_measure
 from depthlab.median import recenter, witness_tuple
 from depthlab.suites import _small_rotation
 for d in (2, 3):
     m = generate_measure(MeasureSpec("simplex_mixture", d, 240, {"sigma": 0.01}, 40 + d))
     mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=d)
-    st = structural_map(mc, 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3), tuple_samples=40, seed=d)
+    a = 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
+    st = structural_map(mc, a, tuple_samples=40, seed=d)
     print(st.vectors.tobytes().hex(), float(st.margin).hex())
+    bump = np.random.default_rng(d).random(mc.n)
+    mw = make_measure(mc.points, 0.99 * mc.weights + 0.01 * bump / bump.sum())
+    print(structural_map(mw, a, tuple_samples=40, seed=d).vectors.tobytes().hex())
     tup, _ = witness_tuple(mc, np.zeros(d), seed=d)
     t2 = tup.rotated(_small_rotation(d, np.deg2rad(2.0), d))
     rep = match_tuples(mc, tup, t2, eps=epsilon_match_max(d))
@@ -406,8 +412,9 @@ for d in (2, 3):
 
 
 def test_map_and_containment_bits_do_not_depend_on_blas_threads():
-    # the stacked pools, capture counts and lockstep clips give the same
-    # bytes at any BLAS thread count
+    # the stacked pools, tuple screens (of a uniform and a weighted measure),
+    # capture counts and lockstep clips give the same bytes at any BLAS
+    # thread count
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
@@ -417,4 +424,4 @@ def test_map_and_containment_bits_do_not_depend_on_blas_threads():
                            env=env, timeout=300)
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout)
-    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 6
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 8

@@ -1,6 +1,8 @@
-"""The lockstep clip of central-cone patches and the blocked structural map
-give the bits of the referees in ``central_referee``: one approximation
-clipped at a time, and the map built one tuple sample and one cone at a time.
+"""The lockstep clip of central-cone patches, the block-stacked constraint
+pools, the stacked screen of tuple samples and the structural map give the
+bits of the referees in ``central_referee``: one approximation clipped at a
+time, one seed's candidates at a time, and the map drawn, screened, built
+and clipped one tuple sample and one cone at a time.
 """
 
 import numpy as np
@@ -8,13 +10,14 @@ import pytest
 
 import central_referee as referee
 from depthlab import central
-from depthlab.central import MAP_BLOCK, CentralConeApprox, _clip_patches, _exact_constraint_candidates
-from depthlab.geometry import SimplicialCone, unit
+from depthlab.central import CentralConeApprox, _clip_patches, _constraint_pools
+from depthlab.geometry import SimplicialCone, sample_directions, unit
+from depthlab.cones import tuple_masses
 from depthlab.measures import MeasureSpec, cone_mass, generate_measure, make_measure
 from depthlab.median import recenter
 
 # tuple samples per map: 46 family members in d = 2 and 44 in d = 3, so the
-# last block of each map is a partial one
+# last ``MAP_BLOCK`` block of cones of each map is a partial one
 MAPS = {2: 60, 3: 80}
 
 
@@ -59,15 +62,16 @@ def _sliver(b: SimplicialCone) -> np.ndarray:
 
 
 def test_every_cone_of_a_map_matches_referee(recorded):
-    d, _, _, _, calls = recorded
-    approxes = [x for batch, _ in calls for x in batch]
-    assert len(calls) > 1 and len(approxes) % (d + 1) == 0
-    assert (len(approxes) // (d + 1)) % MAP_BLOCK != 0  # a partial last block
-    assert all(len(batch) == MAP_BLOCK * (d + 1) for batch, _ in calls[:-1])
-    for batch, patches in calls:
-        for approx, p in zip(batch, patches, strict=True):
-            assert p is not None
-            assert _same(p, _referee_patch(approx))
+    # one clip per map, holding the cones of every family member
+    d, mc, a, _, calls = recorded
+    ref, samples = referee.draw_tuple_samples(mc, a, MAPS[d], 0)
+    members = sum(referee.family_member(mc, a, ref, nrm) is not None for nrm in samples)
+    assert len(calls) == 1
+    (batch, patches), = calls
+    assert len(batch) == members * (d + 1)
+    for approx, p in zip(batch, patches, strict=True):
+        assert p is not None
+        assert _same(p, _referee_patch(approx))
 
 
 def test_map_matches_referee(recorded):
@@ -150,20 +154,67 @@ def test_map_raises_the_no_mass_error_the_referee_raises(recorded, monkeypatch):
         central.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_screen_matches_one_sample_at_a_time(d):
+    # on every tuple sample of three seeded maps per d, the stacked draw
+    # gives the referee's normals, and the stacked screen its members,
+    # weights and orders; the third map's measure is weighted
+    for k, (mseed, seed) in enumerate(((300, 0), (301, 4), (302, 9))):
+        spec = MeasureSpec("simplex_mixture", d, 240, {"sigma": 0.01}, mseed)
+        mc, _ = recenter(generate_measure(spec), balanced=True, starts=8, iters=20, seed=seed)
+        if k == 2:
+            bump = np.random.default_rng(seed).random(mc.n)
+            mc = make_measure(mc.points, 0.99 * mc.weights + 0.01 * bump / bump.sum())
+        a = 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
+        ref, samples = referee.draw_tuple_samples(mc, a, MAPS[d], seed)
+        normals = central._tuple_samples(np.random.default_rng(seed), ref.normals, MAPS[d])
+        assert np.array_equal(normals, np.stack(samples))
+        want = [(s, referee.family_member(mc, a, ref, nrm)) for s, nrm in enumerate(samples)]
+        want = [(s, w, order) for s, member in want if member is not None for _, w, order in [member]]
+        idx, weights, orders = central._family_members(mc, a, tuple_masses(mc, ref), normals)
+        assert 10 < len(want) < MAPS[d]
+        assert idx.tolist() == [s for s, _, _ in want]
+        assert weights.tolist() == [w for _, w, _ in want]
+        assert orders.tolist() == [order.tolist() for _, _, order in want]
+
+
 @pytest.mark.parametrize("origin", [False, True])
 @pytest.mark.parametrize("n", [2, 3, 45, 46, 240])
 def test_exact_constraint_candidates_match_referee(n, origin):
-    # 45 kept points give 990 pairs (no draw), 46 give 1,035 (one draw);
-    # a point at the origin is dropped
+    # 45 kept points give 990 pairs in d = 3 (no draw), 46 give 1,035 (one
+    # draw), and 240 points' 480 signed normals in d = 2 stay undrawn; a
+    # point at the origin is dropped.  Each seed's pool of a block is its
+    # sphere directions, then its referee candidates, then zero rows.
     rng = np.random.default_rng(n)
-    pts = rng.standard_normal((n, 3)) * rng.random((n, 1))
-    if origin:
-        pts = np.insert(pts, n // 2, 0.0, axis=0)
+    for d in (2, 3):
+        pts = rng.standard_normal((n, d)) * rng.random((n, 1))
+        if origin:
+            pts = np.insert(pts, n // 2, 0.0, axis=0)
+        m = make_measure(pts)
+        seeds = [0, 1, 2, 7, 40]
+        pools, sizes = _constraint_pools(m, 16, seeds)
+        assert pools.shape == (len(seeds), sizes.max(), d)
+        for pool, size, seed in zip(pools, sizes, seeds, strict=True):
+            want = referee.exact_constraint_candidates(m, 1024, seed + 1)
+            assert size == 16 + len(want)
+            assert np.array_equal(pool[:16], sample_directions(d, 16, seed=seed))
+            assert np.array_equal(pool[16:size], want) and not pool[size:].any()
+
+
+def test_pools_with_degenerate_pairs_match_referee():
+    # 40 of 46 points on one ray: of the 1,035 pairs, 1,024 are drawn and
+    # those on the ray (crosses of length at most 1e-9) are dropped, so the
+    # seeds of one block keep different numbers of candidates, each few
+    # enough to be taken with both signs, undrawn
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.standard_normal((6, 3)), np.outer(1.0 + np.arange(40), rng.standard_normal(3))])
     m = make_measure(pts)
-    for seed in range(3):
-        got = _exact_constraint_candidates(m, 1024, seed)
-        want = referee.exact_constraint_candidates(m, 1024, seed)
-        assert got.shape == want.shape and np.array_equal(got, want)
+    seeds = list(range(6))
+    pools, sizes = _constraint_pools(m, 8, seeds)
+    wants = [referee.exact_constraint_candidates(m, 1024, s + 1) for s in seeds]
+    assert len({len(w) for w in wants}) > 1 and max(len(w) for w in wants) < 1024
+    for pool, size, want in zip(pools, sizes, wants, strict=True):
+        assert size == 8 + len(want) and np.array_equal(pool[8:size], want) and not pool[size:].any()
 
 
 @pytest.mark.parametrize("weighted", [False, True])

@@ -48,6 +48,16 @@ def test_is_generating_examples():
     assert not ok  # intersection is the ray {x=0, y<=0}
     ok, _ = is_generating(normals_at([10, 40, 80]))
     assert not ok  # all normals in an open half-plane
+    ok, margin = is_generating(np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]]))
+    assert not ok and margin == 0.0  # one direction: a singular system
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
+def test_is_generating_refuses_zero_and_non_finite_normals(row):
+    normals = normals_at([90, 210, 330])
+    normals[1] = row
+    with pytest.raises(ValueError, match="normal 1"):
+        is_generating(normals)
 
 
 def test_generating_tuple_validation():

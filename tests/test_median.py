@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import arrangement_referee
+import subtuple_referee
 import depthlab.median
 from depthlab.geometry import DEFAULT_TOL, HalfSpace, line, sample_directions
 from depthlab.measures import MeasureSpec, generate_measure, make_measure, halfspace_mass, project_measure
 from depthlab.depth import EXACT_MAX_N, certified_depth_floor, direction_profiles, point_depth
 from depthlab.median import (
     WitnessSearchError,
+    _best_subtuple,
     min_normal_set,
     recenter,
     tukey_median,
@@ -357,6 +359,51 @@ def test_witness_validity_invariant():
         flag, _ = is_generating(tup.normals)
         assert flag
         assert tuple_weight(mc, tup) <= res.depth + 2e-6
+
+
+def _subtuple_sets(d: int, k: int, rng):
+    """Seeded candidate sets of k rows in R^d: generic unit normals; with a
+    row repeated next to itself; with d + 2 rows on one line (d = 2) or
+    plane (d = 3), collinear or coplanar; and a set on that line or plane
+    alone, all of whose subsets are singular."""
+    def units(rows):
+        return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+    generic = units(rng.standard_normal((k, d)))
+    yield generic
+    if k > d + 1:
+        # a repeat next to its row ties it exactly in either method; a repeat
+        # elsewhere permutes a subset's rows, so the two copies' margins tie
+        # only up to rounding, and which comes first is a rounding accident
+        j = int(rng.integers(k - 1))
+        yield np.insert(generic[:-1], j + 1, generic[j], axis=0)
+    # points of a line (d = 2) or a plane (d = 3) that misses the origin: any
+    # d + 1 of them are affinely dependent; through the origin, subsets would
+    # tie at margin 0 up to rounding instead
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    flat = q[:, 0] + rng.uniform(-2.0, 2.0, (k, d - 1)) @ q[:, 1:].T
+    m = min(k - 1, d + 2)
+    yield np.vstack([flat[:m], generic[m:]]) if k > d + 1 else flat
+    yield flat
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_best_subtuple_matches_lapack_referee(d):
+    # the minors table picks the subset that one LAPACK solve per subset
+    # picks, with a margin within 1e-12 (-inf alike when all are singular)
+    rng = np.random.default_rng(d)
+    singular = 0
+    for k in range(d + 1, 29):
+        for rows in _subtuple_sets(d, k, rng):
+            want, want_margin = subtuple_referee.best_subtuple(rows, d)
+            got, margin = _best_subtuple(rows, d)
+            assert got.tolist() == want.tolist(), (k, rows)
+            if np.isinf(want_margin):
+                singular += 1
+                assert margin == want_margin == -np.inf
+            else:
+                assert abs(margin - want_margin) <= 1e-12
+    assert singular >= 29 - (d + 1)  # every all-singular set, at least
 
 
 def test_balanced_median_is_maximizer(square):
