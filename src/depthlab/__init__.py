@@ -3,7 +3,6 @@ measures, deep-line search, and cone-structure verification suites."""
 
 from .geometry import (
     Flat,
-    HalfSpace,
     SimplicialCone,
     canonical_direction,
     line,
@@ -12,9 +11,7 @@ from .geometry import (
 from .measures import (
     DiscreteMeasure,
     MeasureSpec,
-    cone_mass,
     generate_measure,
-    halfspace_mass,
     load_measure,
     make_measure,
     project_measure,

@@ -3,12 +3,12 @@
 The central cone of a simplicial cone B (under a measure) is the part of B
 kept by every origin half-space that captures at least a d/(d+1) fraction of
 B's mass.  Its unit-sphere patch has a well-defined mean direction, the
-central vector e(B).  The cone is approximated by a finite constraint pool
-(an outer approximation that shrinks as the pool grows); the patch of that
-polyhedral cone is then exact.  In d = 2 it is an arc, whose mean direction
-is its midpoint.  In d = 3 it is a convex spherical polygon, clipped from B's
-triangle in a gnomonic chart (Sutherland-Hodgman), whose first moment is, by
-Stokes' theorem,
+central vector e(B).  The cone is approximated from a finite constraint
+pool by at most ``CONSTRAINT_CAP`` of the pool's qualifying half-spaces (an
+outer approximation); the patch of that polyhedral cone is then exact.  In
+d = 2 it is an arc, whose mean direction is its midpoint.  In d = 3 it is a
+convex spherical polygon, clipped from B's triangle in a gnomonic chart
+(Sutherland-Hodgman), whose first moment is, by Stokes' theorem,
 
     int_P x dA = 1/2 sum_i theta_i (v_i x v_{i+1}) / |v_i x v_{i+1}|
 
@@ -23,13 +23,13 @@ The structural map sends a recentered measure to an unordered tuple of d + 1
 vectors, one per matched-cone slot, by integrating (a - weight) e(B_i) over
 normal tuples; the origin ends up strictly inside their convex hull.  It
 draws all its tuple samples at once and screens them in one stacked pass
-against the reference tuple's cone masks, computed once: one product of the
-points with every sample's normals gives the half-space masses, the weights
-and the cone masks, and one product the masses shared with the reference's
-cones.  It then builds the central cones of ``MAP_BLOCK`` family members at
-a time (their pools drawn seed by seed from each seed's own generators,
-then crossed, normalized and counted together), clips all the map's patches
-together and adds the contributions in sample order.
+against the reference tuple's cone masks, computed once: the cone layer's
+membership rule (``cones._tuple_hits``) gives every sample's weight and cone
+masks from one product, and one more product the masses shared with the
+reference's cones.  It then builds the central cones of ``MAP_BLOCK``
+family members at a time (their pools drawn seed by seed from each seed's
+own generators, then crossed, normalized and counted together), clips all
+the map's patches together and adds the contributions in sample order.
 """
 
 from __future__ import annotations
@@ -47,27 +47,30 @@ from .geometry import (
     sample_directions,
     unit,
 )
-from .measures import DiscreteMeasure, cone_mass
+from .measures import DiscreteMeasure
 from .cones import (
     GENERATING_MARGIN,
     GeneratingTuple,
     TupleMasses,
     _family_eps,
-    _generating_margins,
     _matchings,
+    _tuple_hits,
     canonical_labeling,
     cones_of,
     family_level_cap,
     family_overlap_floor,
     tuple_masses,
-    tuple_weight,
 )
 from .median import witness_tuple
 from .depth import _BLOCK_ENTRIES, point_depth
 
-# the structural map's Monte Carlo proposal: the constraint pool of each
-# central cone, the angular scale of the witness perturbations and the share
-# of uniformly drawn tuples
+# the sphere directions of a central cone's constraint pool, and the most
+# binding constraints of the pool that an approximation keeps
+CONSTRAINT_SAMPLES = 1024
+CONSTRAINT_CAP = 320
+# the structural map's Monte Carlo proposal: the sphere directions of each
+# central cone's pool, the angular scale of the witness perturbations and the
+# share of uniformly drawn tuples
 MAP_CONSTRAINT_SAMPLES = 384
 MAP_PERTURB_ANGLE = 0.1
 MAP_UNIFORM_SHARE = 0.1
@@ -343,32 +346,33 @@ def _capture_blocks(cones: int, rows: int, width: int) -> list:
     return [(slice(c, c + per), slice(r, r + step)) for c in range(0, cones, per) for r in range(0, rows, step)]
 
 
-def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constraints: int | None = None) -> list:
+def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int) -> list:
     """The sampled outer approximations of the central cones of ``cones``
     under m, cone i from the constraint pool of seed seeds[i]: per cone its
     ``CentralConeApprox``, or None when the cone carries no mass.
 
-    Each seed's pool (``_constraint_pools``) is drawn once, however many
-    cones share it; its exact block does not depend on ``samples``, so pools
-    nest across sample counts and the approximation shrinks monotonically
-    toward the true central cone.  A constraint is kept when its half-space
-    captures at least the fraction d/(d+1) of B's mass.  Only the points
-    inside B carry that mass, so the capture runs over them alone, on
-    stacked zero-padded arrays, in ``_capture_blocks`` blocks: one product
-    of the hit mask with the mass units of the cone's points, padding
-    points weighing 0.  Its sums are integers, exact in any order, in the
-    narrowest dtype that holds the measure's scale exactly: float32 below
-    2^24 (a uniform measure's n), float64 above.  A constraint capturing k
-    of B's K units is kept when (d+1) k >= d K, compared in int64, since
-    (d+1) K can pass 2^53.  ``max_constraints`` keeps the most binding
-    constraints (capture closest to the threshold cuts deepest into the
-    cone) in the stable order of their captures; any subset still yields a
-    valid outer approximation.
+    Each seed's pool (``_constraint_pools``, ``samples`` sphere directions
+    first) is drawn once, however many cones share it; its exact block does
+    not depend on ``samples``, so pools nest across sample counts.  A
+    constraint is kept when its half-space captures at least the fraction
+    d/(d+1) of B's mass.  Only the points inside B carry that mass, so the
+    capture runs over them alone, on stacked zero-padded arrays, in
+    ``_capture_blocks`` blocks: one product of the hit mask with the mass
+    units of the cone's points, padding points weighing 0.  Its sums are
+    integers, exact in any order, in the narrowest dtype that holds the
+    measure's scale exactly: float32 below 2^24 (a uniform measure's n),
+    float64 above.  A constraint capturing k of B's K units is kept when
+    (d+1) k >= d K, compared in int64, since (d+1) K can pass 2^53.  When
+    more than ``CONSTRAINT_CAP`` constraints are kept, the approximation
+    takes the most binding ones (capture closest to the threshold cuts
+    deepest into the cone) in the stable order of their captures, else all
+    of them in pool order.  Any subset still yields a valid outer
+    approximation, but with the cap a larger pool need not give a smaller
+    one: only the pools nest.
     """
     d = m.dim
     normals = np.stack([b.normals for b in cones])
-    apexes = np.stack([b.apex for b in cones])
-    inside = np.all((m.points[None] - apexes[:, None, :]) @ normals.transpose(0, 2, 1) <= DEFAULT_TOL, axis=2)
+    inside = np.all(m.points @ normals.transpose(0, 2, 1) <= DEFAULT_TOL, axis=2)
     counts = inside.sum(axis=1)
     keys, pick = np.unique(np.asarray(seeds), return_inverse=True)
     pools, sizes = _constraint_pools(m, samples, keys)
@@ -385,46 +389,27 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int, max_constrain
         captured[cs, rs] = np.matmul(hit.astype(w.dtype), w[cs])[..., 0]
     keep = (d + 1) * captured.astype(np.int64) >= d * w[..., 0].sum(axis=1, dtype=np.int64)[:, None]
     keep &= np.arange(pools.shape[1]) < sizes[pick][:, None]
-    nkeep = keep.sum(axis=1)
-    if max_constraints is not None and (nkeep > max_constraints).any():
-        binding = np.argsort(np.where(keep, captured, np.inf), axis=1, kind="stable")[:, :max_constraints]
-    out = []
-    for i, b in enumerate(cones):
-        if counts[i] == 0:
-            out.append(None)
-        elif max_constraints is not None and nkeep[i] > max_constraints:
-            out.append(CentralConeApprox(b, pools[pick[i], binding[i]]))
-        else:
-            out.append(CentralConeApprox(b, pools[pick[i], keep[i]]))
-    return out
+    capped = keep.sum(axis=1) > CONSTRAINT_CAP
+    binding = np.argsort(np.where(keep, captured, np.inf), axis=1, kind="stable")[:, :CONSTRAINT_CAP]
+    return [None if k == 0 else CentralConeApprox(b, pools[p, binding[i] if capped[i] else keep[i]])
+            for i, (b, k, p) in enumerate(zip(cones, counts, pick))]
 
 
-def central_cone(
-    m: DiscreteMeasure,
-    b: SimplicialCone,
-    samples: int = 1024,
-    seed: int = 0,
-    max_constraints: int | None = None,
-) -> CentralConeApprox:
-    """Sampled outer approximation of the central cone of B: the one-cone
+def central_cone(m: DiscreteMeasure, b: SimplicialCone, seed: int = 0) -> CentralConeApprox:
+    """Sampled outer approximation of the central cone of B from the pool
+    of ``seed`` with ``CONSTRAINT_SAMPLES`` sphere directions: the one-cone
     case of ``_central_cones``, whose docstring gives the candidate pool and
     the capture rule.  Raises ValueError when B carries no mass."""
-    approx = _central_cones(m, [b], [seed], samples, max_constraints)[0]
+    approx = _central_cones(m, [b], [seed], CONSTRAINT_SAMPLES)[0]
     if approx is None:
         raise ValueError("cone carries no mass")
     return approx
 
 
-def central_patch(
-    m: DiscreteMeasure,
-    b: SimplicialCone,
-    seed: int = 0,
-    constraint_samples: int = 1024,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact sphere patch of the central cone of B (its 320 most binding
-    constraints of a ``constraint_samples`` pool): (vertices, central
-    vector).  See ``CentralConeApprox.patch``."""
-    return central_cone(m, b, samples=constraint_samples, seed=seed, max_constraints=320).patch()
+def central_patch(m: DiscreteMeasure, b: SimplicialCone, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sphere patch of the central cone of B (``central_cone``):
+    (vertices, central vector).  See ``CentralConeApprox.patch``."""
+    return central_cone(m, b, seed).patch()
 
 
 # the benchmark's tracer hooks this name (its ray counter now counts patch
@@ -449,17 +434,20 @@ def containment_check(
     benchmark's call and goes with the benchmark change of ROADMAP item 8.
     """
     d = m.dim
+    for b in (b1, b2):
+        if b.dim != d:
+            raise ValueError(f"cone of dimension {b.dim} on a measure of dimension {d}")
     cap = family_level_cap(d)
     floor = family_overlap_floor(d)
-    m1, m2 = cone_mass(m, b1), cone_mass(m, b2)
+    in1, in2 = cone_contains_many(b1, m.points), cone_contains_many(b2, m.points)
+    m1, m2 = (float(m.units[x].sum()) / m.scale for x in (in1, in2))
     if max(m1, m2) > cap + 1e-12:
         raise ValueError(f"cone masses ({m1}, {m2}) exceed the cap {cap}")
-    both = cone_contains_many(b1, m.points) & cone_contains_many(b2, m.points)
-    inter = float(m.units[both].sum()) / m.scale
+    inter = float(m.units[in1 & in2].sum()) / m.scale
     if inter < floor - 1e-12:
         raise ValueError(f"intersection mass {inter} below the floor {floor}")
     ok = True
-    approxes = _central_cones(m, [b1, b2], [seed, seed], 1024, 320)  # both carry mass: inter > 0
+    approxes = _central_cones(m, [b1, b2], [seed, seed], CONSTRAINT_SAMPLES)  # both carry mass: inter > 0
     for patch, other in zip(_clip_patches(approxes), (b2, b1)):
         verts, e = _nonempty(patch)
         ok &= bool(np.all(cone_contains_many(other, np.vstack([verts, e]), 1e-7)))
@@ -468,20 +456,14 @@ def containment_check(
 
 def _family_members(m: DiscreteMeasure, a: float, ref: TupleMasses, normals: np.ndarray):
     """(indices, weights, orders) of the tuple samples in a stack ``normals``
-    (N, d+1, d) whose unit rows form a generating tuple of weight at most a
-    whose cones match the reference's, each with the permutation that
-    labels it.  One product of the points with every sample's unit normals
-    gives each half-space's mass, so the weights, and each cone's points
-    (those in every half-space but the one the cone drops); the cones are
-    matched in one stacked ``_matchings``."""
-    d = m.dim
-    unit = normals / np.linalg.norm(normals, axis=2)[..., None]
-    hits = (m.points @ unit.reshape(-1, d).T <= DEFAULT_TOL).reshape(m.n, -1, d + 1)
-    weights = 1.0 - (m.units @ hits.reshape(m.n, -1) / m.scale).reshape(-1, d + 1).min(axis=1)
-    cand = np.flatnonzero((_generating_margins(normals) >= GENERATING_MARGIN) & (weights <= a))
-    h = hits[:, cand]
-    inside = (h.sum(axis=2)[..., None] - h == d).transpose(1, 2, 0)  # in every half-space but i
-    _, sigma, perm, above = _matchings(m, ref, inside, _family_eps(d))
+    (N, d+1, d) of unit rows that form a generating tuple of weight at most
+    a whose cones match the reference's, each with the permutation that
+    labels it: the weights and cone masks of one stacked ``_tuple_hits``,
+    the margins of one stacked ``hull_interior_margin``, and the matchings
+    of one stacked ``_matchings``."""
+    weights, inside = _tuple_hits(m, normals)
+    cand = np.flatnonzero((hull_interior_margin(normals) >= GENERATING_MARGIN) & (weights <= a))
+    _, sigma, perm, above = _matchings(m, ref, inside[cand], _family_eps(m.dim))
     ok = perm & above
     return cand[ok], weights[cand[ok]], sigma[ok]
 
@@ -520,13 +502,13 @@ def structural_map(
     integer ``tuple_samples`` (``ValueError`` otherwise, before any work),
     and the measure to be recentered (median at the origin) with exact
     depth there below a < 1/(d+1) + 1/(3(d+1)^3); deterministic in the
-    seed.  A sample with an empty central-cone patch contributes nothing; a
-    cone without mass raises the ValueError of ``central_cone``, unless an
-    earlier cone of its sample has an empty patch.  All tuple samples are
-    drawn and screened at once (``_family_members``, against the reference
-    tuple's weight and cone masks, computed once); the central cones of
-    ``MAP_BLOCK`` family members are built together (``_central_cones``),
-    and all their patches are clipped together.
+    seed.  A sample with an empty central-cone patch contributes nothing.
+    Every member cone carries mass: it shares more than
+    ``family_overlap_floor(d)`` with the reference cone it is matched to.
+    All tuple samples are drawn and screened at once (``_family_members``,
+    against the reference tuple's weight and cone masks, computed once);
+    the central cones of ``MAP_BLOCK`` family members are built together
+    (``_central_cones``), and all their patches are clipped together.
     """
     d = m.dim
     if d not in (2, 3):
@@ -548,36 +530,28 @@ def structural_map(
     # minimizing set spread around the origin
     wtol = max(1e-6, 0.9 * (a - depth0))
     wt, _ = witness_tuple(m, origin, tol=wtol, seed=seed)
-    base_weight = tuple_weight(m, wt)
-    if base_weight > a:
-        raise RuntimeError(
-            f"tuple weight at the origin ({base_weight}) is not below a = {a}"
-        )
     ref = tuple_masses(m, canonical_labeling(wt))
+    if ref.weight > a:
+        raise RuntimeError(f"tuple weight at the origin ({ref.weight}) is not below a = {a}")
 
     normals = _tuple_samples(np.random.default_rng(seed), ref.tuple.normals, tuple_samples)
     # (sample, weight, matched cones) of each tuple in the family
     members = [(s, w, cones_of(GeneratingTuple(normals[s]).reordered(order)).cones)
                for s, w, order in zip(*_family_members(m, a, ref, normals))]
-    rows = []  # per member, its cones' approximations up to the first without mass
+    approxes = []
     for lo in range(0, len(members), MAP_BLOCK):
         block = members[lo : lo + MAP_BLOCK]
         # cone j of sample s from the pool of seed + 31 s + j
-        built = iter(_central_cones(m, [b for _, _, cones in block for b in cones],
-                                    [seed + 31 * s + j for s, _, cones in block for j in range(len(cones))],
-                                    MAP_CONSTRAINT_SAMPLES, 320))
-        for _, _, cones in block:
-            approxes = [next(built) for _ in cones]
-            rows.append(approxes[: approxes.index(None)] if None in approxes else approxes)
-    patches = iter(_clip_patches([c for approxes in rows for c in approxes]))
+        approxes += _central_cones(m, [b for _, _, cones in block for b in cones],
+                                   [seed + 31 * s + j for s, _, cones in block for j in range(len(cones))],
+                                   MAP_CONSTRAINT_SAMPLES)
+    patches = iter(_clip_patches(approxes))
     sums = np.zeros((d + 1, d))
     nonzero = 0
-    for (_, w, cones), approxes in zip(members, rows):
-        clipped = [next(patches) for _ in approxes]
+    for _, w, cones in members:
+        clipped = [next(patches) for _ in cones]
         if any(p is None for p in clipped):
-            continue  # an empty patch comes before any later cone's error
-        if len(approxes) < len(cones):
-            raise ValueError("cone carries no mass")
+            continue
         sums += (a - w) * np.array([e for _, e in clipped])
         nonzero += 1
     if nonzero == 0:

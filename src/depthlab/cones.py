@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, HalfSpace, SimplicialCone, hull_interior_margin
-from .measures import DiscreteMeasure, cone_mass, halfspace_mass
+from .geometry import DEFAULT_TOL, SimplicialCone, hull_interior_margin
+from .measures import DiscreteMeasure
 
 GENERATING_MARGIN = 1e-9
 MATCH_EDGE_MASS = 1e-6  # intersection mass above which two cones share an edge
@@ -72,10 +72,6 @@ class GeneratingTuple:
     def d(self) -> int:
         return self.normals.shape[1]
 
-    @property
-    def halves(self) -> list[HalfSpace]:
-        return [HalfSpace(n, 0.0) for n in self.normals]
-
     def reordered(self, perm) -> "GeneratingTuple":
         return GeneratingTuple(self.normals[np.asarray(perm, dtype=int)])
 
@@ -110,22 +106,8 @@ def is_generating(normals: np.ndarray):
     bad = np.flatnonzero(~(np.isfinite(lens) & (lens > 0)))
     if bad.size:
         raise ValueError(f"normal {bad[0]} is zero or not finite: {normals[bad[0]]}")
-    margin = float(_generating_margins(normals[None])[0])
+    margin = hull_interior_margin(normals / lens[:, None])
     return margin >= GENERATING_MARGIN, margin
-
-
-def _generating_margins(normals: np.ndarray) -> np.ndarray:
-    """``hull_interior_margin`` of the unit rows of each tuple of a stack
-    (N, d+1, d), with its bits: one stacked solve, or one solve per tuple
-    when some system is exactly singular."""
-    unit = normals / np.linalg.norm(normals, axis=2)[..., None]
-    system = np.concatenate([unit.transpose(0, 2, 1), np.ones((len(unit), 1, unit.shape[1]))], axis=1)
-    rhs = np.zeros(unit.shape[1])
-    rhs[-1] = 1.0
-    try:
-        return np.linalg.solve(system, rhs).min(axis=1)
-    except np.linalg.LinAlgError:
-        return np.array([hull_interior_margin(u) for u in unit])
 
 
 def cones_of(t: GeneratingTuple) -> ConeTuple:
@@ -136,14 +118,30 @@ def cones_of(t: GeneratingTuple) -> ConeTuple:
         rows = np.delete(t.normals, i, axis=0)
         if abs(np.linalg.det(rows)) <= 1e-10:
             raise ValueError(f"cone {i}: remaining normals are linearly dependent")
-        cones.append(SimplicialCone(np.zeros(d), rows))
+        cones.append(SimplicialCone(rows))
     return ConeTuple(cones)
+
+
+def _tuple_hits(m: DiscreteMeasure, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weights (N,), cone masks (N, d+1, n)) of a stack of tuples given by
+    their unit outer normals (N, d+1, d): the cone layer's one membership
+    rule.  A point is in an origin half-space when its product with the
+    normal is at most ``DEFAULT_TOL``; one product of the points with every
+    normal gives each half-space's mass, an exact count of m's mass units
+    over its scale (a tuple's weight is 1 minus its smallest), and each
+    cone's points, those in every half-space but the one the cone drops.
+    A tuple dimension other than m's raises ValueError."""
+    d = normals.shape[-1]
+    if d != m.dim:
+        raise ValueError(f"tuples of dimension {d} on a measure of dimension {m.dim}")
+    hits = (m.points @ normals.reshape(-1, d).T <= DEFAULT_TOL).reshape(m.n, -1, d + 1)
+    weights = 1.0 - (m.units @ hits.reshape(m.n, -1) / m.scale).reshape(-1, d + 1).min(axis=1)
+    return weights, (hits.sum(axis=2)[..., None] - hits == d).transpose(1, 2, 0)
 
 
 def tuple_weight(m: DiscreteMeasure, t: GeneratingTuple) -> float:
     """1 minus the smallest half-space mass of the tuple."""
-    masses = [halfspace_mass(m, h) for h in t.halves]
-    return 1.0 - min(masses)
+    return float(_tuple_hits(m, t.normals[None])[0][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +171,12 @@ def bmes_report(m: DiscreteMeasure, t: GeneratingTuple, eps: float) -> BmesRepor
     in (1/(d+1) - (2d+1) eps, 1/(d+1) + eps).
     """
     d = t.d
+    w, inside = _tuple_hits(m, t.normals[None])
     if not (0 < eps <= epsilon_bmes_max(d)):
         raise ValueError(f"eps must lie in (0, {epsilon_bmes_max(d)!r}], got {eps}")
-    w = tuple_weight(m, t)
-    if not w < 1.0 / (d + 1) + eps:
-        raise ValueError(f"tuple weight {w} is not below 1/(d+1) + eps = {1.0 / (d + 1) + eps}")
-    masses = np.array([cone_mass(m, b) for b in cones_of(t).cones])
+    if not w[0] < 1.0 / (d + 1) + eps:
+        raise ValueError(f"tuple weight {w[0]} is not below 1/(d+1) + eps = {1.0 / (d + 1) + eps}")
+    masses = inside[0] @ m.units / m.scale
     sum_bound = 1.0 - (d + 1) * eps
     lower = 1.0 / (d + 1) - (2 * d + 1) * eps
     upper = 1.0 / (d + 1) + eps
@@ -205,8 +203,8 @@ class TupleMasses:
 
 def tuple_masses(m: DiscreteMeasure, t: GeneratingTuple) -> TupleMasses:
     """The ``TupleMasses`` of a tuple under a measure."""
-    inside = np.stack([(m.points @ c.normals.T <= DEFAULT_TOL).all(axis=1) for c in cones_of(t).cones])
-    return TupleMasses(t, tuple_weight(m, t), inside)
+    w, inside = _tuple_hits(m, t.normals[None])
+    return TupleMasses(t, float(w[0]), inside[0])
 
 
 def _pair_masses(m: DiscreteMeasure, A: TupleMasses, inside: np.ndarray) -> np.ndarray:
@@ -250,8 +248,6 @@ def match_tuples(
     """
     A, B = (t if isinstance(t, TupleMasses) else tuple_masses(m, t) for t in (A, B))
     d = A.tuple.d
-    if B.tuple.d != d:
-        raise ValueError("tuples live in different dimensions")
     if not (0 < eps <= epsilon_match_max(d)):
         raise ValueError(f"eps must lie in (0, {epsilon_match_max(d)!r}], got {eps}")
     cap = 1.0 / (d + 1) + eps

@@ -1,10 +1,11 @@
-"""Geometric primitives: vectors, half-spaces, flats, simplicial cones, direction sampling.
+"""Geometric primitives: vectors, flats, simplicial cones, hull margins, direction sampling.
 
 Conventions used throughout the package:
 
-* A half-space is stored as a unit outer normal ``n`` and an offset ``c``;
-  the half-space is ``{x : <n, x> <= c}`` and its boundary is ``<n, x> = c``.
-  Half-spaces through the origin have offset 0.
+* A half-space is ``{x : <n, x> <= c}`` for a unit outer normal ``n`` and an
+  offset ``c``; its boundary is ``<n, x> = c``.  The cone layer's half-spaces
+  and cones pass through the origin (c = 0), and a tuple or a cone holds
+  their outer normals as the rows of one array.
 * Predicates and masses count points within ``DEFAULT_TOL`` of a boundary
   as on it.
 * Projective directions are canonicalized so that the first coordinate whose
@@ -15,7 +16,7 @@ Everything here is a pure function of its inputs; no shared mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,26 +54,6 @@ def canonical_direction(v) -> np.ndarray:
         if abs(c) > 1e-13:
             return u if c > 0 else -u
     raise ValueError("direction vector is numerically zero")
-
-
-@dataclass(frozen=True, eq=False)
-class HalfSpace:
-    """Closed half-space {x : <normal, x> <= offset} with unit outer normal."""
-
-    normal: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        n = unit(self.normal)
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
-        if not np.isfinite(self.offset):
-            raise ValueError("half-space offset must be finite")
-        self.normal.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,43 +123,36 @@ def complement_bases(bases: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SimplicialCone:
-    """Intersection of d half-spaces through a common apex.
+    """Intersection of d half-spaces through the origin.
 
     ``normals`` holds the outer normals as rows; membership is
-    ``<n_i, x - apex> <= 0`` for every row.  The rows must be linearly
+    ``<n_i, x> <= 0`` for every row.  The rows must be linearly
     independent, which also guarantees the cone contains no full line.
     """
 
-    apex: np.ndarray
     normals: np.ndarray
 
     def __post_init__(self):
-        apex = as_vector(self.apex)
         normals = np.asarray(self.normals, dtype=float)
-        if normals.ndim != 2 or normals.shape != (apex.size, apex.size):
-            raise ValueError(
-                f"need d x d constraint normals, got {normals.shape} for d={apex.size}"
-            )
+        if normals.ndim != 2 or normals.shape[0] != normals.shape[1] or not normals.size:
+            raise ValueError(f"need d x d constraint normals, got {normals.shape}")
         norms = np.linalg.norm(normals, axis=1)
         if np.any(norms == 0):
             raise ValueError("zero constraint normal")
         normals = normals / norms[:, None]
         if abs(np.linalg.det(normals)) <= 1e-10:
             raise ValueError("constraint normals are linearly dependent (tol 1e-10)")
-        object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "normals", normals)
-        self.apex.setflags(write=False)
         self.normals.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.apex.size
+        return self.normals.shape[1]
 
 
 def cone_contains_many(b: SimplicialCone, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized closed-cone membership for an (n, d) array of points."""
-    pts = np.asarray(pts, dtype=float)
-    return np.all((pts - b.apex) @ b.normals.T <= tol, axis=1)
+    return np.all(np.asarray(pts, dtype=float) @ b.normals.T <= tol, axis=1)
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:
@@ -250,23 +224,26 @@ def random_rotation(dim: int, seed: int) -> np.ndarray:
     return q
 
 
-def hull_interior_margin(vectors: np.ndarray) -> float:
+def hull_interior_margin(vectors: np.ndarray) -> float | np.ndarray:
     """Margin by which the origin sits inside conv(rows of ``vectors``).
 
     For d+1 vectors in R^d that affinely span, the convex combination with
     sum(lam) = 1 and sum(lam_i v_i) = 0 is unique; the margin is min(lam_i).
     Returns 0.0 when the system is singular or the combination leaves the
-    simplex.  Margin > 0 iff the origin is strictly inside the hull.
+    simplex.  Margin > 0 iff the origin is strictly inside the hull.  A
+    stack (N, d+1, d) of such arrays gives an array of N margins, each with
+    the bits of its own solve: one stacked solve, or one solve per array
+    when one system of the stack is exactly singular.
     """
     v = np.asarray(vectors, dtype=float)
-    m, d = v.shape
-    if m != d + 1:
-        raise ValueError(f"need d+1 vectors in R^d, got {m} in R^{d}")
-    a = np.vstack([v.T, np.ones(m)])
+    if v.ndim not in (2, 3) or v.shape[-2] != v.shape[-1] + 1:
+        raise ValueError(f"need one or a stack of (d+1, d) arrays, got shape {v.shape}")
+    d = v.shape[-1]
+    a = np.concatenate([np.swapaxes(v, -1, -2), np.ones(v.shape[:-2] + (1, d + 1))], axis=-2)
     rhs = np.zeros(d + 1)
     rhs[-1] = 1.0
     try:
         lam = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        return 0.0
-    return float(lam.min())
+        return np.array([hull_interior_margin(x) for x in v]) if v.ndim == 3 else 0.0
+    return lam.min(axis=-1) if v.ndim == 3 else float(lam.min())

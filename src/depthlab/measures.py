@@ -1,4 +1,4 @@
-"""Discrete probability measures: generators, projections, mass queries, file I/O.
+"""Discrete probability measures: mass units, generators, projections, file I/O.
 
 A measure is a finite weighted point set with weights summing to 1.  These
 stand in for smooth fast-decaying densities; tests that depend on smoothness
@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    DEFAULT_TOL,
-    Flat,
-    HalfSpace,
-    SimplicialCone,
-    as_vector,
-    complement_basis,
-    cone_contains_many,
-)
+from .geometry import Flat, as_vector, complement_basis
 
 WEIGHT_SUM_TOL = 1e-8
 
@@ -224,21 +216,6 @@ def project_measure(m: DiscreteMeasure, f: Flat) -> DiscreteMeasure:
         raise ValueError(f"flat ambient dim {f.dim} != measure dim {m.dim}")
     comp = complement_basis(f)
     return DiscreteMeasure(m.dim - f.k, m.points @ comp.T, m.weights)
-
-
-def halfspace_mass(m: DiscreteMeasure, h: HalfSpace) -> float:
-    """Mass of the closed half-space; boundary points (within ``DEFAULT_TOL``) count."""
-    if h.dim != m.dim:
-        raise ValueError(f"half-space dim {h.dim} != measure dim {m.dim}")
-    s = m.points @ h.normal - h.offset
-    return float(m.units[s <= DEFAULT_TOL].sum()) / m.scale
-
-
-def cone_mass(m: DiscreteMeasure, b: SimplicialCone) -> float:
-    """Mass of the closed simplicial cone."""
-    if b.dim != m.dim:
-        raise ValueError(f"cone dim {b.dim} != measure dim {m.dim}")
-    return float(m.units[cone_contains_many(b, m.points)].sum()) / m.scale
 
 
 def save_measure(m: DiscreteMeasure, path) -> None:

@@ -319,7 +319,7 @@ def central_suite(containment_pairs: int = 20, estimator_seeds=(0, 1, 2), thread
     # octant of R^3, whose central vector must align with the diagonal
     axis = unit(np.ones(3))
     base = _octant_symmetric_measure(600, 0.15)
-    octant = SimplicialCone(np.zeros(3), -np.eye(3))
+    octant = SimplicialCone(-np.eye(3))
 
     def estimate(s):
         _, e = central_patch(base, octant, seed=s)

@@ -26,6 +26,7 @@ from depthlab.central import (
     MAP_UNIFORM_SHARE,
     CentralConeApprox,
     StructuralTuple,
+    _central_cones,
     central_cone,
 )
 from depthlab.cones import (
@@ -53,6 +54,13 @@ def contains(approx: CentralConeApprox, pts: np.ndarray) -> np.ndarray:
         blk = pts[lo : lo + _ROWS]
         out[lo : lo + _ROWS] &= np.all(blk @ approx.constraints.T <= DEFAULT_TOL, axis=1)
     return out
+
+
+def orthant_on(p: np.ndarray) -> SimplicialCone:
+    """The orthant at the origin with one edge on the ray through p; a point
+    near that ray may fall on either side of the orthant's faces."""
+    q, _ = np.linalg.qr(np.column_stack([p, np.eye(len(p))[:, :-1]]))
+    return SimplicialCone(-(q * np.sign(q[:, 0] @ p)).T)
 
 
 def _uniform_cap(center: np.ndarray, theta: float, count: int, seed: int) -> np.ndarray:
@@ -101,7 +109,6 @@ def sample_central_rays(
     b: SimplicialCone,
     count: int,
     seed: int = 0,
-    constraint_samples: int = 1024,
 ):
     """Uniformly distributed rays of the central-cone sphere patch.
 
@@ -110,7 +117,7 @@ def sample_central_rays(
     batching until ``count`` rays are collected.  Returns
     (rays, (cap_center, cap_angle)).
     """
-    approx = central_cone(m, b, samples=constraint_samples, seed=seed, max_constraints=320)
+    approx = central_cone(m, b, seed=seed)
     inb = cone_contains_many(b, m.points)
     center = _mass_direction(m, b, inb)
     if inb.any():
@@ -276,8 +283,7 @@ def structural_map(m: DiscreteMeasure, a: float, tuple_samples: int = 240, seed:
         ok = True
         for j in range(d + 1):
             try:
-                _, e = clip(central_cone(m, cones[j], samples=MAP_CONSTRAINT_SAMPLES,
-                                         seed=seed + 31 * s + j, max_constraints=320))
+                _, e = clip(_central_cones(m, [cones[j]], [seed + 31 * s + j], MAP_CONSTRAINT_SAMPLES)[0])
             except RuntimeError:
                 ok = False
                 break

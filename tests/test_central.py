@@ -8,8 +8,8 @@ import pytest
 
 import ascent_referee as ref
 import central_referee as referee
-from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, sample_directions, unit
-from depthlab.measures import MeasureSpec, cone_mass, generate_measure, make_measure
+from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, random_rotation, sample_directions, unit
+from depthlab.measures import MeasureSpec, generate_measure, make_measure
 from depthlab.median import recenter, witness_tuple
 from depthlab.cones import (
     canonical_labeling,
@@ -24,6 +24,7 @@ from depthlab.cones import (
 from depthlab import central
 from depthlab.central import (
     CentralConeApprox,
+    _constraint_pools,
     _family_members,
     _sphere_moments,
     central_cone,
@@ -33,7 +34,7 @@ from depthlab.central import (
 )
 from depthlab.suites import _octant_symmetric_measure, _small_rotation
 
-OCTANT = SimplicialCone(np.zeros(3), -np.eye(3))
+OCTANT = SimplicialCone(-np.eye(3))
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ def test_exact_vector_matches_referee(d, mixture2, mixture3):
     # constraint within 1e-9
     mc, tup = mixture2 if d == 2 else mixture3
     for j, b in enumerate(cones_of(tup).cones[:2]):
-        approx = central_cone(mc, b, samples=1024, seed=j, max_constraints=320)
+        approx = central_cone(mc, b, seed=j)
         verts, e = central_patch(mc, b, seed=j)
         rays, _ = referee.sample_central_rays(mc, b, count=10**6, seed=j)
         assert rays.shape == (10**6, d)
@@ -108,7 +109,7 @@ def test_constraint_through_base_ray():
     assert np.allclose(e, unit(moment), atol=1e-15)
     # in the plane: the line x = y through the quadrant's middle ray keeps
     # the arc from (1, 1)/sqrt 2 to e2
-    quadrant = SimplicialCone(np.zeros(2), -np.eye(2))
+    quadrant = SimplicialCone(-np.eye(2))
     verts, e = CentralConeApprox(quadrant, np.array([[1.0, -1.0]]) / np.sqrt(2)).patch()
     assert np.allclose(verts, [[r, r], [0.0, 1.0]], atol=1e-15)
     assert np.allclose(e, [np.sin(np.pi / 8), np.cos(np.pi / 8)], atol=1e-15)
@@ -122,7 +123,7 @@ def test_nearly_parallel_constraints():
     both_v, both_e = CentralConeApprox(OCTANT, np.vstack([a, b])).patch()
     assert np.all(both_v @ np.vstack([a, b]).T <= DEFAULT_TOL)
     assert np.linalg.norm(one_e - both_e) < 1e-9
-    quadrant = SimplicialCone(np.zeros(2), -np.eye(2))
+    quadrant = SimplicialCone(-np.eye(2))
     c = np.array([[1.0, -1.0], [1.0, -1.0 - 1e-10]])
     verts, _ = CentralConeApprox(quadrant, c / np.linalg.norm(c, axis=1)[:, None]).patch()
     assert np.all(verts @ (c / np.linalg.norm(c, axis=1)[:, None]).T <= 1e-15)
@@ -130,7 +131,7 @@ def test_nearly_parallel_constraints():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_empty_patch_raises(d):
-    base = SimplicialCone(np.zeros(d), -np.eye(d))
+    base = SimplicialCone(-np.eye(d))
     a = unit(np.r_[1.0, -1.0, np.zeros(d - 2)])
     for cons in (np.ones((1, d)) / np.sqrt(d), np.vstack([a, -a])):  # nothing left; a zero-width sliver
         with pytest.raises(RuntimeError, match="empty"):
@@ -138,7 +139,7 @@ def test_empty_patch_raises(d):
 
 
 def test_patch_rejects_d4():
-    base = SimplicialCone(np.zeros(4), -np.eye(4))
+    base = SimplicialCone(-np.eye(4))
     with pytest.raises(ValueError, match="d = 4"):
         CentralConeApprox(base, np.empty((0, 4))).patch()
 
@@ -154,18 +155,24 @@ def test_central_cone_subset_of_base(mixture3):
 def test_central_cone_positive_mass(mixture3):
     mc, tup = mixture3
     for b in cones_of(tup).cones:
-        approx = central_cone(mc, b, samples=512, seed=1)
+        approx = central_cone(mc, b, seed=1)
         inside = referee.contains(approx, mc.points)
         assert float(mc.weights[inside].sum()) > 0
 
 
-def test_central_cone_monotone_refinement(mixture3):
-    # doubling the prefix-stable constraint stream only shrinks the patch
-    mc, tup = mixture3
-    for b in cones_of(tup).cones:
-        small, _ = central_cone(mc, b, samples=256, seed=3).patch()
-        big, _ = central_cone(mc, b, samples=512, seed=3).patch()
-        assert np.all(_inside_patch(small, big, 1e-9))
+@pytest.mark.parametrize("d", [2, 3])
+def test_constraint_pools_nest_across_sample_counts(d, mixture2, mixture3):
+    # a seed's pool at more sphere directions holds its pool at fewer: the
+    # sphere rows are prefix-stable and the exact block does not depend on
+    # the sample count (the capped approximations need not nest)
+    mc, _ = mixture2 if d == 2 else mixture3
+    seeds = [0, 3, 9]
+    small, small_sizes = _constraint_pools(mc, 256, seeds)
+    big, big_sizes = _constraint_pools(mc, 1024, seeds)
+    assert (big_sizes - small_sizes == 768).all()
+    for p, q, k in zip(small, big, small_sizes, strict=True):
+        assert np.array_equal(p[:256], q[:256])
+        assert np.array_equal(p[256:k], q[1024 : k + 768]) and k > 256
 
 
 def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
@@ -182,16 +189,16 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
     mc, tup = mixture3
     weighted = make_measure(mc.points, 0.5 + np.random.default_rng(3).random(mc.n))
     octant = _octant_symmetric_measure(600, 0.15)
-    orthants = [SimplicialCone(p, -np.eye(3)) for p in mc.points]
+    orthants = [referee.orthant_on(p) for p in mc.points]
     small = [b for b in orthants if 4 <= cone_contains_many(b, mc.points).sum() <= 16][:4]
     groups = [(m, [b], [2]) for m in (mc, weighted) for b in cones_of(tup).cones]
     groups += [(octant, [OCTANT], [2]), (mc, small, [2, 5, 2, 7]), (weighted, small, [2, 5, 2, 7])]
     for m, cones, seeds in groups:
         blocks.clear()
-        approxes = central._central_cones(m, cones, seeds, 1024, 320)
+        approxes = central._central_cones(m, cones, seeds, 1024)
         (got,) = blocks
         if len(cones) == 1:
-            assert np.array_equal(approxes[0].constraints, central_cone(m, cones[0], seed=2, max_constraints=320).constraints)
+            assert np.array_equal(approxes[0].constraints, central_cone(m, cones[0], seed=2).constraints)
         if m is octant:
             assert len(got) == 57 and got[0][1] == slice(0, 36)
         elif cones is small:
@@ -203,7 +210,7 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
             assert 0 < inside.sum() <= 16 if cones is small else inside.sum() > 16
             hits = np.vstack([pool[lo : lo + 256] @ m.points.T <= DEFAULT_TOL for lo in range(0, len(pool), 256)])
             captured = hits @ (m.weights * inside)
-            keep = captured >= 3 / 4 * cone_mass(m, b) - 1e-12
+            keep = captured >= 3 / 4 * m.weights[inside].sum() - 1e-12
             old = pool[keep][np.argsort(captured[keep], kind="stable")[:320]]
             units = ref.mass_units(m.weights)[0][inside].astype(np.int64)
             exact = hits[:, inside].astype(np.int64) @ units
@@ -214,10 +221,12 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
 
 
 def test_central_cone_validations(mixture3):
+    # an orthant at the origin that holds no point of the measure
     mc, _ = mixture3
-    far = SimplicialCone([50.0, 50.0, 50.0], -np.eye(3))
+    orthants = (SimplicialCone(-random_rotation(3, s)) for s in range(100))
+    empty = next(b for b in orthants if not cone_contains_many(b, mc.points).any())
     with pytest.raises(ValueError, match="no mass"):
-        central_cone(mc, far)
+        central_cone(mc, empty)
 
 
 def test_central_vector_unit_norm_and_axis():
@@ -231,7 +240,7 @@ def test_central_vector_unit_norm_and_axis():
 def test_central_vector_in_own_approximation(mixture3):
     mc, tup = mixture3
     b = cones_of(tup).cones[2]
-    approx = central_cone(mc, b, 1024, 5, max_constraints=320)  # the one central_patch clips
+    approx = central_cone(mc, b, 5)  # the one central_patch clips
     _, e = central_patch(mc, b, seed=5)
     assert referee.contains(approx, e[None])[0]
 
@@ -246,7 +255,7 @@ def test_central_vector_concentrated_subcone():
     pts = (rng.random(400)[:, None] * 2 + 0.5) * (ray[None, :] + tang)
     m = make_measure(pts)
     # reference with a 4x denser constraint pool
-    _, e_ref = central_patch(m, OCTANT, seed=100, constraint_samples=4096)
+    _, e_ref = central._central_cones(m, [OCTANT], [100], 4096)[0].patch()
     _, e = central_patch(m, OCTANT, seed=9)
     assert np.degrees(np.arccos(np.clip(e @ ray, -1, 1))) < 5.0
     assert np.degrees(np.arccos(np.clip(e @ e_ref, -1, 1))) < 2.0
@@ -282,11 +291,11 @@ def test_overlap_mass_pivot(mixture3):
     t2 = tup.rotated(_small_rotation(3, np.deg2rad(2), 56))
     ca, cb = cones_of(tup).cones, cones_of(t2).cones
     for b1, b2 in zip(ca, cb):
-        m1, m2 = cone_mass(mc, b1), cone_mass(mc, b2)
+        in1, in2 = cone_contains_many(b1, mc.points), cone_contains_many(b2, mc.points)
+        m1, m2 = float(mc.weights[in1].sum()), float(mc.weights[in2].sum())
         if max(m1, m2) > family_level_cap(d):
             continue
-        both = cone_contains_many(b1, mc.points) & cone_contains_many(b2, mc.points)
-        inter = float(mc.weights[both].sum())
+        inter = float(mc.weights[in1 & in2].sum())
         if inter < family_overlap_floor(d):
             continue
         assert inter >= (d / (d + 1)) * m2 - 1e-12

@@ -11,9 +11,9 @@ import pytest
 import central_referee as referee
 from depthlab import central
 from depthlab.central import CentralConeApprox, _clip_patches, _constraint_pools
-from depthlab.geometry import SimplicialCone, sample_directions, unit
-from depthlab.cones import tuple_masses
-from depthlab.measures import MeasureSpec, cone_mass, generate_measure, make_measure
+from depthlab.geometry import SimplicialCone, cone_contains_many, random_rotation, sample_directions, unit
+from depthlab.cones import cones_of, family_overlap_floor, tuple_masses
+from depthlab.measures import MeasureSpec, generate_measure, make_measure
 from depthlab.median import recenter
 
 # tuple samples per map: 46 family members in d = 2 and 44 in d = 3, so the
@@ -108,50 +108,53 @@ def test_empty_patch_in_a_batch(recorded):
     assert _same(patches[0], referee.patch(first)) and _same(patches[2], referee.patch(second))
 
 
-def _with_faults(monkeypatch, faults):
-    """Route every central-cone build, the package's blocks and the
-    referee's one cone at a time alike, through one wrapper of
-    ``_central_cones``: ``faults(s, j)`` names what cone j of tuple sample s
-    gets (None, "empty" or "no mass")."""
+def test_map_skips_empty_patches_like_referee(recorded, monkeypatch):
+    # cone 1 of every third sample has an empty patch (a sliver added to its
+    # constraints, in the package's blocks and in the referee's one cone at
+    # a time alike): both maps skip those samples, and the referee builds
+    # none of their later cones
+    d, mc, a, _, _ = recorded
     real = central._central_cones
     hits = []
 
-    def faulty(m, cones, seeds, samples, max_constraints=None):
-        out = real(m, cones, seeds, samples, max_constraints)
+    def faulty(m, cones, seeds, samples):
+        out = real(m, cones, seeds, samples)
         for i, (b, seed) in enumerate(zip(cones, seeds)):
-            fault = faults(seed // 31, seed % 31)
-            hits.append(fault)
-            if fault == "no mass":
-                out[i] = None
-            elif fault == "empty":
+            hits.append((seed // 31, seed % 31))
+            if seed % 31 == 1 and seed // 31 % 3 == 0:
                 out[i] = CentralConeApprox(b, np.vstack([out[i].constraints, _sliver(b)]))
         return out
 
     monkeypatch.setattr(central, "_central_cones", faulty)
-    return hits
-
-
-def test_map_skips_empty_patches_like_referee(recorded, monkeypatch):
-    # cone 1 of every third sample has an empty patch and cone 2 of those
-    # samples has no mass: the referee never builds cone 2, so neither map
-    # raises, and both skip those samples
-    d, mc, a, _, _ = recorded
-    hits = _with_faults(monkeypatch, lambda s, j: {1: "empty", 2: "no mass"}.get(j) if s % 3 == 0 else None)
+    monkeypatch.setattr(referee, "_central_cones", faulty)
     ref = referee.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
-    assert "empty" in hits and "no mass" not in hits
+    faulted = {s for s, j in hits if j == 1 and s % 3 == 0}
+    assert faulted and not any(j == 2 and s in faulted for s, j in hits)
     hits.clear()
     st = central.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
-    assert "no mass" in hits  # built, but never raised
+    assert {s for s, j in hits if j == 1 and s % 3 == 0} == faulted
     assert np.array_equal(st.vectors, ref.vectors) and st.margin == ref.margin
+    assert not np.array_equal(st.vectors, recorded[3].vectors)
 
 
-def test_map_raises_the_no_mass_error_the_referee_raises(recorded, monkeypatch):
-    d, mc, a, _, _ = recorded
-    _with_faults(monkeypatch, lambda s, j: "no mass" if (s % 3 == 1 and j == d) else None)
-    with pytest.raises(ValueError, match="no mass"):
-        referee.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
-    with pytest.raises(ValueError, match="no mass"):
-        central.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
+def test_every_member_cone_holds_the_overlap_floor(recorded):
+    # the map needs no rule for a member cone without mass: each member
+    # cone is matched to a reference cone and shares more than
+    # ``family_overlap_floor(d)`` of the mass with it, so it holds more,
+    # counted by the referee's per-sample screen
+    d, mc, a, _, calls = recorded
+    ref, samples = referee.draw_tuple_samples(mc, a, MAPS[d], 0)
+    members = [referee.family_member(mc, a, ref, nrm) for nrm in samples]
+    cones = [b for t, _, order in filter(None, members) for b in cones_of(t.reordered(order)).cones]
+    assert len(cones) == len(calls[0][0]) > 10 * (d + 1)
+    floor = family_overlap_floor(d)
+    masses = [float(mc.weights[cone_contains_many(b, mc.points)].sum()) for b in cones]
+    assert min(masses) > floor
+    ref_cones = cones_of(ref).cones
+    for t, _, order in filter(None, members):
+        for b, rb in zip(cones_of(t.reordered(order)).cones, ref_cones, strict=True):
+            shared = cone_contains_many(b, mc.points) & cone_contains_many(rb, mc.points)
+            assert float(mc.weights[shared].sum()) > floor
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -223,21 +226,21 @@ def test_cones_built_together_match_each_built_alone(recorded, weighted):
     # one stacked build: each is its one-cone build, bit for bit
     d, mc, _, _, calls = recorded
     m = make_measure(mc.points, 0.5 + np.random.default_rng(d).random(mc.n)) if weighted else mc
-    # the map's cones each hold one whole cluster; orthants at two cluster
-    # centres hold parts of a cluster
+    # the map's cones each hold one whole cluster; orthants with an edge on
+    # two cluster centres hold parts of a cluster, and an orthant at the
+    # origin holds none
     centres = [mc.points[j :: d + 1].mean(axis=0) for j in (0, 1)]
-    cones = [a.base for a in calls[0][0][: 2 * (d + 1)]] + [SimplicialCone(c, -np.eye(d)) for c in centres]
-    cones.insert(3, SimplicialCone(np.full(d, 50.0), -np.eye(d)))
-    assert len({cone_mass(m, b) for b in cones}) > 3
+    cones = [a.base for a in calls[0][0][: 2 * (d + 1)]] + [referee.orthant_on(c) for c in centres]
+    orthants = (SimplicialCone(-random_rotation(d, s)) for s in range(100))
+    cones.insert(3, next(b for b in orthants if not cone_contains_many(b, m.points).any()))
+    assert len({float(m.units[cone_contains_many(b, m.points)].sum()) for b in cones}) > 3
     seeds = list(range(len(cones)))
     seeds[-1] = seeds[0]
-    together = central._central_cones(m, cones, seeds, 384, 320)
+    together = central._central_cones(m, cones, seeds, 384)
     assert together[3] is None
-    with pytest.raises(ValueError, match="no mass"):
-        central.central_cone(m, cones[3], samples=384, seed=3, max_constraints=320)
     for b, seed, got in zip(cones, seeds, together, strict=True):
         if got is not None:
-            alone = central.central_cone(m, b, samples=384, seed=seed, max_constraints=320)
+            (alone,) = central._central_cones(m, [b], [seed], 384)
             assert got.base is b and np.array_equal(got.constraints, alone.constraints)
 
 
@@ -250,7 +253,7 @@ def test_random_cones_in_batches_match_referee(d):
     for _ in range(150):
         k = int(rng.choice([0, 1, 1, 2, 3, 6]))
         cons = rng.standard_normal((k, d))
-        approxes.append(CentralConeApprox(SimplicialCone(np.zeros(d), rng.standard_normal((d, d))),
+        approxes.append(CentralConeApprox(SimplicialCone(rng.standard_normal((d, d))),
                                           cons / np.linalg.norm(cons, axis=1, keepdims=True)))
     patches = [p for lo in range(0, 150, 25) for p in _clip_patches(approxes[lo : lo + 25])]
     assert 10 < sum(p is None for p in patches) < 140

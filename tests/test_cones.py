@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import ascent_referee as ref
-from depthlab.geometry import DEFAULT_TOL, HalfSpace, cone_contains_many, hull_interior_margin
-from depthlab.measures import MeasureSpec, cone_mass, generate_measure, halfspace_mass, make_measure
+from depthlab.central import containment_check
+from depthlab.geometry import DEFAULT_TOL, cone_contains_many, hull_interior_margin
+from depthlab.measures import MeasureSpec, generate_measure, make_measure
 from depthlab.median import recenter, witness_tuple
 from depthlab.cones import (
     GeneratingTuple,
     MatchingError,
+    _tuple_hits,
     bmes_report,
     canonical_labeling,
     cones_of,
@@ -17,6 +19,7 @@ from depthlab.cones import (
     family_member_order,
     is_generating,
     match_tuples,
+    tuple_masses,
     tuple_weight,
 )
 from depthlab.suites import _small_rotation
@@ -135,7 +138,7 @@ def test_match_identity(mixture_with_witness):
     rep = match_tuples(mc, tup, tup, eps=epsilon_match_max(2))
     assert np.array_equal(rep.permutation, np.arange(3))
     diag = rep.intersection_masses[np.arange(3), rep.permutation]
-    cm = [cone_mass(mc, b) for b in cones_of(tup).cones]
+    cm = [mc.units[cone_contains_many(b, mc.points)].sum() / mc.scale for b in cones_of(tup).cones]
     assert np.allclose(diag, cm, atol=1e-12)
 
 
@@ -272,6 +275,22 @@ def test_family_limit_closure(mixture_with_witness):
         assert np.array_equal(p, limit)
 
 
+def _one_half_space_at_a_time(m, normals):
+    """(weight, cone masks, cone masses) of one tuple, counted one closed
+    origin half-space at a time (points within ``DEFAULT_TOL`` of its
+    boundary count) in the measure's mass units, built with exact
+    rationals; a cone's points are those in every half-space but the one
+    it drops."""
+    units, scale = ref.mass_units(m.weights)
+
+    def count(mask):
+        return sum(int(u) for u in units[mask]) / scale
+
+    halves = [m.points @ nrm <= DEFAULT_TOL for nrm in normals]
+    masks = [np.logical_and.reduce([h for j, h in enumerate(halves) if j != i]) for i in range(len(halves))]
+    return 1.0 - min(count(h) for h in halves), masks, [count(c) for c in masks]
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_cone_layer_masses_are_exact_unit_counts(mixture_with_witness, weighted):
     # every mass of the cone layer is a count of the measure's mass units
@@ -287,13 +306,78 @@ def test_cone_layer_masses_are_exact_unit_counts(mixture_with_witness, weighted)
     def count(mask):
         return sum(int(u) for u in units[mask]) / scale
 
-    halves = tup.halves + [HalfSpace(u, o) for u, o in zip(rng.standard_normal((200, 2)), rng.normal(0, 0.3, 200))]
-    for h in halves:
-        assert halfspace_mass(mc, h) == count(mc.points @ h.normal - h.offset <= DEFAULT_TOL)
-    assert tuple_weight(mc, tup) == 1.0 - min(halfspace_mass(mc, h) for h in tup.halves)
+    g = rng.standard_normal((200, 3, 2))
+    stack = np.concatenate([tup.normals[None], g / np.linalg.norm(g, axis=2)[..., None]])
+    weights, inside = _tuple_hits(mc, stack)
+    for nrm, w, masks in zip(stack, weights, inside, strict=True):
+        want_w, want_masks, want_masses = _one_half_space_at_a_time(mc, nrm)
+        assert w == want_w and np.array_equal(masks, want_masks)
+        assert (masks @ mc.units / mc.scale).tolist() == want_masses
+    assert tuple_weight(mc, tup) == weights[0]
     inside = [cone_contains_many(b, mc.points) for b in cones_of(tup).cones]
-    assert [cone_mass(mc, b) for b in cones_of(tup).cones] == [count(c) for c in inside]
     t2 = tup.rotated(_small_rotation(2, np.deg2rad(3), 42))
     inside2 = [cone_contains_many(b, mc.points) for b in cones_of(t2).cones]
     rep = match_tuples(mc, tup, t2, eps=epsilon_match_max(2))
     assert rep.intersection_masses.tolist() == [[count(a & b) for b in inside2] for a in inside]
+
+
+def _degenerate_grid(d: int, weighted: bool):
+    """(measure, tuple) on integer points: the tuple's hyperplanes pass
+    through many of them, the origin is a data point, a few points are
+    repeated, and each of the tuple's cones holds one share of the mass (so
+    its weight is small enough for the cone-mass bounds)."""
+    if d == 2:
+        t = GeneratingTuple(np.array([[0.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]))
+    else:
+        t = GeneratingTuple(np.vstack([np.eye(3), -np.ones((1, 3))]))
+    grid = np.stack(np.meshgrid(*[np.arange(-3.0, 4.0)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    _, masks, _ = _one_half_space_at_a_time(make_measure(grid), t.normals)
+    share = min(int(c.sum()) for c in masks) - 1  # points of each cone but the origin
+    pts = [np.zeros((1, d))] + [grid[c & grid.any(axis=1)][:share] for c in masks]
+    pts = np.vstack(pts + [p[:2] for p in pts[1:]])  # two repeats per cone
+    w = np.random.default_rng(d).random(len(pts)) + 0.5 if weighted else None
+    return make_measure(pts, w), t
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_membership_rule_counts_one_half_space_at_a_time(d, weighted):
+    # the stacked rule's weights, cone masks and cone masses, and the masses
+    # of tuple_weight, tuple_masses and bmes_report, are the referee's
+    # counts bit for bit, on integer points lying on the tuple's
+    # hyperplanes, repeated points and a point at the origin
+    m, t = _degenerate_grid(d, weighted)
+    on_plane = np.abs(m.points @ t.normals.T) <= DEFAULT_TOL
+    assert (on_plane.sum(axis=0) > 2).all() and not m.points[0].any()
+    rng = np.random.default_rng(d)
+    turns = [t.rotated(_small_rotation(d, np.deg2rad(deg), k)).normals for k, deg in enumerate((1, 5, 20))]
+    g = rng.standard_normal((20, d + 1, d))
+    stack = np.concatenate([t.normals[None], np.stack(turns), g / np.linalg.norm(g, axis=2)[..., None]])
+    weights, inside = _tuple_hits(m, stack)
+    for nrm, w, masks in zip(stack, weights, inside, strict=True):
+        want_w, want_masks, want_masses = _one_half_space_at_a_time(m, nrm)
+        assert w == want_w and np.array_equal(masks, want_masks)
+        assert (masks @ m.units / m.scale).tolist() == want_masses
+    want_w, want_masks, want_masses = _one_half_space_at_a_time(m, t.normals)
+    assert tuple_weight(m, t) == want_w < 1 / (d + 1) + epsilon_bmes_max(d)
+    assert np.array_equal(tuple_masses(m, t).inside, want_masks)
+    assert bmes_report(m, t, epsilon_bmes_max(d)).cone_masses.tolist() == want_masses
+
+
+def test_cone_layer_refuses_tuples_of_another_dimension(mixture_with_witness):
+    # a 3-D tuple or cone on a 2-D measure: one ValueError naming both
+    # dimensions, from either argument of match_tuples
+    mc, tup = mixture_with_witness
+    t3 = GeneratingTuple(np.vstack([np.eye(3), -np.ones((1, 3))]))
+    b2, b3 = cones_of(tup).cones[0], cones_of(t3).cones[0]
+    calls = [
+        lambda: match_tuples(mc, tup, t3, eps=epsilon_match_max(2)),
+        lambda: match_tuples(mc, t3, tup, eps=epsilon_match_max(2)),
+        lambda: tuple_weight(mc, t3),
+        lambda: bmes_report(mc, t3, epsilon_bmes_max(3)),
+        lambda: containment_check(mc, b3, b2),
+        lambda: containment_check(mc, b2, b3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="of dimension 3 on a measure of dimension 2"):
+            call()

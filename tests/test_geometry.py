@@ -40,19 +40,21 @@ def test_complement_basis_deterministic():
 
 
 def quadrant():
-    return SimplicialCone(np.zeros(2), [[-1, 0], [0, -1]])
+    return SimplicialCone([[-1, 0], [0, -1]])
 
 
 def test_cone_contains_examples():
     b = quadrant()
     assert cone_contains_many(b, np.array([[1.0, 1.0]]))[0]
     assert not cone_contains_many(b, np.array([[-1.0, 0.5]]))[0]
-    assert cone_contains_many(b, np.array([[0.0, 0.0]]))[0]  # apex belongs to the closed cone
+    assert cone_contains_many(b, np.array([[0.0, 0.0]]))[0]  # the origin belongs to the closed cone
 
 
 def test_cone_requires_independent_normals():
     with pytest.raises(ValueError):
-        SimplicialCone(np.zeros(2), [[1, 0], [-1, 0]])
+        SimplicialCone([[1, 0], [-1, 0]])
+    with pytest.raises(ValueError, match="d x d"):
+        SimplicialCone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_sample_directions_grid_2d_angles():
@@ -114,12 +116,12 @@ def test_cone_interiors_of_tuple_disjoint():
     ang = np.deg2rad([90, 210, 330])
     normals = np.column_stack([np.cos(ang), np.sin(ang)])
     cones = [
-        SimplicialCone(np.zeros(2), np.delete(normals, i, axis=0)) for i in range(3)
+        SimplicialCone(np.delete(normals, i, axis=0)) for i in range(3)
     ]
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((10_000, 2))
     strict = np.stack(
-        [np.all((pts - c.apex) @ c.normals.T < -1e-9, axis=1) for c in cones]
+        [np.all(pts @ c.normals.T < -1e-9, axis=1) for c in cones]
     )
     assert int(strict.sum(axis=0).max()) <= 1
 
@@ -130,6 +132,26 @@ def test_hull_interior_margin():
     assert hull_interior_margin(normals) == pytest.approx(1 / 3, abs=1e-12)
     degenerate = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     assert hull_interior_margin(degenerate) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_hull_interior_margin_matches_each_solve(d):
+    # a stack is one solve, each margin with the bits of its array's own
+    # solve; a stack holding a singular array (d + 1 equal rows) is solved
+    # array by array, and that array gets 0.0
+    rng = np.random.default_rng(d)
+    stack = rng.standard_normal((40, d + 1, d))
+    stack[3] = rng.standard_normal(d)
+    own = [hull_interior_margin(v) for v in stack]
+    assert own[3] == 0.0 and sum(x > 0 for x in own) > 2
+    for part in (stack, np.delete(stack, 3, axis=0), stack[3:4]):
+        got = hull_interior_margin(part)
+        assert got.shape == (len(part),) and got.dtype == np.float64
+    assert hull_interior_margin(stack).tolist() == own
+    assert hull_interior_margin(np.delete(stack, 3, axis=0)).tolist() == own[:3] + own[4:]
+    assert hull_interior_margin(stack[3:4]).tolist() == [0.0]
+    with pytest.raises(ValueError, match="d\\+1, d"):
+        hull_interior_margin(stack[:, :d])
 
 
 def test_unit_rejects_zero():

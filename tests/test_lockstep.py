@@ -439,7 +439,7 @@ _WEIGHTED_PROBE = """
 import numpy as np
 from depthlab.central import _central_cones
 from depthlab.depth import closed_mass_bounds, sampled_depth_values
-from depthlab.geometry import SimplicialCone, sample_directions
+from depthlab.geometry import SimplicialCone, random_rotation, sample_directions
 from depthlab.measures import MeasureSpec, generate_measure, make_measure
 from depthlab.median import min_normal_set
 rng = np.random.default_rng(5)
@@ -453,8 +453,8 @@ for d, n in ((2, 241), (3, 151), (4, 397)):
     print(closed_mass_bounds(m.points[None], m)(np.zeros(3, dtype=int), q, u[:, :37]).tobytes().hex())
     if d == 3:
         print(min_normal_set(m, q[0]).normals.tobytes().hex())
-        cones = [SimplicialCone(p, -np.eye(3)) for p in m.points[:6]]
-        for a in _central_cones(m, cones, [1, 2, 3, 1, 2, 3], 999, 320):
+        cones = [SimplicialCone(-random_rotation(3, s)) for s in range(6)]
+        for a in _central_cones(m, cones, [1, 2, 3, 1, 2, 3], 999):
             print(None if a is None else a.constraints.tobytes().hex())
 """
 

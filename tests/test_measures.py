@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthlab.geometry import Flat, HalfSpace, SimplicialCone, line, sample_directions
+from depthlab.cones import _tuple_hits
+from depthlab.geometry import Flat, SimplicialCone, cone_contains_many, line, sample_directions
 from depthlab.measures import (
     MeasureSpec,
-    cone_mass,
     generate_measure,
-    halfspace_mass,
     load_measure,
     make_measure,
     project_measure,
@@ -120,50 +119,35 @@ def test_project_measure_composition_matches_direct():
     assert np.allclose(final.points, direct.points @ o.T, atol=1e-8)
 
 
-def test_halfspace_mass_square(square):
-    h = HalfSpace([1, 0], 0.0)
-    assert halfspace_mass(square, h) == pytest.approx(3 / 4)  # closed side
-    assert halfspace_mass(square, HalfSpace([1, 0], 2.0)) == pytest.approx(1.0)
-    assert halfspace_mass(square, HalfSpace([1, 0], -2.0)) == pytest.approx(0.0)
-
-
-def test_halfspace_mass_complement_property():
-    rng = np.random.default_rng(11)
-    m = make_measure(rng.standard_normal((60, 3)))
-    for k in range(1000):
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        c = float(rng.standard_normal()) * 0.5
-        h = HalfSpace(u, c)
-        s = halfspace_mass(m, h) + halfspace_mass(m, HalfSpace(-h.normal, -h.offset))
-        boundary = np.abs(m.points @ u - c) <= 1e-9
-        assert s >= 1 - 1e-12
-        if not boundary.any():
-            assert s == pytest.approx(1.0, abs=1e-12)
+def _normals_at(degrees):
+    ang = np.deg2rad(degrees)
+    return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def test_cone_mass_triangle(triangle):
-    # cone around the top vertex
-    b = SimplicialCone(np.zeros(2), [[-np.cos(np.pi / 6), -0.5], [np.cos(np.pi / 6), -0.5]])
-    assert cone_mass(triangle, b) == pytest.approx(1 / 3)
-    empty = SimplicialCone([10.0, 10.0], [[-1, 0], [0, -1]])
-    assert cone_mass(triangle, empty) == pytest.approx(0.0)
+    # a cone's mass counts the units of the points in it: the symmetric
+    # tuple's cones each hold one vertex, and turned by 60 degrees its cones
+    # hold none while each of its half-spaces holds one vertex
+    weights, inside = _tuple_hits(triangle, np.stack([_normals_at([90, 210, 330]), _normals_at([150, 270, 30])]))
+    assert weights.tolist() == [1 - 2 / 3, 1 - 1 / 3]
+    assert (inside @ triangle.units / triangle.scale).tolist() == [[1 / 3] * 3, [0.0] * 3]
+    top = SimplicialCone([[-np.cos(np.pi / 6), -0.5], [np.cos(np.pi / 6), -0.5]])
+    assert inside[0, 0].tolist() == cone_contains_many(top, triangle.points).tolist() == [True, False, False]
 
 
 def test_cone_partition_of_generating_tuple():
     rng = np.random.default_rng(5)
     m = make_measure(rng.standard_normal((200, 2)))
-    ang = np.deg2rad([90, 210, 330])
-    normals = np.column_stack([np.cos(ang), np.sin(ang)])
-    cones = [SimplicialCone(np.zeros(2), np.delete(normals, i, 0)) for i in range(3)]
-    masses = [cone_mass(m, c) for c in cones]
-    total = sum(masses)
+    normals = _normals_at([90, 210, 330])
+    cones = [SimplicialCone(np.delete(normals, i, 0)) for i in range(3)]
+    _, inside = _tuple_hits(m, normals[None])
+    masses = inside[0] @ m.units / m.scale
+    total = masses.sum()
     assert total <= 1 + 1e-12
-    from depthlab.geometry import cone_contains_many
-
     covered = np.zeros(m.n, dtype=bool)
-    for c in cones:
-        covered |= cone_contains_many(c, m.points)
+    for c, mask in zip(cones, inside[0]):
+        assert np.array_equal(mask, cone_contains_many(c, m.points))
+        covered |= mask
     assert 1 - total == pytest.approx(float(m.weights[~covered].sum()), abs=1e-12)
 
 

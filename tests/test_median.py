@@ -4,8 +4,8 @@ import pytest
 import arrangement_referee
 import subtuple_referee
 import depthlab.median
-from depthlab.geometry import DEFAULT_TOL, HalfSpace, line, sample_directions
-from depthlab.measures import MeasureSpec, generate_measure, make_measure, halfspace_mass, project_measure
+from depthlab.geometry import DEFAULT_TOL, line, sample_directions
+from depthlab.measures import MeasureSpec, generate_measure, make_measure, project_measure
 from depthlab.depth import EXACT_MAX_N, certified_depth_floor, direction_profiles, point_depth
 from depthlab.median import (
     WitnessSearchError,
@@ -239,13 +239,19 @@ def test_median_deterministic_in_seed():
     assert np.array_equal(a.point, b.point) and a.depth == b.depth
 
 
+def _closed_mass(m, normal):
+    """Mass of the closed origin half-space with this outer normal, for a
+    uniform measure."""
+    return float(np.sum(m.points @ normal <= DEFAULT_TOL)) / m.n
+
+
 def test_min_normal_set_triangle(triangle):
     ns = min_normal_set(triangle, [0, 0], tol=1e-9)
     assert ns.level == pytest.approx(1 / 3, abs=1e-12)
     assert ns.normals.shape[0] >= 3
     # each minimizing half-space contains exactly one vertex
     for nrm in ns.normals[:200]:
-        mass = halfspace_mass(triangle, HalfSpace(nrm, 0.0))
+        mass = _closed_mass(triangle, nrm)
         assert mass == pytest.approx(1 / 3, abs=1e-9)
     # normals fall into (at least) 3 angular clusters, one per vertex
     ang = np.mod(np.degrees(np.arctan2(ns.normals[:, 1], ns.normals[:, 0])), 360)
@@ -266,7 +272,7 @@ def test_min_normal_set_symmetric_closed_under_negation(square):
     # for a centrally symmetric measure the minimizing set is symmetric:
     # every kept normal's negation also qualifies
     for nrm in ns.normals[:100]:
-        mass = halfspace_mass(square, HalfSpace(-nrm, 0.0))
+        mass = _closed_mass(square, -nrm)
         assert mass <= ns.level + 1e-9
 
 
@@ -327,11 +333,10 @@ def test_above_the_exact_size_limit_the_median_and_the_level_fall_back(d):
 def test_witness_tuple_triangle(triangle):
     tup, ns = witness_tuple(triangle, [0, 0])
     # stored (generating) halves are the complements: mass 2/3 each
-    for h in tup.halves:
-        assert halfspace_mass(triangle, h) == pytest.approx(2 / 3, abs=1e-9)
-    # the minimizing half-spaces behind them have mass 1/3 each
     for nrm in tup.normals:
-        assert halfspace_mass(triangle, HalfSpace(-nrm, 0.0)) == pytest.approx(1 / 3, abs=1e-9)
+        assert _closed_mass(triangle, nrm) == pytest.approx(2 / 3, abs=1e-9)
+        # the minimizing half-space behind it has mass 1/3
+        assert _closed_mass(triangle, -nrm) == pytest.approx(1 / 3, abs=1e-9)
     flag, margin = is_generating(tup.normals)
     assert flag and margin > 1e-6
     assert tuple_weight(triangle, tup) == pytest.approx(1 / 3, abs=1e-9)
