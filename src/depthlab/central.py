@@ -34,7 +34,6 @@ the map's patches together and adds the contributions in sample order.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ import numpy as np
 from .geometry import (
     DEFAULT_TOL,
     SimplicialCone,
+    check_count,
     cone_contains_many,
     hull_interior_margin,
     sample_directions,
@@ -62,7 +62,7 @@ from .cones import (
     tuple_masses,
 )
 from .median import witness_tuple
-from .depth import _BLOCK_ENTRIES, point_depth
+from .depth import _BLOCK_ENTRIES, depth_bracket
 
 # the sphere directions of a central cone's constraint pool, and the most
 # binding constraints of the pool that an approximation keeps
@@ -500,9 +500,9 @@ def structural_map(
 
     Requires d = 2 or 3, where central-cone patches exist, and a positive
     integer ``tuple_samples`` (``ValueError`` otherwise, before any work),
-    and the measure to be recentered (median at the origin) with exact
-    depth there below a < 1/(d+1) + 1/(3(d+1)^3); deterministic in the
-    seed.  A sample with an empty central-cone patch contributes nothing.
+    and the measure to be recentered (median at the origin) with depth
+    there (``depth_bracket``) below a < 1/(d+1) + 1/(3(d+1)^3);
+    deterministic in the seed.  A sample with an empty central-cone patch contributes nothing.
     Every member cone carries mass: it shares more than
     ``family_overlap_floor(d)`` with the reference cone it is matched to.
     All tuple samples are drawn and screened at once (``_family_members``,
@@ -513,13 +513,12 @@ def structural_map(
     d = m.dim
     if d not in (2, 3):
         raise ValueError(f"structural maps need d = 2 or 3, got d = {d}")
-    if isinstance(tuple_samples, bool) or not isinstance(tuple_samples, numbers.Integral) or tuple_samples < 1:
-        raise ValueError(f"tuple_samples must be a positive integer, got {tuple_samples!r}")
+    check_count("tuple_samples", tuple_samples, 1)
     cap = family_level_cap(d)
     if not (1.0 / (d + 1) < a < cap):
         raise ValueError(f"a must lie in (1/(d+1), {cap!r}), got {a}")
     origin = np.zeros(d)
-    depth0 = point_depth(m, origin, mode="exact").depth
+    depth0 = depth_bracket(m, origin).depth
     if depth0 >= a:
         raise RuntimeError(
             f"depth at the origin ({depth0}) is not below a = {a}; "

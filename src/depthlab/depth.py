@@ -7,8 +7,10 @@ minimum sits in a cell of the great-circle arrangement of the points p_i =
 x_i - q, so depth is the minimum over i of the mass antiparallel to p_i plus
 the depth of the other points projected onto p_i^perp, recursing down to an
 exact O(n log n) planar sweep over a half-turn; cost O(n^(d-1) log n).
-Every depth is a certified bracket (``DepthResult``), and ``depth_bracket``
-is the one rule that picks an evaluator for it.
+``exact_depth_values`` runs it for a stack of queries in any dimension up
+to 4, and ``_exact_affordable`` is its one cost rule.  Every depth is a
+certified bracket (``DepthResult``), and ``depth_bracket`` is the one rule
+that picks an evaluator for it.
 
 Every evaluator sums the measure's integer mass units and divides by its
 scale once (``DiscreteMeasure``, the one mass rule for every measure), so a
@@ -22,8 +24,7 @@ weights; the two implementations share no code path.
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .geometry import (
     Flat,
     as_vector,
     canonical_direction,
+    check_count,
     complement_basis,
     complement_bases,
     line,
@@ -42,18 +44,15 @@ from .geometry import (
 from .measures import DiscreteMeasure, make_measure, project_measure
 
 EXACT_MAX_DIM = 4
-EXACT_MAX_N = 5000
-_EXACT4_MAX_N = 120
+EXACT_WORK = 5000**2 * math.log(5000)  # n^(d-1) ln n of d = 3 at n = 5,000, about 3 s
 ORACLE_MAX_DIM = 3
 ORACLE_MAX_N = 14
 
 _CHUNK = 16384
 _BLOCK_ENTRIES = 2**17  # direction-by-point entries per mask-product block
-# the exact results of the last _MEMO_SIZE queries, keyed on the shape and
-# bytes of (points - q) and of the weights
-_MEMO_SIZE = 16
-_memo: OrderedDict = OrderedDict()
-_memo_lock = threading.Lock()
+# the last exact query and its result, keyed on the shape and bytes of
+# (points - q) and of the weights; swapped as one reference
+_last: tuple = (None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +155,7 @@ def _sweep(p: np.ndarray, w: np.ndarray, gap: float):
     return c[rows, j], 0.5 * (b[rows, k] + nxt[rows, k]) + np.pi * (j >= m)
 
 
-def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, tol: float, gap: float):
+def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, gap: float):
     """min over unit u of sum_j w_j [<u, p_j> >= 0] and an attaining u, row
     by row: phat (R, m, k) unit rows, k >= 2, and w (R, m) their mass units.
 
@@ -172,10 +171,10 @@ def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, tol: float, gap: float)
     if k == 2:
         val, phi = _sweep(phat, w, gap)
         return val, np.column_stack([np.cos(phi), np.sin(phi)])
-    best = np.argmin(_pivot_masses(phat, w, tol, 2.0 * gap), axis=1)
+    best = np.argmin(_pivot_masses(phat, w, 2.0 * gap), axis=1)
     piv = phat[np.arange(R), best]
-    sub, ws, anti = _project(phat, w, piv, tol)
-    val, x = _min_halfspace_mass(sub, ws, tol, 2.0 * gap)
+    sub, ws, anti = _project(phat, w, piv)
+    val, x = _min_halfspace_mass(sub, ws, 2.0 * gap)
     # lift: the reflection of _project maps (0, x) back into piv^perp
     refl = piv.copy()
     refl[:, 0] += np.where(piv[:, 0] >= 0.0, 1.0, -1.0)
@@ -187,10 +186,11 @@ def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, tol: float, gap: float)
     return anti + val, u / np.linalg.norm(u, axis=1)[:, None]
 
 
-def _pivot_masses(phat: np.ndarray, w: np.ndarray, tol: float, gap: float) -> np.ndarray:
-    """(R, m) mass of each pivot p_i, k = 3 or 4: the mass antiparallel to it
-    plus the minimum mass of the rest projected onto p_i^perp, solved with
-    ``gap``, in blocks of at most 4 * _CHUNK planar points.
+def _pivot_masses(phat: np.ndarray, w: np.ndarray, gap: float) -> np.ndarray:
+    """(R, m) mass of each pivot p_i, k >= 3: the mass antiparallel to it
+    plus the minimum mass of the rest projected onto p_i^perp, that of
+    ``_min_halfspace_mass`` solved with ``gap``, in blocks of at most 4 *
+    _CHUNK points of dimension k - 1 (Dyckerhoff & Mozharovskyi 2016).
 
     For k = 3 a block of b pivots of one row takes cos, x and y of every
     point from one product: the pivots' basis rows stacked basis-major (3b,
@@ -198,67 +198,57 @@ def _pivot_masses(phat: np.ndarray, w: np.ndarray, tol: float, gap: float) -> np
     ``_project``), times the row's points (3, m).  The sweep then reads x
     and y as contiguous (b, m) rows, unnormalized.  A pivot's parallel class
     (x^2 + y^2 <= tol^2) counts in its antiparallel mass if cos < 0 and is
-    filled in place with the pivot's first kept point at unit 0.
-
-    For k = 4 the subproblem of pivot i takes only the pivots j > i, so it
-    may come out too high, but the minimum over i stays exact: near the
-    plane span(p_i, p_j) an optimal direction lies in a wedge bounded by
-    the lines of two points c, d of that plane which it leaves out, and
-    the pivot orders (c, d) and (d, c) both reach that wedge.
+    filled in place with the pivot's first kept point at unit 0.  For k >= 4
+    a block's pivots are projected by ``_project`` and each takes the least
+    pivot mass of its projection, at twice the gap.
     """
     R, m, k = phat.shape
     step = max(1, 4 * _CHUNK // m ** (k - 2))
-    if k == 3:
-        t = phat.copy()  # (p_i + sign e_0) / (1 + |p_i0|): entry 0 is the sign exactly
-        t[..., 0] += np.where(phat[..., 0] >= 0.0, 1.0, -1.0)
-        t /= 1.0 + np.abs(phat[..., :1])
-        basis = np.empty((R, 3, m, 3))
-        basis[:, 0] = phat
-        basis[:, 1:] = np.eye(3)[1:, None, :] - phat.transpose(0, 2, 1)[:, 1:, :, None] * t[:, None]
-        out = np.empty((R, m))
-        for r in range(R):
-            for s in range(0, m, step):
-                blk = basis[r, :, s : s + step]
-                b = blk.shape[1]
-                prod = (blk.reshape(3 * b, 3) @ phat[r].T).reshape(3, b, m)
-                cos, xy = prod[0], prod[1:]
-                kept = (xy * xy).sum(axis=0) > tol * tol
-                anti = np.where(~kept & (cos < 0.0), w[r], 0.0).sum(axis=1)
-                fill = xy[:, np.arange(b), np.argmax(kept, axis=1)]
-                np.copyto(xy, fill[..., None], where=~kept)
-                out[r, s : s + b] = anti + _sweep(xy.transpose(1, 2, 0), np.where(kept, w[r], 0.0), gap)[0]
-        return out
-    rr, ii = np.divmod(np.arange(R * m), m)
-    tot = np.empty(R * m)
-    for s in range(0, R * m, step):
-        r, i = rr[s : s + step], ii[s : s + step]
-        sub, ws, anti = _project(phat[r], w[r], phat[r, i], tol)
-        b, j = np.nonzero(np.arange(m) > i[:, None])
-        val = np.full((len(r), m), np.inf)
-        if len(b):
-            sub, ws2, anti2 = _project(sub[b], ws[b], sub[b, j], tol)
-            val[b, j] = anti2 + _sweep(sub, ws2, 2.0 * gap)[0]
-        tot[s : s + step] = anti + val.min(axis=1)
-    return tot.reshape(R, m)
+    if k > 3:
+        rr, ii = np.divmod(np.arange(R * m), m)
+        tot = np.empty(R * m)
+        for s in range(0, R * m, step):
+            r, i = rr[s : s + step], ii[s : s + step]
+            sub, ws, anti = _project(phat[r], w[r], phat[r, i])
+            tot[s : s + step] = anti + _pivot_masses(sub, ws, 2.0 * gap).min(axis=1)
+        return tot.reshape(R, m)
+    t = phat.copy()  # (p_i + sign e_0) / (1 + |p_i0|): entry 0 is the sign exactly
+    t[..., 0] += np.where(phat[..., 0] >= 0.0, 1.0, -1.0)
+    t /= 1.0 + np.abs(phat[..., :1])
+    basis = np.empty((R, 3, m, 3))
+    basis[:, 0] = phat
+    basis[:, 1:] = np.eye(3)[1:, None, :] - phat.transpose(0, 2, 1)[:, 1:, :, None] * t[:, None]
+    out = np.empty((R, m))
+    for r in range(R):
+        for s in range(0, m, step):
+            blk = basis[r, :, s : s + step]
+            b = blk.shape[1]
+            prod = (blk.reshape(3 * b, 3) @ phat[r].T).reshape(3, b, m)
+            cos, xy = prod[0], prod[1:]
+            kept = (xy * xy).sum(axis=0) > DEFAULT_TOL * DEFAULT_TOL
+            anti = np.where(~kept & (cos < 0.0), w[r], 0.0).sum(axis=1)
+            fill = xy[:, np.arange(b), np.argmax(kept, axis=1)]
+            np.copyto(xy, fill[..., None], where=~kept)
+            out[r, s : s + b] = anti + _sweep(xy.transpose(1, 2, 0), np.where(kept, w[r], 0.0), gap)[0]
+    return out
 
 
-def _project(pts: np.ndarray, w: np.ndarray, piv: np.ndarray, tol: float):
+def _project(pts: np.ndarray, w: np.ndarray, piv: np.ndarray):
     """Project rows pts (B, m, k) onto piv^perp (B, k) in (k-1)-coordinates.
 
     The coordinates are entries 1..k-1 of the image under the Householder
     reflection that swaps the unit pivot with -+e_0.  Returns the unit
-    projections, the mass units w with the parallel class zeroed and the
-    units antiparallel to each pivot.  Parallel rows are replaced by a copy
-    of the row's first kept point, so they add no breakpoint.  Called by
-    ``_min_halfspace_mass``, for the chosen pivot's subproblem and witness
-    lift, and by the k = 4 screen of ``_pivot_masses``.
+    projections, the mass units w with the parallel class (within
+    ``DEFAULT_TOL`` of the pivot's line) zeroed and the units antiparallel
+    to each pivot.  Parallel rows are replaced by a copy of the row's first
+    kept point, so they add no breakpoint.
     """
     sign = np.where(piv[:, 0] >= 0.0, 1.0, -1.0)
     cos = np.einsum("bmk,bk->bm", pts, piv)
     coef = (cos + sign[:, None] * pts[..., 0]) / (1.0 + np.abs(piv[:, :1]))
     sub = pts[..., 1:] - coef[..., None] * piv[:, None, 1:]
     norms = np.linalg.norm(sub, axis=2)
-    kept = norms > tol
+    kept = norms > DEFAULT_TOL
     anti = np.where(~kept & (cos < 0), w, 0.0).sum(axis=1)
     sub /= np.where(kept, norms, 1.0)[..., None]
     fill = sub[np.arange(sub.shape[0]), np.argmax(kept, axis=1)]
@@ -266,58 +256,58 @@ def _project(pts: np.ndarray, w: np.ndarray, piv: np.ndarray, tol: float):
     return sub, np.where(kept, w, 0.0), anti
 
 
-def _split_query(p: np.ndarray, w: np.ndarray):
-    """The points p (n, d), relative to the query, that lie farther than
-    ``DEFAULT_TOL`` from it, their masses w, and the mass of the rest,
-    summed over the full mask in point order."""
-    at = (p * p).sum(axis=1) <= DEFAULT_TOL**2
-    return p[~at], w[~at], float(np.where(at, w, 0.0).sum())
-
-
 def exact_depth_value_2d(m: DiscreteMeasure, q) -> DepthResult:
-    """Exact planar depth [v, v] with an unresolved witness candidate.
-
-    Same value as ``point_depth(..., mode="exact")``, with the direction of
-    the first minimizing arc of the sweep instead of a checked witness, for
-    callers that only need the number and a descent direction.
-    """
-    q = np.asarray(q, dtype=float)[None]
-    vals, dirs = exact_depth_values_2d(m.points[None], m, [0], q)
-    return DepthResult(float(vals[0]), float(vals[0]), dirs[0])
+    """Exact planar depth [v, v] with an unresolved witness candidate: the
+    one-row case of ``exact_depth_values``, for callers that only need the
+    number and a descent direction."""
+    (v,), (u,) = exact_depth_values(m.points[None], m, [0], np.asarray(q, dtype=float)[None])
+    return DepthResult(float(v), float(v), u)
 
 
-def exact_depth_values_2d(points, m: DiscreteMeasure, which, q):
-    """``exact_depth_value_2d`` of many queries at once: row r is the query
-    q[r] (R, 2) among the points points[which[r]], points being a stack (M,
-    n, 2) of planar images of the points of m, each weighted by m's mass
-    units.  Rows go to the sweep in blocks of at most _CHUNK points,
-    unnormalized.  A point within ``DEFAULT_TOL`` of the query (squared
-    distance at most its square) counts under every direction: its units
-    are summed over the full mask in point order, and in the sweep it is a
-    copy of the row's first other point with unit 0, so it adds no
-    breakpoint.  Each row's value is (the units at the query + the swept
-    minimum) / scale, an exact count over the scale.  Returns (values (R,),
-    directions (R, 2)).
+def exact_depth_values(points, m: DiscreteMeasure, which, q):
+    """Exact depth of many queries at once: row r is the query q[r] (R, k)
+    among the points points[which[r]], points being a stack (M, n, k), k <=
+    4, of images of the points of m, each weighted by m's mass units.  Rows
+    go to the kernel in blocks of at most _CHUNK points.  A point within
+    ``DEFAULT_TOL`` of the query (squared distance at most its square)
+    counts under every direction: its units are summed over the full mask
+    in point order, and in the kernel it is a copy of the row's first other
+    point with unit 0, which moves no bit.  k = 1 counts the two sides, k =
+    2 sweeps the rows unnormalized and k >= 3 passes their unit rows to
+    ``_min_halfspace_mass``.  Each row's value is (the units at the query +
+    the kernel's minimum) / scale, an exact count over the scale; a row
+    whose points all lie at the query has depth 1 and direction e_0.
+    Returns (values (R,), directions (R, k)); beyond general position a
+    direction may miss its row's minimum (``point_depth`` checks it).
     """
     points, units = np.asarray(points), m.units
-    R, n = len(which), len(units)
-    vals, dirs = np.empty(R), np.empty((R, 2))
+    R, n, k = len(which), len(units), points.shape[2]
+    vals, dirs = np.empty(R), np.empty((R, k))
     step = max(1, _CHUNK // n)
     for s in range(0, R, step):
-        k = which[s : s + step]
-        p = points[k] - q[s : s + step, None, :]
-        at = p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] <= DEFAULT_TOL**2  # the bits of _split_query's
-        w, w0 = units, np.zeros(len(k))
+        rows = which[s : s + step]
+        p = points[rows] - q[s : s + step, None, :]
+        # the planar case componentwise, which is faster, with the bits of the sum
+        sq = p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] if k == 2 else (p * p).sum(axis=2)
+        at = sq <= DEFAULT_TOL**2
+        w, w0, empty = units, 0.0, np.zeros(len(rows), dtype=bool)
         if at.any():
-            w0 = np.where(at, w, 0.0).sum(axis=1)
-            fill = p[np.arange(len(k)), np.argmax(~at, axis=1)]
+            w0, empty = np.where(at, w, 0.0).sum(axis=1), at.all(axis=1)
+            fill = p[np.arange(len(rows)), np.argmax(~at, axis=1)]
+            fill[empty] = 1.0  # no other point: any nonzero row
             p = np.where(at[..., None], fill[:, None, :], p)
             w = np.where(at, 0.0, w)
-        val, phi = _sweep(p, w, DEFAULT_TOL)
-        empty = at.all(axis=1)
+        if k == 1:
+            pos, neg = (np.where(side, w, 0.0).sum(axis=1) for side in (p[..., 0] > 0.0, p[..., 0] < 0.0))
+            val, u = np.minimum(pos, neg), np.where(pos <= neg, 1.0, -1.0)[:, None]
+        elif k == 2:
+            val, phi = _sweep(p, w, DEFAULT_TOL)
+            u = np.column_stack([np.cos(phi), np.sin(phi)])
+        else:
+            val, u = _min_halfspace_mass(p / np.linalg.norm(p, axis=2)[..., None], np.broadcast_to(w, at.shape),
+                                         DEFAULT_TOL)
         vals[s : s + step] = np.where(empty, 1.0, (w0 + val) / m.scale)
-        dirs[s : s + step, 0] = np.where(empty, 1.0, np.cos(phi))
-        dirs[s : s + step, 1] = np.where(empty, 0.0, np.sin(phi))
+        dirs[s : s + step] = np.where(empty[:, None], np.eye(k)[0], u)
     return vals, dirs
 
 
@@ -327,8 +317,8 @@ def sampled_depth_values(points, m: DiscreteMeasure, which, q, directions):
     stacked as there, minimized over its own unit directions directions[r]
     (R, count, d).  The rows are centred and normalized in blocks of at most
     _CHUNK points; a point within ``DEFAULT_TOL`` of the query (squared
-    distance at most its square, as ``_split_query`` says) counts under every
-    direction, as in the exact depth.  Each row then takes its direction and
+    distance at most its square, as in ``exact_depth_values``) counts under
+    every direction.  Each row then takes its direction and
     mask products in cache-sized blocks of directions (``_row_blocks``),
     which give the bits of one product over all of them.  The masks count
     m's mass units, divided by its scale once.  Returns (values (R,),
@@ -343,7 +333,7 @@ def sampled_depth_values(points, m: DiscreteMeasure, which, q, directions):
         p = points[k] - q[lo : lo + step, None, :]
         sq = (p * p).sum(axis=2)
         norms = np.sqrt(sq)  # the bits of np.linalg.norm
-        norms[sq <= DEFAULT_TOL**2] = np.inf  # at the query, as _split_query says: counted everywhere
+        norms[sq <= DEFAULT_TOL**2] = np.inf  # at the query: counted under every direction
         phat = (p / norms[..., None]).transpose(0, 2, 1)
         for b in range(len(k)):
             u = directions[lo + b]
@@ -354,13 +344,13 @@ def sampled_depth_values(points, m: DiscreteMeasure, which, q, directions):
 
 
 def closed_mass_bounds(points, m: DiscreteMeasure):
-    """The rule that bounds from above the values of ``exact_depth_values_2d``
-    (from any unit directions) and ``sampled_depth_values`` (from directions
-    among the row's own) in the images points (M, n, d) of the points of m,
-    set up once for them.  Returns bound(which, q, directions): row r gets
-    the least, over its unit directions u in directions[r] (R, D, d), of the
-    mass of the points p of image which[r] with <u, p - q[r]> >= -s_r,
-    where
+    """The rule that bounds from above the planar values of
+    ``exact_depth_values`` (from any unit directions) and those of
+    ``sampled_depth_values`` (from directions among the row's own) in the
+    images points (M, n, d) of the points of m, set up once for them.
+    Returns bound(which, q, directions): row r gets the least, over its unit
+    directions u in directions[r] (R, D, d), of the mass of the points p of
+    image which[r] with <u, p - q[r]> >= -s_r, where
 
         s_r = max(eta reach_r, 2 tol) + 1e-14 (|c_k|_1 + |h_k|_1 + |q[r]|_1),
 
@@ -431,16 +421,16 @@ def point_depth(
 ) -> DepthResult:
     """Half-space depth of a point, as a bracket (``DepthResult``).
 
-    exact    project and sweep (see the module docstring), O(n^(d-1) log n);
-             limited to dim <= 4 and n <= 5000.  The upper end is the closed
-             mass of the witness direction, summed in mass units: an exact
-             count over the scale, whatever the order of the sums.  It is
+    exact    project and sweep (see the module docstring): one row of
+             ``exact_depth_values``, where ``_exact_affordable`` allows it
+             (``ValueError`` elsewhere).  The upper end is the closed mass
+             of its direction, the witness (``sampled_depth_values`` at
+             that direction alone): an exact count over the scale.  It is
              the lower end too, unless it misses the computed minimum
              (beyond general position): there the lower end is
-             ``certified_depth_floor``.  The results of the last 16 queries
-             are kept (thread-safe, their witnesses read-only), keyed on the
-             bytes of (points - q) and the weights, so a repeated query
-             returns the same result.
+             ``certified_depth_floor``.  The last query's result is kept
+             (its witness read-only), keyed on the bytes of (points - q)
+             and the weights, so asking again returns the same result.
     sampled  [0, the least closed mass over ``sample_count`` seeded sphere
              directions]; the direction stream is prefix-stable in the
              count, so a larger sample with the same seed can only lower the
@@ -448,25 +438,25 @@ def point_depth(
              ``sampled_depth_values``, whose cache-sized blocks of
              directions give the bits of one product over all of them.
     """
+    global _last
     q = as_vector(q)
     if q.size != m.dim:
         raise ValueError(f"query dim {q.size} != measure dim {m.dim}")
     if mode == "exact":
-        if m.dim > EXACT_MAX_DIM or m.n > EXACT_MAX_N:
-            raise ValueError(f"exact mode limited to dim <= {EXACT_MAX_DIM}, n <= {EXACT_MAX_N}")
+        if not _exact_affordable(m):
+            raise ValueError(f"exact mode limited to dim <= {EXACT_MAX_DIM} and n^(d-1) ln n <= EXACT_WORK "
+                             f"(n = 5000 in dim 3, 332 in dim 4), got dim {m.dim}, n = {m.n}")
         p = m.points - q
-        key = (p.shape, p.tobytes(), m.weights.tobytes())
-        with _memo_lock:
-            res = _memo.get(key)
-            if res is not None:
-                _memo.move_to_end(key)
-                return res
-        res = _exact_depth(p, m, q)
+        key, last = (p.shape, p.tobytes(), m.weights.tobytes()), _last
+        if last[0] == key:
+            return last[1]
+        (val,), (u,) = exact_depth_values(m.points[None], m, [0], q[None])
+        upper = float(sampled_depth_values(m.points[None], m, [0], q[None], u[None, None])[0][0])
+        # beyond general position the minimum may be unattainable at the
+        # witness; its attained mass is then only an upper bound
+        res = DepthResult(upper if abs(upper - val) <= 1e-9 else certified_depth_floor(m, q), upper, u)
         res.witness.setflags(write=False)
-        with _memo_lock:
-            _memo[key] = res
-            if len(_memo) > _MEMO_SIZE:
-                _memo.popitem(last=False)
+        _last = (key, res)
         return res
     if mode == "sampled":
         u = sample_directions(m.dim, sample_count, seed=seed, mode="sphere")
@@ -475,35 +465,22 @@ def point_depth(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _exact_depth(p: np.ndarray, m: DiscreteMeasure, q: np.ndarray) -> DepthResult:
-    """The exact mode of ``point_depth`` at q in m, for its points p = x - q,
-    without the memo."""
-    P, w, w0 = _split_query(p, m.units)
-    if P.shape[0] == 0:
-        return DepthResult(1.0, 1.0, np.eye(p.shape[1])[0])
-    phat = P / np.linalg.norm(P, axis=1)[:, None]
-    if p.shape[1] == 1:
-        pos, neg = float(w[phat[:, 0] > 0].sum()), float(w[phat[:, 0] < 0].sum())
-        val, u = min(pos, neg), np.array([1.0 if pos <= neg else -1.0])
-    else:
-        vals, us = _min_halfspace_mass(phat[None], w[None], DEFAULT_TOL, DEFAULT_TOL)
-        val, u = float(vals[0]), us[0]
-    upper = (w0 + float(w[phat @ u >= -DEFAULT_TOL].sum())) / m.scale
-    # beyond general position the minimum may be unattainable at the
-    # witness; its attained mass is then only an upper bound
-    lower = upper if abs(upper - (w0 + val) / m.scale) <= 1e-9 else certified_depth_floor(m, q)
-    return DepthResult(lower, upper, u)
+def _exact_affordable(m: DiscreteMeasure) -> bool:
+    """The one cost rule of exact depth: dim <= EXACT_MAX_DIM (the reach of
+    the enumerator referee in the tests) and the kernel's work n^(d-1) ln n
+    at most EXACT_WORK, that of d = 3 at n = 5,000 (about 3 s): every n in
+    d = 1, up to about 13 million points in d = 2 and 332 in d = 4."""
+    return m.dim <= EXACT_MAX_DIM and m.n ** (m.dim - 1) * math.log(m.n) <= EXACT_WORK
 
 
 def depth_bracket(m: DiscreteMeasure, q, seed: int = 0, upper: DepthResult | None = None) -> DepthResult:
     """The depth of q in m by the one rule that picks an evaluator: exact
-    (``point_depth``) in dim <= 3 up to n = ``EXACT_MAX_N`` and in dim 4 up
-    to n = 120; elsewhere from ``certified_depth_floor`` at gamma 0.1 (0
-    outside dim 2 to 4) to the sampled bound over 8,192 directions of
-    ``seed``, or to the upper end and witness of ``upper``, a caller's own
-    bracket at q."""
+    (``point_depth``) where ``_exact_affordable`` allows it; elsewhere from
+    ``certified_depth_floor`` at gamma 0.1 (0 outside dim 2 to 4) to the
+    sampled bound over 8,192 directions of ``seed``, or to the upper end and
+    witness of ``upper``, a caller's own bracket at q."""
     q = as_vector(q)
-    if m.n <= EXACT_MAX_N and (m.dim <= 3 or (m.dim == 4 and m.n <= _EXACT4_MAX_N)):
+    if _exact_affordable(m):
         return point_depth(m, q)
     upper = upper or point_depth(m, q, mode="sampled", sample_count=8192, seed=seed)
     return DepthResult(certified_depth_floor(m, q) if 2 <= m.dim <= 4 else 0.0, upper.upper, upper.witness)
@@ -531,6 +508,8 @@ def certified_depth_floor(m: DiscreteMeasure, q, gamma: float = 0.1) -> float:
     """
     q = as_vector(q)
     d = m.dim
+    if q.size != d:
+        raise ValueError(f"query dim {q.size} != measure dim {d}")
     if d not in (2, 3, 4):
         raise ValueError("certified floor supported for dim in {2, 3, 4}")
     if not 0.0 < gamma <= np.pi / 2:
@@ -833,10 +812,13 @@ def deep_line_search(
     scan, re-rank and refine phases run the multistart ascent; only the
     final profile takes ``tukey_medians``' default mode, which in R^3 is the
     exact planar median, so the reported depth is the exact a(u) of the
-    chosen direction.
+    chosen direction.  ``grid_count`` >= 1, ``refine_iters`` >= 0 and
+    ``top_k`` >= 1 must be integers (``ValueError`` before any work).
     """
     if m.dim < 3:
         raise ValueError("line search needs ambient dimension >= 3")
+    for name, value, least in (("grid_count", grid_count, 1), ("refine_iters", refine_iters, 0), ("top_k", top_k, 1)):
+        check_count(name, value, least)
     grid = np.array([canonical_direction(u) for u in sample_directions(m.dim, grid_count, mode="grid")])
     scan_m = _subsampled(m, 160, seed)
     cheap = {"mode": "multistart", "starts": 4, "iters": 4, "seed": seed}
@@ -844,10 +826,10 @@ def deep_line_search(
 
     scores, _ = direction_profiles(scan_m, grid, cheap)
     evals = grid.shape[0]
-    order = np.argsort(-scores)[: max(1, top_k)]
+    order = np.argsort(-scores)[:top_k]
 
     best_a, best_u, best_med = -1.0, None, None
-    cap = 2.0 * np.sqrt(4.0 * np.pi / max(grid_count, 1))
+    cap = 2.0 * np.sqrt(4.0 * np.pi / grid_count)
     cands = grid[order]  # the re-rank, then each refine step's cap samples
     for it in range(refine_iters + 1):
         if it:

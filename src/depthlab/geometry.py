@@ -16,6 +16,7 @@ Everything here is a pure function of its inputs; no shared mutable state.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,13 @@ def as_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite coordinates")
     return v
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer (a bool is not one) or is below
+    ``least``, with a ``ValueError`` that names the parameter."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def unit(x) -> np.ndarray:
@@ -137,8 +145,9 @@ class SimplicialCone:
         if normals.ndim != 2 or normals.shape[0] != normals.shape[1] or not normals.size:
             raise ValueError(f"need d x d constraint normals, got {normals.shape}")
         norms = np.linalg.norm(normals, axis=1)
-        if np.any(norms == 0):
-            raise ValueError("zero constraint normal")
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+        if bad.size:
+            raise ValueError(f"constraint normal {bad[0]} is zero or not finite: {normals[bad[0]]}")
         normals = normals / norms[:, None]
         if abs(np.linalg.det(normals)) <= 1e-10:
             raise ValueError("constraint normals are linearly dependent (tol 1e-10)")

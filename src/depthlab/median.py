@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, hull_interior_margin, sample_directions
+from .geometry import DEFAULT_TOL, check_count, hull_interior_margin, sample_directions
 from .measures import DiscreteMeasure
 from .depth import (
     DepthResult,
     _row_blocks,
     closed_mass_bounds,
     depth_bracket,
-    exact_depth_value_2d,
-    exact_depth_values_2d,
+    exact_depth_values,
     sampled_depth_values,
 )
 from . import cones as _cones
@@ -89,7 +88,7 @@ def _cheap_depths(pts: np.ndarray, m: DiscreteMeasure, own: np.ndarray, seeds: n
     """
     bound = closed_mass_bounds(pts, m)
     if pts.shape[2] == 2:
-        return (lambda rows, x: exact_depth_values_2d(pts, m, own[rows], x),
+        return (lambda rows, x: exact_depth_values(pts, m, own[rows], x),
                 lambda rows, x, mine, theirs: bound(own[rows], x, np.concatenate([mine, theirs], axis=1)))
     keys, pick = np.unique(seeds, return_inverse=True)
     dirs = np.stack([sample_directions(pts.shape[2], 192, seed=int(s), mode="sphere") for s in keys])
@@ -122,6 +121,9 @@ def tukey_median(
                  minimizing half-space normal, shrinking); the best cheap depth
                  wins, the earlier start on a tie, re-evaluated in dim >= 3.
     auto         exact in dim <= 2, else multistart.
+
+    ``starts`` >= 1 and ``iters`` >= 0 must be integers (``ValueError``
+    before any work, in every mode and in ``balanced_median``).
     """
     return tukey_medians(m.points[None], m, mode, starts, iters, seed)[0]
 
@@ -131,6 +133,8 @@ def tukey_medians(points, m: DiscreteMeasure, mode: str = "auto", starts: int = 
     """``tukey_median`` of each image points[k] (points (M, n, d)) of the
     points of m, weighted as m, the multistart ascents of all of them
     stepping in lockstep."""
+    check_count("starts", starts, 1)
+    check_count("iters", iters, 0)
     d = points.shape[2]
     if mode == "auto":
         mode = "exact" if d <= 2 else "multistart"
@@ -195,7 +199,7 @@ def _planar_median(pts: np.ndarray, m: DiscreteMeasure) -> MedianResult:
     centre = (m.weights[:, None] * pts).sum(axis=0)
     y = pts - centre
     span = float(np.abs(y).max()) or 1.0
-    (depth,), (wit,) = exact_depth_values_2d(pts[None], m, [0], centre[None])
+    (depth,), (wit,) = exact_depth_values(pts[None], m, [0], centre[None])
     x, evals, cuts, swept = centre, 1, _AXES, {centre.tobytes(): wit}  # row bytes -> witness
     while depth < 1.0:
         t, _ = _level(y, m, depth, cuts)
@@ -213,7 +217,7 @@ def _planar_median(pts: np.ndarray, m: DiscreteMeasure) -> MedianResult:
         mean = z.mean(axis=0) + centre
         rows = dict.fromkeys(r.tobytes() for r in np.vstack([z + centre, mean[None], pts[near]]))
         q = np.array([np.frombuffer(r) for r in rows if r not in swept]).reshape(-1, 2)
-        vals, dirs = exact_depth_values_2d(pts[None], m, np.zeros(len(q), dtype=int), q)
+        vals, dirs = exact_depth_values(pts[None], m, np.zeros(len(q), dtype=int), q)
         swept.update(zip(map(np.ndarray.tobytes, q), dirs))
         evals += len(q)
         if len(q) and vals.max() > depth:
@@ -315,14 +319,15 @@ def balanced_median(
     which keeps the surrounding set of minimizing normals spread out (the
     single point of ``tukey_median`` may sit at a corner instead).
     """
+    check_count("starts", starts, 1)
+    check_count("iters", iters, 0)
     endpoints, evals = _multistart_endpoints(m.points[None], m, starts, iters, seed)[0]
     scored = _finals(m.points, m, endpoints, 6 if m.dim <= 2 else 3)
     evals += len(scored)
     best = max(r.depth for r, _ in scored)
     ties = [x for r, x in scored if r.depth >= best - 1e-9]
     center = np.mean(ties, axis=0)
-    # in the plane the ascent's exact evaluator, as in the finals
-    res = exact_depth_value_2d(m, center) if m.dim == 2 else depth_bracket(m, center, seed=seed)
+    res = depth_bracket(m, center, seed=seed)
     evals += 1
     if res.depth >= best - 1e-12:
         return MedianResult(center, res, evals)

@@ -13,12 +13,13 @@ package's half-turn sweep to give its value exactly on integer units and
 within 1e-12 on arbitrary weights, whose sums run in another order.
 ``exact_depth_value_2d`` splits off the points at the query and sweeps the
 rest alone with the package's one-row sweep, so the sequential ascent
-gives the bits of the batched one; ``sampled_depth`` draws its directions
+gives the bits of the batched one, which keeps them as copies of another
+point with unit 0; ``sampled_depth`` draws its directions
 on every call and takes one product with them; ``certified_depth_floor``
 sweeps its whole net in float32 products, and bounds the package's
 one-stage floor (``assert_valid_floor``: the same bits), which the tests
 check against it and against its definition, so ``_final`` calls the
-package floor, by its own copy of the package's size rule for exact depth;
+package floor where the package's cost rule for exact depth refuses it;
 ``project_line`` takes one QR per
 direction and fixes its signs row by row; ``_start_points`` draws one
 measure's starts; ``_multistart_endpoints`` climbs one start after
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 import depthlab.depth
-from depthlab.depth import DepthResult, _split_query, point_depth
+from depthlab.depth import DepthResult, point_depth
 from depthlab.geometry import DEFAULT_TOL, as_vector, sample_directions, unit
 from depthlab.measures import DiscreteMeasure
 from depthlab.median import MedianResult
@@ -97,7 +98,9 @@ def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
 
 def exact_depth_value_2d(m, q):
     units, scale = mass_units(m.weights)
-    P, w, w0 = _split_query(m.points - np.asarray(q, dtype=float), units)
+    p = m.points - np.asarray(q, dtype=float)
+    at = (p * p).sum(axis=1) <= DEFAULT_TOL**2  # at the query: counted under every direction
+    P, w, w0 = p[~at], units[~at], float(units[at].sum())
     if P.shape[0] == 0:
         return 1.0, np.eye(2)[0]
     val, phi = depthlab.depth._sweep(P[None], w[None], DEFAULT_TOL)
@@ -155,13 +158,13 @@ def assert_valid_floor(m, q, gamma: float = 0.1):
 
 
 def _final(m, x: np.ndarray, seed: int, cheap=None) -> DepthResult:
-    """The bracket at x: in the plane the exact sweep (the ascent's value
-    and witness ``cheap``, else a new one); above, exact depth where the
-    size rule allows it, else the floor and ``cheap`` or a sample."""
-    if m.dim == 2:
-        v, u = cheap or exact_depth_value_2d(m, x)
+    """The bracket at x: in the plane the ascent's exact value and witness
+    ``cheap``; else exact depth where the package's cost rule allows it,
+    else the floor and ``cheap`` or a sample."""
+    if m.dim == 2 and cheap:
+        v, u = cheap
         return DepthResult(v, v, u)
-    if m.n <= 5000 and (m.dim <= 3 or (m.dim == 4 and m.n <= 120)):
+    if depthlab.depth._exact_affordable(m):
         return point_depth(m, x, mode="exact")
     if cheap is None:
         s = sampled_depth(m, x, sample_count=8192, seed=seed)

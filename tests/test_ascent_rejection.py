@@ -12,7 +12,7 @@ from depthlab.depth import (
     _CHUNK,
     closed_mass_bounds,
     deep_line_search,
-    exact_depth_values_2d,
+    exact_depth_values,
     sampled_depth_values,
 )
 from depthlab.geometry import DEFAULT_TOL, sample_directions
@@ -20,7 +20,7 @@ from depthlab.measures import DiscreteMeasure, generate_measure, make_measure
 from depthlab.median import balanced_median, tukey_median
 from depthlab.suites import _rado_spec, line_search_suite_specs
 
-# rows of exact_depth_values_2d in deep_line_search(grid_count=60,
+# rows of exact_depth_values in deep_line_search(grid_count=60,
 # refine_iters=2) on the theorem1 measures 0 and 6 at n = 200 when every
 # ascent step was swept
 SWEPT_ROWS_BEFORE = {0: 18468, 6: 18620}
@@ -80,7 +80,7 @@ def test_planar_depth_never_exceeds_closed_mass_bound():
         # at most its depth, weighted or not
         for m in (weighted, make_measure(weighted.points)):
             for q in np.asarray(queries, dtype=float):
-                val = exact_depth_values_2d(m.points[None], m, [0], q[None])[0][0]
+                val = exact_depth_values(m.points[None], m, [0], q[None])[0][0]
                 b = _bounds(m, q, _probe_directions(rng, m.points - q))
                 assert np.all(val <= b), (m.points, q, val, b.min())
                 checked += len(b)
@@ -94,7 +94,7 @@ def test_bound_slack_covers_skipped_slivers():
     gap = 3e-9
     pts = np.array([[1.0, 0.0], [np.cos(np.pi + gap), np.sin(np.pi + gap)]])
     m = make_measure(pts)
-    val = exact_depth_values_2d(m.points[None], m, [0], np.zeros((1, 2)))[0][0]
+    val = exact_depth_values(m.points[None], m, [0], np.zeros((1, 2)))[0][0]
     mid = 0.5 * np.pi + 0.5 * gap
     u = np.array([[np.cos(mid), np.sin(mid)]])
     assert val == 0.5
@@ -181,7 +181,7 @@ def test_bound_holds_far_from_the_origin(offset):
         for m in (weighted, make_measure(weighted.points)):
             m = make_measure(m.points + shift, m.weights)
             for q in np.asarray(queries, dtype=float) + shift:
-                val = exact_depth_values_2d(m.points[None], m, [0], q[None])[0][0]
+                val = exact_depth_values(m.points[None], m, [0], q[None])[0][0]
                 b = _bounds(m, q, _probe_directions(rng, m.points - q))
                 assert np.all(val <= b), (m.points, q, val, b.min())
     for d in (3, 4):
@@ -230,8 +230,8 @@ def _weighted_cases():
     cube[:20] = cube[20]
     g4 = rng.standard_normal((150, 4)) * [1.0, 0.7, 0.5, 0.3]
     return [(make_measure(p, rng.random(len(p)) ** 3 + 1e-3), name) for p, name in (
-        (grid, "exact_depth_values_2d"), (crowd, "exact_depth_values_2d"),
-        (line_pts, "exact_depth_values_2d"), (cube, "sampled_depth_values"),
+        (grid, "exact_depth_values"), (crowd, "exact_depth_values"),
+        (line_pts, "exact_depth_values"), (cube, "sampled_depth_values"),
         (g4, "sampled_depth_values"))]
 
 
@@ -248,7 +248,7 @@ def _uniform_cases():
     cube[:20] = cube[20]
     g4 = rng.standard_normal((150, 4)) * [1.0, 0.7, 0.5, 0.3]
     return [(make_measure(p), name) for p, name in (
-        (grid, "exact_depth_values_2d"), (crowd, "exact_depth_values_2d"),
+        (grid, "exact_depth_values"), (crowd, "exact_depth_values"),
         (cube, "sampled_depth_values"), (g4, "sampled_depth_values"))]
 
 
@@ -267,7 +267,7 @@ def test_medians_match_referee_where_rejections_fire(case, monkeypatch):
 
 @pytest.mark.parametrize("i", sorted(SWEPT_ROWS_BEFORE))
 def test_deep_line_search_sweeps_fewer_rows(i, monkeypatch):
-    rows = _rows_of(monkeypatch, "exact_depth_values_2d")
+    rows = _rows_of(monkeypatch, "exact_depth_values")
     spec = line_search_suite_specs(200)[i]
     deep_line_search(generate_measure(spec), grid_count=60, refine_iters=2, seed=spec.seed)
     assert sum(rows) <= 0.75 * SWEPT_ROWS_BEFORE[i]

@@ -387,7 +387,7 @@ def test_structural_map_refuses_other_dimensions_before_any_work(monkeypatch, d,
     def no_work(*args, **kwargs):
         raise AssertionError("structural_map did work before refusing its arguments")
 
-    monkeypatch.setattr(central, "point_depth", no_work)
+    monkeypatch.setattr(central, "depth_bracket", no_work)
     monkeypatch.setattr(central, "witness_tuple", no_work)
     m = generate_measure(MeasureSpec("gaussian", d, 100, {}, seed=d))
     with pytest.raises(ValueError, match=match):

@@ -201,3 +201,9 @@ def test_floor_rejects_gamma_outside_covering_range(gamma):
 def test_floor_at_widest_gamma_below_exact():
     m = make_measure(np.random.default_rng(0).standard_normal((50, 3)))
     assert certified_depth_floor(m, np.zeros(3), np.pi / 2) <= point_depth(m, np.zeros(3)).depth
+
+
+def test_floor_refuses_a_query_of_another_dimension():
+    m = make_measure(np.random.default_rng(0).standard_normal((50, 2)))
+    with pytest.raises(ValueError, match="query dim 3 != measure dim 2"):
+        certified_depth_floor(m, np.zeros(3))

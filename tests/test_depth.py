@@ -13,13 +13,14 @@ from enumerator_referee import enumerator_depth
 from depthlab.geometry import Flat, complement_basis, line, random_rotation, sample_directions
 from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure, project_measure
 from depthlab.depth import (
+    DepthResult,
     certified_depth_floor,
     deep_line_search,
     depth_bracket,
     depth_oracle,
     direction_profile,
     exact_depth_value_2d,
-    exact_depth_values_2d,
+    exact_depth_values,
     flat_depth,
     line_depth_thresholds,
     point_depth,
@@ -154,6 +155,54 @@ def test_exact_mode_limits():
         depth_oracle(make_measure(np.zeros((20, 2))), [0, 0])
 
 
+def test_exact_budget_edges(monkeypatch):
+    # depth_bracket is exact exactly where n^(d-1) ln n fits EXACT_WORK: d =
+    # 3 up to n = 5,000, d = 4 up to 332, d = 2 far above 5,000 and d = 1 at
+    # any n; exact point_depth refuses elsewhere.  Spies stand in for the
+    # evaluators, so no large kernel runs
+    real, asked = point_depth, []
+
+    def spy(m, q, mode="exact", **kw):
+        asked.append(mode)
+        return DepthResult(0.5, 0.5, np.eye(m.dim)[0])
+
+    monkeypatch.setattr(depthlab.depth, "point_depth", spy)
+    monkeypatch.setattr(depthlab.depth, "certified_depth_floor", lambda m, q: 0.25)
+    for d, n, exact in [(3, 5000, True), (3, 5001, False), (4, 332, True), (4, 333, False),
+                        (2, 200_000, True), (1, 200_000, True), (5, 2, False)]:
+        m, q = make_measure(np.arange(n * d, dtype=float).reshape(n, d)), np.zeros(d)
+        asked.clear()
+        assert depth_bracket(m, q).mode == ("exact" if exact else "bracket") and asked == [
+            "exact" if exact else "sampled"], (d, n)
+        if not exact:
+            with pytest.raises(ValueError, match="exact mode limited"):
+                real(m, q)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_exact_rows_are_point_depth_one_at_a_time(d):
+    # one stack of rows of exact_depth_values against point_depth one query
+    # at a time, bit for bit: an integer grid with a duplicate, its mirror
+    # image and an image whose points all sit at one site, uniform and
+    # weighted, queried at data points, at that site (depth 1, with no
+    # RuntimeWarning) and off the data
+    rng = np.random.default_rng(70 + d)
+    n = 14 if d == 4 else 24
+    pts = rng.integers(-2, 3, (n, d)).astype(float)
+    pts[1] = pts[0]
+    images = np.stack([pts, -pts, np.tile(pts[2], (n, 1))])
+    which = np.array([0, 0, 1, 2, 0, 1])
+    q = np.vstack([pts[0], 0.5 * rng.standard_normal(d), -pts[3], pts[2], rng.integers(-1, 2, d),
+                   0.25 * rng.integers(-2, 3, d)])
+    for m in (make_measure(pts), make_measure(pts, rng.dirichlet(np.ones(n)))):
+        vals, dirs = exact_depth_values(images, m, which, q)
+        assert vals[3] == 1.0
+        for r, (k, qr) in enumerate(zip(which, q)):
+            one = point_depth(DiscreteMeasure(d, images[k], m.weights), qr)
+            assert one.mode == "exact" and float(vals[r]).hex() == float(one.depth).hex(), (d, r)
+            assert dirs[r].tobytes() == one.witness.tobytes(), (d, r)
+
+
 def test_exact_value_2d_agrees_with_point_depth():
     rng = np.random.default_rng(14)
     m = make_measure(rng.standard_normal((80, 2)))
@@ -202,16 +251,20 @@ def test_flat_depth_far_from_hull():
     assert flat_depth(m, f).depth == 0.0
 
 
-def test_flat_depth_never_overstates():
-    # a line in R^5 projects to R^4, where n = 200 is above the exact
-    # kernel's affordable size: the depth is the certified floor, at most
-    # the exact depth of the projected anchor, and the upper end at least it
+def test_flat_depth_never_overstates(monkeypatch):
+    # a line in R^5 projects to R^4, where n = 200 is within the exact
+    # kernel's budget; above it (forced here) the depth is the certified
+    # floor, at most the exact depth of the projected anchor, and the upper
+    # end at least it
     rng = np.random.default_rng(3)
     m, f = make_measure(rng.standard_normal((200, 5))), line(np.eye(5)[0])
-    r = flat_depth(m, f)
     exact = point_depth(project_measure(m, f), complement_basis(f) @ f.base)
-    assert exact.mode == "exact" and r.mode != "exact"
-    assert r.depth <= exact.depth <= r.upper
+    r = flat_depth(m, f)
+    assert r.mode == exact.mode == "exact" and r.depth == exact.depth
+    with monkeypatch.context() as patch:
+        patch.setattr(depthlab.depth, "_exact_affordable", lambda m: False)
+        r = flat_depth(m, f)
+    assert r.mode != "exact" and r.depth <= exact.depth <= r.upper
     # at n = 60 the line's depth stays exact; in R^6 the projection is in
     # dim 5, with no floor, so the lower end is 0
     assert flat_depth(make_measure(rng.standard_normal((60, 5))), f).mode == "exact"
@@ -249,7 +302,7 @@ def test_every_bracket_holds_the_oracle(m, q, monkeypatch):
     truth = depth_oracle(m, q).depth
     got = [point_depth(m, q), point_depth(m, q, mode="sampled", sample_count=64, seed=1), depth_bracket(m, q)]
     assert got[2].mode == "exact"
-    monkeypatch.setattr(depthlab.depth, "EXACT_MAX_N", 0)
+    monkeypatch.setattr(depthlab.depth, "_exact_affordable", lambda m: False)
     got.append(depth_bracket(m, q, seed=1))
     for r in got:
         assert r.lower <= truth + 1e-12 and truth <= r.upper + 1e-12, (r.lower, truth, r.upper)
@@ -265,7 +318,7 @@ def test_d4_bracket_holds_the_exact_depth(n, monkeypatch):
     cases = [(make_measure(rng.standard_normal((n, 4))), 0.2 * rng.standard_normal(4)), (make_measure(grid), grid[0])]
     for m, q in cases:
         exact = point_depth(m, q)
-        monkeypatch.setattr(depthlab.depth, "_EXACT4_MAX_N", 0)
+        monkeypatch.setattr(depthlab.depth, "_exact_affordable", lambda m: False)
         r = depth_bracket(m, q)
         monkeypatch.undo()
         assert exact.mode == "exact" and r.lower <= exact.depth <= r.upper
@@ -475,7 +528,7 @@ def test_uniform_exact_depth_is_a_count(inst):
     m = make_measure(pts)
     count = round(depth_oracle(m, q).depth * m.n)
     if m.dim == 2:
-        vals, _ = exact_depth_values_2d(m.points[None], m, [0], q[None])
+        vals, _ = exact_depth_values(m.points[None], m, [0], q[None])
         assert vals[0] * m.n == count and vals[0] == count / m.n
     r = point_depth(m, q)
     assert r.depth * m.n == count and r.depth == count / m.n
@@ -518,14 +571,14 @@ def _exact_kernel_queries(monkeypatch):
     """Record the top-level exact kernel runs (``_min_halfspace_mass`` at the
     measure's own dimension) by the bytes of their unit points, after
     emptying the exact-depth memo."""
-    depthlab.depth._memo.clear()
+    monkeypatch.setattr(depthlab.depth, "_last", (None, None))
     real = depthlab.depth._min_halfspace_mass
     runs = []
 
-    def counted(phat, w, tol, gap):
+    def counted(phat, w, gap):
         if phat.shape[2] == 3:
             runs.append(phat.tobytes())
-        return real(phat, w, tol, gap)
+        return real(phat, w, gap)
 
     monkeypatch.setattr(depthlab.depth, "_min_halfspace_mass", counted)
     return runs
@@ -533,7 +586,8 @@ def _exact_kernel_queries(monkeypatch):
 
 def test_exact_memo_runs_the_kernel_once_per_point(monkeypatch):
     # recenter -> witness_tuple -> structural_map asks for the depth at the
-    # median three times and more; the d = 3 kernel runs once per point
+    # median three times and more, each time right after the last; the d =
+    # 3 kernel runs once per point
     runs = _exact_kernel_queries(monkeypatch)
     asked = []
     real = depthlab.depth.point_depth
@@ -543,8 +597,7 @@ def test_exact_memo_runs_the_kernel_once_per_point(monkeypatch):
             asked.append((m.points - np.asarray(q, dtype=float)).tobytes())
         return real(m, q, mode=mode, **kw)
 
-    for mod in (depthlab.depth, depthlab.central):  # the median asks through depth_bracket
-        monkeypatch.setattr(mod, "point_depth", counted)
+    monkeypatch.setattr(depthlab.depth, "point_depth", counted)  # every other module asks through depth_bracket
     m = generate_measure(MeasureSpec("simplex_mixture", 3, 240, {"sigma": 0.01}, 1002))
     mc, _ = depthlab.median.recenter(m, balanced=True, starts=8, iters=20, seed=2)
     depthlab.median.witness_tuple(mc, np.zeros(3), seed=2)
@@ -561,31 +614,32 @@ def test_exact_memo_hit_is_the_fresh_result(monkeypatch):
     hit = point_depth(m, q)
     assert hit is first and len(runs) == 1
     assert not hit.witness.flags.writeable
-    depthlab.depth._memo.clear()
+    depthlab.depth._last = (None, None)
     fresh = point_depth(m, q)
     assert len(runs) == 2
     assert float(hit.depth).hex() == float(fresh.depth).hex()
     assert hit.witness.tobytes() == fresh.witness.tobytes() and hit.mode == fresh.mode
-    # another query point, or another measure, is a miss
-    point_depth(m, q + np.array([0.0, 0.0, 1e-9]))
-    assert len(runs) == 3
+    # right after it, another measure at the same point or another point is
+    # a miss, and so is a query asked before the last
     point_depth(make_measure(m.points, np.linspace(1.0, 2.0, m.n)), q)
+    assert len(runs) == 3
+    point_depth(m, q + np.array([0.0, 0.0, 1e-9]))
     assert len(runs) == 4
-    point_depth(m.translated([0.0, 1e-12, 0.0]), q)
+    point_depth(m.translated([0.0, 1e-12, 0.0]), q + np.array([0.0, 0.0, 1e-9]))
     assert len(runs) == 5
+    assert point_depth(m, q) is not fresh and len(runs) == 6
 
 
-def test_exact_memo_under_thread_contention():
-    # 6 threads on 24 queries, more than the memo holds, with a short switch
-    # interval: every result is the fresh one and the memo stays bounded
+def test_exact_memo_under_thread_contention(monkeypatch):
+    # 6 threads on 24 queries with a short switch interval, so the last
+    # query changes under every thread: every result is the fresh one
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     m = generate_measure(MeasureSpec("gaussian", 3, 24, {}, seed=9))
     qs = np.random.default_rng(9).standard_normal((24, 3)) * 0.3
-    depthlab.depth._memo.clear()
+    monkeypatch.setattr(depthlab.depth, "_last", (None, None))
     fresh = [point_depth(m, q) for q in qs]
-    depthlab.depth._memo.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -596,14 +650,13 @@ def test_exact_memo_under_thread_contention():
     for i, r in enumerate(got):
         want = fresh[(i * 7) % 24]
         assert float(r.depth).hex() == float(want.depth).hex() and r.witness.tobytes() == want.witness.tobytes()
-    assert len(depthlab.depth._memo) <= depthlab.depth._MEMO_SIZE
 
 
 def test_suite_with_exact_memo_does_not_depend_on_threads():
     from depthlab.suites import SUITES, rows_to_csv, run_suite
 
-    depthlab.depth._memo.clear()
+    depthlab.depth._last = (None, None)
     one = rows_to_csv(run_suite("central", SUITES["central"].quick, threads=1))
-    depthlab.depth._memo.clear()
+    depthlab.depth._last = (None, None)
     two = rows_to_csv(run_suite("central", SUITES["central"].quick, threads=2))
     assert one == two

@@ -157,3 +157,15 @@ def test_stacked_hull_interior_margin_matches_each_solve(d):
 def test_unit_rejects_zero():
     with pytest.raises(ValueError):
         unit([0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simplicial_cone_refuses_non_finite_normals(bad):
+    # a NaN row would make every membership test False; refused by its row
+    # before the determinant, so numpy warns nothing
+    with pytest.raises(ValueError, match="normal 0 is zero or not finite"):
+        SimplicialCone([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="normal 2 is zero or not finite"):
+        SimplicialCone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, bad, 1.0]])
+    with pytest.raises(ValueError, match="normal 1 is zero or not finite"):
+        SimplicialCone([[1.0, 0.0], [0.0, 0.0]])

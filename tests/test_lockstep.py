@@ -19,7 +19,7 @@ from depthlab.depth import (
     _row_blocks,
     deep_line_search,
     direction_profiles,
-    exact_depth_values_2d,
+    exact_depth_values,
     point_depth,
 )
 from depthlab.geometry import canonical_direction, line, sample_directions
@@ -61,7 +61,7 @@ def test_batched_planar_depth_matches_single_query_bits():
         images = np.stack([m.points, m.points * flip])
         which = np.arange(2 * len(qs)) % 2
         q = np.repeat(np.asarray(qs, dtype=float), 2, axis=0) * np.where(which[:, None] == 1, flip, 1.0)
-        vals, dirs = exact_depth_values_2d(images, m, which, q)
+        vals, dirs = exact_depth_values(images, m, which, q)
         for r, (k, qi) in enumerate(zip(which, q)):
             val, u = ref.exact_depth_value_2d(DiscreteMeasure(2, images[k], m.weights), qi)
             assert vals[r] == val and np.array_equal(dirs[r], u), (name, r)
@@ -73,7 +73,7 @@ def test_batched_planar_depth_across_blocks():
     m = generate_measure(MeasureSpec("gaussian", 2, 300, {}, seed=4))
     q = np.vstack([m.points[:60], np.random.default_rng(1).standard_normal((60, 2))])
     assert len(q) * m.n > 2 * _CHUNK
-    vals, dirs = exact_depth_values_2d(m.points[None], m, np.zeros(len(q), dtype=int), q)
+    vals, dirs = exact_depth_values(m.points[None], m, np.zeros(len(q), dtype=int), q)
     for r, qi in enumerate(q):
         val, u = ref.exact_depth_value_2d(m, qi)
         assert vals[r] == val and np.array_equal(dirs[r], u)
@@ -230,9 +230,9 @@ def _same(a, b):
         x.witness.tobytes() == y.witness.tobytes() and a.candidates_evaluated == b.candidates_evaluated)
 
 
-@pytest.mark.parametrize("d, n", [(2, 150), (3, 120), (3, 500), (4, 200)])
+@pytest.mark.parametrize("d, n", [(2, 150), (3, 120), (3, 500), (4, 333)])
 def test_multistart_median_matches_sequential_ascent(d, n):
-    # (4, 200) is above the exact size cutoff, so its finals are certified floors
+    # (4, 333) is above the exact budget, so its finals are certified floors
     m = generate_measure(MeasureSpec("simplex_mixture", d, n, {"sigma": 0.2}, seed=d))
     for seed in (0, 5):
         assert _same(tukey_median(m, mode="multistart", starts=6, iters=12, seed=seed),

@@ -3,16 +3,19 @@ import pytest
 
 import arrangement_referee
 import subtuple_referee
+import depthlab.depth
 import depthlab.median
 from depthlab.geometry import DEFAULT_TOL, line, sample_directions
 from depthlab.measures import MeasureSpec, generate_measure, make_measure, project_measure
-from depthlab.depth import EXACT_MAX_N, certified_depth_floor, direction_profiles, point_depth
+from depthlab.depth import certified_depth_floor, deep_line_search, direction_profiles, point_depth
 from depthlab.median import (
     WitnessSearchError,
     _best_subtuple,
+    balanced_median,
     min_normal_set,
     recenter,
     tukey_median,
+    tukey_medians,
     witness_tuple,
 )
 from depthlab.cones import is_generating, tuple_weight
@@ -186,13 +189,13 @@ def test_planar_median_sweeps_each_row_once(which, point, depth, rows_before, mo
     else:
         m = generate_measure(MeasureSpec("gaussian", 2, which[0], {}, seed=which[1]))
     rows = []
-    real = depthlab.median.exact_depth_values_2d
+    real = depthlab.median.exact_depth_values
 
     def spy(points, m, which, q):
         rows.extend(r.tobytes() for r in q)
         return real(points, m, which, q)
 
-    monkeypatch.setattr(depthlab.median, "exact_depth_values_2d", spy)
+    monkeypatch.setattr(depthlab.median, "exact_depth_values", spy)
     r = tukey_median(m, mode="exact")
     assert [c.hex() for c in r.point] == point and r.depth.hex() == depth and r.bracket.mode == "exact"
     assert len(rows) == len(set(rows)) == r.candidates_evaluated < rows_before
@@ -216,8 +219,8 @@ def test_line_median_is_the_best_point_depth():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_line_medians_above_the_exact_size_limit(d):
-    m = generate_measure(MeasureSpec("gaussian", d, EXACT_MAX_N + 1, {}, seed=2))
-    # exact point depth raises above n = 5000; the median of 5,001 distinct
+    m = generate_measure(MeasureSpec("gaussian", d, 5001, {}, seed=2))
+    # above the former n cap of exact depth, the median of 5,001 distinct
     # values on a line is the middle one, of depth 2501/5001
     if d == 1:
         r = tukey_median(m)
@@ -301,9 +304,9 @@ def test_min_normal_set_keeps_the_exact_witness_above_160_points(n, count):
 
 
 def test_min_normal_set_keeps_the_sampled_witness_in_d4():
-    # above n = 120 in d = 4 the level is the sampled bound over 8,192
+    # above n = 332 in d = 4 the level is the sampled bound over 8,192
     # directions; none of the 4,096 sphere normals attains it here
-    m, _ = recenter(generate_measure(MeasureSpec("gaussian", 4, 200, {}, seed=0)),
+    m, _ = recenter(generate_measure(MeasureSpec("gaussian", 4, 333, {}, seed=0)),
                     balanced=True, starts=8, iters=20, seed=0)
     sampled = point_depth(m, np.zeros(4), mode="sampled", sample_count=8192, seed=0)
     ns = min_normal_set(m, np.zeros(4))
@@ -313,18 +316,19 @@ def test_min_normal_set_keeps_the_sampled_witness_in_d4():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_above_the_exact_size_limit_the_median_and_the_level_fall_back(d):
-    # the exact mode refuses n > EXACT_MAX_N, so there the normal set takes
-    # the sampled level, and the d = 3 median a bracket from the certified
-    # floor to the ascent's sampled depth: the cliff at n = 5,000 shows as
-    # a bracket that is not exact
-    m = generate_measure(MeasureSpec("gaussian", d, EXACT_MAX_N + 1, {}, seed=1))
+    # exact depth in d = 3 is above its budget at n = 5,001, so there the
+    # normal set takes the sampled level, and the median a bracket from the
+    # certified floor to the ascent's sampled depth: the cliff at n = 5,000
+    # shows as a bracket that is not exact.  In d = 2 both stay exact
+    m = generate_measure(MeasureSpec("gaussian", d, 5001, {}, seed=1))
     o = m.points.mean(axis=0)
     ns = min_normal_set(m, o)
-    assert ns.level == point_depth(m, o, mode="sampled", sample_count=8192, seed=0).upper
     r = tukey_median(m, mode="multistart", starts=2, iters=3, seed=0)
     if d == 2:
-        assert r.bracket.mode == "exact"
+        exact = point_depth(m, o)
+        assert exact.mode == r.bracket.mode == "exact" and ns.level == exact.upper
     else:
+        assert ns.level == point_depth(m, o, mode="sampled", sample_count=8192, seed=0).upper
         assert r.bracket.mode != "exact"
         assert r.depth == r.bracket.lower == certified_depth_floor(m, r.point)
         assert r.bracket.upper >= r.bracket.lower
@@ -448,3 +452,32 @@ def test_median_stability_under_reweighting():
     delta = 0.5 * float(np.abs(w2 / w2.sum() - w).sum())
     r2 = tukey_median(m2, mode="multistart", starts=8, iters=20, seed=9)
     assert abs(r2.depth - base.depth) <= delta + 2.0 / m.n
+
+
+@pytest.mark.parametrize("name, value", [
+    *(("starts", v) for v in (0, -1, 2.5, True)),
+    *(("iters", v) for v in (-1, 2.5, False)),
+    *(("grid_count", v) for v in (0, 2.5, True)),
+    *(("refine_iters", v) for v in (-1, 1.0, False)),
+    *(("top_k", v) for v in (0, 2.5, True)),
+])
+def test_search_counts_are_refused_before_any_work(name, value, monkeypatch):
+    # a count that is not an integer (a bool is not one) or is too small is
+    # refused by name, where numpy once failed, ran one start by a negative
+    # slice or ran no step
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the counts were checked")
+
+    for mod, fn in [(depthlab.median, "_multistart_endpoints"), (depthlab.median, "_planar_median"),
+                    (depthlab.depth, "direction_profiles"), (depthlab.depth, "sample_directions")]:
+        monkeypatch.setattr(mod, fn, no_work)
+    m2, m3 = (generate_measure(MeasureSpec("gaussian", d, 30, {}, seed=d)) for d in (2, 3))
+    if name in ("starts", "iters"):
+        calls = [lambda **b: tukey_median(m3, mode="multistart", **b), lambda **b: tukey_median(m2, **b),
+                 lambda **b: tukey_medians(m3.points[None], m3, **b), lambda **b: balanced_median(m3, **b),
+                 lambda **b: recenter(m2, balanced=True, **b)]
+    else:
+        calls = [lambda **b: deep_line_search(m3, **b)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            call(**{name: value})

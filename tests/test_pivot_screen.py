@@ -1,14 +1,17 @@
 """The exact d = 3 screen, one product per pivot block, gives the pivot
 masses of its ``_project``-based referee in ``pivot_referee`` bit for bit,
 and exact ``point_depth`` in d = 3 the referee path's depth, witness and
-mode."""
+mode.  The d = 4 screen, which recurses into the d = 3 one, has the
+minimum of the retired pair screen there, and exact ``point_depth`` in d
+= 4 the enumerator's depth."""
 
 import numpy as np
 import pytest
 
 import depthlab.depth
 import pivot_referee as ref
-from depthlab.depth import _pivot_masses, _split_query, point_depth
+from enumerator_referee import enumerator_depth
+from depthlab.depth import _pivot_masses, point_depth
 from depthlab.geometry import DEFAULT_TOL
 from depthlab.measures import DiscreteMeasure, generate_measure, make_measure
 from depthlab.median import tukey_median
@@ -97,23 +100,52 @@ def battery() -> list:
 
 
 def _rows(m, q):
-    """The unit rows and mass units that exact ``point_depth`` screens."""
-    P, w, _ = _split_query(m.points - q, m.units)
-    return (P / np.linalg.norm(P, axis=1)[:, None])[None], w[None]
+    """The unit rows and mass units of the points away from the query."""
+    p = m.points - q
+    far = (p * p).sum(axis=1) > DEFAULT_TOL**2
+    return (p[far] / np.linalg.norm(p[far], axis=1)[:, None])[None], m.units[far][None]
 
 
 def test_screen_matches_project_referee(battery):
     for name, m, q in battery:
         phat, w = _rows(m, q)
         for gap in (DEFAULT_TOL, 2.0 * DEFAULT_TOL):
-            assert np.array_equal(_pivot_masses(phat, w, DEFAULT_TOL, gap),
-                                  ref.pivot_masses(phat, w, DEFAULT_TOL, gap)), name
+            assert np.array_equal(_pivot_masses(phat, w, gap), ref.pivot_masses(phat, w, gap)), name
 
 
 def test_exact_d3_depth_matches_referee_path(battery, monkeypatch):
     got = [point_depth(m, q, mode="exact") for _, m, q in battery]
     monkeypatch.setattr(depthlab.depth, "_pivot_masses", ref.pivot_masses)
     for (name, m, q), r in zip(battery, got):
-        want = depthlab.depth._exact_depth(m.points - q, m, q)
+        monkeypatch.setattr(depthlab.depth, "_last", (None, None))
+        want = point_depth(m, q, mode="exact")
         assert r.depth == want.depth and r.mode == want.mode, name
         assert r.witness.tobytes() == want.witness.tobytes(), name
+
+
+def _d4_cases() -> list:
+    """40 seeded sets in R^4: gaussians, integer grids with duplicates, a
+    collinear run through the query, weighted grids, and queries at a data
+    point."""
+    rng = np.random.default_rng(41)
+    out = []
+    for t in range(40):
+        n = int(rng.integers(6, 16))
+        pts = rng.standard_normal((n, 4)) if t % 4 == 0 else rng.integers(-2, 3, (n, 4)).astype(float)
+        q = pts[1].copy() if t % 2 else 0.25 * rng.integers(-2, 3, 4)
+        if t % 4 == 1:
+            pts[2:4] = pts[1]
+        elif t % 4 == 2:
+            pts[-4:] = q + np.arange(-2, 2)[:, None] * rng.integers(1, 3, 4)
+        out.append((f"d4_{t}", make_measure(pts, rng.dirichlet(np.ones(n)) if t % 8 == 3 else None), q))
+    return out
+
+
+def test_d4_screen_matches_pair_screen_and_enumerator():
+    for name, m, q in _d4_cases():
+        phat, w = _rows(m, q)
+        for gap in (DEFAULT_TOL, 2.0 * DEFAULT_TOL):
+            got, pairs = _pivot_masses(phat, w, gap), ref.pair_masses(phat, w, gap)
+            assert np.array_equal(got.min(axis=1), pairs.min(axis=1)) and (got <= pairs).all(), name
+        r = point_depth(m, q)
+        assert r.mode == "exact" and abs(r.depth - enumerator_depth(m, q)) < 1e-9, name
