@@ -7,10 +7,12 @@ minimum sits in a cell of the great-circle arrangement of the points p_i =
 x_i - q, so depth is the minimum over i of the mass antiparallel to p_i plus
 the depth of the other points projected onto p_i^perp, recursing down to an
 exact O(n log n) planar sweep over a half-turn; cost O(n^(d-1) log n).
-``exact_depth_values`` runs it for a stack of queries in any dimension up
-to 4, and ``_exact_affordable`` is its one cost rule.  Every depth is a
-certified bracket (``DepthResult``), and ``depth_bracket`` is the one rule
-that picks an evaluator for it.
+``_min_halfspace_mass`` is that recursion, the one exact kernel: every
+pivot's image is solved one dimension down, once, and the least pivot's
+direction lifted into the witness.  ``exact_depth_values`` runs it for a
+stack of queries in any dimension up to 4, and ``_exact_affordable`` is
+its one cost rule.  Every depth is a certified bracket (``DepthResult``),
+and ``depth_bracket`` is the one rule that picks an evaluator for it.
 
 Every evaluator sums the measure's integer mass units and divides by its
 scale once (``DiscreteMeasure``, the one mass rule for every measure), so a
@@ -157,103 +159,87 @@ def _sweep(p: np.ndarray, w: np.ndarray, gap: float):
 
 def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, gap: float):
     """min over unit u of sum_j w_j [<u, p_j> >= 0] and an attaining u, row
-    by row: phat (R, m, k) unit rows, k >= 2, and w (R, m) their mass units.
+    by row: phat (R, m, k), k >= 2, nonzero rows (unit for k >= 3), and w
+    (R, m) their mass units, or (m,) shared by the rows.  The one exact
+    kernel: k = 2 is the sweep.
 
-    k = 2 is the sweep; k >= 3 takes the minimum over pivots i of the mass
-    antiparallel to p_i plus the depth of the rest projected onto p_i^perp.
-    The witness lifts the subproblem's direction v and tilts it to
-    v - eps p_i, eps half the smallest |<v, p_j>| over the kept points, so
-    every kept point keeps its side and the parallel class drops behind.
-    The tilt halves the margin by which the witness clears the points, so
-    the subproblem is solved with twice the ``gap`` asked of this level.
+    k >= 3 takes the least pivot mass (``_pivot_solutions``), the first on
+    a tie.  The witness lifts that pivot's direction v through the
+    pivot's reflection rows (``_pivot_images``, the screen's product) and
+    tilts it to v - eps p_i, eps half the smallest |<v, p_j>| over the kept
+    points, so every kept point keeps its side and the parallel class drops
+    behind.  The tilt halves the margin by which the witness clears the
+    points, so the pivots are solved with twice the ``gap`` asked of this
+    level.
     """
     R, m, k = phat.shape
     if k == 2:
         val, phi = _sweep(phat, w, gap)
         return val, np.column_stack([np.cos(phi), np.sin(phi)])
-    best = np.argmin(_pivot_masses(phat, w, 2.0 * gap), axis=1)
-    piv = phat[np.arange(R), best]
-    sub, ws, anti = _project(phat, w, piv)
-    val, x = _min_halfspace_mass(sub, ws, 2.0 * gap)
-    # lift: the reflection of _project maps (0, x) back into piv^perp
-    refl = piv.copy()
-    refl[:, 0] += np.where(piv[:, 0] >= 0.0, 1.0, -1.0)
-    t = (x * piv[:, 1:]).sum(axis=1) / (1.0 + np.abs(piv[:, 0]))
-    v = np.column_stack([np.zeros(R), x]) - t[:, None] * refl
-    gaps = np.where(ws > 0, np.abs(np.einsum("bmk,bk->bm", phat, v)), np.inf).min(axis=1)
+    w = np.broadcast_to(w, (R, m))
+    vals, dirs = _pivot_solutions(phat, w, 2.0 * gap)
+    rows = np.arange(R)
+    best = np.argmin(vals, axis=1)
+    piv = phat[rows, best]
+    _, units, _, basis = _pivot_images(piv[:, None], phat, w)
+    v = np.einsum("rj,rjk->rk", dirs[rows, best], basis[:, 1:, 0])
+    gaps = np.where(units[:, 0] > 0, np.abs(np.einsum("bmk,bk->bm", phat, v)), np.inf).min(axis=1)
     eps = np.where(np.isfinite(gaps), 0.5 * gaps, 0.5)
     u = v - eps[:, None] * piv
-    return anti + val, u / np.linalg.norm(u, axis=1)[:, None]
+    return vals[rows, best], u / np.linalg.norm(u, axis=1)[:, None]
 
 
-def _pivot_masses(phat: np.ndarray, w: np.ndarray, gap: float) -> np.ndarray:
-    """(R, m) mass of each pivot p_i, k >= 3: the mass antiparallel to it
-    plus the minimum mass of the rest projected onto p_i^perp, that of
-    ``_min_halfspace_mass`` solved with ``gap``, in blocks of at most 4 *
-    _CHUNK points of dimension k - 1 (Dyckerhoff & Mozharovskyi 2016).
-
-    For k = 3 a block of b pivots of one row takes cos, x and y of every
-    point from one product: the pivots' basis rows stacked basis-major (3b,
-    3), the pivots and then rows 1 and 2 of their reflections (those of
-    ``_project``), times the row's points (3, m).  The sweep then reads x
-    and y as contiguous (b, m) rows, unnormalized.  A pivot's parallel class
-    (x^2 + y^2 <= tol^2) counts in its antiparallel mass if cos < 0 and is
-    filled in place with the pivot's first kept point at unit 0.  For k >= 4
-    a block's pivots are projected by ``_project`` and each takes the least
-    pivot mass of its projection, at twice the gap.
+def _pivot_solutions(phat: np.ndarray, w: np.ndarray, gap: float):
+    """Every pivot p_i of the rows of ``_min_halfspace_mass``, k >= 3,
+    solved (Dyckerhoff & Mozharovskyi 2016): (masses (R, m), directions (R,
+    m, k - 1)), the mass the units antiparallel to p_i plus the least mass
+    of the other points' images on p_i^perp (``_pivot_images``), which
+    ``_min_halfspace_mass`` finds one dimension down at ``gap``, with its
+    direction there.  A row's pivots go in blocks of at most 4 * _CHUNK
+    points of dimension k - 1.
     """
     R, m, k = phat.shape
-    step = max(1, 4 * _CHUNK // m ** (k - 2))
-    if k > 3:
-        rr, ii = np.divmod(np.arange(R * m), m)
-        tot = np.empty(R * m)
-        for s in range(0, R * m, step):
-            r, i = rr[s : s + step], ii[s : s + step]
-            sub, ws, anti = _project(phat[r], w[r], phat[r, i])
-            tot[s : s + step] = anti + _pivot_masses(sub, ws, 2.0 * gap).min(axis=1)
-        return tot.reshape(R, m)
-    t = phat.copy()  # (p_i + sign e_0) / (1 + |p_i0|): entry 0 is the sign exactly
-    t[..., 0] += np.where(phat[..., 0] >= 0.0, 1.0, -1.0)
-    t /= 1.0 + np.abs(phat[..., :1])
-    basis = np.empty((R, 3, m, 3))
-    basis[:, 0] = phat
-    basis[:, 1:] = np.eye(3)[1:, None, :] - phat.transpose(0, 2, 1)[:, 1:, :, None] * t[:, None]
-    out = np.empty((R, m))
+    step = max(1, 4 * _CHUNK // m)
+    vals, dirs = np.empty((R, m)), np.empty((R, m, k - 1))
     for r in range(R):
         for s in range(0, m, step):
-            blk = basis[r, :, s : s + step]
-            b = blk.shape[1]
-            prod = (blk.reshape(3 * b, 3) @ phat[r].T).reshape(3, b, m)
-            cos, xy = prod[0], prod[1:]
-            kept = (xy * xy).sum(axis=0) > DEFAULT_TOL * DEFAULT_TOL
-            anti = np.where(~kept & (cos < 0.0), w[r], 0.0).sum(axis=1)
-            fill = xy[:, np.arange(b), np.argmax(kept, axis=1)]
-            np.copyto(xy, fill[..., None], where=~kept)
-            out[r, s : s + b] = anti + _sweep(xy.transpose(1, 2, 0), np.where(kept, w[r], 0.0), gap)[0]
-    return out
+            img, units, anti, _ = _pivot_images(phat[r : r + 1, s : s + step], phat[r : r + 1], w[r : r + 1])
+            val, x = _min_halfspace_mass(img[0], units[0], gap)
+            vals[r, s : s + step], dirs[r, s : s + step] = anti[0] + val, x
+    return vals, dirs
 
 
-def _project(pts: np.ndarray, w: np.ndarray, piv: np.ndarray):
-    """Project rows pts (B, m, k) onto piv^perp (B, k) in (k-1)-coordinates.
-
-    The coordinates are entries 1..k-1 of the image under the Householder
-    reflection that swaps the unit pivot with -+e_0.  Returns the unit
-    projections, the mass units w with the parallel class (within
-    ``DEFAULT_TOL`` of the pivot's line) zeroed and the units antiparallel
-    to each pivot.  Parallel rows are replaced by a copy of the row's first
-    kept point, so they add no breakpoint.
+def _pivot_images(piv: np.ndarray, pts: np.ndarray, w: np.ndarray):
+    """The images of the points pts (R, m, k), k >= 3, with mass units w
+    (R, m) on the complements of the unit pivots piv (R, b, k).  A pivot's
+    basis rows are the pivot, then rows 1 to k - 1 of the Householder
+    reflection that swaps it with -+e_0; stacked basis-major (k b, k) and
+    times the row's points (k, m), they give cos and the coordinates of
+    every point in one product.  Returns the images (R, b, m, k - 1), unit
+    for k - 1 >= 3 and unnormalized in the plane, where the sweep reads
+    them as contiguous (b, m) rows; the units with each pivot's parallel
+    class (squared image norm <= tol^2) zeroed; the units of that class
+    antiparallel to the pivot (cos < 0), (R, b); and the basis rows (R, k,
+    b, k).  The class's images are filled in place with the pivot's first
+    kept image, so they add no breakpoint.
     """
-    sign = np.where(piv[:, 0] >= 0.0, 1.0, -1.0)
-    cos = np.einsum("bmk,bk->bm", pts, piv)
-    coef = (cos + sign[:, None] * pts[..., 0]) / (1.0 + np.abs(piv[:, :1]))
-    sub = pts[..., 1:] - coef[..., None] * piv[:, None, 1:]
-    norms = np.linalg.norm(sub, axis=2)
-    kept = norms > DEFAULT_TOL
-    anti = np.where(~kept & (cos < 0), w, 0.0).sum(axis=1)
-    sub /= np.where(kept, norms, 1.0)[..., None]
-    fill = sub[np.arange(sub.shape[0]), np.argmax(kept, axis=1)]
-    sub = np.where(kept[..., None], sub, fill[:, None, :])
-    return sub, np.where(kept, w, 0.0), anti
+    R, b, k = piv.shape
+    t = piv.copy()  # (p + sign e_0) / (1 + |p_0|): entry 0 is the sign exactly
+    t[..., 0] += np.where(piv[..., 0] >= 0.0, 1.0, -1.0)
+    t /= 1.0 + np.abs(piv[..., :1])
+    basis = np.empty((R, k, b, k))
+    basis[:, 0] = piv
+    basis[:, 1:] = np.eye(k)[1:, None, :] - piv.transpose(0, 2, 1)[:, 1:, :, None] * t[:, None]
+    prod = np.matmul(basis.reshape(R, k * b, k), pts.transpose(0, 2, 1)).reshape(R, k, b, -1)
+    cos, img = prod[:, 0], prod[:, 1:]
+    sq = (img * img).sum(axis=1)
+    kept = sq > DEFAULT_TOL * DEFAULT_TOL
+    anti = np.where(~kept & (cos < 0.0), w[:, None], 0.0).sum(axis=2)
+    if k > 3:
+        img /= np.where(kept, np.sqrt(sq), 1.0)[:, None]
+    fill = np.take_along_axis(img, np.argmax(kept, axis=2)[:, None, :, None], axis=3)
+    np.copyto(img, fill, where=~kept[:, None])
+    return img.transpose(0, 2, 3, 1), np.where(kept, w[:, None], 0.0), anti, basis
 
 
 def exact_depth_value_2d(m: DiscreteMeasure, q) -> DepthResult:
@@ -272,9 +258,9 @@ def exact_depth_values(points, m: DiscreteMeasure, which, q):
     ``DEFAULT_TOL`` of the query (squared distance at most its square)
     counts under every direction: its units are summed over the full mask
     in point order, and in the kernel it is a copy of the row's first other
-    point with unit 0, which moves no bit.  k = 1 counts the two sides, k =
-    2 sweeps the rows unnormalized and k >= 3 passes their unit rows to
-    ``_min_halfspace_mass``.  Each row's value is (the units at the query +
+    point with unit 0, which moves no bit.  k = 1 counts the two sides;
+    every k >= 2 goes to ``_min_halfspace_mass``, the rows unnormalized in
+    the plane and unit above it.  Each row's value is (the units at the query +
     the kernel's minimum) / scale, an exact count over the scale; a row
     whose points all lie at the query has depth 1 and direction e_0.
     Returns (values (R,), directions (R, k)); beyond general position a
@@ -300,12 +286,8 @@ def exact_depth_values(points, m: DiscreteMeasure, which, q):
         if k == 1:
             pos, neg = (np.where(side, w, 0.0).sum(axis=1) for side in (p[..., 0] > 0.0, p[..., 0] < 0.0))
             val, u = np.minimum(pos, neg), np.where(pos <= neg, 1.0, -1.0)[:, None]
-        elif k == 2:
-            val, phi = _sweep(p, w, DEFAULT_TOL)
-            u = np.column_stack([np.cos(phi), np.sin(phi)])
         else:
-            val, u = _min_halfspace_mass(p / np.linalg.norm(p, axis=2)[..., None], np.broadcast_to(w, at.shape),
-                                         DEFAULT_TOL)
+            val, u = _min_halfspace_mass(p / np.linalg.norm(p, axis=2)[..., None] if k > 2 else p, w, DEFAULT_TOL)
         vals[s : s + step] = np.where(empty, 1.0, (w0 + val) / m.scale)
         dirs[s : s + step] = np.where(empty[:, None], np.eye(k)[0], u)
     return vals, dirs
@@ -453,8 +435,9 @@ def point_depth(
         (val,), (u,) = exact_depth_values(m.points[None], m, [0], q[None])
         upper = float(sampled_depth_values(m.points[None], m, [0], q[None], u[None, None])[0][0])
         # beyond general position the minimum may be unattainable at the
-        # witness; its attained mass is then only an upper bound
-        res = DepthResult(upper if abs(upper - val) <= 1e-9 else certified_depth_floor(m, q), upper, u)
+        # witness; its attained mass, a count over the same scale, is then
+        # only an upper bound
+        res = DepthResult(upper if upper == val else certified_depth_floor(m, q), upper, u)
         res.witness.setflags(write=False)
         _last = (key, res)
         return res

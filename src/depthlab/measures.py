@@ -50,6 +50,8 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("measure needs at least one point")
+        if pts.shape[1] < 1:
+            raise ValueError("points have dim 0, need at least 1")
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[1]}, expected {self.dim}")
         if w.shape != (pts.shape[0],):
@@ -78,7 +80,7 @@ class DiscreteMeasure:
 
 
 def make_measure(points, weights=None) -> DiscreteMeasure:
-    """Build a measure from points and nonnegative weights.
+    """Build a measure from points and finite nonnegative weights.
 
     Zero-weight points are dropped; weights are normalized to sum 1.
     Weights default to uniform.
@@ -95,6 +97,8 @@ def make_measure(points, weights=None) -> DiscreteMeasure:
         w = np.asarray(weights, dtype=float)
         if w.shape != (n,):
             raise ValueError(f"{n} points but {w.size} weights")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("non-finite weight")
         if np.any(w < 0):
             raise ValueError("negative weight")
         keep = w > 0
@@ -158,12 +162,39 @@ class MeasureSpec:
         sigma = self.params.get("sigma")
         if sigma is not None and sigma <= 0:
             raise ValueError(f"params.sigma: must be positive, got {sigma!r}")
-        if self.kind == "point_masses" and "points" not in self.params:
-            raise ValueError("params.points: missing, point_masses measures need it")
+        if self.kind == "point_masses":
+            _check_point_masses(self.params, self.dim)
+
+
+def _check_point_masses(params: dict, dim: int) -> None:
+    """``params.points``: a nonempty list of points of ``dim`` finite
+    numbers each; ``params.weights``, if given: one finite nonnegative
+    number per point, not all zero.  Each message starts with its field."""
+    pts, w = params.get("points"), params.get("weights")
+    if pts is None:
+        raise ValueError("params.points: missing, point_masses measures need it")
+    if not isinstance(pts, (list, tuple, np.ndarray)) or not len(pts):
+        raise ValueError(f"params.points: must be a nonempty list of points, got {pts!r}")
+    for i, p in enumerate(pts):
+        if not (isinstance(p, (list, tuple, np.ndarray)) and len(p) == dim and all(map(_is_finite, p))):
+            raise ValueError(f"params.points: point index {i} must be a list of {dim} finite numbers, got {p!r}")
+    if w is None:
+        return
+    if not isinstance(w, (list, tuple, np.ndarray)) or len(w) != len(pts):
+        raise ValueError(f"params.weights: must be a list of {len(pts)} numbers, one per point, got {w!r}")
+    for i, x in enumerate(w):
+        if not (_is_finite(x) and x >= 0):
+            raise ValueError(f"params.weights: index {i} must be a finite number >= 0, got {x!r}")
+    if not any(x > 0 for x in w):
+        raise ValueError("params.weights: all zero")
 
 
 def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return _is_number(x) and math.isfinite(x)
 
 
 def _round_robin_assign(n: int, k: int) -> np.ndarray:

@@ -306,6 +306,19 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
         ({"command": "depth", "measure": {**GAUSS2, "dim": 2.5}, "query": [0, 0]}, "config.measure.dim"),
         ({"command": "depth", "measure": {**GAUSS2, "dim": "two"}, "query": [0, 0]}, "config.measure.dim"),
         ({"command": "depth", "measure": GAUSS2, "query": [0, 0]}, "--seed"),  # with --seed -1
+        # json writes and reads NaN and Infinity
+        ({"command": "depth", "measure": {**SQUARE, "params": {**SQUARE["params"], "weights": [1, float("nan"), 1, 1]}},
+          "query": [0, 0]}, "config.measure.params.weights: index 1"),
+        ({"command": "depth", "measure": {**SQUARE, "params": {**SQUARE["params"], "weights": [1, float("inf"), 1, 1]}},
+          "query": [0, 0]}, "config.measure.params.weights: index 1"),
+        ({"command": "depth", "measure": {**SQUARE, "params": {**SQUARE["params"], "weights": [1, 1]}},
+          "query": [0, 0]}, "config.measure.params.weights: must be a list of 4"),
+        ({"command": "depth", "measure": {**SQUARE, "params": {**SQUARE["params"], "weights": [1, "abc", 1, 1]}},
+          "query": [0, 0]}, "config.measure.params.weights: index 1"),
+        ({"command": "depth", "measure": {**SQUARE, "params": {"points": []}}, "query": [0, 0]},
+         "config.measure.params.points: must be a nonempty list"),
+        ({"command": "depth", "measure": {**SQUARE, "params": {"points": [[1, 0, 0], [0, 1, 0]]}}, "query": [0, 0]},
+         "config.measure.params.points: point index 0"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

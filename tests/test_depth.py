@@ -606,6 +606,30 @@ def test_exact_memo_runs_the_kernel_once_per_point(monkeypatch):
     assert len(runs) == len(set(runs)) == len(set(asked))
 
 
+def test_a_witness_one_unit_off_the_minimum_is_only_an_upper_end(monkeypatch):
+    # the kernel's minimum and the witness's attained mass are counts over
+    # one scale, so the witness is taken as exact only when the two are
+    # equal; a spy reports one unit (2^-52 of the total) below the
+    # witness's mass, which a tolerance of 1e-9 would have accepted
+    rng = np.random.default_rng(8)
+    m = make_measure(rng.standard_normal((80, 3)), rng.dirichlet(np.ones(80)))
+    q = np.array([0.1, -0.05, 0.2])
+    monkeypatch.setattr(depthlab.depth, "_last", (None, None))
+    honest = point_depth(m, q)
+    real = depthlab.depth.exact_depth_values
+
+    def one_unit_low(points, meas, which, qs):
+        vals, dirs = real(points, meas, which, qs)
+        return vals - 1.0 / meas.scale, dirs
+
+    monkeypatch.setattr(depthlab.depth, "exact_depth_values", one_unit_low)
+    monkeypatch.setattr(depthlab.depth, "_last", (None, None))
+    r = point_depth(m, q)
+    floor = certified_depth_floor(m, q)
+    assert honest.mode == "exact" and floor < honest.depth
+    assert r.upper == honest.upper and r.lower == floor and r.mode == "bracket"
+
+
 def test_exact_memo_hit_is_the_fresh_result(monkeypatch):
     runs = _exact_kernel_queries(monkeypatch)
     m = generate_measure(MeasureSpec("gaussian", 3, 60, {}, seed=4))

@@ -468,6 +468,28 @@ def test_weighted_bits_do_not_depend_on_blas_threads():
     assert outs[0] == outs[1] and len(outs[0].splitlines()) == 13
 
 
+_EXACT_PROBE = """
+import numpy as np
+from depthlab.depth import exact_depth_values
+from depthlab.measures import MeasureSpec, generate_measure, make_measure
+rng = np.random.default_rng(6)
+for d, n in ((3, 241), (3, 500), (4, 120)):
+    uniform = generate_measure(MeasureSpec("simplex_mixture", d, n, {"sigma": 0.3}, seed=d + n))
+    for m in (uniform, make_measure(uniform.points, rng.random(n) ** 2)):
+        q = np.vstack([m.points[5], np.full(d, 0.05), m.weights @ m.points])
+        vals, dirs = exact_depth_values(m.points[None], m, np.zeros(3, dtype=int), q)
+        print(vals.tobytes().hex(), dirs.tobytes().hex())
+"""
+
+
+def test_exact_kernel_bits_do_not_depend_on_blas_threads():
+    # the reflection-row products of the exact kernel in d = 3 and 4 give
+    # the same values and witnesses at any BLAS thread count, uniform and
+    # weighted, at a data point, a generic point and the weighted mean
+    outs = _outputs_at_one_and_two_threads(_EXACT_PROBE)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 6
+
+
 @pytest.mark.parametrize("i", sorted(LINES))
 def test_deep_line_search_bits(i):
     spec = line_search_suite_specs(200)[i]

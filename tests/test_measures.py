@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from depthlab.cones import _tuple_hits
 from depthlab.geometry import Flat, SimplicialCone, cone_contains_many, line, sample_directions
 from depthlab.measures import (
+    DiscreteMeasure,
     MeasureSpec,
     generate_measure,
     load_measure,
@@ -44,6 +45,51 @@ def test_make_measure_weight_sum_one(ws):
     m = make_measure(pts, ws)
     assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(m.weights > 0)
+
+
+@pytest.mark.parametrize("w", [[1.0, float("nan"), 1.0], [1.0, float("inf"), 1.0], [1.0, -float("inf"), 1.0]])
+def test_make_measure_rejects_non_finite_weights(w):
+    # NaN > 0 is false, so an unchecked NaN weight would drop its point
+    with pytest.raises(ValueError, match="non-finite weight"):
+        make_measure([[0, 0], [1, 0], [0, 1]], w)
+
+
+def test_measure_refuses_dimension_zero():
+    with pytest.raises(ValueError, match="dim 0"):
+        make_measure([])
+    with pytest.raises(ValueError, match="dim 0"):
+        DiscreteMeasure(0, np.empty((2, 0)), np.full(2, 0.5))
+
+
+_P3 = [[1, 0], [-1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        ({"points": []}, "params.points"),
+        ({"points": "ab"}, "params.points"),
+        ({"points": [[1, 0, 0], [0, 1, 0]]}, "params.points"),
+        ({"points": [[1, 0], [0, float("inf")]]}, "params.points"),
+        ({"points": [[1, 0], ["a", 1]]}, "params.points"),
+        ({"points": None}, "params.points"),
+        ({"points": _P3, "weights": [1, float("nan"), 1]}, "params.weights"),
+        ({"points": _P3, "weights": [1, 1]}, "params.weights"),
+        ({"points": _P3, "weights": [1, "abc", 1]}, "params.weights"),
+        ({"points": _P3, "weights": [1, -1, 1]}, "params.weights"),
+        ({"points": _P3, "weights": [0, 0.0, 0]}, "params.weights"),
+        ({"points": _P3, "weights": 3}, "params.weights"),
+    ],
+)
+def test_point_masses_spec_names_the_bad_field(params, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        MeasureSpec("point_masses", 2, 3, params)
+
+
+def test_point_masses_spec_takes_arrays_and_zero_weights():
+    spec = MeasureSpec("point_masses", 2, 3, {"points": np.array(_P3), "weights": np.array([0.0, 1, 3])})
+    m = generate_measure(spec)
+    assert m.n == 2 and np.allclose(m.weights, [0.25, 0.75])
 
 
 def test_simplex_mixture_cluster_masses():

@@ -1,9 +1,9 @@
-"""The exact d = 3 screen, one product per pivot block, gives the pivot
-masses of its ``_project``-based referee in ``pivot_referee`` bit for bit,
-and exact ``point_depth`` in d = 3 the referee path's depth, witness and
-mode.  The d = 4 screen, which recurses into the d = 3 one, has the
-minimum of the retired pair screen there, and exact ``point_depth`` in d
-= 4 the enumerator's depth."""
+"""The exact kernel's d = 3 pivot masses, one product per pivot block,
+are those of the elementwise projection in ``pivot_referee`` bit for bit,
+and exact ``point_depth`` in d = 3 is the least of the referee's masses,
+exactly.  In d = 4, where each pivot's image is solved by the d = 3 level,
+the least pivot mass is the retired pair screen's, and exact
+``point_depth`` the enumerator's depth."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,9 @@ import pytest
 import depthlab.depth
 import pivot_referee as ref
 from enumerator_referee import enumerator_depth
-from depthlab.depth import _pivot_masses, point_depth
+from depthlab.depth import _pivot_solutions, point_depth
 from depthlab.geometry import DEFAULT_TOL
-from depthlab.measures import DiscreteMeasure, generate_measure, make_measure
+from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure
 from depthlab.median import tukey_median
 from depthlab.suites import _rado_spec
 
@@ -110,17 +110,39 @@ def test_screen_matches_project_referee(battery):
     for name, m, q in battery:
         phat, w = _rows(m, q)
         for gap in (DEFAULT_TOL, 2.0 * DEFAULT_TOL):
-            assert np.array_equal(_pivot_masses(phat, w, gap), ref.pivot_masses(phat, w, gap)), name
+            assert np.array_equal(_pivot_solutions(phat, w, gap)[0], ref.pivot_masses(phat, w, gap)), name
 
 
-def test_exact_d3_depth_matches_referee_path(battery, monkeypatch):
-    got = [point_depth(m, q, mode="exact") for _, m, q in battery]
-    monkeypatch.setattr(depthlab.depth, "_pivot_masses", ref.pivot_masses)
-    for (name, m, q), r in zip(battery, got):
+def test_exact_d3_depth_matches_referee_path(battery):
+    # the kernel sweeps its pivots' images at twice the top-level gap; the
+    # witness attains the least mass, so the bracket is exact
+    for name, m, q in battery:
+        phat, w = _rows(m, q)
+        at = m.units.sum() - w.sum()
+        want = (at + ref.pivot_masses(phat, w, 2.0 * DEFAULT_TOL).min()) / m.scale
+        r = point_depth(m, q, mode="exact")
+        assert r.lower == r.upper == want, name
+
+
+@pytest.mark.parametrize("d, n", [(3, 240), (3, 500), (4, 60)])
+def test_each_pivot_plane_is_swept_once(monkeypatch, d, n):
+    # n planar rows in d = 3 and n^2 in d = 4, and no second solve of the
+    # least pivot; a point at the query stays in the kernel as a copy of
+    # another point with unit 0, so it is a pivot too
+    rows = []
+    real = depthlab.depth._sweep
+
+    def counted(p, w, gap):
+        rows.append(len(p))
+        return real(p, w, gap)
+
+    monkeypatch.setattr(depthlab.depth, "_sweep", counted)
+    m = generate_measure(MeasureSpec("gaussian", d, n, {}, seed=d))
+    for q in (np.full(d, 0.01), m.points[3]):
+        rows.clear()
         monkeypatch.setattr(depthlab.depth, "_last", (None, None))
-        want = point_depth(m, q, mode="exact")
-        assert r.depth == want.depth and r.mode == want.mode, name
-        assert r.witness.tobytes() == want.witness.tobytes(), name
+        assert point_depth(m, q).mode == "exact"
+        assert sum(rows) == n ** (d - 2)
 
 
 def _d4_cases() -> list:
@@ -145,7 +167,7 @@ def test_d4_screen_matches_pair_screen_and_enumerator():
     for name, m, q in _d4_cases():
         phat, w = _rows(m, q)
         for gap in (DEFAULT_TOL, 2.0 * DEFAULT_TOL):
-            got, pairs = _pivot_masses(phat, w, gap), ref.pair_masses(phat, w, gap)
+            got, pairs = _pivot_solutions(phat, w, gap)[0], ref.pair_masses(phat, w, gap)
             assert np.array_equal(got.min(axis=1), pairs.min(axis=1)) and (got <= pairs).all(), name
         r = point_depth(m, q)
         assert r.mode == "exact" and abs(r.depth - enumerator_depth(m, q)) < 1e-9, name
