@@ -132,10 +132,13 @@ class ExperimentConfig:
             if name not in spec:
                 raise ConfigError(f"config.measure.{name}: missing")
         dim = _int_field(spec, "dim", 1, 1, "config.measure")
-        n = _int_field(spec, "n", 1, 1, "config.measure")
+        params = spec.get("params", {})
+        points = params.get("points") if spec["kind"] == "point_masses" and isinstance(params, dict) else None
+        # a point_masses measure has as many points as it lists
+        n = _int_field(spec, "n", len(points) if isinstance(points, list) and points else 1, 1, "config.measure")
         seed = _int_field(spec, "seed", self.seed, 0, "config.measure")
         try:
-            ms = MeasureSpec(spec["kind"], dim, n, spec.get("params", {}), seed)
+            ms = MeasureSpec(spec["kind"], dim, n, params, seed)
         except ValueError as e:  # its message starts with the field
             raise ConfigError(f"config.measure.{e}")
         return generate_measure(ms)

@@ -98,63 +98,67 @@ def line_depth_thresholds(dim: int) -> dict:
 # exact closed-half-space minimization through the origin
 
 
-def _sweep(p: np.ndarray, w: np.ndarray, gap: float):
+def _sweep(x: np.ndarray, y: np.ndarray, w: np.ndarray, gap: float):
     """Exact planar minimization by a half-turn sweep (Rousseeuw & Ruts
     1996, Algorithm AS 307), one sort per row.
 
-    p (R, m, 2) holds nonzero vectors and w (R, m) or (m,) their mass
-    units.  The closed-half-plane mass of a normal at angle theta is
-    piecewise constant: point j counts from its entry at angle alpha_j -
-    pi/2 to its exit at alpha_j + pi/2.  The two are antipodal, so each point has one
-    breakpoint in [0, pi): alpha_j + pi/2 reduced by pi into it, its exit
-    if no reduction was needed, else its entry.  Sorted, these cut the
-    half-turn into m arcs, arc k ending where the next one begins (the last
-    at the first plus pi).  Arc k holds the exiting units (the points
-    counted at angle 0) plus the prefix sum through k of the signed units
-    (+ entry, - exit), and its antipodal arc holds the total less that,
-    since off the breakpoints every point lies on one side.  The mass at
-    each arc's midpoint is the arc's mass.  Arcs no wider than 4 gap are
-    skipped with their antipodes, so every point a midpoint leaves out lies
-    more than 2 gap behind it: the attained mass check counts points within
-    the tolerance (``gap`` at the top level) of the boundary, so a narrower
-    arc's mass cannot be attained.  Rounding also splits a breakpoint shared
-    by collinear points into such slivers.  Returns each row's minimum mass
-    and the midpoint angle of its first minimizing arc, the first half-turn
-    before the second.
+    x and y (R, m) are the coordinate planes of nonzero vectors and w (R,
+    m) or (m,) their mass units.  The closed-half-plane mass of a normal at
+    angle theta is piecewise constant: point j counts from its entry at
+    angle alpha_j - pi/2 to its exit at alpha_j + pi/2.  The two are
+    antipodal, so each point has one breakpoint in [0, pi): alpha_j + pi/2
+    reduced by pi into it, its exit if no reduction was needed, else its
+    entry.  Sorted, these cut the half-turn into m arcs, arc k ending where
+    the next one begins (the last at the first plus pi).  Arc k holds A_k,
+    the exiting units (the points counted at angle 0) plus the prefix sum
+    through k of the signed units (+ entry, - exit), and its antipodal arc
+    the total less A_k, since off the breakpoints every point lies on one
+    side.  The mass at each arc's midpoint is the arc's mass.  Arcs no
+    wider than 4 gap are skipped with their antipodes, so every point a
+    midpoint leaves out lies more than 2 gap behind it: the attained mass
+    check counts points within the tolerance (``gap`` at the top level) of
+    the boundary, so a narrower arc's mass cannot be attained.  Rounding
+    also splits a breakpoint shared by collinear points into such slivers.
+    Returns each row's minimum mass and the midpoint angle of its first
+    minimizing arc, the first half-turn before the second: the least wide
+    A_i, unless the total less the greatest wide A_k (k its first index) is
+    strictly smaller.
 
-    One cumsum runs over the exiting units in point order, then over the
-    signed units in the order of one unstable argsort.  Integer units make
-    every prefix sum exact in any order, so the order within a group of
-    tied breakpoints moves no bit: the arcs inside the group have width 0
-    and are skipped, and the arc after it sums the whole group.  A point of
-    unit 0 adds nothing to the cumsum, and one that copies another point's
-    vector adds only a zero-width arc, so removing such points gives the
-    same bits.
+    The exiting units are summed once, then one cumsum runs over the signed
+    units in the order of one unstable argsort.  Integer units make every
+    partial sum exact in any order, so the order within a group of tied
+    breakpoints moves no bit (the arcs inside it have width 0), and the
+    total less A falls strictly as A grows, so the first greatest A_k is the
+    first least antipodal arc.  A point of unit 0 adds nothing, and one that
+    copies another point's vector adds only a zero-width arc, so removing
+    such points gives the same bits.
     """
-    R, m = p.shape[:2]
-    b = np.arctan2(p[..., 1], p[..., 0])
+    R, m = x.shape
+    b = np.arctan2(y, x)
     b += 0.5 * np.pi
     up, down = b >= np.pi, b < 0.0
-    np.subtract(b, np.pi, out=b, where=up)
-    np.add(b, np.pi, out=b, where=down)
-    out = ~(up | down)
+    b -= np.pi * (up.view(np.int8) - down.view(np.int8))  # b is never -0.0, so b - 0.0 is b
+    exits = ~(up | down) * w
     order = np.argsort(b, axis=1)
     order += np.arange(0, R * m, m)[:, None]  # flat indices
     b = np.take(b, order)
-    c = np.empty((R, 2 * m))
-    np.multiply(out, w, out=c[:, :m])
-    np.take(np.where(out, -w, w), order, out=c[:, m:])
-    np.cumsum(c, axis=1, out=c)
-    total = c[:, m - 1] + c[:, -1]
-    c[:, :m] = c[:, m:]
-    np.subtract(total[:, None], c[:, :m], out=c[:, m:])  # the antipodal arcs
+    s0 = exits.sum(axis=1)
+    a = np.take(w - 2.0 * exits, order)  # the signed units, sorted
+    np.cumsum(a, axis=1, out=a)
+    a += s0[:, None]
+    total = a[:, -1] + s0
     nxt = np.empty_like(b)
     nxt[:, :-1] = b[:, 1:]
     nxt[:, -1] = b[:, 0] + np.pi
-    np.putmask(c, np.tile(nxt - b <= 4.0 * gap, 2), np.inf)
-    j = np.argmin(c, axis=1)
-    rows, k = np.arange(R), j % m
-    return c[rows, j], 0.5 * (b[rows, k] + nxt[rows, k]) + np.pi * (j >= m)
+    narrow = nxt - b <= 4.0 * gap
+    high = np.where(narrow, -np.inf, a)
+    np.putmask(a, narrow, np.inf)
+    rows = np.arange(R)
+    i, k = np.argmin(a, axis=1), np.argmax(high, axis=1)
+    low, anti = a[rows, i], total - high[rows, k]
+    flip = anti < low
+    j = np.where(flip, k, i)
+    return np.where(flip, anti, low), 0.5 * (b[rows, j] + nxt[rows, j]) + np.pi * flip
 
 
 def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, gap: float):
@@ -174,7 +178,7 @@ def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, gap: float):
     """
     R, m, k = phat.shape
     if k == 2:
-        val, phi = _sweep(phat, w, gap)
+        val, phi = _sweep(phat[..., 0], phat[..., 1], w, gap)
         return val, np.column_stack([np.cos(phi), np.sin(phi)])
     w = np.broadcast_to(w, (R, m))
     vals, dirs = _pivot_solutions(phat, w, 2.0 * gap)
@@ -253,14 +257,18 @@ def exact_depth_value_2d(m: DiscreteMeasure, q) -> DepthResult:
 def exact_depth_values(points, m: DiscreteMeasure, which, q):
     """Exact depth of many queries at once: row r is the query q[r] (R, k)
     among the points points[which[r]], points being a stack (M, n, k), k <=
-    4, of images of the points of m, each weighted by m's mass units.  Rows
-    go to the kernel in blocks of at most _CHUNK points.  A point within
-    ``DEFAULT_TOL`` of the query (squared distance at most its square)
-    counts under every direction: its units are summed over the full mask
-    in point order, and in the kernel it is a copy of the row's first other
-    point with unit 0, which moves no bit.  k = 1 counts the two sides;
-    every k >= 2 goes to ``_min_halfspace_mass``, the rows unnormalized in
-    the plane and unit above it.  Each row's value is (the units at the query +
+    4, of images of the points of m, each weighted by m's mass units, stored
+    point-major or coordinate-major (a transposed view), with the same bits.
+    Rows go to the kernel in blocks of at most _CHUNK points, centred one
+    coordinate plane at a time into (rows, k, n).  A point within
+    ``DEFAULT_TOL`` of the query (squared distance, summed over the planes
+    in coordinate order, at most its square) counts under every direction:
+    its units are summed over the full mask in point order, and in the
+    kernel it is a copy of the row's first other point with unit 0, which
+    moves no bit.  k = 1 counts the two sides; every k >= 2 goes to
+    ``_min_halfspace_mass``, the plane as its two coordinate planes,
+    unnormalized, and above it unit rows, point-major as the pivot
+    products read them.  Each row's value is (the units at the query +
     the kernel's minimum) / scale, an exact count over the scale; a row
     whose points all lie at the query has depth 1 and direction e_0.
     Returns (values (R,), directions (R, k)); beyond general position a
@@ -272,22 +280,26 @@ def exact_depth_values(points, m: DiscreteMeasure, which, q):
     step = max(1, _CHUNK // n)
     for s in range(0, R, step):
         rows = which[s : s + step]
-        p = points[rows] - q[s : s + step, None, :]
-        # the planar case componentwise, which is faster, with the bits of the sum
-        sq = p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] if k == 2 else (p * p).sum(axis=2)
+        c = np.empty((len(rows), k, n))  # coordinate planes of the rows, each (rows, n) contiguous
+        for i in range(k):
+            np.subtract(points[rows, :, i], q[s : s + step, i, None], out=c[:, i])
+        sq = (c * c).sum(axis=1)  # the bits of the sum over each point's coordinates in order
         at = sq <= DEFAULT_TOL**2
         w, w0, empty = units, 0.0, np.zeros(len(rows), dtype=bool)
         if at.any():
             w0, empty = np.where(at, w, 0.0).sum(axis=1), at.all(axis=1)
-            fill = p[np.arange(len(rows)), np.argmax(~at, axis=1)]
+            fill = c[np.arange(len(rows)), :, np.argmax(~at, axis=1)]
             fill[empty] = 1.0  # no other point: any nonzero row
-            p = np.where(at[..., None], fill[:, None, :], p)
+            np.copyto(c, fill[..., None], where=at[:, None])
             w = np.where(at, 0.0, w)
         if k == 1:
-            pos, neg = (np.where(side, w, 0.0).sum(axis=1) for side in (p[..., 0] > 0.0, p[..., 0] < 0.0))
+            pos, neg = (np.where(side, w, 0.0).sum(axis=1) for side in (c[:, 0] > 0.0, c[:, 0] < 0.0))
             val, u = np.minimum(pos, neg), np.where(pos <= neg, 1.0, -1.0)[:, None]
+        elif k == 2:
+            val, u = _min_halfspace_mass(c.transpose(0, 2, 1), w, DEFAULT_TOL)
         else:
-            val, u = _min_halfspace_mass(p / np.linalg.norm(p, axis=2)[..., None] if k > 2 else p, w, DEFAULT_TOL)
+            p = np.ascontiguousarray(c.transpose(0, 2, 1))  # point-major, as the pivot products read it
+            val, u = _min_halfspace_mass(p / np.linalg.norm(p, axis=2)[..., None], w, DEFAULT_TOL)
         vals[s : s + step] = np.where(empty, 1.0, (w0 + val) / m.scale)
         dirs[s : s + step] = np.where(empty[:, None], np.eye(k)[0], u)
     return vals, dirs

@@ -163,11 +163,11 @@ class MeasureSpec:
         if sigma is not None and sigma <= 0:
             raise ValueError(f"params.sigma: must be positive, got {sigma!r}")
         if self.kind == "point_masses":
-            _check_point_masses(self.params, self.dim)
+            _check_point_masses(self.params, self.dim, self.n)
 
 
-def _check_point_masses(params: dict, dim: int) -> None:
-    """``params.points``: a nonempty list of points of ``dim`` finite
+def _check_point_masses(params: dict, dim: int, n: int) -> None:
+    """``params.points``: a nonempty list of ``n`` points of ``dim`` finite
     numbers each; ``params.weights``, if given: one finite nonnegative
     number per point, not all zero.  Each message starts with its field."""
     pts, w = params.get("points"), params.get("weights")
@@ -178,6 +178,8 @@ def _check_point_masses(params: dict, dim: int) -> None:
     for i, p in enumerate(pts):
         if not (isinstance(p, (list, tuple, np.ndarray)) and len(p) == dim and all(map(_is_finite, p))):
             raise ValueError(f"params.points: point index {i} must be a list of {dim} finite numbers, got {p!r}")
+    if n != len(pts):
+        raise ValueError(f"n: {n}, but params.points holds {len(pts)} points")
     if w is None:
         return
     if not isinstance(w, (list, tuple, np.ndarray)) or len(w) != len(pts):

@@ -11,6 +11,11 @@ reduces its 2m breakpoints with ``np.mod`` and finds the prefix sums at
 both ends of each arc's semicircle by search.  The tests require the
 package's half-turn sweep to give its value exactly on integer units and
 within 1e-12 on arbitrary weights, whose sums run in another order.
+``half_turn_sweep`` is the half-turn sweep as the package ran it on
+interleaved (R, m, 2) vectors, before it read coordinate planes: one
+cumsum over the exiting units and the sorted signed units, and the
+antipodal arcs written out beside the others.  The tests require the
+package's sweep to give its value and angle bit for bit on integer units.
 ``exact_depth_value_2d`` splits off the points at the query and sweeps the
 rest alone with the package's one-row sweep, so the sequential ascent
 gives the bits of the batched one, which keeps them as copies of another
@@ -96,6 +101,35 @@ def _sweep(phat: np.ndarray, w: np.ndarray, gap: float):
     return masses[rows[:, 0], j], mids[rows[:, 0], j]
 
 
+def half_turn_sweep(p: np.ndarray, w: np.ndarray, gap: float):
+    """The minimum mass and angle of each row of p (R, m, 2), w (R, m) or
+    (m,) its mass units, over the 2m arcs of a full turn written out."""
+    R, m = p.shape[:2]
+    b = np.arctan2(p[..., 1], p[..., 0])
+    b += 0.5 * np.pi
+    up, down = b >= np.pi, b < 0.0
+    np.subtract(b, np.pi, out=b, where=up)
+    np.add(b, np.pi, out=b, where=down)
+    out = ~(up | down)
+    order = np.argsort(b, axis=1)
+    order += np.arange(0, R * m, m)[:, None]  # flat indices
+    b = np.take(b, order)
+    c = np.empty((R, 2 * m))
+    np.multiply(out, w, out=c[:, :m])
+    np.take(np.where(out, -w, w), order, out=c[:, m:])
+    np.cumsum(c, axis=1, out=c)
+    total = c[:, m - 1] + c[:, -1]
+    c[:, :m] = c[:, m:]
+    np.subtract(total[:, None], c[:, :m], out=c[:, m:])  # the antipodal arcs
+    nxt = np.empty_like(b)
+    nxt[:, :-1] = b[:, 1:]
+    nxt[:, -1] = b[:, 0] + np.pi
+    np.putmask(c, np.tile(nxt - b <= 4.0 * gap, 2), np.inf)
+    j = np.argmin(c, axis=1)
+    rows, k = np.arange(R), j % m
+    return c[rows, j], 0.5 * (b[rows, k] + nxt[rows, k]) + np.pi * (j >= m)
+
+
 def exact_depth_value_2d(m, q):
     units, scale = mass_units(m.weights)
     p = m.points - np.asarray(q, dtype=float)
@@ -103,7 +137,7 @@ def exact_depth_value_2d(m, q):
     P, w, w0 = p[~at], units[~at], float(units[at].sum())
     if P.shape[0] == 0:
         return 1.0, np.eye(2)[0]
-    val, phi = depthlab.depth._sweep(P[None], w[None], DEFAULT_TOL)
+    val, phi = depthlab.depth._sweep(P[None, :, 0], P[None, :, 1], w[None], DEFAULT_TOL)
     return (w0 + float(val[0])) / scale, np.array([np.cos(phi[0]), np.sin(phi[0])])
 
 

@@ -59,7 +59,7 @@ def pivot_masses(phat: np.ndarray, w: np.ndarray, gap: float) -> np.ndarray:
     for s in range(0, R * m, step):
         r, i = rr[s : s + step], ii[s : s + step]
         sub, ws, anti = project(phat[r], w[r], phat[r, i])
-        tot[s : s + step] = anti + _sweep(sub, ws, gap)[0]
+        tot[s : s + step] = anti + _sweep(sub[..., 0], sub[..., 1], ws, gap)[0]
     return tot.reshape(R, m)
 
 
@@ -78,6 +78,6 @@ def pair_masses(phat: np.ndarray, w: np.ndarray, gap: float) -> np.ndarray:
         val = np.full((len(r), m), np.inf)
         if len(b):
             sub, ws2, anti2 = project(sub[b], ws[b], sub[b, j])
-            val[b, j] = anti2 + _sweep(sub, ws2, 2.0 * gap)[0]
+            val[b, j] = anti2 + _sweep(sub[..., 0], sub[..., 1], ws2, 2.0 * gap)[0]
         tot[s : s + step] = anti + val.min(axis=1)
     return tot.reshape(R, m)

@@ -102,6 +102,27 @@ def test_bound_slack_covers_skipped_slivers():
     assert _bounds(m, np.zeros(2), u)[0] >= val
 
 
+@pytest.mark.parametrize("scale", [10.0, 1000.0])
+@pytest.mark.parametrize("extra", [[], [[0.0, 5.0], [0.0, -5.0]]])
+def test_bound_covers_a_skipped_sliver_far_from_the_query(scale, extra):
+    # two far, nearly opposite points leave the sliver of the previous test;
+    # with two more points it holds the row's only least mass (1 of 4 where
+    # every wide arc has 2).  At the sliver's midpoint both far points lie
+    # 1.5e-9 scale behind the direction, more than the 2 tol floor of the
+    # slack, so only the eta term of the slack counts them
+    gap = 3e-9
+    pts = np.array([[scale, 0.0], [scale * np.cos(np.pi + gap), scale * np.sin(np.pi + gap)], *extra])
+    m = make_measure(pts)
+    q = np.array([0.0, 0.0])
+    val = exact_depth_values(m.points[None], m, [0], q[None])[0][0]
+    mid = 0.5 * np.pi + 0.5 * gap
+    u = np.array([[np.cos(mid), np.sin(mid)]])
+    assert val == 0.5
+    assert sampled_depth_values(m.points[None], m, [0], q[None], u[None])[0][0] == len(extra) / 2 / m.n
+    assert ((pts[:2] @ u[0]) < -2.0 * DEFAULT_TOL).all()
+    assert _bounds(m, q, u)[0] >= val
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_sampled_depth_never_exceeds_bound_at_own_directions(d):
     rng = np.random.default_rng(d)

@@ -51,6 +51,15 @@ def test_depth_command_reports_both_ends(tmp_path):
     assert rows[1]["expected"] == rows[1]["observed"] and rows[1]["pass"] == "true"
 
 
+def test_point_masses_without_n_takes_its_point_count(tmp_path):
+    square = {k: v for k, v in SQUARE.items() if k != "n"}
+    cfg = write(tmp_path, "c.json", {"command": "depth", "measure": square, "query": [0, 0], "expected": 0.5})
+    assert main(["depth", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "depth.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["n"] == "4" and float(rows[0]["observed"]) == 0.5
+
+
 def test_failing_expectation_exit_1(tmp_path):
     cfg = write(tmp_path, "c.json", {"command": "depth", "measure": SQUARE, "query": [0, 0], "expected": 0.75})
     assert main(["depth", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -319,6 +328,8 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
          "config.measure.params.points: must be a nonempty list"),
         ({"command": "depth", "measure": {**SQUARE, "params": {"points": [[1, 0, 0], [0, 1, 0]]}}, "query": [0, 0]},
          "config.measure.params.points: point index 0"),
+        ({"command": "depth", "measure": {**SQUARE, "n": 7}, "query": [0, 0]},
+         "config.measure.n: 7, but params.points holds 4 points"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -174,7 +174,7 @@ def test_sweep_matches_stable_sort_bits(gap):
     # order; its witness angle attains that minimum (the witness clears
     # every point by more than 2 gap, so plain signs count the mass there)
     for name, p, w in _sweep_batches():
-        val, phi = depthlab.depth._sweep(p, w, gap)
+        val, phi = depthlab.depth._sweep(p[..., 0], p[..., 1], w, gap)
         want, _ = ref._sweep(p, w, gap)
         u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         at = ((np.einsum("rmk,rk->rm", p, u) >= 0.0) * w).sum(axis=1)
@@ -215,12 +215,69 @@ def test_sweep_bits_do_not_depend_on_the_order_of_tied_breakpoints(gap):
     # prefix sum is exact, so the minimum and its angle keep their bits
     rng = np.random.default_rng(31)
     for name, p, w in _tied_batches():
-        val, phi = depthlab.depth._sweep(p, w, gap)
+        val, phi = depthlab.depth._sweep(p[..., 0], p[..., 1], w, gap)
         for _ in range(8):
             perm = np.argsort(rng.random(w.shape), axis=1)
-            pv, pphi = depthlab.depth._sweep(np.take_along_axis(p, perm[..., None], axis=1),
-                                             np.take_along_axis(w, perm, axis=1), gap)
+            x, y = (np.take_along_axis(p[..., i], perm, axis=1) for i in (0, 1))
+            pv, pphi = depthlab.depth._sweep(x, y, np.take_along_axis(w, perm, axis=1), gap)
             assert np.array_equal(pv, val) and np.array_equal(pphi, phi), name
+
+
+def _integer_unit_batches() -> list:
+    """Every batch of ``_sweep_batches`` (the boundary batches and the fuzz
+    among them) and ``_tied_batches`` under integer units: its own units
+    where they are integers, else small integers from them, zeros among
+    them, and their mass units (about 2^52)."""
+    out = []
+    for name, p, w in _sweep_batches() + _tied_batches():
+        if (w == np.round(w)).all():
+            out.append((name, p, w))
+        else:
+            out += [(name + "_small", p, np.floor(4.0 * w)),
+                    (name + "_units", p, np.stack([ref.mass_units(x)[0] for x in w]))]
+    return out
+
+
+@pytest.mark.parametrize("gap", [1e-9, 2e-9, 4e-9])
+def test_sweep_on_planes_gives_the_interleaved_sweep_bits(gap):
+    # on integer units, the sweep over coordinate planes (strided views or
+    # contiguous copies, units per row or shared) gives the value and angle
+    # of the interleaved sweep that wrote out the antipodal arcs, bit for bit
+    for name, p, w in _integer_unit_batches():
+        planes = [(p[..., 0], p[..., 1]), (np.ascontiguousarray(p[..., 0]), np.ascontiguousarray(p[..., 1]))]
+        for units in (w, w[0]):
+            want = ref.half_turn_sweep(p, units, gap)
+            for x, y in planes:
+                got = depthlab.depth._sweep(x, y, units, gap)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), name
+
+
+def _layout_cases():
+    """(name, measure, queries) in d = 1, 2 and 3: the planar cases and
+    measures on a line and in space, with queries on a data point and with
+    every point at the query."""
+    rng = np.random.default_rng(3)
+    out = list(_planar_cases())
+    for d in (1, 3):
+        pts = rng.standard_normal((30, d))
+        pts[5:9] = pts[4]
+        out += [(f"d{d}", make_measure(pts, rng.random(30)), [pts[4], np.zeros(d), pts[0] + 1e-10]),
+                (f"d{d}_all_at_query", make_measure(np.tile(pts[0], (6, 1))), [pts[0]])]
+    return out
+
+
+def test_exact_depth_values_read_either_layout():
+    # one stack stored point-major and coordinate-major (a transposed view
+    # of contiguous coordinate planes) gives the same bytes
+    for name, m, qs in _layout_cases():
+        images = np.stack([m.points, -m.points])
+        planes = images.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        q = np.asarray(qs, dtype=float)
+        q, which = np.vstack([q, -q]), np.repeat([0, 1], len(q))
+        got = [exact_depth_values(stack, m, which, q) for stack in (images, planes)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*got)), name
+        if name.endswith("all_at_query"):
+            assert (got[0][0] == 1.0).all()
 
 
 def _same(a, b):

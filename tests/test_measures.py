@@ -86,6 +86,18 @@ def test_point_masses_spec_names_the_bad_field(params, field):
         MeasureSpec("point_masses", 2, 3, params)
 
 
+def test_point_masses_spec_refuses_a_count_other_than_its_points():
+    # n counts the listed points, zero weights included; a bad point is
+    # named before the count
+    with pytest.raises(ValueError, match="^n: 7, but params.points holds 3 points"):
+        MeasureSpec("point_masses", 2, 7, {"points": [[1, 0], [0, 1], [1, 1]]})
+    with pytest.raises(ValueError, match="^n: 1, "):
+        MeasureSpec("point_masses", 2, params={"points": _P3})
+    with pytest.raises(ValueError, match="^params.points: "):
+        MeasureSpec("point_masses", 2, 7, {"points": [[1, 0], [0, float("inf")]]})
+    assert generate_measure(MeasureSpec("point_masses", 2, 3, {"points": _P3, "weights": [0, 1, 1]})).n == 2
+
+
 def test_point_masses_spec_takes_arrays_and_zero_weights():
     spec = MeasureSpec("point_masses", 2, 3, {"points": np.array(_P3), "weights": np.array([0.0, 1, 3])})
     m = generate_measure(spec)

@@ -11,7 +11,7 @@ import pytest
 import depthlab.depth
 import pivot_referee as ref
 from enumerator_referee import enumerator_depth
-from depthlab.depth import _pivot_solutions, point_depth
+from depthlab.depth import _pivot_images, _pivot_solutions, depth_oracle, point_depth
 from depthlab.geometry import DEFAULT_TOL
 from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure
 from depthlab.median import tukey_median
@@ -124,6 +124,37 @@ def test_exact_d3_depth_matches_referee_path(battery):
         assert r.lower == r.upper == want, name
 
 
+def _near_parallel_cases() -> list:
+    """A point at image norm s (0.5, 1.5 and 3 tol) from the line of the
+    pivot (1, 0, 0), beside it or opposite, and six points whose images on
+    that pivot's plane lie below the near point's, so that the pivot's
+    least arcs count the near point when it is kept."""
+    rest = [[0, -1, 0.3], [0, -1, -0.3], [0.2, -1, 0], [-0.2, -1, 0.1], [-1, 0.5, 0.5], [-1, 0.5, -0.5]]
+    return [(s, side, make_measure(np.array([[1.0, 0.0, 0.0], [side, s, 0.0], *rest])))
+            for s in (0.5e-9, 1.5e-9, 3e-9) for side in (1.0, -1.0)]
+
+
+def test_parallel_class_is_the_images_within_tol():
+    # a point is in a pivot's parallel class when its image is within tol
+    # of 0: then it drops out of the pivot's plane, counted only if it
+    # points away from the pivot.  At 1.5 tol it stays in the plane, where
+    # it raises the pivot's mass, as in the referee's own projection; the
+    # bracket holds the oracle's depth either way
+    for s, side, m in _near_parallel_cases():
+        q = np.zeros(3)
+        phat, w = _rows(m, q)
+        _, units, anti, _ = _pivot_images(phat[:, :1], phat, w)
+        parallel = s <= DEFAULT_TOL
+        assert units[0, 0, 1] == float(not parallel) and anti[0, 0] == float(parallel and side < 0), (s, side)
+        for gap in (DEFAULT_TOL, 2.0 * DEFAULT_TOL):
+            masses = _pivot_solutions(phat, w, gap)[0]
+            assert np.array_equal(masses, ref.pivot_masses(phat, w, gap)), (s, side)
+        if s == 1.5e-9 and side > 0:
+            assert masses[0, 0] == 2.0
+        r, want = point_depth(m, q), depth_oracle(m, q).depth
+        assert r.lower - 1e-12 <= want <= r.upper + 1e-12, (s, side)
+
+
 @pytest.mark.parametrize("d, n", [(3, 240), (3, 500), (4, 60)])
 def test_each_pivot_plane_is_swept_once(monkeypatch, d, n):
     # n planar rows in d = 3 and n^2 in d = 4, and no second solve of the
@@ -132,9 +163,9 @@ def test_each_pivot_plane_is_swept_once(monkeypatch, d, n):
     rows = []
     real = depthlab.depth._sweep
 
-    def counted(p, w, gap):
-        rows.append(len(p))
-        return real(p, w, gap)
+    def counted(x, y, w, gap):
+        rows.append(len(x))
+        return real(x, y, w, gap)
 
     monkeypatch.setattr(depthlab.depth, "_sweep", counted)
     m = generate_measure(MeasureSpec("gaussian", d, n, {}, seed=d))
