@@ -25,6 +25,7 @@ weights; the two implementations share no code path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -125,13 +126,21 @@ def _sweep(x: np.ndarray, y: np.ndarray, w: np.ndarray, gap: float):
     strictly smaller.
 
     The exiting units are summed once, then one cumsum runs over the signed
-    units in the order of one unstable argsort.  Integer units make every
-    partial sum exact in any order, so the order within a group of tied
-    breakpoints moves no bit (the arcs inside it have width 0), and the
-    total less A falls strictly as A grows, so the first greatest A_k is the
-    first least antipodal arc.  A point of unit 0 adds nothing, and one that
-    copies another point's vector adds only a zero-width arc, so removing
-    such points gives the same bits.
+    units in the order of one sort of packed keys: a breakpoint's float
+    bits with the low (m - 1).bit_length() bits replaced by its index,
+    sorted by numpy's vectorized sort as the nonnegative floats they are
+    (b is never -0.0, so their order is their bits' unsigned order), the
+    low bits giving the order.  Keys that agree above the index bits come
+    out in index order, which can invert two breakpoints that close; a row
+    whose gathered breakpoints so fall out of order is sorted again by
+    argsort, so every row holds them in nondecreasing order, exact ties in
+    any order.
+    Integer units make every partial sum exact in any order, so the order
+    within a group of tied breakpoints moves no bit (the arcs inside it
+    have width 0), and the total less A falls strictly as A grows, so the
+    first greatest A_k is the first least antipodal arc.  A point of unit 0
+    adds nothing, and one that copies another point's vector adds only a
+    zero-width arc, so removing such points gives the same bits.
     """
     R, m = x.shape
     b = np.arctan2(y, x)
@@ -139,9 +148,19 @@ def _sweep(x: np.ndarray, y: np.ndarray, w: np.ndarray, gap: float):
     up, down = b >= np.pi, b < 0.0
     b -= np.pi * (up.view(np.int8) - down.view(np.int8))  # b is never -0.0, so b - 0.0 is b
     exits = ~(up | down) * w
-    order = np.argsort(b, axis=1)
+    index = np.uint64((1 << (m - 1).bit_length()) - 1)  # the low bits that hold a point's index
+    key = b.view(np.uint64) & ~index
+    key |= np.arange(m, dtype=np.uint64)
+    key.view(np.float64).sort(axis=1)
+    key &= index
+    order = key.view(np.intp)
     order += np.arange(0, R * m, m)[:, None]  # flat indices
-    b = np.take(b, order)
+    sb = np.take(b, order)
+    bad = np.flatnonzero((sb[:, 1:] < sb[:, :-1]).any(axis=1))  # near-ties ordered by index
+    if bad.size:
+        order[bad] = np.argsort(b[bad], axis=1) + (m * bad)[:, None]
+        sb[bad] = np.take(b, order[bad])
+    b = sb
     s0 = exits.sum(axis=1)
     a = np.take(w - 2.0 * exits, order)  # the signed units, sorted
     np.cumsum(a, axis=1, out=a)
@@ -199,11 +218,11 @@ def _pivot_solutions(phat: np.ndarray, w: np.ndarray, gap: float):
     m, k - 1)), the mass the units antiparallel to p_i plus the least mass
     of the other points' images on p_i^perp (``_pivot_images``), which
     ``_min_halfspace_mass`` finds one dimension down at ``gap``, with its
-    direction there.  A row's pivots go in blocks of at most 4 * _CHUNK
-    points of dimension k - 1.
+    direction there.  A row's pivots go in blocks of at most _CHUNK points
+    of dimension k - 1.
     """
     R, m, k = phat.shape
-    step = max(1, 4 * _CHUNK // m)
+    step = max(1, _CHUNK // m)
     vals, dirs = np.empty((R, m)), np.empty((R, m, k - 1))
     for r in range(R):
         for s in range(0, m, step):
@@ -344,60 +363,80 @@ def closed_mass_bounds(points, m: DiscreteMeasure):
     images points (M, n, d) of the points of m, set up once for them.
     Returns bound(which, q, directions): row r gets the least, over its unit
     directions u in directions[r] (R, D, d), of the mass of the points p of
-    image which[r] with <u, p - q[r]> >= -s_r, where
+    image k = which[r] whose float32 test <(u, s'_r - <u, q[r] - z_k>), (p -
+    z_k, 1)> >= 0 holds, where
 
-        s_r = max(eta reach_r, 2 tol) + 1e-14 (|c_k|_1 + |h_k|_1 + |q[r]|_1),
+        s_r = max(eta reach_r, 2 tol) + 1e-14 (|z_k|_1 + |h_k|_1 + |q[r]|_1),
+        s'_r = s_r + c (|h_k|_1 + |q[r] - z_k|_1 + s_r),  c = (d + 4) 2^-23,
 
-    eta = 3 (n + 1) tol, tol being ``DEFAULT_TOL``, c_k and h_k the centre
+    eta = 3 (n + 1) tol, tol being ``DEFAULT_TOL``, z_k and h_k the centre
     and half-widths of the bounding box of image k, and reach_r = |h_k| +
-    |q[r] - c_k|.  So reach_r >= |p - q[r]| and |c_k|_1 + |h_k|_1 >= |p|_1
-    for each point p of the image.
+    |q[r] - z_k|.  So, up to rounding, reach_r >= |p - q[r]| and |h_k|_1 >=
+    |p - z_k|_1 for each point p of the image.  Every point with <u, p -
+    q[r]> >= -s_r passes the test, so the bound is at least the mass of
+    those points.
 
-    The slack eta makes the bound hold for the planar sweep although it
-    skips arcs no wider than 4 tol: at most n breakpoints fall within angle
-    eta of u, so one of the pieces they cut that span into is wider than
-    2 eta / (n + 1) = 6 tol.  The arc holding it is swept, and its mass
-    counts no point p but those within 2 tol of the query or with <u, p -
-    q> >= -eta |p - q| >= -eta reach_r.  The sampled value is the mass at
-    one of its directions, which counts fewer points, with slack tol, and
-    its points within tol of the query are within 2 tol.  Both margins
-    dwarf the rounding of the evaluators' own norms and products, and the
-    last term of s_r covers the bound's own: <u, p> and <u, q> are rounded
-    apart, since each (row, direction) is one affine test <(u, s_r - <u,
-    q>), (p, 1)> >= 0 on the images' points augmented by a 1 (M, d + 1, n),
-    built here once.  The tests run as stacked matmuls in blocks of about 4
-    _CHUNK direction-by-point entries and count m's mass units, divided by
-    its scale once, so a bound and an evaluator's value are exact counts
-    over the same scale and the bound is at least the value exactly, not
-    only up to rounding.  A uniform measure sums its masks as integers, the
-    same counts faster than a product with its units.
+    The slack eta makes that mass bound the planar sweep although it skips
+    arcs no wider than 4 tol: at most n breakpoints fall within angle eta of
+    u, so one of the pieces they cut that span into is wider than 2 eta /
+    (n + 1) = 6 tol.  The arc holding it is swept, and its mass counts no
+    point p but those within 2 tol of the query or with <u, p - q> >= -eta
+    |p - q| >= -eta reach_r.  The sampled value is the mass at one of its
+    directions, which counts fewer points, with slack tol, and its points
+    within tol of the query are within 2 tol.  Both margins dwarf the
+    rounding of the evaluators' own norms and products.  The 1e-14 term
+    covers the float64 rounding of p - z_k, q - z_k (which may leave |p -
+    z_k|_1 above |h_k|_1 by about 2^-52 |z_k|_1), <u, q - z_k> and s'_r -
+    <u, q - z_k>.  The c term covers the float32 test, whose terms are the
+    images' points less their box centres, stored once in float32 and
+    augmented by a 1 (M, d + 1, n), and the row's (u, s'_r - <u, q - z_k>)
+    rounded to float32: with e = 2^-24 and H = |h_k|_1 + |q[r] - z_k|_1,
+    rounding u and p - z_k moves <u, p - z_k> by at most 2 e |h_k|_1 (|u_i|
+    <= 1), rounding the last entry t moves it by e |t| <= e (s'_r + |q[r] -
+    z_k|_1), and the (d + 1)-term product, summed in any order, adds at
+    most (d + 1) e (1 + O(e)) times the sum of its terms' magnitudes, at
+    most H + s'_r up to O(e).  That is at most (d + 3) e (1 + O(e)) (H +
+    s'_r), under half of c (H + s_r), the margin by which s'_r exceeds s_r.
+    Centred, the test's rounding scales with the image's spread and the
+    query's offset from it, not with their distance from the origin.
+
+    The tests run as stacked float32 matmuls in blocks of about 4 _CHUNK
+    direction-by-point entries and count m's mass units, divided by its
+    scale once, so a bound and an evaluator's value are exact counts over
+    the same scale and the bound is at least the value exactly, not only up
+    to rounding.  A uniform measure sums its masks as integers, the same
+    counts faster than a product with its units.
     """
     points = np.asarray(points)
     M, n, d = points.shape
-    aug = np.ones((M, d + 1, n))
-    aug[:, :d] = points.transpose(0, 2, 1)
-    low, high = aug[:, :d].min(axis=2), aug[:, :d].max(axis=2)
+    low, high = points.min(axis=1), points.max(axis=1)
     centre, half = 0.5 * (low + high), 0.5 * (high - low)
+    aug = np.ones((M, d + 1, n), dtype=np.float32)
+    aug[:, :d] = (points - centre[:, None]).transpose(0, 2, 1)
     rad = np.sqrt((half * half).sum(axis=1))
     top = (np.abs(centre) + half).sum(axis=1)  # the box's farthest corner: at least every |p|_1
+    spread = half.sum(axis=1)  # up to rounding, at least every |p - centre|_1
     uniform = m.scale == n  # every unit is at least 1
+    count = np.int16 if n < 2**15 else np.int32  # holds any count of n points
     eta = 3.0 * (n + 1) * DEFAULT_TOL
+    c = (d + 4) * 2.0**-23
 
     def bound(which, q, directions):
         R, D, _ = directions.shape
         off = q - centre[which]
         reach = rad[which] + np.sqrt((off * off).sum(axis=1))
         s = np.maximum(eta * reach, 2.0 * DEFAULT_TOL) + 1e-14 * (top[which] + np.abs(q).sum(axis=1))
-        a = np.empty((R, D, d + 1))
+        s += c * (spread[which] + np.abs(off).sum(axis=1) + s)
+        a = np.empty((R, D, d + 1), dtype=np.float32)
         a[..., :d] = directions
-        a[..., d] = s[:, None] - np.matmul(directions, q[:, :, None])[..., 0]
+        a[..., d] = s[:, None] - np.matmul(directions, off[:, :, None])[..., 0]
         out = np.empty(R)
         step = max(1, 4 * _CHUNK // (n * D))
         for lo in range(0, R, step):
             k = which[lo : lo + step]
             hit = np.matmul(a[lo : lo + step], aug[k]) >= 0.0
             if uniform:
-                mass = hit.view(np.uint8).sum(axis=2, dtype=np.int32)
+                mass = hit.view(np.uint8).sum(axis=2, dtype=count)
             else:
                 mass = np.matmul(hit, m.units)
             out[lo : lo + step] = mass.min(axis=1) / m.scale
@@ -790,6 +829,15 @@ def _cap_samples(center: np.ndarray, angle: float, count: int, seed: int) -> np.
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
+@functools.lru_cache(maxsize=8)
+def _canonical_grid(dim: int, count: int) -> np.ndarray:
+    """The read-only scan grid of ``deep_line_search``: ``canonical_direction``
+    of each of the ``count`` grid directions in R^dim, built once."""
+    grid = np.array([canonical_direction(u) for u in sample_directions(dim, count, mode="grid")])
+    grid.setflags(write=False)
+    return grid
+
+
 def deep_line_search(
     m: DiscreteMeasure,
     grid_count: int = 512,
@@ -814,7 +862,7 @@ def deep_line_search(
         raise ValueError("line search needs ambient dimension >= 3")
     for name, value, least in (("grid_count", grid_count, 1), ("refine_iters", refine_iters, 0), ("top_k", top_k, 1)):
         check_count(name, value, least)
-    grid = np.array([canonical_direction(u) for u in sample_directions(m.dim, grid_count, mode="grid")])
+    grid = _canonical_grid(m.dim, grid_count)
     scan_m = _subsampled(m, 160, seed)
     cheap = {"mode": "multistart", "starts": 4, "iters": 4, "seed": seed}
     mid = {"mode": "multistart", "starts": 10, "iters": 16, "seed": seed}

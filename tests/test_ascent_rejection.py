@@ -16,7 +16,7 @@ from depthlab.depth import (
     sampled_depth_values,
 )
 from depthlab.geometry import DEFAULT_TOL, sample_directions
-from depthlab.measures import DiscreteMeasure, generate_measure, make_measure
+from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure
 from depthlab.median import balanced_median, tukey_median
 from depthlab.suites import _rado_spec, line_search_suite_specs
 
@@ -136,24 +136,35 @@ def test_sampled_depth_never_exceeds_bound_at_own_directions(d):
                 assert np.all(val <= _bounds(m, q, u))
 
 
+def _slacks(pts, q):
+    """The bound's two slacks for the query q among the points pts (n, d):
+    s = max(3 (n + 1) tol reach, 2 tol) + 1e-14 (|z|_1 + |h|_1 + |q|_1) and
+    s' = s + c (|h|_1 + |q - z|_1 + s), c = (d + 4) 2^-23, z and h being
+    the centre and half-widths of the points' bounding box and reach = |h|
+    + |q - z|; and z."""
+    n, d = pts.shape
+    low, high = pts.min(axis=0), pts.max(axis=0)
+    z, h = (low + high) / 2, (high - low) / 2
+    reach = np.linalg.norm(h) + np.linalg.norm(q - z)
+    s = max(3.0 * (n + 1) * DEFAULT_TOL * reach, 2.0 * DEFAULT_TOL) + 1e-14 * (
+        np.abs(z).sum() + h.sum() + np.abs(q).sum())
+    return s, s + (d + 4) * 2.0**-23 * (h.sum() + np.abs(q - z).sum() + s), z
+
+
 def _slack_rule(points, w, which, q, u):
     """The bound's rule, one row at a time: the least mass, over the row's
-    directions u, of the points p with <u, p - q> >= -s, for the row's one
-    slack s = max(3 (n + 1) tol reach, 2 tol) + 1e-14 (|c|_1 + |h|_1 +
-    |q|_1), c and h being the centre and half-widths of the image's
-    bounding box and reach = |h| + |q - c|; every image weighs its points
-    by w."""
+    directions u, of the points p whose float32 test <(u, s' - <u, q - z>),
+    (p - z, 1)> >= 0 holds, for the row's slack s' and the centre z of its
+    image's bounding box (``_slacks``); every image weighs its points by
+    w."""
     n = points.shape[1]
     units, scale = ref.mass_units(w)
     out = []
     for r, k in enumerate(which):
-        pts = points[k]
-        low, high = pts.min(axis=0), pts.max(axis=0)
-        c, h = (low + high) / 2, (high - low) / 2
-        reach = np.linalg.norm(h) + np.linalg.norm(q[r] - c)
-        s = max(3.0 * (n + 1) * DEFAULT_TOL * reach, 2.0 * DEFAULT_TOL) + 1e-14 * (
-            np.abs(c).sum() + h.sum() + np.abs(q[r]).sum())
-        out.append(((u[r] @ (pts - q[r]).T >= -s) @ units).min() / scale)
+        _, s, z = _slacks(points[k], q[r])
+        a = np.column_stack([u[r], s - u[r] @ (q[r] - z)]).astype(np.float32)
+        aug = np.vstack([(points[k] - z).T, np.ones(n)]).astype(np.float32)
+        out.append(((a @ aug >= 0.0) @ units).min() / scale)
     return np.array(out)
 
 
@@ -217,6 +228,98 @@ def test_bound_holds_far_from_the_origin(offset):
                 for q in (pts[10], pts[0], pts[25], shift + rng.standard_normal(d)):  # three on data points
                     val = sampled_depth_values(m.points[None], m, [0], q[None], u[None])[0][0]
                     assert np.all(val <= _bounds(m, q, u))
+
+
+def test_bound_does_not_loosen_far_from_the_origin():
+    # the float32 test runs on the points less their box centre, so its
+    # slack scales with the image's spread and the query's offset from it:
+    # moved up to 1e6 from the origin, a gaussian's bounds (40 queries, 13
+    # directions each) keep every count they have at the origin
+    m0 = generate_measure(MeasureSpec("gaussian", 2, 420, {}, seed=1))
+    rng = np.random.default_rng(0)
+    u = _unit(rng.standard_normal((40, 13, 2)))
+    q = 0.3 * rng.standard_normal((40, 2))
+    which = np.zeros(40, dtype=int)
+    near = closed_mass_bounds(m0.points[None], m0)(which, q, u)
+    for offset in (1e3, 1e4, 1e5, 1e6):
+        shift = offset * np.array([0.8, -0.6])
+        m = make_measure(m0.points + shift)
+        assert np.array_equal(closed_mass_bounds(m.points[None], m)(which, q + shift, u), near)
+
+
+def _boundary_rows(rng, scale, d):
+    """Points within the float32 rounding of the bound's test of its slack
+    boundary <u, p - q> = -s under a unit u, at a query q 1e6 from the
+    origin: 8 points at -(1 - 1e-3) s, spread over the hyperplane normal to
+    u through q up to scale from it, one at scale on either side (s taken
+    after the move, ``_slacks``): (points, q, u, s)."""
+    u = _unit(rng.standard_normal(d))
+    q = 1e6 * _unit(rng.standard_normal(d))
+    v = scale * rng.uniform(-1.0, 1.0, (8, d))
+    v -= (v @ u)[:, None] * u
+    side = scale * np.vstack([u, -u])
+    s = 0.0
+    for _ in range(3):  # the move barely changes the bounding box, so s settles
+        pts = np.vstack([q + v - (1.0 - 1e-3) * s * u, q + side])
+        s = _slacks(pts, q)[0]
+    return pts, q, u, s
+
+
+def _window_rows(rng, scale, d):
+    """Points on the hyperplane normal to a unit u through a query q 1e6
+    from the origin, within about 1e-10 of it at 1, 0.61 and 0.37 scale
+    from q, and one point on either side of it: (points, q, u)."""
+    u = _unit(rng.standard_normal(d))
+    q = 1e6 * _unit(rng.standard_normal(d))
+    v = scale * np.array([[1.0], [0.61], [0.37]]) * _unit(rng.standard_normal((3, d)))
+    v -= (v @ u)[:, None] * u
+    side = scale * np.array([[0.8], [0.55]]) * _unit(u + 0.3 * rng.standard_normal((2, d)))
+    side *= np.sign(side @ u)[:, None] * np.array([[1.0], [-1.0]])
+    return q + np.vstack([v, side]), q, u
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e5, 1e6])
+def test_float32_bound_covers_its_rounding_window(scale):
+    # the float32 test rounds the points less their box centre, u and the
+    # product by about 2^-24 of their size, more than the slack s itself:
+    # only the c term of s' keeps the promise that every point with <u, p
+    # - q> >= -s counts, and with it the bound above the evaluators.  With
+    # points up to 1e3 to 1e6 from a query 1e6 from the origin: points just
+    # inside -s all count; the skipped sliver of
+    # test_bound_covers_a_skipped_sliver_far_from_the_query, turned and
+    # moved, whose far points lie 1.5e-9 of their distance behind the
+    # sliver's midpoint, keeps the bound above the planar value; and points
+    # on the hyperplane normal to a row's one direction, which the sampled
+    # value counts, keep it above that value
+    rng = np.random.default_rng(int(np.log10(scale)))
+    for d in (2, 3, 4):
+        for _ in range(8):
+            pts, q, u, s = _boundary_rows(rng, scale, d)
+            lean = (pts[:8] - q) @ u
+            assert (lean >= -s).all() and (lean + s < 2.0**-24 * scale).all()
+            m = make_measure(pts)
+            assert _bounds(m, q, u[None])[0] == 9 / 10  # the 8 and the one in front
+            if d == 2:
+                val = exact_depth_values(m.points[None], m, [0], q[None])[0][0]
+            else:
+                val = sampled_depth_values(m.points[None], m, [0], q[None], u[None, None])[0][0]
+            assert val <= 9 / 10
+    gap, mid = 3e-9, 0.5 * np.pi + 1.5e-9
+    sliver = scale * np.array([[1.0, 0.0], [np.cos(np.pi + gap), np.sin(np.pi + gap)], [0.0, 0.5], [0.0, -0.5]])
+    for t in range(16):
+        turn = np.array([[np.cos(t + 0.3), -np.sin(t + 0.3)], [np.sin(t + 0.3), np.cos(t + 0.3)]])
+        u = np.array([[np.cos(mid), np.sin(mid)]]) @ turn.T  # both entries far from 0
+        q = 1e6 * np.array([np.cos(1.7 * t), np.sin(1.7 * t)])
+        m = make_measure(q + sliver @ turn.T)
+        val = exact_depth_values(m.points[None], m, [0], q[None])[0][0]
+        assert val == 0.5 and _bounds(m, q, u)[0] >= val
+    for d in (3, 4):
+        for _ in range(16):
+            pts, q, u = _window_rows(rng, scale, d)
+            for m in (make_measure(pts), make_measure(pts, rng.random(len(pts)) + 0.1)):
+                val = sampled_depth_values(m.points[None], m, [0], q[None], u[None, None])[0][0]
+                assert val == m.units[:4].sum() / m.scale  # the hyperplane and the side of u
+                assert _bounds(m, q, u[None])[0] >= val
 
 
 def _rows_of(monkeypatch, name):

@@ -16,6 +16,7 @@ import depthlab.depth
 import depthlab.median
 from depthlab.depth import (
     _CHUNK,
+    _canonical_grid,
     _row_blocks,
     deep_line_search,
     direction_profiles,
@@ -223,13 +224,51 @@ def test_sweep_bits_do_not_depend_on_the_order_of_tied_breakpoints(gap):
             assert np.array_equal(pv, val) and np.array_equal(pphi, phi), name
 
 
+def _packed_key_batches() -> list:
+    """(name, vectors, units) batches for the sweep's packed sort keys,
+    whose low bits hold a point's index, so breakpoints within those bits
+    of each other come out in index order.  Groups shuffled in index
+    order: collinear points at
+    the multiples 1, 3, 5, 7, 11 and 13 of a direction, whose breakpoints
+    differ by an ulp or two; points at angles 2^-49 apart, a few ulps to
+    some tens (more than 3,000 such near-ties in all); points at 1, 2, 4
+    and 8 times one (exact ties) and duplicates; one and two points a row;
+    and one row of 4,200 points, so the index takes 13 bits of the key.
+    Each with units of 1 and with small integer units, zeros among them."""
+    rng = np.random.default_rng(41)
+
+    def shuffled(p):
+        return np.take_along_axis(p, np.argsort(rng.random(p.shape[:2]), axis=1)[..., None], axis=1)
+
+    def groups(r, g, mult):
+        v = rng.standard_normal((r, g, 1, 2)) * np.asarray(mult, dtype=float)[:, None]
+        return shuffled(v.reshape(r, -1, 2))
+
+    def fans(r, g, k):
+        a = rng.uniform(-np.pi, np.pi, (r, g, 1)) + 2.0**-49 * np.arange(k)
+        return shuffled(np.stack([np.cos(a), np.sin(a)], axis=-1).reshape(r, -1, 2))
+
+    near, exact = (1, 3, 5, 7, 11, 13), (1, 2, 4, 8, 1, 2)
+    mixed = np.concatenate([groups(6, 20, near), fans(6, 20, 6), groups(6, 10, exact)], axis=1)
+    mixed[:, ::7] = mixed[:, 1::7]  # duplicates beside the near-ties
+    long = np.concatenate([groups(1, 300, near), fans(1, 300, 6), groups(1, 100, exact)], axis=1)
+    rows = [("multiples", groups(24, 10, near)), ("fans", fans(24, 10, 6)), ("exact_ties", groups(12, 10, exact)),
+            ("mixed", shuffled(mixed)), ("m1", rng.standard_normal((5, 1, 2))), ("m2", groups(8, 1, (1, 3))),
+            ("m2_fan", fans(8, 1, 2)), ("m2_tied", groups(4, 1, (1, 2))), ("long", shuffled(long))]
+    b = [np.sort(np.mod(np.arctan2(p[..., 1], p[..., 0]) + 0.5 * np.pi, np.pi), axis=1) for _, p in rows]
+    assert sum(((d > 0.0) & (d < 1e-13)).sum() for d in (np.diff(x, axis=1) for x in b)) > 3000
+    return [(name + tag, p, w) for name, p in rows
+            for tag, w in (("", np.ones(p.shape[:2])), ("_small", rng.integers(0, 3, p.shape[:2]).astype(float)))]
+
+
 def _integer_unit_batches() -> list:
-    """Every batch of ``_sweep_batches`` (the boundary batches and the fuzz
-    among them) and ``_tied_batches`` under integer units: its own units
-    where they are integers, else small integers from them, zeros among
-    them, and their mass units (about 2^52)."""
+    """Every batch of ``_packed_key_batches``, ``_sweep_batches`` (the
+    boundary batches and the fuzz among them) and ``_tied_batches`` under
+    integer units: its own units where they are integers, else small
+    integers from them, zeros among them, and their mass units (about
+    2^52)."""
     out = []
-    for name, p, w in _sweep_batches() + _tied_batches():
+    for name, p, w in _packed_key_batches() + _sweep_batches() + _tied_batches():
         if (w == np.round(w)).all():
             out.append((name, p, w))
         else:
@@ -242,7 +281,9 @@ def _integer_unit_batches() -> list:
 def test_sweep_on_planes_gives_the_interleaved_sweep_bits(gap):
     # on integer units, the sweep over coordinate planes (strided views or
     # contiguous copies, units per row or shared) gives the value and angle
-    # of the interleaved sweep that wrote out the antipodal arcs, bit for bit
+    # of the interleaved argsort sweep that wrote out the antipodal arcs,
+    # bit for bit, also where its packed sort keys leave near-ties in index
+    # order
     for name, p, w in _integer_unit_batches():
         planes = [(p[..., 0], p[..., 1]), (np.ascontiguousarray(p[..., 0]), np.ascontiguousarray(p[..., 1]))]
         for units in (w, w[0]):
@@ -330,6 +371,19 @@ def _profile_directions():
     grid = [canonical_direction(u) for u in sample_directions(3, 800, mode="grid")]
     ties = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, -1.0, 1.0], [0.0, 0.0, -2.0]]
     return np.array(grid + ties + [np.array(u) / np.linalg.norm(u) for u in ties])
+
+
+@pytest.mark.parametrize("dim, count", [(3, 800), (3, 61), (4, 120)])
+def test_scan_grid_is_built_once_read_only(dim, count):
+    # deep_line_search's scan grid is cached per (dim, count): each call
+    # gives the same read-only array, with the bytes of canonical_direction
+    # of every grid direction
+    grid = _canonical_grid(dim, count)
+    want = np.array([canonical_direction(u) for u in sample_directions(dim, count, mode="grid")])
+    assert _canonical_grid(dim, count) is grid and grid.tobytes() == want.tobytes()
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1.0
 
 
 def test_batched_projections_match_one_direction_at_a_time(monkeypatch):
