@@ -57,8 +57,6 @@ def _param_fits(value, default) -> bool:
         return False
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_param_fits(v, default[0]) for v in value)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
     return isinstance(value, type(default))
 
 

@@ -111,15 +111,9 @@ def is_generating(normals: np.ndarray):
 
 
 def cones_of(t: GeneratingTuple) -> ConeTuple:
-    """The d+1 simplicial cones of a tuple: cone i drops half-space i."""
-    d = t.d
-    cones = []
-    for i in range(d + 1):
-        rows = np.delete(t.normals, i, axis=0)
-        if abs(np.linalg.det(rows)) <= 1e-10:
-            raise ValueError(f"cone {i}: remaining normals are linearly dependent")
-        cones.append(SimplicialCone(rows))
-    return ConeTuple(cones)
+    """The d+1 simplicial cones of a tuple: cone i drops half-space i.  A cone
+    whose normals are linearly dependent raises ValueError (``SimplicialCone``)."""
+    return ConeTuple([SimplicialCone(np.delete(t.normals, i, axis=0)) for i in range(t.d + 1)])
 
 
 def _tuple_hits(m: DiscreteMeasure, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

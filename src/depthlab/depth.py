@@ -25,7 +25,6 @@ weights; the two implementations share no code path.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ import numpy as np
 from .geometry import (
     DEFAULT_TOL,
     Flat,
+    _unit_rows,
     as_vector,
     canonical_direction,
     check_count,
@@ -801,10 +801,7 @@ def direction_profiles(m: DiscreteMeasure, directions, budget: dict | None = Non
         return np.empty(0), np.empty((0, m.dim - 1))
     if u.ndim != 2 or u.shape[1] != m.dim:
         raise ValueError(f"directions must have shape (D, {m.dim}), got {u.shape}")
-    norms = np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])  # the bits of ``unit``'s norm
-    if not (np.isfinite(u).all() and norms.all()):
-        raise ValueError("directions must be finite and nonzero")
-    comp = complement_bases((u / norms)[:, None, :])
+    comp = complement_bases(_unit_rows(u)[:, None, :])
     res = _median.tukey_medians(np.matmul(m.points, comp.transpose(0, 2, 1)), m, **(budget or {}))
     return np.array([r.depth for r in res]), np.array([r.point for r in res])
 
@@ -827,15 +824,6 @@ def _cap_samples(center: np.ndarray, angle: float, count: int, seed: int) -> np.
     t = angle * rng.random(count)
     out = np.cos(t)[:, None] * center + np.sin(t)[:, None] * (g / lens[:, None])
     return out / np.linalg.norm(out, axis=1)[:, None]
-
-
-@functools.lru_cache(maxsize=8)
-def _canonical_grid(dim: int, count: int) -> np.ndarray:
-    """The read-only scan grid of ``deep_line_search``: ``canonical_direction``
-    of each of the ``count`` grid directions in R^dim, built once."""
-    grid = np.array([canonical_direction(u) for u in sample_directions(dim, count, mode="grid")])
-    grid.setflags(write=False)
-    return grid
 
 
 def deep_line_search(
@@ -862,7 +850,7 @@ def deep_line_search(
         raise ValueError("line search needs ambient dimension >= 3")
     for name, value, least in (("grid_count", grid_count, 1), ("refine_iters", refine_iters, 0), ("top_k", top_k, 1)):
         check_count(name, value, least)
-    grid = _canonical_grid(m.dim, grid_count)
+    grid = canonical_direction(sample_directions(m.dim, grid_count, mode="grid"))
     scan_m = _subsampled(m, 160, seed)
     cheap = {"mode": "multistart", "starts": 4, "iters": 4, "seed": seed}
     mid = {"mode": "multistart", "starts": 10, "iters": 16, "seed": seed}
@@ -876,13 +864,13 @@ def deep_line_search(
     cands = grid[order]  # the re-rank, then each refine step's cap samples
     for it in range(refine_iters + 1):
         if it:
-            cands = [canonical_direction(u) for u in _cap_samples(best_u, cap, 24, seed + 1000 + it - 1)]
+            cands = canonical_direction(_cap_samples(best_u, cap, 24, seed + 1000 + it - 1))
             cap *= 0.5
         a_s, meds = direction_profiles(m, cands, mid)
         evals += len(cands)
-        for u, a, med in zip(cands, a_s, meds):  # in order: the first of tied profiles wins
-            if a > best_a:
-                best_a, best_u, best_med = a, u, med
+        j = int(np.argmax(a_s))  # the first of tied profiles wins
+        if a_s[j] > best_a:
+            best_a, best_u, best_med = a_s[j], cands[j], meds[j]
 
     heavy = {"starts": 24, "iters": 40, "seed": seed}  # auto: exact in R^3, the heavy ascent above
     a_s, meds = direction_profiles(m, [best_u], heavy)

@@ -50,18 +50,39 @@ def unit(x) -> np.ndarray:
     return v / nrm
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of v (D, d) over their Euclidean norms, each row with the
+    bits of ``unit`` of it: one stacked product of row-major rows, which
+    sums each row as ``np.linalg.norm`` sums a lone vector (a strided row
+    would sum in another order).  A zero or non-finite row raises
+    ValueError."""
+    v = np.ascontiguousarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("direction vectors must be finite")
+    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0])
+    if not norms.all():
+        raise ValueError("cannot normalize the zero vector")
+    return v / norms
+
+
 def canonical_direction(v) -> np.ndarray:
-    """Unit representative of the line through v with the canonical sign.
+    """Unit representative of the line through v with the canonical sign,
+    or of each row of a stack v (D, d), each with the bits of its own.
 
     The sign rule: the first coordinate with magnitude above 1e-13 is
     positive.  Stable under small perturbations away from coordinate
-    hyperplanes, and makes directions hashable/deduplicatable.
+    hyperplanes, and makes directions hashable/deduplicatable.  A zero or
+    non-finite row raises ValueError.
     """
-    u = unit(v)
-    for c in u:
-        if abs(c) > 1e-13:
-            return u if c > 0 else -u
-    raise ValueError("direction vector is numerically zero")
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or not v.size:
+        raise ValueError(f"expected a vector or a stack of them, got shape {v.shape}")
+    u = _unit_rows(v.reshape(-1, v.shape[-1]))
+    big = np.abs(u) > 1e-13
+    if not big.any(axis=1).all():
+        raise ValueError("direction vector is numerically zero")
+    np.negative(u, out=u, where=np.take_along_axis(u, big.argmax(axis=1)[:, None], axis=1) < 0)
+    return u.reshape(v.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +202,7 @@ def _halton(count: int, dim: int) -> np.ndarray:
 
 
 def sample_directions(dim: int, count: int, seed: int = 0, mode: str = "sphere") -> np.ndarray:
-    """Unit directions on S^(dim-1), as an (count, dim) array.
+    """Unit directions on S^(dim-1), as a row-major (count, dim) array.
 
     sphere      pseudo-uniform, deterministic in ``seed``; for a fixed seed the
                 first k rows of a count=k' >= k call equal the count=k call
@@ -208,7 +229,7 @@ def sample_directions(dim: int, count: int, seed: int = 0, mode: str = "sphere")
         g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
         nrm = np.linalg.norm(g, axis=1)
         nrm[nrm == 0] = 1.0
-        return g / nrm[:, None]
+        return np.ascontiguousarray(g / nrm[:, None])
     if mode != "sphere":
         raise ValueError(f"unknown sampling mode {mode!r}")
     rng = np.random.default_rng(seed)

@@ -76,24 +76,21 @@ def _cheap_depths(pts: np.ndarray, m: DiscreteMeasure, own: np.ndarray, seeds: n
     whole ascent, all rows in one batched evaluation.
 
     Returns (evaluate, bound): evaluate(rows, x) -> (depths, witness
-    directions); bound(rows, x, mine, theirs) -> an upper bound on each
-    row's depth from the directions mine (R, a, d), the row's own past
-    witnesses, and theirs (R, b, d), the current witnesses of the other
-    starts of its image.  The planar depth is a minimum over every
-    direction, so both kinds bound it; the sampled one is a minimum over
-    the row's own directions only, so only its own witnesses do.  The
-    bound's set-up (``depth.closed_mass_bounds``: the images' points
-    augmented by a 1 and their bounding boxes) is built here, once per
-    ascent.
+    directions); bound(own[rows], x, directions) -> an upper bound on each
+    row's depth from its unit directions (R, D, d)
+    (``depth.closed_mass_bounds``, whose set-up, the images' points
+    augmented by a 1 and their bounding boxes, is built here, once per
+    ascent).  The planar depth is a minimum over every direction, so any
+    directions bound it; the sampled one is a minimum over the row's own
+    directions only, so only those it drew do (its own witnesses among
+    them).
     """
     bound = closed_mass_bounds(pts, m)
     if pts.shape[2] == 2:
-        return (lambda rows, x: exact_depth_values(pts, m, own[rows], x),
-                lambda rows, x, mine, theirs: bound(own[rows], x, np.concatenate([mine, theirs], axis=1)))
+        return (lambda rows, x: exact_depth_values(pts, m, own[rows], x)), bound
     keys, pick = np.unique(seeds, return_inverse=True)
     dirs = np.stack([sample_directions(pts.shape[2], 192, seed=int(s), mode="sphere") for s in keys])
-    return (lambda rows, x: sampled_depth_values(pts, m, own[rows], x, dirs[pick[rows]]),
-            lambda rows, x, mine, theirs: bound(own[rows], x, mine))
+    return (lambda rows, x: sampled_depth_values(pts, m, own[rows], x, dirs[pick[rows]])), bound
 
 
 def _start_points(pts: np.ndarray, m: DiscreteMeasure, starts: int, seed: int) -> np.ndarray:
@@ -250,14 +247,14 @@ def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iter
     start order), and its number of evaluations.
 
     A step is swept only if no remembered direction shows that it cannot
-    improve: each start keeps its last _RING witnesses, and where
-    ``_cheap_depths`` allows, the current witnesses of the other starts of
-    its image count too.  A direction's closed mass at the step, with one
-    slack for the step (``depth.closed_mass_bounds``, one affine test per
-    direction), bounds the step's depth from above.  The bound and the
-    depths are exact counts of m's mass units over its scale, so a bound
-    at most the start's depth proves that the step would fail ``d_new >
-    d_cur``.  Such a step is dropped unswept (the evaluator is not called
+    improve: each start keeps its last _RING witnesses, and in the plane,
+    whose exact depth is a minimum over every direction, the current
+    witnesses of the other starts of its image count too.  A direction's
+    closed mass at the step, with one slack for the step
+    (``depth.closed_mass_bounds``, one affine test per direction), bounds
+    the step's depth from above.  The bound and the depths are exact counts
+    of m's mass units over its scale, so a bound at most the start's depth
+    proves that the step would fail ``d_new > d_cur``.  Such a step is dropped unswept (the evaluator is not called
     when a batch sweeps no row) and the start stays as it is.  It still
     counts as an evaluation, so the counts, endpoints and depths
     are those of sweeping every step.
@@ -275,7 +272,8 @@ def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iter
     d_cur, wit = evaluate(np.arange(len(x)), x)
     evals = np.ones(len(x), dtype=int)
     ring = np.repeat(wit[:, None, :], _RING, axis=1)  # slot: evaluation count mod _RING
-    others = own[:, None] * per + (s_i[:, None] + np.arange(1, per)) % per
+    # the other starts of each start's image: in the plane only (no columns above)
+    others = own[:, None] * per + (s_i[:, None] + np.arange(1, per if d == 2 else 1)) % per
     step = scale / 3.0
     live = np.arange(len(x))
     for _ in range(iters):
@@ -286,7 +284,7 @@ def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iter
                 break
             cand = x[rows] - (step[rows] / div)[:, None] * wit[rows]
             evals[rows] += 1
-            swept = bound(rows, cand, ring[rows], wit[others[rows]]) > d_cur[rows]
+            swept = bound(own[rows], cand, np.concatenate([ring[rows], wit[others[rows]]], axis=1)) > d_cur[rows]
             d_new, wit_new = np.full(len(rows), -np.inf), wit[rows]
             sw = rows[swept]
             if sw.size:

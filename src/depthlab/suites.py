@@ -36,6 +36,9 @@ from .cones import (
 from .central import central_patch, containment_check, structural_map
 
 CSV_COLUMNS = ("suite", "check", "instance", "d", "n", "seed", "expected", "observed", "slack", "pass")
+_LINE_SLACK = 0.02  # theorem1: a line passes at its threshold less this
+_IMPROVED_QUOTA = 10  # theorem1: lines of the 12 that must pass the improved threshold
+_TMAP_N = 240  # tmap: points per measure
 
 
 def _row(suite, check, instance, d, n, seed, expected, observed, slack, ok):
@@ -185,15 +188,13 @@ def rado_suite(
 def theorem1_suite(
     grid_count: int = 2000,
     n: int = 420,
-    improved_quota: int = 10,
-    slack: float = 0.02,
     threads: int = 1,
 ) -> list[dict]:
     """Deep-line existence at desk scale in R^3.
 
-    Every instance must reach the projection floor 1/3 - slack; at least
-    ``improved_quota`` of the 12 must reach 1/3 + 1/81 - slack.  Shortfalls
-    are reported per instance, never silently passed.
+    Every instance must reach the projection floor 1/3 - _LINE_SLACK; at
+    least _IMPROVED_QUOTA of the 12 must reach 1/3 + 1/81 - _LINE_SLACK.
+    Shortfalls are reported per instance, never silently passed.
     """
     th = line_depth_thresholds(3)
     specs = line_search_suite_specs(n)
@@ -208,8 +209,8 @@ def theorem1_suite(
     rows = []
     improved_hits = 0
     for i, spec, res in results:
-        floor = th["rado"] - slack
-        imp = th["improved"] - slack
+        floor = th["rado"] - _LINE_SLACK
+        imp = th["improved"] - _LINE_SLACK
         rows.append(_row("theorem1", "line_floor", f"{spec.kind}-{i}", 3, spec.n, spec.seed,
                          floor, res.depth, res.depth - floor, res.depth >= floor))
         hit = res.depth >= imp
@@ -217,8 +218,8 @@ def theorem1_suite(
         rows.append(_row("theorem1", "line_improved", f"{spec.kind}-{i}", 3, spec.n, spec.seed,
                          imp, res.depth, res.depth - imp, hit))
     rows.append(_row("theorem1", "improved_quota", "aggregate", 3, n, 0,
-                     improved_quota, improved_hits, improved_hits - improved_quota,
-                     improved_hits >= improved_quota))
+                     _IMPROVED_QUOTA, improved_hits, improved_hits - _IMPROVED_QUOTA,
+                     improved_hits >= _IMPROVED_QUOTA))
     return rows
 
 
@@ -254,15 +255,14 @@ def bmes_suite(count: int = 20, eps: float | None = None, threads: int = 1) -> l
     return _map_rows(one, range(count), threads)
 
 
-def bijection_suite(count: int = 20, max_angle_deg: float = 5.0, threads: int = 1) -> list[dict]:
+def bijection_suite(count: int = 20, threads: int = 1) -> list[dict]:
     """Unique perfect matching between witness tuples and rotated copies."""
 
     def one(k):
         spec, m, tup = _witness_instance(k, 100)
         d = spec.dim
         eps = epsilon_match_max(d)
-        angle = np.deg2rad(1.0 + (k % 5))
-        rot = _small_rotation(d, min(angle, np.deg2rad(max_angle_deg)), 500 + k)
+        rot = _small_rotation(d, np.deg2rad(1.0 + (k % 5)), 500 + k)  # 1 to 5 degrees
         tup2 = tup.rotated(rot)
         try:
             rep = match_tuples(m, tup, tup2, eps=eps)
@@ -357,25 +357,25 @@ def _empirical_cluster_dirs(mc: DiscreteMeasure, d: int) -> np.ndarray:
     return np.array([unit(mc.points[labels == j].mean(axis=0)) for j in range(d + 1)])
 
 
-def tmap_suite(seeds=(0, 1, 2), dims=(2, 3), n: int = 240, trials: int = 10,
-               threads: int = 1) -> list[dict]:
+def tmap_suite(seeds=(0, 1, 2), dims=(2, 3), trials: int = 10, threads: int = 1) -> list[dict]:
     """Structural-map validity: positive margin and cluster-aligned vectors,
-    one map per (d, seed).  Then ``trials`` equivariance checks in d = 2:
-    rotating the measure maps the structural tuple by the same rotation, up to
-    Monte Carlo tolerance (Hausdorff 0.05 after unit max-norm scaling)."""
+    one map per (d, seed) of _TMAP_N points.  Then ``trials`` equivariance
+    checks in d = 2: rotating the measure maps the structural tuple by the
+    same rotation, up to Monte Carlo tolerance (Hausdorff 0.05 after unit
+    max-norm scaling)."""
 
     def validity(task):
         d, s = task
         a = 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
-        spec = MeasureSpec("simplex_mixture", d, n, {"sigma": 0.01}, 300 + s)
+        spec = MeasureSpec("simplex_mixture", d, _TMAP_N, {"sigma": 0.01}, 300 + s)
         m = generate_measure(spec)
         mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=s)
         st = structural_map(mc, a, tuple_samples=160, seed=s)
         ang = _cluster_angles_deg(st.vectors, _empirical_cluster_dirs(mc, d))
         return [
-            _row("tmap", "interior_margin", f"d{d}s{s}", d, n, s,
+            _row("tmap", "interior_margin", f"d{d}s{s}", d, _TMAP_N, s,
                  0.0, st.margin, st.margin, st.margin > 0),
-            _row("tmap", "cluster_angle_deg", f"d{d}s{s}", d, n, s,
+            _row("tmap", "cluster_angle_deg", f"d{d}s{s}", d, _TMAP_N, s,
                  10.0, float(ang.max()), float(10.0 - ang.max()),
                  bool(np.all(ang < 10.0))),
         ]
@@ -383,7 +383,7 @@ def tmap_suite(seeds=(0, 1, 2), dims=(2, 3), n: int = 240, trials: int = 10,
     def equivariance(t):
         d = 2
         a = 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
-        spec = MeasureSpec("simplex_mixture", d, n, {"sigma": 0.01}, 800 + t)
+        spec = MeasureSpec("simplex_mixture", d, _TMAP_N, {"sigma": 0.01}, 800 + t)
         m = generate_measure(spec)
         mc, _ = recenter(m, balanced=True, starts=8, iters=20, seed=t)
         r = random_rotation(d, 900 + t)
@@ -394,7 +394,7 @@ def tmap_suite(seeds=(0, 1, 2), dims=(2, 3), n: int = 240, trials: int = 10,
         v1 = v1 / np.abs(np.linalg.norm(v1, axis=1)).max()
         v2 = v2 / np.abs(np.linalg.norm(v2, axis=1)).max()
         h = _hausdorff(v1, v2)
-        return [_row("tmap", "equivariance_hausdorff", f"t{t}", d, n, t,
+        return [_row("tmap", "equivariance_hausdorff", f"t{t}", d, _TMAP_N, t,
                      0.05, h, 0.05 - h, h <= 0.05)]
 
     return (_map_rows(validity, [(d, s) for d in dims for s in seeds], threads)

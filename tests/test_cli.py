@@ -330,6 +330,7 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
          "config.measure.params.points: point index 0"),
         ({"command": "depth", "measure": {**SQUARE, "n": 7}, "query": [0, 0]},
          "config.measure.n: 7, but params.points holds 4 points"),
+        ({"command": "verify", "suite": "theorem1", "params": {"slack": 0.5}}, "config.params.slack"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -344,6 +345,7 @@ def test_readme_rado_params_bind():
     params = {"dims": [2, 3], "seeds_per_dim": 10, "n": 200}
     assert _suite_params("rado", params) == params
     assert _suite_params("bmes", {"eps": 0.2}) == {"eps": 0.2}  # a None default takes any value
-    assert _suite_params("theorem1", {"slack": 0}) == {"slack": 0}  # an int fits a float default
+    with pytest.raises(ConfigError, match="config.params.slack"):  # a gate's slack is no parameter
+        _suite_params("theorem1", {"slack": 0.5})
     with pytest.raises(ConfigError, match="config.params.count"):
         _suite_params("bmes", {"count": True})

@@ -90,6 +90,16 @@ def test_cones_of_triangle(tri_tuple):
     assert np.array_equal(in_cone, in_halves >= 2)
 
 
+def test_cones_of_refuses_a_flat_generating_tuple():
+    # four normals within 1e-11 of one great circle of S^2 generate (hull
+    # margin 0.20), but every cone's normals have |det| of about 2e-11
+    ang = np.deg2rad([0, 80, 190, 280])
+    tup = GeneratingTuple(np.column_stack([np.cos(ang), np.sin(ang), [1e-11, -1e-11, 1e-11, -1e-11]]))
+    assert is_generating(tup.normals)[1] > 0.2
+    with pytest.raises(ValueError, match="linearly dependent"):
+        cones_of(tup)
+
+
 def test_cones_of_bijective(tri_tuple):
     other = GeneratingTuple(normals_at([95, 210, 330]))
     ca = np.stack([c.normals for c in cones_of(tri_tuple).cones])

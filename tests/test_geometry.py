@@ -13,6 +13,7 @@ from depthlab.geometry import (
     sample_directions,
     unit,
 )
+from depthlab.depth import _cap_samples
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -109,6 +110,39 @@ def test_canonical_direction_idempotent_and_antipodal(v):
     c2 = canonical_direction(-v)
     assert np.allclose(c1, c2, atol=1e-12)
     assert np.allclose(canonical_direction(c1), c1, atol=1e-12)
+
+
+def _canonical_one(v):
+    """The one-row rule written out: ``unit`` of v, signed so that its first
+    coordinate above 1e-13 in magnitude is positive."""
+    u = unit(v)
+    return u if u[np.abs(u) > 1e-13][0] > 0 else -u
+
+
+def test_stacked_canonical_direction_matches_one_row_at_a_time():
+    # grids row-major and Fortran-ordered, cap samples, leading coordinates
+    # within 1e-13 of 0 and negative leading coordinates: each row of the
+    # stack has the bytes of the one-row rule, and of canonical_direction
+    # of the row alone
+    rng = np.random.default_rng(0)
+    near = rng.standard_normal((50, 4))
+    near[:, 0] = rng.uniform(-1e-13, 1e-13, 50)
+    near[:10, 1] = rng.uniform(-1e-13, 1e-13, 10)
+    stacks = [sample_directions(d, 300, mode="grid") for d in range(2, 6)]
+    stacks += [np.asfortranarray(v) for v in stacks]
+    stacks += [_cap_samples(unit(np.ones(4)), 0.3, 24, 5), near, -np.abs(rng.standard_normal((20, 3)))]
+    for v in stacks:
+        want = np.array([_canonical_one(r) for r in v])
+        assert canonical_direction(v).tobytes() == want.tobytes()
+        assert all(canonical_direction(r).tobytes() == w.tobytes() for r, w in zip(v, want))
+    for bad in ([[1.0, 2.0], [0.0, 0.0]], [[1.0, np.nan]], [[np.inf, 0.0]], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            canonical_direction(np.array(bad))
+
+
+def test_grid_directions_are_row_major():
+    for d in range(1, 7):
+        assert sample_directions(d, 50, mode="grid").flags.c_contiguous
 
 
 def test_cone_interiors_of_tuple_disjoint():

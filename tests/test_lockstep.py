@@ -16,7 +16,6 @@ import depthlab.depth
 import depthlab.median
 from depthlab.depth import (
     _CHUNK,
-    _canonical_grid,
     _row_blocks,
     deep_line_search,
     direction_profiles,
@@ -373,23 +372,11 @@ def _profile_directions():
     return np.array(grid + ties + [np.array(u) / np.linalg.norm(u) for u in ties])
 
 
-@pytest.mark.parametrize("dim, count", [(3, 800), (3, 61), (4, 120)])
-def test_scan_grid_is_built_once_read_only(dim, count):
-    # deep_line_search's scan grid is cached per (dim, count): each call
-    # gives the same read-only array, with the bytes of canonical_direction
-    # of every grid direction
-    grid = _canonical_grid(dim, count)
-    want = np.array([canonical_direction(u) for u in sample_directions(dim, count, mode="grid")])
-    assert _canonical_grid(dim, count) is grid and grid.tobytes() == want.tobytes()
-    assert not grid.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0, 0] = 1.0
-
-
 def test_batched_projections_match_one_direction_at_a_time(monkeypatch):
     # the stacked QR and matmul give each direction the bits of its own
-    # project_measure(m, line(u)), and the stacked starts those of each
-    # measure's own starts
+    # project_measure(m, line(u)) whatever the directions' memory layout
+    # (the grids of R^4 and R^5 as returned and as Fortran-ordered copies),
+    # and the stacked starts those of each measure's own starts
     stacks = []
 
     def captured(points, measure, *args, **kwargs):
@@ -397,14 +384,20 @@ def test_batched_projections_match_one_direction_at_a_time(monkeypatch):
         return tukey_medians(points, measure, *args, **kwargs)
 
     monkeypatch.setattr(depthlab.median, "tukey_medians", captured)
-    m = generate_measure(MeasureSpec("simplex_mixture", 3, 160, {"sigma": 0.2}, seed=5))
-    dirs = _profile_directions()
-    direction_profiles(m, dirs, {"mode": "multistart", "starts": 2, "iters": 1, "seed": 0})
-    (pts, measure), = stacks
-    assert pts.shape == (len(dirs), m.n, 2) and measure is m
-    for u, p in zip(dirs, pts):
-        proj = project_measure(m, line(u))
-        assert p.tobytes() == proj.points.tobytes() == ref.project_line(m, u).points.tobytes()
+    cases = [(generate_measure(MeasureSpec("simplex_mixture", 3, 160, {"sigma": 0.2}, seed=5)), _profile_directions())]
+    for d in (4, 5):
+        m = generate_measure(MeasureSpec("simplex_mixture", d, 40, {"sigma": 0.2}, seed=d))
+        grid = sample_directions(d, 300, mode="grid")
+        cases += [(m, grid), (m, np.asfortranarray(grid))]
+    for m, dirs in cases:
+        direction_profiles(m, dirs, {"mode": "multistart", "starts": 2, "iters": 1, "seed": 0})
+        pts, measure = stacks[-1]
+        assert pts.shape == (len(dirs), m.n, m.dim - 1) and measure is m
+        for u, p in zip(dirs, pts):
+            proj = project_measure(m, line(u))
+            assert p.tobytes() == proj.points.tobytes() == ref.project_line(m, u).points.tobytes(), (m.dim, u)
+    assert len(stacks) == len(cases)
+    (m, dirs), (pts, _) = cases[0], stacks[0]
     for starts in (1, 2, 4, 10, 24):
         x0 = _start_points(pts, m, starts, 7)
         for u, xs in zip(dirs, x0):
@@ -599,6 +592,28 @@ def test_exact_kernel_bits_do_not_depend_on_blas_threads():
     # weighted, at a data point, a generic point and the weighted mean
     outs = _outputs_at_one_and_two_threads(_EXACT_PROBE)
     assert outs[0] == outs[1] and len(outs[0].splitlines()) == 6
+
+
+# seeded searches in R^4 (n = 120, seed 2, 40 grid directions, one refine
+# step): direction, anchor, depth and evaluations
+LINES_R4 = {
+    "gaussian": (["0x1.e36508077adf9p-2", "-0x1.b567cd318cec0p-1", "0x1.6b237bf36a4c4p-3", "-0x1.0205f36935816p-3"],
+                 ["0x1.89dffcd87ea38p-9", "0x1.caf3dfde232b8p-5", "0x1.2180eaabf5c42p-3", "-0x1.5b85704ccdc6ep-3"],
+                 "0x1.bbbbbbbbbbbbcp-2", 71),
+    "simplex_mixture": (["0x1.718c619472198p-4", "-0x1.565818d00e0eap-1", "0x1.8a0d5d50cdf06p-2", "0x1.427a17ee35a2ep-1"],
+                        ["0x1.c75807f481018p-4", "-0x1.e57fe4e2c89a4p-6", "-0x1.5238a4b4df270p-9", "-0x1.773e02b131c30p-5"],
+                        "0x1.8888888888889p-2", 71),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINES_R4))
+def test_deep_line_search_bits_in_r4(kind):
+    params = {"sigma": 0.2} if kind == "simplex_mixture" else {}
+    r = deep_line_search(generate_measure(MeasureSpec(kind, 4, 120, params, seed=2)), grid_count=40, refine_iters=1, seed=2)
+    direction, anchor, depth, iterations = LINES_R4[kind]
+    assert [float(x).hex() for x in r.direction] == direction
+    assert [float(x).hex() for x in r.anchor] == anchor
+    assert float(r.depth).hex() == depth and r.iterations == iterations
 
 
 @pytest.mark.parametrize("i", sorted(LINES))
