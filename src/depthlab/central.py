@@ -338,12 +338,10 @@ def _exact_constraint_candidates(m: DiscreteMeasure, rngs: list, cap: int) -> tu
 
 def _capture_blocks(cones: int, rows: int, width: int) -> list:
     """The (cone slice, pool-row slice) blocks of a capture of ``cones``
-    pools of ``rows`` rows against ``width`` points each, about
-    ``_BLOCK_ENTRIES`` entries a block: the whole pools of several cones
-    when they fit, else one cone's pool rows in runs."""
-    per = max(1, _BLOCK_ENTRIES // max(1, rows * width))
-    step = rows if per > 1 else max(1, _BLOCK_ENTRIES // width)
-    return [(slice(c, c + per), slice(r, r + step)) for c in range(0, cones, per) for r in range(0, rows, step)]
+    pools of ``rows`` rows against ``width`` points each: one cone's pool
+    rows in runs of ``_BLOCK_ENTRIES // width``."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [(slice(c, c + 1), slice(r, r + step)) for c in range(cones) for r in range(0, rows, step)]
 
 
 def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int) -> list:

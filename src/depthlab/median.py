@@ -58,39 +58,31 @@ class WitnessSearchError(RuntimeError):
         self.best_margin = best_margin
 
 
-def _finals(points: np.ndarray, m: DiscreteMeasure, endpoints: list, count: int) -> list:
-    """(bracket, point) of the ``count`` best endpoints (cheap depth, point,
-    witness) in points, an image of the points of m weighted as m.  In the
-    plane the ascent's evaluator is exact: they are final."""
+def _final(points: np.ndarray, m: DiscreteMeasure, v: float, x: np.ndarray, u: np.ndarray) -> DepthResult:
+    """The bracket at x of an ascent endpoint (cheap depth v, witness u) in
+    points, an image of the points of m weighted as m.  In the plane the
+    ascent's evaluator is exact, so v is final; above, ``depth_bracket``
+    with (v, u) as its upper end."""
     if points.shape[1] == 2:
-        return [(DepthResult(v, v, u), x) for v, x, u in endpoints[:count]]
-    image = DiscreteMeasure(points.shape[1], points, m.weights)
-    return [(depth_bracket(image, x, upper=DepthResult(0.0, v, u)), x) for v, x, u in endpoints[:count]]
+        return DepthResult(v, v, u)
+    return depth_bracket(DiscreteMeasure(points.shape[1], points, m.weights), x, upper=DepthResult(0.0, v, u))
 
 
 def _cheap_depths(pts: np.ndarray, m: DiscreteMeasure, own: np.ndarray, seeds: np.ndarray):
-    """The ascent's evaluator and the rule for what bounds it in the images
-    pts[k] of the points of m, row r a point of image own[r].  Exact in the
-    plane, all rows in one batched sweep; above, the sampled upper bound
-    over the 192 directions of seed seeds[r], drawn once per seed for the
-    whole ascent, all rows in one batched evaluation.
-
-    Returns (evaluate, bound): evaluate(rows, x) -> (depths, witness
-    directions); bound(own[rows], x, directions) -> an upper bound on each
-    row's depth from its unit directions (R, D, d)
-    (``depth.closed_mass_bounds``, whose set-up, the images' points
-    augmented by a 1 and their bounding boxes, is built here, once per
-    ascent).  The planar depth is a minimum over every direction, so any
-    directions bound it; the sampled one is a minimum over the row's own
-    directions only, so only those it drew do (its own witnesses among
-    them).
+    """The ascent's evaluator in the images pts[k] of the points of m, row r
+    a point of image own[r]: evaluate(rows, x) -> (depths, witness
+    directions).  Exact in the plane, all rows in one batched sweep; above,
+    the sampled upper bound over the 192 directions of seed seeds[r], drawn
+    once per seed for the whole ascent, all rows in one batched evaluation.
+    Either way a row's depth is a minimum over directions that include every
+    witness the row's start has found: every direction in the plane, the
+    start's own sample above it.
     """
-    bound = closed_mass_bounds(pts, m)
     if pts.shape[2] == 2:
-        return (lambda rows, x: exact_depth_values(pts, m, own[rows], x)), bound
+        return lambda rows, x: exact_depth_values(pts, m, own[rows], x)
     keys, pick = np.unique(seeds, return_inverse=True)
     dirs = np.stack([sample_directions(pts.shape[2], 192, seed=int(s), mode="sphere") for s in keys])
-    return (lambda rows, x: sampled_depth_values(pts, m, own[rows], x, dirs[pick[rows]])), bound
+    return lambda rows, x: sampled_depth_values(pts, m, own[rows], x, dirs[pick[rows]])
 
 
 def _start_points(pts: np.ndarray, m: DiscreteMeasure, starts: int, seed: int) -> np.ndarray:
@@ -143,11 +135,10 @@ def tukey_medians(points, m: DiscreteMeasure, mode: str = "auto", starts: int = 
         if d != 2:
             raise ValueError(f"exact mode requires dim <= 2, got dim = {d}")
         return [_planar_median(p, m) for p in points]
-    out = []
-    for p, (endpoints, evals) in zip(points, _multistart_endpoints(points, m, starts, iters, seed)):
-        (res, x), = _finals(p, m, endpoints, 1)
-        out.append(MedianResult(x, res, evals + 1))
-    return out
+    depths, xs, wits, evals = _multistart_endpoints(points, m, starts, iters, seed)
+    best = np.argmax(depths, axis=1)  # the first deepest start
+    return [MedianResult(xs[k, j], _final(p, m, float(depths[k, j]), xs[k, j], wits[k, j]), int(evals[k]) + 1)
+            for k, (p, j) in enumerate(zip(points, best))]
 
 
 def _line_median(x: np.ndarray, m: DiscreteMeasure) -> MedianResult:
@@ -235,28 +226,28 @@ def _planar_median(pts: np.ndarray, m: DiscreteMeasure) -> MedianResult:
     return MedianResult(x.copy(), DepthResult(float(depth), float(depth), wit), evals)
 
 
-def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iters: int, seed: int) -> list:
+def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iters: int, seed: int):
     """Witness-descent ascent from the seeded starts of every image pts[k]
     (pts (M, n, d)) of the points of m, weighted as m.
 
     All starts step in lockstep: each iteration evaluates the full step of
     every active start in one batch, then the quarter step of those that did
     not improve; a start that moves neither way halves its step and stops
-    below 1e-4 of its image's scale.  Per image: its endpoints (cheap
-    depth, point, witness) sorted by the cheap depth, best first (stable in
-    start order), and its number of evaluations.
+    below 1e-4 of its image's scale.  Returns each start's endpoint, in start
+    order: its cheap depth (M, starts), point and witness (M, starts, d),
+    and each image's number of evaluations (M,).
 
-    A step is swept only if no remembered direction shows that it cannot
-    improve: each start keeps its last _RING witnesses, and in the plane,
-    whose exact depth is a minimum over every direction, the current
-    witnesses of the other starts of its image count too.  A direction's
-    closed mass at the step, with one slack for the step
-    (``depth.closed_mass_bounds``, one affine test per direction), bounds
-    the step's depth from above.  The bound and the depths are exact counts
-    of m's mass units over its scale, so a bound at most the start's depth
-    proves that the step would fail ``d_new > d_cur``.  Such a step is dropped unswept (the evaluator is not called
-    when a batch sweeps no row) and the start stays as it is.  It still
-    counts as an evaluation, so the counts, endpoints and depths
+    A step is swept only if its start's own last _RING witnesses do not show
+    that it cannot improve.  The start's evaluator minimizes over every
+    direction in the plane and over the start's own sample above it, and
+    its witnesses lie among those directions, so a witness's closed mass at
+    the step, with one slack for the step (``depth.closed_mass_bounds``, one
+    affine test per direction), bounds the step's depth from above.  The
+    bound and the depths are exact counts of m's mass units over its scale,
+    so a bound at most the start's depth proves that the step would fail
+    ``d_new > d_cur``.  Such a step is dropped unswept (the evaluator is
+    not called when a batch sweeps no row) and the start stays as it is.
+    It still counts as an evaluation, so the counts, endpoints and depths
     are those of sweeping every step.
     """
     M, _, d = pts.shape
@@ -268,12 +259,10 @@ def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iter
     scale = np.sqrt(np.multiply(dev, dev, out=dev).sum(axis=2)).mean(axis=1)
     scale = np.where(scale == 0.0, 1.0, scale)[own]
     del dev
-    evaluate, bound = _cheap_depths(pts, m, own, seed + 7 * s_i)
+    evaluate, bound = _cheap_depths(pts, m, own, seed + 7 * s_i), closed_mass_bounds(pts, m)
     d_cur, wit = evaluate(np.arange(len(x)), x)
     evals = np.ones(len(x), dtype=int)
     ring = np.repeat(wit[:, None, :], _RING, axis=1)  # slot: evaluation count mod _RING
-    # the other starts of each start's image: in the plane only (no columns above)
-    others = own[:, None] * per + (s_i[:, None] + np.arange(1, per if d == 2 else 1)) % per
     step = scale / 3.0
     live = np.arange(len(x))
     for _ in range(iters):
@@ -284,7 +273,7 @@ def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iter
                 break
             cand = x[rows] - (step[rows] / div)[:, None] * wit[rows]
             evals[rows] += 1
-            swept = bound(own[rows], cand, np.concatenate([ring[rows], wit[others[rows]]], axis=1)) > d_cur[rows]
+            swept = bound(own[rows], cand, ring[rows]) > d_cur[rows]
             d_new, wit_new = np.full(len(rows), -np.inf), wit[rows]
             sw = rows[swept]
             if sw.size:
@@ -295,13 +284,7 @@ def _multistart_endpoints(pts: np.ndarray, m: DiscreteMeasure, starts: int, iter
             moved[~moved] = up
         step[live[~moved]] *= 0.5
         live = live[moved | (step[live] >= 1e-4 * scale[live])]
-    out = []
-    for k in range(M):
-        rows = np.flatnonzero(own == k)
-        endpoints = [(float(d_cur[r]), x[r], wit[r]) for r in rows]
-        endpoints.sort(key=lambda t: -t[0])
-        out.append((endpoints, int(evals[rows].sum())))
-    return out
+    return d_cur.reshape(M, per), x.reshape(M, per, d), wit.reshape(M, per, d), evals.reshape(M, per).sum(axis=1)
 
 
 def balanced_median(
@@ -319,9 +302,10 @@ def balanced_median(
     """
     check_count("starts", starts, 1)
     check_count("iters", iters, 0)
-    endpoints, evals = _multistart_endpoints(m.points[None], m, starts, iters, seed)[0]
-    scored = _finals(m.points, m, endpoints, 6 if m.dim <= 2 else 3)
-    evals += len(scored)
+    (depths,), (xs,), (wits,), (evals,) = _multistart_endpoints(m.points[None], m, starts, iters, seed)
+    order = np.argsort(-depths, kind="stable")[: 6 if m.dim <= 2 else 3]  # best first, earlier start on a tie
+    scored = [(_final(m.points, m, float(depths[j]), xs[j], wits[j]), xs[j]) for j in order]
+    evals = int(evals) + len(scored)
     best = max(r.depth for r, _ in scored)
     ties = [x for r, x in scored if r.depth >= best - 1e-9]
     center = np.mean(ties, axis=0)

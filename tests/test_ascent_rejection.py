@@ -389,6 +389,46 @@ def test_medians_match_referee_where_rejections_fire(case, monkeypatch):
                      ref.balanced_median(m, starts=6, iters=12, seed=seed))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_step_is_bounded_by_its_own_ring(d, monkeypatch):
+    # each bound call gets its rows' rings alone, (rows, _RING, d), and in
+    # every dimension the rows (in start order) belong to distinct starts,
+    # each row's directions among the witnesses its start's evaluations
+    # have returned so far
+    found = {}  # start -> bytes of the witnesses of its evaluations
+    calls = []
+    cheap, bounds = depthlab.median._cheap_depths, depthlab.median.closed_mass_bounds
+
+    def cheap_spy(*args):
+        evaluate = cheap(*args)
+
+        def spy(rows, x):
+            vals, wits = evaluate(rows, x)
+            for r, u in zip(rows, wits, strict=True):
+                found.setdefault(int(r), set()).add(u.tobytes())
+            return vals, wits
+        return spy
+
+    def bounds_spy(*args):
+        bound = bounds(*args)
+
+        def spy(which, q, directions):
+            calls.append(directions.shape)
+            assert directions.shape == (len(q), depthlab.median._RING, d)
+            start = -1
+            for row in directions:
+                start = next((s for s in sorted(found) if s > start and {u.tobytes() for u in row} <= found[s]), None)
+                assert start is not None
+            return bound(which, q, directions)
+        return spy
+
+    monkeypatch.setattr(depthlab.median, "_cheap_depths", cheap_spy)
+    monkeypatch.setattr(depthlab.median, "closed_mass_bounds", bounds_spy)
+    m = generate_measure(MeasureSpec("gaussian", d, 80, {}, seed=d))
+    tukey_median(m, mode="multistart", starts=6, iters=12, seed=1)
+    assert len(found) == 6 and calls
+
+
 @pytest.mark.parametrize("i", sorted(SWEPT_ROWS_BEFORE))
 def test_deep_line_search_sweeps_fewer_rows(i, monkeypatch):
     rows = _rows_of(monkeypatch, "exact_depth_values")

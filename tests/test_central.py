@@ -181,8 +181,8 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
     # stable order of the exact counts of captured mass units in B (one
     # per point for equal weights), kept where 4 k >= 3 K, which keeps what
     # the float rule keeps; the octant's 3,600 points take 57 blocks of 36
-    # pool rows, and small orthants built together share one block of
-    # whole pools
+    # pool rows, and small orthants built together take one block each,
+    # of their whole pool
     blocks = []
     real = central._capture_blocks
     monkeypatch.setattr(central, "_capture_blocks", lambda *args: blocks.append(real(*args)) or blocks[-1])
@@ -202,7 +202,7 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
         if m is octant:
             assert len(got) == 57 and got[0][1] == slice(0, 36)
         elif cones is small:
-            assert len(got) == 1 and got[0][0].stop >= 4 and got[0][1] == slice(0, 2048)
+            assert [(c.start, c.stop, len(range(2048)[r])) for c, r in got] == [(c, c + 1, 2048) for c in range(4)]
         for b, s, approx in zip(cones, seeds, approxes, strict=True):
             pool = np.vstack([sample_directions(3, 1024, seed=s, mode="sphere"), referee.exact_constraint_candidates(m, 1024, s + 1)])
             assert len(pool) == 2048

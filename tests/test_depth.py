@@ -308,6 +308,28 @@ def test_every_bracket_holds_the_oracle(m, q, monkeypatch):
         assert r.lower <= truth + 1e-12 and truth <= r.upper + 1e-12, (r.lower, truth, r.upper)
 
 
+@pytest.mark.parametrize("k", [2.0, 3.0])
+@pytest.mark.parametrize("off", [1e-8, 1e-7])
+def test_near_collinear_bracket_holds_the_oracle(k, off):
+    # d = 3 integer grids (n = 5-11, coordinates in [-8, 8]) and an integer
+    # query q, point 1 moved to q + k (x_0 - q) and then off away from that
+    # line: the exact witness can fall short of the computed minimum, and
+    # point_depth then brackets with the certified floor as its lower end
+    # (1-13 of these 50 grids per case); exact or not, the bracket holds
+    # the oracle's depth
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-8, 9, size=(int(rng.integers(5, 12)), 3)).astype(float)
+        q = rng.integers(-8, 9, size=3).astype(float)
+        a, v = pts[0] - q, rng.standard_normal(3)
+        v -= (v @ a) / (a @ a) * a
+        pts[1] = q + k * a + off * v / np.linalg.norm(v)
+        m = make_measure(pts)
+        truth, r = depth_oracle(m, q).depth, point_depth(m, q)
+        assert r.lower <= truth <= r.upper, (seed, r.lower, truth, r.upper)
+        assert r.mode != "exact" or r.lower == truth, (seed, r.lower, truth)
+
+
 @pytest.mark.parametrize("n", [9, 30, 60])
 def test_d4_bracket_holds_the_exact_depth(n, monkeypatch):
     # the rule's floor-and-sample branch, forced at sizes where the exact

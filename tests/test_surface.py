@@ -27,7 +27,7 @@ UNREAD_ALLOWED = {"central.containment_check.ray_samples"}
 # the functions outside measures.py that read a measure's raw weights, none
 # of them for a mass: the exact memo's key, the oracle (a referee on the
 # raw weights), a weighted draw, weighted means and a projection's measure
-WEIGHT_READERS = {"depth.point_depth", "depth.depth_oracle", "depth._subsampled", "median._finals",
+WEIGHT_READERS = {"depth.point_depth", "depth.depth_oracle", "depth._subsampled", "median._final",
                   "median._start_points", "median._planar_median"}
 
 
