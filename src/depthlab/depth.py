@@ -53,6 +53,7 @@ ORACLE_MAX_N = 14
 
 _CHUNK = 16384
 _BLOCK_ENTRIES = 2**17  # direction-by-point entries per mask-product block
+_RING_ENTRIES = 2**15  # ring-by-point entries per block of the certified floor
 # the last exact query and its result, keyed on the shape and bytes of
 # (points - q) and of the weights; swapped as one reference
 _last: tuple = (None, None)
@@ -134,7 +135,8 @@ def _sweep(x: np.ndarray, y: np.ndarray, w: np.ndarray, gap: float):
     out in index order, which can invert two breakpoints that close; a row
     whose gathered breakpoints so fall out of order is sorted again by
     argsort, so every row holds them in nondecreasing order, exact ties in
-    any order.
+    any order.  Such a row has a decreasing pair, an arc of negative width,
+    so only rows with an arc no wider than 4 gap are checked.
     Integer units make every partial sum exact in any order, so the order
     within a group of tied breakpoints moves no bit (the arcs inside it
     have width 0), and the total less A falls strictly as A grows, so the
@@ -156,20 +158,19 @@ def _sweep(x: np.ndarray, y: np.ndarray, w: np.ndarray, gap: float):
     order = key.view(np.intp)
     order += np.arange(0, R * m, m)[:, None]  # flat indices
     sb = np.take(b, order)
-    bad = np.flatnonzero((sb[:, 1:] < sb[:, :-1]).any(axis=1))  # near-ties ordered by index
+    nxt, narrow = _arcs(sb, gap)
+    near = np.flatnonzero(narrow.any(axis=1))  # a row out of order has a negative, so narrow, arc
+    bad = near[(sb[near, 1:] < sb[near, :-1]).any(axis=1)]  # near-ties ordered by index
     if bad.size:
         order[bad] = np.argsort(b[bad], axis=1) + (m * bad)[:, None]
         sb[bad] = np.take(b, order[bad])
+        nxt[bad], narrow[bad] = _arcs(sb[bad], gap)
     b = sb
     s0 = exits.sum(axis=1)
     a = np.take(w - 2.0 * exits, order)  # the signed units, sorted
     np.cumsum(a, axis=1, out=a)
     a += s0[:, None]
     total = a[:, -1] + s0
-    nxt = np.empty_like(b)
-    nxt[:, :-1] = b[:, 1:]
-    nxt[:, -1] = b[:, 0] + np.pi
-    narrow = nxt - b <= 4.0 * gap
     high = np.where(narrow, -np.inf, a)
     np.putmask(a, narrow, np.inf)
     rows = np.arange(R)
@@ -178,6 +179,16 @@ def _sweep(x: np.ndarray, y: np.ndarray, w: np.ndarray, gap: float):
     flip = anti < low
     j = np.where(flip, k, i)
     return np.where(flip, anti, low), 0.5 * (b[rows, j] + nxt[rows, j]) + np.pi * flip
+
+
+def _arcs(b: np.ndarray, gap: float):
+    """The ends nxt of the arcs that start at the gathered breakpoints b
+    (R, m) of ``_sweep``, the last at the first plus pi, and the mask of
+    the arcs no wider than 4 gap."""
+    nxt = np.empty_like(b)
+    nxt[:, :-1] = b[:, 1:]
+    nxt[:, -1] = b[:, 0] + np.pi
+    return nxt, nxt - b <= 4.0 * gap
 
 
 def _min_halfspace_mass(phat: np.ndarray, w: np.ndarray, gap: float):
@@ -333,12 +344,13 @@ def sampled_depth_values(points, m: DiscreteMeasure, which, q, directions):
     distance at most its square, as in ``exact_depth_values``) counts under
     every direction.  Each row then takes its direction and
     mask products in cache-sized blocks of directions (``_row_blocks``),
-    which give the bits of one product over all of them.  The masks count
-    m's mass units, divided by its scale once.  Returns (values (R,),
-    minimizing directions (R, d)).
+    which give the bits of one product over all of them.  The masks' units
+    are summed by m's rule (``DiscreteMeasure.unit_sums``: integer counts,
+    with no float copy of a mask, if m is uniform) and divided by its scale
+    once.  Returns (values (R,), minimizing directions (R, d)).
     """
-    points, units = np.asarray(points), m.units
-    R, n = len(which), len(units)
+    points = np.asarray(points)
+    R, n = len(which), m.n
     vals, wits = np.empty(R), np.empty((R, directions.shape[2]))
     step = max(1, _CHUNK // n)
     for lo in range(0, R, step):
@@ -350,7 +362,7 @@ def sampled_depth_values(points, m: DiscreteMeasure, which, q, directions):
         phat = (p / norms[..., None]).transpose(0, 2, 1)
         for b in range(len(k)):
             u = directions[lo + b]
-            masses = np.concatenate([(u[blk] @ phat[b] >= -DEFAULT_TOL) @ units for blk in _row_blocks(len(u), n)])
+            masses = np.concatenate([m.unit_sums(u[blk] @ phat[b] >= -DEFAULT_TOL) for blk in _row_blocks(len(u), n)])
             j = int(np.argmin(masses))
             vals[lo + b], wits[lo + b] = masses[j] / m.scale, u[j]
     return vals, wits
@@ -401,11 +413,10 @@ def closed_mass_bounds(points, m: DiscreteMeasure):
     query's offset from it, not with their distance from the origin.
 
     The tests run as stacked float32 matmuls in blocks of about 4 _CHUNK
-    direction-by-point entries and count m's mass units, divided by its
-    scale once, so a bound and an evaluator's value are exact counts over
-    the same scale and the bound is at least the value exactly, not only up
-    to rounding.  A uniform measure sums its masks as integers, the same
-    counts faster than a product with its units.
+    direction-by-point entries and count m's mass units by its rule
+    (``DiscreteMeasure.unit_sums``), divided by its scale once, so a bound
+    and an evaluator's value are exact counts over the same scale and the
+    bound is at least the value exactly, not only up to rounding.
     """
     points = np.asarray(points)
     M, n, d = points.shape
@@ -416,8 +427,6 @@ def closed_mass_bounds(points, m: DiscreteMeasure):
     rad = np.sqrt((half * half).sum(axis=1))
     top = (np.abs(centre) + half).sum(axis=1)  # the box's farthest corner: at least every |p|_1
     spread = half.sum(axis=1)  # up to rounding, at least every |p - centre|_1
-    uniform = m.scale == n  # every unit is at least 1
-    count = np.int16 if n < 2**15 else np.int32  # holds any count of n points
     eta = 3.0 * (n + 1) * DEFAULT_TOL
     c = (d + 4) * 2.0**-23
 
@@ -435,11 +444,7 @@ def closed_mass_bounds(points, m: DiscreteMeasure):
         for lo in range(0, R, step):
             k = which[lo : lo + step]
             hit = np.matmul(a[lo : lo + step], aug[k]) >= 0.0
-            if uniform:
-                mass = hit.view(np.uint8).sum(axis=2, dtype=count)
-            else:
-                mass = np.matmul(hit, m.units)
-            out[lo : lo + step] = mass.min(axis=1) / m.scale
+            out[lo : lo + step] = m.unit_sums(hit).min(axis=1) / m.scale
         return out
 
     return bound
@@ -595,7 +600,11 @@ def _ring_brackets(p: np.ndarray, w: np.ndarray, rings: np.ndarray, step: float,
     down starts at column 0: both go in by one sum per ring.  B = 0 gives x
     = +-inf, and 0 / 0 (nan) counts nowhere.  Only the points on an arc
     (about a third of the entries at a median) reach the index step.  Rings
-    go in blocks of about _BLOCK_ENTRIES ring-by-point entries.  A and the
+    go in blocks of about _RING_ENTRIES (2^15) ring-by-point entries, 65
+    rings at n = 500, whose coordinates and arc temporaries stay in cache
+    (at n = 500 in d = 4, blocks of 2^14 or 2^16 entries ran 3-8% slower
+    and of 2^17 12-17%); a ring's brackets do not depend on the other rings
+    in its block.  A and the
     whole-ring sums are ``np.einsum`` loops, not BLAS products.  On integer
     mass units every partial sum that reaches a bracket stays
     within -+ their total, so the brackets are exact.  Returns the brackets
@@ -612,7 +621,7 @@ def _ring_brackets(p: np.ndarray, w: np.ndarray, rings: np.ndarray, step: float,
     centre = np.mod(np.concatenate([turn, turn + 0.5 * N]), N)  # for s >= 0, then s < 0
     cols = count + 1  # column J + 1 takes what falls past J
     out = np.empty((len(rings), cols))
-    rb = max(1, _BLOCK_ENTRIES // n)
+    rb = max(1, _RING_ENTRIES // n)
     for a in range(0, len(rings), rb):
         b = min(a + rb, len(rings))
         x = np.einsum("rk,kn->rn", fixed[a:b], lead)

@@ -37,6 +37,11 @@ class DiscreteMeasure:
     it), so the scale lies within about n of 2^52.  The raw weights serve
     only what is not a mass: weighted means and draws, the exact memo's key
     and the oracle, a referee on the raw weights.
+
+    ``unit_sums`` is the one rule that sums the units under boolean hit
+    masks.  A uniform measure (``scale == n``: every unit is at least 1, so
+    only then are all of them 1) sums its masks as integers, the same counts
+    faster than a product with its units.
     """
 
     dim: int
@@ -71,6 +76,16 @@ class DiscreteMeasure:
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    def unit_sums(self, hits: np.ndarray) -> np.ndarray:
+        """The units under the boolean masks hits (..., n), summed over the
+        last axis: integer counts if the measure is uniform (int16 below 2^15
+        points, int32 from there, which hold any count of n points), else the
+        product with ``units``.  Each sum is exact and equals ``hits @
+        units``, in any layout of the masks and any order of the sums."""
+        if self.scale == self.n:
+            return hits.view(np.uint8).sum(axis=-1, dtype=np.int16 if self.n < 2**15 else np.int32)
+        return hits @ self.units
 
     def translated(self, shift) -> "DiscreteMeasure":
         return DiscreteMeasure(self.dim, self.points + as_vector(shift), self.weights)

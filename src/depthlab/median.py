@@ -348,7 +348,8 @@ def min_normal_set(
     half-space {x : <u, x - o> >= 0} carries the level, so the normal that
     attains it is n = -u.
     The candidates are 4096 seeded sphere directions plus -u; each is kept
-    when its closed mass, an exact count of mass units, passes the test.
+    when its closed mass, an exact count of mass units (``unit_sums``, the
+    measure's rule), passes the test.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -361,7 +362,7 @@ def min_normal_set(
     p = m.points - o
     masses = np.empty(cand.shape[0])
     for blk in _row_blocks(cand.shape[0], m.n):
-        masses[blk] = ((cand[blk] @ p.T) <= DEFAULT_TOL) @ m.units
+        masses[blk] = m.unit_sums((cand[blk] @ p.T) <= DEFAULT_TOL)
     sel = masses / m.scale <= res.upper + tol
     return NormalSet(cand[sel], res.upper)
 

@@ -445,6 +445,18 @@ def test_certified_floor_matches_large_chunks(d, n, gamma):
             ref.assert_valid_floor(m, q, gamma)
 
 
+@pytest.mark.parametrize("ring_entries", [None, 1])
+def test_certified_floor_matches_large_chunks_at_the_median_workload_shape(monkeypatch, ring_entries):
+    # d = 4 at gamma 0.1 has 2,401 rings: 36 blocks of 65 at n = 500 and a
+    # partial one of 61, or (forced) one ring per block
+    m = generate_measure(MeasureSpec("gaussian", 4, 500, {}, seed=4))
+    if ring_entries is None:
+        assert 2401 % (depthlab.depth._RING_ENTRIES // m.n) != 0
+    else:
+        monkeypatch.setattr(depthlab.depth, "_RING_ENTRIES", ring_entries)
+    ref.assert_valid_floor(m, np.median(m.points, axis=0) + 0.01, 0.1)
+
+
 def test_weighted_sampled_depth_in_plain_blocks():
     # 3 blocks of 543 directions (not a multiple of 16) and a one-row tail:
     # integer mass units give the bits of the referee's single product

@@ -127,6 +127,36 @@ def test_point_masses_echoes_make_measure():
     assert np.allclose(m.weights, [0.25, 0.75])
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_unit_sums_are_the_product_with_the_units(weighted):
+    rng = np.random.default_rng(11)
+    n = 37
+    m = make_measure(rng.standard_normal((n, 2)), rng.dirichlet(np.ones(n)) if weighted else None)
+    assert (m.scale == n) != weighted
+    masks = [
+        rng.random(n) < 0.5,
+        rng.random((5, n)) < 0.5,
+        rng.random((3, 4, n)) < 0.5,
+        (rng.random((n, 6)) < 0.5).T,  # transposed: the points' axis is strided
+        (rng.random((4, n, 3)) < 0.5).transpose(0, 2, 1),
+        (rng.random((7, 2 * n)) < 0.5)[:, ::2],
+        np.ones((2, n), dtype=bool),
+        np.zeros((0, n), dtype=bool),
+    ]
+    for hits in masks:
+        got, want = m.unit_sums(hits), hits @ m.units
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [2**15 - 1, 2**15])
+def test_uniform_unit_sums_count_every_point(n):
+    m = make_measure(np.arange(n, dtype=float)[:, None])
+    assert m.scale == n
+    assert m.unit_sums(np.ones((2, n), dtype=bool)).tolist() == [n, n]
+    assert m.unit_sums(np.ones((n, 3), dtype=bool).T).tolist() == [n] * 3
+
+
 def test_generate_measure_pure_function_of_spec():
     spec = MeasureSpec("gaussian", 3, 50, {"sigma": 2.0}, seed=9)
     a, b = generate_measure(spec), generate_measure(spec)
