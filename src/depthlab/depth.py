@@ -19,13 +19,12 @@ scale once (``DiscreteMeasure``, the one mass rule for every measure), so a
 depth is an exact count over the scale in any order of the sums.  The
 stacked evaluators take the images (M, n, k) of one measure's points, all
 weighted by that measure's units.  ``depth_oracle`` is an independent
-brute-force referee built on lexicographic sign perturbation and the raw
-weights; the two implementations share no code path.
+referee, the same recursion with every sign and sum exact in Python
+integers on the raw weights; the two implementations share no code path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,8 +47,7 @@ from .measures import DiscreteMeasure, make_measure, project_measure
 
 EXACT_MAX_DIM = 4
 EXACT_WORK = 5000**2 * math.log(5000)  # n^(d-1) ln n of d = 3 at n = 5,000, about 3 s
-ORACLE_MAX_DIM = 3
-ORACLE_MAX_N = 14
+ORACLE_WORK = 20**4  # n^d of the largest depth_oracle instance: d = 4 at n = 20
 
 _CHUNK = 16384
 _BLOCK_ENTRIES = 2**17  # direction-by-point entries per mask-product block
@@ -660,113 +658,83 @@ def _row_blocks(rows: int, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# independent brute-force oracle
+# independent exact oracle
 
 
 def depth_oracle(m: DiscreteMeasure, q) -> DepthResult:
-    """Exhaustive ground-truth depth [v, v] of tiny instances (n <= 14, dim <= 3).
+    """Ground-truth depth [v, v] of an instance with n^d <= ORACLE_WORK (d
+    = 3 up to n = 54, d = 4 up to n = 20), exact in Python integers on the
+    raw weights: Dyckerhoff & Mozharovskyi's recursion (2016), every sign
+    exact as in Yap (1997).  Shares no code with ``point_depth``.
 
-    Enumerates hyperplane normals through q and <= d-1 points, composing each
-    with one or two lexicographic perturbation levels so that every drop/keep
-    pattern reachable by infinitesimal rotation is evaluated.  Exact on
-    integer-coordinate inputs; sums the raw weights and shares no code with
-    ``point_depth``.
+    Every float is a dyadic rational, so one common denominator turns the
+    points, the query and the weights into integers.  With P the nonzero x_i
+    - q, the depth is (weight at q + open_min(P)) / total weight, open_min
+    being the least weight with <u, p> > 0 over generic u (no <u, p> = 0).
+    That is the least closed mass: on an open cell of the arrangement
+    {p^perp} the two agree, and a u on a face, moved by a small generic
+    vector, keeps its nonzero signs, so its closed mass is at least the
+    open mass of that neighbouring cell.  Every open cell has a facet on
+    some p_j^perp, so open_min(P) is the least over j of open_min of the
+    images of P on p_j^perp plus the lesser of the weights parallel and
+    antiparallel to p_j (``_open_min``).  The final division of two
+    integers is correctly rounded, so a uniform measure reads count / n.
+    The witness, the least cell's integer direction, is rounded once to a
+    float unit vector.
     """
-    q = as_vector(q)
-    if m.dim > ORACLE_MAX_DIM or m.n > ORACLE_MAX_N:
-        raise ValueError(f"oracle limited to dim <= {ORACLE_MAX_DIM}, n <= {ORACLE_MAX_N}")
-    p = m.points - q
-    at = np.linalg.norm(p, axis=1) <= DEFAULT_TOL  # at the query: counted under every direction
-    P, w, w0 = p[~at], m.weights[~at], float(m.weights[at].sum())
-    n, d = P.shape
-    if n == 0:
-        return DepthResult(1.0, 1.0, np.eye(m.dim)[0])
-    scale = np.linalg.norm(P, axis=1)
-
-    if d == 1:
-        pos = float(w[P[:, 0] > 0].sum())
-        neg = float(w[P[:, 0] < 0].sum())
-        u = np.array([1.0]) if pos <= neg else np.array([-1.0])
-        return DepthResult(w0 + min(pos, neg), w0 + min(pos, neg), u)
-
-    basis = np.eye(d)
-    if d == 2:
-        perp = np.column_stack([-P[:, 1], P[:, 0]])
-        u0s = np.vstack([perp, -perp, basis, -basis])
-        wfam = np.vstack([P, -P, basis, -basis])
-        a = u0s @ P.T
-        b = wfam @ P.T
-        za = 1e-9 * np.linalg.norm(u0s, axis=1)[:, None] * scale[None, :]
-        zb = 1e-9 * np.linalg.norm(wfam, axis=1)[:, None] * scale[None, :]
-        a_eff = np.where(np.abs(a) > za, a, 0.0)
-        b_eff = np.where(np.abs(b) > zb, b, 0.0)
-        s = np.where(a_eff[:, None, :] != 0.0, a_eff[:, None, :], b_eff[None, :, :])
-        vals = (s >= 0) @ w
-        i0, iw = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        best = float(vals[i0, iw])
-        witness = _oracle_witness(P, w, best, u0s[i0], wfam[iw], None)
-        return DepthResult(w0 + best, w0 + best, witness)
-
-    # d == 3
-    aug = np.vstack([P, basis])
-    pairs = list(itertools.combinations(range(aug.shape[0]), 2))
-    crosses = np.cross(aug[[i for i, _ in pairs]], aug[[j for _, j in pairs]])
-    lens = np.linalg.norm(crosses, axis=1)
-    crosses = crosses[lens > 1e-12 * max(1.0, float(scale.max())) ** 2]
-    u0s = np.vstack([crosses, -crosses])
-    vfam = np.vstack([P, -P, basis, -basis])
-    cmat = vfam @ P.T
-    zc = 1e-9 * np.linalg.norm(vfam, axis=1)[:, None] * scale[None, :]
-    c_eff = np.where(np.abs(cmat) > zc, cmat, 0.0)
-    best, best_combo = np.inf, None
-    for u0 in u0s:
-        a = u0 @ P.T
-        za = 1e-9 * np.linalg.norm(u0) * scale
-        a_eff = np.where(np.abs(a) > za, a, 0.0)
-        wf = np.cross(u0, aug)
-        wf = np.vstack([wf, -wf])
-        wl = np.linalg.norm(wf, axis=1)
-        wf = wf[wl > 1e-12 * max(1.0, float(np.linalg.norm(u0))) * max(1.0, float(scale.max()))]
-        if wf.shape[0] == 0:
-            continue
-        bmat = wf @ P.T
-        zb = 1e-9 * np.linalg.norm(wf, axis=1)[:, None] * scale[None, :]
-        b_eff = np.where(np.abs(bmat) > zb, bmat, 0.0)
-        s = np.where(
-            a_eff[None, None, :] != 0.0,
-            a_eff[None, None, :],
-            np.where(b_eff[:, None, :] != 0.0, b_eff[:, None, :], c_eff[None, :, :]),
-        )
-        vals = (s >= 0) @ w
-        jw, jv = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        if float(vals[jw, jv]) < best:
-            best = float(vals[jw, jv])
-            best_combo = (u0.copy(), wf[jw].copy(), vfam[jv].copy())
-    u0, wv, vv = best_combo
-    witness = _oracle_witness(P, w, best, u0, wv, vv)
-    return DepthResult(w0 + best, w0 + best, witness)
+    q, d = as_vector(q), m.dim
+    if q.size != d or m.n**d > ORACLE_WORK:
+        raise ValueError(f"oracle needs a query of dim {d} and n^d <= {ORACLE_WORK}, got {q.size} and {m.n}^{d}")
+    ratios = [v.as_integer_ratio() for v in [*q.tolist(), *m.points.ravel().tolist(), *m.weights.tolist()]]
+    den = math.lcm(*(b for _, b in ratios))
+    c = [a * (den // b) for a, b in ratios]
+    cells = {}
+    for i, wi in enumerate(c[d * (m.n + 1) :]):
+        key = _primitive([a - b for a, b in zip(c[d * (i + 1) : d * (i + 2)], c[:d])])
+        cells[key] = cells.get(key, 0) + wi
+    at = cells.pop(None, 0)  # at the query: counted under every direction
+    if not cells:
+        return DepthResult(1.0, 1.0, np.eye(d)[0])
+    val, u = _open_min(cells, d)
+    depth = (at + val) / (at + sum(cells.values()))
+    top = max(abs(x) for x in u)
+    return DepthResult(depth, depth, unit([x / top for x in u]))
 
 
-def _oracle_witness(P, w, target, u0, wvec, vvec):
-    """Realize a lexicographic perturbation as a concrete unit direction.
+def _primitive(p):
+    """The integer vector p over the gcd of its entries, None if p is zero."""
+    g = math.gcd(*p)
+    return tuple(x // g for x in p) if g else None
 
-    ``target`` is the mass over the non-coincident points only.
-    """
-    phat = P / np.linalg.norm(P, axis=1)[:, None]
-    base = u0 / np.linalg.norm(u0)
-    wn = wvec / np.linalg.norm(wvec)
-    vn = vvec / np.linalg.norm(vvec) if vvec is not None else None
-    e1 = 1e-4
-    for _ in range(12):
-        u = base + e1 * wn
-        if vn is not None:
-            u = u + (e1 * e1) * vn
-        u = unit(u)
-        val = float(w[phat @ u >= -DEFAULT_TOL].sum())
-        if abs(val - target) <= 1e-12:
-            return u
-        e1 /= 8.0
-    return base
+
+def _open_min(cells: dict, k: int):
+    """(open_min, u) of ``depth_oracle`` for the primitive vectors p (keys,
+    weights as values) in a span of at most k dimensions: u is an integer
+    direction in that span, with no <u, p> = 0, whose open mass is least.
+    In dimension 1 the vectors are +-e, e the first.  Above it, the image
+    |p_j|^2 p - <p_j, p> p_j keeps the signs of p's projection on p_j^perp,
+    and the least pivot's image direction v is lifted to K v +- p_j, the
+    sign taking the lesser of the parallel and antiparallel weight and K >
+    |<p_j, p>| / |<v, p>| for every other p, so that no other sign moves."""
+    if k == 1:
+        e = next(iter(cells))
+        f = tuple(-x for x in e)
+        return min((cells[e], e), (cells.get(f, 0), f))
+    best = None
+    for pj in cells:
+        nj, sub = sum(a * a for a in pj), {}
+        for p, w in cells.items():
+            c = sum(a * b for a, b in zip(pj, p))
+            key = _primitive([nj * a - c * b for a, b in zip(p, pj)]) or c > 0  # True: parallel, False: antiparallel
+            sub[key] = sub.get(key, 0) + w
+        par, anti = sub.pop(True, 0), sub.pop(False, 0)
+        val, v = _open_min(sub, k - 1) if sub else (0, (0,) * len(pj))
+        if best is None or val + min(par, anti) < best[0]:
+            best = (val + min(par, anti), v, pj, 1 if par <= anti else -1)
+    val, v, pj, sign = best
+    dots = [(abs(sum(a * b for a, b in zip(v, p))), abs(sum(a * b for a, b in zip(pj, p)))) for p in cells]
+    big = max((b // a + 1 for a, b in dots if a), default=1)
+    return val, _primitive([big * a + sign * b for a, b in zip(v, pj)])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def test_01_oracle_equivalence():
     dt = time.perf_counter() - t0
     bad = _failures(rows)
     ok = not bad and dt < 60
-    _report(1, "exact depth equals brute-force oracle", ok,
+    _report(1, "exact depth equals the exact oracle", ok,
             f"({len(rows)} instances, {dt:.1f}s < 60s)")
     assert not bad, bad[:3]
     assert dt < 60

@@ -30,13 +30,13 @@ from depthlab.depth import (
 def test_triangle_centroid_depth(triangle):
     # independent referee first, then the exact algorithm must agree
     oracle = depth_oracle(triangle, [0, 0])
-    assert oracle.depth == pytest.approx(1 / 3, abs=1e-12)
+    assert oracle.depth == 1 / 3
     assert point_depth(triangle, [0, 0]).depth == pytest.approx(oracle.depth, abs=1e-12)
 
 
 def test_square_center_depth(square):
     oracle = depth_oracle(square, [0, 0])
-    assert oracle.depth == pytest.approx(1 / 2, abs=1e-12)
+    assert oracle.depth == 1 / 2
     assert point_depth(square, [0, 0]).depth == pytest.approx(1 / 2, abs=1e-12)
 
 
@@ -79,8 +79,86 @@ def test_exact_matches_oracle_battery():
         n = m.n
         e = point_depth(m, q).depth
         o = depth_oracle(m, q).depth
-        assert round(e * n) == round(o * n), (m.dim, i, e, o)
-        assert abs(e - o) < 1e-9
+        assert e == o, (m.dim, i, e, o)
+
+
+def _oracle_suite_instances():
+    """The oracle suite's 200 seeded integer instances (``oracle_suite``)."""
+    for d in (2, 3):
+        for i in range(100):
+            rng = np.random.default_rng(1000 * d + i)
+            n = int(rng.integers(5, 13))
+            pts = rng.integers(-8, 9, size=(n, d)).astype(float)
+            if i % 3 == 0:
+                pts[1] = pts[0]
+            q = rng.integers(-4, 5, size=d).astype(float) if i % 2 else pts[0]
+            yield DiscreteMeasure(d, pts, np.full(n, 1.0 / n)), q
+
+
+def test_oracle_witness_attains_the_depth_exactly():
+    # the float witness, its entries and the points taken as exact
+    # rationals, holds exactly the depth's count in its closed half-space
+    for m, q in _oracle_suite_instances():
+        r = depth_oracle(m, q)
+        u = [Fraction(x) for x in r.witness.tolist()]
+        count = sum(sum(Fraction(a) * b for a, b in zip((x - q).tolist(), u)) >= 0 for x in m.points)
+        assert r.lower == r.upper == count / m.n, (m.dim, m.points.tolist(), q)
+
+
+def _scale_cases():
+    """A seeded plane gaussian of 12 points queried at its coordinatewise
+    median (true depth 4/12), gaussians in d = 3 and 4 queried the same
+    way, and an integer grid with a duplicate queried at a data point."""
+    out = []
+    for d, n in ((2, 12), (3, 10), (4, 7)):
+        m = generate_measure(MeasureSpec("gaussian", d, n, {}, seed=1))
+        out.append((m.points, np.median(m.points, axis=0)))
+    pts = np.random.default_rng(5).integers(-8, 9, (9, 3)).astype(float)
+    pts[1] = pts[0]
+    return out + [(pts, pts[2])]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_oracle_bits_do_not_depend_on_the_scale(case):
+    # multiplying by 2^k is exact in floating point, and depth is affine
+    # invariant, so the exact referee gives the same bits at every scale
+    pts, q = _scale_cases()[case]
+    base = depth_oracle(make_measure(pts), q)
+    if case == 0:
+        assert base.depth == 4 / 12
+    for k in range(-60, 61):
+        r = depth_oracle(make_measure(pts * 2.0**k), q * 2.0**k)
+        assert (r.lower, r.upper, r.witness.tobytes()) == (base.lower, base.upper, base.witness.tobytes()), k
+
+
+@st.composite
+def wide_grids(draw):
+    """An integer-grid measure in d = 2, 3 or 4 with coordinates up to 2^8:
+    a duplicate, a collinear run of four points or neither, and an integer
+    query that is a data point half of the time."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(4, (14, 11, 8)[d - 2]))
+    coords = st.lists(st.integers(-(2**8), 2**8), min_size=d, max_size=d)
+    pts = np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=float)
+    kind = draw(st.sampled_from(["duplicate", "collinear", "plain"]))
+    if kind == "duplicate":
+        pts[1] = pts[0]
+    elif kind == "collinear":
+        step = np.array(draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d)), dtype=float)
+        pts[1:4] = pts[0] + np.arange(1, 4)[:, None] * step
+    q = pts[draw(st.integers(0, n - 1))].copy() if draw(st.booleans()) else np.array(draw(coords), dtype=float)
+    return pts, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_grids())
+def test_exact_depth_is_the_oracle_on_wide_grids(inst):
+    # on integer grids no image norm or breakpoint gap falls within the
+    # kernel's tolerance, so exact point_depth is the true depth, bit for bit
+    pts, q = inst
+    m = make_measure(pts)
+    r = point_depth(m, q)
+    assert r.mode == "exact" and r.depth == depth_oracle(m, q).depth
 
 
 def test_exact_depth_is_attained_mass():
@@ -151,8 +229,11 @@ def test_exact_mode_limits():
     m = make_measure(np.random.default_rng(0).standard_normal((10, 5)))
     with pytest.raises(ValueError):
         point_depth(m, np.zeros(5), mode="exact")
+    assert depth_oracle(make_measure(np.zeros((20, 4))), np.zeros(4)).depth == 1.0  # 20^4 == ORACLE_WORK
+    with pytest.raises(ValueError):  # 21^4 > ORACLE_WORK
+        depth_oracle(make_measure(np.zeros((21, 4))), np.zeros(4))
     with pytest.raises(ValueError):
-        depth_oracle(make_measure(np.zeros((20, 2))), [0, 0])
+        depth_oracle(make_measure(np.zeros((3, 2))), np.zeros(3))
 
 
 def test_exact_budget_edges(monkeypatch):
@@ -574,18 +655,16 @@ def _weighted_oracle_cases():
 
 
 def test_weighted_exact_depth_is_the_oracle_count():
-    # the oracle on the mass units built with exact rationals, each over
-    # 2^52 so that every sum it takes is exact, gives the least count of
-    # units; that count over their sum is the exact depth bit for bit.  On
-    # the weights themselves the oracle cannot tell a half-space with the
-    # weight below 2^-60 from one without it
+    # the oracle on the mass units, each over 2^52, divides the least count
+    # of units by their exact total: the exact depth bit for bit.  On the
+    # weights themselves it counts the weight below 2^-60 exactly too, and
+    # differs from the units' depth by their rounding alone
     for m, q in _weighted_oracle_cases():
-        units, scale = ref.mass_units(m.weights)
+        units, _ = ref.mass_units(m.weights)
         assert m.weights.min() >= 2.0**-60 or units.min() == 1.0  # the floor of one unit
-        count = Fraction(depth_oracle(DiscreteMeasure(m.dim, m.points, units / 2**52), q).depth) * 2**52
-        assert count.denominator == 1
         r = point_depth(m, q, mode="exact")
-        assert r.mode == "exact" and r.depth == float(count / int(scale)), (m.dim, m.n, q)
+        assert r.mode == "exact"
+        assert depth_oracle(DiscreteMeasure(m.dim, m.points, units / 2**52), q).depth == r.depth, (m.dim, m.n, q)
         assert abs(r.depth - depth_oracle(m, q).depth) <= 1e-12
 
 

@@ -223,6 +223,31 @@ def test_sweep_bits_do_not_depend_on_the_order_of_tied_breakpoints(gap):
             assert np.array_equal(pv, val) and np.array_equal(pphi, phi), name
 
 
+def test_resorted_row_rebuilds_its_narrow_arcs():
+    # two exits 3 ulps apart share their packed sort key above the 2 index
+    # bits, the later one first in index order, so the row is sorted again;
+    # an entry 1e-10 later ends the arc after the pair, and 4 gap is that
+    # arc's width from the later exit, below its width from the earlier
+    # one.  The arc holds the least mass, 1 of 5, but is narrow once the
+    # row is in order: the sweep skips it, as it does in the row with the
+    # pair swapped, which needs no second sort, and returns 2
+    def at(angle):
+        return np.cos(angle), np.sin(angle)
+
+    x, y = at(1.1 - 0.5 * np.pi)
+    pts = np.array([(x, y - 6 * np.spacing(y)), (x, y + 7 * np.spacing(y)),
+                    at(1.1 + 1e-10 + 0.5 * np.pi), at(2.0 - 0.5 * np.pi)])
+    w = np.array([1.0, 1.0, 2.0, 1.0])
+    b = np.arctan2(pts[:, 1], pts[:, 0]) + 0.5 * np.pi
+    b -= np.pi * (b >= np.pi)
+    assert b[0] > b[1] and (b[:2].view(np.uint64) >> 2)[0] == (b[:2].view(np.uint64) >> 2)[1]
+    gap = (b[2] - b[0]) / 4.0
+    assert b[2] - b[0] <= 4.0 * gap < b[2] - b[1]
+    got = [depthlab.depth._sweep(p[None, :, 0], p[None, :, 1], w, gap) for p in (pts, pts[[1, 0, 2, 3]])]
+    assert got[0][0].tolist() == [2.0]
+    assert got[0][0].tobytes() == got[1][0].tobytes() and got[0][1].tobytes() == got[1][1].tobytes()
+
+
 def _packed_key_batches() -> list:
     """(name, vectors, units) batches for the sweep's packed sort keys,
     whose low bits hold a point's index, so breakpoints within those bits
