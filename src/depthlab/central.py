@@ -62,7 +62,7 @@ from .cones import (
     tuple_masses,
 )
 from .median import witness_tuple
-from .depth import _BLOCK_ENTRIES, depth_bracket
+from .depth import _row_blocks, depth_bracket
 
 # the sphere directions of a central cone's constraint pool, and the most
 # binding constraints of the pool that an approximation keeps
@@ -120,9 +120,7 @@ def _clip_patches(approxes) -> list:
         raise ValueError(f"exact central-cone patches need d = 2 or 3, got d = {d}")
     v = -np.linalg.inv(np.stack([a.base.normals for a in approxes])).transpose(0, 2, 1)
     nk = np.array([a.constraints.shape[0] for a in approxes])
-    cons = np.zeros((len(approxes), max(int(nk.max()), 1), d))
-    for row, a in zip(cons, approxes):
-        row[: len(a.constraints)] = a.constraints
+    cons, nk = _pack(np.arange(nk.max()) < nk[:, None], np.concatenate([a.constraints for a in approxes]))
     return (_clip_arcs if d == 2 else _clip_polygons)(v, cons, nk)
 
 
@@ -147,7 +145,9 @@ def _pack(mask: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     lengths = mask.sum(axis=tuple(range(1, mask.ndim)))
     width = max(int(lengths.max(initial=0)), 1)
     out = np.zeros((mask.shape[0], width, values.shape[-1]))
-    out[np.arange(width) < lengths[:, None]] = values
+    # one store of scalars under a flat mask, several times faster than a
+    # store of rows under a (rows, width) mask
+    out.reshape(-1)[np.repeat((np.arange(width) < lengths[:, None]).ravel(), values.shape[-1])] = values.ravel()
     return out, lengths
 
 
@@ -206,11 +206,7 @@ def _clip_polygons(v: np.ndarray, cons: np.ndarray, nk: np.ndarray) -> list:
             go = more & keep.any(axis=1)
             # a constraint met by every vertex stays met: each going
             # polygon's cutting ones move to the front of its row
-            nk = cut[go].sum(axis=1)
-            width = max(int(nk.max(initial=0)), 1)
-            front = np.argsort(~cut[go], axis=1, kind="stable")[:, :width]
-            cons = cons[np.flatnonzero(go)[:, None], front]
-            cons[np.arange(width) >= nk[:, None]] = 0.0
+            cons, nk = _pack(cut[go], cons[cut & go[:, None]])
             v, nv, fj, keep, ids = (x[go] for x in (v, nv, fj, keep, ids))
             nxt = np.arange(1, v.shape[1] + 1)
             nxt = np.where(nxt < nv[:, None], nxt, 0)  # vertex i + 1 around each polygon
@@ -336,14 +332,6 @@ def _exact_constraint_candidates(m: DiscreteMeasure, rngs: list, cap: int) -> tu
     return cand, lens > 1e-9
 
 
-def _capture_blocks(cones: int, rows: int, width: int) -> list:
-    """The (cone slice, pool-row slice) blocks of a capture of ``cones``
-    pools of ``rows`` rows against ``width`` points each: one cone's pool
-    rows in runs of ``_BLOCK_ENTRIES // width``."""
-    step = max(1, _BLOCK_ENTRIES // width)
-    return [(slice(c, c + 1), slice(r, r + step)) for c in range(cones) for r in range(0, rows, step)]
-
-
 def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int) -> list:
     """The sampled outer approximations of the central cones of ``cones``
     under m, cone i from the constraint pool of seed seeds[i]: per cone its
@@ -354,19 +342,19 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int) -> list:
     not depend on ``samples``, so pools nest across sample counts.  A
     constraint is kept when its half-space captures at least the fraction
     d/(d+1) of B's mass.  Only the points inside B carry that mass, so the
-    capture runs over them alone, on stacked zero-padded arrays, in
-    ``_capture_blocks`` blocks: one product of the hit mask with the mass
-    units of the cone's points, padding points weighing 0.  Its sums are
+    capture runs over them alone, on stacked zero-padded arrays, one cone
+    at a time in the same blocks of pool rows (``depth._row_blocks``
+    against the widest cone's points): one product of the hit mask with the
+    mass units of the cone's points, padding points weighing 0.  Its sums are
     integers, exact in any order, in the narrowest dtype that holds the
     measure's scale exactly: float32 below 2^24 (a uniform measure's n),
     float64 above.  A constraint capturing k of B's K units is kept when
-    (d+1) k >= d K, compared in int64, since (d+1) K can pass 2^53.  When
-    more than ``CONSTRAINT_CAP`` constraints are kept, the approximation
-    takes the most binding ones (capture closest to the threshold cuts
-    deepest into the cone) in the stable order of their captures, else all
-    of them in pool order.  Any subset still yields a valid outer
-    approximation, but with the cap a larger pool need not give a smaller
-    one: only the pools nest.
+    (d+1) k >= d K, compared in int64, since (d+1) K can pass 2^53.  The
+    approximation takes the first min(kept, ``CONSTRAINT_CAP``) kept
+    constraints in the stable order of their captures, the most binding
+    first (capture closest to the threshold cuts deepest into the cone).
+    Any subset still yields a valid outer approximation, but with the cap a
+    larger pool need not give a smaller one: only the pools nest.
     """
     d = m.dim
     normals = np.stack([b.normals for b in cones])
@@ -382,14 +370,16 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int) -> list:
     w = np.zeros((len(cones), width, 1), dtype=np.float32 if m.scale < 2**24 else np.float64)
     w[slots, 0] = m.units[idx]
     captured = np.empty((len(cones), pools.shape[1]))
-    for cs, rs in _capture_blocks(len(cones), pools.shape[1], width):
-        hit = np.matmul(pools[pick[cs], rs], pts[cs].transpose(0, 2, 1)) <= DEFAULT_TOL
-        captured[cs, rs] = np.matmul(hit.astype(w.dtype), w[cs])[..., 0]
+    blocks = _row_blocks(pools.shape[1], width)
+    for cs in [slice(c, c + 1) for c in range(len(cones))]:  # one cone, as a stack of one
+        for rs in blocks:
+            hit = np.matmul(pools[pick[cs], rs], pts[cs].transpose(0, 2, 1)) <= DEFAULT_TOL
+            captured[cs, rs] = np.matmul(hit.astype(w.dtype), w[cs])[..., 0]
     keep = (d + 1) * captured.astype(np.int64) >= d * w[..., 0].sum(axis=1, dtype=np.int64)[:, None]
     keep &= np.arange(pools.shape[1]) < sizes[pick][:, None]
-    capped = keep.sum(axis=1) > CONSTRAINT_CAP
+    kept = np.minimum(keep.sum(axis=1), CONSTRAINT_CAP)
     binding = np.argsort(np.where(keep, captured, np.inf), axis=1, kind="stable")[:, :CONSTRAINT_CAP]
-    return [None if k == 0 else CentralConeApprox(b, pools[p, binding[i] if capped[i] else keep[i]])
+    return [None if k == 0 else CentralConeApprox(b, pools[p, binding[i, : kept[i]]])
             for i, (b, k, p) in enumerate(zip(cones, counts, pick))]
 
 
@@ -411,7 +401,7 @@ def central_patch(m: DiscreteMeasure, b: SimplicialCone, seed: int = 0) -> tuple
 
 
 # the benchmark's tracer hooks this name (its ray counter now counts patch
-# vertices); it goes with the benchmark change of ROADMAP item 8
+# vertices); it goes with the benchmark change of ROADMAP item 18
 sample_central_rays = central_patch
 
 
@@ -429,7 +419,7 @@ def containment_check(
     patch of each cone and its central vector must lie in the partner cone
     (within 1e-7).  The patch is convex, so it lies in a cone exactly when
     its vertices do.  ``ray_samples`` is unused: it is kept only for the
-    benchmark's call and goes with the benchmark change of ROADMAP item 8.
+    benchmark's call and goes with the benchmark change of ROADMAP item 18.
     """
     d = m.dim
     for b in (b1, b2):
@@ -438,10 +428,9 @@ def containment_check(
     cap = family_level_cap(d)
     floor = family_overlap_floor(d)
     in1, in2 = cone_contains_many(b1, m.points), cone_contains_many(b2, m.points)
-    m1, m2 = (float(m.units[x].sum()) / m.scale for x in (in1, in2))
+    m1, m2, inter = (float(m.unit_sums(x)) / m.scale for x in (in1, in2, in1 & in2))
     if max(m1, m2) > cap + 1e-12:
         raise ValueError(f"cone masses ({m1}, {m2}) exceed the cap {cap}")
-    inter = float(m.units[in1 & in2].sum()) / m.scale
     if inter < floor - 1e-12:
         raise ValueError(f"intersection mass {inter} below the floor {floor}")
     ok = True

@@ -122,15 +122,16 @@ def _tuple_hits(m: DiscreteMeasure, normals: np.ndarray) -> tuple[np.ndarray, np
     rule.  A point is in an origin half-space when its product with the
     normal is at most ``DEFAULT_TOL``; one product of the points with every
     normal gives each half-space's mass, an exact count of m's mass units
-    over its scale (a tuple's weight is 1 minus its smallest), and each
-    cone's points, those in every half-space but the one the cone drops.
-    A tuple dimension other than m's raises ValueError."""
+    (``unit_sums``) over its scale (a tuple's weight is 1 minus its
+    smallest), and each cone's points, those in every half-space but the
+    one the cone drops.  A tuple dimension other than m's raises
+    ValueError."""
     d = normals.shape[-1]
     if d != m.dim:
         raise ValueError(f"tuples of dimension {d} on a measure of dimension {m.dim}")
     hits = (m.points @ normals.reshape(-1, d).T <= DEFAULT_TOL).reshape(m.n, -1, d + 1)
-    weights = 1.0 - (m.units @ hits.reshape(m.n, -1) / m.scale).reshape(-1, d + 1).min(axis=1)
-    return weights, (hits.sum(axis=2)[..., None] - hits == d).transpose(1, 2, 0)
+    hits = np.ascontiguousarray(hits.transpose(1, 2, 0))  # each mask's points in a row, for its sums
+    return 1.0 - (m.unit_sums(hits) / m.scale).min(axis=1), hits.sum(axis=1)[:, None] - hits == d
 
 
 def tuple_weight(m: DiscreteMeasure, t: GeneratingTuple) -> float:
@@ -170,7 +171,7 @@ def bmes_report(m: DiscreteMeasure, t: GeneratingTuple, eps: float) -> BmesRepor
         raise ValueError(f"eps must lie in (0, {epsilon_bmes_max(d)!r}], got {eps}")
     if not w[0] < 1.0 / (d + 1) + eps:
         raise ValueError(f"tuple weight {w[0]} is not below 1/(d+1) + eps = {1.0 / (d + 1) + eps}")
-    masses = inside[0] @ m.units / m.scale
+    masses = m.unit_sums(inside[0]) / m.scale
     sum_bound = 1.0 - (d + 1) * eps
     lower = 1.0 / (d + 1) - (2 * d + 1) * eps
     upper = 1.0 / (d + 1) + eps
@@ -204,8 +205,8 @@ def tuple_masses(m: DiscreteMeasure, t: GeneratingTuple) -> TupleMasses:
 def _pair_masses(m: DiscreteMeasure, A: TupleMasses, inside: np.ndarray) -> np.ndarray:
     """Masses [..., i, j] of cone i of A with cone j of one tuple or of each
     of a stack, from their masks ``inside`` ((d+1, n) or (N, d+1, n)): exact
-    counts of m's mass units over its scale, from one product."""
-    flat = (A.inside * m.units) @ inside.reshape(-1, m.n).T / m.scale
+    counts of m's mass units (``unit_sums``) over its scale."""
+    flat = m.unit_sums(A.inside[:, None] & inside.reshape(-1, m.n)) / m.scale
     return np.moveaxis(flat.reshape(A.inside.shape[:1] + inside.shape[:-1]), 0, -2)
 
 

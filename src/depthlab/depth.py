@@ -61,14 +61,16 @@ _last: tuple = (None, None)
 class DepthResult:
     """A bracket [lower, upper] on the depth of a point: ``lower`` (read as
     ``depth``) never exceeds the true depth, ``upper`` is the closed mass of
-    the half-space of ``witness``; exact when the two are equal."""
+    the half-space of ``witness``; exact when the two are equal.  Every
+    producer divides an exact count by its scale, so 0 <= lower <= upper <=
+    1 holds exactly; a bracket outside it raises ValueError."""
 
     lower: float
     upper: float
     witness: np.ndarray
 
     def __post_init__(self):
-        if not (-1e-12 <= self.lower <= self.upper <= 1 + 1e-12):
+        if not (0.0 <= self.lower <= self.upper <= 1.0):
             raise ValueError(f"depth bracket [{self.lower}, {self.upper}] not in [0, 1]")
 
     @property

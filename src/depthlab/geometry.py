@@ -258,12 +258,13 @@ def hull_interior_margin(vectors: np.ndarray) -> float | np.ndarray:
     """Margin by which the origin sits inside conv(rows of ``vectors``).
 
     For d+1 vectors in R^d that affinely span, the convex combination with
-    sum(lam) = 1 and sum(lam_i v_i) = 0 is unique; the margin is min(lam_i).
-    Returns 0.0 when the system is singular or the combination leaves the
-    simplex.  Margin > 0 iff the origin is strictly inside the hull.  A
-    stack (N, d+1, d) of such arrays gives an array of N margins, each with
-    the bits of its own solve: one stacked solve, or one solve per array
-    when one system of the stack is exactly singular.
+    sum(lam) = 1 and sum(lam_i v_i) = 0 is unique; the margin is min(lam_i),
+    negative when the combination leaves the simplex (the origin outside the
+    hull: -1.0 for the rows (1, .1), (1, -.1), (2, 0)).  Returns 0.0 when
+    the system is singular.  Margin > 0 iff the origin is strictly inside
+    the hull.  A stack (N, d+1, d) of such arrays gives an array of N
+    margins, each with the bits of its own solve: one stacked solve, or one
+    solve per array when one system of the stack is exactly singular.
     """
     v = np.asarray(vectors, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-2] != v.shape[-1] + 1:

@@ -477,6 +477,6 @@ def _center_in_normal_set(chosen, all_normals, m, o, level, tol):
         if nc < 1e-9:
             continue
         c /= nc
-        if float(m.units[pts @ c <= DEFAULT_TOL].sum()) / m.scale <= level + tol:
+        if float(m.unit_sums(pts @ c <= DEFAULT_TOL)) / m.scale <= level + tol:
             out[i] = c
     return out

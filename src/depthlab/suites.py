@@ -159,7 +159,7 @@ def oracle_suite(instances_per_dim: int = 100, threads: int = 1) -> list[dict]:
         m = DiscreteMeasure(d, pts, np.full(n, 1.0 / n))
         exact = point_depth(m, q, mode="exact").depth
         oracle = depth_oracle(m, q).depth
-        agree = round(exact * n) == round(oracle * n) and abs(exact - oracle) < 1e-9
+        agree = exact == oracle
         return _row("oracle", "exact_equals_oracle", f"d{d}i{i}", d, n, 1000 * d + i,
                     round(oracle * n), round(exact * n), 0.0 if agree else abs(exact - oracle), agree)
 

@@ -180,12 +180,13 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
     # all points and the whole candidate pool, and their order is the
     # stable order of the exact counts of captured mass units in B (one
     # per point for equal weights), kept where 4 k >= 3 K, which keeps what
-    # the float rule keeps; the octant's 3,600 points take 57 blocks of 36
-    # pool rows, and small orthants built together take one block each,
-    # of their whole pool
+    # the float rule keeps; the pool rows are cut by one ``_row_blocks``
+    # call: the octant's 3,600 points take 57 blocks of 36 pool rows, and
+    # small orthants built together take one block each, of their whole
+    # pool
     blocks = []
-    real = central._capture_blocks
-    monkeypatch.setattr(central, "_capture_blocks", lambda *args: blocks.append(real(*args)) or blocks[-1])
+    real = central._row_blocks
+    monkeypatch.setattr(central, "_row_blocks", lambda *args: blocks.append(real(*args)) or blocks[-1])
     mc, tup = mixture3
     weighted = make_measure(mc.points, 0.5 + np.random.default_rng(3).random(mc.n))
     octant = _octant_symmetric_measure(600, 0.15)
@@ -200,9 +201,9 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
         if len(cones) == 1:
             assert np.array_equal(approxes[0].constraints, central_cone(m, cones[0], seed=2).constraints)
         if m is octant:
-            assert len(got) == 57 and got[0][1] == slice(0, 36)
+            assert len(got) == 57 and got[0] == slice(0, 36)
         elif cones is small:
-            assert [(c.start, c.stop, len(range(2048)[r])) for c, r in got] == [(c, c + 1, 2048) for c in range(4)]
+            assert [len(range(2048)[r]) for r in got] == [2048]
         for b, s, approx in zip(cones, seeds, approxes, strict=True):
             pool = np.vstack([sample_directions(3, 1024, seed=s, mode="sphere"), referee.exact_constraint_candidates(m, 1024, s + 1)])
             assert len(pool) == 2048

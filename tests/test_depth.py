@@ -27,6 +27,15 @@ from depthlab.depth import (
 )
 
 
+@pytest.mark.parametrize("lower, upper", [(-1e-13, 0.5), (0.5, 1 + 1e-13)])
+def test_depth_bracket_outside_the_unit_interval_is_refused(lower, upper):
+    # every producer divides an exact count by its scale, so no rounding
+    # slack is allowed at either end
+    with pytest.raises(ValueError, match="not in"):
+        DepthResult(lower, upper, np.array([1.0, 0.0]))
+    DepthResult(0.0, 1.0, np.array([1.0, 0.0]))
+
+
 def test_triangle_centroid_depth(triangle):
     # independent referee first, then the exact algorithm must agree
     oracle = depth_oracle(triangle, [0, 0])

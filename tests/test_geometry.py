@@ -166,6 +166,8 @@ def test_hull_interior_margin():
     assert hull_interior_margin(normals) == pytest.approx(1 / 3, abs=1e-12)
     degenerate = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     assert hull_interior_margin(degenerate) <= 1e-12
+    # the origin outside the hull: the least coordinate, not 0.0
+    assert hull_interior_margin(np.array([[1, 0.1], [1, -0.1], [2, 0]])) == -1.0
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from depthlab.suites import SUITES, rows_to_csv, run_suite
+import depthlab.suites
+from depthlab.suites import SUITES, oracle_suite, rows_to_csv, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,6 +36,18 @@ def test_threads_leave_csv_unchanged(name, params):
     if name == "tmap":
         assert one.count("equivariance_hausdorff") == params["trials"]
         assert one.count("interior_margin") == len(params["seeds"]) * len(params["dims"])
+
+
+def test_oracle_suite_requires_the_oracle_bits(monkeypatch):
+    # the oracle is exact, so an exact depth 4e-10 off it fails its row,
+    # although its count rounds to the oracle's
+    assert all(r["pass"] for r in oracle_suite(instances_per_dim=4))
+    real = depthlab.suites.point_depth
+    monkeypatch.setattr(depthlab.suites, "point_depth",
+                        lambda m, q, **kw: SimpleNamespace(depth=real(m, q, **kw).depth + 4e-10))
+    rows = oracle_suite(instances_per_dim=4)
+    assert len(rows) == 8 and not any(r["pass"] for r in rows)
+    assert all(r["observed"] == r["expected"] for r in rows)
 
 
 _RADO_PROBE = """

@@ -22,13 +22,19 @@ PACKAGE = ROOT / "src" / "depthlab"
 # public names kept for a planned caller (ROADMAP item 4: lines in R^4 and
 # the k-flat corollary)
 ALLOWED = {"flat_depth"}
-# parameters kept unread: the benchmark passes ray_samples (ROADMAP item 8)
+# parameters kept unread: the benchmark passes ray_samples (ROADMAP item 18)
 UNREAD_ALLOWED = {"central.containment_check.ray_samples"}
 # the functions outside measures.py that read a measure's raw weights, none
 # of them for a mass: the exact memo's key, the oracle (a referee on the
 # raw weights), a weighted draw, weighted means and a projection's measure
 WEIGHT_READERS = {"depth.point_depth", "depth.depth_oracle", "depth._subsampled", "median._final",
                   "median._start_points", "median._planar_median"}
+# the functions outside measures.py that read a measure's mass units: each
+# sums them in an order or in groups that a hit mask does not give (ring
+# brackets, a bincount per value, cumulative sums, a capture over a cone's
+# own points); every plain mask is counted by ``DiscreteMeasure.unit_sums``
+UNIT_READERS = {"depth.exact_depth_values", "depth.certified_depth_floor", "median._line_median",
+                "median._level", "central._central_cones"}
 
 
 def _mentions(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -94,20 +100,35 @@ def test_every_parameter_is_read():
     assert not unread, f"parameters never read: {unread}"
 
 
-def test_masses_come_from_units():
-    # every mass is a sum of the measure's units over its scale
-    # (``DiscreteMeasure``): a top-level function or class outside
-    # measures.py that reads ``.weights`` is a named non-mass use, so a
-    # mass summed from raw weights cannot come back unnoticed
+def _readers(attr: str) -> set[str]:
+    """The top-level functions and classes outside measures.py that read
+    the attribute ``attr``."""
     readers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "measures.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if any(isinstance(n, ast.Attribute) and n.attr == "weights" for n in ast.walk(node)):
+            if any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(node)):
                 readers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return readers
+
+
+def test_masses_come_from_units():
+    # every mass is a sum of the measure's units over its scale
+    # (``DiscreteMeasure``): a reader of ``.weights`` is a named non-mass
+    # use, so a mass summed from raw weights cannot come back unnoticed
+    readers = _readers("weights")
     assert readers == WEIGHT_READERS, f"raw weights read by {sorted(readers - WEIGHT_READERS)}; " \
         f"listed but unread: {sorted(WEIGHT_READERS - readers)}"
+
+
+def test_plain_masks_are_counted_by_unit_sums():
+    # a reader of ``.units`` is a named ordered or grouped sum, so a plain
+    # hit mask summed beside ``DiscreteMeasure.unit_sums`` cannot come back
+    # unnoticed
+    readers = _readers("units")
+    assert readers == UNIT_READERS, f"units read by {sorted(readers - UNIT_READERS)}; " \
+        f"listed but unread: {sorted(UNIT_READERS - readers)}"
 
 
 def _benchmark_module(name: str):
