@@ -3,10 +3,11 @@
 
 The reduced sizes are the ``quick`` parameters of each entry in the suite
 registry ``depthlab.suites.SUITES``, whose function defaults are the
-acceptance sizes; this script is a quick smoke pass (a few minutes) that
-exercises the same machinery.  ``--full`` runs each suite at its
-acceptance sizes instead (a few minutes for most suites, longer for
-theorem1).
+acceptance sizes; this script is a quick smoke pass (about 5 s on 2
+shared cores) that exercises the same machinery.  ``--full`` runs each
+suite at its acceptance sizes instead (about 17 s, theorem1 the longest
+at 7 s).  The suites run one after another in this process; to verify in
+parallel, start separate processes with disjoint ``--suites``.
 
     python scripts/run_verify_all.py --out verify_out --compare ref_out
     python scripts/run_verify_all.py --full --suites rado --out full_out --compare full_ref
@@ -30,8 +31,6 @@ from depthlab import suites
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="verify_out")
-    # small-op suites are GIL-bound: more threads only help the GEMM-heavy ones
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--suites", nargs="*", default=list(suites.SUITES), choices=list(suites.SUITES))
     ap.add_argument("--compare", metavar="DIR", help="require CSVs byte-identical to DIR/<suite>.csv")
     ap.add_argument("--full", action="store_true", help="acceptance sizes (the suite function defaults)")
@@ -41,7 +40,7 @@ def main():
     failed = differ = 0
     for name in args.suites:
         t0 = time.perf_counter()
-        rows = suites.run_suite(name, None if args.full else suites.SUITES[name].quick, threads=args.threads)
+        rows = suites.run_suite(name, None if args.full else suites.SUITES[name].quick)
         dt = time.perf_counter() - t0
         (out / f"{name}.csv").write_text(suites.rows_to_csv(rows), newline="")
         bad = [r for r in rows if not r["pass"]]

@@ -359,18 +359,14 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int) -> list:
     d = m.dim
     normals = np.stack([b.normals for b in cones])
     inside = np.all(m.points @ normals.transpose(0, 2, 1) <= DEFAULT_TOL, axis=2)
-    counts = inside.sum(axis=1)
     keys, pick = np.unique(np.asarray(seeds), return_inverse=True)
     pools, sizes = _constraint_pools(m, samples, keys)
     # each cone's points, then zero rows, which every constraint captures
-    width = max(int(counts.max(initial=0)), 1)
-    slots, idx = np.arange(width) < counts[:, None], np.nonzero(inside)[1]
-    pts = np.zeros((len(cones), width, d))
-    pts[slots] = m.points[idx]
-    w = np.zeros((len(cones), width, 1), dtype=np.float32 if m.scale < 2**24 else np.float64)
-    w[slots, 0] = m.units[idx]
+    idx = np.nonzero(inside)[1]
+    pts, counts = _pack(inside, m.points[idx])
+    w = _pack(inside, m.units[idx, None])[0].astype(np.float32 if m.scale < 2**24 else np.float64)
     captured = np.empty((len(cones), pools.shape[1]))
-    blocks = _row_blocks(pools.shape[1], width)
+    blocks = _row_blocks(pools.shape[1], pts.shape[1])
     for cs in [slice(c, c + 1) for c in range(len(cones))]:  # one cone, as a stack of one
         for rs in blocks:
             hit = np.matmul(pools[pick[cs], rs], pts[cs].transpose(0, 2, 1)) <= DEFAULT_TOL

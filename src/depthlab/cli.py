@@ -1,6 +1,6 @@
 """Command-line experiment runner and verification harness.
 
-Usage:  depthlab <command> --config <file> [--seed N] [--out DIR] [--threads N]
+Usage:  depthlab <command> --config <file> [--seed N] [--out DIR]
 
 Commands: generate, depth, median, line-search, landscape, verify.
 Every run writes a CSV of per-check rows plus a JSON summary to the output
@@ -84,7 +84,6 @@ class ExperimentConfig:
     command: str
     seed: int = 0
     out: str = "depthlab_out"
-    threads: int = 1
     raw: dict = field(default_factory=dict)
 
     @staticmethod
@@ -108,7 +107,7 @@ class ExperimentConfig:
         out = raw.get("out", "depthlab_out")
         if not isinstance(out, str):
             raise ConfigError(f"config.out: must be a path string, got {out!r}")
-        return ExperimentConfig(command, _int_field(raw, "seed", 0, 0), out, _int_field(raw, "threads", 1, 1), raw)
+        return ExperimentConfig(command, _int_field(raw, "seed", 0, 0), out, raw)
 
     def measure(self):
         spec = self.raw.get("measure")
@@ -217,7 +216,7 @@ def _run_command(cfg: ExperimentConfig) -> list[dict]:
         suite = cfg.raw.get("suite")
         if suite not in _suites.SUITES:
             raise ConfigError(f"config.suite: {suite!r} invalid; valid: {', '.join(_suites.SUITES)}")
-        return _suites.run_suite(suite, _suite_params(suite, cfg.raw.get("params")), threads=cfg.threads)
+        return _suites.run_suite(suite, _suite_params(suite, cfg.raw.get("params")))
     raise ConfigError(f"unknown command {cmd!r}")
 
 
@@ -239,7 +238,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "passed": passed,
         "failed": len(rows) - passed,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "elapsed_s": round(time.perf_counter() - t0, 3),
     }
     exit_code = 0 if passed == len(rows) else 1
@@ -259,7 +257,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config, args.command)
@@ -275,10 +272,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed or DEPTHLAB_SEED: must be an integer >= 0, got {cfg.seed}")
         if args.out is not None:
             cfg.out = args.out
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError(f"--threads: must be an integer >= 1, got {args.threads}")
-            cfg.threads = args.threads
         return run_experiment(cfg)
     except (ConfigError, ValueError) as e:
         # ValueError here means a user-supplied parameter violated an

@@ -505,10 +505,11 @@ def point_depth(
 
 
 def _exact_affordable(m: DiscreteMeasure) -> bool:
-    """The one cost rule of exact depth: dim <= EXACT_MAX_DIM (the reach of
-    the enumerator referee in the tests) and the kernel's work n^(d-1) ln n
-    at most EXACT_WORK, that of d = 3 at n = 5,000 (about 3 s): every n in
-    d = 1, up to about 13 million points in d = 2 and 332 in d = 4."""
+    """The one cost rule of exact depth: dim <= EXACT_MAX_DIM (the highest
+    dimension in which the tests check the kernel against ``depth_oracle``)
+    and the kernel's work n^(d-1) ln n at most EXACT_WORK, that of d = 3 at
+    n = 5,000 (about 3 s): every n in d = 1, up to about 13 million points
+    in d = 2 and 332 in d = 4."""
     return m.dim <= EXACT_MAX_DIM and m.n ** (m.dim - 1) * math.log(m.n) <= EXACT_WORK
 
 

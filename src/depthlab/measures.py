@@ -29,8 +29,8 @@ class DiscreteMeasure:
     point, so its scale is n.  Any other measure gets u_i = max(1, rint(2^52
     w_i / sum w)), sum w being the correctly rounded sum (``math.fsum``).
     Every partial sum of units is an integer below 2^53, so every mass is an
-    exact count over the scale, whatever the order of the sums, the BLAS
-    blocking or the thread count, and equal counts compare equal across the
+    exact count over the scale, whatever the order of the sums or the BLAS
+    blocking and thread count, and equal counts compare equal across the
     exact, sampled and certified paths.  The rint moves each weight by at
     most 2^-53 of the total, besides the rounding of the quotient (by at
     most 2^-52 where the floor of one unit lifts a weight below 2^-53 of

@@ -10,7 +10,6 @@ parameters, so reports are reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,19 +68,6 @@ def rows_to_csv(rows) -> str:
     for r in rows:
         lines.append(",".join(_fmt(r[c]) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def _map_ordered(fn, items, threads: int = 1):
-    """Order-preserving map, optionally on a thread pool; tasks must be pure."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _map_rows(fn, items, threads: int = 1) -> list[dict]:
-    """``_map_ordered`` for tasks that each return a list of rows, concatenated."""
-    return [r for rows in _map_ordered(fn, items, threads) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +131,10 @@ def _small_rotation(d: int, angle: float, seed: int) -> np.ndarray:
 # suites
 
 
-def oracle_suite(instances_per_dim: int = 100, threads: int = 1) -> list[dict]:
+def oracle_suite(instances_per_dim: int = 100) -> list[dict]:
     """Exact-vs-oracle equivalence on integer-coordinate instances."""
 
-    def one(task):
-        d, i = task
+    def one(d, i):
         rng = np.random.default_rng(1000 * d + i)
         n = int(rng.integers(5, 13))
         pts = rng.integers(-8, 9, size=(n, d)).astype(float)
@@ -163,17 +148,13 @@ def oracle_suite(instances_per_dim: int = 100, threads: int = 1) -> list[dict]:
         return _row("oracle", "exact_equals_oracle", f"d{d}i{i}", d, n, 1000 * d + i,
                     round(oracle * n), round(exact * n), 0.0 if agree else abs(exact - oracle), agree)
 
-    tasks = [(d, i) for d in (2, 3) for i in range(instances_per_dim)]
-    return _map_ordered(one, tasks, threads)
+    return [one(d, i) for d in (2, 3) for i in range(instances_per_dim)]
 
 
-def rado_suite(
-    dims=(2, 3, 4), seeds_per_dim: int = 50, n: int = 500, threads: int = 1
-) -> list[dict]:
+def rado_suite(dims=(2, 3, 4), seeds_per_dim: int = 50, n: int = 500) -> list[dict]:
     """Median depth floor 1/(d+1) - 2/n over seeded measures."""
 
-    def one(task):
-        d, s = task
+    def one(d, s):
         spec = _rado_spec(d, n, s)
         m = generate_measure(spec)
         res = tukey_median(m, mode="multistart", starts=10, iters=25, seed=s)
@@ -181,15 +162,10 @@ def rado_suite(
         return _row("rado", "median_floor", f"{spec.kind}-d{d}s{s}", d, n, s,
                     floor, res.depth, res.depth - floor, res.depth >= floor)
 
-    tasks = [(d, s) for d in dims for s in range(seeds_per_dim)]
-    return _map_ordered(one, tasks, threads)
+    return [one(d, s) for d in dims for s in range(seeds_per_dim)]
 
 
-def theorem1_suite(
-    grid_count: int = 2000,
-    n: int = 420,
-    threads: int = 1,
-) -> list[dict]:
+def theorem1_suite(grid_count: int = 2000, n: int = 420) -> list[dict]:
     """Deep-line existence at desk scale in R^3.
 
     Every instance must reach the projection floor 1/3 - _LINE_SLACK; at
@@ -197,18 +173,10 @@ def theorem1_suite(
     Shortfalls are reported per instance, never silently passed.
     """
     th = line_depth_thresholds(3)
-    specs = line_search_suite_specs(n)
-
-    def one(task):
-        i, spec = task
-        m = generate_measure(spec)
-        res = deep_line_search(m, grid_count=grid_count, refine_iters=3, seed=spec.seed)
-        return i, spec, res
-
-    results = _map_ordered(one, list(enumerate(specs)), threads)
     rows = []
     improved_hits = 0
-    for i, spec, res in results:
+    for i, spec in enumerate(line_search_suite_specs(n)):
+        res = deep_line_search(generate_measure(spec), grid_count=grid_count, refine_iters=3, seed=spec.seed)
         floor = th["rado"] - _LINE_SLACK
         imp = th["improved"] - _LINE_SLACK
         rows.append(_row("theorem1", "line_floor", f"{spec.kind}-{i}", 3, spec.n, spec.seed,
@@ -223,7 +191,7 @@ def theorem1_suite(
     return rows
 
 
-def bmes_suite(count: int = 20, eps: float | None = None, threads: int = 1) -> list[dict]:
+def bmes_suite(count: int = 20, eps: float | None = None) -> list[dict]:
     """Cone-mass bounds on witness tuples.
 
     ``eps`` defaults to the largest admissible value per dimension; passing an
@@ -252,10 +220,10 @@ def bmes_suite(count: int = 20, eps: float | None = None, threads: int = 1) -> l
                  rep.bounds_ok),
         ]
 
-    return _map_rows(one, range(count), threads)
+    return [r for k in range(count) for r in one(k)]
 
 
-def bijection_suite(count: int = 20, threads: int = 1) -> list[dict]:
+def bijection_suite(count: int = 20) -> list[dict]:
     """Unique perfect matching between witness tuples and rotated copies."""
 
     def one(k):
@@ -282,10 +250,10 @@ def bijection_suite(count: int = 20, threads: int = 1) -> list[dict]:
                  bool(np.all(off <= 1e-6))),
         ]
 
-    return _map_rows(one, range(count), threads)
+    return [r for k in range(count) for r in one(k)]
 
 
-def central_suite(containment_pairs: int = 20, estimator_seeds=(0, 1, 2), threads: int = 1) -> list[dict]:
+def central_suite(containment_pairs: int = 20, estimator_seeds=(0, 1, 2)) -> list[dict]:
     """Central-cone containment on matched pairs, plus the axisymmetric
     estimator checks."""
 
@@ -332,8 +300,8 @@ def central_suite(containment_pairs: int = 20, estimator_seeds=(0, 1, 2), thread
                  1e-12, nrm_err, 1e-12 - nrm_err, nrm_err <= 1e-12),
         ]
 
-    return (_map_rows(pair, range(containment_pairs), threads)
-            + _map_rows(estimate, estimator_seeds, threads))
+    return ([r for k in range(containment_pairs) for r in pair(k)]
+            + [r for s in estimator_seeds for r in estimate(s)])
 
 
 def _octant_symmetric_measure(n_base: int, sigma: float) -> DiscreteMeasure:
@@ -357,15 +325,14 @@ def _empirical_cluster_dirs(mc: DiscreteMeasure, d: int) -> np.ndarray:
     return np.array([unit(mc.points[labels == j].mean(axis=0)) for j in range(d + 1)])
 
 
-def tmap_suite(seeds=(0, 1, 2), dims=(2, 3), trials: int = 10, threads: int = 1) -> list[dict]:
+def tmap_suite(seeds=(0, 1, 2), dims=(2, 3), trials: int = 10) -> list[dict]:
     """Structural-map validity: positive margin and cluster-aligned vectors,
     one map per (d, seed) of _TMAP_N points.  Then ``trials`` equivariance
     checks in d = 2: rotating the measure maps the structural tuple by the
     same rotation, up to Monte Carlo tolerance (Hausdorff 0.05 after unit
     max-norm scaling)."""
 
-    def validity(task):
-        d, s = task
+    def validity(d, s):
         a = 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
         spec = MeasureSpec("simplex_mixture", d, _TMAP_N, {"sigma": 0.01}, 300 + s)
         m = generate_measure(spec)
@@ -397,8 +364,8 @@ def tmap_suite(seeds=(0, 1, 2), dims=(2, 3), trials: int = 10, threads: int = 1)
         return [_row("tmap", "equivariance_hausdorff", f"t{t}", d, _TMAP_N, t,
                      0.05, h, 0.05 - h, h <= 0.05)]
 
-    return (_map_rows(validity, [(d, s) for d in dims for s in seeds], threads)
-            + _map_rows(equivariance, range(trials), threads))
+    return ([r for d in dims for s in seeds for r in validity(d, s)]
+            + [r for t in range(trials) for r in equivariance(t)])
 
 
 def _cluster_angles_deg(vectors: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -446,9 +413,9 @@ SUITES = {
 }
 
 
-def run_suite(name: str, params: dict | None = None, threads: int = 1) -> list[dict]:
+def run_suite(name: str, params: dict | None = None) -> list[dict]:
     """Run a registered suite at its acceptance parameters, with ``params``
-    overriding any of them (``threads`` included)."""
+    overriding any of them."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(SUITES)}")
-    return SUITES[name].fn(**{"threads": threads, **(params or {})})
+    return SUITES[name].fn(**(params or {}))

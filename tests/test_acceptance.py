@@ -6,14 +6,18 @@ instance counts and budgets are pinned here; shortfalls are reported per
 instance, never silently passed.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from depthlab.suites import oracle_suite, rado_suite, rows_to_csv, run_suite
+from depthlab.suites import run_suite
 
-THREADS = 2
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _report(k: int, name: str, ok: bool, detail: str = ""):
@@ -26,7 +30,7 @@ def _failures(rows):
 
 def test_01_oracle_equivalence():
     t0 = time.perf_counter()
-    rows = run_suite("oracle", threads=THREADS)
+    rows = run_suite("oracle")
     dt = time.perf_counter() - t0
     bad = _failures(rows)
     ok = not bad and dt < 60
@@ -38,7 +42,7 @@ def test_01_oracle_equivalence():
 
 def test_02_rado_median_floor():
     t0 = time.perf_counter()
-    rows = run_suite("rado", threads=THREADS)
+    rows = run_suite("rado")
     dt = time.perf_counter() - t0
     bad = _failures(rows)
     ok = not bad and dt < 300
@@ -51,10 +55,7 @@ def test_02_rado_median_floor():
 
 def test_03_deep_lines_in_r3():
     t0 = time.perf_counter()
-    # each instance's phases run as lockstep batches, large enough that two
-    # threads beat one (33.6-37.2 s against 46.0-53.9 s on 2 cores) with
-    # the same CSV bytes
-    rows = run_suite("theorem1", threads=THREADS)
+    rows = run_suite("theorem1")
     dt = time.perf_counter() - t0
     floor_rows = [r for r in rows if r["check"] == "line_floor"]
     quota_rows = [r for r in rows if r["check"] == "improved_quota"]
@@ -151,14 +152,25 @@ def test_09_equivariance():
     assert not bad, bad[:3]
 
 
+_DETERMINISM_PROBE = """
+import sys
+from depthlab.suites import oracle_suite, rado_suite, rows_to_csv
+sys.stdout.write(rows_to_csv(oracle_suite(instances_per_dim=6))
+                 + rows_to_csv(rado_suite(dims=(2,), seeds_per_dim=6, n=80)))
+"""
+
+
 def test_10_determinism_across_threads():
+    # reruns in fresh processes, at BLAS thread counts 1 and 2
     outputs = []
-    for threads in (1, 8):
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
         for rerun in range(2):
-            a = rows_to_csv(oracle_suite(instances_per_dim=6, threads=threads))
-            b = rows_to_csv(rado_suite(dims=(2,), seeds_per_dim=6, n=80, threads=threads))
-            outputs.append(a + b)
-    ok = all(o == outputs[0] for o in outputs)
-    _report(10, "byte-identical CSV at thread counts 1 and 8", ok,
+            r = subprocess.run([sys.executable, "-c", _DETERMINISM_PROBE], capture_output=True, env=env, timeout=300)
+            assert r.returncode == 0, r.stderr
+            outputs.append(r.stdout)
+    ok = all(o == outputs[0] for o in outputs) and outputs[0].count(b"\n") == 20
+    _report(10, "byte-identical CSV across reruns at BLAS thread counts 1 and 2", ok,
             f"({len(outputs)} runs compared)")
     assert ok

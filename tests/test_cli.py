@@ -177,11 +177,28 @@ def test_verify_command_and_determinism(tmp_path):
         },
     )
     o1, o2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-    assert main(["verify", "--config", cfg, "--out", o1, "--threads", "1"]) == 0
-    assert main(["verify", "--config", cfg, "--out", o2, "--threads", "8"]) == 0
+    assert main(["verify", "--config", cfg, "--out", o1]) == 0
+    assert main(["verify", "--config", cfg, "--out", o2]) == 0
     a = (tmp_path / "o1" / "oracle.csv").read_bytes()
     b = (tmp_path / "o2" / "oracle.csv").read_bytes()
     assert a == b
+
+
+def test_verify_refuses_a_threads_flag(tmp_path, capsys):
+    # suites run serially: --threads is no option, a usage error
+    cfg = write(tmp_path, "c.json", {"command": "verify", "suite": "oracle", "params": {"instances_per_dim": 4}})
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_config_threads_key_is_ignored(tmp_path):
+    # a config that still names threads runs like one without it
+    out = tmp_path / "out"
+    cfg = write(tmp_path, "c.json", {"command": "depth", "measure": SQUARE, "query": [0, 0], "threads": "x"})
+    assert main(["depth", "--config", cfg, "--out", str(out)]) == 0
+    assert "threads" not in json.loads((out / "depth_summary.json").read_text())
 
 
 def test_verify_unknown_suite(tmp_path, capsys):
@@ -288,7 +305,7 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
         ({"command": "depth", "measure": {"kind": "point_masses", "dim": 2}, "query": [0, 0]},
          "config.measure"),
         ({"command": "depth", "measure": {"kind": "file", "dim": 2}, "query": [0, 0]}, "config.measure.kind"),
-        ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "threads": "x"}, "config.threads"),
+        ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "expected": True}, "config.expected"),
         ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "mode": "sampled", "sample_count": 0},
          "config.sample_count"),
         ({"command": "landscape", "measure": GAUSS2, "grid_count": "many"}, "config.grid_count"),
@@ -309,7 +326,7 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
         ({"command": "depth", "measure": GAUSS2, "query": [0, 0, 0]}, "config.query"),
         ({"command": "depth", "measure": GAUSS2, "query": "ab"}, "config.query"),
         ({"command": "median", "measure": GAUSS2, "budget": {"mode": "fast"}}, "config.budget.mode"),
-        ({"command": "depth", "measure": GAUSS2, "query": [0, 0]}, "--threads"),  # with --threads 0
+        ({"command": "generate", "measure": GAUSS2}, "config.out_measure"),
         ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "out": 5}, "config.out"),
         ({"command": "depth", "measure": GAUSS2, "query": [0, 0], "seed": True}, "config.seed"),
         ({"command": "depth", "measure": {**GAUSS2, "dim": 2.5}, "query": [0, 0]}, "config.measure.dim"),
@@ -336,7 +353,7 @@ GAUSS2 = {"kind": "gaussian", "dim": 2, "n": 5}
 )
 def test_config_error_names_field(tmp_path, capsys, config, field):
     cfg = write(tmp_path, "c.json", config)
-    flags = {"--threads": ["--threads", "0"], "--seed": ["--seed", "-1"]}.get(field, [])
+    flags = {"--seed": ["--seed", "-1"]}.get(field, [])
     assert main([config["command"], "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
     assert field in capsys.readouterr().err
 

@@ -9,7 +9,6 @@ import depthlab.central
 import depthlab.depth
 import depthlab.median
 import ascent_referee as ref
-from enumerator_referee import enumerator_depth
 from depthlab.geometry import Flat, complement_basis, line, random_rotation, sample_directions
 from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure, project_measure
 from depthlab.depth import (
@@ -518,19 +517,20 @@ def degenerate_instances(draw, d, n_min, n_max, near=False):
 @settings(max_examples=60, deadline=None)
 @given(degenerate_instances(4, 5, 16))
 def test_exact_d4_matches_enumerator(inst):
+    # named for its former referee, a float enumerator; the oracle is exact
     m, q = inst
     r = point_depth(m, q)
     assert r.mode == "exact"
-    assert abs(r.depth - enumerator_depth(m, q)) < 1e-9
+    assert r.depth == depth_oracle(m, q).depth
 
 
 @settings(max_examples=60, deadline=None)
 @given(degenerate_instances(3, 15, 30))
-def test_exact_d3_matches_enumerator_beyond_oracle_size(inst):
+def test_exact_d3_matches_oracle_up_to_n30(inst):
     m, q = inst
     r = point_depth(m, q)
     assert r.mode == "exact"
-    assert abs(r.depth - enumerator_depth(m, q)) < 1e-9
+    assert r.depth == depth_oracle(m, q).depth
 
 
 @settings(max_examples=40, deadline=None)
@@ -785,12 +785,3 @@ def test_exact_memo_under_thread_contention(monkeypatch):
         want = fresh[(i * 7) % 24]
         assert float(r.depth).hex() == float(want.depth).hex() and r.witness.tobytes() == want.witness.tobytes()
 
-
-def test_suite_with_exact_memo_does_not_depend_on_threads():
-    from depthlab.suites import SUITES, rows_to_csv, run_suite
-
-    depthlab.depth._last = (None, None)
-    one = rows_to_csv(run_suite("central", SUITES["central"].quick, threads=1))
-    depthlab.depth._last = (None, None)
-    two = rows_to_csv(run_suite("central", SUITES["central"].quick, threads=2))
-    assert one == two

@@ -3,14 +3,13 @@ are those of the elementwise projection in ``pivot_referee`` bit for bit,
 and exact ``point_depth`` in d = 3 is the least of the referee's masses,
 exactly.  In d = 4, where each pivot's image is solved by the d = 3 level,
 the least pivot mass is the retired pair screen's, and exact
-``point_depth`` the enumerator's depth."""
+``point_depth`` the oracle's depth."""
 
 import numpy as np
 import pytest
 
 import depthlab.depth
 import pivot_referee as ref
-from enumerator_referee import enumerator_depth
 from depthlab.depth import _pivot_images, _pivot_solutions, depth_oracle, point_depth
 from depthlab.geometry import DEFAULT_TOL
 from depthlab.measures import DiscreteMeasure, MeasureSpec, generate_measure, make_measure
@@ -195,10 +194,14 @@ def _d4_cases() -> list:
 
 
 def test_d4_screen_matches_pair_screen_and_enumerator():
+    # named for its former referee, a float enumerator; the oracle is exact
     for name, m, q in _d4_cases():
         phat, w = _rows(m, q)
         for gap in (DEFAULT_TOL, 2.0 * DEFAULT_TOL):
             got, pairs = _pivot_solutions(phat, w, gap)[0], ref.pair_masses(phat, w, gap)
             assert np.array_equal(got.min(axis=1), pairs.min(axis=1)) and (got <= pairs).all(), name
-        r = point_depth(m, q)
-        assert r.mode == "exact" and abs(r.depth - enumerator_depth(m, q)) < 1e-9, name
+        r, oracle = point_depth(m, q), depth_oracle(m, q).depth
+        # a weighted measure's exact depth counts its mass units, the
+        # oracle its raw weights
+        uniform = np.all(m.weights == m.weights[0])
+        assert r.mode == "exact" and (r.depth == oracle if uniform else abs(r.depth - oracle) <= 1e-12), name
