@@ -26,37 +26,44 @@ draws all its tuple samples at once and screens them in one stacked pass
 against the reference tuple's cone masks, computed once: the cone layer's
 membership rule (``cones._tuple_hits``) gives every sample's weight and cone
 masks from one product, and one more product the masses shared with the
-reference's cones.  It then builds the central cones of ``MAP_BLOCK``
-family members at a time (their pools drawn seed by seed from each seed's
-own generators, then crossed, normalized and counted together), clips all
-the map's patches together and adds the contributions in sample order.
+reference's cones.  Its members' matched cones are one stack of normals,
+built by the stacked rules of ``GeneratingTuple`` and ``SimplicialCone``
+with no object per member.  It then builds the central cones of
+``MAP_BLOCK`` family members at a time (their pools drawn seed by seed from
+each seed's own generators, then crossed, normalized and counted together,
+their kept constraints one zero-padded stack in the stable order of their
+captures, a radix sort of int16 keys for a uniform measure), clips all the
+map's patches together from those stacks and adds the contributions in
+sample order.  ``CentralConeApprox``, ``central_cone``, ``central_patch``
+and ``containment_check`` are the one- and two-cone cases of the same
+arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .geometry import (
     DEFAULT_TOL,
     SimplicialCone,
+    _sphere_directions,
     check_count,
     cone_contains_many,
     hull_interior_margin,
-    sample_directions,
     unit,
 )
 from .measures import DiscreteMeasure
 from .cones import (
     GENERATING_MARGIN,
-    GeneratingTuple,
     TupleMasses,
     _family_eps,
+    _labelled_cones,
     _matchings,
     _tuple_hits,
     canonical_labeling,
-    cones_of,
     family_level_cap,
     family_overlap_floor,
     tuple_masses,
@@ -92,7 +99,8 @@ class CentralConeApprox:
         ``_clip_patches``; raises RuntimeError when the patch has no
         interior, and ValueError in a dimension other than 2 and 3.
         """
-        return _nonempty(_clip_patches([self])[0])
+        cons, nk = _pack(np.ones((1, len(self.constraints)), dtype=bool), self.constraints)
+        return _nonempty(_clip_patches(self.base.normals[None], cons, nk)[0])
 
 
 def _nonempty(patch):
@@ -101,26 +109,27 @@ def _nonempty(patch):
     return patch
 
 
-def _clip_patches(approxes) -> list:
-    """Exact sphere patches of central-cone approximations of one dimension,
-    clipped in lockstep: per approximation (vertices, central vector), or
-    None when its patch has no interior.
+def _clip_patches(normals: np.ndarray, cons: np.ndarray, nk: np.ndarray) -> list:
+    """Exact sphere patches of central-cone approximations, clipped in
+    lockstep: approximation i is the base cone of unit normals ``normals[i]``
+    (a stack (P, d, d)) cut by the first ``nk[i]`` constraints of ``cons[i]``
+    (a zero-padded stack (P, width >= 1, d), as ``_central_cones`` returns
+    it).  Per approximation (vertices, central vector), or None when its
+    patch has no interior.
 
     B's rays -inv(normals) all lie in the plane <c, x> = 1 for
     c = -(sum of B's normals), so B's section there is a segment (d = 2) or
-    a triangle (d = 3), and each constraint cuts it along a line.  The
-    sections and constraint sets are padded arrays, and every value is the
-    one a clip of that approximation alone computes, bit for bit.  Raises
-    ValueError in a dimension other than 2 and 3.
+    a triangle (d = 3), and each constraint cuts it along a line; a zero
+    padding row never cuts.  Every value is the one a clip of that
+    approximation alone computes, bit for bit.  Raises ValueError in a
+    dimension other than 2 and 3.
     """
-    if not approxes:
-        return []
-    d = approxes[0].base.dim
+    d = normals.shape[-1]
     if d not in (2, 3):
         raise ValueError(f"exact central-cone patches need d = 2 or 3, got d = {d}")
-    v = -np.linalg.inv(np.stack([a.base.normals for a in approxes])).transpose(0, 2, 1)
-    nk = np.array([a.constraints.shape[0] for a in approxes])
-    cons, nk = _pack(np.arange(nk.max()) < nk[:, None], np.concatenate([a.constraints for a in approxes]))
+    if not len(normals):
+        return []
+    v = -np.linalg.inv(normals).transpose(0, 2, 1)
     return (_clip_arcs if d == 2 else _clip_polygons)(v, cons, nk)
 
 
@@ -259,49 +268,50 @@ class StructuralTuple:
 
 
 def _constraint_pools(m: DiscreteMeasure, samples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """The constraint pool of each seed, zero-padded (len(seeds), width, d)
-    (a zero row captures every point), and the pool sizes: ``samples``
-    sphere directions of the seed, then up to 1,024 exact candidates
-    (``_exact_constraint_candidates``) from the generator of seed + 1: the
-    kept candidates and their negations, stacked, or 1,024 rows of that
-    stack drawn without replacement when it holds more.  Each seed draws
-    from its own generators; the sign stacks of all the seeds are taken in
-    one pass.
+    """The constraint pool of each of the distinct ``seeds``, zero-padded
+    (len(seeds), width, d) (a zero row captures every point), and the pool
+    sizes: ``samples`` sphere directions of the seed, then up to 1,024 exact
+    candidates (``_exact_constraint_candidates``) from the generator of
+    seed + 1: the kept candidates and their negations, stacked, or 1,024
+    rows of that stack drawn without replacement when it holds more.  Each
+    seed draws from its own generators, the second one built only where a
+    draw reads it (in d = 3 the pair draw, then the signed picks); the sign
+    stacks of all the seeds are taken in one pass.
     """
     d, cap = m.dim, 1024
-    rngs = [np.random.default_rng(s + 1) for s in seeds]
-    cand, kept = _exact_constraint_candidates(m, rngs, cap)
+    rng = cache(lambda s: np.random.default_rng(s + 1))  # built at the first draw that reads it
+    cand, kept = _exact_constraint_candidates(m, seeds, rng, cap)
     # row r of a seed's signed stack [cand; -cand] of its c kept rows: kept
     # row r mod c, negated from r = c on
     c = kept.sum(axis=1)
-    picks = [rng.choice(2 * k, size=cap, replace=False) if 2 * k > cap else np.arange(2 * k)
-             for rng, k in zip(rngs, c)]
+    picks = [rng(s).choice(2 * k, size=cap, replace=False) if 2 * k > cap else np.arange(2 * k)
+             for s, k in zip(seeds, c)]
     sizes = np.array([len(r) for r in picks], dtype=int)
     valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
     r = np.zeros(valid.shape, dtype=np.intp)
     r[valid] = np.concatenate(picks + [np.empty(0, dtype=np.intp)])
     order = np.argsort(~kept, axis=1, kind="stable")  # each seed's kept rows first, in order
-    row = np.arange(len(rngs))[:, None] * kept.shape[1]  # where each seed's rows begin, flat
+    row = np.arange(len(seeds))[:, None] * kept.shape[1]  # where each seed's rows begin, flat
     src = np.take(order, row + r % np.maximum(c, 1)[:, None])
     exact = np.take(cand.reshape(-1, d), row + src, axis=0)
     exact *= np.where(r < c[:, None], 1.0, -1.0)[..., None]
-    pools = np.zeros((len(rngs), samples + valid.shape[1], d))
+    pools = np.zeros((len(seeds), samples + valid.shape[1], d))
     pools[:, samples:] = exact
     pools[:, samples:][~valid] = 0.0
-    for pool, s in zip(pools, seeds):
-        pool[:samples] = sample_directions(d, samples, seed=s, mode="sphere")
+    _sphere_directions(pools[:, :samples], seeds)
     return pools, samples + sizes
 
 
-def _exact_constraint_candidates(m: DiscreteMeasure, rngs: list, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _exact_constraint_candidates(m: DiscreteMeasure, seeds, rng, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Hyperplane normals through the origin spanned by measure points, for
-    each generator of ``rngs`` (len(rngs), rows, d), and which of them are
-    kept: in d = 2 the unit points turned a quarter turn, all kept; in d = 3
-    the unit crosses of ``cap`` point pairs drawn by each generator (all
-    pairs when there are fewer), kept when of length above 1e-9; none in
-    other dimensions.  The crosses of all the generators are taken in one
-    pass, in place, which keeps their temporaries few."""
-    d, k = m.dim, len(rngs)
+    each of the ``seeds`` (len(seeds), rows, d), and which of them are kept:
+    in d = 2 the unit points turned a quarter turn, all kept; in d = 3 the
+    unit crosses of ``cap`` point pairs drawn by each seed's generator
+    ``rng(seed)`` (all pairs, and no draw, when there are fewer), kept when
+    of length above 1e-9; none in other dimensions.  The crosses of all the
+    seeds are taken in one pass, in place, which keeps their temporaries
+    few."""
+    d, k = m.dim, len(seeds)
     norms = np.linalg.norm(m.points, axis=1)
     keep = norms > DEFAULT_TOL
     phat = m.points[keep] / norms[keep][:, None]
@@ -315,7 +325,7 @@ def _exact_constraint_candidates(m: DiscreteMeasure, rngs: list, cap: int) -> tu
     # root of i^2 - (2n - 1) i + 2p, exact in float64 (the discriminant is an
     # integer below 2^53, a square at each row start)
     pairs = n * (n - 1) // 2
-    p = (np.stack([rng.choice(pairs, size=cap, replace=False) for rng in rngs]) if pairs > cap
+    p = (np.stack([rng(s).choice(pairs, size=cap, replace=False) for s in seeds]) if pairs > cap
          else np.broadcast_to(np.arange(pairs), (k, pairs)))
     ii = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8.0 * p)) * 0.5).astype(np.intp)
     jj = p - ii * (2 * n - ii - 1) // 2 + ii + 1
@@ -332,10 +342,13 @@ def _exact_constraint_candidates(m: DiscreteMeasure, rngs: list, cap: int) -> tu
     return cand, lens > 1e-9
 
 
-def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int) -> list:
-    """The sampled outer approximations of the central cones of ``cones``
-    under m, cone i from the constraint pool of seed seeds[i]: per cone its
-    ``CentralConeApprox``, or None when the cone carries no mass.
+def _central_cones(m: DiscreteMeasure, normals: np.ndarray, seeds, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled outer approximations of the central cones under m of the
+    cones with unit normals ``normals`` (a stack (C, d, d)), cone i from the
+    constraint pool of seed seeds[i]: the kept constraints of each cone, at
+    the front of its row of a zero-padded stack (C, min(pool rows,
+    ``CONSTRAINT_CAP``), d), and their counts, -1 for a cone that carries no
+    mass (a cone with mass may keep none: its patch is then its base cone's).
 
     Each seed's pool (``_constraint_pools``, ``samples`` sphere directions
     first) is drawn once, however many cones share it; its exact block does
@@ -353,30 +366,41 @@ def _central_cones(m: DiscreteMeasure, cones, seeds, samples: int) -> list:
     approximation takes the first min(kept, ``CONSTRAINT_CAP``) kept
     constraints in the stable order of their captures, the most binding
     first (capture closest to the threshold cuts deepest into the cone).
-    Any subset still yields a valid outer approximation, but with the cap a
-    larger pool need not give a smaller one: only the pools nest.
+    A uniform measure below 2^15 - 1 points sorts int16 keys (its captures,
+    2^15 - 1 for a constraint not kept), which numpy sorts stably by radix,
+    in the order of a stable sort of the float captures; any other measure
+    sorts its captures, +inf for a constraint not kept.  Any subset still
+    yields a valid outer approximation, but with the cap a larger pool need
+    not give a smaller one: only the pools nest.
     """
     d = m.dim
-    normals = np.stack([b.normals for b in cones])
     inside = np.all(m.points @ normals.transpose(0, 2, 1) <= DEFAULT_TOL, axis=2)
     keys, pick = np.unique(np.asarray(seeds), return_inverse=True)
     pools, sizes = _constraint_pools(m, samples, keys)
     # each cone's points, then zero rows, which every constraint captures
     idx = np.nonzero(inside)[1]
     pts, counts = _pack(inside, m.points[idx])
+    # each cone's points as the columns of a row-major (d, width) factor:
+    # the same products as with a transposed view, at twice the speed
+    pts = np.ascontiguousarray(pts.transpose(0, 2, 1))
     w = _pack(inside, m.units[idx, None])[0].astype(np.float32 if m.scale < 2**24 else np.float64)
-    captured = np.empty((len(cones), pools.shape[1]))
-    blocks = _row_blocks(pools.shape[1], pts.shape[1])
-    for cs in [slice(c, c + 1) for c in range(len(cones))]:  # one cone, as a stack of one
+    captured = np.empty((len(normals), pools.shape[1]), dtype=w.dtype)
+    blocks = _row_blocks(pools.shape[1], pts.shape[2])
+    for c, p in enumerate(pick):  # one cone at a time
         for rs in blocks:
-            hit = np.matmul(pools[pick[cs], rs], pts[cs].transpose(0, 2, 1)) <= DEFAULT_TOL
-            captured[cs, rs] = np.matmul(hit.astype(w.dtype), w[cs])[..., 0]
+            hit = pools[p, rs] @ pts[c] <= DEFAULT_TOL
+            captured[c, rs] = (hit.astype(w.dtype) @ w[c])[:, 0]
     keep = (d + 1) * captured.astype(np.int64) >= d * w[..., 0].sum(axis=1, dtype=np.int64)[:, None]
     keep &= np.arange(pools.shape[1]) < sizes[pick][:, None]
-    kept = np.minimum(keep.sum(axis=1), CONSTRAINT_CAP)
-    binding = np.argsort(np.where(keep, captured, np.inf), axis=1, kind="stable")[:, :CONSTRAINT_CAP]
-    return [None if k == 0 else CentralConeApprox(b, pools[p, binding[i, : kept[i]]])
-            for i, (b, k, p) in enumerate(zip(cones, counts, pick))]
+    if m.scale == m.n and m.n < 2**15 - 1:
+        ranks = np.where(keep, captured.astype(np.int16), np.int16(2**15 - 1))
+    else:
+        ranks = np.where(keep, captured, np.inf)
+    binding = np.argsort(ranks, axis=1, kind="stable")[:, :CONSTRAINT_CAP]
+    kept = np.where(counts > 0, np.minimum(keep.sum(axis=1), CONSTRAINT_CAP), -1)
+    cons = pools[pick[:, None], binding]
+    cons[np.arange(binding.shape[1]) >= kept[:, None]] = 0.0
+    return cons, kept
 
 
 def central_cone(m: DiscreteMeasure, b: SimplicialCone, seed: int = 0) -> CentralConeApprox:
@@ -384,10 +408,10 @@ def central_cone(m: DiscreteMeasure, b: SimplicialCone, seed: int = 0) -> Centra
     of ``seed`` with ``CONSTRAINT_SAMPLES`` sphere directions: the one-cone
     case of ``_central_cones``, whose docstring gives the candidate pool and
     the capture rule.  Raises ValueError when B carries no mass."""
-    approx = _central_cones(m, [b], [seed], CONSTRAINT_SAMPLES)[0]
-    if approx is None:
+    cons, kept = _central_cones(m, b.normals[None], [seed], CONSTRAINT_SAMPLES)
+    if kept[0] < 0:
         raise ValueError("cone carries no mass")
-    return approx
+    return CentralConeApprox(b, cons[0, : kept[0]])
 
 
 def central_patch(m: DiscreteMeasure, b: SimplicialCone, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -430,8 +454,9 @@ def containment_check(
     if inter < floor - 1e-12:
         raise ValueError(f"intersection mass {inter} below the floor {floor}")
     ok = True
-    approxes = _central_cones(m, [b1, b2], [seed, seed], CONSTRAINT_SAMPLES)  # both carry mass: inter > 0
-    for patch, other in zip(_clip_patches(approxes), (b2, b1)):
+    normals = np.stack([b1.normals, b2.normals])
+    cons, kept = _central_cones(m, normals, [seed, seed], CONSTRAINT_SAMPLES)  # both carry mass: inter > 0
+    for patch, other in zip(_clip_patches(normals, cons, kept), (b2, b1)):
         verts, e = _nonempty(patch)
         ok &= bool(np.all(cone_contains_many(other, np.vstack([verts, e]), 1e-7)))
     return ok
@@ -490,8 +515,10 @@ def structural_map(
     ``family_overlap_floor(d)`` with the reference cone it is matched to.
     All tuple samples are drawn and screened at once (``_family_members``,
     against the reference tuple's weight and cone masks, computed once);
-    the central cones of ``MAP_BLOCK`` family members are built together
-    (``_central_cones``), and all their patches are clipped together.
+    the members' matched cones are one stack of normals (no object per
+    member), the central cones of ``MAP_BLOCK`` family members are built
+    together (``_central_cones``), and all their patches are clipped
+    together from the blocks' constraint stacks.
     """
     d = m.dim
     if d not in (2, 3):
@@ -517,21 +544,21 @@ def structural_map(
         raise RuntimeError(f"tuple weight at the origin ({ref.weight}) is not below a = {a}")
 
     normals = _tuple_samples(np.random.default_rng(seed), ref.tuple.normals, tuple_samples)
-    # (sample, weight, matched cones) of each tuple in the family
-    members = [(s, w, cones_of(GeneratingTuple(normals[s]).reordered(order)).cones)
-               for s, w, order in zip(*_family_members(m, a, ref, normals))]
-    approxes = []
-    for lo in range(0, len(members), MAP_BLOCK):
-        block = members[lo : lo + MAP_BLOCK]
-        # cone j of sample s from the pool of seed + 31 s + j
-        approxes += _central_cones(m, [b for _, _, cones in block for b in cones],
-                                   [seed + 31 * s + j for s, _, cones in block for j in range(len(cones))],
-                                   MAP_CONSTRAINT_SAMPLES)
-    patches = iter(_clip_patches(approxes))
+    idx, weights, orders = _family_members(m, a, ref, normals)
+    cones = _labelled_cones(normals[idx], orders).reshape(-1, d, d)  # the members' matched cones
+    # cone j of sample s from the pool of seed + 31 s + j
+    seeds = (seed + 31 * idx[:, None] + np.arange(d + 1)).ravel()
+    cons = np.zeros((len(cones), CONSTRAINT_CAP, d))
+    kept = np.zeros(len(cones), dtype=int)
+    for lo in range(0, len(cones), MAP_BLOCK * (d + 1)):
+        block = slice(lo, lo + MAP_BLOCK * (d + 1))
+        c, kept[block] = _central_cones(m, cones[block], seeds[block], MAP_CONSTRAINT_SAMPLES)
+        cons[block, : c.shape[1]] = c
+    patches = _clip_patches(cones, cons, kept)
     sums = np.zeros((d + 1, d))
     nonzero = 0
-    for _, w, cones in members:
-        clipped = [next(patches) for _ in cones]
+    for k, w in enumerate(weights):
+        clipped = patches[k * (d + 1) : (k + 1) * (d + 1)]
         if any(p is None for p in clipped):
             continue
         sums += (a - w) * np.array([e for _, e in clipped])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, SimplicialCone, hull_interior_margin
+from .geometry import DEFAULT_TOL, SimplicialCone, _cone_normals, hull_interior_margin
 from .measures import DiscreteMeasure
 
 GENERATING_MARGIN = 1e-9
@@ -59,12 +59,7 @@ class GeneratingTuple:
         nrm = np.asarray(self.normals, dtype=float)
         if nrm.ndim != 2 or nrm.shape[0] != nrm.shape[1] + 1:
             raise ValueError(f"need (d+1) x d normals, got {nrm.shape}")
-        flag, margin = is_generating(nrm)
-        if not flag:
-            raise ValueError(
-                f"not generating: hull interior margin {margin:.3g} < {GENERATING_MARGIN}"
-            )
-        nrm = nrm / np.linalg.norm(nrm, axis=1)[:, None]
+        nrm = _generating_normals(nrm[None])[0]
         object.__setattr__(self, "normals", nrm)
         self.normals.setflags(write=False)
 
@@ -97,23 +92,51 @@ def is_generating(normals: np.ndarray):
     Returns (flag, margin) where the margin quantifies how strictly the
     origin sits inside the hull of the outer normals; the flag asks for a
     margin of at least ``GENERATING_MARGIN``.  A zero or non-finite row
-    raises ValueError.
+    raises ValueError.  A stack (N, d+1, d) of tuples gives N flags and
+    margins, each with the bits of its own (``hull_interior_margin``).
     """
-    d = normals.shape[1]
-    if normals.shape[0] != d + 1:
-        raise ValueError(f"need d+1 half-spaces, got {normals.shape[0]} in dim {d}")
-    lens = np.linalg.norm(normals, axis=1)
-    bad = np.flatnonzero(~(np.isfinite(lens) & (lens > 0)))
+    d = normals.shape[-1]
+    if normals.shape[-2] != d + 1:
+        raise ValueError(f"need d+1 half-spaces, got {normals.shape[-2]} in dim {d}")
+    lens = np.linalg.norm(normals, axis=-1)
+    bad = np.argwhere(~(np.isfinite(lens) & (lens > 0)))
     if bad.size:
-        raise ValueError(f"normal {bad[0]} is zero or not finite: {normals[bad[0]]}")
-    margin = hull_interior_margin(normals / lens[:, None])
+        raise ValueError(f"normal {bad[0][-1]} is zero or not finite: {normals[tuple(bad[0])]}")
+    margin = hull_interior_margin(normals / lens[..., None])
     return margin >= GENERATING_MARGIN, margin
+
+
+def _generating_normals(normals: np.ndarray) -> np.ndarray:
+    """The unit rows of a stack (N, d+1, d) of tuples' outer normals, each
+    tuple's with the bits of its ``GeneratingTuple``, whose rule this is:
+    ``is_generating``, then the rows over their lengths.  The first zero or
+    non-finite row raises its ValueError, else the first tuple that is not
+    generating."""
+    flags, margins = is_generating(normals)
+    low = np.flatnonzero(~flags)
+    if low.size:
+        raise ValueError(f"not generating: hull interior margin {margins[low[0]]:.3g} < {GENERATING_MARGIN}")
+    return normals / np.linalg.norm(normals, axis=2)[..., None]
 
 
 def cones_of(t: GeneratingTuple) -> ConeTuple:
     """The d+1 simplicial cones of a tuple: cone i drops half-space i.  A cone
     whose normals are linearly dependent raises ValueError (``SimplicialCone``)."""
     return ConeTuple([SimplicialCone(np.delete(t.normals, i, axis=0)) for i in range(t.d + 1)])
+
+
+def _labelled_cones(normals: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The unit cone normals (N, d+1, d, d) of a stack (N, d+1, d) of
+    tuples' outer normals, tuple k reordered by orders[k] (cone i of it
+    drops half-space orders[k, i]): each with the bits of
+    ``cones_of(GeneratingTuple(normals[k]).reordered(orders[k]))`` and its
+    ValueError, by the stacked rules of ``GeneratingTuple`` (before and
+    after the reordering) and of ``SimplicialCone``
+    (``geometry._cone_normals``)."""
+    n, k, d = normals.shape
+    t = _generating_normals(np.take_along_axis(_generating_normals(normals), orders[..., None], axis=1))
+    drop = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp)
+    return _cone_normals(t[:, drop].reshape(-1, d, d)).reshape(n, k, d, d)
 
 
 def _tuple_hits(m: DiscreteMeasure, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

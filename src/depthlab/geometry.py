@@ -165,19 +165,30 @@ class SimplicialCone:
         normals = np.asarray(self.normals, dtype=float)
         if normals.ndim != 2 or normals.shape[0] != normals.shape[1] or not normals.size:
             raise ValueError(f"need d x d constraint normals, got {normals.shape}")
-        norms = np.linalg.norm(normals, axis=1)
-        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
-        if bad.size:
-            raise ValueError(f"constraint normal {bad[0]} is zero or not finite: {normals[bad[0]]}")
-        normals = normals / norms[:, None]
-        if abs(np.linalg.det(normals)) <= 1e-10:
-            raise ValueError("constraint normals are linearly dependent (tol 1e-10)")
+        normals = _cone_normals(normals[None])[0]
         object.__setattr__(self, "normals", normals)
         self.normals.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.normals.shape[1]
+
+
+def _cone_normals(normals: np.ndarray) -> np.ndarray:
+    """The unit rows of a stack (C, d, d) of cones' outer normals, each
+    cone's with the bits of its ``SimplicialCone``, whose rule this is: the
+    rows must be finite and nonzero, and each cone's unit rows must have
+    |det| > 1e-10.  The first zero or non-finite row raises its
+    ValueError, else any dependent cone."""
+    norms = np.linalg.norm(normals, axis=2)
+    bad = np.argwhere(~(np.isfinite(norms) & (norms > 0)))
+    if bad.size:
+        c, i = bad[0]
+        raise ValueError(f"constraint normal {i} is zero or not finite: {normals[c, i]}")
+    normals = normals / norms[..., None]
+    if (np.abs(np.linalg.det(normals)) <= 1e-10).any():
+        raise ValueError("constraint normals are linearly dependent (tol 1e-10)")
+    return normals
 
 
 def cone_contains_many(b: SimplicialCone, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -232,15 +243,26 @@ def sample_directions(dim: int, count: int, seed: int = 0, mode: str = "sphere")
         return np.ascontiguousarray(g / nrm[:, None])
     if mode != "sphere":
         raise ValueError(f"unknown sampling mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, dim))
-    nrm = np.linalg.norm(g, axis=1)
+    return _sphere_directions(np.empty((1, count, dim)), [seed])[0]
+
+
+def _sphere_directions(out: np.ndarray, seeds) -> np.ndarray:
+    """The ``sphere`` directions of ``sample_directions``, written into each
+    slice out[i] (count, dim) of a stack whose slices are row-major, from
+    seed seeds[i]: each slice with the bits of a ``sample_directions`` call,
+    the one-seed case; the norms and the division are taken for all the
+    seeds at once.  Returns ``out``."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    for rng, o in zip(rngs, out):
+        rng.standard_normal(out=o)
+    nrm = np.linalg.norm(out, axis=2)
     # resample the (measure-zero) degenerate rows deterministically
-    while np.any(nrm < 1e-12):
-        bad = nrm < 1e-12
-        g[bad] = rng.standard_normal((int(bad.sum()), dim))
-        nrm = np.linalg.norm(g, axis=1)
-    return g / nrm[:, None]
+    for i in np.flatnonzero((nrm < 1e-12).any(axis=1)):
+        while np.any(bad := nrm[i] < 1e-12):
+            out[i][bad] = rngs[i].standard_normal((int(bad.sum()), out.shape[2]))
+            nrm[i] = np.linalg.norm(out[i], axis=1)
+    out /= nrm[..., None]
+    return out
 
 
 def random_rotation(dim: int, seed: int) -> np.ndarray:

@@ -282,8 +282,9 @@ def structural_map(m: DiscreteMeasure, a: float, tuple_samples: int = 240, seed:
         contrib = np.zeros((d + 1, d))
         ok = True
         for j in range(d + 1):
+            cons, kept = _central_cones(m, cones[j].normals[None], [seed + 31 * s + j], MAP_CONSTRAINT_SAMPLES)
             try:
-                _, e = clip(_central_cones(m, [cones[j]], [seed + 31 * s + j], MAP_CONSTRAINT_SAMPLES)[0])
+                _, e = clip(CentralConeApprox(cones[j], cons[0, : kept[0]]))
             except RuntimeError:
                 ok = False
                 break

@@ -12,6 +12,7 @@ from depthlab.geometry import DEFAULT_TOL, SimplicialCone, cone_contains_many, r
 from depthlab.measures import MeasureSpec, generate_measure, make_measure
 from depthlab.median import recenter, witness_tuple
 from depthlab.cones import (
+    GeneratingTuple,
     canonical_labeling,
     cones_of,
     epsilon_match_max,
@@ -196,15 +197,15 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
     groups += [(octant, [OCTANT], [2]), (mc, small, [2, 5, 2, 7]), (weighted, small, [2, 5, 2, 7])]
     for m, cones, seeds in groups:
         blocks.clear()
-        approxes = central._central_cones(m, cones, seeds, 1024)
+        cons, kept = central._central_cones(m, np.stack([b.normals for b in cones]), seeds, 1024)
         (got,) = blocks
         if len(cones) == 1:
-            assert np.array_equal(approxes[0].constraints, central_cone(m, cones[0], seed=2).constraints)
+            assert np.array_equal(cons[0, : kept[0]], central_cone(m, cones[0], seed=2).constraints)
         if m is octant:
             assert len(got) == 57 and got[0] == slice(0, 36)
         elif cones is small:
             assert [len(range(2048)[r]) for r in got] == [2048]
-        for b, s, approx in zip(cones, seeds, approxes, strict=True):
+        for b, s, c, k in zip(cones, seeds, cons, kept, strict=True):
             pool = np.vstack([sample_directions(3, 1024, seed=s, mode="sphere"), referee.exact_constraint_candidates(m, 1024, s + 1)])
             assert len(pool) == 2048
             inside = cone_contains_many(b, m.points)
@@ -216,9 +217,57 @@ def test_central_cone_capture_in_blocks(mixture3, monkeypatch):
             units = ref.mass_units(m.weights)[0][inside].astype(np.int64)
             exact = hits[:, inside].astype(np.int64) @ units
             assert np.array_equal(keep, 4 * exact >= 3 * units.sum())
-            assert approx.constraints.shape[0] == min(320, keep.sum())
-            assert np.array_equal(approx.constraints, pool[keep][np.argsort(exact[keep], kind="stable")[:320]])
-            assert sorted(map(tuple, approx.constraints)) == sorted(map(tuple, old))
+            assert k == min(320, keep.sum()) and not c[k:].any()
+            assert np.array_equal(c[:k], pool[keep][np.argsort(exact[keep], kind="stable")[:320]])
+            assert sorted(map(tuple, c[:k])) == sorted(map(tuple, old))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_binding_order_is_the_stable_float_order(mixture3, monkeypatch, weighted):
+    # the kept constraints come in the order of a stable float argsort of
+    # the captures (+inf where not kept), ties in pool order (pool rows that
+    # capture the same points of B tie); a uniform measure sorts int16 keys
+    # (numpy's radix sort), a Dirichlet-weighted one its float captures
+    mc, tup = mixture3
+    m = make_measure(mc.points, np.random.default_rng(3).dirichlet(np.ones(mc.n))) if weighted else mc
+    dtypes = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: dtypes.append(np.asarray(a).dtype) or real(a, *args, **kw))
+    cones = cones_of(tup).cones
+    cons, kept = central._central_cones(m, np.stack([b.normals for b in cones]), [4, 5, 6, 7], 384)
+    monkeypatch.undo()
+    assert (np.int16 in dtypes) != weighted and (np.float64 in dtypes) == weighted
+    pools, sizes = _constraint_pools(m, 384, [4, 5, 6, 7])
+    ties = 0
+    for b, pool, size, c, k in zip(cones, pools, sizes, cons, kept, strict=True):
+        inside = cone_contains_many(b, m.points)
+        hits = np.vstack([pool[lo : lo + 256] @ m.points.T <= DEFAULT_TOL for lo in range(0, len(pool), 256)])
+        captured = hits[:, inside] @ m.units[inside]
+        keep = (4 * captured >= 3 * m.units[inside].sum()) & (np.arange(len(pool)) < size)
+        order = np.argsort(np.where(keep, captured, np.inf), kind="stable")[:320]
+        assert k == min(keep.sum(), 320) > 0
+        assert np.array_equal(c[:k], pool[order[:k]])
+        ties += k - len(np.unique(captured[order[:k]]))
+    assert ties > 100  # rows that capture the same points of B
+
+
+def test_map_builds_no_object_per_member(family2, monkeypatch):
+    # the member tuples and cones flow as stacks: a map of 120 tuple samples
+    # builds as many GeneratingTuple and SimplicialCone objects as one of 30
+    mc, ref, a = family2
+    built = []
+    for cls in (GeneratingTuple, SimplicialCone):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, real=cls.__post_init__: built.append(type(self)) or real(self))
+    counts = []
+    for samples in (30, 120):
+        built.clear()
+        idx, _, _ = _family_members(mc, a, tuple_masses(mc, ref), central._tuple_samples(
+            np.random.default_rng(0), ref.normals, samples))
+        built.clear()
+        structural_map(mc, a, tuple_samples=samples, seed=0)
+        counts.append((len(idx), built.count(GeneratingTuple), built.count(SimplicialCone)))
+    assert counts[0][0] < counts[1][0] - 30
+    assert counts[0][1:] == counts[1][1:]
 
 
 def test_central_cone_validations(mixture3):
@@ -256,7 +305,8 @@ def test_central_vector_concentrated_subcone():
     pts = (rng.random(400)[:, None] * 2 + 0.5) * (ray[None, :] + tang)
     m = make_measure(pts)
     # reference with a 4x denser constraint pool
-    _, e_ref = central._central_cones(m, [OCTANT], [100], 4096)[0].patch()
+    cons, kept = central._central_cones(m, OCTANT.normals[None], [100], 4096)
+    _, e_ref = CentralConeApprox(OCTANT, cons[0, : kept[0]]).patch()
     _, e = central_patch(m, OCTANT, seed=9)
     assert np.degrees(np.arccos(np.clip(e @ ray, -1, 1))) < 5.0
     assert np.degrees(np.arccos(np.clip(e @ e_ref, -1, 1))) < 2.0

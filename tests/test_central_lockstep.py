@@ -1,8 +1,9 @@
 """The lockstep clip of central-cone patches, the block-stacked constraint
-pools, the stacked screen of tuple samples and the structural map give the
-bits of the referees in ``central_referee``: one approximation clipped at a
-time, one seed's candidates at a time, and the map drawn, screened, built
-and clipped one tuple sample and one cone at a time.
+pools, the stacked screen of tuple samples, the stacked member cones and
+the structural map give the bits of the referees in ``central_referee``:
+one approximation clipped at a time, one seed's candidates at a time, and
+the map drawn, screened, built and clipped one tuple sample and one cone at
+a time, each cone a ``SimplicialCone`` of ``cones_of``.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import central_referee as referee
 from depthlab import central
 from depthlab.central import CentralConeApprox, _clip_patches, _constraint_pools
 from depthlab.geometry import SimplicialCone, cone_contains_many, random_rotation, sample_directions, unit
-from depthlab.cones import cones_of, family_overlap_floor, tuple_masses
+from depthlab.cones import GeneratingTuple, cones_of, family_overlap_floor, tuple_masses
 from depthlab.measures import MeasureSpec, generate_measure, make_measure
 from depthlab.median import recenter
 
@@ -27,17 +28,46 @@ def _map_case(d):
     return mc, 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3)
 
 
+def _member_cones(mc, a, d):
+    """The referee's cones of the members of the map of ``_map_case(d)``, in
+    order: the cones of each member's tuple, labelled by the reference."""
+    ref, samples = referee.draw_tuple_samples(mc, a, MAPS[d], 0)
+    members = [referee.family_member(mc, a, ref, nrm) for nrm in samples]
+    return [b for t, _, order in filter(None, members) for b in cones_of(t.reordered(order)).cones]
+
+
 @pytest.fixture(scope="module", params=sorted(MAPS))
 def recorded(request):
-    """(d, measure, a, map, [(approximations, patches)] of each clip call)."""
+    """(d, measure, a, map, [(approximations, patches, normals)] of each clip
+    call): each clip's arrays, read back as the approximations of the
+    referee's member cones (``_member_cones``), and the normals stack the
+    map clipped."""
     d = request.param
     mc, a = _map_case(d)
     calls = []
     real = central._clip_patches
+
+    def spy(normals, cons, nk):
+        calls.append((normals, cons, nk, real(normals, cons, nk)))
+        return calls[-1][-1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(central, "_clip_patches", lambda approxes: calls.append((approxes, real(approxes))) or calls[-1][1])
+        mp.setattr(central, "_clip_patches", spy)
         st = central.structural_map(mc, a, tuple_samples=MAPS[d], seed=0)
-    return d, mc, a, st, calls
+    cones = _member_cones(mc, a, d)
+    return d, mc, a, st, [([CentralConeApprox(b, c[:k]) for b, c, k in zip(cones, cons, nk)], patches, normals)
+                          for normals, cons, nk, patches in calls]
+
+
+def _clip(approxes, width: int = 1) -> list:
+    """``_clip_patches`` of a list of approximations, stacked as the map
+    stacks its cones: each one's constraints at the front of a zero row at
+    least ``width`` wide, and as wide as the most any of them holds."""
+    nk = np.array([len(x.constraints) for x in approxes])
+    cons = np.zeros((len(approxes), max(width, int(nk.max())), approxes[0].base.dim))
+    for row, x in zip(cons, approxes):
+        row[: len(x.constraints)] = x.constraints
+    return _clip_patches(np.stack([x.base.normals for x in approxes]), cons, nk)
 
 
 def _referee_patch(approx):
@@ -53,25 +83,49 @@ def _same(p, q) -> bool:
     return np.array_equal(p[0], q[0]) and np.array_equal(p[1], q[1])
 
 
-def _sliver(b: SimplicialCone) -> np.ndarray:
-    """Two opposite constraints whose plane crosses B's interior: a patch of
-    zero width."""
-    r = -np.linalg.inv(b.normals)  # columns: B's rays
-    n = unit(np.cross(r[:, 0], r[:, 1] + r[:, 2])) if b.dim == 3 else unit([-(r[1, 0] + r[1, 1]), r[0, 0] + r[0, 1]])
+def _sliver(normals: np.ndarray) -> np.ndarray:
+    """Two opposite constraints whose plane crosses the interior of the cone
+    of unit normals ``normals``: a patch of zero width."""
+    r = -np.linalg.inv(normals)  # columns: B's rays
+    d = len(normals)
+    n = unit(np.cross(r[:, 0], r[:, 1] + r[:, 2])) if d == 3 else unit([-(r[1, 0] + r[1, 1]), r[0, 0] + r[0, 1]])
     return np.vstack([n, -n])
 
 
 def test_every_cone_of_a_map_matches_referee(recorded):
-    # one clip per map, holding the cones of every family member
+    # one clip per map, holding the cones of every family member: their
+    # stacked normals are those of the referee's ``cones_of`` of each
+    # member, bit for bit, and so is each patch
     d, mc, a, _, calls = recorded
     ref, samples = referee.draw_tuple_samples(mc, a, MAPS[d], 0)
     members = sum(referee.family_member(mc, a, ref, nrm) is not None for nrm in samples)
     assert len(calls) == 1
-    (batch, patches), = calls
+    (batch, patches, normals), = calls
     assert len(batch) == members * (d + 1)
+    assert np.array_equal(normals, np.stack([x.base.normals for x in batch]))
     for approx, p in zip(batch, patches, strict=True):
         assert p is not None
         assert _same(p, _referee_patch(approx))
+
+
+def test_member_cones_stack_like_cones_of(recorded):
+    # the map's stacked rules of GeneratingTuple (twice: the sample, then
+    # its labelled order) and of SimplicialCone give each member's
+    # ``cones_of(GeneratingTuple(n).reordered(order))`` bit for bit, with no
+    # object per member: on the recorded map's members, and on the members
+    # of 2,000 more tuple samples (in d = 3 a pass of the rule left out
+    # moves bits of about one member in 17)
+    d, mc, a, _, calls = recorded
+    ref, samples = referee.draw_tuple_samples(mc, a, MAPS[d], 0)
+    more = central._tuple_samples(np.random.default_rng(1), ref.normals, 2000)
+    for normals in (np.stack(samples), more):
+        idx, _, orders = central._family_members(mc, a, tuple_masses(mc, ref), normals)
+        stacked = central._labelled_cones(normals[idx], orders)
+        want = [np.stack([b.normals for b in cones_of(GeneratingTuple(normals[s]).reordered(o)).cones])
+                for s, o in zip(idx, orders)]
+        assert np.array_equal(stacked, np.stack(want))
+        if normals is not more:
+            assert np.array_equal(stacked.reshape(-1, d, d), calls[0][2])
 
 
 def test_map_matches_referee(recorded):
@@ -83,27 +137,28 @@ def test_map_matches_referee(recorded):
 
 def test_constraint_counts_in_one_batch(recorded):
     # 0, 1 (a matrix-vector product), 2, fewer than 320 and all of a cone's
-    # constraints, clipped together
+    # constraints, clipped together, in rows as wide as the most constraints
+    # or padded wider
     d, _, _, _, calls = recorded
     base = calls[0][0][0]
     cons = base.constraints
     assert cons.shape[0] == 320
     batch = [CentralConeApprox(base.base, cons[:k]) for k in (0, 1, 2, 37, 320, 1)]
     batch.append(CentralConeApprox(calls[0][0][1].base, cons[5:6]))
-    for approx, p in zip(batch, _clip_patches(batch), strict=True):
+    for approx, p, q in zip(batch, _clip(batch), _clip(batch, 400), strict=True):
         assert _same(p, _referee_patch(approx))
-        assert _same(p, approx.patch())
+        assert _same(p, approx.patch()) and _same(p, q)
 
 
 def test_empty_patch_in_a_batch(recorded):
     d, _, _, _, calls = recorded
     first, second = calls[0][0][:2]
-    empty = CentralConeApprox(first.base, np.vstack([first.constraints, _sliver(first.base)]))
+    empty = CentralConeApprox(first.base, np.vstack([first.constraints, _sliver(first.base.normals)]))
     with pytest.raises(RuntimeError, match="empty"):
         referee.patch(empty)
     with pytest.raises(RuntimeError, match="empty"):
         empty.patch()
-    patches = _clip_patches([first, empty, second])
+    patches = _clip([first, empty, second])
     assert patches[1] is None
     assert _same(patches[0], referee.patch(first)) and _same(patches[2], referee.patch(second))
 
@@ -117,13 +172,16 @@ def test_map_skips_empty_patches_like_referee(recorded, monkeypatch):
     real = central._central_cones
     hits = []
 
-    def faulty(m, cones, seeds, samples):
-        out = real(m, cones, seeds, samples)
-        for i, (b, seed) in enumerate(zip(cones, seeds)):
+    def faulty(m, normals, seeds, samples):
+        cons, kept = real(m, normals, seeds, samples)
+        for i, (nrm, seed) in enumerate(zip(normals, seeds)):
             hits.append((seed // 31, seed % 31))
             if seed % 31 == 1 and seed // 31 % 3 == 0:
-                out[i] = CentralConeApprox(b, np.vstack([out[i].constraints, _sliver(b)]))
-        return out
+                # after its kept constraints, or over the last two of a full row
+                k = min(kept[i], cons.shape[1] - 2)
+                cons[i, k : k + 2] = _sliver(nrm)
+                kept[i] = k + 2
+        return cons, kept
 
     monkeypatch.setattr(central, "_central_cones", faulty)
     monkeypatch.setattr(referee, "_central_cones", faulty)
@@ -145,7 +203,7 @@ def test_every_member_cone_holds_the_overlap_floor(recorded):
     d, mc, a, _, calls = recorded
     ref, samples = referee.draw_tuple_samples(mc, a, MAPS[d], 0)
     members = [referee.family_member(mc, a, ref, nrm) for nrm in samples]
-    cones = [b for t, _, order in filter(None, members) for b in cones_of(t.reordered(order)).cones]
+    cones = _member_cones(mc, a, d)
     assert len(cones) == len(calls[0][0]) > 10 * (d + 1)
     floor = family_overlap_floor(d)
     masses = [float(mc.weights[cone_contains_many(b, mc.points)].sum()) for b in cones]
@@ -236,12 +294,12 @@ def test_cones_built_together_match_each_built_alone(recorded, weighted):
     assert len({float(m.units[cone_contains_many(b, m.points)].sum()) for b in cones}) > 3
     seeds = list(range(len(cones)))
     seeds[-1] = seeds[0]
-    together = central._central_cones(m, cones, seeds, 384)
-    assert together[3] is None
-    for b, seed, got in zip(cones, seeds, together, strict=True):
-        if got is not None:
-            (alone,) = central._central_cones(m, [b], [seed], 384)
-            assert got.base is b and np.array_equal(got.constraints, alone.constraints)
+    normals = np.stack([b.normals for b in cones])
+    cons, kept = central._central_cones(m, normals, seeds, 384)
+    assert kept[3] == -1 and not cons[3].any() and (kept[np.arange(len(cones)) != 3] > 0).all()
+    for nrm, seed, c, k in zip(normals, seeds, cons, kept, strict=True):
+        alone, k1 = central._central_cones(m, nrm[None], [seed], 384)
+        assert k1[0] == k and np.array_equal(c, alone[0]) and not c[max(k, 0):].any()
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -255,7 +313,7 @@ def test_random_cones_in_batches_match_referee(d):
         cons = rng.standard_normal((k, d))
         approxes.append(CentralConeApprox(SimplicialCone(rng.standard_normal((d, d))),
                                           cons / np.linalg.norm(cons, axis=1, keepdims=True)))
-    patches = [p for lo in range(0, 150, 25) for p in _clip_patches(approxes[lo : lo + 25])]
+    patches = [p for lo in range(0, 150, 25) for p in _clip(approxes[lo : lo + 25])]
     assert 10 < sum(p is None for p in patches) < 140
     for approx, p in zip(approxes, patches, strict=True):
         assert _same(p, _referee_patch(approx))

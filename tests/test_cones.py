@@ -9,6 +9,8 @@ from depthlab.median import recenter, witness_tuple
 from depthlab.cones import (
     GeneratingTuple,
     MatchingError,
+    _generating_normals,
+    _labelled_cones,
     _tuple_hits,
     bmes_report,
     canonical_labeling,
@@ -98,6 +100,46 @@ def test_cones_of_refuses_a_flat_generating_tuple():
     assert is_generating(tup.normals)[1] > 0.2
     with pytest.raises(ValueError, match="linearly dependent"):
         cones_of(tup)
+
+
+def _message(f, *args) -> str:
+    with pytest.raises(ValueError) as e:
+        f(*args)
+    return str(e.value)
+
+
+def test_stacked_tuples_and_cones_keep_the_one_tuple_bits_and_errors():
+    # the stacked rules of GeneratingTuple and cones_of give each tuple's
+    # normals and reordered cones with the bits of its own objects, and the
+    # first bad tuple of a stack raises the ValueError its own object raises
+    rng = np.random.default_rng(4)
+    for d in (2, 3):
+        raw = np.stack([np.vstack([np.eye(d), -np.ones((1, d))]) + 0.3 * rng.standard_normal((d + 1, d))
+                        for _ in range(40)])
+        raw = raw[[is_generating(t)[0] for t in raw]]
+        assert len(raw) > 20
+        orders = np.stack([rng.permutation(d + 1) for _ in raw])
+        assert np.array_equal(_generating_normals(raw), np.stack([GeneratingTuple(t).normals for t in raw]))
+        assert np.array_equal(_labelled_cones(raw, orders), np.stack(
+            [np.stack([b.normals for b in cones_of(GeneratingTuple(t).reordered(o)).cones]) for t, o in zip(raw, orders)]))
+        # one direction, a singular system (margin 0); normals in an open half-space (margin < 0)
+        flat = np.vstack([np.eye(d)[:1], 2 * np.eye(d)[:1], 0.5 * np.eye(d)[:1], np.zeros((d - 2, d)) + np.eye(d)[:1]])
+        outside = np.vstack([np.eye(d), np.ones((1, d))])
+        zero = np.vstack([raw[0][:-1], np.zeros((1, d))])
+        for bad, start in ((flat, "not generating: hull interior margin 0 "), (outside, "not generating: hull interior margin -"),
+                           (zero, f"normal {d} is zero")):
+            stack = np.concatenate([raw[:3], bad[None], raw[3:]])
+            assert _message(GeneratingTuple, bad).startswith(start)
+            assert _message(_generating_normals, stack) == _message(GeneratingTuple, bad)
+            assert _message(_labelled_cones, stack, np.tile(np.arange(d + 1), (len(stack), 1))) == _message(GeneratingTuple, bad)
+        stack = np.concatenate([raw[:3], outside[None], raw[3:6], flat[None]])
+        assert _message(_generating_normals, stack) == _message(GeneratingTuple, outside)
+    # a generating tuple whose cones are dependent
+    ang = np.deg2rad([0, 80, 190, 280])
+    tup = GeneratingTuple(np.column_stack([np.cos(ang), np.sin(ang), [1e-11, -1e-11, 1e-11, -1e-11]]))
+    good = GeneratingTuple(np.vstack([np.eye(3), -np.ones((1, 3))]))
+    stack, orders = np.stack([good.normals, tup.normals]), np.tile(np.arange(4), (2, 1))
+    assert _message(_labelled_cones, stack, orders) == _message(cones_of, tup) == "constraint normals are linearly dependent (tol 1e-10)"
 
 
 def test_cones_of_bijective(tri_tuple):

@@ -594,9 +594,9 @@ for d, n in ((2, 241), (3, 151), (4, 397)):
     print(closed_mass_bounds(m.points[None], m)(np.zeros(3, dtype=int), q, u[:, :37]).tobytes().hex())
     if d == 3:
         print(min_normal_set(m, q[0]).normals.tobytes().hex())
-        cones = [SimplicialCone(-random_rotation(3, s)) for s in range(6)]
-        for a in _central_cones(m, cones, [1, 2, 3, 1, 2, 3], 999):
-            print(None if a is None else a.constraints.tobytes().hex())
+        normals = np.stack([SimplicialCone(-random_rotation(3, s)).normals for s in range(6)])
+        for cons, kept in zip(*_central_cones(m, normals, [1, 2, 3, 1, 2, 3], 999)):
+            print(None if kept < 0 else cons[:kept].tobytes().hex())
 """
 
 
