@@ -29,10 +29,11 @@ masks from one product, and one more product the masses shared with the
 reference's cones.  Its members' matched cones are one stack of normals,
 built by the stacked rules of ``GeneratingTuple`` and ``SimplicialCone``
 with no object per member.  It then builds the central cones of
-``MAP_BLOCK`` family members at a time (their pools drawn seed by seed from
-each seed's own generators, then crossed, normalized and counted together,
-their kept constraints one zero-padded stack in the stable order of their
-captures, a radix sort of int16 keys for a uniform measure), clips all the
+``MAP_BLOCK`` family members at a time (one pool per member, shared by its
+d + 1 cones and drawn from the member's own generators, the block's pools
+crossed, normalized and counted together, the kept constraints one
+zero-padded stack in the stable order of their captures, a radix sort of
+int16 keys for a uniform measure), clips all the
 map's patches together from those stacks and adds the contributions in
 sample order.  ``CentralConeApprox``, ``central_cone``, ``central_patch``
 and ``containment_check`` are the one- and two-cone cases of the same
@@ -403,11 +404,21 @@ def _central_cones(m: DiscreteMeasure, normals: np.ndarray, seeds, samples: int)
     return cons, kept
 
 
+def _check_seed(seed, last: int) -> None:
+    """Refuse a seed below 0, or one whose last derived seed, seed +
+    ``last``, reaches 2^63, with a ``ValueError`` that names ``seed``."""
+    check_count("seed", seed, 0)
+    if int(seed) + last >= 2**63:
+        raise ValueError(f"seed must be below 2**63 - {last}, got {seed!r}")
+
+
 def central_cone(m: DiscreteMeasure, b: SimplicialCone, seed: int = 0) -> CentralConeApprox:
     """Sampled outer approximation of the central cone of B from the pool
     of ``seed`` with ``CONSTRAINT_SAMPLES`` sphere directions: the one-cone
     case of ``_central_cones``, whose docstring gives the candidate pool and
-    the capture rule.  Raises ValueError when B carries no mass."""
+    the capture rule.  Raises ValueError when B carries no mass, and before
+    any work when ``seed`` is negative or seed + 1 reaches 2^63."""
+    _check_seed(seed, 1)
     cons, kept = _central_cones(m, b.normals[None], [seed], CONSTRAINT_SAMPLES)
     if kept[0] < 0:
         raise ValueError("cone carries no mass")
@@ -440,7 +451,10 @@ def containment_check(
     (within 1e-7).  The patch is convex, so it lies in a cone exactly when
     its vertices do.  ``ray_samples`` is unused: it is kept only for the
     benchmark's call and goes with the benchmark change of ROADMAP item 18.
+    A negative ``seed``, or one whose seed + 1 reaches 2^63, raises
+    ValueError before any work.
     """
+    _check_seed(seed, 1)
     d = m.dim
     for b in (b1, b2):
         if b.dim != d:
@@ -506,9 +520,10 @@ def structural_map(
     which realizes the unordered-tuple integral because the proposal treats
     the d + 1 slots symmetrically.
 
-    Requires d = 2 or 3, where central-cone patches exist, and a positive
-    integer ``tuple_samples`` (``ValueError`` otherwise, before any work),
-    and the measure to be recentered (median at the origin) with depth
+    Requires d = 2 or 3, where central-cone patches exist, a positive
+    integer ``tuple_samples`` and an integer ``seed`` >= 0 whose last
+    derived seed, seed + 31 (tuple_samples - 1) + 1, stays below 2^63
+    (``ValueError`` otherwise, before any work), and the measure to be recentered (median at the origin) with depth
     there (``depth_bracket``) below a < 1/(d+1) + 1/(3(d+1)^3);
     deterministic in the seed.  A sample with an empty central-cone patch contributes nothing.
     Every member cone carries mass: it shares more than
@@ -518,12 +533,17 @@ def structural_map(
     the members' matched cones are one stack of normals (no object per
     member), the central cones of ``MAP_BLOCK`` family members are built
     together (``_central_cones``), and all their patches are clipped
-    together from the blocks' constraint stacks.
+    together from the blocks' constraint stacks.  The d + 1 cones of the
+    member of sample s share one constraint pool, that of seed + 31 s
+    (common random numbers across a member's cones); the pools of distinct
+    members are independent, since a pool reads only the generators of its
+    seed and of its seed + 1.
     """
     d = m.dim
     if d not in (2, 3):
         raise ValueError(f"structural maps need d = 2 or 3, got d = {d}")
     check_count("tuple_samples", tuple_samples, 1)
+    _check_seed(seed, 31 * (tuple_samples - 1) + 1)  # the last pool's second generator
     cap = family_level_cap(d)
     if not (1.0 / (d + 1) < a < cap):
         raise ValueError(f"a must lie in (1/(d+1), {cap!r}), got {a}")
@@ -546,8 +566,8 @@ def structural_map(
     normals = _tuple_samples(np.random.default_rng(seed), ref.tuple.normals, tuple_samples)
     idx, weights, orders = _family_members(m, a, ref, normals)
     cones = _labelled_cones(normals[idx], orders).reshape(-1, d, d)  # the members' matched cones
-    # cone j of sample s from the pool of seed + 31 s + j
-    seeds = (seed + 31 * idx[:, None] + np.arange(d + 1)).ravel()
+    # the d + 1 cones of sample s share the pool of seed + 31 s
+    seeds = np.repeat(seed + 31 * idx, d + 1)
     cons = np.zeros((len(cones), CONSTRAINT_CAP, d))
     kept = np.zeros(len(cones), dtype=int)
     for lo in range(0, len(cones), MAP_BLOCK * (d + 1)):

@@ -267,8 +267,9 @@ def draw_tuple_samples(m: DiscreteMeasure, a: float, tuple_samples: int, seed: i
 
 def structural_map(m: DiscreteMeasure, a: float, tuple_samples: int = 240, seed: int = 0,
                    clip=patch) -> StructuralTuple:
-    """The structural map, one tuple sample and one cone at a time; each
-    approximation is clipped by ``clip``."""
+    """The structural map, one tuple sample and one cone at a time, every
+    cone of sample s from the pool of seed + 31 s; each approximation is
+    clipped by ``clip``."""
     d = m.dim
     ref, samples = draw_tuple_samples(m, a, tuple_samples, seed)
     sums = np.zeros((d + 1, d))
@@ -282,7 +283,7 @@ def structural_map(m: DiscreteMeasure, a: float, tuple_samples: int = 240, seed:
         contrib = np.zeros((d + 1, d))
         ok = True
         for j in range(d + 1):
-            cons, kept = _central_cones(m, cones[j].normals[None], [seed + 31 * s + j], MAP_CONSTRAINT_SAMPLES)
+            cons, kept = _central_cones(m, cones[j].normals[None], [seed + 31 * s], MAP_CONSTRAINT_SAMPLES)
             try:
                 _, e = clip(CentralConeApprox(cones[j], cons[0, : kept[0]]))
             except RuntimeError:

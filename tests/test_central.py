@@ -426,15 +426,19 @@ def test_structural_map_requires_low_depth():
         structural_map(mc, a, tuple_samples=40, seed=0)
 
 
-@pytest.mark.parametrize("d, samples, match", [
-    pytest.param(1, 8, "d = 1", id="1"),
-    pytest.param(4, 8, "d = 4", id="4"),
-    *(pytest.param(2, bad, "tuple_samples", id=f"tuple_samples={bad!r}") for bad in (0, -3, 80.0, True)),
+@pytest.mark.parametrize("d, samples, seed, match", [
+    pytest.param(1, 8, 0, "d = 1", id="1"),
+    pytest.param(4, 8, 0, "d = 4", id="4"),
+    *(pytest.param(2, bad, 0, "tuple_samples", id=f"tuple_samples={bad!r}") for bad in (0, -3, 80.0, True)),
+    *(pytest.param(2, samples, bad, "seed", id=f"seed={bad!r}")
+      for bad, samples in ((-1, 40), (2**63 - 5, 240), (2**63 - 31 * 39 - 1, 40), (0.0, 40))),
 ])
-def test_structural_map_refuses_other_dimensions_before_any_work(monkeypatch, d, samples, match):
-    # central-cone patches exist only in d = 2, 3, and the estimate needs a
-    # positive whole number of tuple samples, so the map refuses any other
-    # d or count before it evaluates a depth or searches a witness tuple
+def test_structural_map_refuses_other_dimensions_before_any_work(monkeypatch, d, samples, seed, match):
+    # central-cone patches exist only in d = 2, 3, the estimate needs a
+    # positive whole number of tuple samples, and numpy seeds lie in [0,
+    # 2^63) (the map's last pool reads the generator of seed + 31 (samples
+    # - 1) + 1), so the map refuses any other d, count or seed before it
+    # evaluates a depth or searches a witness tuple
     def no_work(*args, **kwargs):
         raise AssertionError("structural_map did work before refusing its arguments")
 
@@ -442,7 +446,35 @@ def test_structural_map_refuses_other_dimensions_before_any_work(monkeypatch, d,
     monkeypatch.setattr(central, "witness_tuple", no_work)
     m = generate_measure(MeasureSpec("gaussian", d, 100, {}, seed=d))
     with pytest.raises(ValueError, match=match):
-        structural_map(m, 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3), tuple_samples=samples)
+        structural_map(m, 1.0 / (d + 1) + 0.5 / (3.0 * (d + 1) ** 3), tuple_samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63 - 1, 2**64, 3.0, True])
+def test_cone_seeds_out_of_range_are_refused_before_any_work(monkeypatch, mixture3, seed):
+    # a cone's pool reads the generators of its seed and seed + 1: numpy
+    # refuses a negative seed only after the work, and an int64 seed + 1
+    # at 2^63 wraps
+    def no_work(*args, **kwargs):
+        raise AssertionError("did work before refusing its seed")
+
+    mc, tup = mixture3
+    b = cones_of(tup).cones[0]
+    monkeypatch.setattr(central, "cone_contains_many", no_work)
+    monkeypatch.setattr(central, "_central_cones", no_work)
+    for call in (central_cone, central_patch, lambda m, b, seed: containment_check(m, b, b, seed=seed)):
+        with pytest.raises(ValueError, match="seed"):
+            call(mc, b, seed)
+
+
+def test_largest_seeds_run(family2, mixture3):
+    # the largest seeds whose derived seeds stay below 2^63 run without an
+    # overflow warning (warnings are errors here)
+    mc, tup = mixture3
+    b = cones_of(tup).cones[0]
+    central_patch(mc, b, seed=2**63 - 2)
+    assert containment_check(mc, b, b, seed=2**63 - 2)
+    mc, _, a = family2
+    assert structural_map(mc, a, tuple_samples=40, seed=2**63 - 31 * 39 - 2).margin > 0
 
 
 _THREADS_PROBE = """

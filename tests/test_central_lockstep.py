@@ -167,7 +167,9 @@ def test_map_skips_empty_patches_like_referee(recorded, monkeypatch):
     # cone 1 of every third sample has an empty patch (a sliver added to its
     # constraints, in the package's blocks and in the referee's one cone at
     # a time alike): both maps skip those samples, and the referee builds
-    # none of their later cones
+    # none of their later cones.  A member's cones share the pool of seed
+    # 31 s and are built in slot order, so cone j is the (j + 1)-th built
+    # from that seed
     d, mc, a, _, _ = recorded
     real = central._central_cones
     hits = []
@@ -175,8 +177,9 @@ def test_map_skips_empty_patches_like_referee(recorded, monkeypatch):
     def faulty(m, normals, seeds, samples):
         cons, kept = real(m, normals, seeds, samples)
         for i, (nrm, seed) in enumerate(zip(normals, seeds)):
-            hits.append((seed // 31, seed % 31))
-            if seed % 31 == 1 and seed // 31 % 3 == 0:
+            s, j = seed // 31, sum(h == seed // 31 for h, _ in hits)
+            hits.append((s, j))
+            if j == 1 and s % 3 == 0:
                 # after its kept constraints, or over the last two of a full row
                 k = min(kept[i], cons.shape[1] - 2)
                 cons[i, k : k + 2] = _sliver(nrm)
@@ -193,6 +196,35 @@ def test_map_skips_empty_patches_like_referee(recorded, monkeypatch):
     assert {s for s, j in hits if j == 1 and s % 3 == 0} == faulted
     assert np.array_equal(st.vectors, ref.vectors) and st.margin == ref.margin
     assert not np.array_equal(st.vectors, recorded[3].vectors)
+
+
+@pytest.mark.parametrize("d", sorted(MAPS))
+def test_map_draws_one_pool_per_member(d, monkeypatch):
+    # the d + 1 cones of the member of sample s share the pool of seed +
+    # 31 s, drawn once; a pool reads the generators of its seed and seed +
+    # 1 only, so seeds at least 2 apart keep the members' pools independent
+    mc, a = _map_case(d)
+    seed = 5
+    real_pools, real_cones = central._constraint_pools, central._central_cones
+    pools, cones = [], []
+
+    def pool_spy(m, samples, seeds):
+        pools.extend(int(s) for s in seeds)
+        return real_pools(m, samples, seeds)
+
+    def cone_spy(m, normals, seeds, samples):
+        cones.extend(int(s) for s in seeds)
+        return real_cones(m, normals, seeds, samples)
+
+    monkeypatch.setattr(central, "_constraint_pools", pool_spy)
+    monkeypatch.setattr(central, "_central_cones", cone_spy)
+    central.structural_map(mc, a, tuple_samples=MAPS[d], seed=seed)
+    ref, samples = referee.draw_tuple_samples(mc, a, MAPS[d], seed)
+    members = [s for s, nrm in enumerate(samples) if referee.family_member(mc, a, ref, nrm) is not None]
+    assert len(members) > 10
+    assert pools == [seed + 31 * s for s in members]
+    assert cones == [p for p in pools for _ in range(d + 1)]
+    assert min(np.diff(pools)) >= 2
 
 
 def test_every_member_cone_holds_the_overlap_floor(recorded):
